@@ -7,8 +7,8 @@ cheaper, and this benchmark is the regression guard):
   region much larger than the workspace) where plain rejection must redraw
   the *joint* sample on every containment failure, while ``BatchSampler``
   re-draws only the offending object group;
-* a gallery scenario where ``PruningAwareSampler`` shrinks the feasible
-  road region before sampling;
+* a gallery scenario where the Sec. 5.2 pruning pass (``prune_scenario``,
+  then rejection) shrinks the feasible road region before sampling;
 * the geometry kernel against the scalar hot-path checks (≥3x);
 * the compiled-artifact cache: warm-path scenario construction must be
   ≥10x faster than a cold compile (lexer+parser+interpreter);
@@ -21,10 +21,7 @@ cheaper, and this benchmark is the regression guard):
   rejection on the containment-heavy scenario;
 * the numba geometry backend (when installed — the CI ``backends`` job):
   ≥5x over the numpy reference on the 20-object collision microbench,
-  measured after JIT warmup;
-* cross-request kernel fusion: one fused launch over 64 concurrent
-  single-candidate requests vs 64 per-request launches (≥3.5x), with the
-  sliced-back results bit-identical.
+  measured after JIT warmup.
 
 Headline numbers are also written to ``results/BENCH_9.json`` (see
 ``conftest.save_bench_json``) so future PRs have a machine-readable perf
@@ -38,6 +35,7 @@ import time
 import numpy as np
 
 from repro.core import At, Facing, In, Object, ScenarioBuilder, Workspace
+from repro.core.pruning import prune_scenario
 from repro.core.regions import CircularRegion, PolygonalRegion
 from repro.experiments import scenarios
 from repro.experiments.pruning_eval import measure_sampling
@@ -92,7 +90,7 @@ def test_batch_sampler_beats_rejection_on_containment(benchmark, record_result):
     rows = benchmark.pedantic(
         lambda: [
             _run_strategy(name)
-            for name in ("rejection", "batch", "parallel", "vectorized")
+            for name in ("rejection", "batch", "vectorized")
         ],
         rounds=1,
         iterations=1,
@@ -140,14 +138,14 @@ def test_direct_sampler_candidate_reduction(benchmark, record_result, record_ben
     rows = benchmark.pedantic(
         lambda: [
             _run_strategy(name)
-            for name in ("vectorized", "pruned-vectorized", "direct", "direct-fallback")
+            for name in ("vectorized", "direct")
         ],
         rounds=1,
         iterations=1,
     )
     by_name = {row["strategy"]: row for row in rows}
     lines = [
-        f"{row['strategy']:>17s}: {row['candidates']:7d} drawn candidates, "
+        f"{row['strategy']:>10s}: {row['candidates']:7d} drawn candidates, "
         f"{row['rejections']:6d} rejections, {row['wall_seconds']:.3f}s wall"
         + (
             f", mean importance weight {row['mean_importance_weight']:.4f}"
@@ -186,12 +184,6 @@ def test_direct_sampler_candidate_reduction(benchmark, record_result, record_ben
         f"direct drew {by_name['direct']['candidates']} candidates vs "
         f"vectorized {by_name['vectorized']['candidates']} — less than 10x fewer"
     )
-    # The fallback wrapper must take the constructive path here (the plan is
-    # fully constructive) and match direct's efficiency.
-    assert (
-        by_name["direct-fallback"]["candidates"] * 10
-        <= by_name["vectorized"]["candidates"]
-    )
     # Every accepted direct scene carries an importance weight in (0, 1].
     assert by_name["direct"]["mean_importance_weight"] is not None
     assert 0.0 < by_name["direct"]["mean_importance_weight"] <= 1.0
@@ -205,13 +197,9 @@ def test_pruning_sampler_reduces_iterations(benchmark, record_result):
             seed=0,
             name="two_cars",
         )
-        pruned = measure_sampling(
-            scenarios.compile_scenario(scenarios.two_cars()),
-            samples=5,
-            seed=0,
-            name="two_cars+pruning",
-            strategy="pruning",
-        )
+        pruned_scenario = scenarios.compile_scenario(scenarios.two_cars())
+        prune_scenario(pruned_scenario)
+        pruned = measure_sampling(pruned_scenario, samples=5, seed=0, name="two_cars+pruning")
         return baseline, pruned
 
     baseline, pruned = benchmark.pedantic(compare, rounds=1, iterations=1)
@@ -219,9 +207,9 @@ def test_pruning_sampler_reduces_iterations(benchmark, record_result):
         "engine_pruning",
         f"rejection: mean {baseline.mean_iterations:.1f} iterations/scene\n"
         f"pruning:   mean {pruned.mean_iterations:.1f} iterations/scene\n"
-        "\nPruningAwareSampler runs the Sec. 5.2 pruning pass once (bounds"
-        "\nderived automatically by static requirement analysis), then"
-        "\nrejection-samples the shrunken regions.",
+        "\nprune_scenario runs the Sec. 5.2 pruning pass once (bounds derived"
+        "\nautomatically by static requirement analysis), then rejection"
+        "\nsamples the shrunken regions.",
     )
     # Pruning is sound: it can only remove sample-space volume that could not
     # have produced a valid scene, so it never makes sampling harder (up to
@@ -243,7 +231,6 @@ def test_auto_pruning_beats_containment_only(benchmark, record_result, record_be
     ``results/BENCH_6.json``.
     """
     from repro.language import compile_scenario as compile_artifact
-    from repro.sampling import PruningAwareSampler
 
     scene_count = 8
     cases = {
@@ -254,18 +241,18 @@ def test_auto_pruning_beats_containment_only(benchmark, record_result, record_be
     def run_case(source, containment_only):
         artifact = compile_artifact(source, cache=None)
         bounds = artifact.prune_bounds()
-        if containment_only:
-            strategy = PruningAwareSampler(bounds=bounds.containment_only())
-        else:
-            strategy = PruningAwareSampler(bounds=bounds)
-        engine = SamplerEngine(artifact.scenario(fresh=True), strategy)
+        scenario = artifact.scenario(fresh=True)
+        report = prune_scenario(
+            scenario, bounds.containment_only() if containment_only else bounds
+        )
+        engine = SamplerEngine(scenario, "rejection")
         batch = engine.sample_batch(scene_count, seed=0, max_iterations=200000)
         combined = batch.stats.combined()
         return {
             "iterations": combined.iterations,
             "rejections": combined.total_rejections,
-            "area_ratio": strategy.report.area_ratio,
-            "technique_ratios": strategy.report.technique_ratios(),
+            "area_ratio": report.area_ratio,
+            "technique_ratios": report.technique_ratios(),
         }
 
     def run_all():
@@ -512,64 +499,6 @@ def test_numba_backend_beats_numpy_reference(benchmark, record_result, record_be
     assert speedup >= 5.0, f"numba backend only {speedup:.2f}x over numpy"
 
 
-def test_cross_request_fusion_amortizes_launch_overhead(
-    benchmark, record_result, record_bench_json
-):
-    """One fused launch for a 64-request tick must be >=3.5x the serial calls.
-
-    The service-shaped workload: 64 concurrent requests each holding a
-    single 20-object candidate block (the ``workers=0`` fusion tick at its
-    finest granularity, where per-call overhead dominates arithmetic).
-    Serial = 64 separate ``batch_collision_free`` launches; fused = the
-    exact concatenate → one launch → slice-back sequence
-    ``FusionHub._run_group`` performs.  The sliced results must equal the
-    serial ones element for element — the determinism contract the fusion
-    test suite pins end to end.
-    """
-    from repro.geometry.backends import get_backend
-
-    request_count, object_count = 64, 20
-    backend = get_backend("numpy")
-    blocks = [
-        _collision_workload(candidate_count=1, object_count=object_count, seed=seed)
-        for seed in range(request_count)
-    ]
-
-    def serial_pass():
-        return [backend.batch_collision_free(block) for block in blocks]
-
-    def fused_pass():
-        fused = backend.batch_collision_free(np.concatenate(blocks))
-        return [fused[index : index + 1] for index in range(request_count)]
-
-    serial_seconds, serial_results = benchmark.pedantic(
-        lambda: _best_of(serial_pass), rounds=1, iterations=1
-    )
-    fused_seconds, fused_results = _best_of(fused_pass)
-    assert [r.tolist() for r in fused_results] == [r.tolist() for r in serial_results]
-
-    speedup = serial_seconds / fused_seconds
-    record_result(
-        "fusion_tick",
-        f"serial launches: {serial_seconds * 1000:8.2f} ms  ({request_count} calls)\n"
-        f"fused launch:    {fused_seconds * 1000:8.2f} ms  (1 call)\n"
-        f"speedup:         {speedup:8.1f}x\n"
-        f"\n{request_count} single-candidate requests x {object_count} objects "
-        "per tick;\nper-request slices bit-identical to the serial results.",
-    )
-    record_bench_json(
-        "fusion_tick",
-        {
-            "requests": request_count,
-            "objects": object_count,
-            "serial_seconds": serial_seconds,
-            "fused_seconds": fused_seconds,
-            "speedup": speedup,
-        },
-    )
-    assert speedup >= 3.5, f"fused tick only {speedup:.2f}x over per-request launches"
-
-
 def test_compiled_artifact_cache_warm_vs_cold(benchmark, record_result, record_bench_json):
     """Warm-path scenario construction must be >= 10x faster than cold compile.
 
@@ -736,21 +665,3 @@ def test_service_throughput(benchmark, record_result, record_bench_json):
         f"service throughput {throughput:.1f} scenes/s is only {speedup:.1f}x "
         f"the BENCH_6 baseline ({BENCH_6_SERVICE_SCENES_PER_SECOND} scenes/s)"
     )
-
-
-def test_parallel_sampler_is_deterministic(benchmark):
-    """The merged batch is a pure function of the seed, not the worker count."""
-    scenario_source = scenarios.two_cars()
-
-    def batch_positions(workers):
-        scenario = scenarios.compile_scenario(scenario_source)
-        engine = SamplerEngine(scenario, "parallel", workers=workers)
-        batch = engine.sample_batch(6, seed=11, max_iterations=20000)
-        return [
-            tuple(round(coordinate, 9) for coordinate in scenic_object.to_vector())
-            for scene in batch
-            for scenic_object in scene.objects
-        ]
-
-    first = benchmark.pedantic(lambda: batch_positions(1), rounds=1, iterations=1)
-    assert first == batch_positions(4)

@@ -7,9 +7,9 @@ and well connected), so the absolute factor here is smaller, but pruning must
 never hurt: it only removes sample-space volume that could not have produced
 a valid scene.
 
-The pruned measurement runs through the sampling engine's
-``PruningAwareSampler`` strategy (see ``benchmarks/bench_engine.py`` for the
-full strategy comparison).
+The pruned measurement runs ``prune_scenario`` on a second compile and then
+rejection-samples it exactly like the baseline (see
+``benchmarks/bench_engine.py`` for the full strategy comparison).
 """
 
 from repro.experiments.pruning_eval import pruning_table, run_pruning_experiment

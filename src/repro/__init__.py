@@ -14,8 +14,7 @@ Subpackages
   and the AST walk deriving the ``PruneBounds`` that make Sec. 5.2 pruning
   automatic.
 * :mod:`repro.sampling` — the pluggable scene-sampling engine and its
-  strategies (rejection / pruning / batch / parallel / vectorized /
-  pruned-vectorized).
+  strategies (rejection / batch / vectorized / direct).
 * :mod:`repro.service` — the async, process-sharded generation service over
   compiled artifacts (``GenerationService``, JSON-lines TCP server, CLI).
 * :mod:`repro.fuzz` — the grammar-driven scenario fuzzer and differential

@@ -246,9 +246,16 @@ class _Analyzer:
         self.analysis_profiles: List[Any] = []
         self.deviation_properties: Set[str] = set()
         self.model_symbols: Set[str] = set()
+        # The class definition each name is bound to at the current point of
+        # the scan, and (by definition id) the definition its base name was
+        # bound to where it was defined; None = a world or builtin class.
         self.class_defs: Dict[str, ast.ClassDefinition] = {}
+        self.class_bases: Dict[int, Optional[ast.ClassDefinition]] = {}
         self.creator_functions: Set[str] = set(KNOWN_CREATOR_FUNCTIONS)
+        # Facts of world/builtin classes by name, of program classes by
+        # definition id (a redefined name gets a fresh entry).
         self.facts_cache: Dict[str, ClassFacts] = {}
+        self.definition_facts: Dict[int, ClassFacts] = {}
         # Constraints, keyed by unordered creation-order pairs.
         self.distance_bounds: Dict[Tuple[int, int], List[_PairBound]] = {}
         # Arcs of heading(b) - heading(a), keyed by the *ordered* pair (a, b).
@@ -339,6 +346,11 @@ class _Analyzer:
             self._load_world(statement.module)
             return
         if isinstance(statement, ast.ClassDefinition):
+            # Like the interpreter, resolve the base to the binding visible
+            # here: ``class Crate(Crate):`` extends the earlier ``Crate``.
+            self.class_bases[id(statement)] = self.class_defs.get(
+                statement.superclass or "Object"
+            )
             self.class_defs[statement.name] = statement
             if any(_contains_creation(expr) for _name, expr in statement.properties):
                 self.bail(f"class {statement.name} has creating property defaults")
@@ -466,28 +478,41 @@ class _Analyzer:
         return creation
 
     def _facts_for_class(self, class_name: str) -> ClassFacts:
+        definition = self.class_defs.get(class_name)
+        if definition is not None:
+            return self._facts_for_definition(definition)
+        return self._facts_for_builtin(class_name)
+
+    def _facts_for_definition(self, definition: ast.ClassDefinition) -> ClassFacts:
+        cached = self.definition_facts.get(id(definition))
+        if cached is not None:
+            return cached
+        base = self.class_bases[id(definition)]
+        if base is not None:
+            facts = self._facts_for_definition(base).copy()
+        else:
+            facts = self._facts_for_builtin(definition.superclass or "Object").copy()
+        facts.name = definition.name
+        self._apply_class_overrides(facts, definition)
+        self.definition_facts[id(definition)] = facts
+        return facts
+
+    def _facts_for_builtin(self, class_name: str) -> ClassFacts:
+        """Facts of a class the program did not define (world or builtin)."""
         cached = self.facts_cache.get(class_name)
         if cached is not None:
             return cached
-        facts: Optional[ClassFacts] = None
-        definition = self.class_defs.get(class_name)
-        if definition is not None:
-            base_name = definition.superclass or "Object"
-            facts = self._facts_for_class(base_name).copy()
-            facts.name = class_name
-            self._apply_class_overrides(facts, definition)
-        else:
-            python_class = self.world_namespace.get(class_name)
-            if python_class is None and class_name in NON_OBJECT_CLASSES:
-                facts = ClassFacts(name=class_name, is_scenario_object=False)
-            elif python_class is None and class_name == "Object":
-                from ..core.objects import Object
+        python_class = self.world_namespace.get(class_name)
+        if python_class is None and class_name in NON_OBJECT_CLASSES:
+            facts = ClassFacts(name=class_name, is_scenario_object=False)
+        elif python_class is None and class_name == "Object":
+            from ..core.objects import Object
 
-                facts = _facts_from_python_class(class_name, Object, self.analysis_profiles)
-            elif python_class is not None:
-                facts = _facts_from_python_class(class_name, python_class, self.analysis_profiles)
-            else:
-                facts = ClassFacts(name=class_name)
+            facts = _facts_from_python_class(class_name, Object, self.analysis_profiles)
+        elif python_class is not None:
+            facts = _facts_from_python_class(class_name, python_class, self.analysis_profiles)
+        else:
+            facts = ClassFacts(name=class_name)
         self.facts_cache[class_name] = facts
         return facts
 

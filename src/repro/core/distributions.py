@@ -23,6 +23,7 @@ The key entry points are:
 from __future__ import annotations
 
 import math
+import numbers
 import random as _random
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -383,18 +384,30 @@ class VectorDistribution(Distribution):
 # ---------------------------------------------------------------------------
 
 
+def _check_interval(kind: str, low: Any, high: Any) -> None:
+    """Raise when concrete endpoints make an empty interval.
+
+    ``sample_given`` calls this on every draw.  The constructors call it
+    too when both endpoints are constant reals, so such an interval fails
+    at compile time instead of on every sample.
+    """
+    if low > high:
+        raise ScenicError(f"{kind} ({low}, {high}) is empty")
+
+
 class Range(Distribution):
     """Uniform distribution on an interval — the paper's ``(low, high)`` syntax."""
 
     def __init__(self, low: Any, high: Any):
+        if isinstance(low, numbers.Real) and isinstance(high, numbers.Real):
+            _check_interval("uniform interval", low, high)
         super().__init__(low, high)
         self.low = low
         self.high = high
 
     def sample_given(self, dependency_values, rng):
         low, high = dependency_values
-        if low > high:
-            raise ScenicError(f"uniform interval ({low}, {high}) is empty")
+        _check_interval("uniform interval", low, high)
         return rng.uniform(low, high)
 
     def support_interval(self):
@@ -483,12 +496,13 @@ class TruncatedNormal(Distribution):
     """Gaussian restricted to an interval (used by some world libraries)."""
 
     def __init__(self, mean: Any, std_dev: Any, low: Any, high: Any):
+        if isinstance(low, numbers.Real) and isinstance(high, numbers.Real):
+            _check_interval("TruncatedNormal interval", low, high)
         super().__init__(mean, std_dev, low, high)
 
     def sample_given(self, dependency_values, rng):
         mean, std_dev, low, high = dependency_values
-        if low > high:
-            raise ScenicError(f"TruncatedNormal interval ({low}, {high}) is empty")
+        _check_interval("TruncatedNormal interval", low, high)
         for _ in range(1000):
             value = rng.gauss(mean, std_dev)
             if low <= value <= high:

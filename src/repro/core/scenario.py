@@ -144,18 +144,20 @@ class Scenario:
         A thin wrapper over :class:`repro.sampling.SamplerEngine`: *strategy*
         selects a registered sampling strategy (``"rejection"`` — the
         default, draw-for-draw identical to the historical behaviour —
-        ``"pruning"``, ``"batch"`` or ``"parallel"``) and *strategy_options*
-        are forwarded to it.  Engines are cached per (strategy, options), so
-        bind-time analysis (the pruning pass, the dependency graph) runs
-        once per scenario rather than once per call.  Raises
-        :class:`RejectionError` if no valid scene is found within
+        ``"batch"``, ``"vectorized"`` or ``"direct"``) and
+        *strategy_options* are forwarded to it.  Engines are cached per
+        (strategy, options), so bind-time analysis (the pruning pass, the
+        dependency graph) runs once per scenario rather than once per call.
+        Raises :class:`RejectionError` if no valid scene is found within
         *max_iterations* candidate samples.  Statistics about the run are
         stored in :attr:`last_stats`.
 
-        .. warning:: ``strategy="pruning"`` rewrites the prunable objects'
-           sampling regions *in place* (sound — only volume that can never
-           yield a valid scene is removed, see Sec. 5.2).  Compile a fresh
-           scenario if you need an unpruned baseline of the same program.
+        .. warning:: ``strategy="direct"`` (like
+           :func:`~repro.core.pruning.prune_scenario`) rewrites the prunable
+           objects' sampling regions *in place* (sound — only volume that
+           can never yield a valid scene is removed, see Sec. 5.2).  Compile
+           a fresh scenario if you need an unpruned baseline of the same
+           program.
         """
         engine = self._engine_for(strategy, strategy_options)
         try:

@@ -12,7 +12,7 @@ CI-gated number.  It has three moving parts:
   metrics per (scenario, strategy), plus distributional coverage against a
   rejection ground-truth batch;
 * a **scorecard + gate** (:mod:`repro.evals.scorecard`,
-  :mod:`repro.evals.check`): the committed ``results/EVALS_10.json``
+  :mod:`repro.evals.check`): the committed ``results/EVALS.json``
   baseline, its markdown rendering, and tolerance-band regression checks —
   validated end-to-end by the planted-regression selfcheck
   (:mod:`repro.evals.selfcheck`).

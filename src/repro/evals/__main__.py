@@ -4,7 +4,7 @@ Subcommands::
 
     promote    grow the corpus from the fuzzer's seed stream (+ optionally
                graduate scenarios into the golden-corpus gallery)
-    run        fixed-seed scoring pass -> results/EVALS_10.{json,md}
+    run        fixed-seed scoring pass -> results/EVALS.json (+ EVALS.md)
     check      re-score the stratified CI slice with the committed
                baseline's parameters and gate within tolerance bands
     selfcheck  plant a biased sampler and prove `check` flags it
@@ -31,7 +31,7 @@ from .scorecard import (
 )
 from .scoring import DEFAULT_MAX_ITERATIONS, DEFAULT_SAMPLES, DEFAULT_STRATEGIES
 
-#: The fixed seed behind the committed ``results/EVALS_10.json``.
+#: The fixed seed behind the committed ``results/EVALS.json``.
 EVALS_SEED = 20260808
 
 #: Default stratified CI slice: a few scenarios per (world, difficulty)

@@ -24,7 +24,7 @@ pipeline turns the good ones into permanent, graded corpus scenarios:
 Promoted programs are written under ``corpus/scenarios/`` as
 ``fz<seed>.scenic``; :func:`promote_to_examples` graduates the best of
 them into ``examples/scenarios/`` (and thus into the golden-corpus replay)
-when they prove feasible under every golden strategy.
+when they prove feasible under every golden run.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .corpus import (
     infer_features,
     infer_world,
 )
+from .golden import GOLDEN_MAX_ITERATIONS, GOLDEN_RUNS, golden_sample
 
 #: Fixed-seed trial-generation parameters for the promotion filter.
 TRIAL_SCENES = 4
@@ -61,18 +62,6 @@ BUCKET_FRACTION = 0.14
 #: A feature tag seen fewer than this many times corpus-wide admits its
 #: program past a full bucket.
 RARE_FEATURE_COUNT = 3
-
-#: The strategy set a scenario must survive to graduate into the golden
-#: corpus (mirrors ``tests/golden/regen.py``).
-GOLDEN_STRATEGIES = (
-    "rejection",
-    "batch",
-    "vectorized",
-    "pruning",
-    "pruned-vectorized",
-    "direct",
-)
-GOLDEN_MAX_ITERATIONS = 50_000
 
 
 @dataclass
@@ -238,12 +227,13 @@ def promote_from_fuzzer(
 # ---------------------------------------------------------------------------
 
 
-def survives_golden_strategies(source: str, seed: int = 20260729) -> bool:
-    """Whether one scene generates under every golden-pinned strategy."""
-    for strategy in GOLDEN_STRATEGIES:
+def survives_golden_runs(source: str) -> bool:
+    """Whether one scene generates under every golden run (:data:`GOLDEN_RUNS`)."""
+    from ..language import compile_scenario
+
+    for run in GOLDEN_RUNS:
         try:
-            engine = SamplerEngine(source, strategy=strategy)
-            engine.sample(max_iterations=GOLDEN_MAX_ITERATIONS, seed=seed)
+            golden_sample(compile_scenario(source).scenario(fresh=True), run)
         except (ScenicError, RejectionError):
             return False
     return True
@@ -261,7 +251,7 @@ def promote_to_examples(
     Moves the ``.scenic`` file into ``examples/scenarios/`` (where the
     golden corpus, the fuzzer's mutation mode and the gallery tests pick it
     up) and repoints the manifest entry.  Candidates are screened with
-    :func:`survives_golden_strategies`, preferring world diversity (the
+    :func:`survives_golden_runs`, preferring world diversity (the
     golden corpus should stress every world, not just the easy inline
     programs).  Returns the graduated scenario ids — run
     ``tests/golden/regen.py`` on them afterwards to pin their streams.
@@ -290,7 +280,7 @@ def promote_to_examples(
         if len(graduated) >= count:
             break
         source = entry.source(root)
-        if not survives_golden_strategies(source):
+        if not survives_golden_runs(source):
             continue
         old_path = root / entry.path
         new_path = examples_dir / f"{entry.id}.scenic"
@@ -304,11 +294,10 @@ def promote_to_examples(
 
 
 __all__ = [
-    "GOLDEN_STRATEGIES",
     "Measurement",
     "ingest_examples",
     "measure_source",
     "promote_from_fuzzer",
     "promote_to_examples",
-    "survives_golden_strategies",
+    "survives_golden_runs",
 ]

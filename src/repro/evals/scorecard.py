@@ -1,4 +1,4 @@
-"""Scorecard assembly: the committed ``results/EVALS_*.json`` + markdown.
+"""Scorecard assembly: the committed ``results/EVALS.json`` + markdown.
 
 A scorecard is one fixed-seed scoring pass over (a slice of) the graded
 corpus, serialized as a machine-diffable JSON document next to the
@@ -42,10 +42,10 @@ from .scoring import (
 
 SCORECARD_SCHEMA = 1
 
-#: The committed dashboard artifacts for this PR.
+#: The committed dashboard artifacts; git history is their trajectory.
 RESULTS_DIR = REPO_ROOT / "results"
-SCORECARD_JSON = RESULTS_DIR / "EVALS_10.json"
-SCORECARD_MD = RESULTS_DIR / "EVALS_10.md"
+SCORECARD_JSON = RESULTS_DIR / "EVALS.json"
+SCORECARD_MD = RESULTS_DIR / "EVALS.md"
 
 
 def _round_floats(value: Any, digits: int = 6) -> Any:

@@ -48,9 +48,8 @@ from ..sampling.stats import AggregateStats
 from .metrics import coverage_summary, feature_columns
 
 #: Default strategy set scored against the rejection reference: the
-#: block-vectorized workhorse and the constructive synthesis path (with
-#: fallback, so scenarios without a constructive plan still score).
-DEFAULT_STRATEGIES = ("vectorized", "pruned-vectorized", "direct-fallback")
+#: block-vectorized workhorse and the constructive synthesis path.
+DEFAULT_STRATEGIES = ("vectorized", "direct")
 REFERENCE_STRATEGY = "rejection"
 
 DEFAULT_SAMPLES = 40

@@ -22,8 +22,9 @@ import random as _random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
+from ..core.pruning import prune_scenario
 from ..core.scenario import Scenario
-from ..sampling import PruningAwareSampler, SamplerEngine, SamplingStrategy
+from ..sampling import SamplerEngine, SamplingStrategy
 from . import scenarios
 from .reporting import TableRow, format_table, mean_and_spread
 
@@ -71,8 +72,8 @@ def measure_sampling(
     """Generate *samples* scenes and record the iteration counts and time.
 
     Sampling goes through :class:`repro.sampling.SamplerEngine`, so any
-    registered strategy (``"rejection"``, ``"pruning"``, ``"batch"``,
-    ``"parallel"``, ``"pruned-vectorized"``) can be measured; per-scene
+    registered strategy (``"rejection"``, ``"batch"``, ``"vectorized"``,
+    ``"direct"``) can be measured, on a pruned scenario too; per-scene
     diagnostics come from the engine's aggregate stats.
     """
     engine = SamplerEngine(scenario, strategy=strategy, **strategy_options)
@@ -128,7 +129,9 @@ def compare_pruning(
     """Compare iteration counts with and without pruning for one scenario.
 
     The scenario is compiled twice so the pruned copy's modified regions do
-    not affect the unpruned baseline.  By default the pruning pass is fully
+    not affect the unpruned baseline; the pruned copy goes through
+    :func:`~repro.core.pruning.prune_scenario` and is then rejection-sampled
+    exactly like the baseline.  By default the pruning pass is fully
     automatic (static requirement analysis of the compiled program derives
     every bound — the paper's Sec. 5.2 mode); *prune_options* can still
     supply explicit bounds or the legacy manual knobs
@@ -143,11 +146,10 @@ def compare_pruning(
     baseline = measure_sampling(unpruned, samples=samples, seed=seed, name=name)
 
     pruned_scenario = scenarios.compile_scenario(scenario_source)
-    sampler = PruningAwareSampler(**prune_options)
+    report = prune_scenario(pruned_scenario, **prune_options)
     pruned = measure_sampling(
-        pruned_scenario, samples=samples, seed=seed, name=f"{name}+pruning", strategy=sampler
+        pruned_scenario, samples=samples, seed=seed, name=f"{name}+pruning"
     )
-    report = sampler.report
 
     return PruningComparison(
         scenario_name=name,

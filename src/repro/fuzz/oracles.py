@@ -4,13 +4,12 @@ Four oracles are run against every valid generated program:
 
 * **Strategy equivalence** — every registered sampling strategy is given a
   fresh compile of the program and the same seed.  The strategies that share
-  the rejection RNG-stream contract (``rejection``, ``vectorized``,
-  ``parallel``; see the golden corpus notes in ``tests/golden/regen.py``)
-  must produce bit-identical scenes whenever the program has no soft
-  requirements; the remaining strategies (``pruning``, ``batch``) consume
-  the stream differently by design but must still accept whenever rejection
-  accepts (both only ever *improve* the acceptance rate), and their scenes
-  go through the validity re-checks below.
+  the rejection RNG-stream contract (``rejection`` and ``vectorized``; see
+  :mod:`repro.evals.golden`) must produce bit-identical scenes whenever the
+  program has no soft requirements; the remaining strategies (``batch``,
+  ``direct``) consume the stream differently by design but must still accept
+  whenever rejection accepts (both only ever *improve* the acceptance rate),
+  and their scenes go through the validity re-checks below.
 * **Kernel equivalence** — the vectorized geometry kernel
   (:mod:`repro.geometry.kernel`) must agree with the scalar predicates on
   the sampled scenes: point containment, object containment, and pairwise
@@ -71,7 +70,7 @@ from .program_gen import GeneratedProgram, PlannedCheck
 
 #: Strategies whose per-seed scenes must coincide exactly when the program
 #: has no soft requirements (they consume the RNG stream identically).
-EXACT_EQUIVALENCE_STRATEGIES = ("rejection", "vectorized", "parallel")
+EXACT_EQUIVALENCE_STRATEGIES = ("rejection", "vectorized")
 
 #: Numerical slack for scene comparisons, matching the golden corpus.
 TOLERANCE = 1e-9
@@ -745,25 +744,15 @@ def run_oracles(
     # The reference strategy runs first; when it exhausts its budget, only
     # the strategies sharing its RNG-stream contract are cross-checked (they
     # must exhaust it too), and the program is otherwise skipped as
-    # infeasible-under-budget.  ``parallel`` single draws delegate to
-    # rejection verbatim, so re-running them on the reject path is skipped.
+    # infeasible-under-budget.
     names = [s if isinstance(s, str) else s.name for s in strategy_set]
     reference_name = "rejection" if "rejection" in names else names[0]
     ordered = sorted(strategy_set, key=lambda s: (s if isinstance(s, str) else s.name) != reference_name)
     reference_accepted = True
-    # A single ``parallel`` draw delegates to rejection verbatim, so running
-    # it on every program doubles the reference work for little new signal;
-    # with the default strategy set it joins one program in four
-    # (deterministically by seed), which still covers the contract across a
-    # campaign.  Explicit strategy lists are always honoured in full.
-    thin_parallel = strategies is None and seed % 4 != 0
     for strategy in ordered:
         name = strategy if isinstance(strategy, str) else strategy.name
-        if name == "parallel" and thin_parallel:
+        if not reference_accepted and name not in EXACT_EQUIVALENCE_STRATEGIES:
             continue
-        if not reference_accepted:
-            if name not in EXACT_EQUIVALENCE_STRATEGIES or name == "parallel":
-                continue
         scenario, scene = sample_with(strategy, max_iterations)
         if report.failures:
             return report
@@ -813,7 +802,7 @@ def run_oracles(
         (s if isinstance(s, str) else s.name): s for s in strategy_set
     }
     if records.get("rejection") is not None:
-        for name in ("pruning", "pruned-vectorized", "batch", "direct", "direct-fallback"):
+        for name in ("batch", "direct"):
             if name in records and records[name] is None:
                 # These strategies consume the RNG stream differently, so a
                 # same-budget failure can be an unlucky draw rather than a

@@ -33,10 +33,11 @@ workers ship and cache them across process boundaries, and what backs the
 disk layer of :class:`ArtifactCache`.
 
 Sharing caveat: ``artifact.scenario()`` returns one shared ``Scenario``
-instance per artifact.  The ``"pruning"`` strategy rewrites sampling regions
-in place, so anything that mutates a scenario should request
-``scenario(fresh=True)`` (``SamplerEngine`` does this automatically when
-given an artifact and the pruning strategy).
+instance per artifact.  ``prune_scenario`` (and the ``"direct"`` strategy,
+which runs it at bind time) rewrites sampling regions in place, so anything
+that mutates a scenario should request ``scenario(fresh=True)``
+(``SamplerEngine`` does this automatically when given an artifact and the
+``"direct"`` strategy).
 """
 
 from __future__ import annotations
@@ -266,9 +267,9 @@ class CompiledScenario:
         first use): the warm fast path.  ``fresh=True`` — or passing a
         *workspace* / *extra_names* override — re-runs the interpreter over
         the cached AST and returns an independent scenario; use it whenever
-        the scenario will be mutated (the ``"pruning"`` strategy rewrites
-        sampling regions in place) or when call sites must not share RNG-free
-        state such as engine caches.
+        the scenario will be mutated (``prune_scenario`` rewrites sampling
+        regions in place) or when call sites must not share RNG-free state
+        such as engine caches.
         """
         if fresh or workspace is not None or extra_names is not None:
             return self._interpret(workspace=workspace, extra_names=extra_names)

@@ -5,26 +5,21 @@ requirements (Sec. 5) — lives here as an engine with interchangeable
 strategies:
 
 * ``"rejection"`` (:class:`RejectionSampler`) — the seed behaviour, extracted;
-* ``"pruning"`` (:class:`PruningAwareSampler`) — Sec. 5.2 pruning first,
-  with bounds derived automatically by static requirement analysis
-  (:mod:`repro.analysis`) when the scenario came from a compiled artifact;
 * ``"batch"`` (:class:`BatchSampler`) — dependency-aware batched candidates
   with partial resampling of independent object groups;
-* ``"parallel"`` (:class:`ParallelSampler`) — deterministic worker-pool
-  batches;
 * ``"vectorized"`` (:class:`VectorizedSampler`) — block candidate drawing
   with bulk geometric rejection through the numpy kernel
   (:mod:`repro.geometry.kernel`); the default for ``generate_batch``;
-* ``"pruned-vectorized"`` (:class:`PrunedVectorizedSampler`) — automatic
-  pruning composed with the vectorized block sampler (the stacked fast
-  path);
-* ``"direct"`` (:class:`DirectSampler`) — constructive sampling from the
-  pruned feasible regions (:mod:`repro.synthesis`): positions draw O(1)
-  from triangle fans, deviations from the analyzer's arcs, with
-  importance-weight diagnostics on the accepted scenes;
-* ``"direct-fallback"`` (:class:`DirectFallbackSampler`) — ``"direct"``
-  when a constructive plan exists, degrading to pruned-vectorized block
-  rejection when the scenario offers no constructive channel.
+* ``"direct"`` (:class:`DirectSampler`) — Sec. 5.2 pruning, then
+  constructive sampling from the pruned feasible regions
+  (:mod:`repro.synthesis`): positions draw O(1) from triangle fans,
+  deviations from the analyzer's arcs, with importance-weight diagnostics
+  on the accepted scenes.
+
+Pruning composes with any strategy: :func:`repro.core.pruning.prune_scenario`
+shrinks a scenario's sampling regions in place (bounds from static
+requirement analysis, :mod:`repro.analysis`), and the pruned scenario is
+then sampled as usual.
 
 ``SamplerEngine`` accepts a live ``Scenario``, a compiled artifact
 (:func:`repro.language.compile_scenario` — the warm path that skips the
@@ -45,11 +40,7 @@ from .stats import AggregateStats, SceneBatch, merge_generation_stats
 from .strategies import (
     STRATEGIES,
     BatchSampler,
-    DirectFallbackSampler,
     DirectSampler,
-    ParallelSampler,
-    PrunedVectorizedSampler,
-    PruningAwareSampler,
     RejectionSampler,
     SamplingStrategy,
     VectorizedSampler,
@@ -65,12 +56,8 @@ __all__ = [
     "resolve_scenario",
     "SamplingStrategy",
     "RejectionSampler",
-    "PrunedVectorizedSampler",
-    "PruningAwareSampler",
     "BatchSampler",
-    "DirectFallbackSampler",
     "DirectSampler",
-    "ParallelSampler",
     "VectorizedSampler",
     "DependencyGraph",
     "ObjectGroup",

@@ -8,7 +8,7 @@ Typical use::
 
     from repro.sampling import SamplerEngine
 
-    engine = SamplerEngine(scenario, strategy="pruning", max_distance=30.0)
+    engine = SamplerEngine(scenario, strategy="vectorized")
     scene = engine.sample(seed=0)
     batch = engine.sample_batch(100, seed=1)     # a SceneBatch (list + .stats)
     engine.aggregate.rejection_breakdown()
@@ -23,7 +23,7 @@ compile-once, sample-many path of :mod:`repro.language.compiler`::
     engine = SamplerEngine("ego = Object at 0 @ 0")   # source text works too (docs/language.md)
 
 Artifact-backed engines share the artifact's interned scenario, except for
-strategies declaring ``mutates_scenario`` (pruning rewrites sampling
+strategies declaring ``mutates_scenario`` (``direct`` prunes the sampling
 regions in place) which get an independent, freshly interpreted scenario.
 
 ``Scenario.generate`` / ``generate_batch`` are thin wrappers over this class
@@ -50,7 +50,7 @@ def resolve_scenario(source_like: Any, fresh: bool = False) -> Scenario:
     skips the parser and interpreter — unless *fresh* is true, which forces
     an independent re-interpretation of the cached AST.  The engine passes
     the bound strategy's ``mutates_scenario`` flag here, so strategies that
-    rewrite the scenario in place (pruning) can never corrupt the shared
+    rewrite the scenario in place (``direct``) can never corrupt the shared
     instance.  Raw source text is routed through the process-wide artifact
     cache (:func:`repro.language.compile_scenario`).
     """

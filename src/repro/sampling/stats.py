@@ -203,7 +203,7 @@ class AggregateStats:
 
         Single owner of the per-(scenario, strategy) metric shape consumed
         by :mod:`repro.evals.scoring` and published in the committed
-        ``results/EVALS_*.json`` scorecards: accepted scenes, draws,
+        ``results/EVALS.json`` scorecard: accepted scenes, draws,
         candidate iterations, honest drawn-candidate count, acceptance
         rate, sampling wall time, the rejection breakdown and the mean
         importance weight (``None`` when the strategy stamps no weights).

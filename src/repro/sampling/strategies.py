@@ -6,27 +6,26 @@ scenes; they differ in *how* candidates are proposed:
 * :class:`RejectionSampler` — the paper's plain rejection loop (Sec. 5),
   extracted verbatim from the old ``Scenario.generate`` so the delegated
   path is draw-for-draw identical to the seed behaviour.
-* :class:`PruningAwareSampler` — runs the Sec. 5.2 pruning pass over the
-  scenario once, shrinking the feasible regions, then rejection-samples the
-  pruned scenario.  The bounds the pruning algorithms need are derived
-  automatically by static requirement analysis (:mod:`repro.analysis`)
-  whenever the scenario came from a compiled artifact.
-* :class:`PrunedVectorizedSampler` — the pruning pass composed with
-  :class:`VectorizedSampler`'s block drawing and bulk kernel rejection.
 * :class:`BatchSampler` — amortises dependency analysis across the whole
   run and exploits independence between objects: each independent group is
   locally re-drawn until its *local* constraints (containment, intra-group
   collision) hold, which is distribution-preserving because the joint prior
   factorises over groups and those constraints touch one group only.
   Cross-group constraints still trigger a full restart.
-* :class:`ParallelSampler` — fans a batch out over a worker pool.  Each
-  scene index gets its own deterministically derived RNG, so the merged
-  batch is a pure function of the seed, independent of worker count and
-  thread scheduling.
 * :class:`VectorizedSampler` — draws a whole block of candidate scenes,
   then runs the containment and collision checks for the entire block in
   one pass through the numpy kernel (:mod:`repro.geometry.kernel`); the
   default for ``Scenario.generate_batch``.
+* :class:`DirectSampler` — runs the Sec. 5.2 pruning pass once, then
+  draws positions and heading deviations constructively from the pruned
+  feasible regions (:mod:`repro.synthesis`).
+
+Pruning on its own is not a strategy: :func:`repro.core.pruning.prune_scenario`
+rewrites a scenario's sampling regions in place, after which any strategy
+samples the pruned scenario::
+
+    prune_scenario(scenario)                 # Sec. 5.2, bounds from static analysis
+    scenario.generate(seed=0, strategy="rejection")
 
 The shared candidate checks themselves (``contained_in_workspace``,
 ``no_pairwise_collisions``) route through the kernel whenever the scene is
@@ -58,7 +57,6 @@ from __future__ import annotations
 
 import random as _random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple, Type
 
 import numpy as np
@@ -359,80 +357,6 @@ class RejectionSampler(SamplingStrategy):
 
 
 # ---------------------------------------------------------------------------
-# Pruning-aware rejection
-# ---------------------------------------------------------------------------
-
-
-class _PruningMixin:
-    """Shared one-time pruning pass for the pruning-based strategies.
-
-    By default the pass is fully automatic: ``prune_scenario`` resolves the
-    static-analysis :class:`~repro.analysis.PruneBounds` cached on the
-    scenario's compiled artifact, so orientation (Alg. 2) and size (Alg. 3)
-    pruning run without any caller-supplied bounds.  Explicit *bounds* (or
-    the legacy keyword arguments) are applied on top; ``analyze=False``
-    disables the automatic analysis (the benchmark's containment-only
-    baseline uses ``bounds=<bounds>.containment_only()``).
-    """
-
-    def _init_pruning(
-        self,
-        bounds=None,
-        analyze: bool = True,
-        relative_heading_bound: Optional[float] = None,
-        relative_heading_center: float = 0.0,
-        max_distance: Optional[float] = None,
-        deviation_bound: float = 0.0,
-        min_configuration_width: Optional[float] = None,
-    ):
-        self._prune_options = dict(
-            bounds=bounds,
-            analyze=analyze,
-            relative_heading_bound=relative_heading_bound,
-            relative_heading_center=relative_heading_center,
-            max_distance=max_distance,
-            deviation_bound=deviation_bound,
-            min_configuration_width=min_configuration_width,
-        )
-        self.report: Optional[PruningReport] = None
-        self._bound_scenario: Optional[Scenario] = None
-
-    def bind(self, scenario):
-        if self._bound_scenario is not scenario:
-            options = dict(self._prune_options)
-            bounds = options.pop("bounds")
-            self.report = prune_scenario(scenario, bounds, **options)
-            self._bound_scenario = scenario
-
-
-@register_strategy
-class PruningAwareSampler(_PruningMixin, RejectionSampler):
-    """Shrink the feasible regions via Sec. 5.2 pruning, then rejection-sample.
-
-    The pruning pass runs once, in :meth:`bind`; its :class:`PruningReport`
-    is kept on :attr:`report` for diagnostics.  Pruning only ever removes
-    sample-space volume that cannot produce a valid scene, so the induced
-    distribution is unchanged while the acceptance rate improves.  With no
-    options at all, the bounds come from the compiled artifact's static
-    requirement analysis (see :mod:`repro.analysis`) — the paper's fully
-    automatic mode.
-
-    Note that ``prune_scenario`` rewrites the prunable objects' sampling
-    regions *in place*: after binding, the scenario samples the pruned
-    regions under every strategy.  Compile the program again if an unpruned
-    baseline of the same scenario is needed (as ``compare_pruning`` does).
-    """
-
-    name = "pruning"
-    mutates_scenario = True  # prune_scenario rewrites sampling regions in place
-
-    def __init__(self, **options):
-        self._init_pruning(**options)
-
-
-
-
-# ---------------------------------------------------------------------------
 # Batched, dependency-aware sampling
 # ---------------------------------------------------------------------------
 
@@ -521,74 +445,6 @@ class BatchSampler(SamplingStrategy):
             pair_filter=lambda index, jndex: graph.independent(sources[index], sources[jndex]),
             kernel=self.kernel,
         ) and all_required_visible(concrete_objects, concrete_ego, stats)
-
-
-
-# ---------------------------------------------------------------------------
-# Parallel batch sampling
-# ---------------------------------------------------------------------------
-
-
-@register_strategy
-class ParallelSampler(SamplingStrategy):
-    """Worker-pool batch sampling with per-scene seeded RNGs.
-
-    Determinism contract: before any work is dispatched, one 64-bit seed per
-    scene index is drawn from the caller's RNG.  Worker threads then sample
-    scene *i* with ``Random(seed_i)`` and results are merged by index, so
-    the batch depends only on the caller's seed — not on the number of
-    workers or on scheduling.  (``ParallelSampler(workers=1)`` and
-    ``workers=8`` produce identical batches.)
-
-    Performance caveat: on a stock (GIL) CPython build, threads give *no*
-    wall-time speedup for this pure-Python, CPU-bound workload — the value
-    today is the deterministic sharding contract, which also holds on
-    free-threaded builds and for base strategies that release the GIL
-    (e.g. future native candidate evaluators).  For wall-time wins on
-    stock CPython, use ``BatchSampler`` or ``PruningAwareSampler``.
-    """
-
-    name = "parallel"
-
-    def __init__(self, workers: int = 4, base_strategy: str = "rejection", **base_options: Any):
-        self.workers = max(1, int(workers))
-        self.base = make_strategy(base_strategy, **base_options)
-
-    def bind(self, scenario):
-        if self.kernel is not None and self.base.kernel is None:
-            self.base.kernel = self.kernel  # engine-pinned backend reaches the base
-        self.base.bind(scenario)
-
-    def sample(self, scenario, max_iterations, rng):
-        self.bind(scenario)
-        return self.base.sample(scenario, max_iterations, rng)
-
-    def sample_batch(self, scenario, count, max_iterations, rng, aggregate):
-        self.bind(scenario)
-        seeds = [rng.getrandbits(64) for _ in range(count)]
-
-        def draw(index: int) -> Tuple[Optional[Scene], GenerationStats]:
-            worker_rng = _random.Random(seeds[index])
-            return self.base.sample(scenario, max_iterations, worker_rng)
-
-        scenes: List[Scene] = []
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [pool.submit(draw, index) for index in range(count)]
-            try:
-                for future in futures:  # merged strictly in index order
-                    scene, stats = future.result()
-                    aggregate.record(stats, self.name, accepted=scene is not None)
-                    if scene is None:
-                        raise RejectionError(max_iterations)
-                    scenes.append(scene)
-            except RejectionError:
-                # Don't burn the rest of the batch's budget on a batch that
-                # already failed: queued draws are cancelled (in-flight ones
-                # finish, unrecorded).
-                for future in futures:
-                    future.cancel()
-                raise
-        return scenes
 
 
 # ---------------------------------------------------------------------------
@@ -759,56 +615,27 @@ class VectorizedSampler(SamplingStrategy):
 
 
 # ---------------------------------------------------------------------------
-# Pruned + vectorized: the composite fast path
-# ---------------------------------------------------------------------------
-
-
-@register_strategy
-class PrunedVectorizedSampler(_PruningMixin, VectorizedSampler):
-    """Sec. 5.2 pruning composed with block-vectorized candidate rejection.
-
-    :meth:`bind` runs the automatic pruning pass once (shrinking the
-    feasible regions using the artifact's static-analysis bounds), then
-    every candidate block is drawn from the pruned regions and bulk-rejected
-    through the geometry kernel — the two hot-path optimisations of this
-    codebase stacked.  Like ``"vectorized"``, the RNG stream interleaving
-    differs from plain rejection by design; like ``"pruning"``, the sampled
-    regions differ from the unpruned scenario's, so the strategy records its
-    own golden-scene stream in the corpus.
-    """
-
-    name = "pruned-vectorized"
-    mutates_scenario = True  # the pruning pass rewrites regions in place
-
-    def __init__(self, block_size: int = 32, **prune_options):
-        VectorizedSampler.__init__(self, block_size=block_size)
-        self._init_pruning(**prune_options)
-
-    def bind(self, scenario):
-        _PruningMixin.bind(self, scenario)
-        VectorizedSampler.bind(self, scenario)  # adaptive-block eligibility
-
-
-# ---------------------------------------------------------------------------
 # Direct synthesis: constructive sampling from the pruned feasible regions
 # ---------------------------------------------------------------------------
 
 
 @register_strategy
-class DirectSampler(_PruningMixin, SamplingStrategy):
+class DirectSampler(SamplingStrategy):
     """Constructive sampling from the pruned feasible regions.
 
-    :meth:`bind` runs the automatic pruning pass (like ``"pruning"``), then
-    compiles the pruned scenario into a :class:`~repro.synthesis.DirectPlan`:
-    positions draw in O(1) from triangle fans over the pruned polygonal
-    regions (or from eroded workspace fans for non-polygonal region priors),
-    and heading deviations draw from the static analyzer's wrap-safe arcs
-    instead of rejecting on them.  Every proposal is a sound
-    over-approximation of the feasible set and every requirement is still
-    re-checked on the concrete candidate, so the sampled distribution is
-    *exactly* the requirement-conditioned prior — the statistical-equivalence
-    oracle in :mod:`repro.fuzz.oracles` holds the strategy to that claim
-    against plain rejection.
+    :meth:`bind` runs the fully automatic Sec. 5.2 pruning pass
+    (:func:`~repro.core.pruning.prune_scenario` with the compiled artifact's
+    static-analysis bounds; its :class:`PruningReport` is kept on
+    :attr:`report`), then compiles the pruned scenario into a
+    :class:`~repro.synthesis.DirectPlan`: positions draw in O(1) from
+    triangle fans over the pruned polygonal regions (or from eroded
+    workspace fans for non-polygonal region priors), and heading deviations
+    draw from the static analyzer's wrap-safe arcs instead of rejecting on
+    them.  Every proposal is a sound over-approximation of the feasible set
+    and every requirement is still re-checked on the concrete candidate, so
+    the sampled distribution is *exactly* the requirement-conditioned prior
+    — the statistical-equivalence oracle in :mod:`repro.fuzz.oracles` holds
+    the strategy to that claim against plain rejection.
 
     Accepted scenes carry an :attr:`~repro.core.scene.Scene.importance_weight`
     — an online estimate of the plain-rejection acceptance probability (see
@@ -822,29 +649,18 @@ class DirectSampler(_PruningMixin, SamplingStrategy):
     mutates_scenario = True  # the pruning pass rewrites regions in place
     uses_importance_weights = True
 
-    def __init__(self, max_proposal_attempts: Optional[int] = None, **prune_options):
-        from ..synthesis import DEFAULT_PROPOSAL_ATTEMPTS
-
-        self._init_pruning(**prune_options)
-        self.max_proposal_attempts = (
-            int(max_proposal_attempts)
-            if max_proposal_attempts is not None
-            else DEFAULT_PROPOSAL_ATTEMPTS
-        )
+    def __init__(self):
+        self.report: Optional[PruningReport] = None
         self.plan = None
-        self._plan_scenario: Optional[Scenario] = None
+        self._bound_scenario: Optional[Scenario] = None
 
     def bind(self, scenario):
         from ..synthesis import build_plan
 
-        _PruningMixin.bind(self, scenario)
-        if self._plan_scenario is not scenario:
-            self.plan = build_plan(
-                scenario,
-                report=self.report,
-                max_proposal_attempts=self.max_proposal_attempts,
-            )
-            self._plan_scenario = scenario
+        if self._bound_scenario is not scenario:
+            self.report = prune_scenario(scenario)
+            self.plan = build_plan(scenario, report=self.report)
+            self._bound_scenario = scenario
 
     def _draw_candidate(self, scenario, rng, stats):
         plan = self.plan
@@ -894,67 +710,11 @@ class DirectSampler(_PruningMixin, SamplingStrategy):
         return scene
 
 
-@register_strategy
-class DirectFallbackSampler(DirectSampler):
-    """``"direct"`` when a constructive plan exists, pruned-vectorized otherwise.
-
-    Scenarios whose bounds never mapped to a constructive channel (no
-    polygonal pruned region, no workspace fan, no deviation arcs) gain
-    nothing from :class:`DirectSampler`'s per-candidate plan walk; this
-    variant detects that at bind time and delegates the whole run to
-    block-vectorized rejection over the (already pruned) scenario — the
-    composite fast path — while keeping the ``"direct-fallback"`` name on
-    the recorded stats.  :attr:`delegated` tells diagnostics which mode a
-    bound instance is in.
-    """
-
-    name = "direct-fallback"
-
-    def __init__(self, block_size: int = 32, max_proposal_attempts: Optional[int] = None, **prune_options):
-        DirectSampler.__init__(
-            self, max_proposal_attempts=max_proposal_attempts, **prune_options
-        )
-        self.block_size = max(1, int(block_size))
-        self._delegate: Optional[VectorizedSampler] = None
-
-    @property
-    def delegated(self) -> bool:
-        return self._delegate is not None
-
-    def bind(self, scenario):
-        DirectSampler.bind(self, scenario)
-        if self.plan is not None and self.plan.is_constructive:
-            self._delegate = None
-        elif self._delegate is None:
-            # Pruning already ran in our own bind; plain vectorized block
-            # rejection over the pruned scenario IS pruned-vectorized.
-            self._delegate = VectorizedSampler(block_size=self.block_size)
-            self._delegate.name = self.name  # record stats under our name
-            self._delegate.kernel = self.kernel
-            self._delegate.bind(scenario)
-
-    def sample(self, scenario, max_iterations, rng):
-        self.bind(scenario)
-        if self._delegate is not None:
-            return self._delegate.sample(scenario, max_iterations, rng)
-        return DirectSampler.sample(self, scenario, max_iterations, rng)
-
-    def sample_batch(self, scenario, count, max_iterations, rng, aggregate):
-        self.bind(scenario)
-        if self._delegate is not None:
-            return self._delegate.sample_batch(scenario, count, max_iterations, rng, aggregate)
-        return DirectSampler.sample_batch(self, scenario, count, max_iterations, rng, aggregate)
-
-
 __all__ = [
     "SamplingStrategy",
     "RejectionSampler",
-    "PruningAwareSampler",
-    "PrunedVectorizedSampler",
     "BatchSampler",
-    "DirectFallbackSampler",
     "DirectSampler",
-    "ParallelSampler",
     "VectorizedSampler",
     "STRATEGIES",
     "register_strategy",

@@ -16,10 +16,6 @@ guide):
 * :mod:`repro.service.worker` — the worker-process side: a process-local
   artifact cache plus a bound-engine LRU, so warm shards skip the parser
   and interpreter entirely.
-* :mod:`repro.service.fusion` — cross-request kernel fusion for the inline
-  (``workers=0``) mode: :class:`FusionHub` coalesces concurrent shards'
-  geometry-kernel calls into one fused launch per tick, bit-identically
-  (``GenerationService(fusion=True)``; see ``docs/backends.md``).
 * :mod:`repro.service.transport` — the columnar scene-block wire format
   (structured numpy buffers, optionally carried over shared memory) that
   replaces per-scene dict pickling between workers and the coordinator.
@@ -47,7 +43,6 @@ from .server import (
     request_over_tcp,
     stream_over_tcp,
 )
-from .fusion import FusedKernelBackend, FusionHub
 from .server_http import HttpGenerationServer, http_request, websocket_generate
 from .service import (
     GenerationFailedError,
@@ -59,8 +54,6 @@ from .service import (
 from .transport import SceneBlock, ShmBlockHandle
 
 __all__ = [
-    "FusedKernelBackend",
-    "FusionHub",
     "GenerateResponse",
     "GenerationFailedError",
     "GenerationServer",

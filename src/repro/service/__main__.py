@@ -228,7 +228,7 @@ async def _cmd_bench(args: argparse.Namespace) -> int:
 
     source = _sample_sources()["two_cars"]
     options = {} if args.backend is None else {"backend": args.backend}
-    async with GenerationService(workers=args.workers, fusion=args.fusion) as service:
+    async with GenerationService(workers=args.workers) as service:
         await service.generate(
             source, n=2, seed=0, max_iterations=20000, **options
         )  # warm the workers (and any backend JIT)
@@ -245,7 +245,6 @@ async def _cmd_bench(args: argparse.Namespace) -> int:
         "scenes_per_second": measured,
         "strategy": args.strategy,
         "backend": args.backend,
-        "fusion": args.fusion,
         "workers": args.workers,
         "iterations": response.stats["iterations"],
         "candidates": response.stats.get("candidates", response.stats["iterations"]),
@@ -285,7 +284,7 @@ async def _cmd_bench(args: argparse.Namespace) -> int:
 async def _cmd_generate(args: argparse.Namespace) -> int:
     source = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
     options = {} if args.backend is None else {"backend": args.backend}
-    async with GenerationService(workers=args.workers, fusion=args.fusion) as service:
+    async with GenerationService(workers=args.workers) as service:
         if args.stream:
             async for frame in service.generate_stream(
                 source,
@@ -362,9 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--backend", default=None,
                        help="geometry-kernel backend for the shards "
                             "(numpy/numba/jax/auto; docs/backends.md)")
-    bench.add_argument("--fusion", action="store_true",
-                       help="coalesce concurrent shards' kernel calls "
-                            "(requires --workers 0)")
 
     generate = sub.add_parser("generate", help="one-shot generation from a .scenic file")
     generate.add_argument("file", help="path to a .scenic program, or - for stdin")
@@ -379,9 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--backend", default=None,
                           help="geometry-kernel backend for the shards "
                                "(numpy/numba/jax/auto; docs/backends.md)")
-    generate.add_argument("--fusion", action="store_true",
-                          help="coalesce concurrent shards' kernel calls "
-                               "(requires --workers 0)")
     return parser
 
 

@@ -52,8 +52,7 @@ def derive_scene_seeds(master_seed: int, count: int, derive: str = "splitmix") -
     ``splitmix64(master_seed + i)`` and is sampled with its own
     ``random.Random`` — a pure function of ``(master_seed, i)``, so the
     batch is bit-identical no matter how it is sharded across workers or
-    how many workers exist (the same contract :class:`ParallelSampler`
-    established in-process, now across the service's process pool).
+    how many workers exist.
 
     ``"direct"`` (the parity path): returns ``None`` — the whole request
     runs as one shard drawing sequentially from ``random.Random(master_seed)``,

@@ -10,8 +10,7 @@ traffic" north star asks for, built on the compile-once artifacts of
 * **shard + affinity** — a batch request is cut into per-worker shards whose
   scene seeds are derived with splitmix64 from ``(master_seed,
   scene_index)``, so the merged batch is bit-identical regardless of worker
-  count or shard boundaries (the cross-process extension of
-  ``ParallelSampler``'s determinism contract, pinned by the golden corpus).
+  count or shard boundaries (pinned by the service's determinism tests).
   Shards are *routed by artifact fingerprint*: shard *k* of a program goes
   to worker ``(hash(fingerprint) + k) % workers``, so repeat requests for
   the same program land on workers whose bound-engine caches already hold
@@ -61,6 +60,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from ..language.compiler import ArtifactCache, compile_scenario, source_fingerprint
+from ..sampling.strategies import STRATEGIES
 from .protocol import (
     DERIVE_MODES,
     TRANSPORT_MODES,
@@ -120,13 +120,6 @@ class GenerationService:
     shm_threshold:
         Minimum packed block size (bytes) before ``"shm"`` creates a
         segment; smaller blocks pickle their arrays.
-    fusion:
-        Cross-request kernel fusion (requires ``workers=0``): concurrent
-        requests' shards run on threads and their geometry-kernel calls
-        coalesce into one fused launch per tick through a
-        :class:`~repro.service.fusion.FusionHub`.  Output is bit-identical
-        to ``fusion=False`` — see ``docs/backends.md``.  Fusion counters
-        appear under ``service_stats()["fusion"]``.
     """
 
     def __init__(
@@ -138,21 +131,8 @@ class GenerationService:
         worker_cache_size: int = 64,
         transport: Optional[str] = None,
         shm_threshold: int = DEFAULT_SHM_THRESHOLD,
-        fusion: bool = False,
     ):
         self.workers = max(0, int(workers))
-        if fusion and self.workers > 0:
-            raise ValueError(
-                "kernel fusion coalesces shards running inline on threads; "
-                "it requires workers=0 (process-pool workers already batch "
-                "within their own shards)"
-            )
-        if fusion:
-            from .fusion import FusionHub
-
-            self.fusion_hub: Optional[Any] = FusionHub()
-        else:
-            self.fusion_hub = None
         self.max_inflight = max_inflight if max_inflight is not None else 2 * max(self.workers, 1)
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
@@ -265,11 +245,17 @@ class GenerationService:
         self._pending += 1
         self.stats["peak_pending"] = max(self.stats["peak_pending"], self._pending)
 
-    def _validate(self, n: int, derive: str) -> None:
+    def _validate(self, n: int, derive: str, strategy: str, max_iterations: int) -> None:
+        """Reject a malformed request before it is admitted or reaches a worker."""
         if n < 0:
             raise ValueError("n must be non-negative")
         if derive not in DERIVE_MODES:
             raise ValueError(f"unknown derive mode {derive!r} (known: {DERIVE_MODES})")
+        if strategy not in STRATEGIES:
+            known = ", ".join(sorted(STRATEGIES))
+            raise ValueError(f"unknown sampling strategy {strategy!r} (known: {known})")
+        if max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
     # -- the front door -----------------------------------------------------------
 
@@ -300,7 +286,7 @@ class GenerationService:
         """
         if not self._started:
             await self.start()
-        self._validate(n, derive)
+        self._validate(n, derive, strategy, max_iterations)
         self._admit()
         try:
             async with self._inflight:
@@ -342,7 +328,7 @@ class GenerationService:
         """
         if not self._started:
             await self.start()
-        self._validate(n, derive)
+        self._validate(n, derive, strategy, max_iterations)
         self._admit()
         try:
             acquired = False
@@ -563,10 +549,6 @@ class GenerationService:
     ) -> ShardOutcome:
         loop = asyncio.get_running_loop()
         pool = self._pools[worker] if worker is not None else None
-        if pool is None and self.fusion_hub is not None:
-            # Fused inline mode: shards from every concurrent request run on
-            # the default thread pool and coalesce kernel calls per tick.
-            return await loop.run_in_executor(None, run_shard, payload, self.fusion_hub)
         # workers=0: run_in_executor(None) -> default thread pool, same code path.
         return await loop.run_in_executor(pool, run_shard, payload)
 
@@ -587,7 +569,6 @@ class GenerationService:
             ),
             "published_programs": len(self._sources),
             "coordinator_cache": self.cache.stats.as_dict(),
-            "fusion": self.fusion_hub.stats() if self.fusion_hub is not None else None,
         }
 
 

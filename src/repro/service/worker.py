@@ -106,35 +106,6 @@ def _engine_for(payload: ShardPayload) -> Tuple[Any, bool, bool]:
     return engine, warm, False
 
 
-def _fused_engine_for(payload: ShardPayload, fusion: Any) -> Tuple[Any, bool]:
-    """A *fresh* engine whose kernel calls coalesce through the fusion hub.
-
-    Fused shards run concurrently on threads, so they cannot share the
-    mutable cached engines in :data:`_ENGINES`; the artifact cache still
-    amortises compiles, and bind-time analysis is the only per-shard cost.
-    A ``"backend"`` strategy option picks the *underlying* compute backend
-    the hub launches fused calls on (numpy/the process default otherwise).
-    """
-    from ..geometry import backends as _geometry_backends
-    from ..sampling import SamplerEngine
-    from .fusion import FusedKernelBackend
-
-    cache = _cache()
-    artifact = cache.lookup_fingerprint(payload.fingerprint)
-    warm = artifact is not None
-    if artifact is None:
-        artifact = cache.get(payload.source)
-    options = dict(payload.strategy_options)
-    base = _geometry_backends.get_backend(options.pop("backend", None))
-    engine = SamplerEngine(
-        artifact,
-        strategy=payload.strategy,
-        backend=FusedKernelBackend(fusion, base),
-        **options,
-    )
-    return engine, warm
-
-
 def _sample_indices(
     engine: Any,
     payload: ShardPayload,
@@ -142,7 +113,7 @@ def _sample_indices(
     scenes: List[Any],
     iterations: List[Optional[int]],
 ) -> None:
-    """The shard sampling loop, shared by the serial and fused paths.
+    """The shard sampling loop.
 
     Splitmix mode (``payload.seeds`` given): scene *i* is drawn with its own
     ``Random(seeds[i])``, so the result is independent of how indices were
@@ -184,7 +155,7 @@ def _sample_indices(
         )
 
 
-def run_shard(payload: ShardPayload, fusion: Any = None) -> ShardOutcome:
+def run_shard(payload: ShardPayload) -> ShardOutcome:
     """Sample one shard's scene indices; never raises.
 
     The accepted scenes are packed into one columnar
@@ -193,20 +164,10 @@ def run_shard(payload: ShardPayload, fusion: Any = None) -> ShardOutcome:
     ``payload.shm_threshold`` bytes into a shared-memory segment the
     coordinator unlinks after reading.
 
-    Without *fusion*, holds :data:`_SHARD_LOCK` for the duration: shards
-    within one process run serially (only observable in the coordinator's
-    inline ``workers=0`` mode — pool workers are single-threaded anyway),
-    keeping the cached engines' state and stats coherent.
-
-    With *fusion* (a :class:`~repro.service.fusion.FusionHub`; inline mode
-    only), shards run **concurrently** on threads and their kernel calls
-    coalesce into fused launches.  Each shard gets a fresh engine (no shared
-    mutable state; per-scene RNG streams and sampling order are untouched),
-    so the fused output is bit-identical to serial execution — the fusion
-    determinism suite asserts this.  Non-mutating strategies sharing the
-    artifact's interned scenario across shard threads is already proven
-    safe by ``ParallelSampler``'s thread-pool contract; mutating strategies
-    (pruning/direct) resolve fresh scenarios per engine as always.
+    Holds :data:`_SHARD_LOCK` for the duration: shards within one process
+    run serially (only observable in the coordinator's inline ``workers=0``
+    mode — pool workers are single-threaded anyway), keeping the cached
+    engines' state and stats coherent.
     """
     from ..sampling import AggregateStats
 
@@ -218,17 +179,9 @@ def run_shard(payload: ShardPayload, fusion: Any = None) -> ShardOutcome:
     cache_hit = False
     engine_hit = False
     try:
-        if fusion is not None:
-            engine, cache_hit = _fused_engine_for(payload, fusion)
-            fusion.register()
-            try:
-                _sample_indices(engine, payload, aggregate, scenes, iterations)
-            finally:
-                fusion.unregister()
-        else:
-            with _SHARD_LOCK:
-                engine, cache_hit, engine_hit = _engine_for(payload)
-                _sample_indices(engine, payload, aggregate, scenes, iterations)
+        with _SHARD_LOCK:
+            engine, cache_hit, engine_hit = _engine_for(payload)
+            _sample_indices(engine, payload, aggregate, scenes, iterations)
     except Exception as exc:  # noqa: BLE001 - outcomes must always pickle home
         error = {
             "type": type(exc).__name__,

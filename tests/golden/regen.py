@@ -2,12 +2,13 @@
 """Regenerate the seed-equivalence golden corpus (``tests/golden/*.json``).
 
 Every ``examples/scenarios/*.scenic`` program is compiled and sampled once
-per strategy with a fixed seed; the resulting object positions and headings
-are committed as JSON at full float precision.  ``tests/test_golden_scenes.py``
-replays the same generations and compares against these files to 1e-9 —
-any change to the RNG-consumption order, the candidate checks, or the
-geometry predicates that silently alters sampled scenes shows up as a
-golden mismatch.
+per golden run (``repro.evals.golden.GOLDEN_RUNS``: a strategy, optionally
+after the automatic pruning pass) with a fixed seed; the resulting object
+positions and headings are committed as JSON at full float precision.
+``tests/test_golden_scenes.py`` replays the same generations and compares
+against these files to 1e-9 — any change to the RNG-consumption order, the
+candidate checks, or the geometry predicates that silently alters sampled
+scenes shows up as a golden mismatch.
 
 Usage (from the repository root)::
 
@@ -24,27 +25,10 @@ import json
 import sys
 from pathlib import Path
 
+from repro.evals.golden import GOLDEN_MAX_ITERATIONS, GOLDEN_RUNS, GOLDEN_SEED, golden_sample
+
 GOLDEN_DIR = Path(__file__).resolve().parent
 SCENARIO_DIR = GOLDEN_DIR.parent.parent / "examples" / "scenarios"
-
-#: One fixed seed for the whole corpus; draw-for-draw equivalence only means
-#: anything when everyone samples the same stream.
-GOLDEN_SEED = 20260729
-
-#: Strategies pinned by the corpus.  ``rejection`` is the reference
-#: semantics (draw-for-draw the seed repo's behaviour); ``batch`` and
-#: ``vectorized`` consume the RNG differently by design, so each gets its
-#: own recorded stream.  ``pruning`` and ``pruned-vectorized`` additionally
-#: sample from automatically pruned regions (static-analysis bounds), so
-#: their streams pin down the whole analysis + pruning pipeline: any change
-#: to the derived bounds shows up as a golden mismatch.  ``direct``
-#: synthesises candidates constructively from the pruned feasible regions
-#: (triangle-fan position proposals, truncated deviation draws), so its
-#: stream additionally pins the triangulation and the constructive-plan
-#: builder of ``repro/synthesis/``.
-STRATEGIES = ("rejection", "batch", "vectorized", "pruning", "pruned-vectorized", "direct")
-
-MAX_ITERATIONS = 50_000
 
 
 def scene_record(scenario, scene) -> dict:
@@ -67,18 +51,16 @@ def scene_record(scenario, scene) -> dict:
     }
 
 
-def generate_entry(path: Path, strategy: str) -> dict:
-    """Compile *path* fresh and sample one scene under *strategy*.
+def generate_entry(path: Path, run: str) -> dict:
+    """Compile *path* fresh and sample one scene the way golden *run* does.
 
-    A fresh compile per strategy keeps the runs independent (engine caches,
-    pruned regions and RNG state never leak between strategies).
+    A fresh compile per run keeps the runs independent (engine caches,
+    pruned regions and RNG state never leak between runs).
     """
     from repro.language import scenario_from_file
 
     scenario = scenario_from_file(path)
-    scene = scenario.generate(
-        seed=GOLDEN_SEED, max_iterations=MAX_ITERATIONS, strategy=strategy
-    )
+    scene = golden_sample(scenario, run)
     return scene_record(scenario, scene)
 
 
@@ -98,17 +80,12 @@ def regenerate(only=None) -> None:
         entry = {
             "scenario": path.stem,
             "seed": GOLDEN_SEED,
-            "max_iterations": MAX_ITERATIONS,
-            "strategies": {
-                strategy: generate_entry(path, strategy) for strategy in STRATEGIES
-            },
+            "max_iterations": GOLDEN_MAX_ITERATIONS,
+            "strategies": {run: generate_entry(path, run) for run in GOLDEN_RUNS},
         }
         output = golden_path(path.stem)
         output.write_text(json.dumps(entry, indent=1) + "\n")
-        iterations = {
-            strategy: entry["strategies"][strategy]["iterations"]
-            for strategy in STRATEGIES
-        }
+        iterations = {run: entry["strategies"][run]["iterations"] for run in GOLDEN_RUNS}
         print(f"{path.stem:28s} {iterations}")
 
 

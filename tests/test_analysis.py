@@ -148,6 +148,22 @@ class TestAnalyzer:
         assert car.max_distance == pytest.approx(30.0 + math.hypot(2.55, 11.0) / 2.0)
         assert car.min_radius == pytest.approx(1.80 / 2.0)
 
+    def test_class_shadowing_its_base_chains_to_the_earlier_binding(self):
+        # ``class Crate(Crate):`` extends the world's Crate, as in the
+        # interpreter; a second redefinition extends the first one.
+        bounds = bounds_of(
+            "import warehouse\n"
+            "class Crate(Crate):\n    width: 0.8\n"
+            "ego = Robot on aisle\n"
+            "Crate on aisle, with requireVisible False\n"
+            "class Crate(Crate):\n    height: 1.0\n"
+            "Crate on aisle, with requireVisible False\n"
+        )
+        assert bounds.mapped
+        # The world Crate is 0.35-0.6 on each side.
+        assert bounds.for_object(1).min_radius == pytest.approx(0.35 / 2.0)
+        assert bounds.for_object(2).min_radius == pytest.approx(0.8 / 2.0)
+
     def test_distance_requirement_tightens_bound(self):
         bounds = bounds_of(
             "import gtaLib\nego = EgoCar\nc = Car\nrequire (distance to c) <= 12\n"
@@ -411,6 +427,7 @@ class TestArtifactIntegration:
             prune_scenario(scenario)
 
     def test_pruning_strategy_surfaces_infeasibility(self):
+        """``direct`` prunes at bind time, so it reports the empty region."""
         from repro.sampling import SamplerEngine
 
         source = (
@@ -419,7 +436,7 @@ class TestArtifactIntegration:
             "require abs(relative heading of c) >= 150 deg\n"
         )
         engine = SamplerEngine(
-            compile_scenario(source, cache=None).scenario(fresh=True), "pruning"
+            compile_scenario(source, cache=None).scenario(fresh=True), "direct"
         )
         with pytest.raises(InfeasibleScenarioError):
             engine.sample(seed=0)
@@ -435,14 +452,12 @@ class TestArtifactIntegration:
         assert "orientation" not in report.techniques
 
     def test_pruned_vectorized_matches_pruning_regions(self):
+        """The pruning pass inside ``direct`` equals a standalone prune."""
         from repro.sampling import SamplerEngine
 
-        pruning = SamplerEngine(compile_scenario(self.SOURCE, cache=None), "pruning")
-        composite = SamplerEngine(
-            compile_scenario(self.SOURCE, cache=None), "pruned-vectorized"
+        standalone = prune_scenario(
+            compile_scenario(self.SOURCE, cache=None).scenario(fresh=True)
         )
-        pruning.sample(seed=1, max_iterations=50000)
-        composite.sample(seed=1, max_iterations=50000)
-        assert pruning.strategy.report.area_ratio == pytest.approx(
-            composite.strategy.report.area_ratio
-        )
+        direct = SamplerEngine(compile_scenario(self.SOURCE, cache=None), "direct")
+        direct.sample(seed=1, max_iterations=50000)
+        assert standalone.area_ratio == pytest.approx(direct.strategy.report.area_ratio)

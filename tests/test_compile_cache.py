@@ -262,9 +262,9 @@ class TestCompiledScenario:
         artifact = compile_scenario(SIMPLE, cache=None)
         engine = SamplerEngine(artifact)
         assert engine.scenario is artifact.scenario()
-        # Pruning must not share the interned scenario (in-place mutation).
-        pruning = SamplerEngine(artifact, strategy="pruning")
-        assert pruning.scenario is not artifact.scenario()
+        # direct prunes in place, so it must not share the interned scenario.
+        direct = SamplerEngine(artifact, strategy="direct")
+        assert direct.scenario is not artifact.scenario()
         # Raw source routes through the default cache.
         from_source = SamplerEngine(SIMPLE)
         assert from_source.scenario is compile_scenario(SIMPLE).scenario()

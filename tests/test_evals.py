@@ -5,7 +5,7 @@ valid and big enough, every entry's file still matches its recorded
 fingerprint, the stratified CI slice is deterministic, scoring results are
 reproducible functions of the seed, and the scorecard comparison logic
 flags exactly the regressions it documents.  The committed
-``results/EVALS_8.json`` itself is validated for shape and corpus
+``results/EVALS.json`` itself is validated for shape and corpus
 agreement (its numbers are re-derived in CI by ``python -m repro.evals
 check``, not here — tier-1 stays fast).
 """

@@ -1,8 +1,10 @@
 """Seed-equivalence regression corpus: golden scenes for every example program.
 
 Each ``examples/scenarios/*.scenic`` file was compiled and sampled with a
-fixed seed under the rejection, batch and vectorized strategies; the
-resulting positions/headings live in ``tests/golden/*.json`` at full float
+fixed seed under every golden run (``repro.evals.golden.GOLDEN_RUNS``: the
+rejection, batch, vectorized and direct strategies, plus rejection and
+vectorized after the automatic pruning pass); the resulting
+positions/headings live in ``tests/golden/*.json`` at full float
 precision.  These tests replay the exact same generations and compare to
 1e-9 — they pin down the RNG-consumption order of every strategy, so any
 refactor of the samplers or the geometry predicates that silently changes
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from conftest import backend_params
+from repro.evals.golden import GOLDEN_RUNS, GOLDEN_SEED, golden_sample
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 
@@ -41,14 +44,14 @@ def scenario_stems():
 def corpus_params():
     params = []
     for stem in scenario_stems():
-        for strategy in regen.STRATEGIES:
+        for strategy in GOLDEN_RUNS:
             marks = [pytest.mark.slow] if stem in SLOW_SCENARIOS else []
             params.append(pytest.param(stem, strategy, marks=marks, id=f"{stem}-{strategy}"))
     return params
 
 
 def test_corpus_is_complete():
-    """Every shipped scenario has a committed golden file covering every strategy."""
+    """Every shipped scenario has a committed golden file covering every run."""
     stems = scenario_stems()
     assert len(stems) >= 10
     for stem in stems:
@@ -57,8 +60,8 @@ def test_corpus_is_complete():
             f"missing golden file for {stem!r}; run: PYTHONPATH=src python tests/golden/regen.py {stem}"
         )
         entry = json.loads(path.read_text())
-        assert set(entry["strategies"]) == set(regen.STRATEGIES)
-        assert entry["seed"] == regen.GOLDEN_SEED
+        assert set(entry["strategies"]) == set(GOLDEN_RUNS)
+        assert entry["seed"] == GOLDEN_SEED
 
 
 @pytest.mark.parametrize("stem,strategy", corpus_params())
@@ -146,7 +149,12 @@ def test_golden_corpus_replays_under_each_backend(backend_name, strategy):
     )
 
 
-PRUNED_STRATEGIES = ("pruning", "pruned-vectorized")
+#: Golden runs whose scenes come from pruned regions: the prune-first runs
+#: and ``direct``, which prunes at bind time.
+PRUNED_RUNS = tuple(
+    run for run, (strategy, prune_first) in GOLDEN_RUNS.items()
+    if prune_first or strategy == "direct"
+)
 
 
 def _fresh_scenario(stem):
@@ -209,10 +217,10 @@ def test_rejection_goldens_survive_pruning(stem):
     ],
 )
 def test_pruned_strategies_produce_valid_scenes(stem):
-    """Pruned-strategy goldens replay into requirement-satisfying scenes.
+    """Pruned-run goldens replay into requirement-satisfying scenes.
 
     For requirement-free scenarios the parametrized replay test already
-    pins the exact scene; here every pruned-strategy generation is
+    pins the exact scene; here every pruned-run generation is
     additionally re-validated with the scalar checks (workspace
     containment, collisions, visibility) *and* against the unpruned
     scenario's sampling regions — the end-to-end guarantee that pruning
@@ -226,16 +234,14 @@ def test_pruned_strategies_produce_valid_scenes(stem):
         index: baseline.objects[index].properties["position"].region
         for index in _prunable_indices(baseline)
     }
-    for strategy in PRUNED_STRATEGIES:
+    for run in PRUNED_RUNS:
         scenario = _fresh_scenario(stem)
-        scene = scenario.generate(
-            seed=regen.GOLDEN_SEED, max_iterations=regen.MAX_ITERATIONS, strategy=strategy
-        )
+        scene = golden_sample(scenario, run)
         assert recheck_scene(scenario, scene, checks=()) == []
         for index, region in unpruned_regions.items():
             point = Vector.from_any(scene.objects[index].position)
             assert region.contains_point(point), (
-                f"{stem}/{strategy}: object {index} sampled outside the "
+                f"{stem}/{run}: object {index} sampled outside the "
                 "unpruned region"
             )
 

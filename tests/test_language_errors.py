@@ -7,6 +7,8 @@ never raw ``IndexError`` / ``KeyError`` / ``TypeError`` / ``RecursionError``
 — and the message carries the offending source line.
 """
 
+import random
+
 import pytest
 
 from repro.core.errors import (
@@ -193,6 +195,27 @@ class TestInterpreterErrors:
         assert isinstance(error, InterpreterError)
         assert "vector" in str(error)
         assert error.line == 1
+
+    @pytest.mark.parametrize(
+        "expression,needle",
+        [
+            ("(2.434, 0.858)", "uniform interval (2.434, 0.858) is empty"),
+            ("Range(3, 1)", "uniform interval (3, 1) is empty"),
+            ("TruncatedNormal(0, 1, 2, -2)", "TruncatedNormal interval (2, -2) is empty"),
+        ],
+    )
+    def test_constant_empty_interval_fails_at_compile_time(self, expression, needle):
+        # Constant endpoints with low > high can never be sampled, so the
+        # program is rejected when it runs, not on every draw afterwards.
+        error = compile_error(f"ego = Object with width {expression}\n")
+        assert needle in str(error)
+
+    def test_random_empty_interval_still_fails_per_draw(self):
+        from repro.core.distributions import Range, Sample, concretize
+
+        interval = Range(Range(2, 3), 1)  # empty on every draw, known only when drawn
+        with pytest.raises(ScenicError, match="is empty"):
+            concretize(interval, Sample(random.Random(0)))
 
 
 class TestLexerTotality:

@@ -22,8 +22,6 @@ from repro.geometry.polygon import Polygon
 from repro.sampling import (
     BatchSampler,
     DependencyGraph,
-    ParallelSampler,
-    PruningAwareSampler,
     RejectionSampler,
     SamplerEngine,
     SceneBatch,
@@ -99,29 +97,6 @@ class TestStrategyEquivalence:
             if scene is not None:
                 break
         assert scene is not None
-
-
-class TestParallelSampler:
-    def test_batches_are_deterministic_across_worker_counts(self):
-        source = scenarios.two_cars()
-
-        def fingerprints(workers):
-            engine = SamplerEngine(
-                scenarios.compile_scenario(source), "parallel", workers=workers
-            )
-            batch = engine.sample_batch(5, seed=9, max_iterations=20000)
-            return [scene_fingerprint(scene) for scene in batch]
-
-        single = fingerprints(1)
-        assert single == fingerprints(3)
-        assert single == fingerprints(3)  # and stable across repeated runs
-
-    def test_merge_preserves_index_order_stats(self):
-        engine = SamplerEngine(containment_heavy_scenario(1), "parallel", workers=2)
-        batch = engine.sample_batch(4, seed=1, max_iterations=100000)
-        assert len(batch) == 4
-        assert batch.stats.scenes == 4
-        assert batch.stats.combined().iterations == batch.stats.total_iterations
 
 
 class TestDependencyGraph:
@@ -204,15 +179,15 @@ class TestBatchSampler:
             SamplerEngine(builder.scenario(), "batch").sample(max_iterations=10, seed=0)
 
 
-class TestPruningAwareSampler:
-    def test_prunes_once_and_keeps_scenes_valid(self):
+class TestPruneThenSample:
+    def test_pruned_scenario_keeps_scenes_valid(self):
+        from repro.core.pruning import prune_scenario
+
         scenario = scenarios.compile_scenario(scenarios.two_cars())
-        sampler = PruningAwareSampler(max_distance=30.0)
-        engine = SamplerEngine(scenario, sampler)
-        scene = engine.sample(seed=4, max_iterations=20000)
+        report = prune_scenario(scenario, max_distance=30.0)
+        scene = SamplerEngine(scenario, "rejection").sample(seed=4, max_iterations=20000)
         assert not scene.has_collisions()
-        assert sampler.report is not None
-        assert 0 < sampler.report.area_ratio <= 1.0 + 1e-9
+        assert 0 < report.area_ratio <= 1.0 + 1e-9
 
 
 class TestBatchResultAggregation:
@@ -281,7 +256,7 @@ class TestEngineEdgeCases:
         assert batch.stats.total_iterations == 0
 
     def test_empty_batch_under_every_builtin_strategy(self):
-        for name in ("rejection", "batch", "parallel", "vectorized"):
+        for name in ("rejection", "batch", "vectorized", "direct"):
             batch = containment_heavy_scenario(1).generate_batch(0, seed=0, strategy=name)
             assert list(batch) == []
 
@@ -302,21 +277,6 @@ class TestEngineEdgeCases:
         assert engine.aggregate.draws == 1
         assert engine.aggregate.scenes == 0
         assert engine.aggregate.total_iterations == 1
-
-    def test_parallel_determinism_when_workers_exceed_batch_size(self):
-        source = scenarios.two_cars()
-
-        def fingerprints(workers):
-            engine = SamplerEngine(
-                scenarios.compile_scenario(source), "parallel", workers=workers
-            )
-            batch = engine.sample_batch(3, seed=13, max_iterations=20000)
-            return [scene_fingerprint(scene) for scene in batch]
-
-        # 8 workers for 3 scenes: most workers sit idle, the merge order and
-        # the per-index seeds must make the batch identical regardless.
-        assert fingerprints(8) == fingerprints(1)
-        assert fingerprints(8) == fingerprints(8)
 
 
 class TestVectorizedSampler:
@@ -363,7 +323,8 @@ class TestVectorizedSampler:
         # The adaptive block ramp is only sound when no soft requirement
         # rolls the shared RNG between candidates: a ``require[p]`` must
         # force the legacy fixed-block schedule.
-        from repro.sampling import PrunedVectorizedSampler, VectorizedSampler
+        from repro.core.pruning import prune_scenario
+        from repro.sampling import VectorizedSampler
 
         plain = scenarios.compile_scenario(scenarios.two_cars())
         sampler = VectorizedSampler()
@@ -377,10 +338,11 @@ class TestVectorizedSampler:
         sampler.bind(soft)
         assert sampler._adaptive is False
 
-        # The pruning-composed variant inherits the same gate.
-        pruned = PrunedVectorizedSampler()
-        pruned.bind(soft)
-        assert pruned._adaptive is False
+        # Pruning first leaves the soft requirement, and so the gate, intact.
+        prune_scenario(soft)
+        sampler = VectorizedSampler()
+        sampler.bind(soft)
+        assert sampler._adaptive is False
 
     def test_adaptive_ramp_matches_fixed_block(self):
         # Candidates come off one sequential RNG stream in draw order, so
@@ -404,10 +366,13 @@ class TestStrategyRegistry:
             make_strategy("nope")
 
     def test_builtin_strategies_registered(self):
-        assert {"rejection", "pruning", "batch", "parallel"} <= set(STRATEGIES)
+        from repro.sampling import DirectSampler, VectorizedSampler
+
+        assert sorted(STRATEGIES) == ["batch", "direct", "rejection", "vectorized"]
         assert isinstance(make_strategy("rejection"), RejectionSampler)
         assert isinstance(make_strategy("batch"), BatchSampler)
-        assert isinstance(make_strategy("parallel"), ParallelSampler)
+        assert isinstance(make_strategy("vectorized"), VectorizedSampler)
+        assert isinstance(make_strategy("direct"), DirectSampler)
 
     def test_custom_strategy_plugs_into_generate(self):
         @register_strategy
@@ -435,7 +400,7 @@ class TestStrategyRegistryEdgeCases:
         with pytest.raises(ValueError) as info:
             make_strategy("definitely-not-a-strategy")
         message = str(info.value)
-        for name in ("rejection", "pruning", "batch", "parallel", "vectorized"):
+        for name in ("rejection", "batch", "vectorized", "direct"):
             assert name in message
 
     def test_unknown_options_raise_type_error(self):
@@ -471,37 +436,3 @@ class TestStrategyRegistryEdgeCases:
             assert STRATEGIES["test-plug"] is Plug
         finally:
             STRATEGIES.pop("test-plug", None)
-
-    def test_parallel_rejects_unknown_base_strategy(self):
-        with pytest.raises(ValueError, match="unknown sampling strategy"):
-            make_strategy("parallel", base_strategy="nope")
-
-    def test_parallel_forwards_base_options(self):
-        sampler = make_strategy("parallel", base_strategy="batch", local_redraw_cap=5)
-        assert isinstance(sampler.base, BatchSampler)
-        assert sampler.base.local_redraw_cap == 5
-
-    def test_parallel_single_draw_equals_rejection(self):
-        """A single ``sample()`` must delegate to the base strategy verbatim
-        (the contract the fuzz oracle's exact-equivalence class relies on)."""
-        source = scenarios.two_cars()
-        reference = SamplerEngine(
-            scenarios.compile_scenario(source), "rejection"
-        ).sample(seed=11, max_iterations=20000)
-        delegated = SamplerEngine(
-            scenarios.compile_scenario(source), "parallel", workers=3
-        ).sample(seed=11, max_iterations=20000)
-        assert scene_fingerprint(reference) == scene_fingerprint(delegated)
-
-    def test_parallel_seeding_is_per_scene_not_per_worker(self):
-        """Worker-count invariance must hold even when workers > batch size."""
-        source = scenarios.two_cars()
-
-        def fingerprints(workers):
-            engine = SamplerEngine(
-                scenarios.compile_scenario(source), "parallel", workers=workers
-            )
-            batch = engine.sample_batch(3, seed=21, max_iterations=20000)
-            return [scene_fingerprint(scene) for scene in batch]
-
-        assert fingerprints(2) == fingerprints(8)

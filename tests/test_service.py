@@ -25,7 +25,9 @@ from repro.service import (
     GenerationServer,
     GenerationService,
     GenerationFailedError,
+    HttpGenerationServer,
     ServiceOverloadedError,
+    http_request,
     request_over_tcp,
     scene_record,
     splitmix64,
@@ -246,6 +248,47 @@ def test_compile_error_raises_generation_failed():
 
     with pytest.raises(GenerationFailedError):
         asyncio.run(run())
+
+
+@pytest.mark.parametrize(
+    "field,value,needle",
+    [
+        ("strategy", "nope", "known: batch, direct, rejection, vectorized"),
+        ("max_iterations", 0, "max_iterations must be at least 1"),
+    ],
+)
+def test_bad_request_is_rejected_before_admission(field, value, needle):
+    """A bad strategy or budget is the client's error on both front ends.
+
+    HTTP answers 400 and TCP a ``ValueError`` naming the problem; the request
+    is never admitted, so no shard runs and ``failures`` does not move.
+    """
+    request = {"source": _source("single_car"), "n": 1, field: value}
+
+    async def run():
+        async with GenerationService(workers=0) as service:
+            async with HttpGenerationServer(service) as http:
+                status, body = await http_request(
+                    http.host, http.port, "POST", "/generate", request
+                )
+            server = GenerationServer(service, port=0)
+            await server.start()
+            try:
+                tcp = await request_over_tcp(
+                    server.host, server.port, {"op": "generate", **request}
+                )
+            finally:
+                await server.close()
+            return status, json.loads(body), tcp, service.service_stats()
+
+    status, http_answer, tcp_answer, stats = asyncio.run(run())
+    assert status == 400
+    for answer in (http_answer, tcp_answer):
+        assert not answer["ok"]
+        assert answer["error"]["type"] == "ValueError"
+        assert needle in answer["error"]["message"]
+    assert stats["failures"] == 0
+    assert stats["requests"] == 0
 
 
 def test_backpressure_sheds_when_queue_is_full():

@@ -1,30 +1,22 @@
-"""Shard-stat merging, the worker engine LRU, and fusion determinism.
+"""Shard-stat merging and the worker engine LRU.
 
 Property-style pins for the stats pipeline: however a run is cut into
 shards, :func:`merge_shard_stats` over the per-shard
 ``AggregateStats.to_shard_stats()`` dicts must equal the single-shard
 roll-up — for candidate counts, rejection breakdowns, and the
 scene-count-weighted mean importance weight.  Plus the worker-side engine
-cache (eviction follows *recency*, not insertion order) and the
-cross-request fusion contract: K concurrent requests served through
-``GenerationService(fusion=True)`` must produce exactly the scenes — and
-exactly the per-request stats attribution — of unfused serial execution.
+cache (eviction follows *recency*, not insertion order).
 """
 
-import asyncio
 import random
-from pathlib import Path
 
 import pytest
 
 from repro.core.scenario import GenerationStats
 from repro.language.compiler import source_fingerprint
 from repro.sampling import AggregateStats
-from repro.service import GenerationService
 from repro.service.protocol import ShardOutcome, ShardPayload, merge_shard_stats
 from repro.service import worker as worker_module
-
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 
 
 def _random_stats(rng):
@@ -211,116 +203,3 @@ def test_engine_cache_evicts_least_recently_used(monkeypatch):
     engine_a_final, _, hit = worker_module._engine_for(_payload(source_a))
     assert hit is True and engine_a_final is engine_a
     worker_module._ENGINES.clear()
-
-
-# ---------------------------------------------------------------------------
-# Cross-request fusion: fused ≡ serial, scenes and stats attribution alike
-# ---------------------------------------------------------------------------
-
-#: Concurrent request mix for the fusion determinism sweep — the strategies
-#: covered by the service's cross-configuration parity gate (the ``direct``
-#: family is checked separately below: its ``importance_weight`` is online
-#: tracker state that already varies with engine reuse, pre-fusion).
-FUSION_REQUESTS = [
-    ("two_cars", "rejection"),
-    ("two_cars", "vectorized"),
-    ("two_cars", "batch"),
-    ("oncoming", "rejection"),
-    ("oncoming", "vectorized"),
-    ("close_car", "rejection"),
-    ("close_car", "batch"),
-    ("mars_rubble_field", "vectorized"),
-]
-
-#: The per-request stats that must be identically attributed under fusion.
-ATTRIBUTED_KEYS = (
-    "scenes",
-    "draws",
-    "iterations",
-    "candidates",
-    "candidates_drawn",
-    "component_redraws",
-    "rejections",
-)
-
-
-def _source(stem):
-    return (SCENARIO_DIR / f"{stem}.scenic").read_text()
-
-
-def _run_requests(fusion, requests, n=4):
-    async def run():
-        async with GenerationService(workers=0, fusion=fusion) as service:
-            responses = await asyncio.gather(
-                *(
-                    service.generate(
-                        _source(stem),
-                        n=n,
-                        seed=1234 + index,
-                        strategy=strategy,
-                        max_iterations=20000,
-                    )
-                    for index, (stem, strategy) in enumerate(requests)
-                )
-            )
-            stats = service.service_stats()
-        return responses, stats
-
-    return asyncio.run(run())
-
-
-def test_fused_concurrent_requests_match_serial_bit_for_bit():
-    """K concurrent fused requests ≡ the same requests unfused.
-
-    Scene payloads must be *identical* (full-record equality, the same
-    contract as the worker-count parity gate), and every request's stats —
-    candidates drawn, iterations, rejection breakdowns — must be attributed
-    to the right request, not smeared across tick-mates.
-    """
-    serial_responses, _ = _run_requests(fusion=False, requests=FUSION_REQUESTS)
-    fused_responses, fused_stats = _run_requests(fusion=True, requests=FUSION_REQUESTS)
-
-    for (stem, strategy), serial, fused in zip(
-        FUSION_REQUESTS, serial_responses, fused_responses
-    ):
-        assert fused.scenes == serial.scenes, f"{stem}/{strategy}: scenes diverged"
-        for key in ATTRIBUTED_KEYS:
-            assert fused.stats[key] == serial.stats[key], (
-                f"{stem}/{strategy}: stats[{key!r}] mis-attributed under fusion"
-            )
-    # The hub really ran (ticks advanced) and its counters are coherent.
-    hub = fused_stats["fusion"]
-    assert hub is not None
-    assert hub["submitted_calls"] >= hub["fused_calls"] >= hub["ticks"] >= 1
-    assert hub["calls_saved"] == hub["submitted_calls"] - hub["fused_calls"]
-    assert hub["active_shards"] == 0  # every shard unregistered on the way out
-
-
-def test_fused_direct_strategy_matches_serial_up_to_importance_weight():
-    """``direct`` under fusion: same geometry, engine-local weights aside.
-
-    Fused shards use fresh engines, so the online importance-weight tracker
-    starts cold per shard — exactly as it does across worker counts today.
-    Everything else in the record (positions, headings, classes) must still
-    be bit-identical.
-    """
-    requests = [("two_cars", "direct"), ("close_car", "direct")]
-    serial_responses, _ = _run_requests(fusion=False, requests=requests)
-    fused_responses, _ = _run_requests(fusion=True, requests=requests)
-
-    def strip(record):
-        return {key: value for key, value in record.items() if key != "importance_weight"}
-
-    for serial, fused in zip(serial_responses, fused_responses):
-        assert [strip(record) for record in fused.scenes] == [
-            strip(record) for record in serial.scenes
-        ]
-
-
-def test_unfused_service_reports_no_fusion_stats():
-    async def run():
-        async with GenerationService(workers=0) as service:
-            await service.generate(_source("two_cars"), n=1, seed=5, strategy="rejection")
-            return service.service_stats()
-
-    assert asyncio.run(run())["fusion"] is None

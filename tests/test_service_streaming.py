@@ -15,6 +15,7 @@ Pins the throughput-first transport's user-visible contracts:
 
 import asyncio
 import json
+import threading
 from pathlib import Path
 
 import pytest
@@ -360,8 +361,20 @@ def test_http_generate_blocking_and_ndjson_stream_agree():
     assert _reassemble(ws_frames, 6) == blocking["scenes"]
 
 
-def test_http_overload_maps_to_503():
+def test_http_overload_maps_to_503(monkeypatch):
+    from repro.service import service as service_module
+
     source = _source("two_cars")
+    # Hold the blocker's shard until the 503 is back: a warm engine would
+    # otherwise finish the blocker before the HTTP request lands.
+    release = threading.Event()
+    run_shard = service_module.run_shard
+
+    def held_run_shard(payload):
+        release.wait(timeout=60)
+        return run_shard(payload)
+
+    monkeypatch.setattr(service_module, "run_shard", held_run_shard)
 
     async def run():
         service = GenerationService(workers=0, max_inflight=1, max_queue=0)
@@ -370,10 +383,13 @@ def test_http_overload_maps_to_503():
                 service.generate(source, n=6, seed=3, max_iterations=20000)
             )
             await asyncio.sleep(0)
-            status, body = await http_request(
-                "127.0.0.1", server.port, "POST", "/generate",
-                {"source": source, "n": 1},
-            )
+            try:
+                status, body = await http_request(
+                    "127.0.0.1", server.port, "POST", "/generate",
+                    {"source": source, "n": 1},
+                )
+            finally:
+                release.set()
             await blocker
             return status, json.loads(body)
 

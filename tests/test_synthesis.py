@@ -4,7 +4,7 @@ Covers the constructive-sampling stack bottom-up: triangle-fan sampling
 (uniformity, holes, degenerate rings), the wrap-safe arc/segment math of
 conditional deviation draws, the online importance accounting, plan
 building on real scenarios (including every degenerate input the issue
-calls out), the ``direct``/``direct-fallback`` strategies end to end, the
+calls out), the ``direct`` strategy end to end, the
 statistical-equivalence oracle's test statistics, and service parity
 between pooled and inline execution.
 """
@@ -327,40 +327,28 @@ def test_single_triangle_region_samples_constructively():
     assert 0.0 < scene.importance_weight <= 1.0
 
 
-def test_direct_fallback_delegates_when_plan_is_not_constructive():
-    """No workspace + non-polygonal region: nothing to synthesise from."""
+def test_direct_samples_when_plan_is_not_constructive():
+    """No workspace + non-polygonal region: nothing to synthesise from.
+
+    The plan is a no-op, so ``direct`` is plain rejection over the pruned
+    scenario and still returns valid scenes.
+    """
+    region = CircularRegion((0.0, 0.0), 5.0)
     with ScenarioBuilder() as builder:
         builder.set_ego(Object(At((0, 0)), Facing(0.0)))
         Object(
-            In(CircularRegion((0.0, 0.0), 5.0)),
+            In(region),
             width=0.5,
             height=0.5,
             requireVisible=False,
             allowCollisions=True,
         )
     scenario = builder.scenario()
-    engine = SamplerEngine(scenario, "direct-fallback")
+    engine = SamplerEngine(scenario, "direct")
     scene = engine.sample(max_iterations=2000, rng=random.Random(2))
-    assert engine.strategy.delegated
     assert not engine.strategy.plan.is_constructive
-    # The delegate (vectorized over the pruned scenario) stamps no weight.
-    assert scene.importance_weight == 1.0
-    # Stats are recorded under the wrapper's name, not the delegate's.
+    assert region.contains_point(scene.objects[1].position)
     assert engine.last_stats is not None
-
-
-def test_direct_fallback_matches_direct_on_constructive_plans():
-    scenario_a = _containment_scenario()
-    scenario_b = _containment_scenario()
-    batch_a = SamplerEngine(scenario_a, "direct").sample_batch(
-        4, seed=5, max_iterations=20000
-    )
-    batch_b = SamplerEngine(scenario_b, "direct-fallback").sample_batch(
-        4, seed=5, max_iterations=20000
-    )
-    positions_a = [tuple(o.position) for s in batch_a for o in s.objects]
-    positions_b = [tuple(o.position) for s in batch_b for o in s.objects]
-    assert positions_a == positions_b
 
 
 def test_direct_is_deterministic_per_seed():

@@ -12,9 +12,10 @@ import math
 import pytest
 
 from repro.core.distributions import Sample, needs_sampling
+from repro.core.pruning import prune_scenario
 from repro.core.vectors import Vector
+from repro.evals.golden import GOLDEN_RUNS
 from repro.language import compile_scenario, scenario_from_string
-from repro.sampling import SamplerEngine
 from repro.worlds.registry import get_world, load_world
 from repro.worlds.warehouse import (
     Crate,
@@ -131,13 +132,13 @@ class TestGauntlet:
         assert scenario.workspace is not None
         assert len(scenario.objects) == 3
 
-    @pytest.mark.parametrize(
-        "strategy",
-        ["rejection", "batch", "vectorized", "pruning", "pruned-vectorized", "direct"],
-    )
+    @pytest.mark.parametrize("strategy", list(GOLDEN_RUNS))
     def test_samples_under_every_strategy(self, strategy):
-        engine = SamplerEngine(self.SOURCE, strategy=strategy)
-        scene = engine.sample(max_iterations=5000, seed=7)
+        scenario = compile_scenario(self.SOURCE).scenario(fresh=True)
+        registered, prune_first = GOLDEN_RUNS[strategy]
+        if prune_first:
+            prune_scenario(scenario)
+        scene = scenario.generate(seed=7, max_iterations=5000, strategy=registered)
         layout = default_layout()
         for scenic_object in scene.objects:
             assert layout.floor.contains_point(Vector.from_any(scenic_object.position))
