@@ -357,40 +357,14 @@ def _probe_regions(scene, rng: random.Random):
 
 
 def check_kernel_equivalence(
-    scenario,
-    scene,
-    seed: int,
-    points_per_region: int = 64,
-    backends_to_check: Optional[Sequence[str]] = None,
+    scenario, scene, seed: int, points_per_region: int = 64
 ) -> List[str]:
     """Cross-check the batched kernel against the scalar geometry on *scene*.
 
     The scalar geometry (``Region.contains_point``, ``Object.intersects``) is
-    the oracle; the batched kernel is exercised once per backend in
-    *backends_to_check* — by default every **available** registered backend
-    (numpy always; numba/jax when installed), activated via
-    :func:`repro.geometry.backends.use_backend` so the dispatching kernel
-    facade routes through it.  Problems are prefixed with the backend name
-    so a find attributes to the right implementation.
+    the oracle; the batched kernel (:mod:`repro.geometry.kernel`) must agree
+    with it exactly, boundary contact included.
     """
-    from ..geometry import backends as _backends
-
-    if backends_to_check is None:
-        backends_to_check = _backends.available_backends()
-    problems: List[str] = []
-    for backend_name in backends_to_check:
-        with _backends.use_backend(backend_name):
-            for problem in _check_kernel_equivalence_on_active(
-                scenario, scene, seed, points_per_region
-            ):
-                problems.append(f"[{backend_name}] {problem}")
-    return problems
-
-
-def _check_kernel_equivalence_on_active(
-    scenario, scene, seed: int, points_per_region: int
-) -> List[str]:
-    """One backend's worth of kernel-vs-scalar cross-checks (the active one)."""
     problems: List[str] = []
     rng = random.Random(seed ^ 0x5EED5EED)
     positions = [Vector.from_any(obj.position) for obj in scene.objects]

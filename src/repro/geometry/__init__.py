@@ -11,11 +11,7 @@ this reproduction implements the needed subset from scratch:
   by the pruning algorithms of Sec. 5.2.
 * :mod:`repro.geometry.kernel` — batch evaluation of the sampling hot
   path's predicates (point containment, object containment, pairwise
-  collision) over whole candidate batches at once, dispatched to a
-  pluggable compute backend.
-* :mod:`repro.geometry.backends` — the kernel-backend registry: the numpy
-  reference (default, bit-identical), an optional numba-JIT backend and an
-  optional JAX stub, selectable globally or per engine.
+  collision) over whole candidate batches at once, in numpy.
 * :mod:`repro.geometry.spatial_index` — a uniform-grid index pruning the
   O(n²) collision pair enumeration and accelerating point location in
   large polygonal unions.
@@ -40,14 +36,6 @@ from .kernel import (
     points_in_polygon,
 )
 from .spatial_index import SpatialGrid
-from .backends import (
-    KernelBackend,
-    BackendUnavailableError,
-    get_backend,
-    available_backends,
-    registered_backends,
-    use_backend,
-)
 
 __all__ = [
     "Polygon",
@@ -68,10 +56,4 @@ __all__ = [
     "quads_overlap",
     "points_in_polygon",
     "SpatialGrid",
-    "KernelBackend",
-    "BackendUnavailableError",
-    "get_backend",
-    "available_backends",
-    "registered_backends",
-    "use_backend",
 ]

@@ -26,14 +26,10 @@ test uses closed intervals (touching counts as overlap, exactly like
 ray-casting code operation for operation, so results are bit-identical away
 from ~1-ulp boundary coincidences.
 
-Since PR 9 the *compute* lives in pluggable backends
-(:mod:`repro.geometry.backends`): this module keeps the coercion helpers and
-region dispatch, while :func:`points_in_polygon`, :func:`objects_contained`,
-:func:`pairwise_collisions` and :func:`batch_collision_free` forward to the
-process-global active backend (numpy by default — same code as before, moved
-verbatim, so results are unchanged bit for bit).  Select backends globally
-with :func:`repro.geometry.backends.use_backend` or per engine with
-``SamplerEngine(..., backend=...)``.
+The four batch predicates (:func:`points_in_polygon`,
+:func:`objects_contained`, :func:`pairwise_collisions` and
+:func:`batch_collision_free`) are methods of one :class:`NumpyKernel`
+instance, :data:`KERNEL`; the module functions call them through it.
 """
 
 from __future__ import annotations
@@ -137,17 +133,8 @@ def contains_points(region: Any, points: Any) -> np.ndarray:
 
 
 def points_in_polygon(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Vectorized ray casting; boundary points count as inside.
-
-    Dispatches to the active backend.  The numpy reference implementation
-    (:class:`~repro.geometry.backends.numpy_backend.NumpyBackend`) is a
-    faithful replication of :func:`repro.geometry.polygon.point_in_polygon`
-    — same operations in the same order, evaluated for all points at once
-    with one numpy pass per polygon edge.
-    """
-    from . import backends
-
-    return backends.active_backend().points_in_polygon(vertices, points)
+    """Vectorized ray casting; boundary points count as inside."""
+    return KERNEL.points_in_polygon(vertices, points)
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +157,10 @@ def region_supports_batch_objects(region: Any) -> bool:
 def objects_contained(region: Any, corners: np.ndarray) -> np.ndarray:
     """Containment of ``N`` objects (given their ``(N, 4, 2)`` corners).
 
-    Evaluates the default ``Region.contains_object`` semantics — all four
-    corners and all four edge midpoints inside — in one batched containment
-    query, dispatched to the active backend.  Only valid for regions where
-    :func:`region_supports_batch_objects` holds; callers keep the scalar
-    path otherwise.
+    Only valid for regions where :func:`region_supports_batch_objects`
+    holds; callers keep the scalar path otherwise.
     """
-    from . import backends
-
-    return backends.active_backend().objects_contained(region, corners)
+    return KERNEL.objects_contained(region, corners)
 
 
 # ---------------------------------------------------------------------------
@@ -223,41 +205,182 @@ def pairwise_collisions(
     collidable: Optional[np.ndarray] = None,
     grid_threshold: int = GRID_PAIR_THRESHOLD,
 ) -> np.ndarray:
-    """All overlapping object pairs as an ``(M, 2)`` array of index pairs.
-
-    *corners* is ``(N, 4, 2)``; *collidable* optionally masks objects out of
-    the check (``allowCollisions`` objects).  For ``N >= grid_threshold`` the
-    candidate pairs come from a uniform :class:`SpatialGrid` instead of the
-    full upper triangle, pruning the O(n²) enumeration.  Pairs are returned
-    in lexicographic order with ``i < j``, matching the scalar nested loop.
-    Dispatches to the active backend.
-    """
-    from . import backends
-
-    return backends.active_backend().pairwise_collisions(
-        corners, collidable, grid_threshold=grid_threshold
-    )
+    """All overlapping object pairs as an ``(M, 2)`` array of index pairs."""
+    return KERNEL.pairwise_collisions(corners, collidable, grid_threshold=grid_threshold)
 
 
 def batch_collision_free(
     corners: np.ndarray, collidable: Optional[np.ndarray] = None
 ) -> np.ndarray:
-    """Collision-freedom of ``K`` candidate scenes at once.
+    """Collision-freedom of ``K`` candidate scenes at once."""
+    return KERNEL.batch_collision_free(corners, collidable)
 
-    *corners* is ``(K, N, 4, 2)`` (same object count per candidate, as
-    produced by concretizing one scenario ``K`` times); *collidable* is an
-    optional ``(K, N)`` mask.  Returns a boolean ``(K,)`` array that is True
-    where no collidable pair overlaps — the bulk form of
-    ``no_pairwise_collisions`` used by the vectorized sampling strategy.
-    Dispatches to the active backend.
+
+# ---------------------------------------------------------------------------
+# the numpy implementation
+# ---------------------------------------------------------------------------
+
+
+class NumpyKernel:
+    """The four batch predicates, in numpy.
+
+    This is the code the golden corpus was recorded against.  Its results
+    are bit-identical to the scalar predicates: the separating-axis test
+    uses closed intervals (touching counts as overlap, exactly like
+    ``polygons_intersect``) and :meth:`points_in_polygon` replicates the
+    scalar ray casting operation for operation.
     """
-    from . import backends
 
-    return backends.active_backend().batch_collision_free(corners, collidable)
+    name = "numpy"
+
+    def points_in_polygon(self, vertices: Any, points: Any) -> np.ndarray:
+        """Membership of each point in one simple polygon (boundary = inside).
+
+        A faithful replication of :func:`repro.geometry.polygon.point_in_polygon`
+        (same operations in the same order), evaluated for all points at once
+        with one numpy pass per polygon edge.
+        """
+        vertices = np.asarray(vertices, dtype=float)
+        pts = as_points(points)
+        x, y = pts[:, 0], pts[:, 1]
+        count = len(vertices)
+        inside = np.zeros(len(pts), dtype=bool)
+        on_edge = np.zeros(len(pts), dtype=bool)
+        j = count - 1
+        for i in range(count):
+            xi, yi = vertices[i]
+            xj, yj = vertices[j]
+            # Boundary check (scalar `_point_on_segment` with a=v_i, b=v_j).
+            edge_x, edge_y = xj - xi, yj - yi
+            length_sq = edge_x * edge_x + edge_y * edge_y
+            tolerance = 1e-9 * max(1.0, float(np.hypot(edge_x, edge_y)))
+            cross = edge_x * (y - yi) - edge_y * (x - xi)
+            dot = (x - xi) * edge_x + (y - yi) * edge_y
+            on_edge |= (np.abs(cross) <= tolerance) & (dot >= -1e-9) & (dot <= length_sq + 1e-9)
+            # Ray crossing (same expression as the scalar code, v_i/v_j swapped
+            # roles preserved: slope_x anchored at v_j).
+            crosses = (yi > y) != (yj > y)
+            if crosses.any():
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    slope_x = xj + (y - yj) * (xi - xj) / (yi - yj)
+                inside ^= crosses & (x < slope_x)
+            j = i
+        return inside | on_edge
+
+    def objects_contained(self, region: Any, corners: Any) -> np.ndarray:
+        """Containment of ``N`` objects (``(N, 4, 2)`` corners) in *region*.
+
+        The default ``Region.contains_object`` semantics — all four corners
+        and all four edge midpoints inside — as one batched containment
+        query through the region's ``contains_points_batch``.
+        """
+        corners = np.asarray(corners, dtype=float)
+        n = corners.shape[0]
+        if n == 0:
+            return np.zeros(0, dtype=bool)
+        test_points = object_test_points(corners).reshape(-1, 2)
+        inside = contains_points(region, test_points).reshape(n, 8)
+        return inside.all(axis=1)
+
+    def pairwise_collisions(
+        self,
+        corners: Any,
+        collidable: Optional[np.ndarray] = None,
+        grid_threshold: int = GRID_PAIR_THRESHOLD,
+    ) -> np.ndarray:
+        """All overlapping object pairs as an ``(M, 2)`` array of index pairs.
+
+        *corners* is ``(N, 4, 2)``; *collidable* optionally masks objects out of
+        the check (``allowCollisions`` objects).  For ``N >= grid_threshold`` the
+        candidate pairs come from a uniform :class:`SpatialGrid` instead of the
+        full upper triangle, pruning the O(n²) enumeration.  Pairs are returned
+        in lexicographic order with ``i < j``, matching the scalar nested loop.
+        """
+        corners = np.asarray(corners, dtype=float)
+        n = corners.shape[0]
+        if n < 2:
+            return np.zeros((0, 2), dtype=int)
+        if collidable is None:
+            collidable_mask = np.ones(n, dtype=bool)
+        else:
+            collidable_mask = np.asarray(collidable, dtype=bool)
+        boxes = aabbs_of(corners)
+        if n >= grid_threshold:
+            from .spatial_index import SpatialGrid
+
+            pairs = SpatialGrid(boxes).candidate_pairs()
+        else:
+            row, col = np.triu_indices(n, k=1)
+            pairs = np.stack([row, col], axis=1)
+        if len(pairs) == 0:
+            return np.zeros((0, 2), dtype=int)
+        i, j = pairs[:, 0], pairs[:, 1]
+        keep = collidable_mask[i] & collidable_mask[j]
+        # Closed-interval AABB prefilter, identical to BoundingBox.intersects.
+        keep &= ~(
+            (boxes[i, 2] < boxes[j, 0])
+            | (boxes[j, 2] < boxes[i, 0])
+            | (boxes[i, 3] < boxes[j, 1])
+            | (boxes[j, 3] < boxes[i, 1])
+        )
+        pairs = pairs[keep]
+        if len(pairs) == 0:
+            return pairs
+        hits = quads_overlap(corners[pairs[:, 0]], corners[pairs[:, 1]])
+        return pairs[hits]
+
+    def batch_collision_free(
+        self, corners: Any, collidable: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Collision-freedom of ``K`` candidate scenes at once.
+
+        *corners* is ``(K, N, 4, 2)`` (same object count per candidate, as
+        produced by concretizing one scenario ``K`` times); *collidable* is an
+        optional ``(K, N)`` mask.  Returns a boolean ``(K,)`` array that is True
+        where no collidable pair overlaps — the bulk form of
+        ``no_pairwise_collisions`` used by the vectorized sampling strategy.
+        """
+        corners = np.asarray(corners, dtype=float)
+        k, n = corners.shape[0], corners.shape[1]
+        if k == 0:
+            return np.zeros(0, dtype=bool)
+        if n < 2:
+            return np.ones(k, dtype=bool)
+        row, col = np.triu_indices(n, k=1)
+        # Cheap AABB prefilter over every (candidate, pair): the exact SAT only
+        # runs on pairs whose bounds overlap — usually a small fraction.
+        mins = corners.min(axis=2)  # (K, N, 2)
+        maxs = corners.max(axis=2)
+        candidate = ~(
+            (maxs[:, row, 0] < mins[:, col, 0])
+            | (maxs[:, col, 0] < mins[:, row, 0])
+            | (maxs[:, row, 1] < mins[:, col, 1])
+            | (maxs[:, col, 1] < mins[:, row, 1])
+        )  # (K, P)
+        if collidable is not None:
+            mask = np.asarray(collidable, dtype=bool)
+            candidate &= mask[:, row] & mask[:, col]
+        scene_index, pair_index = np.nonzero(candidate)
+        if len(scene_index) == 0:
+            return np.ones(k, dtype=bool)
+        hits = quads_overlap(
+            corners[scene_index, row[pair_index]], corners[scene_index, col[pair_index]]
+        )
+        free = np.ones(k, dtype=bool)
+        free[scene_index[hits]] = False
+        return free
+
+
+#: The one kernel instance.  The module functions above look its methods up
+#: on every call, so a wrapper set on this instance (a profiler's timer, a
+#: test's planted fault) sees every batched predicate call.
+KERNEL = NumpyKernel()
 
 
 __all__ = [
     "GRID_PAIR_THRESHOLD",
+    "KERNEL",
+    "NumpyKernel",
     "as_points",
     "corners_array",
     "object_test_points",

@@ -80,7 +80,6 @@ class SamplerEngine:
         self,
         scenario: Union[Scenario, Any],
         strategy: Union[str, SamplingStrategy] = "rejection",
-        backend: Union[str, Any, None] = None,
         **strategy_options: Any,
     ):
         if isinstance(strategy, SamplingStrategy):
@@ -89,18 +88,6 @@ class SamplerEngine:
             self.strategy = strategy
         else:
             self.strategy = make_strategy(strategy, **strategy_options)
-        # Per-engine geometry backend: a name ("numpy"/"numba"/"jax"/"auto") or
-        # KernelBackend instance, resolved eagerly so unknown/unavailable
-        # selections fail at construction, not mid-sampling.  None keeps the
-        # process-global active backend (numpy unless reconfigured), which is
-        # what the bit-identical determinism contract pins.
-        if backend is not None:
-            from ..geometry import backends as _backends
-
-            self.backend = _backends.get_backend(backend)
-            self.strategy.kernel = self.backend
-        else:
-            self.backend = None
         self.scenario = resolve_scenario(scenario, fresh=self.strategy.mutates_scenario)
         self.aggregate = AggregateStats()
         self.last_stats: Optional[GenerationStats] = None

@@ -67,7 +67,6 @@ from ..core.pruning import PruningReport, prune_scenario
 from ..core.scenario import GenerationStats, Scenario
 from ..core.scene import Scene
 from ..geometry import kernel as _kernel
-from ..geometry import backends as _backends
 from .dependency import DependencyGraph, ObjectGroup
 from .stats import AggregateStats
 
@@ -83,7 +82,7 @@ _KERNEL_MIN_COLLIDERS = 4
 
 
 def contained_in_workspace(
-    workspace, concrete_objects: List[Any], stats: GenerationStats, kernel: Optional[Any] = None
+    workspace, concrete_objects: List[Any], stats: GenerationStats
 ) -> bool:
     """Every object inside the workspace (counts a containment rejection).
 
@@ -91,8 +90,6 @@ def contained_in_workspace(
     (one vectorized containment query instead of ``8 * n`` scalar ones);
     regions with custom ``contains_object`` semantics and small scenes take
     the scalar path.  Accept/reject decisions are identical either way.
-    *kernel* pins a specific :class:`~repro.geometry.backends.KernelBackend`;
-    ``None`` uses the process-global active one.
     """
     if workspace.is_unbounded:
         return True
@@ -101,9 +98,8 @@ def contained_in_workspace(
         len(concrete_objects) >= _KERNEL_MIN_OBJECTS
         and _kernel.region_supports_batch_objects(workspace_region)
     ):
-        backend = kernel if kernel is not None else _backends.active_backend()
         corners = _kernel.corners_array(concrete_objects)
-        if bool(backend.objects_contained(workspace_region, corners).all()):
+        if bool(_kernel.objects_contained(workspace_region, corners).all()):
             return True
         stats.rejections_containment += 1
         return False
@@ -118,7 +114,6 @@ def no_pairwise_collisions(
     concrete_objects: List[Any],
     stats: GenerationStats,
     pair_filter: Optional[Any] = None,
-    kernel: Optional[Any] = None,
 ) -> bool:
     """No two collision-checked objects intersect (counts a collision rejection).
 
@@ -138,9 +133,8 @@ def no_pairwise_collisions(
             count=len(concrete_objects),
         )
         if collidable.sum() >= 2:
-            backend = kernel if kernel is not None else _backends.active_backend()
             corners = _kernel.corners_array(concrete_objects)
-            if len(backend.pairwise_collisions(corners, collidable)) > 0:
+            if len(_kernel.pairwise_collisions(corners, collidable)) > 0:
                 stats.rejections_collision += 1
                 return False
             return True
@@ -178,12 +172,11 @@ def check_builtin_requirements(
     concrete_objects: List[Any],
     concrete_ego: Any,
     stats: GenerationStats,
-    kernel: Optional[Any] = None,
 ) -> bool:
     """The three default requirements of Sec. 3 (containment, collision, visibility)."""
     return (
-        contained_in_workspace(scenario.workspace, concrete_objects, stats, kernel=kernel)
-        and no_pairwise_collisions(concrete_objects, stats, kernel=kernel)
+        contained_in_workspace(scenario.workspace, concrete_objects, stats)
+        and no_pairwise_collisions(concrete_objects, stats)
         and all_required_visible(concrete_objects, concrete_ego, stats)
     )
 
@@ -202,7 +195,7 @@ def check_user_requirements(
 
 
 def draw_candidate(
-    scenario: Scenario, rng: _random.Random, stats: GenerationStats, kernel: Optional[Any] = None
+    scenario: Scenario, rng: _random.Random, stats: GenerationStats
 ) -> Optional[Scene]:
     """Draw one candidate scene; return it if valid, ``None`` if rejected.
 
@@ -215,9 +208,7 @@ def draw_candidate(
     concrete_ego = scenario.ego._concretize(sample)
     concrete_params = {name: concretize(value, sample) for name, value in scenario.params.items()}
 
-    if not check_builtin_requirements(
-        scenario, concrete_objects, concrete_ego, stats, kernel=kernel
-    ):
+    if not check_builtin_requirements(scenario, concrete_objects, concrete_ego, stats):
         return None
     if not check_user_requirements(scenario, sample, rng, stats):
         return None
@@ -247,13 +238,6 @@ class SamplingStrategy:
     #: strategies leave the weight at its exact default of 1.0 and record
     #: no weight at all.
     uses_importance_weights = False
-
-    #: Geometry-kernel backend pinned to this strategy instance
-    #: (:class:`~repro.geometry.backends.KernelBackend` or ``None``).  Set
-    #: by ``SamplerEngine(backend=...)``; ``None`` defers every kernel call
-    #: to the process-global active backend at call time, so `use_backend`
-    #: scopes keep working.
-    kernel: Optional[Any] = None
 
     def bind(self, scenario: Scenario) -> None:
         """One-time, per-scenario analysis (pruning, dependency graphs, ...).
@@ -353,7 +337,7 @@ class RejectionSampler(SamplingStrategy):
     name = "rejection"
 
     def _draw_candidate(self, scenario, rng, stats):
-        return draw_candidate(scenario, rng, stats, kernel=self.kernel)
+        return draw_candidate(scenario, rng, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +381,8 @@ class BatchSampler(SamplingStrategy):
     ) -> bool:
         concrete = [scenic_object._concretize(sample) for scenic_object in group.objects]
         return contained_in_workspace(
-            scenario.workspace, concrete, stats, kernel=self.kernel
-        ) and no_pairwise_collisions(concrete, stats, kernel=self.kernel)
+            scenario.workspace, concrete, stats
+        ) and no_pairwise_collisions(concrete, stats)
 
     def _draw_group(
         self, scenario: Scenario, group: ObjectGroup, sample: Sample, stats: GenerationStats
@@ -443,7 +427,6 @@ class BatchSampler(SamplingStrategy):
             # Same-group pairs were already checked locally; only cross-group
             # pairs need the joint-level collision check.
             pair_filter=lambda index, jndex: graph.independent(sources[index], sources[jndex]),
-            kernel=self.kernel,
         ) and all_required_visible(concrete_objects, concrete_ego, stats)
 
 
@@ -562,7 +545,6 @@ class VectorizedSampler(SamplingStrategy):
         live = [index for index, candidate in enumerate(candidates) if candidate is not None]
         if not live:
             return failures
-        backend = self.kernel if self.kernel is not None else _backends.active_backend()
         corners = np.stack(
             [_kernel.corners_array(candidates[index][1]) for index in live]
         )  # (K, n, 4, 2)
@@ -570,7 +552,7 @@ class VectorizedSampler(SamplingStrategy):
         if not workspace.is_unbounded:
             region = workspace.region
             if _kernel.region_supports_batch_objects(region):
-                per_object = backend.objects_contained(
+                per_object = _kernel.objects_contained(
                     region, corners.reshape(-1, 4, 2)
                 ).reshape(len(live), -1)
                 contained = per_object.all(axis=1)
@@ -607,7 +589,7 @@ class VectorizedSampler(SamplingStrategy):
                 for index in live
             ]
         )
-        collision_free = backend.batch_collision_free(corners, collidable)
+        collision_free = _kernel.batch_collision_free(corners, collidable)
         for position, index in enumerate(live):
             if not collision_free[position]:
                 failures[index] = "collision"
@@ -682,14 +664,12 @@ class DirectSampler(SamplingStrategy):
             raise
         if tracker is not None:
             tracker.record("sampling", True)
-        ok = contained_in_workspace(
-            scenario.workspace, concrete_objects, stats, kernel=self.kernel
-        )
+        ok = contained_in_workspace(scenario.workspace, concrete_objects, stats)
         if tracker is not None:
             tracker.record("containment", ok)
         if not ok:
             return None
-        ok = no_pairwise_collisions(concrete_objects, stats, kernel=self.kernel)
+        ok = no_pairwise_collisions(concrete_objects, stats)
         if tracker is not None:
             tracker.record("collision", ok)
         if not ok:

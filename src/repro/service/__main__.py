@@ -227,15 +227,11 @@ async def _cmd_bench(args: argparse.Namespace) -> int:
     import time
 
     source = _sample_sources()["two_cars"]
-    options = {} if args.backend is None else {"backend": args.backend}
     async with GenerationService(workers=args.workers) as service:
-        await service.generate(
-            source, n=2, seed=0, max_iterations=20000, **options
-        )  # warm the workers (and any backend JIT)
+        await service.generate(source, n=2, seed=0, max_iterations=20000)  # warm the workers
         start = time.perf_counter()
         response = await service.generate(
-            source, n=args.scenes, seed=7, strategy=args.strategy,
-            max_iterations=20000, **options,
+            source, n=args.scenes, seed=7, strategy=args.strategy, max_iterations=20000
         )
         wall = time.perf_counter() - start
     measured = len(response.scenes) / wall if wall else float("inf")
@@ -244,7 +240,6 @@ async def _cmd_bench(args: argparse.Namespace) -> int:
         "wall_seconds": wall,
         "scenes_per_second": measured,
         "strategy": args.strategy,
-        "backend": args.backend,
         "workers": args.workers,
         "iterations": response.stats["iterations"],
         "candidates": response.stats.get("candidates", response.stats["iterations"]),
@@ -283,7 +278,6 @@ async def _cmd_bench(args: argparse.Namespace) -> int:
 
 async def _cmd_generate(args: argparse.Namespace) -> int:
     source = sys.stdin.read() if args.file == "-" else Path(args.file).read_text()
-    options = {} if args.backend is None else {"backend": args.backend}
     async with GenerationService(workers=args.workers) as service:
         if args.stream:
             async for frame in service.generate_stream(
@@ -293,7 +287,6 @@ async def _cmd_generate(args: argparse.Namespace) -> int:
                 strategy=args.strategy,
                 max_iterations=args.max_iterations,
                 derive=args.derive,
-                **options,
             ):
                 print(json.dumps(frame), flush=True)
             return 0
@@ -304,7 +297,6 @@ async def _cmd_generate(args: argparse.Namespace) -> int:
             strategy=args.strategy,
             max_iterations=args.max_iterations,
             derive=args.derive,
-            **options,
         )
     print(json.dumps(response.as_dict(), indent=1))
     return 0
@@ -358,9 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "in this committed results file")
     bench.add_argument("--check-factor", type=float, default=10.0,
                        help="required multiple of the recorded BENCH_6 baseline")
-    bench.add_argument("--backend", default=None,
-                       help="geometry-kernel backend for the shards "
-                            "(numpy/numba/jax/auto; docs/backends.md)")
 
     generate = sub.add_parser("generate", help="one-shot generation from a .scenic file")
     generate.add_argument("file", help="path to a .scenic program, or - for stdin")
@@ -372,9 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--workers", type=int, default=0)
     generate.add_argument("--stream", action="store_true",
                           help="print NDJSON stream frames as shards complete")
-    generate.add_argument("--backend", default=None,
-                          help="geometry-kernel backend for the shards "
-                               "(numpy/numba/jax/auto; docs/backends.md)")
     return parser
 
 

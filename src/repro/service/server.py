@@ -253,15 +253,18 @@ def _generate_params(request: Dict[str, Any]) -> Dict[str, Any]:
     options = request.get("options") or {}
     if not isinstance(options, dict):
         raise ValueError("'options' must be an object of strategy options")
-    return {
+    params = {
         "source_or_hash": str(source_or_hash),
         "n": int(request.get("n", 1)),
         "seed": int(request.get("seed", 0)),
         "strategy": str(request.get("strategy", "rejection")),
         "max_iterations": int(request.get("max_iterations", 2000)),
         "derive": str(request.get("derive", "splitmix")),
-        **options,
     }
+    clashes = sorted(set(options) & (set(params) | {"source", "fingerprint"}))
+    if clashes:
+        raise ValueError(f"'options' may not set request fields: {', '.join(clashes)}")
+    return {**params, **options}
 
 
 def _error_response(error: Exception) -> Dict[str, Any]:

@@ -56,11 +56,12 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from ..language.compiler import ArtifactCache, compile_scenario, source_fingerprint
-from ..sampling.strategies import STRATEGIES
+from ..sampling.strategies import make_strategy
 from .protocol import (
     DERIVE_MODES,
     TRANSPORT_MODES,
@@ -176,16 +177,16 @@ class GenerationService:
         """
         if self._started:
             return self
-        self._pools = [
-            ProcessPoolExecutor(
-                max_workers=1,
-                initializer=initialize_worker,
-                initargs=(self.cache_dir, self.worker_cache_size),
-            )
-            for _ in range(self.workers)
-        ]
+        self._pools = [self._new_pool() for _ in range(self.workers)]
         self._started = True
         return self
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=1,
+            initializer=initialize_worker,
+            initargs=(self.cache_dir, self.worker_cache_size),
+        )
 
     async def close(self) -> None:
         """Drain and shut the pools down; safe to call twice."""
@@ -245,15 +246,28 @@ class GenerationService:
         self._pending += 1
         self.stats["peak_pending"] = max(self.stats["peak_pending"], self._pending)
 
-    def _validate(self, n: int, derive: str, strategy: str, max_iterations: int) -> None:
-        """Reject a malformed request before it is admitted or reaches a worker."""
+    def _validate(
+        self,
+        n: int,
+        derive: str,
+        strategy: str,
+        max_iterations: int,
+        strategy_options: Dict[str, Any],
+    ) -> None:
+        """Reject a malformed request before it is admitted or reaches a worker.
+
+        The strategy is built once from *strategy_options* here, so an
+        unknown strategy or an option it does not take is the client's
+        ``ValueError``, not a shard failure.
+        """
         if n < 0:
             raise ValueError("n must be non-negative")
         if derive not in DERIVE_MODES:
             raise ValueError(f"unknown derive mode {derive!r} (known: {DERIVE_MODES})")
-        if strategy not in STRATEGIES:
-            known = ", ".join(sorted(STRATEGIES))
-            raise ValueError(f"unknown sampling strategy {strategy!r} (known: {known})")
+        try:
+            make_strategy(strategy, **strategy_options)
+        except TypeError as error:
+            raise ValueError(f"bad options for strategy {strategy!r}: {error}") from error
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -286,7 +300,7 @@ class GenerationService:
         """
         if not self._started:
             await self.start()
-        self._validate(n, derive, strategy, max_iterations)
+        self._validate(n, derive, strategy, max_iterations, strategy_options)
         self._admit()
         try:
             async with self._inflight:
@@ -328,7 +342,7 @@ class GenerationService:
         """
         if not self._started:
             await self.start()
-        self._validate(n, derive, strategy, max_iterations)
+        self._validate(n, derive, strategy, max_iterations, strategy_options)
         self._admit()
         try:
             acquired = False
@@ -547,10 +561,45 @@ class GenerationService:
     async def _run_payload(
         self, payload: ShardPayload, worker: Optional[int]
     ) -> ShardOutcome:
-        loop = asyncio.get_running_loop()
-        pool = self._pools[worker] if worker is not None else None
-        # workers=0: run_in_executor(None) -> default thread pool, same code path.
-        return await loop.run_in_executor(pool, run_shard, payload)
+        """Run one shard; a dead worker process fails the shard, not the service.
+
+        When the worker's process has died (``BrokenProcessPool``), its
+        executor is replaced so the next request is served normally, and
+        the shard comes back as a failed outcome, so the request fails like
+        any other shard failure.
+        """
+        if worker is None:
+            # workers=0: the default thread pool, pickle transport.
+            return await asyncio.get_running_loop().run_in_executor(None, run_shard, payload)
+        pool = self._pools[worker]
+        try:
+            future = pool.submit(run_shard, payload)
+            try:
+                return await asyncio.wrap_future(future)
+            except asyncio.CancelledError:
+                # A running shard cannot be stopped: free its block when it lands.
+                if not future.cancel():
+                    future.add_done_callback(_discard_late_outcome)
+                raise
+        except BrokenProcessPool as error:
+            # Concurrent shards on the same dead pool all land here: only the
+            # first replaces it.
+            if self._pools and self._pools[worker] is pool:
+                self._pools[worker] = self._new_pool()
+                pool.shutdown(wait=False)
+            return ShardOutcome(
+                indices=[],
+                block=None,
+                stats={},
+                cache_hit=False,
+                worker_pid=0,
+                elapsed_seconds=0.0,
+                error={
+                    "type": type(error).__name__,
+                    "message": f"worker {worker} died: {error}",
+                    "index": payload.indices[0],
+                },
+            )
 
     # -- diagnostics --------------------------------------------------------------
 
@@ -570,6 +619,12 @@ class GenerationService:
             "published_programs": len(self._sources),
             "coordinator_cache": self.cache.stats.as_dict(),
         }
+
+
+def _discard_late_outcome(future: Future[ShardOutcome]) -> None:
+    """Free the block of a shard whose request stopped waiting for it."""
+    if not future.cancelled() and future.exception() is None:
+        future.result().discard_block()
 
 
 def generate_sync(

@@ -5,12 +5,11 @@ implementations: for every built-in Region subclass, ``contains_points_batch``
 must agree with ``contains_point`` point for point, and
 ``pairwise_collisions`` must reproduce the scalar double loop pair for pair.
 
-Since PR 9 the kernel dispatches to pluggable backends
-(:mod:`repro.geometry.backends`), so the equivalence classes are
-parametrized over every *registered* backend via the shared
-``geometry_backend`` fixture — numpy always runs; numba/jax run when
-installed and show as skips otherwise (the CI ``backends`` job installs
-numba and runs them for real).
+The module functions call the predicates through one instance
+(``repro.geometry.kernel.KERNEL``, also returned by
+``repro.geometry.backends.active_backend()``).  The last classes pin that
+contract: a fault planted on the instance must reach the kernel oracle, and
+both sampling entry points must go through it.
 """
 
 import math
@@ -19,6 +18,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.objects import Object
 from repro.core.regions import (
@@ -34,7 +35,7 @@ from repro.core.regions import (
     SectorRegion,
     Region,
 )
-from repro.geometry import kernel
+from repro.geometry import backends, kernel
 from repro.geometry.polygon import Polygon, polygons_intersect
 from repro.geometry.spatial_index import SpatialGrid
 
@@ -81,7 +82,6 @@ def seeded_points(seed, count=POINT_COUNT, span=8.0):
 
 
 class TestContainsPointsEquivalence:
-    @pytest.mark.usefixtures("geometry_backend")
     @pytest.mark.parametrize("name", sorted(region_fixtures()))
     def test_batch_matches_scalar_on_random_points(self, name):
         region = region_fixtures()[name]
@@ -154,7 +154,6 @@ def scalar_collision_pairs(objects):
     return pairs
 
 
-@pytest.mark.usefixtures("geometry_backend")
 class TestPairwiseCollisionEquivalence:
     @pytest.mark.parametrize("count", [2, 5, 12, 30])
     def test_matches_scalar_loop(self, count):
@@ -203,7 +202,6 @@ class TestPairwiseCollisionEquivalence:
             assert free[index] == (len(scalar_collision_pairs(objs)) == 0)
 
 
-@pytest.mark.usefixtures("geometry_backend")
 class TestObjectsContained:
     def test_matches_contains_object(self):
         region = PolygonalRegion([_concave_polygon()])
@@ -271,3 +269,170 @@ class TestSpatialGrid:
         assert 0 in assigned[0]  # the (0,0) square covers (0.5, 0.5)
         assert 15 in assigned[1]  # the (3,3) square covers (3.5, 3.5)
         assert 2 not in assigned  # far-away point got no candidates
+
+
+class TestBatchPredicateProperties:
+    """The batch predicates agree with each other and with the scalar loop."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        object_count=st.integers(min_value=1, max_value=10),
+        scene_count=st.integers(min_value=1, max_value=8),
+    )
+    def test_batch_equals_pairwise_conjunction(self, seed, object_count, scene_count):
+        rng = random.Random(seed)
+        scenes = [random_objects(rng, object_count) for _ in range(scene_count)]
+        corners = np.stack([kernel.corners_array(objects) for objects in scenes])
+        free = kernel.batch_collision_free(corners)
+        expected = [
+            len(kernel.pairwise_collisions(scene_corners)) == 0 for scene_corners in corners
+        ]
+        assert free.tolist() == expected
+
+    @settings(deadline=None, max_examples=25)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        object_count=st.integers(min_value=2, max_value=12),
+    )
+    def test_pairwise_matches_scalar_double_loop(self, seed, object_count):
+        objects = random_objects(random.Random(seed), object_count)
+        pairs = [tuple(pair) for pair in kernel.pairwise_collisions(kernel.corners_array(objects))]
+        assert pairs == scalar_collision_pairs(objects)
+
+
+KERNEL_METHODS = (
+    "points_in_polygon",
+    "objects_contained",
+    "pairwise_collisions",
+    "batch_collision_free",
+)
+
+
+def plant_ulp_bias(monkeypatch):
+    """Pull every corner one ulp toward its quad's centroid in both collision predicates.
+
+    Exactly-touching quads stop touching, so any differential check with
+    boundary-contact cases must flag the planted fault.
+    """
+    instance = backends.active_backend()
+
+    def biased(method):
+        def call(corners, *args, **kwargs):
+            corners = np.asarray(corners, dtype=float)
+            centroids = np.broadcast_to(corners.mean(axis=-2, keepdims=True), corners.shape)
+            return method(np.nextafter(corners, centroids), *args, **kwargs)
+
+        return call
+
+    for name in ("pairwise_collisions", "batch_collision_free"):
+        monkeypatch.setattr(instance, name, biased(getattr(instance, name)))
+
+
+def touching_scenario_and_scene():
+    """Two fixed 2x2 squares sharing the edge x = 1 (contact, zero overlap)."""
+    from repro.core import At, Facing, ScenarioBuilder, Vector
+    from repro.core import Object as BuilderObject
+
+    with ScenarioBuilder() as builder:
+        ego = BuilderObject(
+            At(Vector(0, 0)), Facing(0.0), width=2.0, height=2.0, allowCollisions=True
+        )
+        builder.set_ego(ego)
+        BuilderObject(
+            At(Vector(2, 0)), Facing(0.0), width=2.0, height=2.0, allowCollisions=True
+        )
+    scenario = builder.scenario()
+    return scenario, scenario.generate(seed=0)
+
+
+class TestPlantedUlpBias:
+    """The differential checks have teeth at 1-ulp resolution."""
+
+    def test_oracle_flags_the_bias_until_restored(self, monkeypatch):
+        from repro.fuzz.oracles import check_kernel_equivalence
+
+        scenario, scene = touching_scenario_and_scene()
+        # Sanity: the scene really has boundary contact, the hardest case.
+        assert polygons_intersect(
+            scene.objects[0].bounding_polygon, scene.objects[1].bounding_polygon
+        )
+        plant_ulp_bias(monkeypatch)
+        problems = check_kernel_equivalence(scenario, scene, seed=9)
+        assert any("pairwise_collisions mismatch" in problem for problem in problems), problems
+        monkeypatch.undo()
+        assert check_kernel_equivalence(scenario, scene, seed=9) == []
+
+    def test_unpatched_kernel_survives_the_touching_scene(self):
+        from repro.fuzz.oracles import check_kernel_equivalence
+
+        scenario, scene = touching_scenario_and_scene()
+        assert check_kernel_equivalence(scenario, scene, seed=9) == []
+
+    def test_kernel_level_check_catches_the_bias(self, monkeypatch):
+        a = np.array([[(0, 0), (1, 0), (1, 1), (0, 1)]], dtype=float)
+        b = np.array([[(1, 0), (2, 0), (2, 1), (1, 1)]], dtype=float)
+        corners = np.concatenate([a, b])
+        assert len(kernel.pairwise_collisions(corners)) == 1
+        assert kernel.batch_collision_free(corners[None]).tolist() == [False]
+        plant_ulp_bias(monkeypatch)
+        assert len(kernel.pairwise_collisions(corners)) == 0  # the planted miss
+        assert kernel.batch_collision_free(corners[None]).tolist() == [True]
+
+
+def four_object_scenario():
+    """Ego plus four boxes inside a polygonal workspace: every kernel path applies."""
+    from repro.core import At, Facing, In, ScenarioBuilder, Workspace
+    from repro.core import Object as BuilderObject
+
+    half = 15.0
+    workspace = Workspace(
+        PolygonalRegion([Polygon([(-half, -half), (half, -half), (half, half), (-half, half)])])
+    )
+    with ScenarioBuilder(workspace=workspace) as builder:
+        builder.set_ego(BuilderObject(At((0, 0)), Facing(0.0)))
+        for _ in range(4):
+            BuilderObject(
+                In(CircularRegion((0.0, 0.0), 14.0)), width=1, height=1, requireVisible=False
+            )
+    return builder.scenario()
+
+
+class TestKernelInstance:
+    """The module functions and both sampling entry points use the one instance."""
+
+    def test_shim_returns_the_one_instance(self):
+        instance = backends.active_backend()
+        assert instance is kernel.KERNEL
+        assert instance.name == "numpy"
+        assert backends.available_backends() == ["numpy"]
+        for method in KERNEL_METHODS:
+            assert callable(getattr(instance, method))
+
+    @pytest.mark.parametrize(
+        "strategy,collision_method",
+        [("vectorized", "batch_collision_free"), ("rejection", "pairwise_collisions")],
+        ids=["vectorized", "rejection"],
+    )
+    def test_sampling_goes_through_the_instance(self, monkeypatch, strategy, collision_method):
+        """Counted the way ``perfbench/tracing.py`` times the ``geometry.kernel`` span."""
+        instance = backends.active_backend()
+        calls = dict.fromkeys(KERNEL_METHODS, 0)
+
+        def counting(name, method):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return method(*args, **kwargs)
+
+            return call
+
+        for name in KERNEL_METHODS:
+            monkeypatch.setattr(instance, name, counting(name, getattr(instance, name)))
+        scenario = four_object_scenario()
+        if strategy == "vectorized":
+            scenario.generate_batch(3, seed=1, strategy=strategy)
+        else:
+            scenario.generate(seed=1, strategy=strategy)
+        assert calls["objects_contained"] > 0
+        assert calls["points_in_polygon"] > 0
+        assert calls[collision_method] > 0

@@ -21,7 +21,6 @@ from pathlib import Path
 
 import pytest
 
-from conftest import backend_params
 from repro.evals.golden import GOLDEN_RUNS, GOLDEN_SEED, golden_sample
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -86,23 +85,18 @@ def test_golden_scene_matches(stem, strategy):
             )
 
 
-#: Strategies replayed by the per-backend corpus sweep: the pair whose RNG
-#: stream the kernel predicates sit directly inside, so any backend
-#: divergence surfaces as a scene change.
-BACKEND_REPLAY_STRATEGIES = ("rejection", "vectorized")
+#: Strategies replayed bit for bit: the pair whose RNG stream the kernel
+#: predicates sit directly inside, so any change to the kernel's arithmetic
+#: surfaces as a scene change.
+BIT_EXACT_REPLAY_STRATEGIES = ("rejection", "vectorized")
 
 
-def _compare_entry(stem, strategy, generated, golden, exact):
-    """Diff one generation against its golden; returns mismatch strings.
-
-    *exact* demands bit-identity (the numpy reference contract); otherwise
-    drift up to ``TOLERANCE`` is allowed (numba/jax reassociate arithmetic).
-    """
+def _compare_entry_exactly(stem, strategy, generated, golden):
+    """Diff one generation against its golden bit for bit; returns mismatch strings."""
     problems = []
 
     def check(label, got, expected):
-        bad = got != expected if exact else abs(got - expected) > TOLERANCE
-        if bad:
+        if got != expected:
             problems.append(f"{stem}/{strategy}: {label} = {got!r}, golden {expected!r}")
 
     if generated["ego_index"] != golden["ego_index"]:
@@ -121,31 +115,23 @@ def _compare_entry(stem, strategy, generated, golden, exact):
     return problems
 
 
-@pytest.mark.parametrize("strategy", BACKEND_REPLAY_STRATEGIES)
-@pytest.mark.parametrize("backend_name", backend_params())
-def test_golden_corpus_replays_under_each_backend(backend_name, strategy):
-    """Replay the (fast) corpus with each registered backend active.
+@pytest.mark.parametrize("strategy", BIT_EXACT_REPLAY_STRATEGIES)
+def test_golden_corpus_replays_bit_exact(strategy):
+    """Replay the (fast) corpus and reproduce every golden **bit for bit**.
 
-    numpy must reproduce every golden **bit for bit** — it *is* the
-    reference that generated them.  Alternative backends (numba/jax, when
-    installed) may differ by float reassociation only: every scalar within
-    1e-9, same acceptance pattern, with one consolidated per-scenario
-    mismatch report when they do not.
+    Stronger than :func:`test_golden_scene_matches`' 1e-9 tolerance: the
+    numpy kernel is the code that generated the goldens, so any drift at
+    all is a change to the sampled scenes.
     """
-    from repro.geometry import backends as geometry_backends
-
-    exact = backend_name == "numpy"
     mismatches = []
-    with geometry_backends.use_backend(backend_name):
-        for stem in scenario_stems():
-            if stem in SLOW_SCENARIOS:
-                continue
-            golden = json.loads(regen.golden_path(stem).read_text())["strategies"][strategy]
-            generated = regen.generate_entry(regen.SCENARIO_DIR / f"{stem}.scenic", strategy)
-            mismatches.extend(_compare_entry(stem, strategy, generated, golden, exact))
+    for stem in scenario_stems():
+        if stem in SLOW_SCENARIOS:
+            continue
+        golden = json.loads(regen.golden_path(stem).read_text())["strategies"][strategy]
+        generated = regen.generate_entry(regen.SCENARIO_DIR / f"{stem}.scenic", strategy)
+        mismatches.extend(_compare_entry_exactly(stem, strategy, generated, golden))
     assert mismatches == [], (
-        f"backend {backend_name!r} diverged on {len(mismatches)} values:\n"
-        + "\n".join(mismatches[:20])
+        f"{len(mismatches)} values diverged:\n" + "\n".join(mismatches[:20])
     )
 
 

@@ -14,7 +14,11 @@ execution and the in-process sampling engine.
 
 import asyncio
 import json
+import os
 import random
+import signal
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
@@ -27,12 +31,13 @@ from repro.service import (
     GenerationFailedError,
     HttpGenerationServer,
     ServiceOverloadedError,
+    generate_sync,
     http_request,
     request_over_tcp,
     scene_record,
     splitmix64,
 )
-from repro.service.protocol import derive_scene_seeds
+from repro.service.protocol import ShardPayload, derive_scene_seeds
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
@@ -255,10 +260,13 @@ def test_compile_error_raises_generation_failed():
     [
         ("strategy", "nope", "known: batch, direct, rejection, vectorized"),
         ("max_iterations", 0, "max_iterations must be at least 1"),
+        ("options", {"backend": "numpy"}, "bad options for strategy 'rejection'"),
+        ("options", {"nope": 1}, "bad options for strategy 'rejection'"),
+        ("options", {"seed": 9}, "may not set request fields: seed"),
     ],
 )
 def test_bad_request_is_rejected_before_admission(field, value, needle):
-    """A bad strategy or budget is the client's error on both front ends.
+    """A bad strategy, budget or strategy option is the client's error on both front ends.
 
     HTTP answers 400 and TCP a ``ValueError`` naming the problem; the request
     is never admitted, so no shard runs and ``failures`` does not move.
@@ -289,6 +297,114 @@ def test_bad_request_is_rejected_before_admission(field, value, needle):
         assert needle in answer["error"]["message"]
     assert stats["failures"] == 0
     assert stats["requests"] == 0
+
+
+#: A program slow enough (~1k candidates a scene) that a 32-scene shard is
+#: still running a fraction of a second after it starts.
+SLOW_SOURCE = (
+    "ego = Object at 0 @ 0\n"
+    "other = Object at Range(-100, 100) @ Range(-100, 100)\n"
+    "require (distance to other) < 3\n"
+)
+
+
+def _shm_segments():
+    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+
+@pytest.mark.parametrize(
+    "moment,mode", [("idle", "blocking"), ("mid-shard", "blocking"), ("mid-shard", "streaming")]
+)
+def test_dead_worker_fails_only_its_own_request(moment, mode):
+    """SIGKILL one of two workers: the request it held fails, the service recovers.
+
+    The failed request raises ``GenerationFailedError`` and counts in
+    ``failures``; the other shard's block is discarded (every block goes
+    through shared memory here), the admission slot is released, and the
+    next request matches ``workers=0`` record for record.
+    """
+    source = _source("two_cars")
+
+    async def consume(stream):
+        async for _ in stream:
+            pass
+
+    async def run():
+        async with GenerationService(workers=2, shm_threshold=0) as service:
+            warm = await service.generate(SLOW_SOURCE, n=2, seed=0, max_iterations=10**6)
+            victim = warm.stats["workers"][0]
+            before = _shm_segments()
+            if moment == "idle":
+                os.kill(victim, signal.SIGKILL)
+                request = service.generate(source, n=8, seed=3)
+            else:
+                options = dict(n=32, seed=5, max_iterations=10**6)
+                request = asyncio.ensure_future(
+                    service.generate(SLOW_SOURCE, **options)
+                    if mode == "blocking"
+                    else consume(service.generate_stream(SLOW_SOURCE, **options))
+                )
+                await asyncio.sleep(0.3)
+                os.kill(victim, signal.SIGKILL)
+            with pytest.raises(GenerationFailedError) as failed:
+                await request
+            stats = service.service_stats()
+            # Queued behind any shard the failed request left running.
+            after = await service.generate(source, n=8, seed=3)
+            leaked = _shm_segments() - before
+            return failed.value, leaked, stats, after.scenes, service.service_stats()
+
+    error, leaked, stats, scenes, final = asyncio.run(run())
+    assert error.detail["type"] == "BrokenProcessPool"
+    assert leaked == set()
+    assert stats["failures"] == 1
+    assert stats["pending"] == 0
+    assert final["failures"] == 1
+    assert scenes == generate_sync(source, n=8, seed=3).scenes
+
+
+def test_broken_pool_is_replaced_once_by_concurrent_shards(monkeypatch):
+    """Two shards waiting on the same dead pool replace it once, and both fail."""
+    replacements = []
+
+    class Pool:
+        def __init__(self):
+            self.futures = []
+            self.shut_down = False
+
+        def submit(self, *args):
+            self.futures.append(Future())
+            return self.futures[-1]
+
+        def shutdown(self, wait=True):
+            self.shut_down = True
+
+    def new_pool():
+        replacements.append(Pool())
+        return replacements[-1]
+
+    service = GenerationService(workers=1)
+    monkeypatch.setattr(service, "_new_pool", new_pool)
+    payload = ShardPayload(
+        fingerprint="0" * 64, source="ego = Object at 0 @ 0", strategy="rejection",
+        strategy_options={}, max_iterations=10, indices=[0], seeds=[1], master_seed=0,
+    )
+
+    async def run():
+        await service.start()
+        dead = service._pools[0]
+        shards = [asyncio.ensure_future(service._run_payload(payload, 0)) for _ in range(2)]
+        await asyncio.sleep(0)  # both shards submit to the dead pool
+        for future in dead.futures:
+            future.set_exception(BrokenProcessPool("planted"))
+        return dead, await asyncio.gather(*shards)
+
+    dead, outcomes = asyncio.run(run())
+    assert [outcome.error["type"] for outcome in outcomes] == ["BrokenProcessPool"] * 2
+    assert len(dead.futures) == 2
+    assert dead.shut_down
+    assert len(replacements) == 2  # start()'s pool, then exactly one replacement
+    assert service._pools == [replacements[1]]
 
 
 def test_backpressure_sheds_when_queue_is_full():
