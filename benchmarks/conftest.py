@@ -10,18 +10,11 @@ Run the whole suite with ``pytest benchmarks/ --benchmark-only``.
 
 from __future__ import annotations
 
-import json
-import time
 from pathlib import Path
 
 import pytest
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
-
-#: The machine-readable perf trajectory for this PR: every benchmark that
-#: produces a headline number also records it here, so future PRs can diff
-#: measured performance against a committed baseline instead of prose.
-BENCH_JSON = RESULTS_DIR / "BENCH_9.json"
 
 
 def save_result(name: str, text: str) -> None:
@@ -32,29 +25,6 @@ def save_result(name: str, text: str) -> None:
     print(text)
 
 
-def save_bench_json(name: str, payload: dict) -> None:
-    """Merge one benchmark's numbers into ``results/BENCH_9.json``.
-
-    The file accumulates across a benchmark run (each test owns one key),
-    so a full ``pytest bench_engine.py`` leaves a complete, diffable
-    snapshot: ``{"schema": 1, "benchmarks": {name: {...}}}``.
-    """
-    RESULTS_DIR.mkdir(exist_ok=True)
-    try:
-        document = json.loads(BENCH_JSON.read_text())
-    except (OSError, ValueError):
-        document = {}
-    document.setdefault("schema", 1)
-    document["generated_unix"] = time.time()
-    document.setdefault("benchmarks", {})[name] = payload
-    BENCH_JSON.write_text(json.dumps(document, indent=1, sort_keys=True) + "\n")
-
-
 @pytest.fixture
 def record_result():
     return save_result
-
-
-@pytest.fixture
-def record_bench_json():
-    return save_bench_json

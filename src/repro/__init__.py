@@ -16,7 +16,7 @@ Subpackages
 * :mod:`repro.sampling` — the pluggable scene-sampling engine and its
   strategies (rejection / batch / vectorized / direct).
 * :mod:`repro.service` — the async, process-sharded generation service over
-  compiled artifacts (``GenerationService``, JSON-lines TCP server, CLI).
+  compiled artifacts (``GenerationService``, HTTP server, CLI).
 * :mod:`repro.fuzz` — the grammar-driven scenario fuzzer and differential
   oracles guarding all of the above.
 * :mod:`repro.worlds` — world libraries (the GTA-like road world used by the

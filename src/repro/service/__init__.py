@@ -19,15 +19,13 @@ guide):
 * :mod:`repro.service.transport` — the columnar scene-block wire format
   (structured numpy buffers, optionally carried over shared memory) that
   replaces per-scene dict pickling between workers and the coordinator.
-* :mod:`repro.service.server` — a dependency-free JSON-lines TCP front end
-  (blocking and streaming).
-* :mod:`repro.service.server_http` — a stdlib-only HTTP/WebSocket front end
-  (``/healthz``, ``/metrics``, ``POST /generate`` with NDJSON streaming,
-  ``/ws``).
+* :mod:`repro.service.server_http` — the stdlib-only HTTP front end
+  (``/healthz``, ``/metrics``, ``POST /publish``, ``POST /generate`` with
+  NDJSON streaming).
 * :mod:`repro.service.protocol` — the plain-data request/response types and
   the seed-derivation contract.
 
-CLI: ``python -m repro.service serve|smoke|parity|bench|generate`` (see
+CLI: ``python -m repro.service serve|smoke|parity|generate`` (see
 ``python -m repro.service --help``).
 """
 
@@ -37,13 +35,7 @@ from .protocol import (
     scene_record,
     splitmix64,
 )
-from .server import (
-    GenerationServer,
-    RequestTooLargeError,
-    request_over_tcp,
-    stream_over_tcp,
-)
-from .server_http import HttpGenerationServer, http_request, websocket_generate
+from .server_http import HttpGenerationServer, http_request
 from .service import (
     GenerationFailedError,
     GenerationService,
@@ -56,10 +48,8 @@ from .transport import SceneBlock, ShmBlockHandle
 __all__ = [
     "GenerateResponse",
     "GenerationFailedError",
-    "GenerationServer",
     "GenerationService",
     "HttpGenerationServer",
-    "RequestTooLargeError",
     "SceneBlock",
     "ServiceError",
     "ServiceOverloadedError",
@@ -67,9 +57,6 @@ __all__ = [
     "derive_scene_seeds",
     "generate_sync",
     "http_request",
-    "request_over_tcp",
     "scene_record",
     "splitmix64",
-    "stream_over_tcp",
-    "websocket_generate",
 ]

@@ -4,12 +4,9 @@ Commands
 --------
 
 ``serve``
-    Start the JSON-lines TCP server and run until a ``shutdown`` op (or
-    Ctrl-C).  ``--port 0`` picks an ephemeral port and prints it.
-    ``--http-port`` additionally serves the HTTP/WebSocket front end
-    (``/healthz``, ``/metrics``, ``POST /generate``, ``/ws``);
-    ``--transport shm|pickle`` picks the worker → coordinator scene
-    carrier.
+    Start the HTTP server (``/healthz``, ``/metrics``, ``POST /publish``,
+    ``POST /generate``) and run until SIGINT or SIGTERM.  ``--port 0``
+    picks an ephemeral port; the bound address is printed either way.
 ``smoke``
     Self-contained health check used by CI: starts a service, fires
     concurrent mixed-strategy requests at it, verifies the determinism
@@ -21,19 +18,15 @@ Commands
     The fixed-seed streaming-parity campaign: for each strategy × worker
     count, the streamed frames must reassemble bit-identical to the
     blocking response and to inline (workers=0) execution.
-``bench``
-    Measure request throughput (scenes/second, warm cache) and print a
-    small machine-readable JSON blob.  ``--check results/BENCH_7.json``
-    turns it into a CI gate: exit non-zero unless the measured throughput
-    clears ``--check-factor`` (default 10) times the BENCH_6 baseline
-    recorded in the committed results file.
 ``generate``
     One-shot: compile a ``.scenic`` file (or ``-`` for stdin), sample ``-n``
     scenes, print the response JSON (``--stream``: NDJSON frames instead).
 
+Throughput is measured by ``perfbench/`` (declared in ``BENCHMARK.json``).
+
 Examples::
 
-    python -m repro.service serve --port 8923 --workers 2 --http-port 8924
+    python -m repro.service serve --port 8923 --workers 2
     python -m repro.service smoke
     python -m repro.service parity --scenes 8 --seeds 2
     python -m repro.service generate examples/scenarios/two_cars.scenic -n 5 --seed 7
@@ -44,10 +37,10 @@ from __future__ import annotations
 import argparse
 import asyncio
 import json
+import signal
 import sys
 from pathlib import Path
 
-from .server import GenerationServer
 from .server_http import HttpGenerationServer
 from .service import GenerationService
 
@@ -67,32 +60,21 @@ async def _cmd_serve(args: argparse.Namespace) -> int:
     service = GenerationService(
         workers=args.workers,
         cache_dir=args.cache_dir,
-        transport=args.transport,
         shm_threshold=args.shm_threshold,
     )
-    server = GenerationServer(
-        service, host=args.host, port=args.port,
-        max_request_bytes=args.max_request_bytes,
-    )
+    server = HttpGenerationServer(service, host=args.host, port=args.port)
     await server.start()
+    stop = asyncio.Event()
+    loop = asyncio.get_running_loop()
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        loop.add_signal_handler(signum, stop.set)
     print(f"repro.service listening on {server.host}:{server.port} "
-          f"({args.workers} workers, transport={service.transport})", flush=True)
-    http_server = None
-    if args.http_port is not None:
-        http_server = HttpGenerationServer(service, host=args.host, port=args.http_port)
-        # The service is shared (and already started); HttpGenerationServer
-        # start() is idempotent on it.
-        await http_server.start()
-        print(f"repro.service http on {http_server.host}:{http_server.port} "
-              f"(/healthz /metrics /generate /ws)", flush=True)
+          f"({args.workers} workers)", flush=True)
     try:
-        await server.serve_until_shutdown()
-    except (KeyboardInterrupt, asyncio.CancelledError):
-        await server.close()
+        await stop.wait()
     finally:
-        if http_server is not None:
-            await http_server.close()  # service.close() is idempotent
-    print("repro.service: clean shutdown")
+        await server.close()
+    print("repro.service: clean shutdown", flush=True)
     return 0
 
 
@@ -192,8 +174,7 @@ async def _cmd_parity(args: argparse.Namespace) -> int:
                 reference = None
                 for workers in (0, 1, 2):
                     async with GenerationService(
-                        workers=workers, transport=args.transport,
-                        shm_threshold=args.shm_threshold,
+                        workers=workers, shm_threshold=args.shm_threshold,
                     ) as service:
                         blocking = await service.generate(
                             source, n=args.scenes, seed=seed,
@@ -220,59 +201,6 @@ async def _cmd_parity(args: argparse.Namespace) -> int:
             print(f"PARITY FAILURE: {failure}", file=sys.stderr)
         return 1
     print(f"parity: {checked} stream/blocking/worker-count combinations bit-identical")
-    return 0
-
-
-async def _cmd_bench(args: argparse.Namespace) -> int:
-    import time
-
-    source = _sample_sources()["two_cars"]
-    async with GenerationService(workers=args.workers) as service:
-        await service.generate(source, n=2, seed=0, max_iterations=20000)  # warm the workers
-        start = time.perf_counter()
-        response = await service.generate(
-            source, n=args.scenes, seed=7, strategy=args.strategy, max_iterations=20000
-        )
-        wall = time.perf_counter() - start
-    measured = len(response.scenes) / wall if wall else float("inf")
-    result = {
-        "scenes": len(response.scenes),
-        "wall_seconds": wall,
-        "scenes_per_second": measured,
-        "strategy": args.strategy,
-        "workers": args.workers,
-        "iterations": response.stats["iterations"],
-        "candidates": response.stats.get("candidates", response.stats["iterations"]),
-    }
-    if response.stats.get("mean_importance_weight") is not None:
-        result["mean_importance_weight"] = response.stats["mean_importance_weight"]
-    if args.check is not None:
-        # Check mode (CI): the measured throughput must clear the committed
-        # BENCH_6-relative bound recorded in results/BENCH_7.json.  The
-        # bound is baseline-relative rather than absolute-machine-relative,
-        # so slower CI runners still pass as long as the rework's speedup
-        # holds.
-        committed = json.loads(Path(args.check).read_text())
-        recorded = committed["benchmarks"]["service_throughput"]
-        baseline = recorded["bench6_scenes_per_second"]
-        required = args.check_factor * baseline
-        result["check"] = {
-            "committed_scenes_per_second": recorded["scenes_per_second"],
-            "bench6_scenes_per_second": baseline,
-            "required_scenes_per_second": required,
-            "passed": measured >= required,
-        }
-        print(json.dumps(result, indent=1))
-        if measured < required:
-            print(
-                f"BENCH CHECK FAILURE: {measured:.1f} scenes/s < required "
-                f"{required:.1f} ({args.check_factor}x the BENCH_6 baseline "
-                f"{baseline} scenes/s)",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
-    print(json.dumps(result, indent=1))
     return 0
 
 
@@ -307,25 +235,18 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_transport_args(command) -> None:
-        command.add_argument("--transport", default=None, choices=("shm", "pickle"),
-                             help="worker -> coordinator scene carrier "
-                                  "(default: shm with a pool, pickle inline)")
+    def add_shm_threshold(command) -> None:
         command.add_argument("--shm-threshold", type=int, default=32768,
-                             help="min packed block bytes before shm kicks in")
+                             help="min packed block bytes a worker hands back "
+                                  "through shared memory")
 
-    serve = sub.add_parser("serve", help="run the JSON-lines TCP server")
+    serve = sub.add_parser("serve", help="run the HTTP server until SIGINT or SIGTERM")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8923)
-    serve.add_argument("--http-port", type=int, default=None,
-                       help="also serve HTTP/WebSocket (healthz, metrics, generate, ws)")
     serve.add_argument("--workers", type=int, default=2)
     serve.add_argument("--cache-dir", default=None,
                        help="shared on-disk artifact cache directory")
-    serve.add_argument("--max-request-bytes", type=int, default=1 << 20,
-                       help="cap on one TCP request line (oversized lines are "
-                            "answered with a structured error)")
-    add_transport_args(serve)
+    add_shm_threshold(serve)
 
     smoke = sub.add_parser("smoke", help="CI smoke: concurrency + determinism + shutdown")
     smoke.add_argument("--workers", type=int, default=2)
@@ -338,18 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     parity.add_argument("--scenes", type=int, default=6)
     parity.add_argument("--seeds", type=int, default=2,
                         help="seeds per strategy/worker-count combination")
-    add_transport_args(parity)
-
-    bench = sub.add_parser("bench", help="measure warm-path request throughput")
-    bench.add_argument("--scenes", type=int, default=50)
-    bench.add_argument("--workers", type=int, default=2)
-    bench.add_argument("--strategy", default="vectorized")
-    bench.add_argument("--check", default=None, metavar="BENCH_JSON",
-                       help="check mode: exit non-zero unless measured throughput "
-                            "clears --check-factor x the BENCH_6 baseline recorded "
-                            "in this committed results file")
-    bench.add_argument("--check-factor", type=float, default=10.0,
-                       help="required multiple of the recorded BENCH_6 baseline")
+    add_shm_threshold(parity)
 
     generate = sub.add_parser("generate", help="one-shot generation from a .scenic file")
     generate.add_argument("file", help="path to a .scenic program, or - for stdin")
@@ -370,7 +280,6 @@ def main(argv=None) -> int:
         "serve": _cmd_serve,
         "smoke": _cmd_smoke,
         "parity": _cmd_parity,
-        "bench": _cmd_bench,
         "generate": _cmd_generate,
     }[args.command]
     return asyncio.run(command(args))

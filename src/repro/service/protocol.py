@@ -3,7 +3,7 @@
 Everything in this module is deliberately *plain data* — dicts, lists,
 dataclasses of primitives — because it crosses two boundaries: the process
 boundary between the asyncio front end and the worker pool (pickle), and
-the TCP boundary between the JSON-lines server and remote clients (JSON).
+the HTTP boundary between the server and remote clients (JSON).
 Live :class:`~repro.core.scene.Scene` objects close over interpreter state
 and cannot cross either, so scenes travel as *scene records*: the same
 class/position/heading/width/height summary the golden corpus pins down
@@ -19,12 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
-from .transport import DEFAULT_SHM_THRESHOLD, SceneBlock, materialize_block
-
-#: Cross-process carriers for a shard's scene block.  ``"pickle"`` ships the
-#: columnar arrays through the pool's result pipe; ``"shm"`` copies large
-#: blocks into a shared-memory segment and pickles only its name + layout.
-TRANSPORT_MODES = ("pickle", "shm")
+from .transport import SceneBlock, materialize_block
 
 #: Scene-seed derivation modes accepted by ``generate`` requests.
 DERIVE_MODES = ("splitmix", "direct")
@@ -139,11 +134,10 @@ class ShardPayload:
     seeds: Optional[List[int]]  # None = sequential/direct mode
     master_seed: int
     record_iterations: bool = True
-    #: How the shard's scene block comes home: one of :data:`TRANSPORT_MODES`.
-    transport: str = "pickle"
-    #: Minimum block payload (bytes) before ``"shm"`` actually creates a
-    #: segment; smaller blocks fall back to pickling their arrays.
-    shm_threshold: int = DEFAULT_SHM_THRESHOLD
+    #: Minimum block payload (bytes) carried home through a shared-memory
+    #: segment; smaller blocks pickle their arrays.  ``None`` (inline
+    #: shards) never uses shared memory.
+    shm_threshold: Optional[int] = None
 
 
 @dataclass
@@ -153,7 +147,7 @@ class ShardOutcome:
     Scenes travel as *one columnar block per shard* — either a
     :class:`~repro.service.transport.SceneBlock` (pickled numpy columns) or
     a :class:`~repro.service.transport.ShmBlockHandle` naming a
-    shared-memory segment, per the payload's ``transport``.  Call
+    shared-memory segment, per the payload's ``shm_threshold``.  Call
     :meth:`take_block` exactly once coordinator-side: it attaches, copies
     and unlinks any segment, so outcomes never leak shared memory.
     """
@@ -327,7 +321,6 @@ def merge_shard_stats(outcomes: List[ShardOutcome]) -> Dict[str, Any]:
 
 __all__ = [
     "DERIVE_MODES",
-    "TRANSPORT_MODES",
     "GenerateResponse",
     "ShardOutcome",
     "ShardPayload",

@@ -1,4 +1,4 @@
-"""A minimal, dependency-free HTTP/WebSocket front end for the service.
+"""A minimal, dependency-free HTTP front end for the service.
 
 Built directly on ``asyncio.start_server`` — no web framework, by design:
 the container the service ships in carries only the standard library, and
@@ -6,46 +6,48 @@ the surface is four routes:
 
 ``GET /healthz``
     Liveness/readiness probe → ``200 {"ok": true, "status": "serving",
-    "workers": N}``.
+    "workers": N, "pending": P}``.
 ``GET /metrics``
     Prometheus text exposition of the service counters
     (``repro_service_requests_total``, ``..._scenes_total``,
     ``..._shed_total``, ``..._engine_cache_hits_total``, ``..._pending``,
     ...).
+``POST /publish``
+    JSON body ``{"source": "..."}`` → ``200 {"ok": true, "fingerprint":
+    "..."}``.  The program is compiled once; later requests can name it by
+    fingerprint alone instead of re-sending its text.
 ``POST /generate``
-    JSON body with the same fields as the TCP ``generate`` op (``source`` |
-    ``fingerprint``, ``n``, ``seed``, ``strategy``, ``max_iterations``,
-    ``derive``, ``options``).  Blocking by default (one JSON document
-    back); with ``"stream": true`` the response is
+    JSON body with ``source`` | ``fingerprint`` and optional ``n``,
+    ``seed``, ``strategy``, ``max_iterations``, ``derive`` and ``options``
+    (an object of strategy options).  Blocking by default (one JSON
+    document back); with ``"stream": true`` the response is
     ``application/x-ndjson`` with chunked transfer encoding — one frame
     per line, exactly the frames :meth:`GenerationService.generate_stream`
     yields, block frames as shards complete and an ``end`` frame with the
-    merged stats.
-``GET /ws`` (WebSocket)
-    After the RFC 6455 handshake, the client sends one text frame holding
-    the generate-request JSON and receives one text frame per stream
-    frame, then a close frame.
+    merged stats.  A stream client that hangs up aborts its request at
+    once: the admission slot is released without waiting for the running
+    shards, whose blocks are discarded when they land.
 
 Errors are structured: ``{"ok": false, "error": {"type": ...,
 "message": ...}}`` with status 400 (bad request), 404 (no such route),
-413 (body too large), 503 (:class:`ServiceOverloadedError`) or 500
-(shard failures), and — mid-stream — an ``"frame": "error"`` NDJSON line,
-since the status line has already been sent.
+405 (wrong method), 413 (body too large), 503
+(:class:`ServiceOverloadedError`) or 500 (shard failures), and —
+mid-stream — an ``"frame": "error"`` NDJSON line, since the status line
+has already been sent.
 """
 
 from __future__ import annotations
 
 import asyncio
-import base64
-import hashlib
 import json
-import struct
-from typing import Any, AsyncIterator, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from .server import DEFAULT_MAX_REQUEST_BYTES, _error_response, _generate_params
 from .service import GenerationFailedError, GenerationService, ServiceOverloadedError
 
-_WS_MAGIC = "258EAFA5-E914-47DA-95CA-C5AB0DC85B11"
+#: Default cap on one request body (and on the request and header lines).
+#: Big enough for any realistic program source; small enough that a
+#: misbehaving client cannot balloon the server's buffers.
+DEFAULT_MAX_BODY_BYTES = 1 << 20
 
 _STATUS_PHRASES = {
     200: "OK",
@@ -66,15 +68,58 @@ def _error_status(error: Exception) -> int:
     return 400
 
 
+def _error_response(error: Exception) -> Dict[str, Any]:
+    return {
+        "ok": False,
+        "error": {"type": type(error).__name__, "message": str(error)},
+    }
+
+
+def _json_object(body: bytes) -> Dict[str, Any]:
+    """Decode a request body that must hold one JSON object."""
+    request = json.loads(body.decode("utf-8")) if body else {}
+    if not isinstance(request, dict):
+        raise ValueError("request body must be a JSON object")
+    return request
+
+
+def _generate_params(request: Dict[str, Any]) -> Dict[str, Any]:
+    """Validate a generate request's fields into ``generate(...)`` kwargs."""
+    source_or_hash = request.get("source") or request.get("fingerprint")
+    if not source_or_hash:
+        raise ValueError("generate needs 'source' or 'fingerprint'")
+    options = request.get("options") or {}
+    if not isinstance(options, dict):
+        raise ValueError("'options' must be an object of strategy options")
+    params = {
+        "source_or_hash": str(source_or_hash),
+        "n": int(request.get("n", 1)),
+        "seed": int(request.get("seed", 0)),
+        "strategy": str(request.get("strategy", "rejection")),
+        "max_iterations": int(request.get("max_iterations", 2000)),
+        "derive": str(request.get("derive", "splitmix")),
+    }
+    clashes = sorted(set(options) & (set(params) | {"source", "fingerprint"}))
+    if clashes:
+        raise ValueError(f"'options' may not set request fields: {', '.join(clashes)}")
+    return {**params, **options}
+
+
+async def _until_eof(reader: asyncio.StreamReader) -> None:
+    """Return once the peer closes its end of the connection."""
+    while await reader.read(1 << 16):
+        pass
+
+
 class HttpGenerationServer:
-    """Serve a :class:`GenerationService` over HTTP 1.1 (and WebSocket)."""
+    """Serve a :class:`GenerationService` over HTTP 1.1."""
 
     def __init__(
         self,
         service: GenerationService,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_body_bytes: int = DEFAULT_MAX_REQUEST_BYTES,
+        max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
     ):
         self.service = service
         self.host = host
@@ -112,18 +157,16 @@ class HttpGenerationServer:
     ) -> None:
         try:
             # HTTP/1.1 keep-alive: serve requests on this connection until
-            # the client asks to close (``Connection: close``), a route
-            # hijacks the socket (WebSocket upgrade, chunked NDJSON
-            # streams), an error response is sent, or the peer hangs up.
+            # the client asks to close (``Connection: close``), a chunked
+            # NDJSON stream ends it, a request cannot be framed, or the
+            # peer hangs up.
             while True:
                 parsed = await self._read_request(reader, writer)
                 if parsed is None:
                     break
                 method, path, headers, body = parsed
                 keep_alive = "close" not in headers.get("connection", "").lower()
-                reusable = await self._route(
-                    method, path, headers, body, reader, writer, keep_alive
-                )
+                reusable = await self._route(method, path, body, reader, writer, keep_alive)
                 if not (reusable and keep_alive):
                     break
         except (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError):
@@ -138,6 +181,7 @@ class HttpGenerationServer:
     async def _read_request(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
+        """One request, or ``None`` once the connection cannot go on."""
         try:
             request_line = await reader.readuntil(b"\r\n")
         except asyncio.IncompleteReadError:
@@ -164,7 +208,14 @@ class HttpGenerationServer:
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
 
-        length = int(headers.get("content-length", "0") or "0")
+        # Without a valid length the body cannot be framed, so the
+        # connection ends after the 400.
+        raw_length = headers.get("content-length", "0") or "0"
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            await self._send_json(writer, 400, _error_response(
+                ValueError(f"bad Content-Length {raw_length!r}")))
+            return None
+        length = int(raw_length)
         if length > self.max_body_bytes:
             await self._send_json(writer, 413, _error_response(
                 ValueError(f"request body exceeds {self.max_body_bytes} bytes")))
@@ -176,7 +227,6 @@ class HttpGenerationServer:
         self,
         method: str,
         path: str,
-        headers: Dict[str, str],
         body: bytes,
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
@@ -198,15 +248,15 @@ class HttpGenerationServer:
                                   content_type="text/plain; version=0.0.4",
                                   close=close)
             return True
-        if path == "/ws" and headers.get("upgrade", "").lower() == "websocket":
-            await self._serve_websocket(headers, reader, writer)
-            return False
-        if path == "/generate":
+        if path in ("/generate", "/publish"):
             if method != "POST":
                 await self._send_json(writer, 405, _error_response(
-                    ValueError("use POST /generate")), close=close)
+                    ValueError(f"use POST {path}")), close=close)
                 return True
-            return await self._serve_generate(body, writer, close=close)
+            if path == "/publish":
+                await self._serve_publish(body, writer, close=close)
+                return True
+            return await self._serve_generate(body, reader, writer, close=close)
         await self._send_json(writer, 404, _error_response(
             ValueError(f"no such route {path!r}")), close=close)
         return True
@@ -232,20 +282,36 @@ class HttpGenerationServer:
             lines.append(f"{metric} {stats[key]}")
         return "\n".join(lines) + "\n"
 
-    async def _serve_generate(
+    async def _serve_publish(
         self, body: bytes, writer: asyncio.StreamWriter, close: bool = True
+    ) -> None:
+        try:
+            source = _json_object(body).get("source")
+            if not isinstance(source, str) or not source:
+                raise ValueError("publish needs 'source'")
+            fingerprint = self.service.publish(source)
+        except Exception as error:  # noqa: BLE001 - a bad body or a compile error
+            await self._send_json(writer, 400, _error_response(error), close=close)
+            return
+        await self._send_json(writer, 200, {"ok": True, "fingerprint": fingerprint},
+                              close=close)
+
+    async def _serve_generate(
+        self,
+        body: bytes,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        close: bool = True,
     ) -> bool:
         try:
-            request = json.loads(body.decode("utf-8")) if body else {}
-            if not isinstance(request, dict):
-                raise ValueError("request body must be a JSON object")
+            request = _json_object(body)
             params = _generate_params(request)
         except Exception as error:  # noqa: BLE001
             await self._send_json(writer, 400, _error_response(error), close=close)
             return True
 
         if request.get("stream"):
-            await self._stream_ndjson(params, writer)
+            await self._stream_ndjson(params, reader, writer)
             return False  # chunked stream always ends the connection
         try:
             response = await self.service.generate(**params)
@@ -257,8 +323,19 @@ class HttpGenerationServer:
         await self._send_json(writer, 200, {"ok": True, **response.as_dict()}, close=close)
         return True
 
-    async def _stream_ndjson(self, params: Dict[str, Any], writer: asyncio.StreamWriter) -> None:
-        """``POST /generate`` with ``stream: true`` → chunked NDJSON frames."""
+    async def _stream_ndjson(
+        self,
+        params: Dict[str, Any],
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+    ) -> None:
+        """``POST /generate`` with ``stream: true`` → chunked NDJSON frames.
+
+        The stream ends the connection, so the client sends nothing more:
+        end-of-file on *reader* means it hung up.  That closes the stream at
+        once, so the request's admission slot does not wait for its running
+        shards to land.
+        """
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
             b"Content-Type: application/x-ndjson\r\n"
@@ -273,93 +350,29 @@ class HttpGenerationServer:
             await writer.drain()
 
         stream = self.service.generate_stream(**params)
+
+        async def pump() -> None:
+            try:
+                async for frame in stream:
+                    await send_line({"ok": True, **frame})
+            except (ConnectionResetError, BrokenPipeError):
+                raise
+            except Exception as error:  # noqa: BLE001 - status already sent; answer in-band
+                await send_line({**_error_response(error), "frame": "error"})
+            writer.write(b"0\r\n\r\n")
+            await writer.drain()
+
+        pumping = asyncio.ensure_future(pump())
+        hang_up = asyncio.ensure_future(_until_eof(reader))
         try:
-            async for frame in stream:
-                await send_line({"ok": True, **frame})
-        except (ConnectionResetError, BrokenPipeError):
-            raise
-        except Exception as error:  # noqa: BLE001 - status already sent; answer in-band
-            await send_line({**_error_response(error), "frame": "error"})
+            await asyncio.wait({pumping, hang_up}, return_when=asyncio.FIRST_COMPLETED)
         finally:
+            for task in (pumping, hang_up):
+                task.cancel()
+            await asyncio.gather(pumping, hang_up, return_exceptions=True)
             await stream.aclose()
-        writer.write(b"0\r\n\r\n")
-        await writer.drain()
-
-    # -- websocket ----------------------------------------------------------------
-
-    async def _serve_websocket(
-        self,
-        headers: Dict[str, str],
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        key = headers.get("sec-websocket-key")
-        if not key:
-            await self._send_json(writer, 400, _error_response(
-                ValueError("missing Sec-WebSocket-Key")))
-            return
-        accept = base64.b64encode(
-            hashlib.sha1((key + _WS_MAGIC).encode("ascii")).digest()
-        ).decode("ascii")
-        writer.write(
-            b"HTTP/1.1 101 Switching Protocols\r\n"
-            b"Upgrade: websocket\r\nConnection: Upgrade\r\n"
-            + f"Sec-WebSocket-Accept: {accept}\r\n\r\n".encode("ascii")
-        )
-        await writer.drain()
-
-        message = await _ws_read_text(reader, self.max_body_bytes)
-        if message is None:
-            return
-        try:
-            request = json.loads(message)
-            if not isinstance(request, dict):
-                raise ValueError("request must be a JSON object")
-            params = _generate_params(request)
-        except Exception as error:  # noqa: BLE001
-            await _ws_send_text(writer, json.dumps(_error_response(error)))
-            await _ws_send_close(writer)
-            return
-
-        # Stream frames while watching the socket for a client close frame
-        # (RFC 6455 §5.5.1): a client hanging up mid-stream must abort the
-        # generation promptly and still get the close handshake reply,
-        # instead of the server pushing frames into a dead conversation.
-        stream = self.service.generate_stream(**params)
-        watcher = asyncio.ensure_future(self._ws_await_close(reader))
-        try:
-            while True:
-                frame_task = asyncio.ensure_future(stream.__anext__())
-                await asyncio.wait(
-                    {frame_task, watcher}, return_when=asyncio.FIRST_COMPLETED
-                )
-                if watcher.done():
-                    frame_task.cancel()
-                    await asyncio.gather(frame_task, return_exceptions=True)
-                    break
-                try:
-                    frame = frame_task.result()
-                except StopAsyncIteration:
-                    break
-                await _ws_send_text(writer, json.dumps({"ok": True, **frame}))
-        except (ConnectionResetError, BrokenPipeError):
-            raise
-        except Exception as error:  # noqa: BLE001
-            await _ws_send_text(
-                writer, json.dumps({**_error_response(error), "frame": "error"})
-            )
-        finally:
-            await stream.aclose()
-            if not watcher.done():
-                watcher.cancel()
-                await asyncio.gather(watcher, return_exceptions=True)
-        await _ws_send_close(writer)
-
-    @staticmethod
-    async def _ws_await_close(reader: asyncio.StreamReader) -> None:
-        """Consume client frames until a close frame (or EOF) arrives."""
-        while await _ws_read_frame(reader) is not None:
-            pass
+        if not pumping.cancelled():
+            pumping.result()  # a broken connection ends the handler
 
     # -- plumbing -----------------------------------------------------------------
 
@@ -396,102 +409,6 @@ class HttpGenerationServer:
         await writer.drain()
 
 
-# -- minimal RFC 6455 frame plumbing (server side + test client) -------------------
-
-
-async def _ws_send_text(writer: asyncio.StreamWriter, text: str, mask: bool = False) -> None:
-    """Write one text frame (server frames are unmasked; clients must mask)."""
-    payload = text.encode("utf-8")
-    header = bytearray([0x81])  # FIN + text opcode
-    mask_bit = 0x80 if mask else 0
-    if len(payload) < 126:
-        header.append(mask_bit | len(payload))
-    elif len(payload) < 1 << 16:
-        header.append(mask_bit | 126)
-        header += struct.pack(">H", len(payload))
-    else:
-        header.append(mask_bit | 127)
-        header += struct.pack(">Q", len(payload))
-    if mask:
-        key = b"\x12\x34\x56\x78"  # deterministic; masking is framing, not crypto
-        header += key
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    writer.write(bytes(header) + payload)
-    await writer.drain()
-
-
-async def _ws_send_close(writer: asyncio.StreamWriter) -> None:
-    writer.write(b"\x88\x00")
-    await writer.drain()
-
-
-async def _ws_read_frame(reader: asyncio.StreamReader) -> Optional[Tuple[int, bytes]]:
-    """One frame → ``(opcode, payload)``; ``None`` on EOF/close."""
-    try:
-        first, second = await reader.readexactly(2)
-    except asyncio.IncompleteReadError:
-        return None
-    opcode = first & 0x0F
-    masked = bool(second & 0x80)
-    length = second & 0x7F
-    if length == 126:
-        (length,) = struct.unpack(">H", await reader.readexactly(2))
-    elif length == 127:
-        (length,) = struct.unpack(">Q", await reader.readexactly(8))
-    key = await reader.readexactly(4) if masked else None
-    payload = await reader.readexactly(length) if length else b""
-    if key:
-        payload = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    if opcode == 0x8:  # close
-        return None
-    return opcode, payload
-
-
-async def _ws_read_text(reader: asyncio.StreamReader, max_bytes: int) -> Optional[str]:
-    frame = await _ws_read_frame(reader)
-    if frame is None:
-        return None
-    _opcode, payload = frame
-    if len(payload) > max_bytes:
-        return None
-    return payload.decode("utf-8")
-
-
-async def websocket_generate(
-    host: str, port: int, request: Dict[str, Any]
-) -> AsyncIterator[Dict[str, Any]]:
-    """Tiny WebSocket client for ``GET /ws`` (tests, smoke, examples).
-
-    Performs the handshake, sends *request* as one text frame, and yields
-    each response frame as a dict until the server closes.
-    """
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        key = base64.b64encode(b"repro-ws-client-seed").decode("ascii")
-        writer.write(
-            f"GET /ws HTTP/1.1\r\nHost: {host}:{port}\r\n"
-            f"Upgrade: websocket\r\nConnection: Upgrade\r\n"
-            f"Sec-WebSocket-Key: {key}\r\nSec-WebSocket-Version: 13\r\n\r\n".encode("latin-1")
-        )
-        await writer.drain()
-        status = await reader.readuntil(b"\r\n\r\n")
-        if b" 101 " not in status.split(b"\r\n", 1)[0]:
-            raise ConnectionError(f"websocket handshake refused: {status[:80]!r}")
-        await _ws_send_text(writer, json.dumps(request), mask=True)
-        while True:
-            frame = await _ws_read_frame(reader)
-            if frame is None:
-                return
-            _opcode, payload = frame
-            yield json.loads(payload.decode("utf-8"))
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError):
-            pass
-
-
 async def http_request(
     host: str,
     port: int,
@@ -499,7 +416,7 @@ async def http_request(
     path: str,
     body: Optional[Dict[str, Any]] = None,
 ) -> Tuple[int, bytes]:
-    """One-shot HTTP client (stdlib-only, used by tests and the CLI smoke).
+    """One-shot HTTP client (stdlib-only; the tests drive the server with it).
 
     Returns ``(status, body_bytes)``; chunked NDJSON responses are
     de-chunked, so the body is the raw frame lines.
@@ -544,4 +461,4 @@ async def http_request(
             pass
 
 
-__all__ = ["HttpGenerationServer", "http_request", "websocket_generate"]
+__all__ = ["DEFAULT_MAX_BODY_BYTES", "HttpGenerationServer", "http_request"]

@@ -47,9 +47,9 @@ Typical use::
 
     asyncio.run(main())
 
-For the TCP front end see :mod:`repro.service.server`, for HTTP/WebSocket
-:mod:`repro.service.server_http`; for the CLI, ``python -m repro.service
---help`` (``docs/service.md`` walks through all of them).
+For the HTTP front end see :mod:`repro.service.server_http`; for the CLI,
+``python -m repro.service --help`` (``docs/service.md`` walks through
+both).
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from ..language.compiler import ArtifactCache, compile_scenario, source_fingerpr
 from ..sampling.strategies import make_strategy
 from .protocol import (
     DERIVE_MODES,
-    TRANSPORT_MODES,
     GenerateResponse,
     ShardOutcome,
     ShardPayload,
@@ -113,14 +112,10 @@ class GenerationService:
         also used by the coordinator's own cache.
     worker_cache_size:
         Per-worker in-memory artifact LRU size.
-    transport:
-        Cross-process scene carrier: ``"shm"`` (shared-memory segments for
-        blocks above *shm_threshold* bytes) or ``"pickle"``.  Default:
-        ``"shm"`` with a process pool, ``"pickle"`` inline (a segment round
-        trip buys nothing in-process).
     shm_threshold:
-        Minimum packed block size (bytes) before ``"shm"`` creates a
-        segment; smaller blocks pickle their arrays.
+        Minimum packed block size (bytes) a pool worker hands back through
+        a shared-memory segment; smaller blocks pickle their arrays.
+        Inline shards (``workers=0``) never use shared memory.
     """
 
     def __init__(
@@ -130,7 +125,6 @@ class GenerationService:
         max_queue: int = 32,
         cache_dir: Optional[str] = None,
         worker_cache_size: int = 64,
-        transport: Optional[str] = None,
         shm_threshold: int = DEFAULT_SHM_THRESHOLD,
     ):
         self.workers = max(0, int(workers))
@@ -140,13 +134,6 @@ class GenerationService:
         self.max_queue = max(0, int(max_queue))
         self.cache_dir = cache_dir
         self.worker_cache_size = worker_cache_size
-        if transport is None:
-            transport = "shm" if self.workers > 0 else "pickle"
-        if transport not in TRANSPORT_MODES:
-            raise ValueError(
-                f"unknown transport {transport!r} (known: {TRANSPORT_MODES})"
-            )
-        self.transport = transport
         self.shm_threshold = int(shm_threshold)
         self.cache = ArtifactCache(disk_dir=cache_dir)
         self._sources: Dict[str, str] = {}
@@ -182,11 +169,17 @@ class GenerationService:
         return self
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
+        pool = ProcessPoolExecutor(
             max_workers=1,
             initializer=initialize_worker,
             initargs=(self.cache_dir, self.worker_cache_size),
         )
+        # A fork-started pool forks its worker at the first submit; do it
+        # now.  A worker forked later, while a server has connections open,
+        # inherits their sockets, and a connection the server closes then
+        # never reaches the client as end-of-file.
+        pool.submit(int)
+        return pool
 
     async def close(self) -> None:
         """Drain and shut the pools down; safe to call twice."""
@@ -535,7 +528,7 @@ class GenerationService:
         base, extra = divmod(n, shard_count)
         payloads: List[ShardPayload] = []
         next_index = 0
-        transport = self.transport if self._pools else "pickle"
+        shm_threshold = self.shm_threshold if self._pools else None
         for shard in range(shard_count):
             size = base + (1 if shard < extra else 0)
             if size == 0:
@@ -552,8 +545,7 @@ class GenerationService:
                     indices=indices,
                     seeds=None if seeds is None else [seeds[index] for index in indices],
                     master_seed=seed,
-                    transport=transport,
-                    shm_threshold=self.shm_threshold,
+                    shm_threshold=shm_threshold,
                 )
             )
         return payloads
@@ -569,7 +561,7 @@ class GenerationService:
         any other shard failure.
         """
         if worker is None:
-            # workers=0: the default thread pool, pickle transport.
+            # workers=0: the default thread pool; blocks stay in-process.
             return await asyncio.get_running_loop().run_in_executor(None, run_shard, payload)
         pool = self._pools[worker]
         try:
@@ -612,7 +604,6 @@ class GenerationService:
             "workers": self.workers,
             "max_inflight": self.max_inflight,
             "max_queue": self.max_queue,
-            "transport": self.transport,
             "engine_cache_hit_rate": (
                 self.stats["engine_cache_hits"] / engine_lookups if engine_lookups else 0.0
             ),

@@ -226,16 +226,15 @@ class SceneBlock:
 
     # -- wire carriage ------------------------------------------------------------
 
-    def to_wire(
-        self, use_shared_memory: bool, threshold: int = DEFAULT_SHM_THRESHOLD
-    ) -> "SceneBlock | ShmBlockHandle":
+    def to_wire(self, threshold: Optional[int]) -> "SceneBlock | ShmBlockHandle":
         """Choose the cross-process carrier for this block.
 
-        Returns ``self`` (pickled as numpy columns) for small blocks or
-        inline workers, or a :class:`ShmBlockHandle` after copying the
-        columns into a fresh shared-memory segment.
+        Returns ``self`` (pickled as numpy columns) for blocks below
+        *threshold* bytes or when *threshold* is ``None`` (inline shards),
+        else a :class:`ShmBlockHandle` after copying the columns into a
+        fresh shared-memory segment.
         """
-        if not use_shared_memory or self.nbytes < threshold:
+        if threshold is None or self.nbytes < threshold:
             return self
         return self.to_shared_memory()
 

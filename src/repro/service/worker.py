@@ -15,7 +15,7 @@ Everything entering and leaving this module is plain data
 process boundary.  Scenes leave as one columnar
 :class:`~repro.service.transport.SceneBlock` per shard — packed straight
 from the concrete objects, no per-scene dicts — carried either pickled or
-via a shared-memory segment (the payload's ``transport``).  Worker-side
+via a shared-memory segment (the payload's ``shm_threshold``).  Worker-side
 failures are folded into the outcome's ``error`` field rather than raised,
 so one infeasible shard cannot poison the pool.
 """
@@ -159,10 +159,9 @@ def run_shard(payload: ShardPayload) -> ShardOutcome:
     """Sample one shard's scene indices; never raises.
 
     The accepted scenes are packed into one columnar
-    :class:`~repro.service.transport.SceneBlock` after the sampling loop and
-    shipped per ``payload.transport`` — ``"shm"`` copies blocks above
-    ``payload.shm_threshold`` bytes into a shared-memory segment the
-    coordinator unlinks after reading.
+    :class:`~repro.service.transport.SceneBlock` after the sampling loop;
+    blocks of at least ``payload.shm_threshold`` bytes travel in a
+    shared-memory segment the coordinator unlinks after reading.
 
     Holds :data:`_SHARD_LOCK` for the duration: shards within one process
     run serially (only observable in the coordinator's inline ``workers=0``
@@ -193,10 +192,7 @@ def run_shard(payload: ShardPayload) -> ShardOutcome:
     block = SceneBlock.pack(scenes, iterations=iterations)
     return ShardOutcome(
         indices=list(payload.indices[: len(scenes)]),
-        block=block.to_wire(
-            use_shared_memory=payload.transport == "shm",
-            threshold=payload.shm_threshold,
-        ),
+        block=block.to_wire(payload.shm_threshold),
         stats=aggregate.to_shard_stats(),
         cache_hit=cache_hit,
         worker_pid=os.getpid(),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -14,6 +15,17 @@ from repro.geometry.polygon import Polygon
 def rng() -> random.Random:
     """A deterministic RNG for sampling-based tests."""
     return random.Random(12345)
+
+
+@pytest.fixture
+def new_shm_segments():
+    """A callable naming the ``/dev/shm`` entries created since the test began."""
+
+    def listing():
+        return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
+
+    before = listing()
+    return lambda: listing() - before
 
 
 @pytest.fixture

@@ -1,37 +1,45 @@
-"""HTTP front-end edge cases: keep-alive, WebSocket close, /metrics headers.
+"""HTTP front-end edge cases: keep-alive, request framing, /metrics headers.
 
 These pin the connection-lifecycle behaviour of ``HttpGenerationServer``
 that the happy-path service tests never look at:
 
 * HTTP/1.1 keep-alive — several requests over one socket, honoured until
-  the client sends ``Connection: close``;
-* the RFC 6455 close handshake when the client hangs up mid-stream — the
-  server must answer with a close frame and drop the connection cleanly
-  (and keep serving other clients);
+  the client sends ``Connection: close``, and kept after a malformed or
+  non-object JSON body is answered with a structured 400;
+* a WebSocket upgrade is answered like any unknown route, and an NDJSON
+  stream read to its end is followed by the server's close;
+* a ``Content-Length`` that is not a decimal byte count gets a structured
+  400, and nothing escapes to the event loop's exception handler;
 * the exact Prometheus content type of ``GET /metrics``.
+
+The hang-up of an NDJSON stream client is pinned in ``test_service.py``,
+next to the other injected failures on a process pool.
 """
 
 import asyncio
-import base64
 import json
-import struct
-from pathlib import Path
+
+import pytest
 
 from repro.service import GenerationService, HttpGenerationServer
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
-
 SOURCE = "ego = Object at Range(-3, 3) @ 0\nObject at Range(-3, 3) @ 4\n"
 
-_WS_KEY = base64.b64encode(b"repro-ws-edge-tests!").decode("ascii")
 
+async def _send_request(reader, writer, method, path, body=None, close=False, extra=""):
+    """One raw HTTP/1.1 request on an already-open connection.
 
-async def _send_request(reader, writer, method, path, body=None, close=False):
-    """One raw HTTP/1.1 request on an already-open connection."""
-    payload = json.dumps(body).encode("utf-8") if body is not None else b""
+    *body* is JSON-encoded unless it is already ``bytes``; *extra* holds
+    further header lines, each ending in CRLF.  A chunked response comes
+    back with an empty body, its chunks left unread on *reader*.
+    """
+    if body is None or isinstance(body, bytes):
+        payload = body or b""
+    else:
+        payload = json.dumps(body).encode("utf-8")
     head = (
         f"{method} {path} HTTP/1.1\r\nHost: t\r\n"
-        f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\n{extra}"
     )
     if close:
         head += "Connection: close\r\n"
@@ -92,6 +100,29 @@ def test_keep_alive_reuses_one_connection():
     assert eof == b""
 
 
+def test_malformed_json_body_keeps_connection_alive():
+    async def run():
+        async with GenerationService(workers=0) as service:
+            async with HttpGenerationServer(service) as server:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                try:
+                    answers = []
+                    for body in (b"{not json at all", b'["an", "array"]'):
+                        answers.append(await _send_request(
+                            reader, writer, "POST", "/generate", body=body))
+                        answers.append(await _send_request(reader, writer, "GET", "/healthz"))
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+        return [(status, json.loads(body)) for status, _, body in answers]
+
+    error, alive, not_object, alive_again = asyncio.run(run())
+    assert error[0] == 400 and error[1]["error"]["type"] == "JSONDecodeError"
+    assert not_object[0] == 400 and "JSON object" in not_object[1]["error"]["message"]
+    for status, health in (alive, alive_again):
+        assert status == 200 and health["ok"] is True
+
+
 def test_metrics_content_type():
     async def run():
         async with GenerationService(workers=0) as service:
@@ -112,79 +143,43 @@ def test_metrics_content_type():
 
 
 # ---------------------------------------------------------------------------
-# WebSocket close handshake
+# Request framing
 # ---------------------------------------------------------------------------
 
 
-def _masked_frame(opcode, payload=b""):
-    key = b"\x01\x02\x03\x04"
-    assert len(payload) < 126
-    masked = bytes(b ^ key[i % 4] for i, b in enumerate(payload))
-    return bytes([0x80 | opcode, 0x80 | len(payload)]) + key + masked
-
-
-async def _read_ws_frame(reader):
-    """Raw server frame → (opcode, payload); None on EOF."""
-    try:
-        first, second = await reader.readexactly(2)
-    except asyncio.IncompleteReadError:
-        return None
-    opcode, length = first & 0x0F, second & 0x7F
-    if length == 126:
-        (length,) = struct.unpack(">H", await reader.readexactly(2))
-    elif length == 127:
-        (length,) = struct.unpack(">Q", await reader.readexactly(8))
-    payload = await reader.readexactly(length) if length else b""
-    return opcode, payload
-
-
-async def _ws_handshake(host, port, reader, writer):
-    writer.write(
-        f"GET /ws HTTP/1.1\r\nHost: {host}:{port}\r\n"
-        f"Upgrade: websocket\r\nConnection: Upgrade\r\n"
-        f"Sec-WebSocket-Key: {_WS_KEY}\r\nSec-WebSocket-Version: 13\r\n\r\n".encode("latin-1")
-    )
-    await writer.drain()
-    status = await reader.readuntil(b"\r\n\r\n")
-    assert b" 101 " in status.split(b"\r\n", 1)[0]
-
-
-def test_websocket_close_mid_stream_gets_close_reply():
+@pytest.mark.parametrize("length", ["abc", "-5", "1e3"])
+def test_bad_content_length_gets_400(length):
     async def run():
+        loop_errors = []
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: loop_errors.append(context)
+        )
         async with GenerationService(workers=0) as service:
             async with HttpGenerationServer(service) as server:
                 reader, writer = await asyncio.open_connection(server.host, server.port)
                 try:
-                    await _ws_handshake(server.host, server.port, reader, writer)
-                    request = json.dumps({"source": SOURCE, "n": 6, "seed": 3})
-                    writer.write(_masked_frame(0x1, request.encode("utf-8")))
-                    # Hang up immediately: the close frame races the stream.
-                    writer.write(_masked_frame(0x8, b"\x03\xe8"))  # 1000 normal
+                    writer.write(
+                        f"POST /generate HTTP/1.1\r\nHost: t\r\n"
+                        f"Content-Length: {length}\r\n\r\n{{}}".encode("latin-1")
+                    )
                     await writer.drain()
-                    opcodes = []
-                    while True:
-                        frame = await asyncio.wait_for(_read_ws_frame(reader), timeout=30)
-                        if frame is None:
-                            break
-                        opcodes.append(frame[0])
-                        if frame[0] == 0x8:
-                            break
-                    eof = await reader.read()
+                    answer = await asyncio.wait_for(reader.read(), timeout=30)
                 finally:
                     writer.close()
                     await writer.wait_closed()
-                # The server survived the aborted stream: a fresh connection
-                # still gets answers.
-                status, _, body = await _fresh_healthz(server)
-        return opcodes, eof, status, json.loads(body)
+                # The server still answers a fresh connection.
+                status, _, _ = await _fresh_healthz(server)
+        return answer, status, loop_errors
 
-    opcodes, eof, status, health = asyncio.run(run())
-    # Some text frames may have been in flight, but the conversation must
-    # end with the server's close reply and a clean EOF.
-    assert opcodes and opcodes[-1] == 0x8
-    assert all(opcode in (0x1, 0x8) for opcode in opcodes)
-    assert eof == b""
-    assert status == 200 and health["ok"] is True
+    answer, status, loop_errors = asyncio.run(run())
+    head, _, body = answer.partition(b"\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 400 "), answer
+    assert json.loads(body) == {
+        "ok": False,
+        "error": {"type": "ValueError", "message": f"bad Content-Length {length!r}"},
+    }
+    assert status == 200
+    assert loop_errors == []
 
 
 async def _fresh_healthz(server):
@@ -197,31 +192,50 @@ async def _fresh_healthz(server):
 
 
 def test_websocket_full_stream_still_ends_with_close():
-    # The watcher must not break the normal path: a patient client gets
-    # every frame, then the server-initiated close.
+    """A WebSocket upgrade gets a plain 404; a full stream ends with the server's close.
+
+    ``/ws`` is not served, so an upgrade request is answered like any
+    unknown route, on a connection that stays usable.  The hang-up watcher
+    that guards an NDJSON stream must not break the normal path: a client
+    that keeps its end open gets every frame, the terminating chunk, and
+    then end-of-file from the server.
+    """
+    upgrade = (
+        "Upgrade: websocket\r\nConnection: Upgrade\r\n"
+        "Sec-WebSocket-Key: cmVwcm8td3MtZWRnZS10ZXN0cyE=\r\nSec-WebSocket-Version: 13\r\n"
+    )
+
+    async def read_chunks(reader):
+        chunks = []
+        while size := int(await reader.readuntil(b"\r\n"), 16):
+            chunks.append((await reader.readexactly(size + 2))[:-2])
+        await reader.readexactly(2)
+        return chunks
+
     async def run():
         async with GenerationService(workers=0) as service:
             async with HttpGenerationServer(service) as server:
                 reader, writer = await asyncio.open_connection(server.host, server.port)
                 try:
-                    await _ws_handshake(server.host, server.port, reader, writer)
-                    request = json.dumps({"source": SOURCE, "n": 3, "seed": 11})
-                    writer.write(_masked_frame(0x1, request.encode("utf-8")))
-                    await writer.drain()
-                    frames = []
-                    while True:
-                        frame = await asyncio.wait_for(_read_ws_frame(reader), timeout=30)
-                        if frame is None or frame[0] == 0x8:
-                            frames.append(("close", b"") if frame else ("eof", b""))
-                            break
-                        frames.append(("text", frame[1]))
+                    refused = await _send_request(reader, writer, "GET", "/ws", extra=upgrade)
+                    status, headers, _ = await _send_request(
+                        reader, writer, "POST", "/generate",
+                        body={"source": SOURCE, "n": 3, "seed": 11, "stream": True},
+                    )
+                    chunks = await asyncio.wait_for(read_chunks(reader), timeout=30)
+                    eof = await asyncio.wait_for(reader.read(), timeout=30)
                 finally:
                     writer.close()
                     await writer.wait_closed()
-        return frames
+        return refused, status, headers, chunks, eof
 
-    frames = asyncio.run(run())
-    assert frames[-1][0] == "close"
-    payloads = [json.loads(data) for kind, data in frames if kind == "text"]
-    assert payloads[-1]["frame"] == "end"
-    assert payloads[-1]["scenes"] == 3
+    refused, status, headers, chunks, eof = asyncio.run(run())
+    refused_status, refused_headers, refused_body = refused
+    assert refused_status == 404 and refused_headers["connection"] == "keep-alive"
+    assert json.loads(refused_body)["error"]["message"] == "no such route '/ws'"
+    assert status == 200 and headers["connection"] == "close"
+    frames = [json.loads(chunk) for chunk in chunks]
+    assert all(frame["ok"] for frame in frames)
+    assert [frame["frame"] for frame in frames[:-1]] == ["block"] * (len(frames) - 1)
+    assert frames[-1]["frame"] == "end" and frames[-1]["scenes"] == 3
+    assert eof == b""

@@ -1,10 +1,11 @@
 """The async sharded generation service (`repro/service/`).
 
-The smoke contract from the issue: the service sustains >= 8 concurrent
-``generate`` requests whose per-shard seeds reproduce the golden corpus
-bit-identically, shards are invariant to worker count, backpressure sheds
-excess load, failures surface as typed errors, and the TCP front end
-(start server → concurrent requests → clean shutdown) works end to end.
+The smoke contract: the service sustains >= 8 concurrent ``generate``
+requests whose per-shard seeds reproduce the golden corpus bit-identically,
+shards are invariant to worker count, backpressure sheds excess load,
+failures surface as typed errors, and the HTTP front end (start server →
+publish → concurrent requests → clean shutdown, in-process and through the
+``serve`` CLI) works end to end.
 
 All tests drive the real asyncio front end via ``asyncio.run``; the
 worker-pool tests use real subprocess workers (persistent across requests),
@@ -16,7 +17,11 @@ import asyncio
 import json
 import os
 import random
+import re
 import signal
+import subprocess
+import sys
+import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
@@ -26,21 +31,21 @@ import pytest
 from repro.sampling import SamplerEngine
 from repro.language import scenario_from_string
 from repro.service import (
-    GenerationServer,
     GenerationService,
     GenerationFailedError,
     HttpGenerationServer,
     ServiceOverloadedError,
     generate_sync,
     http_request,
-    request_over_tcp,
     scene_record,
     splitmix64,
 )
+from repro.service import service as service_module
 from repro.service.protocol import ShardPayload, derive_scene_seeds
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = REPO_ROOT / "examples" / "scenarios"
 TOLERANCE = 1e-9
 
 #: Cheap members of the golden corpus (few candidate iterations at the
@@ -266,9 +271,9 @@ def test_compile_error_raises_generation_failed():
     ],
 )
 def test_bad_request_is_rejected_before_admission(field, value, needle):
-    """A bad strategy, budget or strategy option is the client's error on both front ends.
+    """A bad strategy, budget or strategy option is the client's error.
 
-    HTTP answers 400 and TCP a ``ValueError`` naming the problem; the request
+    HTTP answers 400 with a ``ValueError`` naming the problem; the request
     is never admitted, so no shard runs and ``failures`` does not move.
     """
     request = {"source": _source("single_car"), "n": 1, field: value}
@@ -279,28 +284,19 @@ def test_bad_request_is_rejected_before_admission(field, value, needle):
                 status, body = await http_request(
                     http.host, http.port, "POST", "/generate", request
                 )
-            server = GenerationServer(service, port=0)
-            await server.start()
-            try:
-                tcp = await request_over_tcp(
-                    server.host, server.port, {"op": "generate", **request}
-                )
-            finally:
-                await server.close()
-            return status, json.loads(body), tcp, service.service_stats()
+            return status, json.loads(body), service.service_stats()
 
-    status, http_answer, tcp_answer, stats = asyncio.run(run())
+    status, answer, stats = asyncio.run(run())
     assert status == 400
-    for answer in (http_answer, tcp_answer):
-        assert not answer["ok"]
-        assert answer["error"]["type"] == "ValueError"
-        assert needle in answer["error"]["message"]
+    assert not answer["ok"]
+    assert answer["error"]["type"] == "ValueError"
+    assert needle in answer["error"]["message"]
     assert stats["failures"] == 0
     assert stats["requests"] == 0
 
 
-#: A program slow enough (~1k candidates a scene) that a 32-scene shard is
-#: still running a fraction of a second after it starts.
+#: A program slow enough (~1k candidates a scene) that a 16-scene shard
+#: runs for seconds.
 SLOW_SOURCE = (
     "ego = Object at 0 @ 0\n"
     "other = Object at Range(-100, 100) @ Range(-100, 100)\n"
@@ -308,14 +304,10 @@ SLOW_SOURCE = (
 )
 
 
-def _shm_segments():
-    return set(os.listdir("/dev/shm")) if os.path.isdir("/dev/shm") else set()
-
-
 @pytest.mark.parametrize(
     "moment,mode", [("idle", "blocking"), ("mid-shard", "blocking"), ("mid-shard", "streaming")]
 )
-def test_dead_worker_fails_only_its_own_request(moment, mode):
+def test_dead_worker_fails_only_its_own_request(moment, mode, new_shm_segments):
     """SIGKILL one of two workers: the request it held fails, the service recovers.
 
     The failed request raises ``GenerationFailedError`` and counts in
@@ -333,7 +325,6 @@ def test_dead_worker_fails_only_its_own_request(moment, mode):
         async with GenerationService(workers=2, shm_threshold=0) as service:
             warm = await service.generate(SLOW_SOURCE, n=2, seed=0, max_iterations=10**6)
             victim = warm.stats["workers"][0]
-            before = _shm_segments()
             if moment == "idle":
                 os.kill(victim, signal.SIGKILL)
                 request = service.generate(source, n=8, seed=3)
@@ -351,8 +342,8 @@ def test_dead_worker_fails_only_its_own_request(moment, mode):
             stats = service.service_stats()
             # Queued behind any shard the failed request left running.
             after = await service.generate(source, n=8, seed=3)
-            leaked = _shm_segments() - before
-            return failed.value, leaked, stats, after.scenes, service.service_stats()
+            return (failed.value, new_shm_segments(), stats, after.scenes,
+                    service.service_stats())
 
     error, leaked, stats, scenes, final = asyncio.run(run())
     assert error.detail["type"] == "BrokenProcessPool"
@@ -438,66 +429,132 @@ def test_zero_scene_request_is_valid():
 
 
 # ---------------------------------------------------------------------------
-# The TCP front end
+# The HTTP front end
 # ---------------------------------------------------------------------------
 
 
-def test_tcp_server_end_to_end():
-    """Start server → concurrent socket requests → clean shutdown."""
+def test_http_server_end_to_end():
+    """Start server → publish → concurrent requests by fingerprint → clean shutdown."""
     source = _source("two_cars")
     golden = _golden("two_cars")
 
     async def run():
-        service = GenerationService(workers=0)
-        server = GenerationServer(service, port=0)
-        await server.start()
-        try:
-            assert (await request_over_tcp(server.host, server.port, {"op": "ping"}))["ok"]
+        async with HttpGenerationServer(GenerationService(workers=0)) as server:
+            def call(method, path, body=None):
+                return http_request(server.host, server.port, method, path, body)
 
-            published = await request_over_tcp(
-                server.host, server.port, {"op": "publish", "source": source}
-            )
-            assert published["ok"]
-
-            requests = [
-                request_over_tcp(
-                    server.host,
-                    server.port,
-                    {
-                        "op": "generate",
-                        "fingerprint": published["fingerprint"],
-                        "n": 1,
-                        "seed": golden["seed"],
-                        "strategy": "rejection",
-                        "max_iterations": golden["max_iterations"],
-                        "derive": "direct",
-                    },
-                )
+            health = await call("GET", "/healthz")
+            published = await call("POST", "/publish", {"source": source})
+            fingerprint = json.loads(published[1])["fingerprint"]
+            answers = await asyncio.gather(*(
+                call("POST", "/generate", {
+                    "fingerprint": fingerprint,
+                    "n": 1,
+                    "seed": golden["seed"],
+                    "strategy": "rejection",
+                    "max_iterations": golden["max_iterations"],
+                    "derive": "direct",
+                })
                 for _ in range(8)
-            ]
-            answers = await asyncio.gather(*requests)
+            ))
+            missing = await call("GET", "/nope")
+            bad = await call("POST", "/generate", {})
+            metrics = await call("GET", "/metrics")
+            return health, published, answers, missing, bad, metrics
 
-            unknown = await request_over_tcp(server.host, server.port, {"op": "nope"})
-            bad = await request_over_tcp(server.host, server.port, {"op": "generate"})
-            stats = await request_over_tcp(server.host, server.port, {"op": "stats"})
-
-            shutdown = await request_over_tcp(server.host, server.port, {"op": "shutdown"})
-            await asyncio.wait_for(server.serve_until_shutdown(), timeout=10)
-            return answers, unknown, bad, stats, shutdown
-        finally:
-            await server.close()
-
-    answers, unknown, bad, stats, shutdown = asyncio.run(run())
+    health, published, answers, missing, bad, metrics = asyncio.run(run())
+    assert health[0] == 200 and json.loads(health[1])["ok"]
+    assert published[0] == 200 and json.loads(published[1])["ok"]
     assert len(answers) == 8
-    for answer in answers:
-        assert answer["ok"]
+    for status, body in answers:
+        answer = json.loads(body)
+        assert status == 200 and answer["ok"]
         _assert_record_matches_golden(
             answer["scenes"][0], golden["strategies"]["rejection"]
         )
-    assert not unknown["ok"] and unknown["error"]["type"] == "ValueError"
-    assert not bad["ok"]
-    assert stats["ok"] and stats["stats"]["requests"] >= 8
-    assert shutdown["ok"]
+    assert missing[0] == 404 and json.loads(missing[1])["error"]["type"] == "ValueError"
+    assert bad[0] == 400 and not json.loads(bad[1])["ok"]
+    requests = re.search(r"^repro_service_requests_total (\d+)$", metrics[1].decode(), re.M)
+    assert metrics[0] == 200 and int(requests.group(1)) >= 8
+
+
+def test_ndjson_hang_up_releases_its_slot_while_shards_run(monkeypatch, new_shm_segments):
+    """A stream client that hangs up before the first frame frees its slot at once.
+
+    The server watches the connection for end-of-file while it streams, so
+    the admission slot comes back within a second while both shards still
+    run.  Their blocks (all in shared memory here) are discarded when they
+    land, no failure is counted, and the next request matches ``workers=0``
+    record for record.
+    """
+    landed = []
+    discard = service_module._discard_late_outcome
+
+    def record_landing(future):
+        landed.append(time.monotonic())
+        discard(future)
+
+    monkeypatch.setattr(service_module, "_discard_late_outcome", record_landing)
+    source = _source("two_cars")
+    body = json.dumps({
+        "source": SLOW_SOURCE, "n": 32, "seed": 5, "max_iterations": 10**6, "stream": True,
+    }).encode()
+
+    async def run():
+        async with GenerationService(workers=2, shm_threshold=0) as service:
+            async with HttpGenerationServer(service) as server:
+                await service.generate(SLOW_SOURCE, n=2, seed=0, max_iterations=10**6)
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(
+                    b"POST /generate HTTP/1.1\r\nHost: t\r\n"
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+                )
+                await writer.drain()
+                await reader.readuntil(b"\r\n\r\n")  # the stream's headers
+                await asyncio.sleep(0.3)  # both shards are running
+                writer.close()
+                await writer.wait_closed()
+                closed = time.monotonic()
+                while service.service_stats()["pending"] and time.monotonic() < closed + 5:
+                    await asyncio.sleep(0.01)
+                released = time.monotonic()
+                # Queued behind the abandoned shards: they have landed when it returns.
+                after = await service.generate(source, n=8, seed=3)
+                return closed, released, new_shm_segments(), service.service_stats(), after.scenes
+
+    closed, released, leaked, stats, scenes = asyncio.run(run())
+    assert released - closed < 1.0
+    assert len(landed) == 2 and min(landed) > released
+    assert leaked == set()
+    assert stats["failures"] == 0
+    assert stats["pending"] == 0
+    assert scenes == generate_sync(source, n=8, seed=3).scenes
+
+
+def test_serve_cli_runs_until_sigterm():
+    """``serve --port 0`` answers ``/healthz`` on the printed port and exits 0 on SIGTERM."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.service", "serve", "--port", "0", "--workers", "1"],
+        stdout=subprocess.PIPE, text=True, env=env,
+    )
+    try:
+        banner = process.stdout.readline()
+        port = int(re.search(r":(\d+) ", banner).group(1))
+        status, body = asyncio.run(asyncio.wait_for(
+            http_request("127.0.0.1", port, "GET", "/healthz"), timeout=30))
+        process.send_signal(signal.SIGTERM)
+        output, _ = process.communicate(timeout=60)
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait()
+    assert status == 200 and json.loads(body)["ok"]
+    assert process.returncode == 0
+    assert "clean shutdown" in output
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,14 @@ Pins the throughput-first transport's user-visible contracts:
 * ``generate_stream`` frames reassemble **bit-identically** to the blocking
   response for the same request, at any worker count;
 * backpressure slots survive every exit path — normal completion, shard
-  failure, cancellation while *queued*, and an abandoned stream iterator;
-* the TCP server answers malformed and oversized requests with structured
-  error frames on a connection that keeps serving, and streams block
-  frames incrementally;
+  failure, cancellation while *queued*, and an abandoned stream iterator
+  (inline and on a process pool, where no shared-memory segment may leak);
 * the HTTP front end serves ``/healthz``, ``/metrics``, blocking and
-  NDJSON-streaming ``POST /generate``, and the ``/ws`` WebSocket.
+  NDJSON-streaming ``POST /generate``, and ends a failed stream with an
+  in-band error frame;
+* on a raw TCP connection, a stream after a keep-alive request carries one
+  frame per chunk and ends with the server's close, and over-cap requests
+  get a structured 413 before the connection ends.
 """
 
 import asyncio
@@ -22,14 +24,10 @@ import pytest
 
 from repro.service import (
     GenerationFailedError,
-    GenerationServer,
     GenerationService,
     HttpGenerationServer,
     ServiceOverloadedError,
     http_request,
-    request_over_tcp,
-    stream_over_tcp,
-    websocket_generate,
 )
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
@@ -150,21 +148,40 @@ def test_cancelled_queued_request_restores_full_capacity():
     assert asyncio.run(run()) == 1
 
 
-def test_abandoned_stream_releases_its_slot():
+def _abandon_then_generate(**service_options):
+    """Abandon a stream after its first frame; return the slot and the next request."""
     source = _source("two_cars")
 
     async def run():
-        async with GenerationService(workers=0, max_inflight=1, max_queue=0) as service:
+        async with GenerationService(max_inflight=1, max_queue=0, **service_options) as service:
             stream = service.generate_stream(source, n=6, seed=9, max_iterations=20000)
             async for _frame in stream:
                 break  # abandon after the first frame
             await stream.aclose()
-            assert service.service_stats()["pending"] == 0
+            pending = service.service_stats()["pending"]
             # The slot is genuinely free again.
-            response = await service.generate(source, n=1, seed=2, max_iterations=20000)
-            return response.scene_count
+            response = await service.generate(source, n=6, seed=2, max_iterations=20000)
+            return pending, response.scenes
 
-    assert asyncio.run(run()) == 1
+    return asyncio.run(run())
+
+
+def test_abandoned_stream_releases_its_slot():
+    pending, scenes = _abandon_then_generate(workers=0)
+    assert pending == 0
+    assert len(scenes) == 6
+
+
+def test_abandoned_stream_on_a_process_pool_releases_its_slot(new_shm_segments):
+    """The same on two workers, with every block in shared memory.
+
+    The shard still running when the stream is abandoned has its segment
+    discarded when it lands, and the next request matches ``workers=0``.
+    """
+    pending, scenes = _abandon_then_generate(workers=2, shm_threshold=0)
+    assert pending == 0
+    assert new_shm_segments() == set()
+    assert scenes == _abandon_then_generate(workers=0)[1]
 
 
 def test_failed_request_restores_capacity():
@@ -183,124 +200,7 @@ def test_failed_request_restores_capacity():
 
 
 # ---------------------------------------------------------------------------
-# TCP server: streaming + robustness
-# ---------------------------------------------------------------------------
-
-
-async def _open_lines(host, port):
-    return await asyncio.open_connection(host, port)
-
-
-async def _send_line(writer, payload):
-    writer.write(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
-    writer.write(b"\n")
-    await writer.drain()
-
-
-async def _read_json(reader):
-    line = await reader.readline()
-    assert line, "server closed the connection"
-    return json.loads(line.decode())
-
-
-def test_tcp_streaming_matches_blocking():
-    source = _source("two_cars")
-
-    async def run():
-        service = GenerationService(workers=2)
-        async with GenerationServer(service, port=0) as server:
-            request = {"op": "generate", "source": source, "n": 6, "seed": 42,
-                       "max_iterations": 20000}
-            blocking = await request_over_tcp("127.0.0.1", server.port, request)
-            frames = [
-                frame
-                async for frame in stream_over_tcp("127.0.0.1", server.port, request)
-            ]
-            return blocking, frames
-
-    blocking, frames = asyncio.run(run())
-    assert blocking["ok"] and all(frame["ok"] for frame in frames)
-    assert frames[-1]["frame"] == "end"
-    assert _reassemble(frames, 6) == blocking["scenes"]
-
-
-def test_tcp_malformed_json_keeps_connection_alive():
-    async def run():
-        service = GenerationService(workers=0)
-        async with GenerationServer(service, port=0) as server:
-            reader, writer = await _open_lines("127.0.0.1", server.port)
-            try:
-                await _send_line(writer, b"{not json at all")
-                error = await _read_json(reader)
-                await _send_line(writer, {"op": "ping"})
-                alive = await _read_json(reader)
-                await _send_line(writer, b'["an", "array"]')
-                not_object = await _read_json(reader)
-                await _send_line(writer, {"op": "ping"})
-                alive_again = await _read_json(reader)
-            finally:
-                writer.close()
-                await writer.wait_closed()
-            return error, alive, not_object, alive_again
-
-    error, alive, not_object, alive_again = asyncio.run(run())
-    assert error["ok"] is False and error["error"]["type"] == "JSONDecodeError"
-    assert alive == {"ok": True, "op": "ping"}
-    assert not_object["ok"] is False and "JSON object" in not_object["error"]["message"]
-    assert alive_again == {"ok": True, "op": "ping"}
-
-
-def test_tcp_oversized_request_answered_in_band():
-    async def run():
-        service = GenerationService(workers=0)
-        async with GenerationServer(service, port=0, max_request_bytes=512) as server:
-            reader, writer = await _open_lines("127.0.0.1", server.port)
-            try:
-                await _send_line(
-                    writer, json.dumps({"op": "generate", "source": "x" * 4096}).encode()
-                )
-                error = await _read_json(reader)
-                await _send_line(writer, {"op": "ping"})
-                alive = await _read_json(reader)
-            finally:
-                writer.close()
-                await writer.wait_closed()
-            return error, alive
-
-    error, alive = asyncio.run(run())
-    assert error["ok"] is False
-    assert error["error"]["type"] == "RequestTooLargeError"
-    assert alive == {"ok": True, "op": "ping"}
-
-
-def test_tcp_stream_error_frame_keeps_connection_alive():
-    bad = "ego = Object at 0 @ 0\nrequire ego.position.x > 1\n"
-
-    async def run():
-        service = GenerationService(workers=0)
-        async with GenerationServer(service, port=0) as server:
-            reader, writer = await _open_lines("127.0.0.1", server.port)
-            try:
-                await _send_line(writer, {
-                    "op": "generate", "source": bad, "n": 1, "max_iterations": 5,
-                    "stream": True,
-                })
-                error = await _read_json(reader)
-                await _send_line(writer, {"op": "ping"})
-                alive = await _read_json(reader)
-            finally:
-                writer.close()
-                await writer.wait_closed()
-            return error, alive
-
-    error, alive = asyncio.run(run())
-    assert error["ok"] is False and error["frame"] == "error"
-    assert error["error"]["type"] == "GenerationFailedError"
-    assert alive == {"ok": True, "op": "ping"}
-
-
-# ---------------------------------------------------------------------------
-# HTTP / WebSocket front end
+# HTTP front end
 # ---------------------------------------------------------------------------
 
 
@@ -347,18 +247,29 @@ def test_http_generate_blocking_and_ndjson_stream_agree():
                 "127.0.0.1", server.port, "POST", "/generate", {**request, "stream": True}
             )
             frames = [json.loads(line) for line in stream_body.decode().splitlines()]
-            ws_frames = []
-            async for frame in websocket_generate("127.0.0.1", server.port, request):
-                ws_frames.append(frame)
-            return status, blocking, status_stream, frames, ws_frames
+            return status, blocking, status_stream, frames
 
-    status, blocking, status_stream, frames, ws_frames = asyncio.run(run())
+    status, blocking, status_stream, frames = asyncio.run(run())
     assert status == 200 and status_stream == 200
     assert blocking["ok"] and len(blocking["scenes"]) == 6
+    assert all(frame["ok"] for frame in frames)
     assert frames[-1]["frame"] == "end"
     assert _reassemble(frames, 6) == blocking["scenes"]
-    assert ws_frames[-1]["frame"] == "end"
-    assert _reassemble(ws_frames, 6) == blocking["scenes"]
+
+
+def test_http_stream_of_infeasible_program_ends_in_error_frame():
+    bad = "ego = Object at 0 @ 0\nrequire ego.position.x > 1\n"
+    request = {"source": bad, "n": 1, "max_iterations": 5, "stream": True}
+
+    async def run():
+        async with HttpGenerationServer(GenerationService(workers=0)) as server:
+            return await http_request("127.0.0.1", server.port, "POST", "/generate", request)
+
+    status, body = asyncio.run(run())
+    frames = [json.loads(line) for line in body.decode().splitlines()]
+    assert status == 200  # the status line goes out before the first shard runs
+    assert frames[-1]["ok"] is False and frames[-1]["frame"] == "error"
+    assert frames[-1]["error"]["type"] == "GenerationFailedError"
 
 
 def test_http_overload_maps_to_503(monkeypatch):
@@ -410,3 +321,120 @@ def test_http_body_too_large_maps_to_413():
     status, body = asyncio.run(run())
     assert status == 413
     assert json.loads(body)["ok"] is False
+
+
+# ---------------------------------------------------------------------------
+# Raw TCP connections: framing the HTTP client helper hides
+# ---------------------------------------------------------------------------
+
+
+async def _read_head(reader):
+    """Status and lower-cased headers of one raw HTTP/1.1 response."""
+    status = int((await reader.readuntil(b"\r\n")).split()[1])
+    headers = {}
+    while (line := await reader.readuntil(b"\r\n")) != b"\r\n":
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    return status, headers
+
+
+async def _read_chunks(reader):
+    """The chunks of a chunked body, up to its zero-length terminator."""
+    chunks = []
+    while size := int(await reader.readuntil(b"\r\n"), 16):
+        chunks.append((await reader.readexactly(size + 2))[:-2])
+    await reader.readexactly(2)
+    return chunks
+
+
+def test_tcp_streaming_matches_blocking():
+    """Blocking, then streamed, on one keep-alive TCP connection to a 2-worker pool.
+
+    Each chunk of the stream carries exactly one NDJSON frame, one block
+    frame per shard, and the server closes the connection after the
+    terminating chunk.
+    """
+    source = _source("two_cars")
+    request = {"source": source, "n": 6, "seed": 42, "max_iterations": 20000}
+
+    async def post(writer, body):
+        payload = json.dumps(body).encode("utf-8")
+        writer.write(
+            f"POST /generate HTTP/1.1\r\nHost: t\r\nContent-Length: {len(payload)}\r\n\r\n"
+            .encode("latin-1") + payload
+        )
+        await writer.drain()
+
+    async def run():
+        async with HttpGenerationServer(GenerationService(workers=2)) as server:
+            reader, writer = await asyncio.open_connection(server.host, server.port)
+            try:
+                await post(writer, request)
+                status, headers = await _read_head(reader)
+                blocking = json.loads(await reader.readexactly(int(headers["content-length"])))
+                await post(writer, {**request, "stream": True})
+                stream_status, stream_headers = await _read_head(reader)
+                chunks = await asyncio.wait_for(_read_chunks(reader), timeout=60)
+                eof = await asyncio.wait_for(reader.read(), timeout=30)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+        return status, headers, blocking, stream_status, stream_headers, chunks, eof
+
+    status, headers, blocking, stream_status, stream_headers, chunks, eof = asyncio.run(run())
+    assert status == 200 and headers["connection"] == "keep-alive"
+    assert blocking["ok"] and len(blocking["scenes"]) == 6
+    assert stream_status == 200
+    assert stream_headers["transfer-encoding"] == "chunked"
+    assert stream_headers["connection"] == "close"
+    assert all(chunk.endswith(b"\n") and chunk.count(b"\n") == 1 for chunk in chunks)
+    frames = [json.loads(chunk) for chunk in chunks]
+    assert all(frame["ok"] for frame in frames)
+    assert frames[-1]["frame"] == "end" and frames[-1]["scenes"] == 6
+    assert [frame["frame"] for frame in frames[:-1]] == ["block"] * blocking["stats"]["shards"]
+    assert _reassemble(frames, 6) == blocking["scenes"]
+    assert eof == b""
+
+
+def test_tcp_oversized_request_answered_in_band():
+    """Over-cap requests get a structured 413, then the connection ends.
+
+    A body is refused from its declared ``Content-Length`` alone, before
+    the client sends a byte of it; a request line longer than the cap is
+    refused the same way.  The server keeps serving new connections.
+    """
+
+    async def refuse(server, head):
+        reader, writer = await asyncio.open_connection(server.host, server.port)
+        try:
+            writer.write(head)
+            await writer.drain()
+            status, headers = await _read_head(reader)
+            body = await reader.readexactly(int(headers["content-length"]))
+            eof = await asyncio.wait_for(reader.read(), timeout=30)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+        return status, headers["connection"], json.loads(body), eof
+
+    async def run():
+        service = GenerationService(workers=0)
+        async with HttpGenerationServer(service, max_body_bytes=512) as server:
+            body = await refuse(
+                server, b"POST /generate HTTP/1.1\r\nHost: t\r\nContent-Length: 4096\r\n\r\n"
+            )
+            line = await refuse(server, b"GET /" + b"x" * 600 + b" HTTP/1.1\r\n")
+            health = await http_request(server.host, server.port, "GET", "/healthz")
+        return body, line, health
+
+    body, line, health = asyncio.run(run())
+    assert body == (413, "close", {
+        "ok": False,
+        "error": {"type": "ValueError", "message": "request body exceeds 512 bytes"},
+    }, b"")
+    assert line == (413, "close", {
+        "ok": False,
+        "error": {"type": "ValueError", "message": "request line too long"},
+    }, b"")
+    status, payload = health
+    assert status == 200 and json.loads(payload)["ok"] is True

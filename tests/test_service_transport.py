@@ -135,11 +135,11 @@ def test_shared_memory_discard_frees_the_segment():
 def test_to_wire_respects_threshold():
     scenes, _ = _sample_scenes(_source("two_cars"), "rejection", n=3)
     block = SceneBlock.pack(scenes)
-    # Below threshold (or shm disabled): the block itself goes on the wire.
-    assert block.to_wire(use_shared_memory=False, threshold=0) is block
-    assert block.to_wire(use_shared_memory=True, threshold=block.nbytes + 1) is block
-    # At/above threshold with shm enabled: a handle goes on the wire.
-    carrier = block.to_wire(use_shared_memory=True, threshold=0)
+    # Inline (no threshold) or below threshold: the block itself goes on the wire.
+    assert block.to_wire(None) is block
+    assert block.to_wire(block.nbytes + 1) is block
+    # At/above threshold: a handle goes on the wire.
+    carrier = block.to_wire(0)
     assert carrier is not block
     assert materialize_block(carrier).records() == block.records()
 
@@ -174,17 +174,16 @@ def test_outcome_take_and_discard_block():
 
 
 def test_service_shm_and_pickle_transports_agree():
+    """Every block through shared memory, or none (a threshold above any block)."""
     source = _source("two_cars")
 
-    async def run(transport, threshold):
-        async with GenerationService(
-            workers=2, transport=transport, shm_threshold=threshold
-        ) as service:
+    async def run(threshold):
+        async with GenerationService(workers=2, shm_threshold=threshold) as service:
             response = await service.generate(source, n=8, seed=11, max_iterations=20000)
             return response.scenes, response.stats["shards"]
 
-    shm_scenes, shm_shards = asyncio.run(run("shm", 0))
-    pickled_scenes, pickled_shards = asyncio.run(run("pickle", 0))
+    shm_scenes, shm_shards = asyncio.run(run(0))
+    pickled_scenes, pickled_shards = asyncio.run(run(1 << 40))
     assert shm_shards == pickled_shards == 2
     assert shm_scenes == pickled_scenes
 
