@@ -66,10 +66,14 @@ def histogram_distance(
         counts_ref[min(bins - 1, int((value - low) / width))] += 1
     for value in candidate:
         counts_cand[min(bins - 1, int((value - low) / width))] += 1
+    # Sum |a/n - b/m| over a common denominator in integers: summing the
+    # float masses can round past 1 (e.g. 1.0000000000000002 on disjoint
+    # supports), while the integer sum is at most 2nm, so the one final
+    # division keeps the result exactly in [0, 1].
     n, m = len(reference), len(candidate)
-    return 0.5 * sum(
-        abs(a / n - b / m) for a, b in zip(counts_ref, counts_cand)
-    )
+    return sum(
+        abs(a * m - b * n) for a, b in zip(counts_ref, counts_cand)
+    ) / (2 * n * m)
 
 
 def emd_distance(reference: Sequence[float], candidate: Sequence[float]) -> float:

@@ -11,14 +11,11 @@ guide):
   worker count), routes shards to workers by artifact fingerprint so
   per-worker engine caches stay warm, enforces backpressure, and rolls
   per-request sampling statistics up into the response.
-  :meth:`GenerationService.generate_stream` yields scene blocks as shards
-  complete instead of buffering the whole batch.
+  :meth:`GenerationService.generate_stream` yields each shard's scene
+  records as it completes instead of buffering the whole batch.
 * :mod:`repro.service.worker` — the worker-process side: a process-local
   artifact cache plus a bound-engine LRU, so warm shards skip the parser
-  and interpreter entirely.
-* :mod:`repro.service.transport` — the columnar scene-block wire format
-  (structured numpy buffers, optionally carried over shared memory) that
-  replaces per-scene dict pickling between workers and the coordinator.
+  and interpreter entirely; each shard comes back as scene records.
 * :mod:`repro.service.server_http` — the stdlib-only HTTP front end
   (``/healthz``, ``/metrics``, ``POST /publish``, ``POST /generate`` with
   NDJSON streaming).
@@ -43,17 +40,14 @@ from .service import (
     ServiceOverloadedError,
     generate_sync,
 )
-from .transport import SceneBlock, ShmBlockHandle
 
 __all__ = [
     "GenerateResponse",
     "GenerationFailedError",
     "GenerationService",
     "HttpGenerationServer",
-    "SceneBlock",
     "ServiceError",
     "ServiceOverloadedError",
-    "ShmBlockHandle",
     "derive_scene_seeds",
     "generate_sync",
     "http_request",

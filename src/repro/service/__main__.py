@@ -57,11 +57,7 @@ def _sample_sources() -> dict:
 
 
 async def _cmd_serve(args: argparse.Namespace) -> int:
-    service = GenerationService(
-        workers=args.workers,
-        cache_dir=args.cache_dir,
-        shm_threshold=args.shm_threshold,
-    )
+    service = GenerationService(workers=args.workers, cache_dir=args.cache_dir)
     server = HttpGenerationServer(service, host=args.host, port=args.port)
     await server.start()
     stop = asyncio.Event()
@@ -173,9 +169,7 @@ async def _cmd_parity(args: argparse.Namespace) -> int:
                 seed = 7000 + 13 * seed_offset
                 reference = None
                 for workers in (0, 1, 2):
-                    async with GenerationService(
-                        workers=workers, shm_threshold=args.shm_threshold,
-                    ) as service:
+                    async with GenerationService(workers=workers) as service:
                         blocking = await service.generate(
                             source, n=args.scenes, seed=seed,
                             strategy=strategy, max_iterations=20000,
@@ -235,18 +229,12 @@ def build_parser() -> argparse.ArgumentParser:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shm_threshold(command) -> None:
-        command.add_argument("--shm-threshold", type=int, default=32768,
-                             help="min packed block bytes a worker hands back "
-                                  "through shared memory")
-
     serve = sub.add_parser("serve", help="run the HTTP server until SIGINT or SIGTERM")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8923)
     serve.add_argument("--workers", type=int, default=2)
     serve.add_argument("--cache-dir", default=None,
                        help="shared on-disk artifact cache directory")
-    add_shm_threshold(serve)
 
     smoke = sub.add_parser("smoke", help="CI smoke: concurrency + determinism + shutdown")
     smoke.add_argument("--workers", type=int, default=2)
@@ -259,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     parity.add_argument("--scenes", type=int, default=6)
     parity.add_argument("--seeds", type=int, default=2,
                         help="seeds per strategy/worker-count combination")
-    add_shm_threshold(parity)
 
     generate = sub.add_parser("generate", help="one-shot generation from a .scenic file")
     generate.add_argument("file", help="path to a .scenic program, or - for stdin")

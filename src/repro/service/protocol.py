@@ -8,7 +8,8 @@ Live :class:`~repro.core.scene.Scene` objects close over interpreter state
 and cannot cross either, so scenes travel as *scene records*: the same
 class/position/heading/width/height summary the golden corpus pins down
 (``tests/golden/``), which is also exactly what batch consumers (training
-pipelines, exporters) read off a scene.
+pipelines, exporters) read off a scene.  A worker builds each record once
+(:func:`scene_record`) and the same dict reaches the client.
 
 Seed derivation lives here too, because the determinism contract is part of
 the protocol: see :func:`derive_scene_seeds`.
@@ -17,9 +18,7 @@ the protocol: see :func:`derive_scene_seeds`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
-
-from .transport import SceneBlock, materialize_block
+from typing import Any, Dict, List, Optional
 
 #: Scene-seed derivation modes accepted by ``generate`` requests.
 DERIVE_MODES = ("splitmix", "direct")
@@ -133,27 +132,18 @@ class ShardPayload:
     indices: List[int]
     seeds: Optional[List[int]]  # None = sequential/direct mode
     master_seed: int
-    record_iterations: bool = True
-    #: Minimum block payload (bytes) carried home through a shared-memory
-    #: segment; smaller blocks pickle their arrays.  ``None`` (inline
-    #: shards) never uses shared memory.
-    shm_threshold: Optional[int] = None
 
 
 @dataclass
 class ShardOutcome:
     """What one worker hands back for one :class:`ShardPayload`.
 
-    Scenes travel as *one columnar block per shard* — either a
-    :class:`~repro.service.transport.SceneBlock` (pickled numpy columns) or
-    a :class:`~repro.service.transport.ShmBlockHandle` naming a
-    shared-memory segment, per the payload's ``shm_threshold``.  Call
-    :meth:`take_block` exactly once coordinator-side: it attaches, copies
-    and unlinks any segment, so outcomes never leak shared memory.
+    ``records`` holds the shard's scenes as :func:`scene_record` dicts, in
+    ``indices`` order; they pickle home with the rest of the outcome.
     """
 
     indices: List[int]
-    block: Any  # SceneBlock | ShmBlockHandle | None
+    records: List[Dict[str, Any]]
     stats: Dict[str, Any]
     cache_hit: bool
     worker_pid: int
@@ -162,34 +152,20 @@ class ShardOutcome:
     #: True when the worker reused a bound engine (not just a warm artifact).
     engine_hit: bool = False
 
-    def take_block(self) -> Optional[SceneBlock]:
-        """Materialise the scene block, releasing any shared-memory segment."""
-        block = materialize_block(self.block)
-        self.block = block
-        return block
+    def take_block(self) -> List[Dict[str, Any]]:
+        """Hand over the shard's scene records.
 
-    def discard_block(self) -> None:
-        """Free the block's shared-memory segment without materialising.
-
-        Error paths must call this (or :meth:`take_block`) for every
-        outcome that arrives after a request already failed; a dropped
-        handle would orphan its segment until interpreter exit.
+        The service calls this once per delivered shard, where the shard's
+        scenes reach the coordinator (``perfbench/tracing.py`` times it).
         """
-        if self.block is not None and hasattr(self.block, "discard"):
-            self.block.discard()
-        self.block = None
+        return self.records
 
 
 class GenerateResponse:
     """The front end's answer to one ``generate`` request.
 
-    ``scenes`` holds scene records in index order.  Internally the response
-    keeps the shards' columnar blocks and materialises JSON records
-    *lazily*, on first ``scenes`` access — the protocol edge.  Callers that
-    only read ``stats`` (health checks, throughput probes) never pay the
-    per-scene dict construction.
-
-    ``stats`` is the request-wide roll-up (merged from every shard's
+    ``scenes`` holds scene records in index order.  ``stats`` is the
+    request-wide roll-up (merged from every shard's
     :class:`~repro.sampling.AggregateStats`): accepted scenes, candidate
     iterations, the rejection breakdown by cause, worker cache hits and
     wall-clock time.
@@ -201,51 +177,24 @@ class GenerateResponse:
         strategy: str,
         seed: int,
         derive: str,
-        scenes: Optional[List[Dict[str, Any]]] = None,
-        stats: Optional[Dict[str, Any]] = None,
+        scenes: List[Dict[str, Any]],
+        stats: Dict[str, Any],
     ):
         self.fingerprint = fingerprint
         self.strategy = strategy
         self.seed = seed
         self.derive = derive
-        self.stats: Dict[str, Any] = stats if stats is not None else {}
-        self._scenes: Optional[List[Dict[str, Any]]] = scenes
-        self._blocks: List[Tuple[List[int], SceneBlock]] = []
-        self._total = len(scenes) if scenes is not None else 0
-
-    def attach_blocks(
-        self, blocks: List[Tuple[List[int], SceneBlock]], total: int
-    ) -> None:
-        """Adopt the shards' ``(indices, block)`` pairs; records stay packed."""
-        self._blocks = blocks
-        self._total = total
-        self._scenes = None
+        self._scenes = scenes
+        self.stats = stats
 
     @property
     def scenes(self) -> List[Dict[str, Any]]:
-        """Scene records in index order (materialised on first access)."""
-        if self._scenes is None:
-            scenes: List[Optional[Dict[str, Any]]] = [None] * self._total
-            for indices, block in self._blocks:
-                for position, index in enumerate(indices):
-                    scenes[index] = block.record_at(position)
-            self._scenes = scenes  # type: ignore[assignment]  # shards cover 0..n-1
+        """Scene records in index order.
+
+        A property so that a tracer can time reads at the protocol edge
+        (``perfbench/tracing.py`` wraps it).
+        """
         return self._scenes
-
-    @scenes.setter
-    def scenes(self, value: List[Dict[str, Any]]) -> None:
-        self._scenes = list(value)
-        self._total = len(self._scenes)
-        self._blocks = []
-
-    @property
-    def scene_count(self) -> int:
-        """Number of scenes without forcing record materialisation."""
-        return self._total
-
-    def iter_blocks(self) -> Iterator[Tuple[List[int], SceneBlock]]:
-        """The raw ``(indices, block)`` pairs, shard completion order."""
-        return iter(self._blocks)
 
     def as_dict(self) -> Dict[str, Any]:
         return {
@@ -260,7 +209,7 @@ class GenerateResponse:
     def __repr__(self) -> str:
         return (
             f"GenerateResponse({self.fingerprint[:12]}..., strategy={self.strategy!r}, "
-            f"seed={self.seed}, scenes={self.scene_count})"
+            f"seed={self.seed}, scenes={len(self._scenes)})"
         )
 
 

@@ -26,11 +26,11 @@ the surface is four routes:
     yields, block frames as shards complete and an ``end`` frame with the
     merged stats.  A stream client that hangs up aborts its request at
     once: the admission slot is released without waiting for the running
-    shards, whose blocks are discarded when they land.
+    shards, whose records are dropped when they land.
 
 Errors are structured: ``{"ok": false, "error": {"type": ...,
 "message": ...}}`` with status 400 (bad request), 404 (no such route),
-405 (wrong method), 413 (body too large), 503
+405 (wrong method), 413 (body, request line or header line too long), 503
 (:class:`ServiceOverloadedError`) or 500 (shard failures), and —
 mid-stream — an ``"frame": "error"`` NDJSON line, since the status line
 has already been sent.
@@ -83,6 +83,14 @@ def _json_object(body: bytes) -> Dict[str, Any]:
     return request
 
 
+def _integer(request: Dict[str, Any], field: str, default: int) -> int:
+    """A request field that must be a JSON integer (``true`` and ``2.5`` are not)."""
+    value = request.get(field, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"'{field}' must be an integer, not {json.dumps(value)}")
+    return value
+
+
 def _generate_params(request: Dict[str, Any]) -> Dict[str, Any]:
     """Validate a generate request's fields into ``generate(...)`` kwargs."""
     source_or_hash = request.get("source") or request.get("fingerprint")
@@ -93,10 +101,10 @@ def _generate_params(request: Dict[str, Any]) -> Dict[str, Any]:
         raise ValueError("'options' must be an object of strategy options")
     params = {
         "source_or_hash": str(source_or_hash),
-        "n": int(request.get("n", 1)),
-        "seed": int(request.get("seed", 0)),
+        "n": _integer(request, "n", 1),
+        "seed": _integer(request, "seed", 0),
         "strategy": str(request.get("strategy", "rejection")),
-        "max_iterations": int(request.get("max_iterations", 2000)),
+        "max_iterations": _integer(request, "max_iterations", 2000),
         "derive": str(request.get("derive", "splitmix")),
     }
     clashes = sorted(set(options) & (set(params) | {"source", "fingerprint"}))
@@ -182,13 +190,8 @@ class HttpGenerationServer:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         """One request, or ``None`` once the connection cannot go on."""
-        try:
-            request_line = await reader.readuntil(b"\r\n")
-        except asyncio.IncompleteReadError:
-            return None
-        except asyncio.LimitOverrunError:
-            await self._send_json(writer, 413, _error_response(
-                ValueError("request line too long")))
+        request_line = await self._read_line(reader, writer, "request")
+        if request_line is None:
             return None
         parts = request_line.decode("latin-1").strip().split()
         if len(parts) != 3:
@@ -199,9 +202,8 @@ class HttpGenerationServer:
 
         headers: Dict[str, str] = {}
         while True:
-            try:
-                line = await reader.readuntil(b"\r\n")
-            except (asyncio.IncompleteReadError, asyncio.LimitOverrunError):
+            line = await self._read_line(reader, writer, "header")
+            if line is None:
                 return None
             if line in (b"\r\n", b"\n"):
                 break
@@ -222,6 +224,19 @@ class HttpGenerationServer:
             return None
         body = await reader.readexactly(length) if length else b""
         return method, path, headers, body
+
+    async def _read_line(
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter, kind: str
+    ) -> Optional[bytes]:
+        """One CRLF-terminated line; ``None`` at end-of-file or, after a 413, when too long."""
+        try:
+            return await reader.readuntil(b"\r\n")
+        except asyncio.IncompleteReadError:
+            return None
+        except asyncio.LimitOverrunError:
+            await self._send_json(writer, 413, _error_response(
+                ValueError(f"{kind} line too long")))
+            return None
 
     async def _route(
         self,

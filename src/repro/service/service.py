@@ -15,16 +15,15 @@ traffic" north star asks for, built on the compile-once artifacts of
   to worker ``(hash(fingerprint) + k) % workers``, so repeat requests for
   the same program land on workers whose bound-engine caches already hold
   it;
-* **columnar transport** — workers hand scenes back as structured numpy
-  blocks (:mod:`repro.service.transport`), over shared memory for large
-  shards, and JSON scene records are materialised lazily at the protocol
-  edge;
+* **scene records** — workers hand each shard's scenes back as
+  :func:`~repro.service.protocol.scene_record` dicts, the format clients
+  receive;
 * **async + backpressure + streaming** — ``generate`` is a coroutine; at
   most ``max_inflight`` requests run concurrently, at most ``max_queue``
   wait, and anything beyond that fails fast with
   :class:`ServiceOverloadedError` instead of growing an unbounded queue.
-  :meth:`GenerationService.generate_stream` yields scene blocks as shards
-  complete instead of buffering the whole response;
+  :meth:`GenerationService.generate_stream` yields each shard's records as
+  it completes; ``generate`` collects those same frames into one response;
 * **stats** — every response carries the request-wide
   :class:`~repro.sampling.AggregateStats`-style roll-up (iterations,
   rejection breakdown by cause, worker cache and engine-affinity hits, wall
@@ -56,9 +55,10 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
+from contextlib import aclosing
+from typing import Any, AsyncIterator, Dict, List, Optional
 
 from ..language.compiler import ArtifactCache, compile_scenario, source_fingerprint
 from ..sampling.strategies import make_strategy
@@ -70,7 +70,6 @@ from .protocol import (
     derive_scene_seeds,
     merge_shard_stats,
 )
-from .transport import DEFAULT_SHM_THRESHOLD, SceneBlock
 from .worker import initialize_worker, run_shard
 
 
@@ -112,10 +111,6 @@ class GenerationService:
         also used by the coordinator's own cache.
     worker_cache_size:
         Per-worker in-memory artifact LRU size.
-    shm_threshold:
-        Minimum packed block size (bytes) a pool worker hands back through
-        a shared-memory segment; smaller blocks pickle their arrays.
-        Inline shards (``workers=0``) never use shared memory.
     """
 
     def __init__(
@@ -125,7 +120,6 @@ class GenerationService:
         max_queue: int = 32,
         cache_dir: Optional[str] = None,
         worker_cache_size: int = 64,
-        shm_threshold: int = DEFAULT_SHM_THRESHOLD,
     ):
         self.workers = max(0, int(workers))
         self.max_inflight = max_inflight if max_inflight is not None else 2 * max(self.workers, 1)
@@ -134,7 +128,6 @@ class GenerationService:
         self.max_queue = max(0, int(max_queue))
         self.cache_dir = cache_dir
         self.worker_cache_size = worker_cache_size
-        self.shm_threshold = int(shm_threshold)
         self.cache = ArtifactCache(disk_dir=cache_dir)
         self._sources: Dict[str, str] = {}
         self._pools: List[ProcessPoolExecutor] = []
@@ -253,6 +246,8 @@ class GenerationService:
         unknown strategy or an option it does not take is the client's
         ``ValueError``, not a shard failure.
         """
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"n must be an integer, not {n!r}")
         if n < 0:
             raise ValueError("n must be non-negative")
         if derive not in DERIVE_MODES:
@@ -285,23 +280,32 @@ class GenerationService:
         unsharded, draw-for-draw equal to ``Scenario.generate_batch`` (and,
         with ``n=1``, to ``Scenario.generate`` — the golden corpus).
 
+        The response is built from the frames :meth:`generate_stream` would
+        yield for the same request, reassembled by index.
+
         Backpressure: waits for an inflight slot while the wait queue is
         below ``max_queue``, sheds with :class:`ServiceOverloadedError`
-        beyond that.  Failures of any shard (infeasible program, exhausted
-        budget, compile error) raise :class:`GenerationFailedError` with the
-        worker's diagnostic attached.
+        beyond that.  The first failed shard (infeasible program, exhausted
+        budget, compile error, dead worker) raises
+        :class:`GenerationFailedError` with the worker's diagnostic attached.
         """
         if not self._started:
             await self.start()
         self._validate(n, derive, strategy, max_iterations, strategy_options)
         self._admit()
         try:
+            scenes: List[Any] = [None] * n
             async with self._inflight:
-                return await self._generate_admitted(
+                async for frame in self._stream_admitted(
                     source_or_hash, n, seed, strategy, max_iterations, derive, strategy_options
-                )
+                ):
+                    if frame["frame"] == "block":
+                        for index, record in zip(frame["indices"], frame["scenes"]):
+                            scenes[index] = record
         finally:
             self._pending -= 1
+        end = frame  # the stream always ends with its end frame
+        return GenerateResponse(end["fingerprint"], strategy, seed, derive, scenes, end["stats"])
 
     async def generate_stream(
         self,
@@ -313,7 +317,7 @@ class GenerationService:
         derive: str = "splitmix",
         **strategy_options: Any,
     ) -> AsyncIterator[Dict[str, Any]]:
-        """Like :meth:`generate`, but yield scene blocks as shards complete.
+        """Like :meth:`generate`, but yield each shard's records as it completes.
 
         An async iterator of JSON-safe *frames*:
 
@@ -330,91 +334,25 @@ class GenerationService:
 
         The request holds its admission slot until the iterator is
         exhausted *or closed*: an abandoned stream (``aclose()``, garbage
-        collection, ``break``) releases backpressure capacity and discards
-        any undelivered shared-memory blocks.
+        collection, ``break``) releases its slot when it is closed, without
+        waiting for shards that are still running.
         """
         if not self._started:
             await self.start()
         self._validate(n, derive, strategy, max_iterations, strategy_options)
         self._admit()
         try:
-            acquired = False
-            await self._inflight.acquire()
-            acquired = True
-            try:
-                async for frame in self._stream_admitted(
+            async with self._inflight:
+                self.stats["streams"] += 1
+                async with aclosing(self._stream_admitted(
                     source_or_hash, n, seed, strategy, max_iterations, derive, strategy_options
-                ):
-                    yield frame
-            finally:
-                if acquired:
-                    self._inflight.release()
+                )) as frames:
+                    async for frame in frames:
+                        yield frame
         finally:
             self._pending -= 1
 
     # -- request execution --------------------------------------------------------
-
-    def _begin_request(
-        self, source_or_hash: str, strategy: str, seed: int, derive: str
-    ) -> Tuple[str, str, GenerateResponse]:
-        source = self.resolve(source_or_hash)
-        fingerprint = source_fingerprint(source)
-        self.stats["requests"] += 1
-        response = GenerateResponse(
-            fingerprint=fingerprint, strategy=strategy, seed=seed, derive=derive
-        )
-        return source, fingerprint, response
-
-    async def _generate_admitted(
-        self,
-        source_or_hash: str,
-        n: int,
-        seed: int,
-        strategy: str,
-        max_iterations: int,
-        derive: str,
-        strategy_options: Dict[str, Any],
-    ) -> GenerateResponse:
-        start = time.perf_counter()
-        source, fingerprint, response = self._begin_request(
-            source_or_hash, strategy, seed, derive
-        )
-        if n == 0:
-            response.stats = merge_shard_stats([])
-            response.stats["wall_seconds"] = time.perf_counter() - start
-            return response
-
-        seeds = derive_scene_seeds(seed, n, derive)
-        payloads = self._make_payloads(
-            fingerprint, source, strategy, strategy_options, max_iterations, n, seed, seeds
-        )
-        outcomes = await asyncio.gather(
-            *(
-                self._run_payload(payload, self._worker_for(fingerprint, shard))
-                for shard, payload in enumerate(payloads)
-            )
-        )
-
-        failed = next((outcome for outcome in outcomes if outcome.error is not None), None)
-        if failed is not None:
-            for outcome in outcomes:
-                outcome.discard_block()
-            self.stats["failures"] += 1
-            raise GenerationFailedError(
-                f"shard failed with {failed.error['type']}: {failed.error['message']}",
-                detail=failed.error,
-            )
-
-        blocks: List[Tuple[List[int], SceneBlock]] = []
-        for outcome in outcomes:
-            block = outcome.take_block()  # releases any shm segment now
-            blocks.append((outcome.indices, block))
-            self._note_engine_cache(outcome)
-        response.attach_blocks(blocks, n)
-        response.stats = merge_shard_stats(list(outcomes))
-        response.stats["wall_seconds"] = time.perf_counter() - start
-        self.stats["scenes"] += n
-        return response
 
     async def _stream_admitted(
         self,
@@ -426,32 +364,14 @@ class GenerationService:
         derive: str,
         strategy_options: Dict[str, Any],
     ) -> AsyncIterator[Dict[str, Any]]:
+        """The one shard path: run an admitted request's shards, yield its frames."""
         start = time.perf_counter()
-        source, fingerprint, response = self._begin_request(
-            source_or_hash, strategy, seed, derive
-        )
-        self.stats["streams"] += 1
-
-        def end_frame(outcomes: List[ShardOutcome]) -> Dict[str, Any]:
-            stats = merge_shard_stats(outcomes)
-            stats["wall_seconds"] = time.perf_counter() - start
-            return {
-                "frame": "end",
-                "fingerprint": fingerprint,
-                "strategy": strategy,
-                "seed": seed,
-                "derive": derive,
-                "scenes": n,
-                "stats": stats,
-            }
-
-        if n == 0:
-            yield end_frame([])
-            return
-
-        seeds = derive_scene_seeds(seed, n, derive)
+        source = self.resolve(source_or_hash)
+        fingerprint = source_fingerprint(source)
+        self.stats["requests"] += 1
         payloads = self._make_payloads(
-            fingerprint, source, strategy, strategy_options, max_iterations, n, seed, seeds
+            fingerprint, source, strategy, strategy_options, max_iterations, n, seed,
+            derive_scene_seeds(seed, n, derive),
         )
         tasks = [
             asyncio.ensure_future(
@@ -460,7 +380,6 @@ class GenerationService:
             for shard, payload in enumerate(payloads)
         ]
         done: List[ShardOutcome] = []
-        delivered = set()  # id() of outcomes whose block we have taken
         try:
             for future in asyncio.as_completed(tasks):
                 outcome = await future
@@ -471,30 +390,33 @@ class GenerationService:
                         f"{outcome.error['message']}",
                         detail=outcome.error,
                     )
-                block = outcome.take_block()
-                delivered.add(id(outcome))
                 done.append(outcome)
                 self._note_engine_cache(outcome)
                 yield {
                     "frame": "block",
                     "indices": list(outcome.indices),
-                    "scenes": block.records(),
+                    "scenes": outcome.take_block(),
                     "shard": len(done) - 1,
                     "worker_pid": outcome.worker_pid,
                 }
-            self.stats["scenes"] += n
-            yield end_frame(done)
         finally:
-            # Abandoned or failed mid-stream: stop what can be stopped and
-            # free every block we never handed out (incl. shm segments from
-            # shards that finished after the failure).
+            # Failed or abandoned: stop the shards that have not started.
+            # Running ones cannot be stopped; nothing waits for them.
             for task in tasks:
-                if not task.done():
-                    task.cancel()
-            results = await asyncio.gather(*tasks, return_exceptions=True)
-            for result in results:
-                if isinstance(result, ShardOutcome) and id(result) not in delivered:
-                    result.discard_block()
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+        self.stats["scenes"] += n
+        stats = merge_shard_stats(done)
+        stats["wall_seconds"] = time.perf_counter() - start
+        yield {
+            "frame": "end",
+            "fingerprint": fingerprint,
+            "strategy": strategy,
+            "seed": seed,
+            "derive": derive,
+            "scenes": n,
+            "stats": stats,
+        }
 
     def _note_engine_cache(self, outcome: ShardOutcome) -> None:
         key = "engine_cache_hits" if outcome.engine_hit else "engine_cache_misses"
@@ -528,7 +450,6 @@ class GenerationService:
         base, extra = divmod(n, shard_count)
         payloads: List[ShardPayload] = []
         next_index = 0
-        shm_threshold = self.shm_threshold if self._pools else None
         for shard in range(shard_count):
             size = base + (1 if shard < extra else 0)
             if size == 0:
@@ -545,7 +466,6 @@ class GenerationService:
                     indices=indices,
                     seeds=None if seeds is None else [seeds[index] for index in indices],
                     master_seed=seed,
-                    shm_threshold=shm_threshold,
                 )
             )
         return payloads
@@ -561,18 +481,11 @@ class GenerationService:
         any other shard failure.
         """
         if worker is None:
-            # workers=0: the default thread pool; blocks stay in-process.
+            # workers=0: the default thread pool.
             return await asyncio.get_running_loop().run_in_executor(None, run_shard, payload)
         pool = self._pools[worker]
         try:
-            future = pool.submit(run_shard, payload)
-            try:
-                return await asyncio.wrap_future(future)
-            except asyncio.CancelledError:
-                # A running shard cannot be stopped: free its block when it lands.
-                if not future.cancel():
-                    future.add_done_callback(_discard_late_outcome)
-                raise
+            return await asyncio.wrap_future(pool.submit(run_shard, payload))
         except BrokenProcessPool as error:
             # Concurrent shards on the same dead pool all land here: only the
             # first replaces it.
@@ -581,7 +494,7 @@ class GenerationService:
                 pool.shutdown(wait=False)
             return ShardOutcome(
                 indices=[],
-                block=None,
+                records=[],
                 stats={},
                 cache_hit=False,
                 worker_pid=0,
@@ -610,12 +523,6 @@ class GenerationService:
             "published_programs": len(self._sources),
             "coordinator_cache": self.cache.stats.as_dict(),
         }
-
-
-def _discard_late_outcome(future: Future[ShardOutcome]) -> None:
-    """Free the block of a shard whose request stopped waiting for it."""
-    if not future.cancelled() and future.exception() is None:
-        future.result().discard_block()
 
 
 def generate_sync(

@@ -12,12 +12,10 @@ immediately.  The service routes shards to workers by artifact fingerprint
 Everything entering and leaving this module is plain data
 (:class:`~repro.service.protocol.ShardPayload` /
 :class:`~repro.service.protocol.ShardOutcome`): live scenes never cross the
-process boundary.  Scenes leave as one columnar
-:class:`~repro.service.transport.SceneBlock` per shard — packed straight
-from the concrete objects, no per-scene dicts — carried either pickled or
-via a shared-memory segment (the payload's ``shm_threshold``).  Worker-side
-failures are folded into the outcome's ``error`` field rather than raised,
-so one infeasible shard cannot poison the pool.
+process boundary.  Each scene leaves as its
+:func:`~repro.service.protocol.scene_record`, the format clients receive.
+Worker-side failures are folded into the outcome's ``error`` field rather
+than raised, so one infeasible shard cannot poison the pool.
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from .protocol import ShardOutcome, ShardPayload
-from .transport import SceneBlock
+from .protocol import ShardOutcome, ShardPayload, scene_record
 
 # Process-local state, created by initialize_worker (or lazily on first use
 # when shards run inline in the coordinator process, workers=0).
@@ -107,11 +104,7 @@ def _engine_for(payload: ShardPayload) -> Tuple[Any, bool, bool]:
 
 
 def _sample_indices(
-    engine: Any,
-    payload: ShardPayload,
-    aggregate: Any,
-    scenes: List[Any],
-    iterations: List[Optional[int]],
+    engine: Any, payload: ShardPayload, aggregate: Any, records: List[Dict[str, Any]]
 ) -> None:
     """The shard sampling loop.
 
@@ -147,21 +140,11 @@ def _sample_indices(
                 else None
             ),
         )
-        scenes.append(scene)
-        iterations.append(
-            engine.last_stats.iterations
-            if payload.record_iterations and engine.last_stats
-            else None
-        )
+        records.append(scene_record(scene, iterations=engine.last_stats.iterations))
 
 
 def run_shard(payload: ShardPayload) -> ShardOutcome:
-    """Sample one shard's scene indices; never raises.
-
-    The accepted scenes are packed into one columnar
-    :class:`~repro.service.transport.SceneBlock` after the sampling loop;
-    blocks of at least ``payload.shm_threshold`` bytes travel in a
-    shared-memory segment the coordinator unlinks after reading.
+    """Sample one shard's scene indices into scene records; never raises.
 
     Holds :data:`_SHARD_LOCK` for the duration: shards within one process
     run serially (only observable in the coordinator's inline ``workers=0``
@@ -172,27 +155,25 @@ def run_shard(payload: ShardPayload) -> ShardOutcome:
 
     start = time.perf_counter()
     aggregate = AggregateStats()
-    scenes: List[Any] = []
-    iterations: List[Optional[int]] = []
+    records: List[Dict[str, Any]] = []
     error: Optional[Dict[str, Any]] = None
     cache_hit = False
     engine_hit = False
     try:
         with _SHARD_LOCK:
             engine, cache_hit, engine_hit = _engine_for(payload)
-            _sample_indices(engine, payload, aggregate, scenes, iterations)
+            _sample_indices(engine, payload, aggregate, records)
     except Exception as exc:  # noqa: BLE001 - outcomes must always pickle home
         error = {
             "type": type(exc).__name__,
             "message": str(exc),
-            "index": payload.indices[len(scenes)]
-            if len(scenes) < len(payload.indices)
+            "index": payload.indices[len(records)]
+            if len(records) < len(payload.indices)
             else None,
         }
-    block = SceneBlock.pack(scenes, iterations=iterations)
     return ShardOutcome(
-        indices=list(payload.indices[: len(scenes)]),
-        block=block.to_wire(payload.shm_threshold),
+        indices=list(payload.indices[: len(records)]),
+        records=records,
         stats=aggregate.to_shard_stats(),
         cache_hit=cache_hit,
         worker_pid=os.getpid(),

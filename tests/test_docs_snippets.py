@@ -9,11 +9,15 @@ Walks ``docs/**/*.md`` plus ``README.md`` and
   :func:`compile`;
 * resolves every relative Markdown link (and any ``[[wiki-style]]`` link)
   to an existing file, so the cross-link structure of the docs site cannot
-  silently break.
+  silently break;
+* checks that every backticked repository path (``src/...``, ``tests/...``,
+  ``repro/...`` and the other top-level directories) still exists, so the
+  docs cannot name a deleted file or test.
 
 Run by the CI ``docs`` job and as part of tier-1.
 """
 
+import glob
 import re
 from pathlib import Path
 
@@ -27,6 +31,11 @@ DOC_FILES = sorted((ROOT / "docs").glob("**/*.md")) + [ROOT / "README.md"]
 _FENCE = re.compile(r"^(\s*)```+\s*([A-Za-z0-9_+-]*)\s*$")
 _MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _WIKI_LINK = re.compile(r"\[\[([^\]|#]+)(?:[|#][^\]]*)?\]\]")
+_CODE_SPAN = re.compile(r"`([^`\n]+)`")
+_REPO_DIRS = (
+    "src/", "tests/", "perfbench/", "benchmarks/", "examples/", "corpus/", "results/",
+    "repro/",
+)
 
 
 def fenced_blocks(path):
@@ -93,19 +102,23 @@ def test_python_snippet_is_valid_syntax(path, snippet):
     compile(snippet, "<doc snippet>", "exec")
 
 
-@pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: str(p.relative_to(ROOT)))
-def test_relative_links_resolve(path):
-    text = path.read_text()
-    # Strip fenced blocks: code examples may legitimately contain brackets.
+def prose(path):
+    """The text of *path* outside its fenced blocks."""
     stripped = []
     in_fence = False
-    for line in text.splitlines():
+    for line in path.read_text().splitlines():
         if _FENCE.match(line):
             in_fence = not in_fence
             continue
         if not in_fence:
             stripped.append(line)
-    body = "\n".join(stripped)
+    return "\n".join(stripped)
+
+
+@pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_relative_links_resolve(path):
+    # Fenced blocks are skipped: code examples may legitimately contain brackets.
+    body = prose(path)
 
     for target in _MARKDOWN_LINK.findall(body):
         if target.startswith(("http://", "https://", "mailto:", "#")):
@@ -116,3 +129,26 @@ def test_relative_links_resolve(path):
     for name in _WIKI_LINK.findall(body):
         candidate = (ROOT / "docs" / f"{name.strip()}.md").resolve()
         assert candidate.exists(), f"{path.name}: broken wiki link -> [[{name}]]"
+
+
+@pytest.mark.parametrize("path", DOC_FILES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_named_repo_paths_exist(path):
+    """Every backticked repository path in the prose names something that exists.
+
+    ``repro/`` paths resolve under ``src/``; ``*`` and ``<name>``
+    placeholders match like a glob; a ``::name`` suffix (a pytest node id)
+    must name a ``def`` or ``class`` in that file.
+    """
+    for reference in _CODE_SPAN.findall(prose(path)):
+        if not reference.startswith(_REPO_DIRS):
+            continue
+        target, *nodes = reference.split("::")
+        pattern = re.sub(r"<[^>]*>", "*", target)
+        if pattern.startswith("repro/"):
+            pattern = "src/" + pattern
+        matches = glob.glob(str(ROOT / pattern))
+        assert matches, f"{path.name}: `{reference}` names no file"
+        for node in nodes:
+            name = re.escape(node.split("[", 1)[0])
+            found = re.search(rf"^\s*(?:def|class) {name}\b", Path(matches[0]).read_text(), re.M)
+            assert found, f"{path.name}: `{reference}` names no such test"

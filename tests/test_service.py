@@ -40,7 +40,6 @@ from repro.service import (
     scene_record,
     splitmix64,
 )
-from repro.service import service as service_module
 from repro.service.protocol import ShardPayload, derive_scene_seeds
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
@@ -126,35 +125,63 @@ def test_concurrent_requests_reproduce_golden_corpus():
     assert stats["peak_pending"] >= 8  # genuinely concurrent admission
 
 
-def test_sharded_splitmix_seeds_are_worker_count_invariant():
-    """The same (seed, n) request is bit-identical however it is sharded.
+#: A program whose scenes carry ``param`` values.
+PARAM_SOURCE = """
+param weather = Uniform('sunny', 'rain')
+param speed_limit = Range(10, 20)
+ego = Object at Range(-3, 3) @ 0
+Object at Range(-3, 3) @ 4
+"""
+
+
+@pytest.mark.parametrize(
+    "program,strategy",
+    [
+        ("two_cars", "rejection"),
+        ("two_cars", "vectorized"),
+        ("two_cars", "batch"),
+        ("two_cars", "direct"),
+        ("params", "rejection"),
+    ],
+    ids=["rejection", "vectorized", "batch", "direct", "params"],
+)
+def test_sharded_splitmix_seeds_are_worker_count_invariant(program, strategy):
+    """The same (seed, n) request gives the same records however it is sharded.
 
     Cross-checks three executions of one request — a 2-process pool, inline
-    (no pool), and a direct in-process engine loop using the documented
-    per-scene seed derivation — all must agree exactly.
+    (no pool), and an in-process engine loop using the documented per-scene
+    seed derivation — record for record, ``params`` and ``iterations``
+    included.  ``direct``'s ``importance_weight`` is an online estimate that
+    depends on the engine's draw history, so it is only checked to lie in
+    (0, 1] and is stripped before comparing.
     """
-    source = _source("two_cars")
+    source = PARAM_SOURCE if program == "params" else _source(program)
+    seed, n = 424242, 10
 
     async def run(workers):
         async with GenerationService(workers=workers) as service:
-            response = await service.generate(
-                source, n=10, seed=424242, strategy="rejection", max_iterations=20000
+            return await service.generate(
+                source, n=n, seed=seed, strategy=strategy, max_iterations=20000
             )
-        return response
 
     pooled = asyncio.run(run(2))
     inline = asyncio.run(run(0))
-    assert pooled.scenes == inline.scenes
-    assert len(pooled.scenes) == 10
     # The pool really did spread the shards over distinct processes.
     assert len(pooled.stats["workers"]) == 2
 
-    seeds = derive_scene_seeds(424242, 10)
-    engine = SamplerEngine(scenario_from_string(source))
-    for index, expected in enumerate(pooled.scenes):
-        scene = engine.sample(max_iterations=20000, rng=random.Random(seeds[index]))
-        local = scene_record(scene, iterations=engine.last_stats.iterations)
-        assert local == expected
+    engine = SamplerEngine(scenario_from_string(source), strategy)
+    local = []
+    for scene_seed in derive_scene_seeds(seed, n):
+        scene = engine.sample(max_iterations=20000, rng=random.Random(scene_seed))
+        local.append(scene_record(scene, iterations=engine.last_stats.iterations))
+
+    if strategy == "direct":
+        for records in (pooled.scenes, inline.scenes, local):
+            assert all(0 < record.pop("importance_weight") <= 1 for record in records)
+    if program == "params":
+        assert all(record["params"] for record in local)
+    assert len(local) == n
+    assert pooled.scenes == inline.scenes == local
 
 
 def test_direct_mode_matches_generate_batch():
@@ -268,10 +295,14 @@ def test_compile_error_raises_generation_failed():
         ("options", {"backend": "numpy"}, "bad options for strategy 'rejection'"),
         ("options", {"nope": 1}, "bad options for strategy 'rejection'"),
         ("options", {"seed": 9}, "may not set request fields: seed"),
+        ("n", 2.5, "'n' must be an integer, not 2.5"),
+        ("n", True, "'n' must be an integer, not true"),
+        ("seed", "7", "'seed' must be an integer, not \"7\""),
+        ("max_iterations", 1500.9, "'max_iterations' must be an integer, not 1500.9"),
     ],
 )
 def test_bad_request_is_rejected_before_admission(field, value, needle):
-    """A bad strategy, budget or strategy option is the client's error.
+    """A bad strategy, budget, strategy option or non-integer count is the client's error.
 
     HTTP answers 400 with a ``ValueError`` naming the problem; the request
     is never admitted, so no shard runs and ``failures`` does not move.
@@ -307,13 +338,13 @@ SLOW_SOURCE = (
 @pytest.mark.parametrize(
     "moment,mode", [("idle", "blocking"), ("mid-shard", "blocking"), ("mid-shard", "streaming")]
 )
-def test_dead_worker_fails_only_its_own_request(moment, mode, new_shm_segments):
+def test_dead_worker_fails_only_its_own_request(moment, mode):
     """SIGKILL one of two workers: the request it held fails, the service recovers.
 
     The failed request raises ``GenerationFailedError`` and counts in
-    ``failures``; the other shard's block is discarded (every block goes
-    through shared memory here), the admission slot is released, and the
-    next request matches ``workers=0`` record for record.
+    ``failures``, the admission slot is released, and the next request
+    matches ``workers=0`` record for record.  Killed mid-shard, the request
+    fails at once, while the other worker's shard still runs.
     """
     source = _source("two_cars")
 
@@ -322,7 +353,7 @@ def test_dead_worker_fails_only_its_own_request(moment, mode, new_shm_segments):
             pass
 
     async def run():
-        async with GenerationService(workers=2, shm_threshold=0) as service:
+        async with GenerationService(workers=2) as service:
             warm = await service.generate(SLOW_SOURCE, n=2, seed=0, max_iterations=10**6)
             victim = warm.stats["workers"][0]
             if moment == "idle":
@@ -339,19 +370,33 @@ def test_dead_worker_fails_only_its_own_request(moment, mode, new_shm_segments):
                 os.kill(victim, signal.SIGKILL)
             with pytest.raises(GenerationFailedError) as failed:
                 await request
+            failed_at = time.monotonic()
             stats = service.service_stats()
-            # Queued behind any shard the failed request left running.
+            free_at = await _workers_free_at(service)
             after = await service.generate(source, n=8, seed=3)
-            return (failed.value, new_shm_segments(), stats, after.scenes,
+            return (failed.value, failed_at, free_at, stats, after.scenes,
                     service.service_stats())
 
-    error, leaked, stats, scenes, final = asyncio.run(run())
+    error, failed_at, free_at, stats, scenes, final = asyncio.run(run())
     assert error.detail["type"] == "BrokenProcessPool"
-    assert leaked == set()
+    if moment == "mid-shard":
+        # The surviving worker's 16-scene shard ran on for seconds.
+        assert max(free_at) - failed_at > 0.5
     assert stats["failures"] == 1
     assert stats["pending"] == 0
     assert final["failures"] == 1
     assert scenes == generate_sync(source, n=8, seed=3).scenes
+
+
+async def _workers_free_at(service):
+    """When each worker finished the shards it held, on ``time.monotonic``'s clock.
+
+    A worker runs its tasks in order, so a clock read submitted now runs
+    once the shards already queued on that worker have landed.
+    """
+    return await asyncio.gather(
+        *(asyncio.wrap_future(pool.submit(time.monotonic)) for pool in service._pools)
+    )
 
 
 def test_broken_pool_is_replaced_once_by_concurrent_shards(monkeypatch):
@@ -418,6 +463,36 @@ def test_backpressure_sheds_when_queue_is_full():
     assert shed == 1
 
 
+def test_request_failing_after_admission_returns_its_slot():
+    """A request that fails anywhere after admission gives its slot back.
+
+    With room for exactly one pending request, a single leaked slot would
+    shed the request that follows.  A float ``n`` is refused by the same
+    gate as over HTTP, before admission; an ``n`` too large to allocate
+    fails after admission and must still release its slot.
+    """
+    source = _source("single_car")
+
+    async def run():
+        async with GenerationService(workers=0, max_inflight=1, max_queue=0) as service:
+            with pytest.raises(ValueError, match="n must be an integer"):
+                await service.generate(source, n=2.5, seed=0)
+            with pytest.raises(ValueError, match="n must be an integer"):
+                async for _ in service.generate_stream(source, n=2.5, seed=0):
+                    pass
+            with pytest.raises(MemoryError):
+                await service.generate(source, n=2**62, seed=0)
+            pending = service.service_stats()["pending"]
+            response = await service.generate(source, n=2, seed=0)
+            return pending, response, service.service_stats()
+
+    pending, response, stats = asyncio.run(run())
+    assert pending == 0
+    assert len(response.scenes) == 2
+    assert stats["shed"] == 0
+    assert stats["pending"] == 0
+
+
 def test_zero_scene_request_is_valid():
     async def run():
         async with GenerationService(workers=0) as service:
@@ -478,30 +553,21 @@ def test_http_server_end_to_end():
     assert metrics[0] == 200 and int(requests.group(1)) >= 8
 
 
-def test_ndjson_hang_up_releases_its_slot_while_shards_run(monkeypatch, new_shm_segments):
+def test_ndjson_hang_up_releases_its_slot_while_shards_run():
     """A stream client that hangs up before the first frame frees its slot at once.
 
     The server watches the connection for end-of-file while it streams, so
-    the admission slot comes back within a second while both shards still
-    run.  Their blocks (all in shared memory here) are discarded when they
-    land, no failure is counted, and the next request matches ``workers=0``
-    record for record.
+    the admission slot comes back within a second, while both shards still
+    run: each worker stays busy well after the release.  No failure is
+    counted, and the next request matches ``workers=0`` record for record.
     """
-    landed = []
-    discard = service_module._discard_late_outcome
-
-    def record_landing(future):
-        landed.append(time.monotonic())
-        discard(future)
-
-    monkeypatch.setattr(service_module, "_discard_late_outcome", record_landing)
     source = _source("two_cars")
     body = json.dumps({
         "source": SLOW_SOURCE, "n": 32, "seed": 5, "max_iterations": 10**6, "stream": True,
     }).encode()
 
     async def run():
-        async with GenerationService(workers=2, shm_threshold=0) as service:
+        async with GenerationService(workers=2) as service:
             async with HttpGenerationServer(service) as server:
                 await service.generate(SLOW_SOURCE, n=2, seed=0, max_iterations=10**6)
                 reader, writer = await asyncio.open_connection(server.host, server.port)
@@ -518,14 +584,14 @@ def test_ndjson_hang_up_releases_its_slot_while_shards_run(monkeypatch, new_shm_
                 while service.service_stats()["pending"] and time.monotonic() < closed + 5:
                     await asyncio.sleep(0.01)
                 released = time.monotonic()
-                # Queued behind the abandoned shards: they have landed when it returns.
+                landed = await _workers_free_at(service)
                 after = await service.generate(source, n=8, seed=3)
-                return closed, released, new_shm_segments(), service.service_stats(), after.scenes
+                return closed, released, landed, service.service_stats(), after.scenes
 
-    closed, released, leaked, stats, scenes = asyncio.run(run())
+    closed, released, landed, stats, scenes = asyncio.run(run())
     assert released - closed < 1.0
-    assert len(landed) == 2 and min(landed) > released
-    assert leaked == set()
+    # Both 16-scene shards ran on for seconds after the slot came back.
+    assert len(landed) == 2 and min(landed) - released > 0.5
     assert stats["failures"] == 0
     assert stats["pending"] == 0
     assert scenes == generate_sync(source, n=8, seed=3).scenes

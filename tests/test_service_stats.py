@@ -44,7 +44,7 @@ def _record_draws(aggregate, draws, rng):
 
 def _outcome(stats_dict, pid=1000):
     return ShardOutcome(
-        indices=[], block=None, stats=stats_dict, cache_hit=False,
+        indices=[], records=[], stats=stats_dict, cache_hit=False,
         worker_pid=pid, elapsed_seconds=0.0,
     )
 

@@ -1,12 +1,12 @@
 """Streaming responses and front-end robustness (`repro/service/`).
 
-Pins the throughput-first transport's user-visible contracts:
+Pins the service's user-visible delivery contracts:
 
 * ``generate_stream`` frames reassemble **bit-identically** to the blocking
   response for the same request, at any worker count;
 * backpressure slots survive every exit path — normal completion, shard
   failure, cancellation while *queued*, and an abandoned stream iterator
-  (inline and on a process pool, where no shared-memory segment may leak);
+  (inline and on a process pool);
 * the HTTP front end serves ``/healthz``, ``/metrics``, blocking and
   NDJSON-streaming ``POST /generate``, and ends a failed stream with an
   in-band error frame;
@@ -63,9 +63,11 @@ def test_stream_reassembles_bit_identical_to_blocking(workers):
                 source, n=8, seed=21, max_iterations=20000
             ):
                 frames.append(frame)
-            return blocking, frames
+            return blocking, frames, service.service_stats()
 
-    blocking, frames = asyncio.run(run())
+    blocking, frames, stats = asyncio.run(run())
+    # Both calls ran the one shard path; only the stream counts as a stream.
+    assert (stats["requests"], stats["streams"]) == (2, 1)
     assert frames[-1]["frame"] == "end"
     assert frames[-1]["scenes"] == 8
     block_frames = frames[:-1]
@@ -87,7 +89,11 @@ def test_stream_end_frame_on_zero_scene_request():
 
     frames = asyncio.run(run())
     assert [frame["frame"] for frame in frames] == ["end"]
+    assert set(frames[0]) == {
+        "frame", "fingerprint", "strategy", "seed", "derive", "scenes", "stats",
+    }
     assert frames[0]["scenes"] == 0
+    assert frames[0]["stats"]["shards"] == 0
 
 
 def test_stream_shard_failure_raises_generation_failed():
@@ -172,15 +178,14 @@ def test_abandoned_stream_releases_its_slot():
     assert len(scenes) == 6
 
 
-def test_abandoned_stream_on_a_process_pool_releases_its_slot(new_shm_segments):
-    """The same on two workers, with every block in shared memory.
+def test_abandoned_stream_on_a_process_pool_releases_its_slot():
+    """The same on two workers.
 
-    The shard still running when the stream is abandoned has its segment
-    discarded when it lands, and the next request matches ``workers=0``.
+    The shard still running when the stream is abandoned lands unread, and
+    the next request matches ``workers=0``.
     """
-    pending, scenes = _abandon_then_generate(workers=2, shm_threshold=0)
+    pending, scenes = _abandon_then_generate(workers=2)
     assert pending == 0
-    assert new_shm_segments() == set()
     assert scenes == _abandon_then_generate(workers=0)[1]
 
 
@@ -194,7 +199,7 @@ def test_failed_request_restores_capacity():
                     await service.generate(bad, n=1, seed=0, max_iterations=5)
             assert service.service_stats()["pending"] == 0
             response = await service.generate(_source("single_car"), n=1, seed=0)
-            return response.scene_count
+            return len(response.scenes)
 
     assert asyncio.run(run()) == 1
 
@@ -400,8 +405,9 @@ def test_tcp_oversized_request_answered_in_band():
     """Over-cap requests get a structured 413, then the connection ends.
 
     A body is refused from its declared ``Content-Length`` alone, before
-    the client sends a byte of it; a request line longer than the cap is
-    refused the same way.  The server keeps serving new connections.
+    the client sends a byte of it; a request line or a header line longer
+    than the cap is refused the same way.  The server keeps serving new
+    connections.
     """
 
     async def refuse(server, head):
@@ -424,10 +430,13 @@ def test_tcp_oversized_request_answered_in_band():
                 server, b"POST /generate HTTP/1.1\r\nHost: t\r\nContent-Length: 4096\r\n\r\n"
             )
             line = await refuse(server, b"GET /" + b"x" * 600 + b" HTTP/1.1\r\n")
+            header = await refuse(
+                server, b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"x" * 600 + b"\r\n\r\n"
+            )
             health = await http_request(server.host, server.port, "GET", "/healthz")
-        return body, line, health
+        return body, line, header, health
 
-    body, line, health = asyncio.run(run())
+    body, line, header, health = asyncio.run(run())
     assert body == (413, "close", {
         "ok": False,
         "error": {"type": "ValueError", "message": "request body exceeds 512 bytes"},
@@ -435,6 +444,10 @@ def test_tcp_oversized_request_answered_in_band():
     assert line == (413, "close", {
         "ok": False,
         "error": {"type": "ValueError", "message": "request line too long"},
+    }, b"")
+    assert header == (413, "close", {
+        "ok": False,
+        "error": {"type": "ValueError", "message": "header line too long"},
     }, b"")
     status, payload = health
     assert status == 200 and json.loads(payload)["ok"] is True
