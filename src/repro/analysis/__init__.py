@@ -4,8 +4,8 @@ The package has three layers:
 
 * :mod:`repro.analysis.intervals` — real and circular (heading) interval
   arithmetic, safe across the ±π branch cut;
-* :mod:`repro.analysis.bounds` — the picklable :class:`PruneBounds`
-  artifact cached alongside compiled scenarios;
+* :mod:`repro.analysis.bounds` — the :class:`PruneBounds` artifact cached
+  alongside compiled scenarios;
 * :mod:`repro.analysis.analyzer` — ``analyze_program``, the AST walk that
   derives the bounds.
 
@@ -19,14 +19,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .bounds import PRUNE_BOUNDS_VERSION, HeadingConstraint, ObjectBounds, PruneBounds
+from .bounds import HeadingConstraint, ObjectBounds, PruneBounds
 from .intervals import CircularInterval, Interval
 
 if TYPE_CHECKING:  # pragma: no cover
     from .analyzer import analyze_program
 
 __all__ = [
-    "PRUNE_BOUNDS_VERSION",
     "CircularInterval",
     "HeadingConstraint",
     "Interval",

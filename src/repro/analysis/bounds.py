@@ -1,10 +1,8 @@
 """The ``PruneBounds`` artifact: what static analysis hands to the pruner.
 
-``PruneBounds`` is plain picklable data — it is computed once per compiled
-program (by :mod:`repro.analysis.analyzer`), cached on the
-:class:`~repro.language.CompiledScenario` artifact, shipped with it through
-the :class:`~repro.language.ArtifactCache` disk layer and across the
-generation service's process boundary, and finally consumed by
+``PruneBounds`` is plain data — it is computed once per compiled program
+(by :mod:`repro.analysis.analyzer`), cached on the
+:class:`~repro.language.CompiledScenario` artifact, and consumed by
 :func:`repro.core.pruning.prune_scenario` to run the orientation (Alg. 2)
 and size (Alg. 3) pruning techniques without any caller-supplied bounds.
 
@@ -16,13 +14,8 @@ valid scene.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Optional, Tuple
-
-#: Bumped when the meaning of any field changes; artifacts carrying bounds
-#: of a different version are re-analyzed instead of trusted.
-PRUNE_BOUNDS_VERSION = 1
-
 
 @dataclass(frozen=True)
 class HeadingConstraint:
@@ -74,7 +67,6 @@ class ObjectBounds:
 class PruneBounds:
     """Per-object pruning bounds derived by static requirement analysis."""
 
-    version: int = PRUNE_BOUNDS_VERSION
     objects: Tuple[ObjectBounds, ...] = ()
     #: Whether the AST→object-index mapping was verified against the
     #: artifact metadata.  When ``False``, ``objects`` is empty and pruning
@@ -127,7 +119,6 @@ class PruneBounds:
 
 
 __all__ = [
-    "PRUNE_BOUNDS_VERSION",
     "HeadingConstraint",
     "ObjectBounds",
     "PruneBounds",

@@ -20,8 +20,8 @@ when the scenario came from a compiled artifact, the static requirement
 analysis of :mod:`repro.analysis` supplies a
 :class:`~repro.analysis.PruneBounds` (relative-heading arcs, distance
 bounds ``M``, minimum-fit radii) and all three techniques run without the
-caller providing anything.  Explicit bounds (or the legacy keyword
-arguments) are still accepted and applied on top.
+caller providing anything.  A caller may pass an explicit ``PruneBounds``
+instead (the engine benchmark ablates with ``bounds.containment_only()``).
 
 Soundness guard-rails baked into the driver:
 
@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..analysis.bounds import ObjectBounds, PruneBounds
+from ..analysis.bounds import PruneBounds
 from ..analysis.intervals import CircularInterval
 from ..geometry.morphology import dilate_polygon, erode_polygon, minimum_width
 from ..geometry.polygon import Polygon, clip_polygon, polygons_intersect
@@ -130,9 +130,8 @@ def prune_by_orientation(
     cells: Sequence[Tuple[Polygon, float]],
     allowed_relative_heading: Tuple[float, float],
     max_distance: float,
-    deviation_bound: float,
+    total_deviation: float,
     partner_cells: Optional[Sequence[Tuple[Polygon, float]]] = None,
-    total_deviation: Optional[float] = None,
 ) -> List[Polygon]:
     """Restrict field cells to those compatible with a relative-heading constraint.
 
@@ -143,9 +142,9 @@ def prune_by_orientation(
     normalized endpoints ``(pi - 0.1, -(pi - 0.1))``; either way the arc is
     the short one through π, never its complement (intervals straddling the
     ±π branch cut must not collapse to empty or full circles).
-    *max_distance* is ``M``.  The heading slack is ``2 * deviation_bound``
-    (the historical per-object ``δ`` form) unless *total_deviation* is given,
-    which is used verbatim (the analyzer passes ``δ_self + δ_partner``).
+    *max_distance* is ``M``.  *total_deviation* is the heading slack: how
+    far both objects' headings together may deviate from their cells' field
+    headings (the analyzer passes ``δ_self + δ_partner``).
 
     *partner_cells* are the cells the **other** object may occupy; they
     default to *cells* (both objects range over the same region).  Passing
@@ -162,7 +161,6 @@ def prune_by_orientation(
     # representation the analyzer uses, so the branch-cut handling cannot
     # drift between the two layers).
     arc = CircularInterval.from_sweep(*allowed_relative_heading)
-    slack = total_deviation if total_deviation is not None else 2.0 * deviation_bound
     partners = list(partner_cells) if partner_cells is not None else list(cells)
     pruned: List[Polygon] = []
     dilated_partners = [dilate_polygon(polygon, max_distance) for polygon, _heading in partners]
@@ -175,7 +173,7 @@ def prune_by_orientation(
                 continue
             # Compatible iff the relative heading, slackened by the total
             # deviation, can fall inside A (compared on the circle).
-            if arc.contains(other_heading - heading, slack=slack + 1e-12):
+            if arc.contains(other_heading - heading, slack=total_deviation + 1e-12):
                 piece = clip_polygon(polygon, dilated)
                 if piece is not None:
                     pruned.append(piece)
@@ -286,52 +284,32 @@ def bounds_for_scenario(scenario: Scenario) -> Optional[PruneBounds]:
 
     Scenarios produced by :mod:`repro.language.compiler` carry a reference
     to their :class:`~repro.language.CompiledScenario`; the artifact caches
-    the analysis result (and ships it through the artifact cache's pickle
-    layer), so repeated pruning passes — e.g. service workers binding the
-    ``pruning`` strategy for every shard — pay for the analysis once per
-    program, not once per request.
+    the analysis result, so repeated pruning passes — e.g. a service worker
+    binding the ``direct`` strategy for every shard — pay for the analysis
+    once per program, not once per request.
     """
-    artifact = getattr(scenario, "compiled_artifact", None)
-    if artifact is None:
-        fingerprint = getattr(scenario, "compiled_fingerprint", None)
-        if fingerprint is not None:
-            from ..language.compiler import get_default_cache
-
-            artifact = get_default_cache().lookup_fingerprint(fingerprint)
-    if artifact is None:
-        return None
-    return artifact.prune_bounds()
+    artifact = scenario.compiled_artifact
+    return None if artifact is None else artifact.prune_bounds()
 
 
-def prune_scenario(
-    scenario: Scenario,
-    bounds: Optional[PruneBounds] = None,
-    *,
-    analyze: bool = True,
-    relative_heading_bound: Optional[float] = None,
-    relative_heading_center: float = 0.0,
-    max_distance: Optional[float] = None,
-    deviation_bound: float = 0.0,
-    min_configuration_width: Optional[float] = None,
-) -> PruningReport:
+def prune_scenario(scenario: Scenario, bounds: Optional[PruneBounds] = None) -> PruningReport:
     """Apply the pruning techniques to every prunable object of *scenario*.
 
     An object is prunable when its ``position`` is a
     :class:`PointInRegionDistribution` over a :class:`PolygonalRegion` and
     mutation is disabled for it.  The workspace region acts as the container
     for containment pruning.  Orientation (Algorithm 2) and size
-    (Algorithm 3) pruning run automatically from *bounds* — resolved via
-    :func:`bounds_for_scenario` when not passed and *analyze* is true — and
-    additionally from the legacy keyword arguments, which apply one global
-    relative-heading constraint to every prunable object (the historical
-    caller-supplied interface).  The object's sampling region is replaced in
-    place, so subsequent ``generate`` calls benefit.
+    (Algorithm 3) pruning run from *bounds*, which default to the program's
+    own static-analysis bounds (:func:`bounds_for_scenario`); a scenario
+    built through the Python API has none and gets containment pruning only.
+    The object's sampling region is replaced in place, so subsequent
+    ``generate`` calls benefit.
 
     Raises :class:`~repro.core.errors.InfeasibleScenarioError` when any
     region prunes to empty: soundness means an empty pruned region proves no
     scene can satisfy the requirements.
     """
-    if bounds is None and analyze:
+    if bounds is None:
         bounds = bounds_for_scenario(scenario)
     report = PruningReport()
     if bounds is not None:
@@ -388,19 +366,18 @@ def prune_scenario(
 
         # Size (Algorithm 3) — before containment: its narrow-cell isolation
         # argument needs the partner's full (unclipped) cell set.
-        size_inputs: List[Tuple[float, float]] = []
-        if object_bounds is not None and object_bounds.min_configuration_width is not None:
-            if _partner_reasoning_allowed(
+        if (
+            object_bounds is not None
+            and object_bounds.min_configuration_width is not None
+            and _partner_reasoning_allowed(
                 scenario, region, workspace_region, coverage_cache, notes, index
-            ):
-                size_inputs.append(
-                    (object_bounds.narrowness_distance, object_bounds.min_configuration_width)
-                )
-        if min_configuration_width is not None and max_distance is not None:
-            size_inputs.append((max_distance, min_configuration_width))
-        for distance_bound, width_bound in size_inputs:
+            )
+        ):
             cells = _cells_for_polygons(polygons, orientation)
-            polygons = stage("size", prune_by_size(cells, distance_bound, width_bound), polygons)
+            restricted = prune_by_size(
+                cells, object_bounds.narrowness_distance, object_bounds.min_configuration_width
+            )
+            polygons = stage("size", restricted, polygons)
 
         # Orientation (Algorithm 2).
         if (
@@ -437,27 +414,10 @@ def prune_scenario(
                         constraint.center + constraint.half_width,
                     ),
                     constraint.max_distance,
-                    0.0,
+                    constraint.deviation,
                     partner_cells=partner_cells,
-                    total_deviation=constraint.deviation,
                 )
                 polygons = stage("orientation", restricted, polygons)
-        if (
-            relative_heading_bound is not None
-            and max_distance is not None
-            and isinstance(orientation, PolygonalVectorField)
-        ):
-            cells = _cells_for_polygons(polygons, orientation)
-            restricted = prune_by_orientation(
-                cells,
-                (
-                    relative_heading_center - relative_heading_bound,
-                    relative_heading_center + relative_heading_bound,
-                ),
-                max_distance,
-                deviation_bound,
-            )
-            polygons = stage("orientation", restricted, polygons)
 
         # Containment (uses a lower bound on the object's half-extent).
         min_radius = _static_min_radius(scenic_object)

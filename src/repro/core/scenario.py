@@ -91,14 +91,11 @@ class Scenario:
         self.requirements: List[Requirement] = list(requirements or [])
         self.workspace = workspace if workspace is not None else Workspace()
         self.last_stats: Optional[GenerationStats] = None
-        self._engine_cache: Dict[Any, Any] = {}
-        #: Content address of the compiled artifact this scenario came from
-        #: (set by :mod:`repro.language.compiler`); ``None`` for scenarios
-        #: built directly through the Python API.
-        self.compiled_fingerprint: Optional[str] = None
-        #: The :class:`~repro.language.CompiledScenario` itself, when the
-        #: scenario came out of the compiler — lets pruning fetch the
-        #: artifact's cached static-analysis bounds without a cache lookup.
+        self._engine_cache: Dict[str, Any] = {}
+        #: The :class:`~repro.language.CompiledScenario` this scenario came
+        #: out of (set by :mod:`repro.language.compiler`; ``None`` for
+        #: scenarios built through the Python API) — pruning reads the
+        #: artifact's cached static-analysis bounds from it.
         self.compiled_artifact: Optional[Any] = None
 
     # -- construction helpers ---------------------------------------------------
@@ -137,16 +134,14 @@ class Scenario:
         rng: Optional[_random.Random] = None,
         seed: Optional[int] = None,
         strategy: Union[str, Any] = "rejection",
-        **strategy_options: Any,
     ) -> Scene:
         """Sample one scene satisfying all requirements.
 
         A thin wrapper over :class:`repro.sampling.SamplerEngine`: *strategy*
         selects a registered sampling strategy (``"rejection"`` — the
         default, draw-for-draw identical to the historical behaviour —
-        ``"batch"``, ``"vectorized"`` or ``"direct"``) and
-        *strategy_options* are forwarded to it.  Engines are cached per
-        (strategy, options), so bind-time analysis (the pruning pass, the
+        ``"batch"``, ``"vectorized"`` or ``"direct"``).  Engines are cached
+        per strategy name, so bind-time analysis (the pruning pass, the
         dependency graph) runs once per scenario rather than once per call.
         Raises :class:`RejectionError` if no valid scene is found within
         *max_iterations* candidate samples.  Statistics about the run are
@@ -159,7 +154,7 @@ class Scenario:
            a fresh scenario if you need an unpruned baseline of the same
            program.
         """
-        engine = self._engine_for(strategy, strategy_options)
+        engine = self._engine_for(strategy)
         try:
             return engine.sample(max_iterations=max_iterations, rng=rng, seed=seed)
         finally:
@@ -173,7 +168,6 @@ class Scenario:
         rng: Optional[_random.Random] = None,
         seed: Optional[int] = None,
         strategy: Union[str, Any] = "vectorized",
-        **strategy_options: Any,
     ) -> List[Scene]:
         """Sample *count* independent scenes.
 
@@ -188,36 +182,29 @@ class Scenario:
         ``"rejection"`` as the reference semantics).  Pass
         ``strategy="rejection"`` for draw-for-draw parity with ``generate``.
         """
-        engine = self._engine_for(strategy, strategy_options)
+        engine = self._engine_for(strategy)
         try:
             return engine.sample_batch(count, max_iterations=max_iterations, rng=rng, seed=seed)
         finally:
             if engine.last_stats is not None:
                 self.last_stats = engine.last_stats
 
-    def _engine_for(self, strategy: Union[str, Any], strategy_options: Dict[str, Any]):
-        """A cached :class:`~repro.sampling.SamplerEngine` for this scenario.
+    def _engine_for(self, strategy: Union[str, Any]):
+        """A :class:`~repro.sampling.SamplerEngine` for this scenario.
 
-        Caching (by strategy name and options) preserves the engine's
-        amortisation of bind-time analysis across repeated ``generate``
-        calls.  Strategy *instances* and unhashable options are not cached —
-        the caller manages those lifetimes.
+        Engines for a strategy *name* are cached, which preserves the
+        engine's amortisation of bind-time analysis across repeated
+        ``generate`` calls.  Strategy *instances* are not cached — the
+        caller manages their lifetime.
         """
         from ..sampling import SamplerEngine  # local import: sampling builds on core
 
-        if isinstance(strategy, str):
-            try:
-                key = (strategy, tuple(sorted(strategy_options.items())))
-                hash(key)
-            except TypeError:
-                key = None
-            if key is not None:
-                engine = self._engine_cache.get(key)
-                if engine is None:
-                    engine = SamplerEngine(self, strategy=strategy, **strategy_options)
-                    self._engine_cache[key] = engine
-                return engine
-        return SamplerEngine(self, strategy=strategy, **strategy_options)
+        if not isinstance(strategy, str):
+            return SamplerEngine(self, strategy=strategy)
+        engine = self._engine_cache.get(strategy)
+        if engine is None:
+            engine = self._engine_cache[strategy] = SamplerEngine(self, strategy=strategy)
+        return engine
 
     def _sample_candidate(self, rng: _random.Random, stats: GenerationStats) -> Optional[Scene]:
         """Draw one candidate scene; return it if valid, ``None`` if rejected."""

@@ -88,11 +88,6 @@ class PolygonalVectorField(VectorField):
     #: linear scan over the whole map.
     _GRID_MIN_CELLS = 8
 
-    # Class-level fallbacks: instances unpickled from artifacts written
-    # before the index existed have no such keys in their __dict__.
-    _boxes = None
-    _grid = None
-
     def __init__(self, name: str, cells: Sequence[Tuple[Polygon, float]],
                  default_heading: float = 0.0):
         self.cells: List[Tuple[Polygon, float]] = [

@@ -1,8 +1,8 @@
 """Scorecard assembly: the committed ``results/EVALS.json`` + markdown.
 
 A scorecard is one fixed-seed scoring pass over (a slice of) the graded
-corpus, serialized as a machine-diffable JSON document next to the
-``BENCH_*.json`` perf trajectory, plus a human-readable markdown rendering.
+corpus, serialized as a machine-diffable JSON document, plus a human-readable
+markdown rendering.
 The JSON document is the CI baseline: ``python -m repro.evals check``
 re-scores the stratified CI slice with the parameters recorded *in the
 document* and compares within tolerance bands (:mod:`repro.evals.check`).

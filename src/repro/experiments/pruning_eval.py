@@ -17,16 +17,15 @@ measuring a zero-acceptance sampling loop.
 
 from __future__ import annotations
 
-import math
 import random as _random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Tuple, Union
 
 from ..core.pruning import prune_scenario
 from ..core.scenario import Scenario
 from ..sampling import SamplerEngine, SamplingStrategy
 from . import scenarios
-from .reporting import TableRow, format_table, mean_and_spread
+from .reporting import TableRow, format_table
 
 
 @dataclass
@@ -67,7 +66,6 @@ def measure_sampling(
     max_iterations: int = 20000,
     name: str = "scenario",
     strategy: Union[str, SamplingStrategy] = "rejection",
-    **strategy_options,
 ) -> SamplingMeasurement:
     """Generate *samples* scenes and record the iteration counts and time.
 
@@ -76,13 +74,10 @@ def measure_sampling(
     ``"direct"``) can be measured, on a pruned scenario too; per-scene
     diagnostics come from the engine's aggregate stats.
     """
-    engine = SamplerEngine(scenario, strategy=strategy, **strategy_options)
+    engine = SamplerEngine(scenario, strategy=strategy)
     rng = _random.Random(seed)
     iterations: List[float] = []
     times: List[float] = []
-    # Read each draw's stats from last_stats rather than the aggregate's
-    # per-scene history, which is bounded and would silently truncate very
-    # large measurement runs.
     for _ in range(samples):
         engine.sample(max_iterations=max_iterations, rng=rng)
         iterations.append(float(engine.last_stats.iterations))
@@ -100,21 +95,13 @@ def measure_gallery_sampling(
     samples: int = 5,
     seed: int = 0,
     strategy: Union[str, SamplingStrategy] = "rejection",
-    **strategy_options,
 ) -> List[SamplingMeasurement]:
     """Sampling statistics for every gallery scenario (Appendix A)."""
     measurements = []
     for name, source in scenarios.GALLERY.items():
         scenario = scenarios.compile_scenario(source)
         measurements.append(
-            measure_sampling(
-                scenario,
-                samples=samples,
-                seed=seed,
-                name=name,
-                strategy=strategy,
-                **strategy_options,
-            )
+            measure_sampling(scenario, samples=samples, seed=seed, name=name, strategy=strategy)
         )
     return measurements
 
@@ -124,19 +111,15 @@ def compare_pruning(
     name: str,
     samples: int = 10,
     seed: int = 0,
-    **prune_options,
 ) -> PruningComparison:
     """Compare iteration counts with and without pruning for one scenario.
 
     The scenario is compiled twice so the pruned copy's modified regions do
     not affect the unpruned baseline; the pruned copy goes through
     :func:`~repro.core.pruning.prune_scenario` and is then rejection-sampled
-    exactly like the baseline.  By default the pruning pass is fully
-    automatic (static requirement analysis of the compiled program derives
-    every bound — the paper's Sec. 5.2 mode); *prune_options* can still
-    supply explicit bounds or the legacy manual knobs
-    (``relative_heading_bound`` / ``max_distance`` / ...), which apply on
-    top of the analysis.
+    exactly like the baseline.  The pruning pass is fully automatic: static
+    requirement analysis of the compiled program derives every bound (the
+    paper's Sec. 5.2 mode).
 
     Raises :class:`~repro.core.errors.InfeasibleScenarioError` when pruning
     proves the scenario unsatisfiable — an explicit error rather than a
@@ -146,7 +129,7 @@ def compare_pruning(
     baseline = measure_sampling(unpruned, samples=samples, seed=seed, name=name)
 
     pruned_scenario = scenarios.compile_scenario(scenario_source)
-    report = prune_scenario(pruned_scenario, **prune_options)
+    report = prune_scenario(pruned_scenario)
     pruned = measure_sampling(
         pruned_scenario, samples=samples, seed=seed, name=f"{name}+pruning"
     )

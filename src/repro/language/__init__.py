@@ -6,7 +6,7 @@ geometric operators, distributions, ``require``/``mutate``/``param``
 statements, and class definitions with default-value properties.
 
 The top-level entry points are :func:`compile_scenario` — which turns a
-program into a cached, picklable :class:`CompiledScenario` artifact (the
+program into a cached :class:`CompiledScenario` artifact (the
 compile-once, sample-many unit; see ``docs/index.md``) — and the classic
 :func:`scenario_from_string` / :func:`scenario_from_file`, which compile a
 Scenic program straight into a :class:`repro.core.Scenario` ready for
@@ -22,10 +22,8 @@ from .compiler import (
     ArtifactMetadata,
     CompiledScenario,
     compile_scenario,
-    get_default_cache,
     scenario_from_file,
     scenario_from_string,
-    set_default_cache,
     source_fingerprint,
 )
 from .errors import format_syntax_error
@@ -40,8 +38,6 @@ __all__ = [
     "ArtifactMetadata",
     "CompiledScenario",
     "compile_scenario",
-    "get_default_cache",
-    "set_default_cache",
     "source_fingerprint",
     "scenario_from_string",
     "scenario_from_file",

@@ -8,9 +8,9 @@ splits compilation into an explicit, reusable step:
 ``compile_scenario(source)`` returns a :class:`CompiledScenario` — the
 parsed AST plus lazily-derived static metadata (resolved class table,
 dependency-group structure, per-object sampling facts) — and caches it,
-keyed by a content hash of the source, in a process-wide LRU
-(:class:`ArtifactCache`) with an optional on-disk layer.  Warm-path
-construction therefore skips the lexer and parser entirely; the fully
+keyed by a content hash of the source, in a process-wide in-memory LRU
+(:class:`ArtifactCache`).  Warm-path construction therefore skips the
+lexer and parser entirely; the fully
 interned fast path (``compile_scenario(source).scenario()``) also skips the
 interpreter and returns a shared, ready-to-sample
 :class:`~repro.core.scenario.Scenario`.
@@ -27,10 +27,9 @@ Typical use::
     fresh = artifact.scenario(fresh=True)   # independent Scenario (e.g. for pruning)
     artifact.metadata.class_table           # {'Car': ClassSummary(...), ...}
 
-Artifacts are picklable (the live interned :class:`Scenario` is dropped and
-rebuilt lazily on first use), which is what lets :mod:`repro.service`
-workers ship and cache them across process boundaries, and what backs the
-disk layer of :class:`ArtifactCache`.
+Artifacts never leave their process: :mod:`repro.service` ships a
+program's source text to its workers, and each worker compiles it into its
+own cache.
 
 Sharing caveat: ``artifact.scenario()`` returns one shared ``Scenario``
 instance per artifact.  ``prune_scenario`` (and the ``"direct"`` strategy,
@@ -43,33 +42,20 @@ that mutates a scenario should request ``scenario(fresh=True)``
 from __future__ import annotations
 
 import hashlib
-import os
-import pickle
-import tempfile
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.errors import ScenicError
 from ..core.scenario import Scenario
 from . import ast_nodes as ast
 from .parser import parse_program
 
-#: Bumped whenever the AST node set or the artifact layout changes in a way
-#: that makes previously pickled artifacts unusable; stale disk entries are
-#: then treated as cache misses and recompiled, never deserialized.
-#: Version 2 added the cached static-analysis ``PruneBounds``.
+#: Salt folded into every fingerprint.  It stays fixed: fingerprints are
+#: published content addresses (``corpus/manifest.json`` pins them), so
+#: changing it would re-address every program.
 ARTIFACT_FORMAT_VERSION = 2
-
-#: Environment variable naming a directory for the default cache's disk
-#: layer.  Unset (the default) keeps the default cache memory-only.
-CACHE_DIR_ENV = "REPRO_SCENIC_CACHE_DIR"
-
-
-class StaleArtifactError(ScenicError):
-    """A pickled artifact was produced by an incompatible format version."""
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +80,7 @@ def normalize_source(source: str) -> str:
 def source_fingerprint(source: str) -> str:
     """The artifact cache key: a stable sha256 over the normalized source.
 
-    The format version is folded into the hash so a format bump re-addresses
-    every artifact at once (old disk entries simply stop being referenced).
+    The hash is salted with :data:`ARTIFACT_FORMAT_VERSION`.
     """
     digest = hashlib.sha256()
     digest.update(f"scenic-artifact-v{ARTIFACT_FORMAT_VERSION}\n".encode("utf-8"))
@@ -130,11 +115,11 @@ class ObjectSummary:
 
 @dataclass(frozen=True)
 class ArtifactMetadata:
-    """Per-program static analysis, derived once and shipped with the artifact.
+    """Per-program static analysis, derived once and cached on the artifact.
 
-    Everything here is plain picklable data: the service uses it for request
-    diagnostics, and strategies could use it to pre-size their buffers
-    without touching the live scenario.
+    Everything here is plain data: the pruning analysis reads it, and
+    strategies could use it to pre-size their buffers without touching the
+    live scenario.
     """
 
     object_count: int
@@ -234,11 +219,6 @@ class CompiledScenario:
     interpreter runs only when a :class:`Scenario` is actually requested;
     the default call interns one shared scenario per artifact so repeated
     warm-path construction costs a dictionary lookup.
-
-    Pickling ships the AST and metadata only — the interned scenario (whose
-    objects close over live interpreter state) is rebuilt lazily on the
-    receiving side.  This is the unit :mod:`repro.service` workers exchange
-    and the payload of :class:`ArtifactCache`'s disk layer.
     """
 
     def __init__(self, source: str, fingerprint: str, program: ast.Program):
@@ -250,7 +230,7 @@ class CompiledScenario:
         self._metadata: Optional[ArtifactMetadata] = None
         self._prune_bounds: Optional[Any] = None
         # Triangle-fan cache of the direct-synthesis subsystem (see
-        # ``repro.synthesis.region_sampler``); per-process only, not pickled.
+        # ``repro.synthesis.region_sampler``).
         self._synthesis_cache: Dict[Any, Any] = {}
 
     # -- scenario construction ---------------------------------------------------
@@ -287,7 +267,6 @@ class CompiledScenario:
 
         interpreter = Interpreter(extra_names=extra_names)
         scenario = interpreter.run_program(self.program, workspace=workspace)
-        scenario.compiled_fingerprint = self.fingerprint
         # Back-reference for bound resolution: pruning asks the artifact for
         # its cached static-analysis bounds (see ``prune_bounds``).
         scenario.compiled_artifact = self
@@ -317,10 +296,8 @@ class CompiledScenario:
 
         Runs :func:`repro.analysis.analyze_program` over the cached AST and
         metadata on first call, then returns the cached
-        :class:`~repro.analysis.PruneBounds`.  The result travels with the
-        pickled artifact, so a service worker (or a disk-cache hit) never
-        re-analyzes a program it has seen before — warm requests pay zero
-        analysis cost.
+        :class:`~repro.analysis.PruneBounds`, so a program is analyzed
+        once per process.
         """
         with self._lock:
             if self._prune_bounds is not None:
@@ -332,38 +309,6 @@ class CompiledScenario:
             if self._prune_bounds is None:
                 self._prune_bounds = bounds
             return self._prune_bounds
-
-    # -- pickling ------------------------------------------------------------------
-
-    def __getstate__(self) -> Dict[str, Any]:
-        return {
-            "format_version": ARTIFACT_FORMAT_VERSION,
-            "source": self.source,
-            "fingerprint": self.fingerprint,
-            "program": self.program,
-            "metadata": self._metadata,
-            "prune_bounds": self._prune_bounds,
-        }
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        if state.get("format_version") != ARTIFACT_FORMAT_VERSION:
-            raise StaleArtifactError(
-                f"artifact format {state.get('format_version')!r} does not match "
-                f"this build's version {ARTIFACT_FORMAT_VERSION}"
-            )
-        self.source = state["source"]
-        self.fingerprint = state["fingerprint"]
-        self.program = state["program"]
-        self._lock = threading.Lock()
-        self._shared_scenario = None
-        self._metadata = state.get("metadata")
-        self._synthesis_cache = {}
-        bounds = state.get("prune_bounds")
-        from ..analysis.bounds import PRUNE_BOUNDS_VERSION
-
-        if bounds is not None and getattr(bounds, "version", None) != PRUNE_BOUNDS_VERSION:
-            bounds = None  # re-analyze rather than trust stale bounds
-        self._prune_bounds = bounds
 
     def __repr__(self) -> str:
         return f"CompiledScenario({self.fingerprint[:12]}…, {len(self.source)} chars)"
@@ -379,44 +324,34 @@ class CacheStats:
     """Hit/miss counters for one :class:`ArtifactCache`."""
 
     memory_hits: int = 0
-    disk_hits: int = 0
     misses: int = 0
     evictions: int = 0
 
     @property
     def lookups(self) -> int:
-        return self.memory_hits + self.disk_hits + self.misses
+        return self.memory_hits + self.misses
 
     def as_dict(self) -> Dict[str, int]:
         return {
             "memory_hits": self.memory_hits,
-            "disk_hits": self.disk_hits,
             "misses": self.misses,
             "evictions": self.evictions,
         }
 
 
 class ArtifactCache:
-    """Content-addressed cache of :class:`CompiledScenario` artifacts.
+    """Content-addressed, in-process LRU of :class:`CompiledScenario` artifacts.
 
-    Two layers, checked in order:
+    Holds up to ``max_memory`` artifacts and is thread-safe.  ``get`` is the
+    only entry point most callers need::
 
-    * an in-process LRU (``max_memory`` artifacts, thread-safe), and
-    * an optional on-disk layer (``disk_dir``) of pickled artifacts named by
-      fingerprint — shared between processes and across runs.  Disk writes
-      are atomic (temp file + rename); unreadable or stale entries are
-      treated as misses and silently recompiled.
-
-    ``get`` is the only entry point most callers need::
-
-        cache = ArtifactCache(max_memory=64, disk_dir="~/.cache/scenic")
+        cache = ArtifactCache(max_memory=64)
         artifact = cache.get(source)      # compiles at most once per content
         cache.stats.memory_hits
     """
 
-    def __init__(self, max_memory: int = 128, disk_dir: Optional[Any] = None):
+    def __init__(self, max_memory: int = 128):
         self.max_memory = max(1, int(max_memory))
-        self.disk_dir = Path(disk_dir).expanduser() if disk_dir else None
         self.stats = CacheStats()
         self._lock = threading.Lock()
         self._memory: "OrderedDict[str, CompiledScenario]" = OrderedDict()
@@ -424,7 +359,7 @@ class ArtifactCache:
     # -- lookup -------------------------------------------------------------------
 
     def get(self, source: str) -> CompiledScenario:
-        """The artifact for *source*: memory hit, disk hit, or fresh compile."""
+        """The artifact for *source*: a cache hit or a fresh compile."""
         fingerprint = source_fingerprint(source)
         artifact = self._lookup(fingerprint)
         if artifact is not None:
@@ -450,39 +385,23 @@ class ArtifactCache:
             if artifact is not None:
                 self._memory.move_to_end(fingerprint)
                 self.stats.memory_hits += 1
-                return artifact
-        artifact = self._read_disk(fingerprint)
-        if artifact is not None:
-            with self._lock:
-                self.stats.disk_hits += 1
-                self._remember(artifact)
-        return artifact
+            return artifact
 
     # -- insertion ----------------------------------------------------------------
 
     def put(self, artifact: CompiledScenario) -> None:
-        """Insert an artifact into both layers (evicting LRU entries as needed)."""
+        """Insert an artifact (evicting LRU entries as needed)."""
         with self._lock:
-            self._remember(artifact)
-        self._write_disk(artifact)
+            self._memory[artifact.fingerprint] = artifact
+            self._memory.move_to_end(artifact.fingerprint)
+            while len(self._memory) > self.max_memory:
+                self._memory.popitem(last=False)
+                self.stats.evictions += 1
 
-    def _remember(self, artifact: CompiledScenario) -> None:
-        self._memory[artifact.fingerprint] = artifact
-        self._memory.move_to_end(artifact.fingerprint)
-        while len(self._memory) > self.max_memory:
-            self._memory.popitem(last=False)
-            self.stats.evictions += 1
-
-    def clear(self, disk: bool = False) -> None:
-        """Drop the memory layer (and, with ``disk=True``, the disk entries)."""
+    def clear(self) -> None:
+        """Drop every cached artifact."""
         with self._lock:
             self._memory.clear()
-        if disk and self.disk_dir is not None and self.disk_dir.exists():
-            for path in self.disk_dir.glob("*.scenic-artifact.pkl"):
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
 
     def __len__(self) -> int:
         with self._lock:
@@ -492,69 +411,15 @@ class ArtifactCache:
         with self._lock:
             return fingerprint in self._memory
 
-    # -- disk layer ---------------------------------------------------------------
-
-    def _disk_path(self, fingerprint: str) -> Optional[Path]:
-        if self.disk_dir is None:
-            return None
-        return self.disk_dir / f"{fingerprint}.scenic-artifact.pkl"
-
-    def _read_disk(self, fingerprint: str) -> Optional[CompiledScenario]:
-        path = self._disk_path(fingerprint)
-        if path is None or not path.exists():
-            return None
-        try:
-            with path.open("rb") as handle:
-                artifact = pickle.load(handle)
-        except Exception:
-            # Corrupt, truncated or format-stale entry: recompile instead.
-            return None
-        if not isinstance(artifact, CompiledScenario) or artifact.fingerprint != fingerprint:
-            return None
-        return artifact
-
-    def _write_disk(self, artifact: CompiledScenario) -> None:
-        path = self._disk_path(artifact.fingerprint)
-        if path is None:
-            return
-        try:
-            self.disk_dir.mkdir(parents=True, exist_ok=True)
-            handle = tempfile.NamedTemporaryFile(
-                mode="wb", dir=self.disk_dir, suffix=".tmp", delete=False
-            )
-            try:
-                with handle:
-                    pickle.dump(artifact, handle)
-                os.replace(handle.name, path)
-            except BaseException:
-                os.unlink(handle.name)
-                raise
-        except OSError:
-            pass  # disk layer is best-effort; the memory layer already has it
-
 
 # ---------------------------------------------------------------------------
 # Module-level default cache and entry points
 # ---------------------------------------------------------------------------
 
-_default_cache = ArtifactCache(disk_dir=os.environ.get(CACHE_DIR_ENV) or None)
-_default_cache_lock = threading.Lock()
+_default_cache = ArtifactCache()
 
 #: Sentinel distinguishing "use the default cache" from "no cache at all".
 _USE_DEFAULT = object()
-
-
-def get_default_cache() -> ArtifactCache:
-    """The process-wide artifact cache used when no cache is passed explicitly."""
-    return _default_cache
-
-
-def set_default_cache(cache: ArtifactCache) -> ArtifactCache:
-    """Replace the process-wide cache; returns the previous one."""
-    global _default_cache
-    with _default_cache_lock:
-        previous, _default_cache = _default_cache, cache
-    return previous
 
 
 def compile_scenario(source: str, cache: Optional[ArtifactCache] = _USE_DEFAULT) -> CompiledScenario:
@@ -614,12 +479,9 @@ __all__ = [
     "ClassSummary",
     "CompiledScenario",
     "ObjectSummary",
-    "StaleArtifactError",
     "compile_scenario",
-    "get_default_cache",
     "normalize_source",
     "scenario_from_file",
     "scenario_from_string",
-    "set_default_cache",
     "source_fingerprint",
 ]

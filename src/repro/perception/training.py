@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..core.scenario import Scenario
 from .detector import CarDetector, DetectorConfig
@@ -67,7 +67,6 @@ class Dataset:
         renderer: Optional[RendererConfig] = None,
         max_iterations: int = 4000,
         strategy: str = "rejection",
-        **strategy_options,
     ) -> "Dataset":
         """Sample *count* scenes from *scenario* and render them.
 
@@ -77,7 +76,7 @@ class Dataset:
         """
         from ..sampling import SamplerEngine
 
-        engine = SamplerEngine(scenario, strategy=strategy, **strategy_options)
+        engine = SamplerEngine(scenario, strategy=strategy)
         rng = _random.Random(seed)
         images: List[LabeledImage] = []
         for _ in range(count):

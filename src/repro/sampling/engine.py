@@ -26,15 +26,15 @@ Artifact-backed engines share the artifact's interned scenario, except for
 strategies declaring ``mutates_scenario`` (``direct`` prunes the sampling
 regions in place) which get an independent, freshly interpreted scenario.
 
-``Scenario.generate`` / ``generate_batch`` are thin wrappers over this class
-with the default ``"rejection"`` strategy, preserving the seed's behaviour
-draw-for-draw.
+``Scenario.generate`` / ``generate_batch`` are thin wrappers over this class.
+``generate`` defaults to the ``"rejection"`` strategy, preserving the seed's
+behaviour draw-for-draw; ``generate_batch`` defaults to ``"vectorized"``.
 """
 
 from __future__ import annotations
 
 import random as _random
-from typing import Any, List, Optional, Union
+from typing import Any, Optional, Union
 
 from ..core.errors import RejectionError
 from ..core.scenario import GenerationStats, Scenario
@@ -80,14 +80,10 @@ class SamplerEngine:
         self,
         scenario: Union[Scenario, Any],
         strategy: Union[str, SamplingStrategy] = "rejection",
-        **strategy_options: Any,
     ):
-        if isinstance(strategy, SamplingStrategy):
-            if strategy_options:
-                raise TypeError("strategy options only apply when the strategy is given by name")
-            self.strategy = strategy
-        else:
-            self.strategy = make_strategy(strategy, **strategy_options)
+        self.strategy = (
+            strategy if isinstance(strategy, SamplingStrategy) else make_strategy(strategy)
+        )
         self.scenario = resolve_scenario(scenario, fresh=self.strategy.mutates_scenario)
         self.aggregate = AggregateStats()
         self.last_stats: Optional[GenerationStats] = None

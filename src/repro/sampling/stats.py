@@ -4,8 +4,8 @@
 single scene draw.  The engine produces many scenes, possibly via different
 strategies, so :class:`AggregateStats` rolls per-scene stats up into totals,
 per-strategy breakdowns and acceptance rates.  Totals are accumulated as
-running sums so a long-lived engine stays O(1) in memory; a bounded
-per-scene history is kept for fine-grained diagnostics.  :class:`SceneBatch`
+running sums, so a long-lived engine stays O(1) in memory; each draw's own
+stats stay with its caller (``SamplerEngine.last_stats``).  :class:`SceneBatch`
 is the result type of batched sampling: it *is* a list of scenes (so
 existing callers of ``Scenario.generate_batch`` keep working) but carries
 the aggregated statistics of the whole batch.
@@ -45,16 +45,12 @@ class AggregateStats:
     """Roll-up of per-scene :class:`GenerationStats` across a sampling run.
 
     Totals (:meth:`combined`, :meth:`by_strategy`, the ``total_*``
-    properties) are exact over every recorded draw.  :attr:`per_scene` keeps
-    the first *history_limit* ``(strategy, stats)`` entries only, so a
-    long-running engine does not grow without bound.
+    properties) are exact over every recorded draw.
     """
 
-    def __init__(self, history_limit: int = 10_000) -> None:
-        self.history_limit = history_limit
+    def __init__(self) -> None:
         self.scenes = 0  # accepted scenes only
         self.draws = 0  # every recorded draw, including failed ones
-        self.per_scene: List[Tuple[str, GenerationStats]] = []
         self._combined = GenerationStats()
         self._by_strategy: Dict[str, GenerationStats] = {}
         #: Sum / count of the importance weights the ``direct`` strategy
@@ -82,8 +78,6 @@ class AggregateStats:
             self.importance_scenes += 1
             weight_sum, count = self._importance_by_strategy.get(strategy, (0.0, 0))
             self._importance_by_strategy[strategy] = (weight_sum + importance_weight, count + 1)
-        if len(self.per_scene) < self.history_limit:
-            self.per_scene.append((strategy, stats))
 
     def merge_from(self, other: "AggregateStats") -> None:
         """Fold another roll-up (e.g. one batch's stats) into this one."""
@@ -99,9 +93,6 @@ class AggregateStats:
         for strategy, (weight_sum, count) in other._importance_by_strategy.items():
             base_sum, base_count = self._importance_by_strategy.get(strategy, (0.0, 0))
             self._importance_by_strategy[strategy] = (base_sum + weight_sum, base_count + count)
-        room = self.history_limit - len(self.per_scene)
-        if room > 0:
-            self.per_scene.extend(other.per_scene[:room])
 
     # -- roll-ups ---------------------------------------------------------------
 

@@ -32,8 +32,9 @@ The shared candidate checks themselves (``contained_in_workspace``,
 large enough for batching to pay for itself, so *every* strategy rides the
 vectorized hot path.
 
-Strategies are registered by name in :data:`STRATEGIES`; third-party code
-can plug in new ones with :func:`register_strategy`::
+Strategies take no options: their tuning knobs are class constants.  They
+are registered by name in :data:`STRATEGIES`; third-party code can plug in
+new ones with :func:`register_strategy`::
 
     from repro.sampling import RejectionSampler, register_strategy
 
@@ -317,12 +318,12 @@ def register_strategy(cls: Type[SamplingStrategy]) -> Type[SamplingStrategy]:
     return cls
 
 
-def make_strategy(name: str, **options: Any) -> SamplingStrategy:
+def make_strategy(name: str) -> SamplingStrategy:
     """Instantiate a registered strategy by name."""
     if name not in STRATEGIES:
         known = ", ".join(sorted(STRATEGIES))
         raise ValueError(f"unknown sampling strategy {name!r} (known: {known})")
-    return STRATEGIES[name](**options)
+    return STRATEGIES[name]()
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +361,14 @@ class BatchSampler(SamplingStrategy):
     statements) are checked on the assembled candidate and trigger a full
     restart on failure, exactly as in plain rejection.
 
-    ``local_redraw_cap`` bounds how often one group is re-drawn within a
+    :attr:`LOCAL_REDRAW_CAP` bounds how often one group is re-drawn within a
     single candidate before the candidate as a whole counts as rejected.
     """
 
     name = "batch"
+    LOCAL_REDRAW_CAP = 128
 
-    def __init__(self, local_redraw_cap: int = 128):
-        self.local_redraw_cap = max(1, int(local_redraw_cap))
+    def __init__(self):
         self.graph: Optional[DependencyGraph] = None
 
     def bind(self, scenario):
@@ -388,7 +389,7 @@ class BatchSampler(SamplingStrategy):
         self, scenario: Scenario, group: ObjectGroup, sample: Sample, stats: GenerationStats
     ) -> bool:
         """Draw *group* until its local constraints hold (or give up)."""
-        for attempt in range(self.local_redraw_cap):
+        for attempt in range(self.LOCAL_REDRAW_CAP):
             if attempt:
                 group.forget_in(sample)
                 stats.component_redraws += 1
@@ -439,7 +440,7 @@ class BatchSampler(SamplingStrategy):
 class VectorizedSampler(SamplingStrategy):
     """Propose candidates in blocks and reject them in bulk through the kernel.
 
-    Each round draws up to ``block_size`` candidate scenes' worth of samples
+    Each round draws up to :attr:`BLOCK_SIZE` candidate scenes' worth of samples
     (concretization stays per-candidate Python — it must evaluate arbitrary
     specifier expressions), then checks workspace containment for *all*
     objects of *all* candidates in one batched kernel query and all pairwise
@@ -460,7 +461,7 @@ class VectorizedSampler(SamplingStrategy):
     candidate.
 
     Block sizes are *adaptive* when the scenario has no soft requirements:
-    rounds ramp ``min_block, 2*min_block, ...`` up to ``block_size``, so an
+    rounds ramp ``MIN_BLOCK, 2*MIN_BLOCK, ...`` up to ``BLOCK_SIZE``, so an
     easy scenario (accepted within the first few candidates) does not pay
     for concretizing a full block it never examines — the dominant cost of
     per-scene sampling in the generation service, whose splitmix contract
@@ -475,10 +476,10 @@ class VectorizedSampler(SamplingStrategy):
     """
 
     name = "vectorized"
+    BLOCK_SIZE = 32
+    MIN_BLOCK = 4
 
-    def __init__(self, block_size: int = 32, min_block: int = 4):
-        self.block_size = max(1, int(block_size))
-        self.min_block = max(1, min(int(min_block), self.block_size))
+    def __init__(self):
         self._adaptive = False
 
     def bind(self, scenario):
@@ -492,10 +493,10 @@ class VectorizedSampler(SamplingStrategy):
         stats = GenerationStats()
         start_time = time.perf_counter()
         scene: Optional[Scene] = None
-        next_block = self.min_block if self._adaptive else self.block_size
+        next_block = self.MIN_BLOCK if self._adaptive else self.BLOCK_SIZE
         while scene is None and stats.iterations < max_iterations:
             block = min(next_block, max_iterations - stats.iterations)
-            next_block = min(next_block * 2, self.block_size)
+            next_block = min(next_block * 2, self.BLOCK_SIZE)
             candidates = self._draw_block(scenario, rng, block)
             failures = self._bulk_geometry_failures(scenario, candidates)
             for candidate, failure in zip(candidates, failures):

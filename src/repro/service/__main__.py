@@ -57,7 +57,7 @@ def _sample_sources() -> dict:
 
 
 async def _cmd_serve(args: argparse.Namespace) -> int:
-    service = GenerationService(workers=args.workers, cache_dir=args.cache_dir)
+    service = GenerationService(workers=args.workers)
     server = HttpGenerationServer(service, host=args.host, port=args.port)
     await server.start()
     stop = asyncio.Event()
@@ -233,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8923)
     serve.add_argument("--workers", type=int, default=2)
-    serve.add_argument("--cache-dir", default=None,
-                       help="shared on-disk artifact cache directory")
 
     smoke = sub.add_parser("smoke", help="CI smoke: concurrency + determinism + shutdown")
     smoke.add_argument("--workers", type=int, default=2)

@@ -127,7 +127,6 @@ class ShardPayload:
     fingerprint: str
     source: str
     strategy: str
-    strategy_options: Dict[str, Any]
     max_iterations: int
     indices: List[int]
     seeds: Optional[List[int]]  # None = sequential/direct mode

@@ -18,15 +18,15 @@ the surface is four routes:
     fingerprint alone instead of re-sending its text.
 ``POST /generate``
     JSON body with ``source`` | ``fingerprint`` and optional ``n``,
-    ``seed``, ``strategy``, ``max_iterations``, ``derive`` and ``options``
-    (an object of strategy options).  Blocking by default (one JSON
-    document back); with ``"stream": true`` the response is
+    ``seed``, ``strategy``, ``max_iterations``, ``derive`` and ``stream``;
+    any other field is a 400.  Blocking by default (one JSON document
+    back); with ``"stream": true`` the response is
     ``application/x-ndjson`` with chunked transfer encoding — one frame
     per line, exactly the frames :meth:`GenerationService.generate_stream`
     yields, block frames as shards complete and an ``end`` frame with the
-    merged stats.  A stream client that hangs up aborts its request at
-    once: the admission slot is released without waiting for the running
-    shards, whose records are dropped when they land.
+    merged stats.  A client that hangs up, blocking or streaming, aborts
+    its request at once: the admission slot is released without waiting
+    for the running shards, whose records are dropped when they land.
 
 Errors are structured: ``{"ok": false, "error": {"type": ...,
 "message": ...}}`` with status 400 (bad request), 404 (no such route),
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import asyncio
 import json
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Awaitable, Dict, Optional, Tuple
 
 from .service import GenerationFailedError, GenerationService, ServiceOverloadedError
 
@@ -48,6 +48,17 @@ from .service import GenerationFailedError, GenerationService, ServiceOverloaded
 #: Big enough for any realistic program source; small enough that a
 #: misbehaving client cannot balloon the server's buffers.
 DEFAULT_MAX_BODY_BYTES = 1 << 20
+
+#: Every field a ``POST /generate`` body may carry.
+_GENERATE_FIELDS = (
+    "source", "fingerprint", "n", "seed", "strategy", "max_iterations", "derive", "stream",
+)
+
+#: How an error message names each JSON type a request field can take.
+_JSON_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
+
+#: How often a running request checks whether its client hung up.
+_HANG_UP_POLL_SECONDS = 0.05
 
 _STATUS_PHRASES = {
     200: "OK",
@@ -83,40 +94,60 @@ def _json_object(body: bytes) -> Dict[str, Any]:
     return request
 
 
-def _integer(request: Dict[str, Any], field: str, default: int) -> int:
-    """A request field that must be a JSON integer (``true`` and ``2.5`` are not)."""
+def _field(request: Dict[str, Any], field: str, default: Any) -> Any:
+    """A request field, which must have the JSON type of its *default*.
+
+    Nothing is coerced: ``true`` and ``2.5`` are not integers, ``123`` is
+    not a string and ``"no"`` is not a boolean.
+    """
     value = request.get(field, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"'{field}' must be an integer, not {json.dumps(value)}")
+    if type(value) is not type(default):
+        raise ValueError(
+            f"'{field}' must be {_JSON_TYPE_NAMES[type(default)]}, not {json.dumps(value)}"
+        )
     return value
 
 
-def _generate_params(request: Dict[str, Any]) -> Dict[str, Any]:
-    """Validate a generate request's fields into ``generate(...)`` kwargs."""
-    source_or_hash = request.get("source") or request.get("fingerprint")
-    if not source_or_hash:
+def _generate_params(request: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
+    """Validate a generate request into ``generate(...)`` kwargs and its stream flag."""
+    unknown = sorted(set(request) - set(_GENERATE_FIELDS))
+    if unknown:
+        raise ValueError(
+            f"unknown request field(s): {', '.join(unknown)} "
+            f"(known: {', '.join(_GENERATE_FIELDS)})"
+        )
+    source = _field(request, "source", "")
+    fingerprint = _field(request, "fingerprint", "")
+    if not (source or fingerprint):
         raise ValueError("generate needs 'source' or 'fingerprint'")
-    options = request.get("options") or {}
-    if not isinstance(options, dict):
-        raise ValueError("'options' must be an object of strategy options")
     params = {
-        "source_or_hash": str(source_or_hash),
-        "n": _integer(request, "n", 1),
-        "seed": _integer(request, "seed", 0),
-        "strategy": str(request.get("strategy", "rejection")),
-        "max_iterations": _integer(request, "max_iterations", 2000),
-        "derive": str(request.get("derive", "splitmix")),
+        "source_or_hash": source or fingerprint,
+        "n": _field(request, "n", 1),
+        "seed": _field(request, "seed", 0),
+        "strategy": _field(request, "strategy", "rejection"),
+        "max_iterations": _field(request, "max_iterations", 2000),
+        "derive": _field(request, "derive", "splitmix"),
     }
-    clashes = sorted(set(options) & (set(params) | {"source", "fingerprint"}))
-    if clashes:
-        raise ValueError(f"'options' may not set request fields: {', '.join(clashes)}")
-    return {**params, **options}
+    return params, _field(request, "stream", False)
 
 
-async def _until_eof(reader: asyncio.StreamReader) -> None:
-    """Return once the peer closes its end of the connection."""
-    while await reader.read(1 << 16):
-        pass
+async def _unless_hung_up(reader: asyncio.StreamReader, work: Awaitable[Any]) -> Any:
+    """Await *work*, or cancel it and raise ``ConnectionResetError`` once the client hangs up.
+
+    The watcher polls ``reader.at_eof()``, which reads nothing: the next
+    request of a keep-alive client stays buffered for the connection's
+    next turn.  A client that half-closes its sending side counts as gone.
+    """
+    working = asyncio.ensure_future(work)
+    try:
+        while not working.done():
+            if reader.at_eof():
+                raise ConnectionResetError("client hung up")
+            await asyncio.wait({working}, timeout=_HANG_UP_POLL_SECONDS)
+    finally:
+        working.cancel()
+        await asyncio.gather(working, return_exceptions=True)
+    return working.result()
 
 
 class HttpGenerationServer:
@@ -319,17 +350,18 @@ class HttpGenerationServer:
         close: bool = True,
     ) -> bool:
         try:
-            request = _json_object(body)
-            params = _generate_params(request)
+            params, stream = _generate_params(_json_object(body))
         except Exception as error:  # noqa: BLE001
             await self._send_json(writer, 400, _error_response(error), close=close)
             return True
 
-        if request.get("stream"):
+        if stream:
             await self._stream_ndjson(params, reader, writer)
             return False  # chunked stream always ends the connection
         try:
-            response = await self.service.generate(**params)
+            response = await _unless_hung_up(reader, self.service.generate(**params))
+        except (ConnectionResetError, BrokenPipeError):
+            raise
         except Exception as error:  # noqa: BLE001
             await self._send_json(
                 writer, _error_status(error), _error_response(error), close=close
@@ -346,10 +378,8 @@ class HttpGenerationServer:
     ) -> None:
         """``POST /generate`` with ``stream: true`` → chunked NDJSON frames.
 
-        The stream ends the connection, so the client sends nothing more:
-        end-of-file on *reader* means it hung up.  That closes the stream at
-        once, so the request's admission slot does not wait for its running
-        shards to land.
+        A client that hangs up closes the stream at once, so the request's
+        admission slot does not wait for its running shards to land.
         """
         writer.write(
             b"HTTP/1.1 200 OK\r\n"
@@ -377,17 +407,10 @@ class HttpGenerationServer:
             writer.write(b"0\r\n\r\n")
             await writer.drain()
 
-        pumping = asyncio.ensure_future(pump())
-        hang_up = asyncio.ensure_future(_until_eof(reader))
         try:
-            await asyncio.wait({pumping, hang_up}, return_when=asyncio.FIRST_COMPLETED)
+            await _unless_hung_up(reader, pump())
         finally:
-            for task in (pumping, hang_up):
-                task.cancel()
-            await asyncio.gather(pumping, hang_up, return_exceptions=True)
             await stream.aclose()
-        if not pumping.cancelled():
-            pumping.result()  # a broken connection ends the handler
 
     # -- plumbing -----------------------------------------------------------------
 

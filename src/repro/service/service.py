@@ -4,9 +4,9 @@
 traffic" north star asks for, built on the compile-once artifacts of
 :mod:`repro.language.compiler`:
 
-* **compile once** — workers keep a process-local artifact cache (optionally
-  backed by one shared disk directory), so a program's parse/interpret cost
-  is paid once per worker, not once per request;
+* **compile once** — each worker keeps a process-local, in-memory artifact
+  cache, so a program's parse/interpret cost is paid once per worker, not
+  once per request;
 * **shard + affinity** — a batch request is cut into per-worker shards whose
   scene seeds are derived with splitmix64 from ``(master_seed,
   scene_index)``, so the merged batch is bit-identical regardless of worker
@@ -106,11 +106,6 @@ class GenerationService:
     max_queue:
         Requests allowed to *wait* for an inflight slot before new arrivals
         are shed with :class:`ServiceOverloadedError`.
-    cache_dir:
-        Optional directory for the workers' shared on-disk artifact layer;
-        also used by the coordinator's own cache.
-    worker_cache_size:
-        Per-worker in-memory artifact LRU size.
     """
 
     def __init__(
@@ -118,17 +113,13 @@ class GenerationService:
         workers: int = 2,
         max_inflight: Optional[int] = None,
         max_queue: int = 32,
-        cache_dir: Optional[str] = None,
-        worker_cache_size: int = 64,
     ):
         self.workers = max(0, int(workers))
         self.max_inflight = max_inflight if max_inflight is not None else 2 * max(self.workers, 1)
         if self.max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
         self.max_queue = max(0, int(max_queue))
-        self.cache_dir = cache_dir
-        self.worker_cache_size = worker_cache_size
-        self.cache = ArtifactCache(disk_dir=cache_dir)
+        self.cache = ArtifactCache()
         self._sources: Dict[str, str] = {}
         self._pools: List[ProcessPoolExecutor] = []
         self._inflight = asyncio.Semaphore(self.max_inflight)
@@ -162,11 +153,7 @@ class GenerationService:
         return self
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        pool = ProcessPoolExecutor(
-            max_workers=1,
-            initializer=initialize_worker,
-            initargs=(self.cache_dir, self.worker_cache_size),
-        )
+        pool = ProcessPoolExecutor(max_workers=1, initializer=initialize_worker)
         # A fork-started pool forks its worker at the first submit; do it
         # now.  A worker forked later, while a server has connections open,
         # inherits their sockets, and a connection the server closes then
@@ -232,19 +219,11 @@ class GenerationService:
         self._pending += 1
         self.stats["peak_pending"] = max(self.stats["peak_pending"], self._pending)
 
-    def _validate(
-        self,
-        n: int,
-        derive: str,
-        strategy: str,
-        max_iterations: int,
-        strategy_options: Dict[str, Any],
-    ) -> None:
+    def _validate(self, n: int, derive: str, strategy: str, max_iterations: int) -> None:
         """Reject a malformed request before it is admitted or reaches a worker.
 
-        The strategy is built once from *strategy_options* here, so an
-        unknown strategy or an option it does not take is the client's
-        ``ValueError``, not a shard failure.
+        An unknown strategy name is the client's ``ValueError``, not a shard
+        failure.
         """
         if isinstance(n, bool) or not isinstance(n, int):
             raise ValueError(f"n must be an integer, not {n!r}")
@@ -252,10 +231,7 @@ class GenerationService:
             raise ValueError("n must be non-negative")
         if derive not in DERIVE_MODES:
             raise ValueError(f"unknown derive mode {derive!r} (known: {DERIVE_MODES})")
-        try:
-            make_strategy(strategy, **strategy_options)
-        except TypeError as error:
-            raise ValueError(f"bad options for strategy {strategy!r}: {error}") from error
+        make_strategy(strategy)  # raises ValueError for an unknown name
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -269,7 +245,6 @@ class GenerationService:
         strategy: str = "rejection",
         max_iterations: int = 2000,
         derive: str = "splitmix",
-        **strategy_options: Any,
     ) -> GenerateResponse:
         """Sample *n* scenes of a program; the service's one front door.
 
@@ -291,13 +266,13 @@ class GenerationService:
         """
         if not self._started:
             await self.start()
-        self._validate(n, derive, strategy, max_iterations, strategy_options)
+        self._validate(n, derive, strategy, max_iterations)
         self._admit()
         try:
             scenes: List[Any] = [None] * n
             async with self._inflight:
                 async for frame in self._stream_admitted(
-                    source_or_hash, n, seed, strategy, max_iterations, derive, strategy_options
+                    source_or_hash, n, seed, strategy, max_iterations, derive
                 ):
                     if frame["frame"] == "block":
                         for index, record in zip(frame["indices"], frame["scenes"]):
@@ -315,7 +290,6 @@ class GenerationService:
         strategy: str = "rejection",
         max_iterations: int = 2000,
         derive: str = "splitmix",
-        **strategy_options: Any,
     ) -> AsyncIterator[Dict[str, Any]]:
         """Like :meth:`generate`, but yield each shard's records as it completes.
 
@@ -339,13 +313,13 @@ class GenerationService:
         """
         if not self._started:
             await self.start()
-        self._validate(n, derive, strategy, max_iterations, strategy_options)
+        self._validate(n, derive, strategy, max_iterations)
         self._admit()
         try:
             async with self._inflight:
                 self.stats["streams"] += 1
                 async with aclosing(self._stream_admitted(
-                    source_or_hash, n, seed, strategy, max_iterations, derive, strategy_options
+                    source_or_hash, n, seed, strategy, max_iterations, derive
                 )) as frames:
                     async for frame in frames:
                         yield frame
@@ -362,7 +336,6 @@ class GenerationService:
         strategy: str,
         max_iterations: int,
         derive: str,
-        strategy_options: Dict[str, Any],
     ) -> AsyncIterator[Dict[str, Any]]:
         """The one shard path: run an admitted request's shards, yield its frames."""
         start = time.perf_counter()
@@ -370,7 +343,7 @@ class GenerationService:
         fingerprint = source_fingerprint(source)
         self.stats["requests"] += 1
         payloads = self._make_payloads(
-            fingerprint, source, strategy, strategy_options, max_iterations, n, seed,
+            fingerprint, source, strategy, max_iterations, n, seed,
             derive_scene_seeds(seed, n, derive),
         )
         tasks = [
@@ -439,7 +412,6 @@ class GenerationService:
         fingerprint: str,
         source: str,
         strategy: str,
-        strategy_options: Dict[str, Any],
         max_iterations: int,
         n: int,
         seed: int,
@@ -461,7 +433,6 @@ class GenerationService:
                     fingerprint=fingerprint,
                     source=source,
                     strategy=strategy,
-                    strategy_options=dict(strategy_options),
                     max_iterations=max_iterations,
                     indices=indices,
                     seeds=None if seeds is None else [seeds[index] for index in indices],

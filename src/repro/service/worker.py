@@ -2,9 +2,9 @@
 
 Each worker in the service's process pool runs :func:`initialize_worker`
 once (pool initializer) and then :func:`run_shard` per task.  Workers are
-*persistent*: they hold a process-local :class:`~repro.language.ArtifactCache`
-plus a bound-engine LRU, so the first shard of a program pays the compile
-(or an unpickle from the shared disk layer) and every later shard — from any
+*persistent*: they hold a process-local, in-memory
+:class:`~repro.language.ArtifactCache` plus a bound-engine LRU, so the first
+shard of a program pays the compile and every later shard — from any
 request — skips the parser and interpreter entirely and starts sampling
 immediately.  The service routes shards to workers by artifact fingerprint
 (*affinity*) precisely so these per-process caches keep hitting.
@@ -31,9 +31,12 @@ from .protocol import ShardOutcome, ShardPayload, scene_record
 # Process-local state, created by initialize_worker (or lazily on first use
 # when shards run inline in the coordinator process, workers=0).
 _CACHE = None
-#: Bound-engine LRU: insertion order *is* recency order — hits move their
-#: entry to the MRU end, eviction pops the front.
-_ENGINES: Dict[Tuple[str, str, Tuple[Tuple[str, Any], ...]], Any] = {}
+#: Bound-engine LRU, keyed by (fingerprint, strategy): insertion order *is*
+#: recency order — hits move their entry to the MRU end, eviction pops the
+#: front.
+_ENGINES: Dict[Tuple[str, str], Any] = {}
+#: LRU sizes: artifacts in ``_CACHE``, bound engines in ``_ENGINES``.
+_MAX_ARTIFACTS = 64
 _MAX_ENGINES = 32
 
 #: Serializes run_shard within one process.  Pool workers are
@@ -44,17 +47,12 @@ _MAX_ENGINES = 32
 _SHARD_LOCK = threading.Lock()
 
 
-def initialize_worker(cache_dir: Optional[str] = None, cache_size: int = 64) -> None:
-    """Pool initializer: build this worker's artifact cache.
-
-    *cache_dir*, when set, points every worker at one shared on-disk artifact
-    store, so a program compiled by any worker (or by a previous service
-    run) is a disk hit for all the others.
-    """
+def initialize_worker() -> None:
+    """Pool initializer: build this worker's artifact cache."""
     global _CACHE
     from ..language.compiler import ArtifactCache
 
-    _CACHE = ArtifactCache(max_memory=cache_size, disk_dir=cache_dir)
+    _CACHE = ArtifactCache(max_memory=_MAX_ARTIFACTS)
     _ENGINES.clear()
 
 
@@ -66,7 +64,7 @@ def _cache():
 
 
 def _engine_for(payload: ShardPayload) -> Tuple[Any, bool, bool]:
-    """A bound, reusable engine for (program, strategy, options).
+    """A bound, reusable engine for (program, strategy).
 
     Returns ``(engine, artifact_was_warm, engine_was_cached)``.  Engine
     reuse is what amortises bind-time analysis (pruning pass, dependency
@@ -81,8 +79,7 @@ def _engine_for(payload: ShardPayload) -> Tuple[Any, bool, bool]:
     """
     from ..sampling import SamplerEngine
 
-    options_key = tuple(sorted(payload.strategy_options.items()))
-    key = (payload.fingerprint, payload.strategy, options_key)
+    key = (payload.fingerprint, payload.strategy)
     engine = _ENGINES.pop(key, None)
     if engine is not None:
         _ENGINES[key] = engine  # re-insert at the MRU end
@@ -91,12 +88,12 @@ def _engine_for(payload: ShardPayload) -> Tuple[Any, bool, bool]:
     cache = _cache()
     # The coordinator already content-addressed the program: an
     # address-by-hash lookup skips re-normalizing and re-hashing the source
-    # on every shard; only a genuinely cold worker compiles (or disk-loads).
+    # on every shard; only a genuinely cold worker compiles.
     artifact = cache.lookup_fingerprint(payload.fingerprint)
     warm = artifact is not None
     if artifact is None:
         artifact = cache.get(payload.source)
-    engine = SamplerEngine(artifact, strategy=payload.strategy, **payload.strategy_options)
+    engine = SamplerEngine(artifact, strategy=payload.strategy)
     while len(_ENGINES) >= _MAX_ENGINES:
         _ENGINES.pop(next(iter(_ENGINES)))  # evict the LRU (front) entry
     _ENGINES[key] = engine

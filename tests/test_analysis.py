@@ -12,7 +12,6 @@ Three layers under test:
 """
 
 import math
-import pickle
 
 import pytest
 
@@ -387,14 +386,6 @@ class TestArtifactIntegration:
         artifact = compile_scenario(self.SOURCE, cache=None)
         first = artifact.prune_bounds()
         assert artifact.prune_bounds() is first
-
-    def test_bounds_survive_pickling(self):
-        """Warm service workers must never re-analyze a shipped artifact."""
-        artifact = compile_scenario(self.SOURCE, cache=None)
-        bounds = artifact.prune_bounds()
-        clone = pickle.loads(pickle.dumps(artifact))
-        assert clone._prune_bounds == bounds
-        assert clone.prune_bounds() == bounds
 
     def test_scenarios_resolve_their_bounds(self):
         artifact = compile_scenario(self.SOURCE, cache=None)

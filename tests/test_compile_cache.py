@@ -1,15 +1,12 @@
 """The compiled-scenario artifact cache (`repro/language/compiler.py`).
 
 Covers the content-addressing contract (hash stability across trivially
-equivalent sources, invalidation on real edits), both cache layers (LRU
-memory, on-disk pickles incl. corruption and format-staleness recovery),
-pickle round-trips of artifacts, and — most importantly — that warm-path
-scenarios sample *bit-identically* to cold compiles against the committed
-golden corpus.
+equivalent sources, invalidation on real edits), the in-memory LRU, and —
+most importantly — that warm-path scenarios sample *bit-identically* to
+cold compiles against the committed golden corpus.
 """
 
 import json
-import pickle
 from pathlib import Path
 
 import pytest
@@ -19,7 +16,6 @@ from repro.language import compiler as compiler_module
 from repro.language.compiler import (
     ARTIFACT_FORMAT_VERSION,
     ArtifactCache,
-    CompiledScenario,
     compile_scenario,
     normalize_source,
     scenario_from_string,
@@ -137,64 +133,7 @@ class TestMemoryCache:
 
 
 # ---------------------------------------------------------------------------
-# The disk layer
-# ---------------------------------------------------------------------------
-
-
-class TestDiskCache:
-    def test_cross_cache_disk_hit_skips_the_parser(self, tmp_path):
-        writer = ArtifactCache(disk_dir=tmp_path)
-        artifact = writer.get(SIMPLE)
-        assert list(tmp_path.glob("*.scenic-artifact.pkl"))
-
-        reader = ArtifactCache(disk_dir=tmp_path)
-        loaded = reader.get(SIMPLE)
-        assert reader.stats.disk_hits == 1
-        assert reader.stats.misses == 0
-        assert loaded is not artifact
-        assert loaded.fingerprint == artifact.fingerprint
-        # Disk hits are promoted into the memory layer.
-        assert reader.get(SIMPLE) is loaded
-        assert reader.stats.memory_hits == 1
-
-    def test_corrupt_disk_entry_recompiles(self, tmp_path):
-        writer = ArtifactCache(disk_dir=tmp_path)
-        artifact = writer.get(SIMPLE)
-        (entry,) = tmp_path.glob("*.scenic-artifact.pkl")
-        entry.write_bytes(b"definitely not a pickle")
-
-        reader = ArtifactCache(disk_dir=tmp_path)
-        loaded = reader.get(SIMPLE)
-        assert reader.stats.misses == 1
-        assert loaded.fingerprint == artifact.fingerprint
-
-    def test_stale_format_version_recompiles(self, tmp_path, monkeypatch):
-        writer = ArtifactCache(disk_dir=tmp_path)
-        monkeypatch.setattr(compiler_module, "ARTIFACT_FORMAT_VERSION", ARTIFACT_FORMAT_VERSION + 1)
-        stale = writer.get(SIMPLE)  # pickled with version+1 in its state
-        monkeypatch.undo()
-        assert stale.fingerprint != source_fingerprint(SIMPLE)  # re-addressed too
-
-        # Force a same-name stale entry to exercise the unpickle guard.
-        (entry,) = tmp_path.glob("*.scenic-artifact.pkl")
-        target = tmp_path / f"{source_fingerprint(SIMPLE)}.scenic-artifact.pkl"
-        entry.rename(target)
-        reader = ArtifactCache(disk_dir=tmp_path)
-        loaded = reader.get(SIMPLE)
-        assert reader.stats.disk_hits == 0
-        assert reader.stats.misses == 1
-        assert loaded.fingerprint == source_fingerprint(SIMPLE)
-
-    def test_clear_disk(self, tmp_path):
-        cache = ArtifactCache(disk_dir=tmp_path)
-        cache.get(SIMPLE)
-        cache.clear(disk=True)
-        assert len(cache) == 0
-        assert not list(tmp_path.glob("*.scenic-artifact.pkl"))
-
-
-# ---------------------------------------------------------------------------
-# Artifacts: scenarios, metadata, pickling
+# Artifacts: scenarios and metadata
 # ---------------------------------------------------------------------------
 
 
@@ -205,8 +144,8 @@ class TestCompiledScenario:
         assert artifact.scenario() is shared
         fresh = artifact.scenario(fresh=True)
         assert fresh is not shared
-        assert shared.compiled_fingerprint == artifact.fingerprint
-        assert fresh.compiled_fingerprint == artifact.fingerprint
+        assert shared.compiled_artifact is artifact
+        assert fresh.compiled_artifact is artifact
 
     def test_scenario_from_string_returns_independent_scenarios(self):
         first = scenario_from_string(SIMPLE)
@@ -247,17 +186,6 @@ class TestCompiledScenario:
         # Three objects with disjoint randomness -> three dependency groups.
         assert metadata.dependency_groups == ((0,), (1,), (2,))
 
-    def test_pickle_round_trip_preserves_identity_and_metadata(self):
-        artifact = compile_scenario(SIMPLE, cache=None)
-        _ = artifact.metadata  # force; metadata must travel with the pickle
-        clone = pickle.loads(pickle.dumps(artifact))
-        assert clone.fingerprint == artifact.fingerprint
-        assert clone.source == artifact.source
-        assert clone.metadata == artifact.metadata
-        # The interned live scenario does NOT travel; it is rebuilt lazily.
-        assert clone._shared_scenario is None
-        assert len(clone.scenario().objects) == 2
-
     def test_engine_accepts_artifacts_and_source(self):
         artifact = compile_scenario(SIMPLE, cache=None)
         engine = SamplerEngine(artifact)
@@ -293,29 +221,24 @@ def _record(scene):
 
 
 @pytest.mark.parametrize("stem", ["simplest", "two_cars", "mars_rubble_field"])
-def test_warm_artifact_reproduces_golden_scenes(stem, tmp_path):
-    """Cold compile, warm in-memory artifact and disk-round-tripped artifact
-    all sample the exact golden scene (same seed, 1e-9)."""
+def test_warm_artifact_reproduces_golden_scenes(stem):
+    """A cold compile and a warm cached artifact both sample the exact
+    golden scene (same seed, 1e-9)."""
     golden = json.loads((GOLDEN_DIR / f"{stem}.json").read_text())
     source = (SCENARIO_DIR / f"{stem}.scenic").read_text()
     seed = golden["seed"]
     expected = golden["strategies"]["rejection"]
 
-    cache = ArtifactCache(disk_dir=tmp_path)
+    cache = ArtifactCache()
     cold_scene = cache.get(source).scenario(fresh=True).generate(
         seed=seed, max_iterations=golden["max_iterations"]
     )
     warm_scene = cache.get(source).scenario().generate(
         seed=seed, max_iterations=golden["max_iterations"]
     )
-    disk_scene = (
-        ArtifactCache(disk_dir=tmp_path)
-        .get(source)
-        .scenario()
-        .generate(seed=seed, max_iterations=golden["max_iterations"])
-    )
+    assert cache.stats.misses == 1 and cache.stats.memory_hits == 1
 
-    for scene in (cold_scene, warm_scene, disk_scene):
+    for scene in (cold_scene, warm_scene):
         got = _record(scene)
         assert len(got) == len(expected["objects"])
         assert scene.objects.index(scene.ego) == expected["ego_index"]
@@ -326,18 +249,3 @@ def test_warm_artifact_reproduces_golden_scenes(stem, tmp_path):
             assert abs(heading - want["heading"]) <= TOLERANCE
             assert abs(width - want["width"]) <= TOLERANCE
             assert abs(height - want["height"]) <= TOLERANCE
-
-
-def test_pickled_artifact_reproduces_cold_scenes_across_strategies():
-    """pickle → unpickle → sample equals a cold compile, for every golden strategy."""
-    source = (SCENARIO_DIR / "two_cars.scenic").read_text()
-    artifact = compile_scenario(source, cache=None)
-    clone = pickle.loads(pickle.dumps(artifact))
-    for strategy in ("rejection", "batch", "vectorized"):
-        cold = scenario_from_string(source).generate(
-            seed=99, strategy=strategy, max_iterations=20000
-        )
-        warm = clone.scenario(fresh=True).generate(
-            seed=99, strategy=strategy, max_iterations=20000
-        )
-        assert _record(cold) == _record(warm)

@@ -14,7 +14,7 @@ Walks ``docs/**/*.md`` plus ``README.md`` and
   ``repro/...`` and the other top-level directories) still exists, so the
   docs cannot name a deleted file or test.
 
-Run by the CI ``docs`` job and as part of tier-1.
+Runs as part of tier-1 (the CI ``tier1`` job).
 """
 
 import glob

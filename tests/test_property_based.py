@@ -34,9 +34,14 @@ def convex_polygons(draw):
     if len(xs) < 2 or len(ys) < 2:
         return Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
     try:
-        return convex_hull(points)
+        hull = convex_hull(points)
     except ValueError:
         return Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
+    # Distinct rounded coordinates do not rule out a sliver hull such as
+    # (0, 0), (1e-298, 0), (1, 1); triangulation drops triangles that thin.
+    if hull.area < 1e-6:
+        return Polygon([(0, 0), (10, 0), (10, 10), (0, 10)])
+    return hull
 
 
 class TestVectorProperties:

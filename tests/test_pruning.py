@@ -66,7 +66,7 @@ class TestOrientationPruning:
             (strip(1000, 1020, 0, 10), 0.0),
         ]
         pruned = prune_by_orientation(
-            cells, (math.pi - 0.1, math.pi + 0.1), max_distance=30.0, deviation_bound=0.0
+            cells, (math.pi - 0.1, math.pi + 0.1), max_distance=30.0, total_deviation=0.0
         )
         pruned_region = PolygonalRegion(pruned)
         assert pruned_region.contains_point((10, 5))
@@ -77,7 +77,7 @@ class TestOrientationPruning:
         # Every cell is a compatible partner for itself when 0 is allowed, so
         # nothing may be removed (only possibly restricted to reachable parts).
         cells = [(strip(0, 20, 0, 10), 0.0), (strip(0, 20, 15, 25), 0.0)]
-        pruned = prune_by_orientation(cells, (-0.1, 0.1), max_distance=30.0, deviation_bound=0.0)
+        pruned = prune_by_orientation(cells, (-0.1, 0.1), max_distance=30.0, total_deviation=0.0)
         pruned_region = PolygonalRegion(pruned)
         assert pruned_region.contains_point((10, 5))
         assert pruned_region.contains_point((10, 20))
@@ -88,11 +88,11 @@ class TestOrientationPruning:
             (strip(0, 20, 15, 25), math.pi - 0.5),
         ]
         constraint = (math.pi - 0.1, math.pi + 0.1)
-        strict = prune_by_orientation(cells, constraint, max_distance=30.0, deviation_bound=0.0)
-        relaxed = prune_by_orientation(cells, constraint, max_distance=30.0, deviation_bound=0.25)
+        strict = prune_by_orientation(cells, constraint, max_distance=30.0, total_deviation=0.0)
+        relaxed = prune_by_orientation(cells, constraint, max_distance=30.0, total_deviation=0.5)
         strict_region = PolygonalRegion(strict) if strict else None
         relaxed_region = PolygonalRegion(relaxed)
-        # With the +-2*delta slack the (pi - 0.5)-heading cell becomes compatible.
+        # With 0.5 rad of total slack the (pi - 0.5)-heading cell becomes compatible.
         assert relaxed_region.contains_point((10, 20))
         if strict_region is not None:
             assert not strict_region.contains_point((10, 20))
@@ -159,13 +159,13 @@ class TestOrientationWrapRegression:
             self.CELLS,
             (math.pi - 0.1, -(math.pi - 0.1)),
             max_distance=30.0,
-            deviation_bound=0.0,
+            total_deviation=0.0,
         )
         unnormalized = prune_by_orientation(
             self.CELLS,
             (math.pi - 0.1, math.pi + 0.1),
             max_distance=30.0,
-            deviation_bound=0.0,
+            total_deviation=0.0,
         )
         for pruned in (wrapped, unnormalized):
             region = PolygonalRegion(pruned)
@@ -176,7 +176,7 @@ class TestOrientationWrapRegression:
 
     def test_degenerate_equal_endpoints_is_a_point_not_a_full_circle(self):
         pruned = prune_by_orientation(
-            self.CELLS, (math.pi, math.pi), max_distance=30.0, deviation_bound=0.0
+            self.CELLS, (math.pi, math.pi), max_distance=30.0, total_deviation=0.0
         )
         region = PolygonalRegion(pruned)
         assert region.contains_point((10, 5))
@@ -197,7 +197,7 @@ class TestOrientationPartnerCells:
             cells,
             (-math.pi / 2 - 0.1, -math.pi / 2 + 0.1),
             max_distance=30.0,
-            deviation_bound=0.0,
+            total_deviation=0.0,
             partner_cells=partner_cells,
         )
         region = PolygonalRegion(pruned)
@@ -208,12 +208,8 @@ class TestOrientationPartnerCells:
         cells = [(strip(0, 10, 0, 10), 0.0)]
         partner_cells = [(strip(0, 10, 15, 25), 0.35)]
         constraint = (-0.1, 0.1)
-        tight = prune_by_orientation(
-            cells, constraint, 30.0, 0.0, partner_cells=partner_cells, total_deviation=0.2
-        )
-        loose = prune_by_orientation(
-            cells, constraint, 30.0, 0.0, partner_cells=partner_cells, total_deviation=0.3
-        )
+        tight = prune_by_orientation(cells, constraint, 30.0, 0.2, partner_cells=partner_cells)
+        loose = prune_by_orientation(cells, constraint, 30.0, 0.3, partner_cells=partner_cells)
         assert tight == []  # 0.35 > 0.1 + 0.2
         assert loose  # 0.35 <= 0.1 + 0.3
 
@@ -282,32 +278,6 @@ class TestScenarioPruning:
         # The 4-m-long car on a 10-m-wide road straddles the edge often enough
         # that erosion noticeably reduces wasted samples.
         assert pruned_iterations < unpruned_iterations
-
-    def test_orientation_pruning_applies_through_driver(self):
-        # Two opposite carriageways; an oncoming constraint (centre pi) with a
-        # 15-m range keeps only the parts of each carriageway within 15 m of
-        # the other one.
-        cells = [
-            (strip(0, 40, 0, 10), -math.pi / 2),
-            (strip(0, 40, 20, 30), math.pi / 2),
-        ]
-        field = PolygonalVectorField("dir", cells)
-        road = PolygonalRegion([polygon for polygon, _ in cells], orientation=field)
-        workspace_region = PolygonalRegion([strip(0, 40, 0, 30)])
-        scenario = self._build_scenario(road, workspace_region)
-        report = prune_scenario(
-            scenario,
-            relative_heading_bound=0.1,
-            relative_heading_center=math.pi,
-            max_distance=15.0,
-            deviation_bound=0.0,
-        )
-        assert "orientation" in report.techniques
-        position_distribution = scenario.objects[-1].properties["position"]
-        # The far edge of the top carriageway (y close to 30) is more than
-        # 15 m from the bottom one and is pruned; the near edge survives.
-        assert not position_distribution.region.contains_point((20, 29))
-        assert position_distribution.region.contains_point((20, 21))
 
 
 class TestBoundsDrivenPruning:

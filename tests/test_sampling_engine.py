@@ -184,7 +184,7 @@ class TestPruneThenSample:
         from repro.core.pruning import prune_scenario
 
         scenario = scenarios.compile_scenario(scenarios.two_cars())
-        report = prune_scenario(scenario, max_distance=30.0)
+        report = prune_scenario(scenario)
         scene = SamplerEngine(scenario, "rejection").sample(seed=4, max_iterations=20000)
         assert not scene.has_collisions()
         assert 0 < report.area_ratio <= 1.0 + 1e-9
@@ -201,10 +201,10 @@ class TestBatchResultAggregation:
         assert isinstance(batch, SceneBatch)
         assert len(batch) == 6
         assert batch.stats.scenes == 6
-        per_scene_iterations = [stats.iterations for _s, stats in batch.stats.per_scene]
-        assert batch.stats.combined().iterations == sum(per_scene_iterations)
+        assert batch.stats.draws == 6
         # last_stats now reflects the whole batch, not just the final scene.
-        assert scenario.last_stats.iterations == sum(per_scene_iterations)
+        assert scenario.last_stats.iterations == batch.stats.combined().iterations
+        assert scenario.last_stats.iterations >= 6
         assert batch.stats.acceptance_rate == pytest.approx(
             6 / batch.stats.total_iterations
         )
@@ -225,7 +225,7 @@ class TestBatchResultAggregation:
         assert scenario.last_stats.rejections_collision == 20
         # Failed draws are recorded but not counted as accepted scenes.
         # (generate_batch defaults to the vectorized strategy.)
-        engine = scenario._engine_cache[("vectorized", ())]
+        engine = scenario._engine_cache["vectorized"]
         assert engine.aggregate.draws == 1
         assert engine.aggregate.scenes == 0
         assert engine.aggregate.acceptance_rate == 0.0
@@ -233,9 +233,9 @@ class TestBatchResultAggregation:
     def test_generate_reuses_engine_per_strategy(self):
         scenario = containment_heavy_scenario(1)
         scenario.generate(seed=0, max_iterations=100000, strategy="batch")
-        first_engine = scenario._engine_cache[("batch", ())]
+        first_engine = scenario._engine_cache["batch"]
         scenario.generate(seed=1, max_iterations=100000, strategy="batch")
-        assert scenario._engine_cache[("batch", ())] is first_engine
+        assert scenario._engine_cache["batch"] is first_engine
         assert first_engine.aggregate.scenes == 2
 
     def test_by_strategy_rollup(self):
@@ -287,7 +287,7 @@ class TestVectorizedSampler:
         assert isinstance(make_strategy("vectorized"), VectorizedSampler)
         scenario = containment_heavy_scenario(1)
         scenario.generate_batch(2, seed=0, max_iterations=100000)
-        assert ("vectorized", ()) in scenario._engine_cache
+        assert "vectorized" in scenario._engine_cache
 
     def test_matches_rejection_without_soft_requirements(self):
         # No RNG draw separates block drawing from one-at-a-time rejection
@@ -309,12 +309,16 @@ class TestVectorizedSampler:
             for scenic_object in scene.objects:
                 assert scene.workspace.contains_object(scenic_object)
 
-    def test_block_size_does_not_change_accepted_scene(self):
+    def test_block_size_does_not_change_accepted_scene(self, monkeypatch):
+        from repro.sampling import VectorizedSampler
+
         source = scenarios.two_cars()
 
         def fingerprint(block_size):
+            monkeypatch.setattr(VectorizedSampler, "BLOCK_SIZE", block_size)
+            monkeypatch.setattr(VectorizedSampler, "MIN_BLOCK", min(block_size, 4))
             scenario = scenarios.compile_scenario(source)
-            engine = SamplerEngine(scenario, "vectorized", block_size=block_size)
+            engine = SamplerEngine(scenario, "vectorized")
             return scene_fingerprint(engine.sample(seed=17, max_iterations=20000))
 
         assert fingerprint(1) == fingerprint(64)
@@ -344,15 +348,19 @@ class TestVectorizedSampler:
         sampler.bind(soft)
         assert sampler._adaptive is False
 
-    def test_adaptive_ramp_matches_fixed_block(self):
+    def test_adaptive_ramp_matches_fixed_block(self, monkeypatch):
         # Candidates come off one sequential RNG stream in draw order, so
         # how draws are grouped into rounds cannot change which candidate
         # is accepted: any ramp == the full fixed block.
+        from repro.sampling import VectorizedSampler
+
         source = scenarios.two_cars()
 
-        def fingerprint(**options):
+        def fingerprint(block_size, min_block):
+            monkeypatch.setattr(VectorizedSampler, "BLOCK_SIZE", block_size)
+            monkeypatch.setattr(VectorizedSampler, "MIN_BLOCK", min_block)
             scenario = scenarios.compile_scenario(source)
-            engine = SamplerEngine(scenario, "vectorized", **options)
+            engine = SamplerEngine(scenario, "vectorized")
             return scene_fingerprint(engine.sample(seed=29, max_iterations=20000))
 
         fixed = fingerprint(block_size=32, min_block=32)  # ramp disabled by floor
@@ -436,3 +444,41 @@ class TestStrategyRegistryEdgeCases:
             assert STRATEGIES["test-plug"] is Plug
         finally:
             STRATEGIES.pop("test-plug", None)
+
+
+#: Statically infeasible: the analysis proves that no relative heading is
+#: both within 10 deg and at least 150 deg.
+PROVABLY_INFEASIBLE = (
+    "import gtaLib\nego = EgoCar\nc = Car\n"
+    "require abs(relative heading of c) <= 10 deg\n"
+    "require abs(relative heading of c) >= 150 deg\n"
+)
+#: Infeasible too, but the analysis cannot prove it: only sampling finds out.
+UNPROVABLY_INFEASIBLE = "ego = Object at 0 @ 0\nrequire ego.position.x > 1\n"
+
+
+@pytest.mark.parametrize("strategy", ["rejection", "batch", "vectorized", "direct"])
+@pytest.mark.parametrize(
+    "program", [PROVABLY_INFEASIBLE, UNPROVABLY_INFEASIBLE], ids=["provable", "unprovable"]
+)
+def test_infeasible_program_versus_exhausted_budget(program, strategy):
+    """Only ``direct`` proves infeasibility, at bind time; every other case exhausts the budget.
+
+    ``direct`` prunes when it binds, so on the provable program it raises
+    :class:`InfeasibleScenarioError` before drawing a single candidate.
+    The rejection-style strategies never analyse the program, and no
+    strategy can prove the unprovable one: they draw the whole budget of
+    50 candidates and raise :class:`RejectionError`.
+    """
+    from repro.core.errors import InfeasibleScenarioError
+    from repro.language import compile_scenario
+
+    engine = SamplerEngine(compile_scenario(program, cache=None), strategy)
+    if program is PROVABLY_INFEASIBLE and strategy == "direct":
+        with pytest.raises(InfeasibleScenarioError):
+            engine.sample(seed=0, max_iterations=50)
+        assert engine.last_stats is None
+    else:
+        with pytest.raises(RejectionError):
+            engine.sample(seed=0, max_iterations=50)
+        assert engine.last_stats.iterations == 50

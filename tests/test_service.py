@@ -278,6 +278,48 @@ def test_infeasible_program_raises_generation_failed():
     assert excinfo.value.detail["type"] == "RejectionError"
 
 
+#: Statically infeasible: the analysis proves that no relative heading is
+#: both within 10 deg and at least 150 deg.
+PROVABLY_INFEASIBLE = (
+    "import gtaLib\nego = EgoCar\nc = Car\n"
+    "require abs(relative heading of c) <= 10 deg\n"
+    "require abs(relative heading of c) >= 150 deg\n"
+)
+
+
+@pytest.mark.parametrize("strategy", ["rejection", "batch", "vectorized", "direct"])
+@pytest.mark.parametrize(
+    "program",
+    [PROVABLY_INFEASIBLE, "ego = Object at 0 @ 0\nrequire ego.position.x > 1\n"],
+    ids=["provable", "unprovable"],
+)
+def test_infeasible_and_exhausted_requests_are_counted_failures(program, strategy):
+    """Infeasibility proved at bind time and an exhausted budget both fail the request.
+
+    Only ``direct`` on the provably infeasible program reports
+    ``InfeasibleScenarioError``; every other case draws the whole budget
+    and reports ``RejectionError``.  Either way the request counts in
+    ``failures`` and returns its slot.
+    """
+    expected = (
+        "InfeasibleScenarioError"
+        if program is PROVABLY_INFEASIBLE and strategy == "direct"
+        else "RejectionError"
+    )
+
+    async def run():
+        async with GenerationService(workers=0) as service:
+            with pytest.raises(GenerationFailedError) as failed:
+                await service.generate(
+                    program, n=1, seed=0, strategy=strategy, max_iterations=50
+                )
+            return failed.value, service.service_stats()
+
+    error, stats = asyncio.run(run())
+    assert error.detail["type"] == expected
+    assert (stats["requests"], stats["failures"], stats["pending"]) == (1, 1, 0)
+
+
 def test_compile_error_raises_generation_failed():
     async def run():
         async with GenerationService(workers=0) as service:
@@ -292,23 +334,36 @@ def test_compile_error_raises_generation_failed():
     [
         ("strategy", "nope", "known: batch, direct, rejection, vectorized"),
         ("max_iterations", 0, "max_iterations must be at least 1"),
-        ("options", {"backend": "numpy"}, "bad options for strategy 'rejection'"),
-        ("options", {"nope": 1}, "bad options for strategy 'rejection'"),
-        ("options", {"seed": 9}, "may not set request fields: seed"),
         ("n", 2.5, "'n' must be an integer, not 2.5"),
         ("n", True, "'n' must be an integer, not true"),
         ("seed", "7", "'seed' must be an integer, not \"7\""),
         ("max_iterations", 1500.9, "'max_iterations' must be an integer, not 1500.9"),
+        ("options", {"block_size": 8}, "unknown request field(s): options"),
+        ("source", 123, "'source' must be a string, not 123"),
+        ("source", ["ego = Object at 0 @ 0"], "'source' must be a string, not [\"ego"),
+        ("fingerprint", 42, "'fingerprint' must be a string, not 42"),
+        ("strategy", None, "'strategy' must be a string, not null"),
+        ("derive", 1, "'derive' must be a string, not 1"),
+        ("stream", "no", "'stream' must be true or false, not \"no\""),
     ],
 )
 def test_bad_request_is_rejected_before_admission(field, value, needle):
-    """A bad strategy, budget, strategy option or non-integer count is the client's error.
+    """A bad strategy, budget, field or field type is the client's error.
 
     HTTP answers 400 with a ``ValueError`` naming the problem; the request
     is never admitted, so no shard runs and ``failures`` does not move.
+    Nothing is coerced: a number is not a string, ``"no"`` is not false.
     """
     request = {"source": _source("single_car"), "n": 1, field: value}
+    _assert_rejected_before_admission(request, needle)
 
+
+def test_fingerprint_only_request_is_rejected_before_admission():
+    """A request naming its program by a non-string fingerprint alone is a 400 too."""
+    _assert_rejected_before_admission({"fingerprint": 42, "n": 1}, "'fingerprint' must be a string")
+
+
+def _assert_rejected_before_admission(request, needle):
     async def run():
         async with GenerationService(workers=0) as service:
             async with HttpGenerationServer(service) as http:
@@ -423,7 +478,7 @@ def test_broken_pool_is_replaced_once_by_concurrent_shards(monkeypatch):
     monkeypatch.setattr(service, "_new_pool", new_pool)
     payload = ShardPayload(
         fingerprint="0" * 64, source="ego = Object at 0 @ 0", strategy="rejection",
-        strategy_options={}, max_iterations=10, indices=[0], seeds=[1], master_seed=0,
+        max_iterations=10, indices=[0], seeds=[1], master_seed=0,
     )
 
     async def run():
@@ -589,6 +644,55 @@ def test_ndjson_hang_up_releases_its_slot_while_shards_run():
                 return closed, released, landed, service.service_stats(), after.scenes
 
     closed, released, landed, stats, scenes = asyncio.run(run())
+    assert released - closed < 1.0
+    # Both 16-scene shards ran on for seconds after the slot came back.
+    assert len(landed) == 2 and min(landed) - released > 0.5
+    assert stats["failures"] == 0
+    assert stats["pending"] == 0
+    assert scenes == generate_sync(source, n=8, seed=3).scenes
+
+
+@pytest.mark.parametrize("connection", ["close", "keep-alive"])
+def test_blocking_hang_up_releases_its_slot_while_shards_run(connection):
+    """A blocking client that hangs up mid-request frees its slot at once.
+
+    The server watches the connection while the request runs, so the slot
+    comes back within a second, while both shards still run.  No failure is
+    counted, and the next request matches ``workers=0`` record for record.
+    """
+    source = _source("two_cars")
+    body = json.dumps({
+        "source": SLOW_SOURCE, "n": 32, "seed": 5, "max_iterations": 10**6,
+    }).encode()
+
+    async def run():
+        async with GenerationService(workers=2) as service:
+            async with HttpGenerationServer(service) as server:
+                await service.generate(SLOW_SOURCE, n=2, seed=0, max_iterations=10**6)
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(
+                    b"POST /generate HTTP/1.1\r\nHost: t\r\n"
+                    + f"Connection: {connection}\r\n".encode()
+                    + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+                )
+                await writer.drain()
+                sent = time.monotonic()
+                while not service.service_stats()["pending"] and time.monotonic() < sent + 5:
+                    await asyncio.sleep(0.01)
+                await asyncio.sleep(0.3)  # both shards are running
+                admitted = service.service_stats()["pending"]
+                writer.close()
+                await writer.wait_closed()
+                closed = time.monotonic()
+                while service.service_stats()["pending"] and time.monotonic() < closed + 5:
+                    await asyncio.sleep(0.01)
+                released = time.monotonic()
+                landed = await _workers_free_at(service)
+                after = await service.generate(source, n=8, seed=3)
+                return admitted, closed, released, landed, service.service_stats(), after.scenes
+
+    admitted, closed, released, landed, stats, scenes = asyncio.run(run())
+    assert admitted == 1
     assert released - closed < 1.0
     # Both 16-scene shards ran on for seconds after the slot came back.
     assert len(landed) == 2 and min(landed) - released > 0.5

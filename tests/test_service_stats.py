@@ -166,7 +166,6 @@ def _payload(source, strategy="rejection"):
         fingerprint=source_fingerprint(source),
         source=source,
         strategy=strategy,
-        strategy_options={},
         max_iterations=100,
         indices=[0],
         seeds=[1],
