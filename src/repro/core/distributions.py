@@ -79,8 +79,16 @@ def needs_sampling(value: Any) -> bool:
     return False
 
 
+#: Builtin leaf types ``concretize`` returns at once, before its ladder.  A
+#: fixed set: a cache keyed by program-defined types would keep every
+#: compiled program's classes, and through them its DAG, alive.
+_LEAF_TYPES = frozenset({float, int, bool, str, type(None), Vector})
+
+
 def concretize(value: Any, sample: Sample) -> Any:
     """Resolve *value* to a concrete (non-random) value under *sample*."""
+    if type(value) in _LEAF_TYPES:
+        return value
     if isinstance(value, Distribution):
         return value.sample_in(sample)
     if hasattr(value, "_concretize"):
@@ -92,6 +100,60 @@ def concretize(value: Any, sample: Sample) -> Any:
     if isinstance(value, dict):
         return {key: concretize(item, sample) for key, item in value.items()}
     return value
+
+
+def is_constant(value: Any) -> bool:
+    """True when ``concretize`` returns *value* unchanged and draws nothing.
+
+    That is a leaf (no ``Distribution``, ``_concretize`` hook, tuple, list
+    or dict) or an exact ``tuple`` of constants.  Namedtuples are not
+    constant (``concretize`` turns them into plain tuples), and neither is
+    any list or dict: it is walked on every draw and comes back fresh.
+    """
+    if type(value) in _LEAF_TYPES:
+        return True
+    if type(value) is tuple:
+        return all(is_constant(item) for item in value)
+    return not (
+        isinstance(value, (Distribution, tuple, list, dict)) or hasattr(value, "_concretize")
+    )
+
+
+def _plan_items(items: Tuple[Any, ...]) -> Tuple[Tuple[int, Callable[[Sample], Any]], ...]:
+    """How to draw the random items of *items*: ``(index, fill)`` in order.
+
+    Constant items are left out; :func:`_fill` copies them from *items*.  A
+    ``Distribution`` fills through its own ``sample_in`` and a random exact
+    tuple item by item (a tuple cannot change).  Anything else takes the
+    live ``concretize`` walk on every draw, so a list's or dict's current
+    items are read each time.
+    """
+    slots = []
+    for index, item in enumerate(items):
+        if isinstance(item, Distribution):
+            slots.append((index, item.sample_in))
+        elif is_constant(item):
+            continue
+        elif type(item) is tuple:
+            inner = _plan_items(item)
+            slots.append(
+                (index, lambda sample, item=item, inner=inner: tuple(_fill(item, inner, sample)))
+            )
+        else:
+            slots.append((index, lambda sample, item=item: concretize(item, sample)))
+    return tuple(slots)
+
+
+def _fill(items: Tuple[Any, ...], slots, sample: Sample) -> List[Any]:
+    """*items* as a list, with each random item drawn by its slot in order."""
+    values = list(items)
+    for index, fill in slots:
+        values[index] = fill(sample)
+    return values
+
+
+#: Marks a node with no value yet in a :class:`Sample`'s memo.
+_UNSET = object()
 
 
 def supporting_interval(value: Any) -> Tuple[Optional[float], Optional[float]]:
@@ -111,15 +173,25 @@ def supporting_interval(value: Any) -> Tuple[Optional[float], Optional[float]]:
 class Distribution:
     """Base class for every random value in the DAG."""
 
+    #: ``(dependencies, slots)``: the dependency tuple the draw plan was built
+    #: from and :func:`_plan_items` of it.  Built at the first draw.
+    _plan: Optional[Tuple[Tuple[Any, ...], Tuple[Any, ...]]] = None
+
     def __init__(self, *dependencies: Any):
         self._dependencies: Tuple[Any, ...] = tuple(dependencies)
 
     # -- sampling --------------------------------------------------------------
 
     def sample_in(self, sample: Sample) -> Any:
-        if sample.has_value_for(self):
-            return sample.value_for(self)
-        dependency_values = [concretize(dep, sample) for dep in self._dependencies]
+        value = sample._values.get(id(self), _UNSET)
+        if value is not _UNSET:
+            return value
+        plan = self._plan
+        if plan is None or plan[0] is not self._dependencies:
+            # First draw, or ``prune_scenario`` swapped the dependencies.
+            plan = self._plan = (self._dependencies, _plan_items(self._dependencies))
+        dependencies, slots = plan
+        dependency_values = _fill(dependencies, slots, sample) if slots else dependencies
         value = self.sample_given(dependency_values, sample.rng)
         sample.set_value_for(self, value)
         return value
@@ -544,6 +616,7 @@ __all__ = [
     "resample",
     "needs_sampling",
     "concretize",
+    "is_constant",
     "supporting_interval",
     "distribution_function",
     "make_random_vector",

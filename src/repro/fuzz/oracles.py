@@ -1,6 +1,6 @@
 """Differential oracles for fuzz-generated Scenic programs.
 
-Four oracles are run against every valid generated program:
+Five oracles are run against every valid generated program:
 
 * **Strategy equivalence** — every registered sampling strategy is given a
   fresh compile of the program and the same seed.  The strategies that share
@@ -28,8 +28,12 @@ Four oracles are run against every valid generated program:
   when a valid scene demonstrably exists.  This is the fuzz oracle for the
   polygon-cell boundary soundness of ``prune_scenario`` and for the static
   requirement analysis behind it.
+* **Planned draws** — the program's first candidates are drawn twice from
+  one seed: through ``concretize``'s per-node draw plans, and through
+  :func:`reference_concretize`, the plain walk the plans replace.  Values,
+  rejections and the final RNG state must all be equal.
 
-A fifth, opt-in oracle (``statistical=True``) guards the constructive
+A sixth, opt-in oracle (``statistical=True``) guards the constructive
 ``direct`` strategy's exactness claim:
 
 * **Statistical equivalence** — fixed-size scene batches are drawn under
@@ -57,8 +61,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.distributions import Sample, concretize
+from ..core.distributions import Distribution, Sample, concretize
 from ..core.errors import RejectionError, RejectSample, ScenicError
+from ..core.objects import Constructible
 from ..core.regions import CircularRegion, RectangularRegion
 from ..core.utils import normalize_angle
 from ..core.vectors import Vector
@@ -332,6 +337,99 @@ def recheck_hard_requirements(scenario, sample) -> List[str]:
         if not requirement.holds_in(sample):
             problems.append(f"hard requirement {index} ({requirement.name}) violated")
     return problems
+
+
+# ---------------------------------------------------------------------------
+# Oracle F: planned draws equal the walk they replace
+# ---------------------------------------------------------------------------
+
+#: Candidates :func:`check_planned_draws` draws both ways per program.
+PLAN_CANDIDATES = 32
+
+
+def reference_concretize(value: Any, sample: Sample) -> Any:
+    """``concretize`` without draw plans: every dependency, every property, every draw.
+
+    The ``isinstance``/``hasattr`` ladder, a ``sample_in`` that concretizes
+    each dependency and a ``Constructible._concretize`` over each property,
+    with the same memo and mutation noise.  It only reads the DAG: it
+    builds, uses and patches no plan.
+    """
+    if isinstance(value, Distribution):
+        if sample.has_value_for(value):
+            return sample.value_for(value)
+        dependency_values = [reference_concretize(dep, sample) for dep in value._dependencies]
+        result = value.sample_given(dependency_values, sample.rng)
+        sample.set_value_for(value, result)
+        return result
+    if isinstance(value, Constructible):
+        if sample.has_value_for(value):
+            return sample.value_for(value)
+        concrete = type(value)._make(**{
+            name: reference_concretize(item, sample) for name, item in value.properties.items()
+        })
+        concrete._source_object = value
+        sample.set_value_for(value, concrete)
+        concrete._apply_mutation(sample)
+        return concrete
+    if hasattr(value, "_concretize"):
+        return value._concretize(sample)
+    if isinstance(value, tuple):
+        return tuple(reference_concretize(item, sample) for item in value)
+    if isinstance(value, list):
+        return [reference_concretize(item, sample) for item in value]
+    if isinstance(value, dict):
+        return {key: reference_concretize(item, sample) for key, item in value.items()}
+    return value
+
+
+def _same_value(first: Any, second: Any) -> bool:
+    """Structural equality of two concretized values (objects by property)."""
+    if first is second:
+        return True
+    if type(first) is not type(second):
+        return False
+    if isinstance(first, Constructible):
+        return _same_value(first.properties, second.properties)
+    if isinstance(first, (tuple, list)):
+        return len(first) == len(second) and all(map(_same_value, first, second))
+    if isinstance(first, dict):
+        return list(first) == list(second) and all(
+            _same_value(first[key], second[key]) for key in first
+        )
+    return bool(first == second)
+
+
+def _draw_candidate_values(scenario, rng: random.Random, walk) -> Tuple[str, Any]:
+    """One candidate's objects, ego and params under *walk*, in ``draw_candidate`` order."""
+    sample = Sample(rng)
+    try:
+        objects = [walk(obj, sample) for obj in scenario.objects]
+        ego = walk(scenario.ego, sample)
+        params = {name: walk(value, sample) for name, value in scenario.params.items()}
+    except Exception as error:  # noqa: BLE001 - compared, not judged
+        return type(error).__name__, None
+    return "drawn", (objects, ego, params)
+
+
+def check_planned_draws(scenario, seed: int, candidates: int = PLAN_CANDIDATES) -> List[str]:
+    """Oracle F: planned draws must equal :func:`reference_concretize`'s walk.
+
+    Draws *scenario*'s first *candidates* candidates both ways from the same
+    seed.  Each must give equal object and parameter values (or raise the
+    same error, e.g. ``RejectSample``) and leave an equal ``rng.getstate()``.
+    """
+    planned_rng, reference_rng = random.Random(seed), random.Random(seed)
+    for index in range(candidates):
+        planned = _draw_candidate_values(scenario, planned_rng, concretize)
+        reference = _draw_candidate_values(scenario, reference_rng, reference_concretize)
+        if planned[0] != reference[0]:
+            return [f"candidate {index}: planned draw {planned[0]}, reference {reference[0]}"]
+        if not _same_value(planned[1], reference[1]):
+            return [f"candidate {index}: planned values differ from the reference walk"]
+        if planned_rng.getstate() != reference_rng.getstate():
+            return [f"candidate {index}: RNG state differs from the reference walk"]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +791,13 @@ def run_oracles(
         _mutation_enabled(obj) for obj in probe.objects
     )
 
+    # -- oracle F: planned draws equal the reference walk ----------------------
+    plan_problems = check_planned_draws(probe, seed)
+    if plan_problems:
+        report.verdict = "fail"
+        report.failures.extend(OracleFailure("plan-equivalence", p) for p in plan_problems)
+        return report
+
     # -- sample under every strategy -------------------------------------------
     strategy_set = list(strategies) if strategies is not None else default_strategies()
     records: Dict[str, Optional[Dict[str, Any]]] = {}
@@ -876,6 +981,8 @@ __all__ = [
     "check_pruning_soundness",
     "check_kernel_equivalence",
     "check_statistical_equivalence",
+    "check_planned_draws",
+    "reference_concretize",
     "chi_square_quantile",
     "chi_square_two_sample",
     "ks_statistic",

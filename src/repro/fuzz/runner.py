@@ -93,9 +93,13 @@ class CampaignResult:
         return not self.finds
 
     def summary(self) -> str:
+        cut_short = (
+            f" -- the time budget cut it short at {self.executed} of {self.config.count}"
+            if self.executed < self.config.count else ""
+        )
         lines = [
             f"fuzz campaign: {self.executed} programs in {self.elapsed_seconds:.1f}s "
-            f"(seed {self.config.seed})",
+            f"(seed {self.config.seed}){cut_short}",
             f"  pass={self.passed} skip={self.skipped} invalid-ok={self.invalid_ok} "
             f"finds={len(self.finds)}",
             f"  modes: "

@@ -219,14 +219,18 @@ class GenerationService:
         self._pending += 1
         self.stats["peak_pending"] = max(self.stats["peak_pending"], self._pending)
 
-    def _validate(self, n: int, derive: str, strategy: str, max_iterations: int) -> None:
+    def _validate(
+        self, n: int, seed: int, derive: str, strategy: str, max_iterations: int
+    ) -> None:
         """Reject a malformed request before it is admitted or reaches a worker.
 
         An unknown strategy name is the client's ``ValueError``, not a shard
-        failure.
+        failure.  ``n``, ``seed`` and ``max_iterations`` must be integers, and
+        a ``bool`` is not one.
         """
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError(f"n must be an integer, not {n!r}")
+        for name, value in (("n", n), ("seed", seed), ("max_iterations", max_iterations)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, not {value!r}")
         if n < 0:
             raise ValueError("n must be non-negative")
         if derive not in DERIVE_MODES:
@@ -266,7 +270,7 @@ class GenerationService:
         """
         if not self._started:
             await self.start()
-        self._validate(n, derive, strategy, max_iterations)
+        self._validate(n, seed, derive, strategy, max_iterations)
         self._admit()
         try:
             scenes: List[Any] = [None] * n
@@ -313,7 +317,7 @@ class GenerationService:
         """
         if not self._started:
             await self.start()
-        self._validate(n, derive, strategy, max_iterations)
+        self._validate(n, seed, derive, strategy, max_iterations)
         self._admit()
         try:
             async with self._inflight:

@@ -1,7 +1,9 @@
 """Unit tests for the probabilistic core (Table 1 distributions and derived values)."""
 
+import gc
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +25,18 @@ from repro.core.distributions import (
     resample,
     supporting_interval,
 )
-from repro.core.errors import ScenicError
+from repro.core.errors import RejectSample, ScenicError
+from repro.core.objects import Constructible
+from repro.core.pruning import prune_scenario
 from repro.core.vectors import Vector
+from repro.evals.corpus import Manifest
+from repro.fuzz.oracles import check_planned_draws, run_oracles
+from repro.language import compile_scenario, scenario_from_string
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
+CORPUS = Manifest.load()
+#: The first program of every (world, difficulty) bucket: 12 programs.
+PLAN_SLICE = [bucket[0] for _, bucket in sorted(CORPUS.by_bucket().items())]
 
 
 def draw(value, seed=0):
@@ -150,3 +162,118 @@ class TestSampleMemoisation:
     def test_different_samples_differ(self):
         node = Range(0, 1)
         assert draw(node, 1) != pytest.approx(draw(node, 2))
+
+
+def _draws(scenario, seed, count=16):
+    """*count* candidates' object positions and headings, ``None`` when rejected."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        sample = Sample(rng)
+        try:
+            objects = [obj._concretize(sample) for obj in scenario.objects]
+        except RejectSample:
+            draws.append(None)
+            continue
+        draws.append([(tuple(obj.position), float(obj.heading)) for obj in objects])
+    return draws
+
+
+class TestDrawPlans:
+    """A node's draw plan follows the node and keeps nothing alive."""
+
+    def test_plan_follows_pruned_dependencies(self):
+        """``prune_scenario`` after a draw swaps in a region the next draw must use."""
+        source = (SCENARIO_DIR / "close_car.scenic").read_text()
+        sampled = scenario_from_string(source)
+        unpruned = _draws(sampled, seed=1)
+        prune_scenario(sampled)
+        pruned_first = scenario_from_string(source)
+        prune_scenario(pruned_first)
+        after = _draws(sampled, seed=1)
+        assert after != unpruned
+        assert after == _draws(pruned_first, seed=1)
+
+    @pytest.mark.parametrize("scale", [lambda: 1.0, lambda: Range(0.5, 1.5)],
+                             ids=["constant", "random"])
+    def test_plan_follows_mutate_after_first_draw(self, scale):
+        """What ``mutate`` does after a draw equals doing it before the first one."""
+        source = (SCENARIO_DIR / "close_car.scenic").read_text()
+        drawn = scenario_from_string(source)
+        unmutated = _draws(drawn, seed=1)
+        drawn.objects[1]._assign_property("mutationScale", scale())
+        mutated_first = scenario_from_string(source)
+        mutated_first.objects[1]._assign_property("mutationScale", scale())
+        after = _draws(drawn, seed=1)
+        assert after != unmutated
+        assert after == _draws(mutated_first, seed=1)
+
+    def test_list_argument_is_fresh_on_every_draw(self):
+        seen = []
+
+        def grow(items):
+            seen.append(list(items))
+            items.append("extra")
+            return len(items)
+
+        node = FunctionDistribution(grow, ([1.0, 2.0],))
+        assert [draw(node, seed) for seed in range(3)] == [3, 3, 3]
+        assert seen == [[1.0, 2.0]] * 3
+
+    def test_list_dependency_that_grows_is_seen_whole(self):
+        items = [1.0]
+        node = FunctionDistribution(sum, (items,))
+        assert draw(node) == 1.0
+        items.append(Range(2.0, 3.0))
+        assert 3.0 <= draw(node) <= 4.0
+
+    def test_dropped_programs_leave_no_nodes_alive(self):
+        """Plans live on their nodes: nothing outlives the programs it was built for."""
+        sources = [entry.source() for entry in sorted(CORPUS, key=lambda e: e.id)
+                   if entry.difficulty == "easy"][:20]
+
+        def compile_and_sample():
+            for source in sources:
+                compile_scenario(source, cache=None).scenario().generate_batch(2, seed=0)
+
+        def live_nodes():
+            gc.collect()
+            return [o for o in gc.get_objects() if isinstance(o, (Distribution, Constructible))]
+
+        compile_and_sample()  # loads the worlds and fills module-level caches
+        before = live_nodes()
+        known = {id(node) for node in before}
+        compile_and_sample()
+        left = [node for node in live_nodes() if id(node) not in known]
+        assert left == []
+
+
+@pytest.mark.parametrize("entry", PLAN_SLICE, ids=lambda entry: entry.id)
+def test_planned_draws_equal_reference_walk(entry):
+    """Oracle F on one program per corpus bucket (all 165 in the slow test below)."""
+    assert check_planned_draws(scenario_from_string(entry.source()), seed=7) == []
+
+
+def test_run_oracles_flags_a_plan_that_draws_out_of_order(monkeypatch):
+    from repro.core import distributions
+
+    def reversed_fill(items, slots, sample):
+        values = list(items)
+        for index, fill in reversed(slots):
+            values[index] = fill(sample)
+        return values
+
+    monkeypatch.setattr(distributions, "_fill", reversed_fill)
+    report = run_oracles("ego = Object at (0, 1) @ (2, 3)\n", seed=0)
+    assert report.verdict == "fail"
+    assert [failure.oracle for failure in report.failures] == ["plan-equivalence"]
+
+
+@pytest.mark.slow
+def test_planned_draws_equal_reference_walk_on_whole_corpus():
+    failures = {}
+    for entry in CORPUS:
+        problems = check_planned_draws(scenario_from_string(entry.source()), seed=7)
+        if problems:
+            failures[entry.id] = problems
+    assert failures == {}

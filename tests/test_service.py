@@ -363,6 +363,42 @@ def test_fingerprint_only_request_is_rejected_before_admission():
     _assert_rejected_before_admission({"fingerprint": 42, "n": 1}, "'fingerprint' must be a string")
 
 
+@pytest.mark.parametrize("entry", ["generate", "generate_stream"])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"seed": 2.5},
+        {"seed": "7"},
+        {"seed": 2.5, "derive": "direct"},
+        {"seed": True},
+        {"max_iterations": True},
+        {"max_iterations": 2.5},
+        {"max_iterations": "5"},
+    ],
+    ids=["seed-float", "seed-str", "seed-float-direct", "seed-bool", "budget-bool",
+         "budget-float", "budget-str"],
+)
+def test_non_integer_seed_or_budget_is_rejected_before_admission(entry, overrides):
+    """Both Python entry points refuse what the HTTP front door's ``_field`` refuses.
+
+    ``seed`` and ``max_iterations`` follow ``n``'s rule (an ``int``, not a
+    ``bool``): a ``ValueError`` before admission, so nothing is counted.
+    """
+
+    async def run():
+        async with GenerationService(workers=0) as service:
+            with pytest.raises(ValueError, match="must be an integer"):
+                if entry == "generate":
+                    await service.generate(_source("two_cars"), n=2, **overrides)
+                else:
+                    async for _ in service.generate_stream(_source("two_cars"), n=2, **overrides):
+                        pass
+            return service.service_stats()
+
+    stats = asyncio.run(run())
+    assert (stats["requests"], stats["failures"], stats["pending"]) == (0, 0, 0)
+
+
 def _assert_rejected_before_admission(request, needle):
     async def run():
         async with GenerationService(workers=0) as service:
