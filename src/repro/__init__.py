@@ -13,8 +13,8 @@ Subpackages
 * :mod:`repro.analysis` — static requirement analysis: interval arithmetic
   and the AST walk deriving the ``PruneBounds`` that make Sec. 5.2 pruning
   automatic.
-* :mod:`repro.sampling` — the pluggable scene-sampling engine and its
-  strategies (rejection / batch / vectorized / direct).
+* :mod:`repro.sampling` — the pluggable scene-sampling engine: one
+  candidate loop and its strategies (rejection / batch / vectorized).
 * :mod:`repro.service` — the async, process-sharded generation service over
   compiled artifacts (``GenerationService``, HTTP server, CLI).
 * :mod:`repro.fuzz` — the grammar-driven scenario fuzzer and differential

@@ -284,9 +284,8 @@ def bounds_for_scenario(scenario: Scenario) -> Optional[PruneBounds]:
 
     Scenarios produced by :mod:`repro.language.compiler` carry a reference
     to their :class:`~repro.language.CompiledScenario`; the artifact caches
-    the analysis result, so repeated pruning passes — e.g. a service worker
-    binding the ``direct`` strategy for every shard — pay for the analysis
-    once per program, not once per request.
+    the analysis result, so repeated pruning passes over fresh scenarios of
+    one program pay for the analysis once per program, not once per pass.
     """
     artifact = scenario.compiled_artifact
     return None if artifact is None else artifact.prune_bounds()

@@ -36,11 +36,7 @@ class GenerationStats:
     ``iterations`` counts full candidate scenes; ``component_redraws`` counts
     partial re-draws of independent object groups performed by the
     dependency-aware strategies in :mod:`repro.sampling` (always 0 for plain
-    rejection sampling).  ``candidates_drawn`` counts constructive proposal
-    draws — positions drawn from triangle fans by the ``direct`` strategy,
-    including inner membership redraws; 0 for every strategy whose
-    candidates coincide with ``iterations``.  Use
-    :attr:`drawn_candidates` for the cross-strategy comparable count.
+    rejection sampling).
     """
 
     iterations: int = 0
@@ -50,13 +46,7 @@ class GenerationStats:
     rejections_user: int = 0
     rejections_sampling: int = 0
     component_redraws: int = 0
-    candidates_drawn: int = 0
     elapsed_seconds: float = 0.0
-
-    @property
-    def drawn_candidates(self) -> int:
-        """Candidates actually drawn: explicit proposal count, else iterations."""
-        return max(self.iterations, self.candidates_drawn)
 
     @property
     def total_rejections(self) -> int:
@@ -140,19 +130,11 @@ class Scenario:
         A thin wrapper over :class:`repro.sampling.SamplerEngine`: *strategy*
         selects a registered sampling strategy (``"rejection"`` — the
         default, draw-for-draw identical to the historical behaviour —
-        ``"batch"``, ``"vectorized"`` or ``"direct"``).  Engines are cached
-        per strategy name, so bind-time analysis (the pruning pass, the
-        dependency graph) runs once per scenario rather than once per call.
-        Raises :class:`RejectionError` if no valid scene is found within
-        *max_iterations* candidate samples.  Statistics about the run are
-        stored in :attr:`last_stats`.
-
-        .. warning:: ``strategy="direct"`` (like
-           :func:`~repro.core.pruning.prune_scenario`) rewrites the prunable
-           objects' sampling regions *in place* (sound — only volume that
-           can never yield a valid scene is removed, see Sec. 5.2).  Compile
-           a fresh scenario if you need an unpruned baseline of the same
-           program.
+        ``"batch"`` or ``"vectorized"``).  Engines are cached per strategy
+        name, so bind-time analysis (the dependency graph) runs once per
+        scenario rather than once per call.  Raises :class:`RejectionError`
+        if no valid scene is found within *max_iterations* candidate
+        samples.  Statistics about the run are stored in :attr:`last_stats`.
         """
         engine = self._engine_for(strategy)
         try:
@@ -205,12 +187,6 @@ class Scenario:
         if engine is None:
             engine = self._engine_cache[strategy] = SamplerEngine(self, strategy=strategy)
         return engine
-
-    def _sample_candidate(self, rng: _random.Random, stats: GenerationStats) -> Optional[Scene]:
-        """Draw one candidate scene; return it if valid, ``None`` if rejected."""
-        from ..sampling import draw_candidate
-
-        return draw_candidate(self, rng, stats)
 
     # -- misc -------------------------------------------------------------------
 

@@ -29,13 +29,6 @@ class Scene:
         self.ego = ego
         self.params: Dict[str, Any] = dict(params or {})
         self.workspace = workspace if workspace is not None else Workspace()
-        #: Importance weight stamped by constructive strategies (see
-        #: :mod:`repro.synthesis.importance`): an online estimate of the
-        #: plain-rejection acceptance probability of the run that produced
-        #: this scene.  The scene itself is always an exact sample of the
-        #: requirement-conditioned prior; the weight only serves downstream
-        #: prior-mass estimates.  1.0 for rejection-style strategies.
-        self.importance_weight: float = 1.0
 
     # -- queries ---------------------------------------------------------------
 

@@ -12,7 +12,7 @@ status               must not get *worse* (ok → exhausted/error fails; an
                      entry that was already exhausted/error may stay so)
 acceptance rate      ``|cur - base| <= max(abs, rel * base)``
 candidates drawn     ``cur <= base * factor + slack`` (more candidates for
-                     the same scenes = the pruning/synthesis win regressed)
+                     the same scenes = the strategy's acceptance regressed)
 coverage max-TV      ``cur <= base + margin`` (distributional drift away
                      from rejection ground truth)
 pruning area ratio   ``|cur - base| <= abs`` (the static analyzer weakened

@@ -69,7 +69,7 @@ DIFFICULTIES = ("easy", "medium", "hard")
 #: Tier thresholds on mean rejection iterations per accepted scene.  An
 #: ``easy`` scenario accepts almost every candidate; a ``hard`` one burns a
 #: three-digit candidate budget per scene (visibility cones, tight
-#: clearances) and is what the pruning/synthesis strategies exist for.
+#: clearances) and is what the pruning pass exists for.
 EASY_MAX_ITERATIONS_PER_SCENE = 8.0
 MEDIUM_MAX_ITERATIONS_PER_SCENE = 60.0
 

@@ -8,8 +8,6 @@ requirement analysis).  ``rejection`` is the reference semantics;
 ``batch`` and ``vectorized`` consume the RNG differently by design, so each
 gets its own stream.  ``pruning`` and ``pruned-vectorized`` sample the
 pruned regions, so their streams pin the whole analysis + pruning pipeline.
-``direct`` draws constructively from the pruned regions, so its stream
-also pins the triangulation and plan builder of :mod:`repro.synthesis`.
 
 ``tests/golden/regen.py`` writes the corpus, ``tests/test_golden_scenes.py``
 replays it, and :func:`repro.evals.promote.survives_golden_runs` screens
@@ -37,7 +35,6 @@ GOLDEN_RUNS: Dict[str, Tuple[str, bool]] = {
     "vectorized": ("vectorized", False),
     "pruning": ("rejection", True),
     "pruned-vectorized": ("vectorized", True),
-    "direct": ("direct", False),
 }
 
 

@@ -4,7 +4,7 @@ For one corpus scenario, :func:`score_scenario` draws a fixed-seed
 ground-truth batch under the *reference* strategy (rejection — the paper's
 semantics) and one batch per scored strategy, then reports per strategy:
 
-* **acceptance rate** and honest **candidates drawn**
+* **acceptance rate** and **candidates**
   (:meth:`AggregateStats.as_eval_metrics` — the same counters the service
   ships per shard);
 * **wall time** for the whole batch (informational — never gated, CI
@@ -48,8 +48,8 @@ from ..sampling.stats import AggregateStats
 from .metrics import coverage_summary, feature_columns
 
 #: Default strategy set scored against the rejection reference: the
-#: block-vectorized workhorse and the constructive synthesis path.
-DEFAULT_STRATEGIES = ("vectorized", "direct")
+#: block-vectorized workhorse, the ``generate_batch`` default.
+DEFAULT_STRATEGIES = ("vectorized",)
 REFERENCE_STRATEGY = "rejection"
 
 DEFAULT_SAMPLES = 40
@@ -176,7 +176,6 @@ def _run_service_batch(
         "acceptance_rate": (scenes / iterations) if iterations else 0.0,
         "sampling_seconds": float(stats.get("sampling_seconds", 0.0)),
         "rejections": stats.get("rejections", {}),
-        "mean_importance_weight": stats.get("mean_importance_weight"),
         "failed_draws": 0,
     }
     return {

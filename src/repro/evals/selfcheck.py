@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.scenario import GenerationStats
+from ..sampling.stats import merge_generation_stats
 from ..sampling.strategies import SamplingStrategy, make_strategy
 from .check import DEFAULT_TOLERANCES, Tolerances, compare_scorecards
 from .metrics import scene_features
@@ -55,8 +56,6 @@ class BiasedStrategy(SamplingStrategy):
         self._picks = picks
         self._prop = prop
         self.name = inner.name
-        self.mutates_scenario = inner.mutates_scenario
-        self.uses_importance_weights = inner.uses_importance_weights
 
     def bind(self, scenario) -> None:
         self._inner.bind(scenario)
@@ -66,15 +65,7 @@ class BiasedStrategy(SamplingStrategy):
         best: Optional[Tuple[float, Any]] = None
         for _ in range(self._picks):
             scene, stats = self._inner.sample(scenario, max_iterations, rng)
-            merged.iterations += stats.iterations
-            merged.rejections_containment += stats.rejections_containment
-            merged.rejections_collision += stats.rejections_collision
-            merged.rejections_visibility += stats.rejections_visibility
-            merged.rejections_user += stats.rejections_user
-            merged.rejections_sampling += stats.rejections_sampling
-            merged.component_redraws += stats.component_redraws
-            merged.candidates_drawn += stats.candidates_drawn
-            merged.elapsed_seconds += stats.elapsed_seconds
+            merge_generation_stats(merged, stats)
             if scene is None:
                 return None, merged
             key = scene_features(scene).get(self._prop, 0.0)

@@ -70,8 +70,8 @@ def measure_sampling(
     """Generate *samples* scenes and record the iteration counts and time.
 
     Sampling goes through :class:`repro.sampling.SamplerEngine`, so any
-    registered strategy (``"rejection"``, ``"batch"``, ``"vectorized"``,
-    ``"direct"``) can be measured, on a pruned scenario too; per-scene
+    registered strategy (``"rejection"``, ``"batch"``, ``"vectorized"``)
+    can be measured, on a pruned scenario too; per-scene
     diagnostics come from the engine's aggregate stats.
     """
     engine = SamplerEngine(scenario, strategy=strategy)

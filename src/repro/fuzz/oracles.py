@@ -6,10 +6,10 @@ Five oracles are run against every valid generated program:
   fresh compile of the program and the same seed.  The strategies that share
   the rejection RNG-stream contract (``rejection`` and ``vectorized``; see
   :mod:`repro.evals.golden`) must produce bit-identical scenes whenever the
-  program has no soft requirements; the remaining strategies (``batch``,
-  ``direct``) consume the stream differently by design but must still accept
-  whenever rejection accepts (both only ever *improve* the acceptance rate),
-  and their scenes go through the validity re-checks below.
+  program has no soft requirements; ``batch`` consumes the stream
+  differently by design but must still accept whenever rejection accepts (it
+  only ever *improves* the acceptance rate), and its scenes go through the
+  validity re-checks below.
 * **Kernel equivalence** — the vectorized geometry kernel
   (:mod:`repro.geometry.kernel`) must agree with the scalar predicates on
   the sampled scenes: point containment, object containment, and pairwise
@@ -33,19 +33,19 @@ Five oracles are run against every valid generated program:
   :func:`reference_concretize`, the plain walk the plans replace.  Values,
   rejections and the final RNG state must all be equal.
 
-A sixth, opt-in oracle (``statistical=True``) guards the constructive
-``direct`` strategy's exactness claim:
+A sixth, opt-in oracle (``statistical=True``) guards the ``batch``
+strategy's exactness claim:
 
 * **Statistical equivalence** — fixed-size scene batches are drawn under
-  ``direct`` and plain ``rejection`` and compared property by property
+  ``batch`` and plain ``rejection`` and compared property by property
   (per-object position marginals, headings, inter-object distances) with a
   two-sample Kolmogorov–Smirnov bound and a binned chi-square test, both at
   a ≈1e-6 per-property level so a fixed-seed campaign passes clean unless
-  the distributions genuinely diverge.  Constructive sampling restricts the
-  prior to a sound over-approximation of the feasible set and re-checks
-  every requirement, which is *exact* conditioning — any bias (an
-  under-approximating proposal, a mis-weighted triangle, a wrong arc
-  truncation) shows up here.
+  the distributions genuinely diverge.  ``batch`` consumes the RNG stream
+  differently from ``rejection``, so oracle A cannot compare them scene by
+  scene; its local group redraws condition each group exactly only if the
+  prior factorises over the dependency groups, and any bias (a group that
+  shares a random value with another, a miscounted redraw) shows up here.
 
 Compilation failures of supposedly-valid programs, and *any* non-ScenicError
 escaping the pipeline, are reported as failures too — the latter is the
@@ -177,16 +177,14 @@ def records_differ(first: Dict[str, Any], second: Dict[str, Any]) -> Optional[st
 def draw_scene_with_sample(scenario, seed: int, max_iterations: int):
     """Replay plain rejection sampling, returning ``(scene, sample)``.
 
-    This mirrors :func:`repro.sampling.strategies.draw_candidate` (same RNG
+    This mirrors the ``rejection`` strategy's candidate loop (same RNG
     consumption order) but keeps the accepted joint :class:`Sample`, which is
     what lets the oracle re-evaluate ``require`` conditions independently of
     ``check_user_requirements``.
     """
-    from ..core.scenario import GenerationStats
-    from ..sampling.strategies import check_builtin_requirements
+    from ..sampling.strategies import all_required_visible, geometry_failure
 
     rng = random.Random(seed)
-    stats = GenerationStats()
     for _ in range(max_iterations):
         try:
             sample = Sample(rng)
@@ -195,7 +193,9 @@ def draw_scene_with_sample(scenario, seed: int, max_iterations: int):
             concrete_params = {
                 name: concretize(value, sample) for name, value in scenario.params.items()
             }
-            if not check_builtin_requirements(scenario, concrete_objects, concrete_ego, stats):
+            if geometry_failure(scenario.workspace, concrete_objects) or not (
+                all_required_visible(concrete_objects, concrete_ego)
+            ):
                 continue
             rejected = False
             for requirement in scenario.requirements:
@@ -401,7 +401,7 @@ def _same_value(first: Any, second: Any) -> bool:
 
 
 def _draw_candidate_values(scenario, rng: random.Random, walk) -> Tuple[str, Any]:
-    """One candidate's objects, ego and params under *walk*, in ``draw_candidate`` order."""
+    """One candidate's objects, ego and params under *walk*, in the strategies' draw order."""
     sample = Sample(rng)
     try:
         objects = [walk(obj, sample) for obj in scenario.objects]
@@ -630,7 +630,7 @@ def check_statistical_equivalence(
     seed: int = 0,
     samples: int = 120,
     max_iterations: int = 3000,
-    strategy: str = "direct",
+    strategy: str = "batch",
     reference: str = "rejection",
 ) -> List[str]:
     """Oracle E: *strategy*'s scene distribution must match *reference*'s.
@@ -751,7 +751,7 @@ def run_oracles(
 
     ``statistical=True`` additionally runs oracle E
     (:func:`check_statistical_equivalence`): *equivalence_samples*-scene
-    batches under ``direct`` and ``rejection`` compared distributionally.
+    batches under ``batch`` and ``rejection`` compared distributionally.
     It multiplies the per-program cost by the batch size, so campaigns
     enable it explicitly (``repro.fuzz --equivalence``).
     """
@@ -880,34 +880,31 @@ def run_oracles(
     strategy_by_name = {
         (s if isinstance(s, str) else s.name): s for s in strategy_set
     }
-    if records.get("rejection") is not None:
-        for name in ("batch", "direct"):
-            if name in records and records[name] is None:
-                # These strategies consume the RNG stream differently, so a
-                # same-budget failure can be an unlucky draw rather than a
-                # bug; only flag when a 10x budget cannot find a scene
-                # either (they are acceptance-improving by construction).
-                # Retry with the caller's own strategy object — resolving
-                # the bare name again could silently swap in the registry's
-                # (healthy) implementation.
-                boosted = min(max_iterations * 10, 10_000)
-                scenario_retry, scene_retry = sample_with(strategy_by_name[name], boosted)
-                if report.failures:
-                    return report
-                if scene_retry is not None:
-                    records[name] = scene_record(scene_retry)
-                    scenes[name] = scene_retry
-                    scenarios[name] = scenario_retry
-                    report.strategies_accepted[name] = True
-                    continue
-                report.failures.append(
-                    OracleFailure(
-                        "strategy-equivalence",
-                        f"rejection accepted but {name} exhausted a {boosted}-iteration "
-                        f"budget (acceptance-improving strategy regressed)",
-                        name,
-                    )
+    if records.get("rejection") is not None and "batch" in records and records["batch"] is None:
+        # batch consumes the RNG stream differently, so a same-budget
+        # failure can be an unlucky draw rather than a bug; only flag
+        # when a 10x budget cannot find a scene either (it is
+        # acceptance-improving by construction).  Retry with the
+        # caller's own strategy object — resolving the bare name again
+        # could silently swap in the registry's (healthy) implementation.
+        boosted = min(max_iterations * 10, 10_000)
+        scenario_retry, scene_retry = sample_with(strategy_by_name["batch"], boosted)
+        if report.failures:
+            return report
+        if scene_retry is not None:
+            records["batch"] = scene_record(scene_retry)
+            scenes["batch"] = scene_retry
+            scenarios["batch"] = scenario_retry
+            report.strategies_accepted["batch"] = True
+        else:
+            report.failures.append(
+                OracleFailure(
+                    "strategy-equivalence",
+                    f"rejection accepted but batch exhausted a {boosted}-iteration "
+                    f"budget (acceptance-improving strategy regressed)",
+                    "batch",
                 )
+            )
 
     # -- oracle B: kernel equivalence ------------------------------------------
     for name, scene in scenes.items():
@@ -948,7 +945,7 @@ def run_oracles(
             for problem in problems:
                 report.failures.append(OracleFailure("prune-soundness", problem, "pruning"))
 
-    # -- oracle E: statistical equivalence of constructive sampling -------------
+    # -- oracle E: statistical equivalence of batch sampling --------------------
     if statistical and records.get("rejection") is not None:
         try:
             problems = check_statistical_equivalence(
@@ -957,12 +954,12 @@ def run_oracles(
         except Exception as error:  # noqa: BLE001 - the crash oracle
             report.failures.append(
                 OracleFailure(
-                    "crash", f"oracle E raised {type(error).__name__}: {error}", "direct"
+                    "crash", f"oracle E raised {type(error).__name__}: {error}", "batch"
                 )
             )
         else:
             for problem in problems:
-                report.failures.append(OracleFailure("stat-equivalence", problem, "direct"))
+                report.failures.append(OracleFailure("stat-equivalence", problem, "batch"))
 
     if report.failures:
         report.verdict = "fail"

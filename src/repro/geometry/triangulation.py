@@ -5,20 +5,10 @@ polygonal regions (roads, curbs, workspaces).  We triangulate the polygon
 once, then sample a triangle with probability proportional to its area and a
 uniform point inside that triangle.
 
-Beyond the original simple-polygon path this module supports:
-
-* **robust ear clipping** — polygons with duplicate or collinear vertices
-  (the normal output of region clipping during pruning) are rescued by a
-  cleanup-and-retry pass instead of silently falling back to a centroid fan
-  that under- or over-covers non-convex inputs;
-* **polygons with holes** — :func:`triangulate_with_holes` splices each hole
-  into the outer ring with a bridge edge and ear-clips the result;
-* **multi-polygon unions** — :func:`triangulate_union` concatenates the
-  fans of a region's (disjoint) pieces;
-* **O(1) area-weighted sampling** — :class:`TriangleFan` builds a Vose
-  alias table over the triangle areas, so drawing a uniform point costs a
-  constant three RNG calls regardless of triangle count.  This is the
-  constructive-sampling primitive of :mod:`repro.synthesis`.
+Ear clipping is robust: polygons with duplicate or collinear vertices (the
+normal output of region clipping during pruning) are rescued by a
+cleanup-and-retry pass instead of silently falling back to a centroid fan
+that under- or over-covers non-convex inputs.
 """
 
 from __future__ import annotations
@@ -78,11 +68,10 @@ def _ear_clip(vertices: Sequence[Vector], robust: bool = False) -> Optional[List
     """Ear-clip a vertex ring; ``None`` when the loop stalls before finishing.
 
     With ``robust=True`` the ear test skips coincident vertices and only
-    counts strictly interior points as blockers (needed for the zero-width
-    bridge edges of :func:`triangulate_with_holes`); the default test is the
-    original, stricter one, kept bit-for-bit so previously-triangulable
-    polygons produce the identical fan (the golden corpus pins the sampling
-    streams built on it).
+    counts strictly interior points as blockers (the rescue pass of
+    :func:`triangulate`); the default test is the original, stricter one,
+    kept bit-for-bit so previously-triangulable polygons produce the
+    identical fan (the golden corpus pins the sampling streams built on it).
     """
     if len(vertices) < 3:
         return []
@@ -119,7 +108,7 @@ def _ear_clip(vertices: Sequence[Vector], robust: bool = False) -> Optional[List
 
 
 def _is_ear_robust(vertices: Sequence[Vector], indices: List[int], position: int) -> bool:
-    """Ear test tolerant of duplicate vertices and bridge edges."""
+    """Ear test tolerant of duplicate vertices and collinear runs."""
     count = len(indices)
     prev_vertex = vertices[indices[(position - 1) % count]]
     ear_vertex = vertices[indices[position]]
@@ -245,156 +234,12 @@ def triangulate(polygon: Polygon) -> List[Triangle]:
     return triangles
 
 
-def triangulate_with_holes(outer: Polygon, holes: Sequence[Polygon]) -> List[Triangle]:
-    """Triangulate a polygon with holes by bridge-splicing each hole.
-
-    Each hole is connected to the enclosing ring through a zero-width bridge
-    edge at its rightmost vertex (the classic Eberly construction), turning
-    the region into one simple (weakly self-touching) ring that the tolerant
-    ear test can clip.  Holes are assumed to be pairwise disjoint and
-    strictly inside *outer*; the triangle areas sum to
-    ``outer.area - sum(hole.area)``.
-    """
-    ring = [Vector.from_any(vertex) for vertex in outer.vertices]
-    # Rightmost holes first: once a hole is spliced its bridge is part of
-    # the ring, so later (more leftward) bridges can cross it safely.
-    ordered = sorted(holes, key=lambda hole: -max(v.x for v in hole.vertices))
-    for hole in ordered:
-        if hole.area <= 1e-15:
-            continue
-        # Hole rings must wind opposite to the outer ring for ear clipping;
-        # Polygon normalizes to anticlockwise, so traverse it backwards.
-        hole_ring = [Vector.from_any(vertex) for vertex in reversed(hole.vertices)]
-        anchor_position = max(range(len(hole_ring)), key=lambda i: hole_ring[i].x)
-        anchor = hole_ring[anchor_position]
-        bridge_position = _visible_ring_vertex(ring, anchor)
-        spliced = ring[: bridge_position + 1]
-        spliced.extend(hole_ring[anchor_position:])
-        spliced.extend(hole_ring[: anchor_position + 1])
-        spliced.extend(ring[bridge_position:])
-        ring = spliced
-    triangles = _ear_clip(ring, robust=True)
-    if triangles is None:
-        cleaned = _drop_degenerate_vertices(ring)
-        triangles = _ear_clip(cleaned, robust=True) if len(cleaned) >= 3 else None
-    if triangles is None:
-        raise ValueError("failed to triangulate polygon with holes")
-    return triangles
-
-
-def _visible_ring_vertex(ring: Sequence[Vector], anchor: Vector) -> int:
-    """Index of a ring vertex the bridge segment from *anchor* can reach.
-
-    Prefers the nearest vertex to *anchor*'s right whose connecting segment
-    crosses no ring edge; falls back to the nearest vertex outright (the
-    tolerant ear test copes with mildly crossing bridges on the degenerate
-    inputs where perfect visibility is unattainable).
-    """
-    from .polygon import segments_intersect
-
-    candidates = sorted(range(len(ring)), key=lambda i: anchor.distance_to(ring[i]))
-    for index in candidates:
-        vertex = ring[index]
-        if vertex.x < anchor.x - 1e-12:
-            continue
-        visible = True
-        for j in range(len(ring)):
-            a, b = ring[j], ring[(j + 1) % len(ring)]
-            if _coincident(a, vertex) or _coincident(b, vertex):
-                continue
-            if _coincident(a, anchor) or _coincident(b, anchor):
-                continue
-            if segments_intersect(anchor, vertex, a, b):
-                visible = False
-                break
-        if visible:
-            return index
-    return candidates[0]
-
-
-def triangulate_union(polygons: Sequence[Polygon]) -> List[Triangle]:
-    """Triangulate a union of disjoint polygon pieces into one fan.
-
-    Pieces are assumed pairwise disjoint — the invariant
-    :class:`~repro.core.regions.PolygonalRegion` maintains (its ``area``
-    sums piece areas and ``uniform_point`` picks pieces by area weight);
-    overlapping input would double-weight the overlap.
-    """
-    triangles: List[Triangle] = []
-    for polygon in polygons:
-        triangles.extend(triangulate(polygon))
-    return triangles
-
-
 def sample_point_in_triangle(triangle: Triangle, random_source) -> Vector:
     """Uniformly random point inside a triangle via the square-root trick."""
     a, b, c = triangle
     r1 = math.sqrt(random_source.random())
     r2 = random_source.random()
     return a * (1 - r1) + b * (r1 * (1 - r2)) + c * (r1 * r2)
-
-
-class TriangleFan:
-    """An area-weighted triangle fan with O(1) uniform point sampling.
-
-    Selection uses a Vose alias table over the triangle areas, so each draw
-    costs one RNG call for the (column, coin) pair plus the two in-triangle
-    calls — constant regardless of triangle count, unlike the linear
-    cumulative scan of :class:`TriangulatedSampler` (kept unchanged because
-    the golden corpus pins its RNG stream).
-    """
-
-    def __init__(self, triangles: Sequence[Triangle]):
-        kept = [(t, _triangle_area(*t)) for t in triangles]
-        kept = [(t, area) for t, area in kept if area > 1e-15]
-        self.triangles: Tuple[Triangle, ...] = tuple(t for t, _ in kept)
-        self._areas = [area for _, area in kept]
-        self.total_area = float(sum(self._areas))
-        if not kept or self.total_area <= 0.0:
-            raise ValueError("cannot build a triangle fan with zero total area")
-        self._prob, self._alias = _vose_alias_table(
-            [area / self.total_area for area in self._areas]
-        )
-
-    @classmethod
-    def of_polygons(cls, polygons: Sequence[Polygon]) -> "TriangleFan":
-        return cls(triangulate_union(polygons))
-
-    @classmethod
-    def of_polygon_with_holes(cls, outer: Polygon, holes: Sequence[Polygon]) -> "TriangleFan":
-        return cls(triangulate_with_holes(outer, holes))
-
-    def __len__(self) -> int:
-        return len(self.triangles)
-
-    def sample(self, random_source) -> Vector:
-        count = len(self.triangles)
-        scaled = random_source.random() * count
-        column = int(scaled)
-        # Reuse the fractional part as the alias coin: both are uniform and
-        # independent, so the draw stays a single RNG call.
-        index = column if (scaled - column) <= self._prob[column] else self._alias[column]
-        return sample_point_in_triangle(self.triangles[index], random_source)
-
-
-def _vose_alias_table(probabilities: Sequence[float]) -> Tuple[List[float], List[int]]:
-    """Vose's alias method: O(n) setup for O(1) categorical sampling."""
-    count = len(probabilities)
-    prob = [0.0] * count
-    alias = list(range(count))
-    scaled = [p * count for p in probabilities]
-    small = [i for i, p in enumerate(scaled) if p < 1.0]
-    large = [i for i, p in enumerate(scaled) if p >= 1.0]
-    while small and large:
-        lo = small.pop()
-        hi = large.pop()
-        prob[lo] = scaled[lo]
-        alias[lo] = hi
-        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
-        (small if scaled[hi] < 1.0 else large).append(hi)
-    for remaining in large + small:
-        prob[remaining] = 1.0
-    return prob, alias
 
 
 class TriangulatedSampler:

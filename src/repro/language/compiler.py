@@ -32,11 +32,9 @@ program's source text to its workers, and each worker compiles it into its
 own cache.
 
 Sharing caveat: ``artifact.scenario()`` returns one shared ``Scenario``
-instance per artifact.  ``prune_scenario`` (and the ``"direct"`` strategy,
-which runs it at bind time) rewrites sampling regions in place, so anything
-that mutates a scenario should request ``scenario(fresh=True)``
-(``SamplerEngine`` does this automatically when given an artifact and the
-``"direct"`` strategy).
+instance per artifact.  ``prune_scenario`` rewrites sampling regions in
+place, so anything that mutates a scenario should request
+``scenario(fresh=True)``.
 """
 
 from __future__ import annotations
@@ -229,9 +227,6 @@ class CompiledScenario:
         self._shared_scenario: Optional[Scenario] = None
         self._metadata: Optional[ArtifactMetadata] = None
         self._prune_bounds: Optional[Any] = None
-        # Triangle-fan cache of the direct-synthesis subsystem (see
-        # ``repro.synthesis.region_sampler``).
-        self._synthesis_cache: Dict[Any, Any] = {}
 
     # -- scenario construction ---------------------------------------------------
 

@@ -9,12 +9,11 @@ strategies:
   with partial resampling of independent object groups;
 * ``"vectorized"`` (:class:`VectorizedSampler`) — block candidate drawing
   with bulk geometric rejection through the numpy kernel
-  (:mod:`repro.geometry.kernel`); the default for ``generate_batch``;
-* ``"direct"`` (:class:`DirectSampler`) — Sec. 5.2 pruning, then
-  constructive sampling from the pruned feasible regions
-  (:mod:`repro.synthesis`): positions draw O(1) from triangle fans,
-  deviations from the analyzer's arcs, with importance-weight diagnostics
-  on the accepted scenes.
+  (:mod:`repro.geometry.kernel`); the default for ``generate_batch``.
+
+All three run one candidate loop (``SamplingStrategy.sample``) and one
+check chain; a strategy is only its policy (block sizes, group pre-draws,
+the geometry pass).
 
 Pruning composes with any strategy: :func:`repro.core.pruning.prune_scenario`
 shrinks a scenario's sampling regions in place (bounds from static
@@ -40,13 +39,10 @@ from .stats import AggregateStats, SceneBatch, merge_generation_stats
 from .strategies import (
     STRATEGIES,
     BatchSampler,
-    DirectSampler,
     RejectionSampler,
     SamplingStrategy,
     VectorizedSampler,
-    check_builtin_requirements,
     check_user_requirements,
-    draw_candidate,
     make_strategy,
     register_strategy,
 )
@@ -57,7 +53,6 @@ __all__ = [
     "SamplingStrategy",
     "RejectionSampler",
     "BatchSampler",
-    "DirectSampler",
     "VectorizedSampler",
     "DependencyGraph",
     "ObjectGroup",
@@ -67,7 +62,5 @@ __all__ = [
     "STRATEGIES",
     "register_strategy",
     "make_strategy",
-    "draw_candidate",
-    "check_builtin_requirements",
     "check_user_requirements",
 ]

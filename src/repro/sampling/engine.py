@@ -22,9 +22,8 @@ compile-once, sample-many path of :mod:`repro.language.compiler`::
     engine = SamplerEngine(artifact)             # parser + interpreter skipped when warm
     engine = SamplerEngine("ego = Object at 0 @ 0")   # source text works too (docs/language.md)
 
-Artifact-backed engines share the artifact's interned scenario, except for
-strategies declaring ``mutates_scenario`` (``direct`` prunes the sampling
-regions in place) which get an independent, freshly interpreted scenario.
+Artifact-backed engines share the artifact's interned scenario (no strategy
+rewrites the scenario it samples).
 
 ``Scenario.generate`` / ``generate_batch`` are thin wrappers over this class.
 ``generate`` defaults to the ``"rejection"`` strategy, preserving the seed's
@@ -48,11 +47,9 @@ def resolve_scenario(source_like: Any, fresh: bool = False) -> Scenario:
 
     Artifacts resolve to their shared interned scenario — the warm path that
     skips the parser and interpreter — unless *fresh* is true, which forces
-    an independent re-interpretation of the cached AST.  The engine passes
-    the bound strategy's ``mutates_scenario`` flag here, so strategies that
-    rewrite the scenario in place (``direct``) can never corrupt the shared
-    instance.  Raw source text is routed through the process-wide artifact
-    cache (:func:`repro.language.compile_scenario`).
+    an independent re-interpretation of the cached AST (what a caller that
+    prunes the scenario in place needs).  Raw source text is routed through
+    the process-wide artifact cache (:func:`repro.language.compile_scenario`).
     """
     if isinstance(source_like, Scenario):
         return source_like
@@ -84,7 +81,7 @@ class SamplerEngine:
         self.strategy = (
             strategy if isinstance(strategy, SamplingStrategy) else make_strategy(strategy)
         )
-        self.scenario = resolve_scenario(scenario, fresh=self.strategy.mutates_scenario)
+        self.scenario = resolve_scenario(scenario)
         self.aggregate = AggregateStats()
         self.last_stats: Optional[GenerationStats] = None
         self._bound = False
@@ -117,14 +114,7 @@ class SamplerEngine:
         rng = self._resolve_rng(rng, seed)
         scene, stats = self.strategy.sample(self.scenario, max_iterations, rng)
         self.last_stats = stats
-        weight = (
-            scene.importance_weight
-            if scene is not None and self.strategy.uses_importance_weights
-            else None
-        )
-        self.aggregate.record(
-            stats, self.strategy.name, accepted=scene is not None, importance_weight=weight
-        )
+        self.aggregate.record(stats, self.strategy.name, accepted=scene is not None)
         if scene is None:
             raise RejectionError(max_iterations)
         return scene

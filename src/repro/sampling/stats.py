@@ -13,7 +13,7 @@ the aggregated statistics of the whole batch.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
 from ..core.scenario import GenerationStats
 
@@ -29,7 +29,6 @@ _COUNTER_FIELDS = (
     "rejections_user",
     "rejections_sampling",
     "component_redraws",
-    "candidates_drawn",
 )
 
 
@@ -53,19 +52,9 @@ class AggregateStats:
         self.draws = 0  # every recorded draw, including failed ones
         self._combined = GenerationStats()
         self._by_strategy: Dict[str, GenerationStats] = {}
-        #: Sum / count of the importance weights the ``direct`` strategy
-        #: stamps on accepted scenes (see :mod:`repro.synthesis.importance`),
-        #: overall and per strategy.
-        self.importance_weight_sum = 0.0
-        self.importance_scenes = 0
-        self._importance_by_strategy: Dict[str, Tuple[float, int]] = {}
 
     def record(
-        self,
-        stats: GenerationStats,
-        strategy: str = "rejection",
-        accepted: bool = True,
-        importance_weight: float | None = None,
+        self, stats: GenerationStats, strategy: str = "rejection", accepted: bool = True
     ) -> None:
         """Fold one draw's stats in; *accepted* is False for a failed draw."""
         self.draws += 1
@@ -73,11 +62,6 @@ class AggregateStats:
             self.scenes += 1
         merge_generation_stats(self._combined, stats)
         merge_generation_stats(self._by_strategy.setdefault(strategy, GenerationStats()), stats)
-        if accepted and importance_weight is not None:
-            self.importance_weight_sum += importance_weight
-            self.importance_scenes += 1
-            weight_sum, count = self._importance_by_strategy.get(strategy, (0.0, 0))
-            self._importance_by_strategy[strategy] = (weight_sum + importance_weight, count + 1)
 
     def merge_from(self, other: "AggregateStats") -> None:
         """Fold another roll-up (e.g. one batch's stats) into this one."""
@@ -88,11 +72,6 @@ class AggregateStats:
             merge_generation_stats(
                 self._by_strategy.setdefault(strategy, GenerationStats()), stats
             )
-        self.importance_weight_sum += other.importance_weight_sum
-        self.importance_scenes += other.importance_scenes
-        for strategy, (weight_sum, count) in other._importance_by_strategy.items():
-            base_sum, base_count = self._importance_by_strategy.get(strategy, (0.0, 0))
-            self._importance_by_strategy[strategy] = (base_sum + weight_sum, base_count + count)
 
     # -- roll-ups ---------------------------------------------------------------
 
@@ -136,32 +115,10 @@ class AggregateStats:
             "sampling": self._combined.rejections_sampling,
         }
 
-    # -- constructive-sampling diagnostics --------------------------------------
-
     @property
     def total_candidates(self) -> int:
-        """Candidate configurations actually drawn across the run.
-
-        For the rejection-style strategies every iteration draws exactly one
-        candidate; the constructive ``direct`` strategy counts its proposal
-        draws (including inner membership redraws) in ``candidates_drawn``,
-        so the larger of the two is the honest cross-strategy count.
-        """
-        return max(self._combined.iterations, self._combined.candidates_drawn)
-
-    def candidate_counts(self) -> Dict[str, int]:
-        """Per-strategy drawn-candidate counts (the ≥10x-reduction metric)."""
-        return {
-            strategy: max(stats.iterations, stats.candidates_drawn)
-            for strategy, stats in self._by_strategy.items()
-        }
-
-    @property
-    def mean_importance_weight(self) -> float | None:
-        """Mean importance weight of accepted scenes (``None`` = no weights)."""
-        if self.importance_scenes <= 0:
-            return None
-        return self.importance_weight_sum / self.importance_scenes
+        """Candidates examined across the run: :attr:`total_iterations`."""
+        return self._combined.iterations
 
     def to_shard_stats(self) -> Dict[str, object]:
         """This roll-up as the plain-data *shard stats* dict the service merges.
@@ -169,11 +126,8 @@ class AggregateStats:
         This is the single owner of the worker → coordinator stats shape:
         service workers pickle exactly this dict home per shard, and
         :func:`repro.service.protocol.merge_shard_stats` folds many of them
-        into one request-wide dict.  ``candidates`` is this shard's honest
-        drawn-candidate count (:attr:`total_candidates` — per-shard max of
-        iterations and constructive proposal draws), recorded *per shard* so
-        the request-wide count can sum shard maxima instead of taking a max
-        of sums.
+        into one request-wide dict.  ``candidates`` is
+        :attr:`total_candidates`.
         """
         combined = self.combined()
         return {
@@ -181,12 +135,9 @@ class AggregateStats:
             "draws": self.draws,
             "iterations": combined.iterations,
             "component_redraws": combined.component_redraws,
-            "candidates_drawn": combined.candidates_drawn,
             "candidates": self.total_candidates,
             "sampling_seconds": combined.elapsed_seconds,
             "rejections": self.rejection_breakdown(),
-            "importance_weight_sum": self.importance_weight_sum,
-            "importance_scenes": self.importance_scenes,
         }
 
     def as_eval_metrics(self) -> Dict[str, object]:
@@ -195,9 +146,8 @@ class AggregateStats:
         Single owner of the per-(scenario, strategy) metric shape consumed
         by :mod:`repro.evals.scoring` and published in the committed
         ``results/EVALS.json`` scorecard: accepted scenes, draws,
-        candidate iterations, honest drawn-candidate count, acceptance
-        rate, sampling wall time, the rejection breakdown and the mean
-        importance weight (``None`` when the strategy stamps no weights).
+        candidate iterations and candidates, acceptance rate, sampling wall
+        time and the rejection breakdown.
         """
         return {
             "scenes": self.scenes,
@@ -207,17 +157,6 @@ class AggregateStats:
             "acceptance_rate": self.acceptance_rate,
             "sampling_seconds": self.elapsed_seconds,
             "rejections": self.rejection_breakdown(),
-            "mean_importance_weight": self.mean_importance_weight,
-        }
-
-    def importance_summary(self) -> Dict[str, Dict[str, float]]:
-        """Per-strategy importance-weight diagnostics for the roll-ups."""
-        return {
-            strategy: {
-                "scenes": count,
-                "mean_weight": weight_sum / count if count else 0.0,
-            }
-            for strategy, (weight_sum, count) in sorted(self._importance_by_strategy.items())
         }
 
     def __repr__(self) -> str:

@@ -1,24 +1,25 @@
 """Pluggable scene-sampling strategies (the engine's interchangeable cores).
 
-Every strategy turns a :class:`~repro.core.scenario.Scenario` into accepted
-scenes; they differ in *how* candidates are proposed:
+Every strategy runs the same candidate loop, :meth:`SamplingStrategy.sample`:
+draw candidates with :meth:`SamplingStrategy._draw` (a fresh
+:class:`~repro.core.distributions.Sample`, then the objects, the ego and the
+params, in that order), then examine them in draw order against one check
+chain — containment → collision → visibility → ``require`` — and accept the
+first candidate that passes.  Each rejected candidate is booked under the
+first check it failed, and a ``RejectSample`` raised anywhere in a candidate
+books it as a sampling rejection.  Strategies differ only in their policy:
 
-* :class:`RejectionSampler` — the paper's plain rejection loop (Sec. 5),
-  extracted verbatim from the old ``Scenario.generate`` so the delegated
-  path is draw-for-draw identical to the seed behaviour.
-* :class:`BatchSampler` — amortises dependency analysis across the whole
-  run and exploits independence between objects: each independent group is
-  locally re-drawn until its *local* constraints (containment, intra-group
-  collision) hold, which is distribution-preserving because the joint prior
-  factorises over groups and those constraints touch one group only.
-  Cross-group constraints still trigger a full restart.
-* :class:`VectorizedSampler` — draws a whole block of candidate scenes,
-  then runs the containment and collision checks for the entire block in
-  one pass through the numpy kernel (:mod:`repro.geometry.kernel`); the
-  default for ``Scenario.generate_batch``.
-* :class:`DirectSampler` — runs the Sec. 5.2 pruning pass once, then
-  draws positions and heading deviations constructively from the pruned
-  feasible regions (:mod:`repro.synthesis`).
+* :class:`RejectionSampler` — the paper's plain rejection loop (Sec. 5):
+  blocks of one candidate, draw-for-draw the seed's ``Scenario.generate``.
+* :class:`BatchSampler` — pre-draws each dependency group (objects that
+  share random values) and locally re-draws a group until its *local*
+  constraints (containment, intra-group collision) hold, which is
+  distribution-preserving because the joint prior factorises over groups
+  and those constraints touch one group only.  Cross-group constraints
+  still reject the whole candidate.
+* :class:`VectorizedSampler` — draws blocks of candidates and checks a
+  block's containment and collisions in one pass through the numpy kernel
+  (:mod:`repro.geometry.kernel`); the default for ``Scenario.generate_batch``.
 
 Pruning on its own is not a strategy: :func:`repro.core.pruning.prune_scenario`
 rewrites a scenario's sampling regions in place, after which any strategy
@@ -27,7 +28,7 @@ samples the pruned scenario::
     prune_scenario(scenario)                 # Sec. 5.2, bounds from static analysis
     scenario.generate(seed=0, strategy="rejection")
 
-The shared candidate checks themselves (``contained_in_workspace``,
+The per-candidate checks (``contained_in_workspace``,
 ``no_pairwise_collisions``) route through the kernel whenever the scene is
 large enough for batching to pay for itself, so *every* strategy rides the
 vectorized hot path.
@@ -41,8 +42,8 @@ new ones with :func:`register_strategy`::
     @register_strategy
     class MySampler(RejectionSampler):
         name = "mine"
-        # override bind() for one-time analysis, _draw_candidate() for the
-        # proposal, or sample()/sample_batch() for the whole loop
+        # override bind() for one-time analysis, or the policy hooks
+        # _block_sizes() / _predraw() / _geometry_failures()
 
     scenario.generate(seed=0, strategy="mine")
     SamplerEngine(scenario, strategy="mine").sample_batch(100, seed=1)
@@ -56,15 +57,15 @@ compilation pipeline.
 
 from __future__ import annotations
 
+import itertools
 import random as _random
 import time
-from typing import Any, Dict, List, Optional, Tuple, Type
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple, Type, Union
 
 import numpy as np
 
 from ..core.distributions import Sample, concretize
 from ..core.errors import RejectSample, RejectionError
-from ..core.pruning import PruningReport, prune_scenario
 from ..core.scenario import GenerationStats, Scenario
 from ..core.scene import Scene
 from ..geometry import kernel as _kernel
@@ -72,7 +73,7 @@ from .dependency import DependencyGraph, ObjectGroup
 from .stats import AggregateStats
 
 # ---------------------------------------------------------------------------
-# The candidate-scene check, shared by all strategies
+# The check chain, shared by all strategies
 # ---------------------------------------------------------------------------
 
 
@@ -82,10 +83,23 @@ _KERNEL_MIN_OBJECTS = 3
 _KERNEL_MIN_COLLIDERS = 4
 
 
-def contained_in_workspace(
-    workspace, concrete_objects: List[Any], stats: GenerationStats
-) -> bool:
-    """Every object inside the workspace (counts a containment rejection).
+class Candidate(NamedTuple):
+    """One drawn candidate scene: its joint sample and concrete values."""
+
+    sample: Sample
+    objects: List[Any]
+    ego: Any
+    params: Dict[str, Any]
+
+
+#: What a drawn slot of a block holds: the candidate, or the cause that
+#: rejected it while it was being drawn (``"sampling"``, or a group-local
+#: cause under ``batch``).
+Drawn = Union[Candidate, str]
+
+
+def contained_in_workspace(workspace, concrete_objects: List[Any]) -> bool:
+    """Every object inside the workspace.
 
     Large scenes batch all objects' test points through the geometry kernel
     (one vectorized containment query instead of ``8 * n`` scalar ones);
@@ -100,28 +114,20 @@ def contained_in_workspace(
         and _kernel.region_supports_batch_objects(workspace_region)
     ):
         corners = _kernel.corners_array(concrete_objects)
-        if bool(_kernel.objects_contained(workspace_region, corners).all()):
-            return True
-        stats.rejections_containment += 1
-        return False
-    for scenic_object in concrete_objects:
-        if not workspace_region.contains_object(scenic_object):
-            stats.rejections_containment += 1
-            return False
-    return True
+        return bool(_kernel.objects_contained(workspace_region, corners).all())
+    return all(
+        workspace_region.contains_object(scenic_object) for scenic_object in concrete_objects
+    )
 
 
 def no_pairwise_collisions(
-    concrete_objects: List[Any],
-    stats: GenerationStats,
-    pair_filter: Optional[Any] = None,
+    concrete_objects: List[Any], pair_filter: Optional[Any] = None
 ) -> bool:
-    """No two collision-checked objects intersect (counts a collision rejection).
+    """No two collision-checked objects intersect.
 
     *pair_filter*, when given, receives the two indices and returns whether
-    that pair must be checked — the batch strategy uses it to split the
-    check into intra-group and cross-group halves without duplicating the
-    rejection semantics.
+    that pair must be checked — the batch strategy uses it to check only
+    cross-group pairs once every group holds locally.
 
     Unfiltered checks on larger scenes run through the kernel's batched
     separating-axis test (grid-pruned for many objects); the scalar loop
@@ -133,13 +139,10 @@ def no_pairwise_collisions(
             dtype=bool,
             count=len(concrete_objects),
         )
-        if collidable.sum() >= 2:
-            corners = _kernel.corners_array(concrete_objects)
-            if len(_kernel.pairwise_collisions(corners, collidable)) > 0:
-                stats.rejections_collision += 1
-                return False
+        if collidable.sum() < 2:
             return True
-        return True
+        corners = _kernel.corners_array(concrete_objects)
+        return len(_kernel.pairwise_collisions(corners, collidable)) == 0
     for index, first in enumerate(concrete_objects):
         for jndex in range(index + 1, len(concrete_objects)):
             second = concrete_objects[jndex]
@@ -148,14 +151,20 @@ def no_pairwise_collisions(
             if pair_filter is not None and not pair_filter(index, jndex):
                 continue
             if first.intersects(second):
-                stats.rejections_collision += 1
                 return False
     return True
 
 
-def all_required_visible(
-    concrete_objects: List[Any], concrete_ego: Any, stats: GenerationStats
-) -> bool:
+def geometry_failure(workspace, concrete_objects: List[Any]) -> Optional[str]:
+    """The chain's geometric half: ``"containment"``, ``"collision"`` or None."""
+    if not contained_in_workspace(workspace, concrete_objects):
+        return "containment"
+    if not no_pairwise_collisions(concrete_objects):
+        return "collision"
+    return None
+
+
+def all_required_visible(concrete_objects: List[Any], concrete_ego: Any) -> bool:
     """Every ``requireVisible`` object is visible from the ego."""
     from ..core.operators import _can_see  # concrete implementation
 
@@ -163,61 +172,44 @@ def all_required_visible(
         if scenic_object is concrete_ego:
             continue
         if scenic_object.requireVisible and not _can_see(concrete_ego, scenic_object):
-            stats.rejections_visibility += 1
             return False
     return True
 
 
-def check_builtin_requirements(
-    scenario: Scenario,
-    concrete_objects: List[Any],
-    concrete_ego: Any,
-    stats: GenerationStats,
-) -> bool:
-    """The three default requirements of Sec. 3 (containment, collision, visibility)."""
-    return (
-        contained_in_workspace(scenario.workspace, concrete_objects, stats)
-        and no_pairwise_collisions(concrete_objects, stats)
-        and all_required_visible(concrete_objects, concrete_ego, stats)
-    )
-
-
-def check_user_requirements(
-    scenario: Scenario, sample: Sample, rng: _random.Random, stats: GenerationStats
-) -> bool:
+def check_user_requirements(scenario: Scenario, sample: Sample, rng: _random.Random) -> bool:
     """Evaluate the scenario's ``require`` statements against the joint sample."""
     for requirement in scenario.requirements:
         if not requirement.should_enforce(rng):
             continue
         if not requirement.holds_in(sample):
-            stats.rejections_user += 1
             return False
     return True
 
 
-def draw_candidate(
-    scenario: Scenario, rng: _random.Random, stats: GenerationStats
-) -> Optional[Scene]:
-    """Draw one candidate scene; return it if valid, ``None`` if rejected.
+def late_failure(scenario: Scenario, candidate: Candidate, rng: _random.Random) -> Optional[str]:
+    """The chain after geometry: ``"visibility"``, ``"user"``, ``"sampling"`` or None.
 
-    This is the seed's ``Scenario._sample_candidate`` extracted unchanged:
-    the order of RNG draws is part of the engine's compatibility contract
-    (same seed ⇒ same scene as the pre-engine code).
+    Runs only on examined candidates, in draw order: soft requirements flip
+    the shared RNG here, so this is where the strategies' streams interleave.
     """
-    sample = Sample(rng)
-    concrete_objects = [scenic_object._concretize(sample) for scenic_object in scenario.objects]
-    concrete_ego = scenario.ego._concretize(sample)
-    concrete_params = {name: concretize(value, sample) for name, value in scenario.params.items()}
+    try:
+        if not all_required_visible(candidate.objects, candidate.ego):
+            return "visibility"
+        if not check_user_requirements(scenario, candidate.sample, rng):
+            return "user"
+    except RejectSample:
+        return "sampling"
+    return None
 
-    if not check_builtin_requirements(scenario, concrete_objects, concrete_ego, stats):
-        return None
-    if not check_user_requirements(scenario, sample, rng, stats):
-        return None
-    return Scene(concrete_objects, concrete_ego, concrete_params, scenario.workspace)
+
+def book_rejection(stats: GenerationStats, cause: str) -> None:
+    """Count one rejected candidate (or group draw) under *cause*."""
+    name = "rejections_" + cause
+    setattr(stats, name, getattr(stats, name) + 1)
 
 
 # ---------------------------------------------------------------------------
-# Strategy base class and registry
+# Strategy base class (the one candidate loop) and registry
 # ---------------------------------------------------------------------------
 
 
@@ -226,54 +218,81 @@ class SamplingStrategy:
 
     name = "abstract"
 
-    #: Strategies that rewrite the scenario in place during :meth:`bind`
-    #: (e.g. pruning shrinks sampling regions) must set this, so shared
-    #: infrastructure — notably compiled artifacts' interned scenarios, see
-    #: :func:`repro.sampling.engine.resolve_scenario` — hands them an
-    #: independent scenario instead of a shared one.
-    mutates_scenario = False
-
-    #: Strategies that stamp ``scene.importance_weight`` (the constructive
-    #: ``direct`` family) set this so the engine and the batch loop forward
-    #: the weights into :class:`AggregateStats` roll-ups; rejection-style
-    #: strategies leave the weight at its exact default of 1.0 and record
-    #: no weight at all.
-    uses_importance_weights = False
-
     def bind(self, scenario: Scenario) -> None:
-        """One-time, per-scenario analysis (pruning, dependency graphs, ...).
+        """One-time, per-scenario analysis (dependency graphs, block policy, ...).
 
         Called by the engine before the first draw; the work done here is
         amortised over every subsequent sample.
         """
 
-    def _draw_candidate(
-        self, scenario: Scenario, rng: _random.Random, stats: GenerationStats
-    ) -> Optional[Scene]:
-        """Propose one candidate scene (``None`` when rejected).
+    # -- policy hooks ------------------------------------------------------------
 
-        The hook :meth:`sample`'s shared rejection loop calls; strategies
-        that keep the one-candidate-at-a-time shape only override this.
+    def _block_sizes(self) -> Iterator[int]:
+        """How many candidates each round draws before examining them."""
+        return itertools.repeat(1)
+
+    def _predraw(
+        self, scenario: Scenario, sample: Sample, stats: GenerationStats
+    ) -> Optional[str]:
+        """Draw into *sample* ahead of the candidate; a cause rejects it."""
+        return None
+
+    def _geometry_failures(self, scenario: Scenario, block: List[Drawn]) -> List[Optional[str]]:
+        """Each drawn slot's first failure so far: its draw cause, containment or collision."""
+        workspace = scenario.workspace
+        return [
+            drawn if isinstance(drawn, str) else geometry_failure(workspace, drawn.objects)
+            for drawn in block
+        ]
+
+    # -- the candidate loop ------------------------------------------------------
+
+    def _draw(self, scenario: Scenario, rng: _random.Random, stats: GenerationStats) -> Drawn:
+        """One candidate: a fresh Sample, then the objects, the ego and the params.
+
+        That order is the engine's RNG-stream contract (same seed ⇒ same
+        scene as the pre-engine code).
         """
-        raise NotImplementedError
+        sample = Sample(rng)
+        try:
+            cause = self._predraw(scenario, sample, stats)
+            if cause is not None:
+                return cause
+            concrete_objects = [
+                scenic_object._concretize(sample) for scenic_object in scenario.objects
+            ]
+            concrete_ego = scenario.ego._concretize(sample)
+            concrete_params = {
+                name: concretize(value, sample) for name, value in scenario.params.items()
+            }
+        except RejectSample:
+            return "sampling"
+        return Candidate(sample, concrete_objects, concrete_ego, concrete_params)
 
     def sample(
         self, scenario: Scenario, max_iterations: int, rng: _random.Random
     ) -> Tuple[Optional[Scene], GenerationStats]:
-        """Draw one accepted scene (or ``None`` after *max_iterations* candidates)."""
+        """Draw one accepted scene (or ``None`` after *max_iterations* candidates).
+
+        ``stats.iterations`` counts examined candidates only: a block's
+        candidates after the accepted one are drawn but never examined.
+        """
         self.bind(scenario)
         stats = GenerationStats()
         start_time = time.perf_counter()
         scene: Optional[Scene] = None
-        for iteration in range(1, max_iterations + 1):
-            stats.iterations = iteration
-            try:
-                scene = self._draw_candidate(scenario, rng, stats)
-            except RejectSample:
-                stats.rejections_sampling += 1
-                continue
-            if scene is not None:
-                break
+        sizes = self._block_sizes()
+        while scene is None and stats.iterations < max_iterations:
+            count = min(next(sizes), max_iterations - stats.iterations)
+            block = [self._draw(scenario, rng, stats) for _ in range(count)]
+            for drawn, cause in zip(block, self._geometry_failures(scenario, block)):
+                stats.iterations += 1
+                if cause is None:
+                    cause = late_failure(scenario, drawn, rng)
+                if cause is None:
+                    scene = Scene(drawn.objects, drawn.ego, drawn.params, scenario.workspace)
+                    break
+                book_rejection(stats, cause)
         stats.elapsed_seconds = time.perf_counter() - start_time
         return scene, stats
 
@@ -285,7 +304,7 @@ class SamplingStrategy:
         rng: _random.Random,
         aggregate: AggregateStats,
     ) -> List[Scene]:
-        """Draw *count* scenes; default implementation loops :meth:`sample`.
+        """Draw *count* scenes by looping :meth:`sample`.
 
         Per-draw stats are recorded into *aggregate* as they happen, so the
         caller keeps the diagnostics of every draw — including the failing
@@ -295,14 +314,7 @@ class SamplingStrategy:
         scenes: List[Scene] = []
         for _ in range(count):
             scene, stats = self.sample(scenario, max_iterations, rng)
-            weight = (
-                scene.importance_weight
-                if scene is not None and self.uses_importance_weights
-                else None
-            )
-            aggregate.record(
-                stats, self.name, accepted=scene is not None, importance_weight=weight
-            )
+            aggregate.record(stats, self.name, accepted=scene is not None)
             if scene is None:
                 raise RejectionError(max_iterations)
             scenes.append(scene)
@@ -337,9 +349,6 @@ class RejectionSampler(SamplingStrategy):
 
     name = "rejection"
 
-    def _draw_candidate(self, scenario, rng, stats):
-        return draw_candidate(scenario, rng, stats)
-
 
 # ---------------------------------------------------------------------------
 # Batched, dependency-aware sampling
@@ -351,15 +360,16 @@ class BatchSampler(SamplingStrategy):
     """Candidate generation that exploits the scenario's independence structure.
 
     :meth:`bind` computes the :class:`DependencyGraph` once.  Each candidate
-    is then assembled group by group: a group whose objects leave the
+    is then pre-drawn group by group: a group whose objects leave the
     workspace or collide *with each other* is locally re-drawn (only its
     sub-tree of the DAG is resampled) instead of discarding the whole joint
     sample.  Because the prior factorises over groups and these local
     constraints involve a single group, this draws each group exactly from
     its constraint-conditioned marginal; the remaining cross-group
     constraints (inter-group collisions, visibility from the ego, ``require``
-    statements) are checked on the assembled candidate and trigger a full
-    restart on failure, exactly as in plain rejection.
+    statements) are checked on the assembled candidate and reject it as a
+    whole, exactly as in plain rejection.  Every failed group draw is booked
+    under its cause.
 
     :attr:`LOCAL_REDRAW_CAP` bounds how often one group is re-drawn within a
     single candidate before the candidate as a whole counts as rejected.
@@ -375,60 +385,51 @@ class BatchSampler(SamplingStrategy):
         if self.graph is None or self.graph.scenario is not scenario:
             self.graph = DependencyGraph(scenario)
 
-    # -- candidate construction -------------------------------------------------
-
-    def _group_is_locally_valid(
-        self, scenario: Scenario, group: ObjectGroup, sample: Sample, stats: GenerationStats
-    ) -> bool:
-        concrete = [scenic_object._concretize(sample) for scenic_object in group.objects]
-        return contained_in_workspace(
-            scenario.workspace, concrete, stats
-        ) and no_pairwise_collisions(concrete, stats)
+    def _predraw(self, scenario, sample, stats):
+        """Draw every group until its local constraints hold (or give up)."""
+        for group in self.graph.groups:
+            cause = self._draw_group(scenario, group, sample, stats)
+            if cause is not None:
+                return cause
+        return None
 
     def _draw_group(
         self, scenario: Scenario, group: ObjectGroup, sample: Sample, stats: GenerationStats
-    ) -> bool:
-        """Draw *group* until its local constraints hold (or give up)."""
+    ) -> Optional[str]:
+        """The last attempt's cause when *group* never held locally, else None."""
+        cause = None
         for attempt in range(self.LOCAL_REDRAW_CAP):
             if attempt:
+                book_rejection(stats, cause)
                 group.forget_in(sample)
                 stats.component_redraws += 1
             try:
-                if self._group_is_locally_valid(scenario, group, sample, stats):
-                    return True
+                concrete = [scenic_object._concretize(sample) for scenic_object in group.objects]
+                cause = geometry_failure(scenario.workspace, concrete)
             except RejectSample:
-                stats.rejections_sampling += 1
-            if group.is_static:
-                return False  # redrawing cannot change anything
-        return False
+                cause = "sampling"
+            if cause is None or group.is_static:
+                return cause  # a static group redraws identically
+        return cause
 
-    def _draw_candidate(self, scenario, rng, stats) -> Optional[Scene]:
-        sample = Sample(rng)
-        for group in self.graph.groups:
-            if not self._draw_group(scenario, group, sample, stats):
-                return None
-        concrete_objects = [obj._concretize(sample) for obj in scenario.objects]
-        concrete_ego = scenario.ego._concretize(sample)
-        concrete_params = {
-            name: concretize(value, sample) for name, value in scenario.params.items()
-        }
-        if not self._cross_group_checks(scenario, concrete_objects, concrete_ego, stats):
-            return None
-        if not check_user_requirements(scenario, sample, rng, stats):
-            return None
-        return Scene(concrete_objects, concrete_ego, concrete_params, scenario.workspace)
-
-    def _cross_group_checks(self, scenario, concrete_objects, concrete_ego, stats) -> bool:
-        """The builtin checks not already guaranteed group-locally."""
+    def _geometry_failures(self, scenario, block):
+        # Containment and same-group pairs held when each group was drawn;
+        # only cross-group pairs are left to check.
         graph = self.graph
         sources = scenario.objects
-        return no_pairwise_collisions(
-            concrete_objects,
-            stats,
-            # Same-group pairs were already checked locally; only cross-group
-            # pairs need the joint-level collision check.
-            pair_filter=lambda index, jndex: graph.independent(sources[index], sources[jndex]),
-        ) and all_required_visible(concrete_objects, concrete_ego, stats)
+
+        def cross_group(index: int, jndex: int) -> bool:
+            return graph.independent(sources[index], sources[jndex])
+
+        failures: List[Optional[str]] = []
+        for drawn in block:
+            if isinstance(drawn, str):
+                failures.append(drawn)
+            elif no_pairwise_collisions(drawn.objects, pair_filter=cross_group):
+                failures.append(None)
+            else:
+                failures.append("collision")
+        return failures
 
 
 # ---------------------------------------------------------------------------
@@ -440,13 +441,13 @@ class BatchSampler(SamplingStrategy):
 class VectorizedSampler(SamplingStrategy):
     """Propose candidates in blocks and reject them in bulk through the kernel.
 
-    Each round draws up to :attr:`BLOCK_SIZE` candidate scenes' worth of samples
-    (concretization stays per-candidate Python — it must evaluate arbitrary
-    specifier expressions), then checks workspace containment for *all*
-    objects of *all* candidates in one batched kernel query and all pairwise
-    collisions in one batched separating-axis pass.  Candidates are then
-    examined in draw order; the first one that also passes the (scalar)
-    visibility and user-requirement checks is accepted.
+    Each round draws up to :attr:`BLOCK_SIZE` candidate scenes (concretization
+    stays per-candidate Python — it must evaluate arbitrary specifier
+    expressions), then checks workspace containment for *all* objects of
+    *all* candidates in one batched kernel query and all pairwise collisions
+    in one batched separating-axis pass.  Candidates are then examined in
+    draw order; the first one that also passes visibility and the user
+    requirements is accepted.
 
     The induced distribution is exactly plain rejection's: candidates are
     i.i.d. draws from the prior, examined in the order they were drawn, and
@@ -455,10 +456,6 @@ class VectorizedSampler(SamplingStrategy):
     block is drawn before any soft-requirement coin flips), so per-seed
     outputs differ between the two strategies while per-seed determinism
     holds for each — the golden-scene corpus pins both down.
-
-    ``stats.iterations`` counts examined candidates only, so exhaustion
-    semantics match rejection: ``max_iterations=1`` examines exactly one
-    candidate.
 
     Block sizes are *adaptive* when the scenario has no soft requirements:
     rounds ramp ``MIN_BLOCK, 2*MIN_BLOCK, ...`` up to ``BLOCK_SIZE``, so an
@@ -483,71 +480,26 @@ class VectorizedSampler(SamplingStrategy):
         self._adaptive = False
 
     def bind(self, scenario):
-        super().bind(scenario)
         self._adaptive = not any(
             requirement.is_soft for requirement in scenario.requirements
         )
 
-    def sample(self, scenario, max_iterations, rng):
-        self.bind(scenario)
-        stats = GenerationStats()
-        start_time = time.perf_counter()
-        scene: Optional[Scene] = None
-        next_block = self.MIN_BLOCK if self._adaptive else self.BLOCK_SIZE
-        while scene is None and stats.iterations < max_iterations:
-            block = min(next_block, max_iterations - stats.iterations)
-            next_block = min(next_block * 2, self.BLOCK_SIZE)
-            candidates = self._draw_block(scenario, rng, block)
-            failures = self._bulk_geometry_failures(scenario, candidates)
-            for candidate, failure in zip(candidates, failures):
-                stats.iterations += 1
-                if candidate is None:
-                    stats.rejections_sampling += 1
-                    continue
-                if failure == "containment":
-                    stats.rejections_containment += 1
-                    continue
-                if failure == "collision":
-                    stats.rejections_collision += 1
-                    continue
-                sample, concrete_objects, concrete_ego, concrete_params = candidate
-                if not all_required_visible(concrete_objects, concrete_ego, stats):
-                    continue
-                if not check_user_requirements(scenario, sample, rng, stats):
-                    continue
-                scene = Scene(concrete_objects, concrete_ego, concrete_params, scenario.workspace)
-                break
-        stats.elapsed_seconds = time.perf_counter() - start_time
-        return scene, stats
+    def _block_sizes(self):
+        size = self.MIN_BLOCK if self._adaptive else self.BLOCK_SIZE
+        while True:
+            yield size
+            size = min(size * 2, self.BLOCK_SIZE)
 
-    # -- internals ---------------------------------------------------------------
-
-    def _draw_block(self, scenario, rng, count):
-        """Concretize *count* candidates; ``None`` marks a RejectSample draw."""
-        candidates = []
-        for _ in range(count):
-            try:
-                sample = Sample(rng)
-                concrete_objects = [
-                    scenic_object._concretize(sample) for scenic_object in scenario.objects
-                ]
-                concrete_ego = scenario.ego._concretize(sample)
-                concrete_params = {
-                    name: concretize(value, sample) for name, value in scenario.params.items()
-                }
-                candidates.append((sample, concrete_objects, concrete_ego, concrete_params))
-            except RejectSample:
-                candidates.append(None)
-        return candidates
-
-    def _bulk_geometry_failures(self, scenario, candidates):
-        """First geometric failure per candidate: "containment", "collision" or None."""
-        failures: List[Optional[str]] = [None] * len(candidates)
-        live = [index for index, candidate in enumerate(candidates) if candidate is not None]
+    def _geometry_failures(self, scenario, block):
+        """One kernel pass: containment for every object, then collisions."""
+        failures: List[Optional[str]] = [
+            drawn if isinstance(drawn, str) else None for drawn in block
+        ]
+        live = [index for index, drawn in enumerate(block) if not isinstance(drawn, str)]
         if not live:
             return failures
         corners = np.stack(
-            [_kernel.corners_array(candidates[index][1]) for index in live]
+            [_kernel.corners_array(block[index].objects) for index in live]
         )  # (K, n, 4, 2)
         workspace = scenario.workspace
         if not workspace.is_unbounded:
@@ -562,7 +514,7 @@ class VectorizedSampler(SamplingStrategy):
                     (
                         all(
                             region.contains_object(scenic_object)
-                            for scenic_object in candidates[index][1]
+                            for scenic_object in block[index].objects
                         )
                         for index in live
                     ),
@@ -580,10 +532,7 @@ class VectorizedSampler(SamplingStrategy):
         collidable = np.stack(
             [
                 np.fromiter(
-                    (
-                        not scenic_object.allowCollisions
-                        for scenic_object in candidates[index][1]
-                    ),
+                    (not scenic_object.allowCollisions for scenic_object in block[index].objects),
                     dtype=bool,
                     count=corners.shape[1],
                 )
@@ -597,110 +546,13 @@ class VectorizedSampler(SamplingStrategy):
         return failures
 
 
-# ---------------------------------------------------------------------------
-# Direct synthesis: constructive sampling from the pruned feasible regions
-# ---------------------------------------------------------------------------
-
-
-@register_strategy
-class DirectSampler(SamplingStrategy):
-    """Constructive sampling from the pruned feasible regions.
-
-    :meth:`bind` runs the fully automatic Sec. 5.2 pruning pass
-    (:func:`~repro.core.pruning.prune_scenario` with the compiled artifact's
-    static-analysis bounds; its :class:`PruningReport` is kept on
-    :attr:`report`), then compiles the pruned scenario into a
-    :class:`~repro.synthesis.DirectPlan`: positions draw in O(1) from
-    triangle fans over the pruned polygonal regions (or from eroded
-    workspace fans for non-polygonal region priors), and heading deviations
-    draw from the static analyzer's wrap-safe arcs instead of rejecting on
-    them.  Every proposal is a sound over-approximation of the feasible set
-    and every requirement is still re-checked on the concrete candidate, so
-    the sampled distribution is *exactly* the requirement-conditioned prior
-    — the statistical-equivalence oracle in :mod:`repro.fuzz.oracles` holds
-    the strategy to that claim against plain rejection.
-
-    Accepted scenes carry an :attr:`~repro.core.scene.Scene.importance_weight`
-    — an online estimate of the plain-rejection acceptance probability (see
-    :mod:`repro.synthesis.importance`) — and ``stats.candidates_drawn``
-    counts the constructive proposal draws, so the candidate-count reduction
-    against the rejection-style strategies is directly measurable (the
-    engine benchmark asserts it).
-    """
-
-    name = "direct"
-    mutates_scenario = True  # the pruning pass rewrites regions in place
-    uses_importance_weights = True
-
-    def __init__(self):
-        self.report: Optional[PruningReport] = None
-        self.plan = None
-        self._bound_scenario: Optional[Scenario] = None
-
-    def bind(self, scenario):
-        from ..synthesis import build_plan
-
-        if self._bound_scenario is not scenario:
-            self.report = prune_scenario(scenario)
-            self.plan = build_plan(scenario, report=self.report)
-            self._bound_scenario = scenario
-
-    def _draw_candidate(self, scenario, rng, stats):
-        plan = self.plan
-        tracker = plan.tracker if plan is not None else None
-        sample = Sample(rng)
-        try:
-            if plan is not None:
-                plan.seed(sample, rng, stats)
-            concrete_objects = [
-                scenic_object._concretize(sample) for scenic_object in scenario.objects
-            ]
-            concrete_ego = scenario.ego._concretize(sample)
-            concrete_params = {
-                name: concretize(value, sample) for name, value in scenario.params.items()
-            }
-        except RejectSample:
-            if tracker is not None:
-                tracker.record("sampling", False)
-            raise
-        if tracker is not None:
-            tracker.record("sampling", True)
-        ok = contained_in_workspace(scenario.workspace, concrete_objects, stats)
-        if tracker is not None:
-            tracker.record("containment", ok)
-        if not ok:
-            return None
-        ok = no_pairwise_collisions(concrete_objects, stats)
-        if tracker is not None:
-            tracker.record("collision", ok)
-        if not ok:
-            return None
-        ok = all_required_visible(concrete_objects, concrete_ego, stats)
-        if tracker is not None:
-            tracker.record("visibility", ok)
-        if not ok:
-            return None
-        ok = check_user_requirements(scenario, sample, rng, stats)
-        if tracker is not None:
-            tracker.record("user", ok)
-        if not ok:
-            return None
-        scene = Scene(concrete_objects, concrete_ego, concrete_params, scenario.workspace)
-        if tracker is not None:
-            scene.importance_weight = tracker.scene_weight()
-        return scene
-
-
 __all__ = [
     "SamplingStrategy",
     "RejectionSampler",
     "BatchSampler",
-    "DirectSampler",
     "VectorizedSampler",
     "STRATEGIES",
     "register_strategy",
     "make_strategy",
-    "draw_candidate",
-    "check_builtin_requirements",
     "check_user_requirements",
 ]

@@ -100,12 +100,6 @@ def scene_record(scene: Any, iterations: Optional[int] = None) -> Dict[str, Any]
     }
     if iterations is not None:
         record["iterations"] = iterations
-    weight = getattr(scene, "importance_weight", 1.0)
-    if weight != 1.0:
-        # Only constructive strategies stamp a non-trivial weight; leaving
-        # the default off the wire keeps existing record consumers (and the
-        # golden-corpus diffability) byte-stable for every other strategy.
-        record["importance_weight"] = float(weight)
     return record
 
 
@@ -223,14 +217,11 @@ def merge_shard_stats(outcomes: List[ShardOutcome]) -> Dict[str, Any]:
         "iterations": 0,
         "rejections": {},
         "component_redraws": 0,
-        "candidates_drawn": 0,
         "sampling_seconds": 0.0,
         "shards": len(outcomes),
         "worker_cache_hits": 0,
         "engine_cache_hits": 0,
         "workers": [],
-        "importance_weight_sum": 0.0,
-        "importance_scenes": 0,
         "candidates": 0,
     }
     for outcome in outcomes:
@@ -239,7 +230,7 @@ def merge_shard_stats(outcomes: List[ShardOutcome]) -> Dict[str, Any]:
         totals["draws"] += shard.get("draws", 0)
         totals["iterations"] += shard.get("iterations", 0)
         totals["component_redraws"] += shard.get("component_redraws", 0)
-        totals["candidates_drawn"] += shard.get("candidates_drawn", 0)
+        totals["candidates"] += shard.get("candidates", 0)
         totals["sampling_seconds"] += shard.get("sampling_seconds", 0.0)
         for cause, count in shard.get("rejections", {}).items():
             totals["rejections"][cause] = totals["rejections"].get(cause, 0) + count
@@ -247,23 +238,7 @@ def merge_shard_stats(outcomes: List[ShardOutcome]) -> Dict[str, Any]:
         totals["engine_cache_hits"] += 1 if outcome.engine_hit else 0
         if outcome.worker_pid not in totals["workers"]:
             totals["workers"].append(outcome.worker_pid)
-        totals["importance_weight_sum"] += shard.get("importance_weight_sum", 0.0)
-        totals["importance_scenes"] += shard.get("importance_scenes", 0)
-        # The comparable drawn-candidate count (proposal draws for
-        # constructive strategies, iterations otherwise).  Each shard reports
-        # its own max (AggregateStats.to_shard_stats); summing per-shard
-        # maxima is exact, whereas the old max-of-request-totals undercounted
-        # whenever a request mixed strategies across shards.  The fallback
-        # keeps older shard dicts (no "candidates" key) mergeable.
-        totals["candidates"] += shard.get(
-            "candidates",
-            max(shard.get("iterations", 0), shard.get("candidates_drawn", 0)),
-        )
     totals["workers"].sort()
-    if totals["importance_scenes"]:
-        totals["mean_importance_weight"] = (
-            totals["importance_weight_sum"] / totals["importance_scenes"]
-        )
     return totals
 
 

@@ -72,6 +72,11 @@ from .protocol import (
 )
 from .worker import initialize_worker, run_shard
 
+#: The most scenes one request may ask for (156x the largest perfbench
+#: request).  ``n`` above it is refused before admission, so a request never
+#: allocates its per-scene seeds and records unchecked.
+MAX_SCENES_PER_REQUEST = 10_000
+
 
 class ServiceError(RuntimeError):
     """Base class for generation-service failures."""
@@ -226,13 +231,15 @@ class GenerationService:
 
         An unknown strategy name is the client's ``ValueError``, not a shard
         failure.  ``n``, ``seed`` and ``max_iterations`` must be integers, and
-        a ``bool`` is not one.
+        a ``bool`` is not one; ``n`` is at most :data:`MAX_SCENES_PER_REQUEST`.
         """
         for name, value in (("n", n), ("seed", seed), ("max_iterations", max_iterations)):
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an integer, not {value!r}")
         if n < 0:
             raise ValueError("n must be non-negative")
+        if n > MAX_SCENES_PER_REQUEST:
+            raise ValueError(f"n must be at most {MAX_SCENES_PER_REQUEST}, not {n}")
         if derive not in DERIVE_MODES:
             raise ValueError(f"unknown derive mode {derive!r} (known: {DERIVE_MODES})")
         make_strategy(strategy)  # raises ValueError for an unknown name
@@ -523,6 +530,7 @@ def generate_sync(
 
 
 __all__ = [
+    "MAX_SCENES_PER_REQUEST",
     "GenerationFailedError",
     "GenerationService",
     "ServiceError",

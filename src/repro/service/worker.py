@@ -127,16 +127,7 @@ def _sample_indices(
             if engine.last_stats is not None and engine.last_stats is not stats_before:
                 aggregate.record(engine.last_stats, payload.strategy, accepted=False)
             raise
-        aggregate.record(
-            engine.last_stats,
-            payload.strategy,
-            accepted=True,
-            importance_weight=(
-                scene.importance_weight
-                if engine.strategy.uses_importance_weights
-                else None
-            ),
-        )
+        aggregate.record(engine.last_stats, payload.strategy, accepted=True)
         records.append(scene_record(scene, iterations=engine.last_stats.iterations))
 
 

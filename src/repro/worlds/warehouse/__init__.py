@@ -3,8 +3,8 @@
 The ROADMAP's indoor world: four shelving aisles joined by cross-aisles,
 navigated by picking robots among pallets, crates and workers.  The rack
 footprints are excluded from the navigable floor, so workspace containment
-produces the tight-clearance feasibility pressure the pruning and direct-
-synthesis strategies are built for; the ``aisleDirection`` field gives the
+produces the tight-clearance feasibility pressure the pruning pass is
+built for; the ``aisleDirection`` field gives the
 same orientation-pruning structure as the road world's traffic direction.
 
 Registered purely as a :class:`~repro.worlds.profile.WorldProfile` plugin

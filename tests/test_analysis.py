@@ -20,6 +20,7 @@ from repro.analysis.bounds import HeadingConstraint, ObjectBounds
 from repro.core.errors import InfeasibleScenarioError
 from repro.core.pruning import bounds_for_scenario, prune_scenario
 from repro.language import compile_scenario
+from repro.sampling import STRATEGIES
 
 DEG = math.pi / 180.0
 
@@ -417,20 +418,28 @@ class TestArtifactIntegration:
         with pytest.raises(InfeasibleScenarioError):
             prune_scenario(scenario)
 
-    def test_pruning_strategy_surfaces_infeasibility(self):
-        """``direct`` prunes at bind time, so it reports the empty region."""
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_pruned_scenario_samples_inside_pruned_regions(self, strategy):
+        """Pruning is a pass, not a strategy: any strategy then samples the pruned regions."""
+        from repro.core.regions import PointInRegionDistribution
+        from repro.core.vectors import Vector
+        from repro.fuzz.oracles import recheck_scene
         from repro.sampling import SamplerEngine
 
-        source = (
-            "import gtaLib\nego = EgoCar\nc = Car\n"
-            "require abs(relative heading of c) <= 10 deg\n"
-            "require abs(relative heading of c) >= 150 deg\n"
-        )
-        engine = SamplerEngine(
-            compile_scenario(source, cache=None).scenario(fresh=True), "direct"
-        )
-        with pytest.raises(InfeasibleScenarioError):
-            engine.sample(seed=0)
+        scenario = compile_scenario(self.SOURCE, cache=None).scenario(fresh=True)
+        report = prune_scenario(scenario)
+        assert report.area_ratio < 1.0
+        regions = {
+            index: scenic_object.properties["position"].region
+            for index, scenic_object in enumerate(scenario.objects)
+            if isinstance(scenic_object.properties.get("position"), PointInRegionDistribution)
+        }
+        assert regions
+        batch = SamplerEngine(scenario, strategy).sample_batch(5, seed=1, max_iterations=50000)
+        for scene in batch:
+            assert recheck_scene(scenario, scene, checks=()) == []
+            for index, region in regions.items():
+                assert region.contains_point(Vector.from_any(scene.objects[index].position))
 
     def test_manual_bounds_override_analysis(self):
         artifact = compile_scenario(self.SOURCE, cache=None)
@@ -441,14 +450,3 @@ class TestArtifactIntegration:
         )
         report = prune_scenario(scenario, manual)
         assert "orientation" not in report.techniques
-
-    def test_pruned_vectorized_matches_pruning_regions(self):
-        """The pruning pass inside ``direct`` equals a standalone prune."""
-        from repro.sampling import SamplerEngine
-
-        standalone = prune_scenario(
-            compile_scenario(self.SOURCE, cache=None).scenario(fresh=True)
-        )
-        direct = SamplerEngine(compile_scenario(self.SOURCE, cache=None), "direct")
-        direct.sample(seed=1, max_iterations=50000)
-        assert standalone.area_ratio == pytest.approx(direct.strategy.report.area_ratio)

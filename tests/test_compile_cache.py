@@ -190,9 +190,8 @@ class TestCompiledScenario:
         artifact = compile_scenario(SIMPLE, cache=None)
         engine = SamplerEngine(artifact)
         assert engine.scenario is artifact.scenario()
-        # direct prunes in place, so it must not share the interned scenario.
-        direct = SamplerEngine(artifact, strategy="direct")
-        assert direct.scenario is not artifact.scenario()
+        # No strategy rewrites its scenario, so every one shares it.
+        assert SamplerEngine(artifact, strategy="batch").scenario is artifact.scenario()
         # Raw source routes through the default cache.
         from_source = SamplerEngine(SIMPLE)
         assert from_source.scenario is compile_scenario(SIMPLE).scenario()

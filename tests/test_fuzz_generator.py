@@ -1,5 +1,6 @@
 """Tests for the grammar-driven fuzzer (generation, oracles, campaign)."""
 
+import math
 import random
 
 import pytest
@@ -237,3 +238,60 @@ class TestCli:
         )
         assert code == 1
         assert list(out_dir.glob("*.scenic"))
+
+
+# ---------------------------------------------------------------------------
+# Statistical-equivalence oracle (oracle E)
+# ---------------------------------------------------------------------------
+
+
+def test_ks_statistic_reference_behaviour():
+    from repro.fuzz.oracles import ks_statistic
+
+    same = [float(i) for i in range(50)]
+    assert ks_statistic(same, list(same)) == pytest.approx(0.0, abs=1e-12)
+    low = [float(i) for i in range(50)]
+    high = [float(i) + 1000.0 for i in range(50)]
+    assert ks_statistic(low, high) == pytest.approx(1.0)
+
+
+def test_two_sample_tests_accept_identical_and_flag_shifted():
+    from repro.fuzz.oracles import (
+        KS_COEFFICIENT,
+        chi_square_quantile,
+        chi_square_two_sample,
+        ks_statistic,
+    )
+
+    rng = random.Random(12)
+    base = [rng.gauss(0.0, 1.0) for _ in range(400)]
+    twin = [rng.gauss(0.0, 1.0) for _ in range(400)]
+    shifted = [value + 0.8 for value in twin]
+
+    ks_threshold = KS_COEFFICIENT * math.sqrt(2.0 / 400)
+    assert ks_statistic(base, twin) < ks_threshold
+    assert ks_statistic(base, shifted) > ks_threshold
+
+    statistic, df = chi_square_two_sample(base, twin)
+    assert statistic < chi_square_quantile(df)
+    statistic, df = chi_square_two_sample(base, shifted)
+    assert statistic > chi_square_quantile(df)
+
+
+def test_chi_square_quantile_grows_with_df():
+    from repro.fuzz.oracles import chi_square_quantile
+
+    values = [chi_square_quantile(df) for df in (1, 3, 7, 15)]
+    assert values == sorted(values)
+    assert values[0] > 1.0
+
+
+def test_statistical_equivalence_passes_on_gallery_program():
+    """Oracle E: batch's marginals match rejection's on a real program."""
+    from repro.experiments import scenarios
+    from repro.fuzz.oracles import check_statistical_equivalence
+
+    problems = check_statistical_equivalence(
+        scenarios.two_cars(), seed=5, samples=60, max_iterations=3000
+    )
+    assert problems == []

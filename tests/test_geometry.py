@@ -18,6 +18,7 @@ from repro.geometry.polygon import (
 )
 from repro.geometry.triangulation import (
     TriangulatedSampler,
+    _triangle_area,
     sample_point_in_polygon,
     sample_point_on_boundary,
     triangulate,
@@ -174,6 +175,23 @@ class TestTriangulation:
         point, heading = sample_point_on_boundary(unit_square, rng)
         assert unit_square.distance_to_point(point) < 1e-9
         assert -math.pi < heading <= math.pi
+
+    def test_triangulation_survives_duplicate_and_collinear_vertices(self):
+        """Clipped pruned regions routinely emit both; areas must still add up."""
+        ring = [
+            (0.0, 0.0),
+            (2.0, 0.0),
+            (2.0, 0.0),  # duplicate vertex
+            (4.0, 0.0),  # collinear middle point on the bottom edge
+            (6.0, 0.0),
+            (6.0, 3.0),
+            (3.0, 1.5),  # a reflex corner so a centroid fan would be wrong
+            (0.0, 3.0),
+        ]
+        polygon = Polygon(ring)
+        triangles = triangulate(polygon)
+        total = sum(_triangle_area(*triangle) for triangle in triangles)
+        assert abs(total - polygon.area) <= 1e-9 * max(1.0, polygon.area)
 
 
 class TestMorphology:

@@ -2,7 +2,7 @@
 
 Each ``examples/scenarios/*.scenic`` file was compiled and sampled with a
 fixed seed under every golden run (``repro.evals.golden.GOLDEN_RUNS``: the
-rejection, batch, vectorized and direct strategies, plus rejection and
+rejection, batch and vectorized strategies, plus rejection and
 vectorized after the automatic pruning pass); the resulting
 positions/headings live in ``tests/golden/*.json`` at full float
 precision.  These tests replay the exact same generations and compare to
@@ -135,12 +135,8 @@ def test_golden_corpus_replays_bit_exact(strategy):
     )
 
 
-#: Golden runs whose scenes come from pruned regions: the prune-first runs
-#: and ``direct``, which prunes at bind time.
-PRUNED_RUNS = tuple(
-    run for run, (strategy, prune_first) in GOLDEN_RUNS.items()
-    if prune_first or strategy == "direct"
-)
+#: Golden runs whose scenes come from pruned regions: the prune-first runs.
+PRUNED_RUNS = tuple(run for run, (_, prune_first) in GOLDEN_RUNS.items() if prune_first)
 
 
 def _fresh_scenario(stem):
@@ -245,3 +241,32 @@ def test_vectorized_matches_rejection_without_soft_requirements():
     for stem in scenario_stems():
         entry = json.loads(regen.golden_path(stem).read_text())["strategies"]
         assert entry["vectorized"] == entry["rejection"], stem
+
+
+@pytest.mark.parametrize(
+    "stem",
+    [
+        pytest.param(stem, marks=[pytest.mark.slow] if stem in SLOW_SCENARIOS else [])
+        for stem in scenario_stems()
+    ],
+)
+def test_golden_runs_book_each_rejection_once(stem):
+    """Corpus-wide check of the one candidate loop's bookkeeping.
+
+    Under every golden run the accepted scene passes the scalar recheck,
+    and the rejection counters add up: every examined candidate but the
+    accepted one is booked once under one cause, and so is every ``batch``
+    group redraw.
+    """
+    from repro.fuzz.oracles import recheck_scene
+
+    golden = json.loads(regen.golden_path(stem).read_text())["strategies"]
+    for run in GOLDEN_RUNS:
+        scenario = _fresh_scenario(stem)
+        scene = golden_sample(scenario, run)
+        stats = scenario.last_stats
+        assert stats.iterations == golden[run]["iterations"], f"{stem}/{run}"
+        assert stats.total_rejections == stats.iterations - 1 + stats.component_redraws, (
+            f"{stem}/{run}: {stats}"
+        )
+        assert recheck_scene(scenario, scene, checks=()) == [], f"{stem}/{run}"

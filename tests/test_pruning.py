@@ -8,6 +8,7 @@ without pruning and by direct containment arguments.
 
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -438,3 +439,43 @@ class TestBoundsDrivenPruning:
         assert report.area_ratio == 1.0
         assert not report.applied
         assert report.objects_pruned == 0
+
+
+EXAMPLES_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
+
+SLOW_SCENARIOS = {"perception_stress", "platoon"}
+
+
+@pytest.mark.parametrize(
+    "stem",
+    [
+        pytest.param(stem, marks=[pytest.mark.slow] if stem in SLOW_SCENARIOS else [])
+        for stem in sorted(path.stem for path in EXAMPLES_DIR.glob("*.scenic"))
+    ],
+)
+def test_pruned_region_triangle_areas_sum_to_polygon_area(stem):
+    """Corpus-wide property: pruned regions triangulate exactly (to 1e-9).
+
+    Every polygonal position region left by the automatic pruning pass over
+    the example gallery must triangulate into triangles whose areas sum to
+    the region's polygon areas: uniform sampling from the pruned region
+    (``TriangulatedSampler``) would otherwise under- or over-cover it.
+    """
+    from repro.core.regions import PointInRegionDistribution
+    from repro.geometry.triangulation import _triangle_area, triangulate
+    from repro.language import scenario_from_file
+
+    scenario = scenario_from_file(EXAMPLES_DIR / f"{stem}.scenic")
+    prune_scenario(scenario)
+    for scenic_object in scenario.objects:
+        position = scenic_object.properties.get("position")
+        if not isinstance(position, PointInRegionDistribution):
+            continue
+        region = position.region
+        if not isinstance(region, PolygonalRegion):
+            continue
+        for polygon in region.polygons:
+            total = sum(_triangle_area(*t) for t in triangulate(polygon))
+            assert abs(total - polygon.area) <= 1e-9 * max(1.0, polygon.area), (
+                f"{stem}: triangulated area {total} != polygon area {polygon.area}"
+            )

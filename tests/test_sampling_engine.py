@@ -1,7 +1,5 @@
 """Tests for the pluggable scene-sampling engine (``repro/sampling/``)."""
 
-import random
-
 import pytest
 
 from repro.core import (
@@ -15,8 +13,7 @@ from repro.core import (
     Vector,
     Workspace,
 )
-from repro.core.regions import CircularRegion, PolygonalRegion
-from repro.core.scenario import GenerationStats
+from repro.core.regions import CircularRegion, DifferenceRegion, PolygonalRegion, nowhere
 from repro.experiments import scenarios
 from repro.geometry.polygon import Polygon
 from repro.sampling import (
@@ -87,16 +84,6 @@ class TestStrategyEquivalence:
         with pytest.raises(RejectionError):
             engine.sample(max_iterations=25, seed=0)
         assert engine.last_stats.iterations == 25
-
-    def test_sample_candidate_delegation_still_works(self):
-        scenario = containment_heavy_scenario(1)
-        stats = GenerationStats()
-        rng = random.Random(0)
-        for _ in range(50):
-            scene = scenario._sample_candidate(rng, stats)
-            if scene is not None:
-                break
-        assert scene is not None
 
 
 class TestDependencyGraph:
@@ -179,6 +166,25 @@ class TestBatchSampler:
             SamplerEngine(builder.scenario(), "batch").sample(max_iterations=10, seed=0)
 
 
+    def test_group_gives_up_after_the_local_redraw_cap(self):
+        """A group that never holds is redrawn ``LOCAL_REDRAW_CAP - 1`` times per candidate.
+
+        Each failed group draw is booked under its cause, and the last one
+        rejects the candidate as a whole.
+        """
+        with ScenarioBuilder(workspace=square_workspace(30.0)) as builder:
+            builder.set_ego(Object(At((0, 0)), Facing(0.0)))
+            Object(In(CircularRegion((100.0, 0.0), 1.0)), requireVisible=False)
+        engine = SamplerEngine(builder.scenario(), "batch")
+        with pytest.raises(RejectionError):
+            engine.sample(max_iterations=2, seed=0)
+        stats = engine.last_stats
+        cap = BatchSampler.LOCAL_REDRAW_CAP
+        assert stats.iterations == 2
+        assert stats.component_redraws == 2 * (cap - 1)
+        assert stats.rejections_containment == stats.total_rejections == 2 * cap
+
+
 class TestPruneThenSample:
     def test_pruned_scenario_keeps_scenes_valid(self):
         from repro.core.pruning import prune_scenario
@@ -256,7 +262,7 @@ class TestEngineEdgeCases:
         assert batch.stats.total_iterations == 0
 
     def test_empty_batch_under_every_builtin_strategy(self):
-        for name in ("rejection", "batch", "vectorized", "direct"):
+        for name in ("rejection", "batch", "vectorized"):
             batch = containment_heavy_scenario(1).generate_batch(0, seed=0, strategy=name)
             assert list(batch) == []
 
@@ -374,13 +380,12 @@ class TestStrategyRegistry:
             make_strategy("nope")
 
     def test_builtin_strategies_registered(self):
-        from repro.sampling import DirectSampler, VectorizedSampler
+        from repro.sampling import VectorizedSampler
 
-        assert sorted(STRATEGIES) == ["batch", "direct", "rejection", "vectorized"]
+        assert sorted(STRATEGIES) == ["batch", "rejection", "vectorized"]
         assert isinstance(make_strategy("rejection"), RejectionSampler)
         assert isinstance(make_strategy("batch"), BatchSampler)
         assert isinstance(make_strategy("vectorized"), VectorizedSampler)
-        assert isinstance(make_strategy("direct"), DirectSampler)
 
     def test_custom_strategy_plugs_into_generate(self):
         @register_strategy
@@ -408,7 +413,7 @@ class TestStrategyRegistryEdgeCases:
         with pytest.raises(ValueError) as info:
             make_strategy("definitely-not-a-strategy")
         message = str(info.value)
-        for name in ("rejection", "batch", "vectorized", "direct"):
+        for name in ("rejection", "batch", "vectorized"):
             assert name in message
 
     def test_unknown_options_raise_type_error(self):
@@ -457,28 +462,164 @@ PROVABLY_INFEASIBLE = (
 UNPROVABLY_INFEASIBLE = "ego = Object at 0 @ 0\nrequire ego.position.x > 1\n"
 
 
-@pytest.mark.parametrize("strategy", ["rejection", "batch", "vectorized", "direct"])
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 @pytest.mark.parametrize(
     "program", [PROVABLY_INFEASIBLE, UNPROVABLY_INFEASIBLE], ids=["provable", "unprovable"]
 )
 def test_infeasible_program_versus_exhausted_budget(program, strategy):
-    """Only ``direct`` proves infeasibility, at bind time; every other case exhausts the budget.
+    """No strategy analyses the program: every one exhausts the budget.
 
-    ``direct`` prunes when it binds, so on the provable program it raises
-    :class:`InfeasibleScenarioError` before drawing a single candidate.
-    The rejection-style strategies never analyse the program, and no
-    strategy can prove the unprovable one: they draw the whole budget of
-    50 candidates and raise :class:`RejectionError`.
+    Proving infeasibility is the pruning pass's job
+    (:func:`~repro.core.pruning.prune_scenario` raises
+    :class:`InfeasibleScenarioError` on the provable program).  Sampling
+    draws the whole budget of 50 candidates and raises
+    :class:`RejectionError`.
     """
-    from repro.core.errors import InfeasibleScenarioError
     from repro.language import compile_scenario
 
     engine = SamplerEngine(compile_scenario(program, cache=None), strategy)
-    if program is PROVABLY_INFEASIBLE and strategy == "direct":
-        with pytest.raises(InfeasibleScenarioError):
-            engine.sample(seed=0, max_iterations=50)
-        assert engine.last_stats is None
-    else:
-        with pytest.raises(RejectionError):
-            engine.sample(seed=0, max_iterations=50)
-        assert engine.last_stats.iterations == 50
+    with pytest.raises(RejectionError):
+        engine.sample(seed=0, max_iterations=50)
+    assert engine.last_stats.iterations == 50
+
+
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_reject_sample_in_requirement_is_a_sampling_rejection(strategy):
+    """A ``RejectSample`` raised inside a ``require`` rejects that candidate only.
+
+    Every strategy runs the same check chain, so the candidate is booked as
+    a sampling rejection and the loop moves on — in the Python API, and in
+    a Scenic program whose requirement samples a point from an empty region
+    (which exhausts the budget with :class:`RejectionError`).
+    """
+    from repro.core.errors import RejectSample
+    from repro.language import compile_scenario
+
+    calls = []
+
+    def first_call_rejects(resolve):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RejectSample("planted")
+        return True
+
+    with ScenarioBuilder() as builder:
+        builder.set_ego(Object(At((0, 0)), Facing(0.0)))
+        builder.require(first_call_rejects)
+    engine = SamplerEngine(builder.scenario(), strategy)
+    engine.sample(seed=0, max_iterations=10)
+    assert engine.last_stats.rejections_sampling == 1
+    assert engine.last_stats.iterations == 2
+
+    program = (
+        "import gtaLib\nego = Car\nspot = Point in road.difference(road)\n"
+        "require (distance to spot) > 0\n"
+    )
+    engine = SamplerEngine(compile_scenario(program, cache=None), strategy)
+    with pytest.raises(RejectionError):
+        engine.sample(seed=0, max_iterations=5)
+    assert engine.last_stats.iterations == 5
+
+
+# ---------------------------------------------------------------------------
+# The one check chain: each rejected candidate is booked once, under the
+# first check it failed
+# ---------------------------------------------------------------------------
+
+#: The chain's causes, in chain order (a draw-time ``RejectSample`` first).
+CHAIN_CAUSES = ("sampling", "containment", "collision", "visibility", "user")
+
+
+def rejection_counters(stats):
+    return {cause: getattr(stats, "rejections_" + cause) for cause in CHAIN_CAUSES}
+
+
+def single_cause_scenario(cause):
+    """A feasible scenario whose candidates can fail the check *cause* and no other."""
+    workspace = square_workspace(30.0) if cause == "containment" else None
+    with ScenarioBuilder(workspace=workspace) as builder:
+        builder.set_ego(Object(At((0, 0)), Facing(0.0)))
+        if cause == "sampling":
+            # A ring drawn in one attempt: a draw landing in the hole raises
+            # RejectSample.
+            ring = DifferenceRegion(
+                CircularRegion((0.0, 20.0), 5.0), CircularRegion((0.0, 20.0), 3.0),
+                max_attempts=1,
+            )
+            Object(In(ring), requireVisible=False)
+        elif cause == "containment":
+            # Reaches past the workspace edge at x = 15, never near the ego.
+            Object(In(CircularRegion((10.0, 0.0), 8.0)), requireVisible=False)
+        elif cause == "collision":
+            Object(In(CircularRegion((0.0, 0.0), 2.0)), requireVisible=False)
+        elif cause == "visibility":
+            # Its far side lies beyond the ego's 50 m view distance.
+            Object(In(CircularRegion((0.0, 60.0), 20.0)))
+        else:
+            other = Object(In(CircularRegion((0.0, 20.0), 5.0)), requireVisible=False)
+            builder.require(lambda resolve: resolve(other).position.x >= 0)
+    return builder.scenario()
+
+
+@pytest.mark.parametrize("cause", CHAIN_CAUSES)
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_each_cause_is_booked_under_its_own_counter(strategy, cause):
+    """A candidate that fails one check is booked under that check, exactly once.
+
+    Every rejection is either an examined candidate that was not accepted
+    or one of ``batch``'s local group redraws, so the counters sum to
+    ``iterations - scenes + component_redraws`` under every strategy.
+    """
+    engine = SamplerEngine(single_cause_scenario(cause), strategy)
+    batch = engine.sample_batch(20, seed=3, max_iterations=10000)
+    stats = batch.stats.combined()
+    counters = rejection_counters(stats)
+    assert counters[cause] > 0
+    assert {name: count for name, count in counters.items() if name != cause} == {
+        name: 0 for name in CHAIN_CAUSES if name != cause
+    }
+    assert stats.total_rejections == stats.iterations - len(batch) + stats.component_redraws
+    if strategy != "batch":
+        assert stats.component_redraws == 0
+
+
+def double_failure_scenario(first, second):
+    """An infeasible scenario whose every candidate fails checks *first* and *second*."""
+    workspace = square_workspace(30.0) if "containment" in (first, second) else None
+    with ScenarioBuilder(workspace=workspace) as builder:
+        builder.set_ego(Object(At((0, 0)), Facing(0.0)))
+        if (first, second) == ("sampling", "containment"):
+            Object(In(nowhere), requireVisible=False)
+            Object(At((100, 0)), requireVisible=False)
+        elif (first, second) == ("containment", "collision"):
+            Object(At((100, 0)), requireVisible=False)
+            Object(At((100.5, 0)), requireVisible=False)
+        elif (first, second) == ("collision", "visibility"):
+            Object(At((0, 100)))
+            Object(At((0, 100.5)))
+        else:
+            Object(At((0, 100)))
+            builder.require(False)
+    return builder.scenario()
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    list(zip(CHAIN_CAUSES, CHAIN_CAUSES[1:])),
+    ids=lambda cause: cause,
+)
+@pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+def test_chain_books_the_first_failing_check(strategy, first, second):
+    """The chain runs sampling → containment → collision → visibility → ``require``.
+
+    A candidate failing two adjacent checks is booked under the earlier
+    one only, whichever strategy examines it.
+    """
+    engine = SamplerEngine(double_failure_scenario(first, second), strategy)
+    with pytest.raises(RejectionError):
+        engine.sample(seed=0, max_iterations=5)
+    stats = engine.last_stats
+    assert stats.iterations == 5
+    counters = rejection_counters(stats)
+    assert counters[first] == stats.iterations + stats.component_redraws
+    assert stats.total_rejections == counters[first]

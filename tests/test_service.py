@@ -41,6 +41,7 @@ from repro.service import (
     splitmix64,
 )
 from repro.service.protocol import ShardPayload, derive_scene_seeds
+from repro.service.service import MAX_SCENES_PER_REQUEST
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -140,10 +141,9 @@ Object at Range(-3, 3) @ 4
         ("two_cars", "rejection"),
         ("two_cars", "vectorized"),
         ("two_cars", "batch"),
-        ("two_cars", "direct"),
         ("params", "rejection"),
     ],
-    ids=["rejection", "vectorized", "batch", "direct", "params"],
+    ids=["rejection", "vectorized", "batch", "params"],
 )
 def test_sharded_splitmix_seeds_are_worker_count_invariant(program, strategy):
     """The same (seed, n) request gives the same records however it is sharded.
@@ -151,9 +151,7 @@ def test_sharded_splitmix_seeds_are_worker_count_invariant(program, strategy):
     Cross-checks three executions of one request — a 2-process pool, inline
     (no pool), and an in-process engine loop using the documented per-scene
     seed derivation — record for record, ``params`` and ``iterations``
-    included.  ``direct``'s ``importance_weight`` is an online estimate that
-    depends on the engine's draw history, so it is only checked to lie in
-    (0, 1] and is stripped before comparing.
+    included.
     """
     source = PARAM_SOURCE if program == "params" else _source(program)
     seed, n = 424242, 10
@@ -175,9 +173,6 @@ def test_sharded_splitmix_seeds_are_worker_count_invariant(program, strategy):
         scene = engine.sample(max_iterations=20000, rng=random.Random(scene_seed))
         local.append(scene_record(scene, iterations=engine.last_stats.iterations))
 
-    if strategy == "direct":
-        for records in (pooled.scenes, inline.scenes, local):
-            assert all(0 < record.pop("importance_weight") <= 1 for record in records)
     if program == "params":
         assert all(record["params"] for record in local)
     assert len(local) == n
@@ -287,25 +282,20 @@ PROVABLY_INFEASIBLE = (
 )
 
 
-@pytest.mark.parametrize("strategy", ["rejection", "batch", "vectorized", "direct"])
+@pytest.mark.parametrize("strategy", ["rejection", "batch", "vectorized"])
 @pytest.mark.parametrize(
     "program",
     [PROVABLY_INFEASIBLE, "ego = Object at 0 @ 0\nrequire ego.position.x > 1\n"],
     ids=["provable", "unprovable"],
 )
 def test_infeasible_and_exhausted_requests_are_counted_failures(program, strategy):
-    """Infeasibility proved at bind time and an exhausted budget both fail the request.
+    """An infeasible program exhausts the budget and fails the request.
 
-    Only ``direct`` on the provably infeasible program reports
-    ``InfeasibleScenarioError``; every other case draws the whole budget
-    and reports ``RejectionError``.  Either way the request counts in
-    ``failures`` and returns its slot.
+    No strategy analyses the program, so both the provably and the
+    unprovably infeasible one draw the whole budget and report
+    ``RejectionError``.  The request counts in ``failures`` and returns its
+    slot.
     """
-    expected = (
-        "InfeasibleScenarioError"
-        if program is PROVABLY_INFEASIBLE and strategy == "direct"
-        else "RejectionError"
-    )
 
     async def run():
         async with GenerationService(workers=0) as service:
@@ -316,7 +306,7 @@ def test_infeasible_and_exhausted_requests_are_counted_failures(program, strateg
             return failed.value, service.service_stats()
 
     error, stats = asyncio.run(run())
-    assert error.detail["type"] == expected
+    assert error.detail["type"] == "RejectionError"
     assert (stats["requests"], stats["failures"], stats["pending"]) == (1, 1, 0)
 
 
@@ -332,7 +322,7 @@ def test_compile_error_raises_generation_failed():
 @pytest.mark.parametrize(
     "field,value,needle",
     [
-        ("strategy", "nope", "known: batch, direct, rejection, vectorized"),
+        ("strategy", "nope", "known: batch, rejection, vectorized"),
         ("max_iterations", 0, "max_iterations must be at least 1"),
         ("n", 2.5, "'n' must be an integer, not 2.5"),
         ("n", True, "'n' must be an integer, not true"),
@@ -361,6 +351,36 @@ def test_bad_request_is_rejected_before_admission(field, value, needle):
 def test_fingerprint_only_request_is_rejected_before_admission():
     """A request naming its program by a non-string fingerprint alone is a 400 too."""
     _assert_rejected_before_admission({"fingerprint": 42, "n": 1}, "'fingerprint' must be a string")
+
+
+@pytest.mark.parametrize("entry", ["http", "generate", "generate_stream"])
+def test_n_above_the_ceiling_is_rejected_before_admission(entry):
+    """``n`` above ``MAX_SCENES_PER_REQUEST`` is refused before admission.
+
+    The program is infeasible, so a request that got past the gate would
+    fail fast with a sampling error instead of this ``ValueError``.
+    """
+    n = MAX_SCENES_PER_REQUEST + 1
+    needle = f"n must be at most {MAX_SCENES_PER_REQUEST}"
+    if entry == "http":
+        request = {"source": PROVABLY_INFEASIBLE, "n": n, "max_iterations": 5}
+        _assert_rejected_before_admission(request, needle)
+        return
+
+    async def run():
+        async with GenerationService(workers=0) as service:
+            with pytest.raises(ValueError, match=needle):
+                if entry == "generate":
+                    await service.generate(PROVABLY_INFEASIBLE, n=n, max_iterations=5)
+                else:
+                    async for _ in service.generate_stream(
+                        PROVABLY_INFEASIBLE, n=n, max_iterations=5
+                    ):
+                        pass
+            return service.service_stats()
+
+    stats = asyncio.run(run())
+    assert (stats["requests"], stats["failures"], stats["pending"]) == (0, 0, 0)
 
 
 @pytest.mark.parametrize("entry", ["generate", "generate_stream"])
@@ -558,9 +578,10 @@ def test_request_failing_after_admission_returns_its_slot():
     """A request that fails anywhere after admission gives its slot back.
 
     With room for exactly one pending request, a single leaked slot would
-    shed the request that follows.  A float ``n`` is refused by the same
-    gate as over HTTP, before admission; an ``n`` too large to allocate
-    fails after admission and must still release its slot.
+    shed the request that follows.  A float ``n`` and an ``n`` above the
+    ceiling are refused by the same gate as over HTTP, before admission; an
+    infeasible program fails after admission and must still release its
+    slot.
     """
     source = _source("single_car")
 
@@ -571,8 +592,10 @@ def test_request_failing_after_admission_returns_its_slot():
             with pytest.raises(ValueError, match="n must be an integer"):
                 async for _ in service.generate_stream(source, n=2.5, seed=0):
                     pass
-            with pytest.raises(MemoryError):
+            with pytest.raises(ValueError, match="n must be at most"):
                 await service.generate(source, n=2**62, seed=0)
+            with pytest.raises(GenerationFailedError):
+                await service.generate(PROVABLY_INFEASIBLE, n=1, seed=0, max_iterations=5)
             pending = service.service_stats()["pending"]
             response = await service.generate(source, n=2, seed=0)
             return pending, response, service.service_stats()

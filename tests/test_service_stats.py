@@ -3,9 +3,8 @@
 Property-style pins for the stats pipeline: however a run is cut into
 shards, :func:`merge_shard_stats` over the per-shard
 ``AggregateStats.to_shard_stats()`` dicts must equal the single-shard
-roll-up — for candidate counts, rejection breakdowns, and the
-scene-count-weighted mean importance weight.  Plus the worker-side engine
-cache (eviction follows *recency*, not insertion order).
+roll-up — for candidate counts and rejection breakdowns.  Plus the
+worker-side engine cache (eviction follows *recency*, not insertion order).
 """
 
 import random
@@ -28,18 +27,13 @@ def _random_stats(rng):
         rejections_user=rng.randrange(0, 5),
         rejections_sampling=rng.randrange(0, 5),
         component_redraws=rng.randrange(0, 8),
-        candidates_drawn=rng.randrange(0, 80),
         elapsed_seconds=rng.random() / 100,
     )
 
 
-def _record_draws(aggregate, draws, rng):
-    for strategy, stats, weight in draws:
-        aggregate.record(
-            stats, strategy, accepted=True,
-            importance_weight=weight,
-        )
-        _ = rng  # draws are pre-generated; rng kept for signature symmetry
+def _record_draws(aggregate, draws):
+    for strategy, stats in draws:
+        aggregate.record(stats, strategy, accepted=True)
 
 
 def _outcome(stats_dict, pid=1000):
@@ -52,9 +46,8 @@ def _outcome(stats_dict, pid=1000):
 def _draws(rng, count):
     draws = []
     for _ in range(count):
-        strategy = rng.choice(["rejection", "vectorized", "direct"])
-        weight = rng.random() if strategy == "direct" else None
-        draws.append((strategy, _random_stats(rng), weight))
+        strategy = rng.choice(["rejection", "vectorized", "batch"])
+        draws.append((strategy, _random_stats(rng)))
     return draws
 
 
@@ -66,7 +59,7 @@ def test_sharded_merge_equals_single_shard(seed, shard_count):
     draws = _draws(rng, 24)
 
     single = AggregateStats()
-    _record_draws(single, draws, rng)
+    _record_draws(single, draws)
     merged_single = merge_shard_stats([_outcome(single.to_shard_stats())])
 
     cuts = sorted(rng.sample(range(1, len(draws)), shard_count - 1))
@@ -74,7 +67,7 @@ def test_sharded_merge_equals_single_shard(seed, shard_count):
     previous = 0
     for cut in cuts + [len(draws)]:
         aggregate = AggregateStats()
-        _record_draws(aggregate, draws[previous:cut], rng)
+        _record_draws(aggregate, draws[previous:cut])
         shards.append(aggregate)
         previous = cut
     merged_sharded = merge_shard_stats(
@@ -82,78 +75,41 @@ def test_sharded_merge_equals_single_shard(seed, shard_count):
          for index, shard in enumerate(shards)]
     )
 
-    for key in ("scenes", "draws", "iterations", "component_redraws",
-                "candidates_drawn", "importance_scenes"):
+    for key in ("scenes", "draws", "iterations", "component_redraws", "candidates"):
         assert merged_sharded[key] == merged_single[key], key
     assert merged_sharded["rejections"] == merged_single["rejections"]
-    assert merged_sharded["importance_weight_sum"] == pytest.approx(
-        merged_single["importance_weight_sum"]
-    )
-    # The mean importance weight is weighted by scene count, not averaged
-    # over shards: it must equal sum-of-weights / count-of-weighted-scenes.
-    if merged_single["importance_scenes"]:
-        expected_mean = (
-            merged_single["importance_weight_sum"] / merged_single["importance_scenes"]
-        )
-        assert merged_sharded["mean_importance_weight"] == pytest.approx(expected_mean)
 
 
-def test_candidates_sum_per_shard_maxima():
-    """A rejection shard + a constructive shard: candidates must add.
+def test_candidates_sum_across_shards():
+    """A request's ``candidates`` adds every shard's examined candidates.
 
-    Shard A: 40 iterations, no proposal draws (rejection-style); shard B:
-    5 iterations, 100 proposal draws (constructive).  The honest total is
-    ``max(40, 0) + max(5, 100) = 140``; the old max-of-request-totals
-    computed ``max(45, 100) = 100``, silently dropping shard A.
+    Shard A examined 40 candidates, shard B 5: the request examined 45,
+    the same as its iteration count.
     """
     shard_a = AggregateStats()
     shard_a.record(GenerationStats(iterations=40), "rejection")
     shard_b = AggregateStats()
-    shard_b.record(GenerationStats(iterations=5, candidates_drawn=100), "direct")
+    shard_b.record(GenerationStats(iterations=5), "batch")
 
     assert shard_a.to_shard_stats()["candidates"] == 40
-    assert shard_b.to_shard_stats()["candidates"] == 100
+    assert shard_b.to_shard_stats()["candidates"] == 5
     merged = merge_shard_stats(
         [_outcome(shard_a.to_shard_stats()), _outcome(shard_b.to_shard_stats(), pid=2)]
     )
-    assert merged["candidates"] == 140
-
-
-def test_candidates_fallback_for_legacy_shard_dicts():
-    """Shard dicts without a "candidates" key still merge (old workers)."""
-    legacy = {"scenes": 1, "iterations": 12, "candidates_drawn": 30, "rejections": {}}
-    merged = merge_shard_stats([_outcome(legacy)])
-    assert merged["candidates"] == 30
-
-
-def test_weighted_mean_importance_across_unequal_shards():
-    """3 weighted scenes at 0.1 + 1 at 0.9 → mean 0.3, not (0.1+0.9)/2."""
-    shard_a = AggregateStats()
-    for _ in range(3):
-        shard_a.record(GenerationStats(iterations=1), "direct", importance_weight=0.1)
-    shard_b = AggregateStats()
-    shard_b.record(GenerationStats(iterations=1), "direct", importance_weight=0.9)
-
-    merged = merge_shard_stats(
-        [_outcome(shard_a.to_shard_stats()), _outcome(shard_b.to_shard_stats(), pid=2)]
-    )
-    assert merged["mean_importance_weight"] == pytest.approx(0.3)
+    assert merged["candidates"] == merged["iterations"] == 45
 
 
 def test_to_shard_stats_matches_aggregate_views():
     rng = random.Random(99)
     aggregate = AggregateStats()
-    _record_draws(aggregate, _draws(rng, 10), rng)
+    _record_draws(aggregate, _draws(rng, 10))
     shard = aggregate.to_shard_stats()
     combined = aggregate.combined()
     assert shard["scenes"] == aggregate.scenes
     assert shard["draws"] == aggregate.draws
     assert shard["iterations"] == combined.iterations
-    assert shard["candidates_drawn"] == combined.candidates_drawn
-    assert shard["candidates"] == aggregate.total_candidates
+    assert shard["candidates"] == aggregate.total_candidates == combined.iterations
     assert shard["rejections"] == aggregate.rejection_breakdown()
-    assert shard["importance_weight_sum"] == aggregate.importance_weight_sum
-    assert shard["importance_scenes"] == aggregate.importance_scenes
 
 
 # ---------------------------------------------------------------------------
