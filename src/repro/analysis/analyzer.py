@@ -32,7 +32,7 @@ sound containment-only behaviour.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..language import ast_nodes as ast

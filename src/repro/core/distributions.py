@@ -22,10 +22,9 @@ The key entry points are:
 
 from __future__ import annotations
 
-import math
 import numbers
 import random as _random
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ScenicError
 from .utils import cumulative_weights
@@ -51,6 +50,10 @@ class Sample:
 
     def value_for(self, node: Any) -> Any:
         return self._values[id(node)]
+
+    def get(self, node: Any, default: Any = None) -> Any:
+        """*node*'s memoised value, or *default* when it has none."""
+        return self._values.get(id(node), default)
 
     def set_value_for(self, node: Any, value: Any) -> None:
         self._values[id(node)] = value

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, FrozenSet, Iterable, Set
 
-from .distributions import Distribution, needs_sampling
-
 
 class LazilyEvaluable:
     """A value that needs (some properties of) the object under construction."""

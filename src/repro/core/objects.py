@@ -16,7 +16,7 @@ Table 2's built-in properties and defaults are reproduced verbatim.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..geometry.polygon import Polygon
 from .context import register_object
@@ -56,13 +56,21 @@ class Constructible:
     def _make(cls, **properties: Any) -> "Constructible":
         """Build an instance directly from property values, bypassing specifiers.
 
-        Used internally for sampled copies and for intermediate
-        OrientedPoints produced by operators such as ``front of``.
+        Used internally, e.g. for intermediate OrientedPoints produced by
+        operators such as ``front of``.
+        """
+        return cls._from_properties(properties)
+
+    @classmethod
+    def _from_properties(cls, properties: Dict[str, Any]) -> "Constructible":
+        """An instance that takes *properties*, a fresh dict, as its own.
+
+        The dict becomes the instance's ``properties`` without a copy, and
+        each property is also set as an attribute.
         """
         instance = cls.__new__(cls)
-        instance.properties = dict(properties)
-        for name, value in properties.items():
-            object.__setattr__(instance, name, value)
+        instance.properties = properties
+        instance.__dict__.update(properties)
         instance._registered = False
         return instance
 
@@ -109,8 +117,9 @@ class Constructible:
         several places (e.g. by requirements and by other objects' specifiers)
         has a single concrete incarnation per scene.
         """
-        if sample.has_value_for(self):
-            return sample.value_for(self)
+        concrete = sample.get(self)
+        if concrete is not None:
+            return concrete
         plan = self._plan
         if plan is None:
             properties = dict(self.properties)
@@ -122,7 +131,7 @@ class Constructible:
         concrete_properties = properties.copy()
         for name in random_names:
             concrete_properties[name] = concretize(properties[name], sample)
-        concrete = type(self)._make(**concrete_properties)
+        concrete = type(self)._from_properties(concrete_properties)
         concrete._source_object = self
         sample.set_value_for(self, concrete)
         concrete._apply_mutation(sample)

@@ -15,19 +15,16 @@ operators and OrientedPoint operators.
 from __future__ import annotations
 
 import math
-from typing import Any, Optional, Tuple
+from typing import Any, Tuple
 
 from .distributions import (
-    AttributeDistribution,
     Distribution,
     FunctionDistribution,
     distribution_function,
-    needs_sampling,
 )
-from .lazy import lazy_function, make_delayed_function
 from .regions import CircularRegion, Region, SectorRegion
 from .utils import normalize_angle
-from .vectors import Vector, VectorLike
+from .vectors import Vector
 
 
 # ---------------------------------------------------------------------------

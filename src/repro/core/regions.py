@@ -27,8 +27,8 @@ import numpy as np
 from ..geometry import kernel as _kernel
 from ..geometry.polygon import BoundingBox, Polygon, polygons_intersect
 from ..geometry.spatial_index import SpatialGrid
-from ..geometry.triangulation import TriangulatedSampler, sample_point_in_triangle
-from .distributions import Distribution, needs_sampling
+from ..geometry.triangulation import TriangulatedSampler
+from .distributions import Distribution
 from .errors import RejectSample, ScenicError
 from .utils import normalize_angle
 from .vectors import Vector, VectorLike

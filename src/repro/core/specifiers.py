@@ -16,9 +16,8 @@ specifier of Tables 3 and 4, e.g. :func:`LeftOf`, :func:`Beyond`, :func:`On`,
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
-from typing import Any, Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .context import current_ego
 from .distributions import (
@@ -39,9 +38,8 @@ from .operators import (
     position_of,
     visible_region_of,
 )
-from .regions import PointInRegionDistribution, Region
-from .utils import normalize_angle
-from .vectors import Vector, VectorLike
+from .regions import PointInRegionDistribution
+from .vectors import Vector
 
 
 class Specifier:

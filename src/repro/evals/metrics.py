@@ -27,7 +27,6 @@ view; this module only adds the magnitude view on top.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Sequence
 
 from ..core.vectors import Vector

@@ -20,7 +20,7 @@ runs the *same* comparison CI runs:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.scenario import GenerationStats
 from ..sampling.stats import merge_generation_stats

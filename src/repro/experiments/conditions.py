@@ -11,9 +11,8 @@ synthetic substrate; the expected qualitative result is the same ordering
 
 from __future__ import annotations
 
-import random as _random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
 
 from ..perception.metrics import DetectionMetrics
 from ..perception.training import Dataset, TrainingConfig, evaluate_detector, train_detector

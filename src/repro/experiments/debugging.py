@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random as _random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..perception.augmentation import augment_dataset
 from ..perception.detector import CarDetector

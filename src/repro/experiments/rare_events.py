@@ -16,10 +16,9 @@ evaluation on both test sets, averaged over several random mixtures.
 from __future__ import annotations
 
 import random as _random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..perception.metrics import DetectionMetrics
 from ..perception.training import (
     Dataset,
     TrainingConfig,

@@ -23,8 +23,8 @@ pure Python; this module evaluates them over whole *batches* with numpy:
 The predicates agree with the scalar implementations: the separating-axis
 test uses closed intervals (touching counts as overlap, exactly like
 ``polygons_intersect``) and :func:`points_in_polygon` replicates the scalar
-ray-casting code operation for operation, so results are bit-identical away
-from ~1-ulp boundary coincidences.
+ray casting decision for decision, so results are bit-identical away from
+~1-ulp boundary coincidences.
 
 The four batch predicates (:func:`points_in_polygon`,
 :func:`objects_contained`, :func:`pairwise_collisions` and
@@ -34,7 +34,7 @@ instance, :data:`KERNEL`; the module functions call them through it.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
@@ -65,38 +65,46 @@ def as_points(points: Any) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
+#: The signs of the local corner offsets, in ``half_w`` and ``half_h``, of
+#: the front-right, front-left, back-left and back-right corners.
+_CORNER_SIGNS_X = np.array([1.0, -1.0, -1.0, 1.0])
+_CORNER_SIGNS_Y = np.array([1.0, 1.0, -1.0, -1.0])
+
+
 def corners_array(objects: Sequence[Any]) -> np.ndarray:
     """The bounding-box corners of concrete objects as an ``(N, 4, 2)`` array.
 
     Corner order matches ``Object.corners``: front-right first, then
     anticlockwise — so midpoint and SAT results line up with the scalar path.
+    Each object's corners depend on that object alone, so the corners of a
+    block of ``K`` candidates with ``N`` objects each, computed in one call
+    over the ``K * N`` objects and reshaped, equal the per-candidate arrays.
     """
     n = len(objects)
     if n == 0:
         return np.zeros((0, 4, 2), dtype=float)
-    positions = np.empty((n, 2), dtype=float)
-    headings = np.empty(n, dtype=float)
-    half_w = np.empty(n, dtype=float)
-    half_h = np.empty(n, dtype=float)
-    for index, scenic_object in enumerate(objects):
+    rows = []
+    for scenic_object in objects:
         position = scenic_object.position
         if hasattr(position, "x"):
-            positions[index, 0] = position.x
-            positions[index, 1] = position.y
+            x, y = position.x, position.y
         else:
-            positions[index, 0] = position[0]
-            positions[index, 1] = position[1]
-        headings[index] = float(scenic_object.heading)
-        half_w[index] = float(scenic_object.width) / 2.0
-        half_h[index] = float(scenic_object.height) / 2.0
-    # Local corner offsets (front-right, front-left, back-left, back-right).
-    local_x = np.stack([half_w, -half_w, -half_w, half_w], axis=1)
-    local_y = np.stack([half_h, half_h, -half_h, -half_h], axis=1)
-    cos_h = np.cos(headings)[:, None]
-    sin_h = np.sin(headings)[:, None]
-    world_x = local_x * cos_h - local_y * sin_h + positions[:, 0:1]
-    world_y = local_x * sin_h + local_y * cos_h + positions[:, 1:2]
-    return np.stack([world_x, world_y], axis=2)
+            x, y = position[0], position[1]
+        rows.append((x, y, scenic_object.heading, scenic_object.width, scenic_object.height))
+    # (N, 5): x, y, heading, width, height.  Column-major, so np.cos and
+    # np.sin read a contiguous column: numpy may take another loop for a
+    # strided one, and the corners must not depend on the memory layout.
+    columns = np.array(rows, dtype=float, order="F")
+    half_w = columns[:, 3:4] / 2.0
+    half_h = columns[:, 4:5] / 2.0
+    local_x = half_w * _CORNER_SIGNS_X  # (N, 4)
+    local_y = half_h * _CORNER_SIGNS_Y
+    cos_h = np.cos(columns[:, 2:3])
+    sin_h = np.sin(columns[:, 2:3])
+    corners = np.empty((n, 4, 2), dtype=float)
+    corners[:, :, 0] = local_x * cos_h - local_y * sin_h + columns[:, 0:1]
+    corners[:, :, 1] = local_x * sin_h + local_y * cos_h + columns[:, 1:2]
+    return corners
 
 
 def object_test_points(corners: np.ndarray) -> np.ndarray:
@@ -228,7 +236,7 @@ class NumpyKernel:
     are bit-identical to the scalar predicates: the separating-axis test
     uses closed intervals (touching counts as overlap, exactly like
     ``polygons_intersect``) and :meth:`points_in_polygon` replicates the
-    scalar ray casting operation for operation.
+    scalar ray casting decision for decision.
     """
 
     name = "numpy"
@@ -236,9 +244,11 @@ class NumpyKernel:
     def points_in_polygon(self, vertices: Any, points: Any) -> np.ndarray:
         """Membership of each point in one simple polygon (boundary = inside).
 
-        A faithful replication of :func:`repro.geometry.polygon.point_in_polygon`
-        (same operations in the same order), evaluated for all points at once
-        with one numpy pass per polygon edge.
+        Replicates :func:`repro.geometry.polygon.point_in_polygon` decision
+        for decision (the same per-edge arithmetic), for all points at once
+        with one numpy pass per polygon edge.  The scalar test forms the
+        on-edge dot product only for points near the edge's line; this one
+        forms it for every point, and its verdict is the same.
         """
         vertices = np.asarray(vertices, dtype=float)
         pts = as_points(points)
@@ -250,7 +260,7 @@ class NumpyKernel:
         for i in range(count):
             xi, yi = vertices[i]
             xj, yj = vertices[j]
-            # Boundary check (scalar `_point_on_segment` with a=v_i, b=v_j).
+            # Boundary check (the scalar edge table's on-edge test, a=v_i, b=v_j).
             edge_x, edge_y = xj - xi, yj - yi
             length_sq = edge_x * edge_x + edge_y * edge_y
             tolerance = 1e-9 * max(1.0, float(np.hypot(edge_x, edge_y)))

@@ -144,34 +144,91 @@ def segments_intersect(
 def point_in_polygon(point: VectorLike, vertices: Sequence[Vector]) -> bool:
     """Ray-casting containment test; boundary points count as inside."""
     point = Vector.from_any(point)
-    count = len(vertices)
+    return _point_in_edges(point.x, point.y, _edge_table(vertices))
+
+
+#: The tolerance of the on-edge test: a point within it of an edge is inside.
+_ON_EDGE_TOLERANCE = 1e-9
+
+
+def _edge_table(vertices: Sequence[Vector]) -> Tuple[Tuple[float, ...], ...]:
+    """One row per ray-casting edge ``(v_i, v_j)``, with ``j = i - 1``.
+
+    A row is ``(xi, yi, xj, yj, ex, ey, on_bound, dot_hi)``: the edge's
+    vertices, its delta ``v_j - v_i``, the bound on the cross product below
+    which a point may lie on the edge (``1e-9 * max(1, |v_i - v_j|)``) and
+    the upper bound of the on-edge dot-product test (``|v_j - v_i|^2 +
+    1e-9``).  A point ``p`` is on the edge when ``|ex * (py - yi) - ey *
+    (px - xi)| <= on_bound`` and ``-1e-9 <= (px - xi) * ex + (py - yi) * ey
+    <= dot_hi``.
+    """
+    tolerance = _ON_EDGE_TOLERANCE
+    rows = []
+    vj = vertices[-1]
+    for vi in vertices:
+        ex, ey = vj.x - vi.x, vj.y - vi.y
+        rows.append((
+            vi.x, vi.y, vj.x, vj.y, ex, ey,
+            tolerance * max(1.0, math.hypot(vi.x - vj.x, vi.y - vj.y)),
+            ex ** 2 + ey ** 2 + tolerance,
+        ))
+        vj = vi
+    return tuple(rows)
+
+
+def _point_in_edges(px: float, py: float, edges: Sequence[Tuple[float, ...]]) -> bool:
+    """The ray cast of :func:`point_in_polygon` over an :func:`_edge_table`.
+
+    Edge by edge: a point on the edge (within the tolerance) is inside at
+    once, and otherwise the edge flips ``inside`` when a ray from the point
+    towards +x crosses it.  The dot product is only formed for a point near
+    the edge's line, and the square root of the cross-product bound is
+    taken once per edge, when the table is built.  The crossing abscissa
+    ``xj + (py - yj) * ex / ey`` equals the numpy kernel's ``xj + (py - yj)
+    * (xi - xj) / (yi - yj)`` up to the sign of a zero, since IEEE
+    subtraction and division are sign-symmetric, and the sign of a zero
+    never changes ``px < slope_x``.
+    """
     inside = False
-    j = count - 1
-    for i in range(count):
-        vi, vj = vertices[i], vertices[j]
-        # Boundary check: point exactly on edge vi-vj.
-        if _point_on_segment(point, vi, vj):
+    for xi, yi, xj, yj, ex, ey, on_bound, dot_hi in edges:
+        dx = px - xi
+        dy = py - yi
+        if abs(ex * dy - ey * dx) <= on_bound and (
+            -_ON_EDGE_TOLERANCE <= dx * ex + dy * ey <= dot_hi
+        ):
             return True
-        if (vi.y > point.y) != (vj.y > point.y):
-            slope_x = vj.x + (point.y - vj.y) * (vi.x - vj.x) / (vi.y - vj.y)
-            if point.x < slope_x:
-                inside = not inside
-        j = i
+        if (yi > py) != (yj > py) and px < xj + (py - yj) * ex / ey:
+            inside = not inside
     return inside
 
 
-def _point_on_segment(point: Vector, a: Vector, b: Vector, tolerance: float = 1e-9) -> bool:
-    cross = (b.x - a.x) * (point.y - a.y) - (b.y - a.y) * (point.x - a.x)
-    if abs(cross) > tolerance * max(1.0, a.distance_to(b)):
-        return False
-    dot = (point.x - a.x) * (b.x - a.x) + (point.y - a.y) * (b.y - a.y)
-    return -tolerance <= dot <= (b.x - a.x) ** 2 + (b.y - a.y) ** 2 + tolerance
+def _edges_distance(px: float, py: float, edges: Sequence[Tuple[float, ...]]) -> float:
+    """The least distance from ``(px, py)`` to an edge of an :func:`_edge_table`.
+
+    Per edge, the distance to the closest point ``a + t * (b - a)`` of the
+    segment from ``a = v_j`` to ``b = v_i``, with ``t`` the projection
+    parameter clamped to [0, 1], or to ``a`` for a zero-length edge.  The
+    row holds ``v_j - v_i``, and ``b - a`` is its exact negation (IEEE
+    subtraction is sign-symmetric), so each distance is bit for bit the one
+    the same formula gives in Vector arithmetic, with no Vector built.
+    """
+    best = None
+    for _xi, _yi, xj, yj, ex, ey, _on_bound, _dot_hi in edges:
+        length_sq = ex * ex + ey * ey
+        if length_sq == 0:
+            distance = math.hypot(px - xj, py - yj)
+        else:
+            t = max(0.0, min(1.0, ((px - xj) * -ex + (py - yj) * -ey) / length_sq))
+            distance = math.hypot(px - (xj - ex * t), py - (yj - ey * t))
+        if best is None or distance < best:
+            best = distance
+    return best
 
 
 class Polygon:
     """A simple polygon, stored with anticlockwise vertex order."""
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_edges")
 
     def __init__(self, vertices: Sequence[VectorLike]):
         points = [Vector.from_any(v) for v in vertices]
@@ -180,6 +237,9 @@ class Polygon:
         if _signed_area(points) < 0:
             points = list(reversed(points))
         self.vertices: Tuple[Vector, ...] = tuple(points)
+        # The _edge_table of contains_point and distance_to_point, built at
+        # first use.
+        self._edges: Optional[Tuple[Tuple[float, ...], ...]] = None
 
     # -- basic measures --------------------------------------------------------
 
@@ -223,7 +283,11 @@ class Polygon:
     # -- predicates ------------------------------------------------------------
 
     def contains_point(self, point: VectorLike) -> bool:
-        return point_in_polygon(point, self.vertices)
+        point = Vector.from_any(point)
+        edges = self._edges
+        if edges is None:
+            edges = self._edges = _edge_table(self.vertices)
+        return _point_in_edges(point.x, point.y, edges)
 
     def contains_polygon(self, other: "Polygon") -> bool:
         """Conservative containment: all of *other*'s vertices inside and no edge crossings."""
@@ -247,7 +311,7 @@ class Polygon:
         point = Vector.from_any(point)
         if self.contains_point(point):
             return 0.0
-        return min(_point_segment_distance(point, a, b) for a, b in self.edges())
+        return _edges_distance(point.x, point.y, self._edges)  # built by contains_point
 
     # -- transforms ------------------------------------------------------------
 
@@ -301,16 +365,6 @@ def _signed_area(vertices: Sequence[Vector]) -> float:
         a, b = vertices[i], vertices[(i + 1) % count]
         total += a.x * b.y - b.x * a.y
     return total / 2.0
-
-
-def _point_segment_distance(point: Vector, a: Vector, b: Vector) -> float:
-    segment = b - a
-    length_sq = segment.dot(segment)
-    if length_sq == 0:
-        return point.distance_to(a)
-    t = max(0.0, min(1.0, (point - a).dot(segment) / length_sq))
-    projection = a + segment * t
-    return point.distance_to(projection)
 
 
 def polygons_intersect(p: Polygon, q: Polygon) -> bool:

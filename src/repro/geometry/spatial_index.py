@@ -16,6 +16,7 @@ overlap, ray-casting containment) run on the surviving candidates.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -130,7 +131,7 @@ class SpatialGrid:
             return ()
         ox, oy = self.origin
         size = self.cell_size
-        key = (int(np.floor((x - ox) / size)), int(np.floor((y - oy) / size)))
+        key = (math.floor((x - ox) / size), math.floor((y - oy) / size))
         return self._cells.get(key, ())
 
     def candidate_pairs(self) -> np.ndarray:

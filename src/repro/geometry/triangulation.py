@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.vectors import Vector, VectorLike
-from .polygon import Polygon, point_in_polygon
+from ..core.vectors import Vector
+from .polygon import Polygon
 
 Triangle = Tuple[Vector, Vector, Vector]
 

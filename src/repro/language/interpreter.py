@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..core import specifiers as core_specifiers
 from ..core.context import ScenarioContext, pop_context, push_context
@@ -26,7 +26,6 @@ from ..core.distributions import (
     Distribution,
     Normal,
     OperatorDistribution,
-    Options,
     Range,
     TruncatedNormal,
     Uniform,
@@ -66,7 +65,7 @@ from ..core.operators import (
 from ..core.regions import Region
 from ..core.requirements import Requirement
 from ..core.scenario import Scenario
-from ..core.vectorfields import VectorField, field_sum
+from ..core.vectorfields import VectorField
 from ..core.vectors import Vector
 from ..core.workspace import Workspace
 from . import ast_nodes as ast

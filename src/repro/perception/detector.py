@@ -22,9 +22,8 @@ exactly those weaknesses — the qualitative shape of Tables 6–10.
 
 from __future__ import annotations
 
-import math
 import random as _random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np

@@ -9,7 +9,7 @@ splitter tell one car from two partially overlapping ones.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -10,7 +10,6 @@ conditions" experiment of Sec. 6.2 manifests in this reproduction.
 
 from __future__ import annotations
 
-import math
 import random as _random
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple

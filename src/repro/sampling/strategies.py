@@ -28,10 +28,9 @@ samples the pruned scenario::
     prune_scenario(scenario)                 # Sec. 5.2, bounds from static analysis
     scenario.generate(seed=0, strategy="rejection")
 
-The per-candidate checks (``contained_in_workspace``,
-``no_pairwise_collisions``) route through the kernel whenever the scene is
-large enough for batching to pay for itself, so *every* strategy rides the
-vectorized hot path.
+The per-candidate check (:func:`geometry_failure`) routes through the kernel
+whenever the scene is large enough for batching to pay for itself, so
+*every* strategy rides the vectorized hot path.
 
 Strategies take no options: their tuning knobs are class constants.  They
 are registered by name in :data:`STRATEGIES`; third-party code can plug in
@@ -98,51 +97,15 @@ class Candidate(NamedTuple):
 Drawn = Union[Candidate, str]
 
 
-def contained_in_workspace(workspace, concrete_objects: List[Any]) -> bool:
-    """Every object inside the workspace.
-
-    Large scenes batch all objects' test points through the geometry kernel
-    (one vectorized containment query instead of ``8 * n`` scalar ones);
-    regions with custom ``contains_object`` semantics and small scenes take
-    the scalar path.  Accept/reject decisions are identical either way.
-    """
-    if workspace.is_unbounded:
-        return True
-    workspace_region = workspace.region
-    if (
-        len(concrete_objects) >= _KERNEL_MIN_OBJECTS
-        and _kernel.region_supports_batch_objects(workspace_region)
-    ):
-        corners = _kernel.corners_array(concrete_objects)
-        return bool(_kernel.objects_contained(workspace_region, corners).all())
-    return all(
-        workspace_region.contains_object(scenic_object) for scenic_object in concrete_objects
-    )
-
-
 def no_pairwise_collisions(
     concrete_objects: List[Any], pair_filter: Optional[Any] = None
 ) -> bool:
-    """No two collision-checked objects intersect.
+    """No two collision-checked objects intersect, pair by pair.
 
     *pair_filter*, when given, receives the two indices and returns whether
     that pair must be checked — the batch strategy uses it to check only
     cross-group pairs once every group holds locally.
-
-    Unfiltered checks on larger scenes run through the kernel's batched
-    separating-axis test (grid-pruned for many objects); the scalar loop
-    remains for filtered checks and small scenes.
     """
-    if pair_filter is None and len(concrete_objects) >= _KERNEL_MIN_COLLIDERS:
-        collidable = np.fromiter(
-            (not scenic_object.allowCollisions for scenic_object in concrete_objects),
-            dtype=bool,
-            count=len(concrete_objects),
-        )
-        if collidable.sum() < 2:
-            return True
-        corners = _kernel.corners_array(concrete_objects)
-        return len(_kernel.pairwise_collisions(corners, collidable)) == 0
     for index, first in enumerate(concrete_objects):
         for jndex in range(index + 1, len(concrete_objects)):
             second = concrete_objects[jndex]
@@ -156,12 +119,38 @@ def no_pairwise_collisions(
 
 
 def geometry_failure(workspace, concrete_objects: List[Any]) -> Optional[str]:
-    """The chain's geometric half: ``"containment"``, ``"collision"`` or None."""
-    if not contained_in_workspace(workspace, concrete_objects):
-        return "containment"
-    if not no_pairwise_collisions(concrete_objects):
-        return "collision"
-    return None
+    """The chain's geometric half: ``"containment"``, ``"collision"`` or None.
+
+    Every object must lie inside the workspace, and no two collision-checked
+    objects may intersect.  Large scenes check both through the geometry
+    kernel, from one corners array: containment as one batched query over
+    every object's test points, collisions as one batched separating-axis
+    pass.  Regions with custom ``contains_object`` semantics and small
+    scenes take the scalar path.  Accept/reject decisions are identical
+    either way.
+    """
+    count = len(concrete_objects)
+    corners = None
+    if not workspace.is_unbounded:
+        region = workspace.region
+        if count >= _KERNEL_MIN_OBJECTS and _kernel.region_supports_batch_objects(region):
+            corners = _kernel.corners_array(concrete_objects)
+            if not _kernel.objects_contained(region, corners).all():
+                return "containment"
+        elif not all(region.contains_object(scenic_object) for scenic_object in concrete_objects):
+            return "containment"
+    if count < _KERNEL_MIN_COLLIDERS:
+        return None if no_pairwise_collisions(concrete_objects) else "collision"
+    collidable = np.fromiter(
+        (not scenic_object.allowCollisions for scenic_object in concrete_objects),
+        dtype=bool,
+        count=count,
+    )
+    if collidable.sum() < 2:
+        return None
+    if corners is None:
+        corners = _kernel.corners_array(concrete_objects)
+    return "collision" if len(_kernel.pairwise_collisions(corners, collidable)) else None
 
 
 def all_required_visible(concrete_objects: List[Any], concrete_ego: Any) -> bool:
@@ -491,16 +480,24 @@ class VectorizedSampler(SamplingStrategy):
             size = min(size * 2, self.BLOCK_SIZE)
 
     def _geometry_failures(self, scenario, block):
-        """One kernel pass: containment for every object, then collisions."""
+        """One kernel pass: containment for every object, then collisions.
+
+        The corners and the collidable mask of the block's ``K`` live
+        candidates come from one pass over their ``K * N`` objects.
+        """
         failures: List[Optional[str]] = [
             drawn if isinstance(drawn, str) else None for drawn in block
         ]
         live = [index for index, drawn in enumerate(block) if not isinstance(drawn, str)]
         if not live:
             return failures
-        corners = np.stack(
-            [_kernel.corners_array(block[index].objects) for index in live]
-        )  # (K, n, 4, 2)
+        objects = [scenic_object for index in live for scenic_object in block[index].objects]
+        corners = _kernel.corners_array(objects).reshape(len(live), -1, 4, 2)
+        collidable = np.fromiter(
+            (not scenic_object.allowCollisions for scenic_object in objects),
+            dtype=bool,
+            count=len(objects),
+        ).reshape(len(live), -1)
         workspace = scenario.workspace
         if not workspace.is_unbounded:
             region = workspace.region
@@ -526,19 +523,10 @@ class VectorizedSampler(SamplingStrategy):
                     failures[index] = "containment"
             keep = np.flatnonzero(contained)
             corners = corners[keep]
+            collidable = collidable[keep]
             live = [live[int(position)] for position in keep]
             if not live:
                 return failures
-        collidable = np.stack(
-            [
-                np.fromiter(
-                    (not scenic_object.allowCollisions for scenic_object in block[index].objects),
-                    dtype=bool,
-                    count=corners.shape[1],
-                )
-                for index in live
-            ]
-        )
         collision_free = _kernel.batch_collision_free(corners, collidable)
         for position, index in enumerate(live):
             if not collision_free[position]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ...core.distributions import Discrete, Options
 from ...core.lazy import DelayedArgument

@@ -13,7 +13,6 @@ from ...core import specifiers as spec
 from ...core.distributions import resample
 from ...core.objects import OrientedPoint
 from ...core.operators import follow_field, front_of, oriented_point_relative_to
-from ...core.vectors import Vector
 from ...core.workspace import Workspace
 from .carlib import Car, CarColor, CarModel, EgoCar
 from .roads import RoadMap, default_map

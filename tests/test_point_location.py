@@ -1,0 +1,242 @@
+"""Scalar point location gives the verdicts of the plain ray cast, exactly.
+
+``Polygon.contains_point`` runs its ray cast over a per-polygon edge table
+built once, and ``Polygon.distance_to_point``, ``PolygonalVectorField``'s
+cell lookup and its outside-every-cell fallback all go through it.  This
+module keeps a frozen copy of the plain, vertex-by-vertex ray cast (on-edge
+test first on every edge), of its on-edge test and of the point-to-polygon
+distance, and checks that the table gives the same booleans, distances and
+headings, bit for bit, on polygons and points chosen to sit on, just inside
+and just outside the on-edge tolerance.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import numpy as np
+import pytest
+
+from repro.core.regions import PolygonalRegion
+from repro.core.utils import normalize_angle
+from repro.core.vectorfields import PolygonalVectorField
+from repro.core.vectors import Vector
+from repro.geometry.polygon import BoundingBox, Polygon, point_in_polygon
+from repro.geometry.spatial_index import SpatialGrid
+
+# ---------------------------------------------------------------------------
+# The reference: the plain ray cast, frozen
+# ---------------------------------------------------------------------------
+
+
+def reference_point_in_polygon(point, vertices) -> bool:
+    point = Vector.from_any(point)
+    count = len(vertices)
+    inside = False
+    j = count - 1
+    for i in range(count):
+        vi, vj = vertices[i], vertices[j]
+        if reference_point_on_segment(point, vi, vj):
+            return True
+        if (vi.y > point.y) != (vj.y > point.y):
+            slope_x = vj.x + (point.y - vj.y) * (vi.x - vj.x) / (vi.y - vj.y)
+            if point.x < slope_x:
+                inside = not inside
+        j = i
+    return inside
+
+
+def reference_point_on_segment(point, a, b, tolerance: float = 1e-9) -> bool:
+    cross = (b.x - a.x) * (point.y - a.y) - (b.y - a.y) * (point.x - a.x)
+    if abs(cross) > tolerance * max(1.0, a.distance_to(b)):
+        return False
+    dot = (point.x - a.x) * (b.x - a.x) + (point.y - a.y) * (b.y - a.y)
+    return -tolerance <= dot <= (b.x - a.x) ** 2 + (b.y - a.y) ** 2 + tolerance
+
+
+def reference_point_segment_distance(point, a, b) -> float:
+    segment = b - a
+    length_sq = segment.dot(segment)
+    if length_sq == 0:
+        return point.distance_to(a)
+    t = max(0.0, min(1.0, (point - a).dot(segment) / length_sq))
+    projection = a + segment * t
+    return point.distance_to(projection)
+
+
+def reference_distance_to_point(polygon, point) -> float:
+    point = Vector.from_any(point)
+    if reference_point_in_polygon(point, polygon.vertices):
+        return 0.0
+    return min(reference_point_segment_distance(point, a, b) for a, b in polygon.edges())
+
+
+# ---------------------------------------------------------------------------
+# Polygons and points
+# ---------------------------------------------------------------------------
+
+SCALES = (1e-3, 1e-1, 1.0, 37.5, 1e4)
+
+#: Offsets along an edge's unit normal: on the edge, far inside the 1e-9
+#: tolerance, either side of it, and well outside it.
+NORMAL_OFFSETS = (0.0, 1e-12, -1e-12, 5e-10, -5e-10, 2e-9, -2e-9, 1e-7)
+
+
+def _star(rng: random.Random, count: int, convex: bool):
+    """Vertices at sorted angles around the origin; equal radii make it convex."""
+    angles = sorted(rng.uniform(0.0, math.tau) for _ in range(count))
+    if convex:
+        return [(math.cos(angle), math.sin(angle)) for angle in angles]
+    return [
+        (radius * math.cos(angle), radius * math.sin(angle))
+        for angle, radius in ((angle, rng.uniform(0.3, 1.0)) for angle in angles)
+    ]
+
+
+def make_polygon(rng: random.Random, kind: str, scale: float) -> Polygon:
+    count = rng.randint(3, 9)
+    vertices = _star(rng, count, convex=(kind == "convex"))
+    offset_x, offset_y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+    vertices = [((x + offset_x) * scale, (y + offset_y) * scale) for x, y in vertices]
+    if kind == "duplicate":
+        # A zero-length edge: one vertex repeated in place.
+        index = rng.randrange(len(vertices))
+        vertices.insert(index, vertices[index])
+    elif kind == "integer":
+        vertices = [(float(round(x)), float(round(y))) for x, y in vertices]
+        if len(set(vertices)) < 3:
+            vertices = [(0.0, 0.0), (3.0, 0.0), (1.0, 2.0)]
+    return Polygon(vertices)
+
+
+def probe_points(rng: random.Random, polygon: Polygon, random_count: int = 12):
+    """Vertices, edge midpoints and random edge points, each pushed along the
+    edge normal by every offset, plus random points around the polygon."""
+    points = []
+    for a, b in polygon.edges():
+        length = a.distance_to(b)
+        normal = Vector(0.0, 0.0) if length == 0 else Vector(a.y - b.y, b.x - a.x) / length
+        for t in (0.0, 0.5, rng.random(), rng.random()):
+            base = a + (b - a) * t
+            points.extend(base + normal * offset for offset in NORMAL_OFFSETS)
+    box = polygon.bounding_box().expanded(0.25 * max(polygon.bounding_box().width, 1e-3))
+    points.extend(box.sample_point(rng) for _ in range(random_count))
+    return points
+
+
+POLYGON_KINDS = ("convex", "concave", "duplicate", "integer")
+
+
+@pytest.mark.parametrize("kind", POLYGON_KINDS)
+@pytest.mark.parametrize("scale", SCALES)
+def test_polygon_point_location_matches_the_plain_ray_cast(kind, scale):
+    rng = random.Random(f"{kind}-{scale}")
+    checked = 0
+    for _ in range(12):
+        polygon = make_polygon(rng, kind, scale)
+        for point in probe_points(rng, polygon):
+            expected = reference_point_in_polygon(point, polygon.vertices)
+            assert polygon.contains_point(point) is expected, (polygon, point)
+            assert point_in_polygon(point, polygon.vertices) is expected, (polygon, point)
+            assert point_in_polygon(point.to_tuple(), polygon.vertices) is expected
+            distance = polygon.distance_to_point(point)
+            assert distance == reference_distance_to_point(polygon, point), (polygon, point)
+            checked += 1
+    assert checked > 1000
+
+
+def test_both_verdicts_occur_at_the_tolerance():
+    """The probes straddle the on-edge tolerance: on-edge points inside, and
+    points just beyond the tolerance outside."""
+    square = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
+    assert square.contains_point((0.5, -5e-10))
+    assert not square.contains_point((0.5, -2e-9))
+    assert square.contains_point((1.0 + 5e-10, 0.5))
+    assert not square.contains_point((1.0 + 2e-9, 0.5))
+
+
+def test_polygonal_region_contains_point_matches_the_plain_ray_cast():
+    rng = random.Random(3)
+    for piece_count in (3, 12):  # linear scan and grid path
+        pieces = [make_polygon(rng, "concave", 5.0) for _ in range(piece_count)]
+        region = PolygonalRegion(pieces)
+        points = [point for piece in pieces[:4] for point in probe_points(rng, piece, 40)]
+        for point in points:
+            expected = any(
+                reference_point_in_polygon(point, piece.vertices) for piece in pieces
+            )
+            assert region.contains_point(point) is expected, point
+
+
+# ---------------------------------------------------------------------------
+# Vector fields: cell lookup, and the outside-every-cell fallback
+# ---------------------------------------------------------------------------
+
+
+def reference_heading(field: PolygonalVectorField, point) -> float:
+    """The field's heading by a plain linear scan over its cells."""
+    point = Vector.from_any(point)
+    for polygon, heading in field.cells:
+        if reference_point_in_polygon(point, polygon.vertices):
+            return normalize_angle(heading)
+    nearest = min(field.cells, key=lambda cell: reference_distance_to_point(cell[0], point))
+    return normalize_angle(nearest[1])
+
+
+def _check_field(field: PolygonalVectorField, points) -> int:
+    outside = 0
+    for point in points:
+        expected = reference_heading(field, point)
+        assert field.value_at(point) == expected, point
+        if field.cell_at(point) is None:
+            outside += 1
+            nearest = min(
+                field.cells, key=lambda cell: reference_distance_to_point(cell[0], point)
+            )
+            assert field.nearest_cell(point) == nearest, point
+    return outside
+
+
+def test_road_direction_matches_a_linear_scan(road_map):
+    field = road_map.road_direction
+    assert len(field.cells) >= PolygonalVectorField._GRID_MIN_CELLS  # the grid path
+    rng = random.Random(11)
+    box = road_map.workspace.region.bounding_box().expanded(30.0)
+    points = [box.sample_point(rng) for _ in range(200)]
+    for polygon, _heading in rng.sample(field.cells, 12):
+        points.extend(probe_points(rng, polygon, random_count=0)[::3])
+    outside = _check_field(field, points)
+    assert outside >= 50  # the nearest-cell fallback is exercised
+
+
+def test_small_field_matches_a_linear_scan():
+    rng = random.Random(5)
+    # A row of squares sharing edges, an L-shaped cell against them and a
+    # random concave cell: outside points nearest a shared vertex or edge
+    # tie between cells, and the first cell in cell order must win.
+    squares = [Polygon([(x, 0), (x + 4, 0), (x + 4, 4), (x, 4)]) for x in (0, 4, 8)]
+    l_shape = Polygon([(0, 4), (4, 4), (4, 6), (2, 6), (2, 8), (0, 8)])
+    cells = [(polygon, rng.uniform(-4.0, 4.0)) for polygon in squares + [l_shape]]
+    cells.append((make_polygon(rng, "concave", 3.0), 1.0))
+    field = PolygonalVectorField("small", cells)
+    assert len(field.cells) < PolygonalVectorField._GRID_MIN_CELLS  # the scan path
+    box = BoundingBox(-20.0, -20.0, 20.0, 20.0)  # around every cell
+    points = [box.sample_point(rng) for _ in range(400)]
+    points += [Vector(x, y) for x in (4.0, 8.0) for y in (-3.0, -0.5, 7.0)]
+    for polygon, _heading in cells:
+        points.extend(probe_points(rng, polygon, random_count=0))
+    outside = _check_field(field, points)
+    assert outside >= 100
+
+
+def test_bucket_for_point_matches_numpy_floor():
+    rng = np.random.default_rng(2)
+    boxes = rng.uniform(-50.0, 50.0, size=(40, 2))
+    boxes = np.concatenate([boxes, boxes + rng.uniform(0.5, 9.0, size=(40, 2))], axis=1)
+    grid = SpatialGrid(boxes)
+    ox, oy = grid.origin
+    for x, y in rng.uniform(-70.0, 70.0, size=(500, 2)):
+        x, y = float(x), float(y)
+        key = (int(np.floor((x - ox) / grid.cell_size)), int(np.floor((y - oy) / grid.cell_size)))
+        assert list(grid.bucket_for_point(x, y)) == list(grid._cells.get(key, ()))
