@@ -1,15 +1,10 @@
-"""Strategy shoot-out for the pluggable sampling engine (`repro/sampling/`).
+"""Pruning benchmarks for the sampling engine (`repro/sampling/`).
 
-The paper's count claims, under assertion (the engine exists to make
-sampling draw fewer candidates, and this benchmark is the regression
-guard):
+The paper's count claims for the Sec. 5.2 pruning pass, under assertion
+(this benchmark is their regression guard):
 
-* a containment-heavy scenario (several independent objects drawn from a
-  region much larger than the workspace) where plain rejection must redraw
-  the *joint* sample on every containment failure, while ``BatchSampler``
-  re-draws only the offending object group (≥5x fewer candidates);
-* a gallery scenario where the Sec. 5.2 pruning pass (``prune_scenario``,
-  then rejection) shrinks the feasible road region before sampling;
+* a gallery scenario where the pruning pass (``prune_scenario``, then
+  rejection) shrinks the feasible road region before sampling;
 * automatic pruning against containment-only pruning (≥2x fewer rejected
   candidates, a smaller area ratio).
 
@@ -17,73 +12,10 @@ Only counts are asserted.  Wall time is measured end to end by
 ``perfbench`` (see ``BENCHMARK.json``).
 """
 
-from repro.core import At, Facing, In, Object, ScenarioBuilder, Workspace
 from repro.core.pruning import prune_scenario
-from repro.core.regions import CircularRegion, PolygonalRegion
 from repro.experiments import scenarios
 from repro.experiments.pruning_eval import measure_sampling
-from repro.geometry.polygon import Polygon
 from repro.sampling import SamplerEngine
-
-
-def containment_heavy_scenario(object_count: int = 4):
-    """Independent objects whose sampling region dwarfs the workspace.
-
-    Each object is uniform over a radius-40 disc but must land in a 30x30
-    workspace: per-object acceptance is low and joint acceptance decays
-    exponentially with *object_count* — the worst case for plain rejection
-    and the best case for dependency-aware partial resampling.
-    """
-    half = 15.0
-    workspace = Workspace(
-        PolygonalRegion([Polygon([(-half, -half), (half, -half), (half, half), (-half, half)])])
-    )
-    with ScenarioBuilder(workspace=workspace) as builder:
-        builder.set_ego(Object(At((0, 0)), Facing(0.0)))
-        for _ in range(object_count):
-            Object(In(CircularRegion((0.0, 0.0), 40.0)), width=1, height=1, requireVisible=False)
-    return builder.scenario()
-
-
-def _run_strategy(strategy, scenes=10, seed=0):
-    scenario = containment_heavy_scenario()
-    engine = SamplerEngine(scenario, strategy)
-    batch = engine.sample_batch(scenes, seed=seed, max_iterations=200000)
-    combined = batch.stats.combined()
-    return {
-        "strategy": strategy,
-        "iterations": combined.iterations,
-        "redraws": combined.component_redraws,
-        "rejections": combined.total_rejections,
-    }
-
-
-def test_batch_sampler_beats_rejection_on_containment(benchmark, record_result):
-    rows = benchmark.pedantic(
-        lambda: [
-            _run_strategy(name)
-            for name in ("rejection", "batch", "vectorized")
-        ],
-        rounds=1,
-        iterations=1,
-    )
-    lines = [
-        f"{row['strategy']:>10s}: {row['iterations']:7d} candidate scenes, "
-        f"{row['redraws']:5d} partial redraws"
-        for row in rows
-    ]
-    record_result(
-        "engine_strategies",
-        "\n".join(lines)
-        + "\n\n10 scenes of the containment-heavy scenario (4 independent objects"
-        "\nuniform over a disc 5.6x the workspace area).  BatchSampler re-draws"
-        "\nonly the object group that left the workspace instead of the joint"
-        "\nsample, so its candidate count collapses.",
-    )
-    by_name = {row["strategy"]: row for row in rows}
-    # Measurably fewer full candidates than plain rejection.  The margin is
-    # huge (>100x in practice); assert a conservative 5x.
-    assert by_name["batch"]["iterations"] * 5 < by_name["rejection"]["iterations"]
 
 
 def test_pruning_sampler_reduces_iterations(benchmark, record_result):

@@ -60,14 +60,6 @@ class Sample:
         # Keep a reference so id() keys cannot be recycled mid-sample.
         self._keep_alive.append(node)
 
-    def forget_value_for(self, node: Any) -> None:
-        """Drop the memoised value of *node* so it is redrawn on next access.
-
-        Used by the sampling engine to partially resample an independent
-        sub-tree of the DAG after a local rejection.
-        """
-        self._values.pop(id(node), None)
-
 
 def needs_sampling(value: Any) -> bool:
     """True iff *value* contains randomness that must be resolved per scene."""

@@ -25,7 +25,7 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry import kernel as _kernel
-from ..geometry.polygon import BoundingBox, Polygon, polygons_intersect
+from ..geometry.polygon import BoundingBox, Polygon, on_edge_reach, polygons_intersect
 from ..geometry.spatial_index import SpatialGrid
 from ..geometry.triangulation import TriangulatedSampler
 from .distributions import Distribution
@@ -367,12 +367,13 @@ class PolygonalRegion(Region):
                 for polygon in self.polygons
             ]
             boxes = np.empty((len(self.polygons), 4), dtype=float)
-            for index, vertices in enumerate(vertex_arrays):
-                boxes[index, 0:2] = vertices.min(axis=0)
-                boxes[index, 2:4] = vertices.max(axis=0)
-            # The scalar containment test accepts boundary points within a
-            # ~1e-9 tolerance; pad the prefilter boxes so it cannot prune them.
-            boxes += np.array([-1e-6, -1e-6, 1e-6, 1e-6])
+            for index, (polygon, vertices) in enumerate(zip(self.polygons, vertex_arrays)):
+                # The scalar containment test accepts boundary points within
+                # its on-edge tolerance; pad the prefilter boxes so it cannot
+                # prune them, however short the piece's edges.
+                pad = max(1e-6, on_edge_reach(polygon.vertices))
+                boxes[index, 0:2] = vertices.min(axis=0) - pad
+                boxes[index, 2:4] = vertices.max(axis=0) + pad
             self._boxes = boxes
             if len(self.polygons) >= self._GRID_MIN_POLYGONS:
                 self._grid = SpatialGrid(boxes)

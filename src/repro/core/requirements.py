@@ -2,9 +2,14 @@
 
 ``require B`` conditions the scenario's distribution on ``B`` holding
 (equivalent to an "observation" in other PPLs); ``require[p] B`` is a soft
-requirement enforced with probability ``p`` per candidate scene, which
-guarantees ``B`` holds with probability at least ``p`` in the induced
-distribution (Sec. 5.1).
+requirement enforced with probability ``p`` per candidate scene (Sec. 5.1):
+each candidate flips a fresh coin, and only a candidate whose coin comes up
+enforced must satisfy ``B``.  That does *not* guarantee ``B`` holds with
+probability at least ``p`` in the induced distribution.  With ``q`` the
+probability that ``B`` holds in a candidate passing every other check, the
+accepted scenes satisfy ``B`` with probability ``q / (1 - p + p q)``: at
+least ``q``, but below ``p`` whenever ``q < p / (1 + p)`` (0.769 for
+``p = 0.9`` and ``q = 0.25``).
 
 A requirement's condition can be given in two forms:
 

@@ -7,7 +7,7 @@ a scene by rejection: a joint sample of all random values is drawn,
 concrete objects are instantiated (applying mutation noise), and the scene
 is accepted only if the built-in requirements (containment, non-collision,
 visibility — Sec. 3) and all user requirements hold.  The sampling loop
-itself lives in the pluggable engine of :mod:`repro.sampling`;
+itself lives in the engine of :mod:`repro.sampling`;
 ``generate``/``generate_batch`` are thin wrappers over it.
 
 :class:`ScenarioBuilder` is the Python-level front end: a context manager
@@ -29,14 +29,19 @@ from .scene import Scene
 from .workspace import Workspace
 
 
+#: The strategy that ``Scenario.generate_batch`` and the generation service
+#: (:mod:`repro.service`) draw with when none is named: block sampling
+#: through the geometry kernel (:mod:`repro.sampling.strategies`).
+#: ``Scenario.generate`` keeps ``"rejection"``, the reference semantics.
+DEFAULT_BATCH_STRATEGY = "vectorized"
+
+
 @dataclass
 class GenerationStats:
     """Bookkeeping about one scene draw (one ``Scenario.generate`` call).
 
-    ``iterations`` counts full candidate scenes; ``component_redraws`` counts
-    partial re-draws of independent object groups performed by the
-    dependency-aware strategies in :mod:`repro.sampling` (always 0 for plain
-    rejection sampling).
+    ``iterations`` counts examined candidate scenes; every one but the
+    accepted one is booked under exactly one ``rejections_*`` cause.
     """
 
     iterations: int = 0
@@ -45,7 +50,6 @@ class GenerationStats:
     rejections_visibility: int = 0
     rejections_user: int = 0
     rejections_sampling: int = 0
-    component_redraws: int = 0
     elapsed_seconds: float = 0.0
 
     @property
@@ -128,13 +132,13 @@ class Scenario:
         """Sample one scene satisfying all requirements.
 
         A thin wrapper over :class:`repro.sampling.SamplerEngine`: *strategy*
-        selects a registered sampling strategy (``"rejection"`` — the
-        default, draw-for-draw identical to the historical behaviour —
-        ``"batch"`` or ``"vectorized"``).  Engines are cached per strategy
-        name, so bind-time analysis (the dependency graph) runs once per
-        scenario rather than once per call.  Raises :class:`RejectionError`
-        if no valid scene is found within *max_iterations* candidate
-        samples.  Statistics about the run are stored in :attr:`last_stats`.
+        selects a sampling strategy (``"rejection"`` — the default,
+        draw-for-draw identical to the historical behaviour — or
+        ``"vectorized"``).  Engines are cached per strategy name, so an
+        engine's aggregate statistics span every call.  Raises
+        :class:`RejectionError` if no valid scene is found within
+        *max_iterations* candidate samples.  Statistics about the run are
+        stored in :attr:`last_stats`.
         """
         engine = self._engine_for(strategy)
         try:
@@ -149,7 +153,7 @@ class Scenario:
         max_iterations: int = 2000,
         rng: Optional[_random.Random] = None,
         seed: Optional[int] = None,
-        strategy: Union[str, Any] = "vectorized",
+        strategy: Union[str, Any] = DEFAULT_BATCH_STRATEGY,
     ) -> List[Scene]:
         """Sample *count* independent scenes.
 
@@ -158,11 +162,14 @@ class Scenario:
         the *whole* batch; :attr:`last_stats` is set to the batch-wide total
         (not just the final scene's stats), also when a draw fails mid-batch.
 
-        The default strategy is ``"vectorized"``: batch generation is where
-        block-drawing candidates and rejecting them in bulk through the
-        geometry kernel pays off most (single ``generate`` calls keep plain
-        ``"rejection"`` as the reference semantics).  Pass
-        ``strategy="rejection"`` for draw-for-draw parity with ``generate``.
+        The default strategy is :data:`DEFAULT_BATCH_STRATEGY`
+        (``"vectorized"``): batch generation is where block-drawing
+        candidates and rejecting them in bulk through the geometry kernel
+        pays off most (single ``generate`` calls keep plain ``"rejection"``
+        as the reference semantics).  Its first scene from a fresh RNG is
+        ``generate``'s unless the scenario has a soft requirement; pass
+        ``strategy="rejection"`` for draw-for-draw parity of the whole
+        batch with repeated ``generate`` calls.
         """
         engine = self._engine_for(strategy)
         try:
@@ -174,10 +181,9 @@ class Scenario:
     def _engine_for(self, strategy: Union[str, Any]):
         """A :class:`~repro.sampling.SamplerEngine` for this scenario.
 
-        Engines for a strategy *name* are cached, which preserves the
-        engine's amortisation of bind-time analysis across repeated
-        ``generate`` calls.  Strategy *instances* are not cached — the
-        caller manages their lifetime.
+        Engines for a strategy *name* are cached, so one engine's aggregate
+        statistics span repeated ``generate`` calls.  Strategy *instances*
+        are not cached — the caller manages their lifetime.
         """
         from ..sampling import SamplerEngine  # local import: sampling builds on core
 

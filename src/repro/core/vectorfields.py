@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..geometry.polygon import Polygon
+from ..geometry.polygon import Polygon, on_edge_reach
 from .distributions import FunctionDistribution, needs_sampling
 from .utils import normalize_angle
 from .vectors import Vector, VectorLike
@@ -100,9 +100,11 @@ class PolygonalVectorField(VectorField):
     def _tables(self):
         """Lazily built cell bounding boxes and (for large maps) a grid index.
 
-        The boxes are padded so the scalar containment test's boundary
-        tolerance cannot cross a box edge: any cell the linear scan could
-        accept is also a grid candidate, keeping results bit-identical.
+        Each box is padded by ``max(1e-6, on_edge_reach(cell))`` so the
+        scalar containment test's boundary tolerance cannot cross a box
+        edge, however short the cell's edges: any cell the linear scan could
+        accept is also a grid candidate, and a point inside a cell has box
+        distance 0, keeping results bit-identical.
         """
         if self._boxes is None:
             import numpy as np
@@ -110,8 +112,8 @@ class PolygonalVectorField(VectorField):
             boxes = np.empty((len(self.cells), 4), dtype=float)
             for index, (polygon, _heading) in enumerate(self.cells):
                 box = polygon.bounding_box()
-                boxes[index] = (box.min_x, box.min_y, box.max_x, box.max_y)
-            boxes += np.array([-1e-6, -1e-6, 1e-6, 1e-6])
+                pad = max(1e-6, on_edge_reach(polygon.vertices))
+                boxes[index] = (box.min_x - pad, box.min_y - pad, box.max_x + pad, box.max_y + pad)
             if len(self.cells) >= self._GRID_MIN_CELLS:
                 from ..geometry.spatial_index import SpatialGrid
 

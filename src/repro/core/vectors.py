@@ -35,6 +35,11 @@ class Vector:
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Vector instances are immutable")
 
+    def __reduce__(self):
+        # Rebuild through __init__: restoring the slots one by one would go
+        # through the __setattr__ above.  Serves pickle, copy and deepcopy.
+        return (Vector, (self.x, self.y))
+
     # -- construction helpers -------------------------------------------------
 
     @staticmethod

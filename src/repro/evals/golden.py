@@ -2,12 +2,13 @@
 
 ``tests/golden/*.json`` records one scene per example program and per run
 in :data:`GOLDEN_RUNS`, all sampled at :data:`GOLDEN_SEED`.  A run is a
-registered strategy, optionally preceded by the automatic Sec. 5.2 pruning
-pass (:func:`~repro.core.pruning.prune_scenario`, bounds from static
-requirement analysis).  ``rejection`` is the reference semantics;
-``batch`` and ``vectorized`` consume the RNG differently by design, so each
-gets its own stream.  ``pruning`` and ``pruned-vectorized`` sample the
-pruned regions, so their streams pin the whole analysis + pruning pipeline.
+strategy, optionally preceded by the automatic Sec. 5.2 pruning pass
+(:func:`~repro.core.pruning.prune_scenario`, bounds from static requirement
+analysis).  ``rejection`` is the reference semantics; ``vectorized`` gets
+its own run because it draws and checks candidates in blocks (on every
+example program, none of which has a soft requirement, its scene equals
+``rejection``'s).  ``pruning`` and ``pruned-vectorized`` sample the pruned
+regions, so their streams pin the whole analysis + pruning pipeline.
 
 ``tests/golden/regen.py`` writes the corpus, ``tests/test_golden_scenes.py``
 replays it, and :func:`repro.evals.promote.survives_golden_runs` screens
@@ -28,10 +29,9 @@ GOLDEN_SEED = 20260729
 
 GOLDEN_MAX_ITERATIONS = 50_000
 
-#: Golden run key -> (registered strategy, whether to prune first).
+#: Golden run key -> (strategy, whether to prune first).
 GOLDEN_RUNS: Dict[str, Tuple[str, bool]] = {
     "rejection": ("rejection", False),
-    "batch": ("batch", False),
     "vectorized": ("vectorized", False),
     "pruning": ("rejection", True),
     "pruned-vectorized": ("vectorized", True),

@@ -69,9 +69,9 @@ def measure_sampling(
 ) -> SamplingMeasurement:
     """Generate *samples* scenes and record the iteration counts and time.
 
-    Sampling goes through :class:`repro.sampling.SamplerEngine`, so any
-    registered strategy (``"rejection"``, ``"batch"``, ``"vectorized"``)
-    can be measured, on a pruned scenario too; per-scene
+    Sampling goes through :class:`repro.sampling.SamplerEngine`, so either
+    strategy (``"rejection"``, ``"vectorized"``) can be measured, on a
+    pruned scenario too; per-scene
     diagnostics come from the engine's aggregate stats.
     """
     engine = SamplerEngine(scenario, strategy=strategy)

@@ -126,7 +126,7 @@ def main(argv=None) -> int:
     parser.add_argument("--no-shrink", action="store_true", help="skip delta-shrinking finds")
     parser.add_argument(
         "--equivalence", action="store_true",
-        help="also run oracle E: statistical equivalence of the 'batch' "
+        help="also run oracle E: statistical equivalence of the 'vectorized' "
         "strategy against plain rejection (batch-sized, so opt-in)",
     )
     parser.add_argument(

@@ -2,14 +2,11 @@
 
 Five oracles are run against every valid generated program:
 
-* **Strategy equivalence** — every registered sampling strategy is given a
-  fresh compile of the program and the same seed.  The strategies that share
-  the rejection RNG-stream contract (``rejection`` and ``vectorized``; see
-  :mod:`repro.evals.golden`) must produce bit-identical scenes whenever the
-  program has no soft requirements; ``batch`` consumes the stream
-  differently by design but must still accept whenever rejection accepts (it
-  only ever *improves* the acceptance rate), and its scenes go through the
-  validity re-checks below.
+* **Strategy equivalence** — every sampling strategy is given a fresh
+  compile of the program and the same seed.  ``rejection`` and
+  ``vectorized`` share the rejection RNG-stream contract for one scene from
+  a fresh RNG (see :mod:`repro.evals.golden`), so they must produce
+  bit-identical scenes whenever the program has no soft requirements.
 * **Kernel equivalence** — the vectorized geometry kernel
   (:mod:`repro.geometry.kernel`) must agree with the scalar predicates on
   the sampled scenes: point containment, object containment, and pairwise
@@ -33,19 +30,20 @@ Five oracles are run against every valid generated program:
   :func:`reference_concretize`, the plain walk the plans replace.  Values,
   rejections and the final RNG state must all be equal.
 
-A sixth, opt-in oracle (``statistical=True``) guards the ``batch``
-strategy's exactness claim:
+A sixth, opt-in oracle (``statistical=True``) guards the ``vectorized``
+strategy's exactness claim where oracle A cannot reach:
 
 * **Statistical equivalence** — fixed-size scene batches are drawn under
-  ``batch`` and plain ``rejection`` and compared property by property
+  ``vectorized`` and plain ``rejection`` and compared property by property
   (per-object position marginals, headings, inter-object distances) with a
   two-sample Kolmogorov–Smirnov bound and a binned chi-square test, both at
   a ≈1e-6 per-property level so a fixed-seed campaign passes clean unless
-  the distributions genuinely diverge.  ``batch`` consumes the RNG stream
-  differently from ``rejection``, so oracle A cannot compare them scene by
-  scene; its local group redraws condition each group exactly only if the
-  prior factorises over the dependency groups, and any bias (a group that
-  shares a random value with another, a miscounted redraw) shows up here.
+  the distributions genuinely diverge.  Past the first scene the two
+  streams part: ``vectorized`` draws candidates after the accepted one that
+  it never examines, and it flips a soft requirement's coins after drawing
+  a whole block rather than between candidates.  Oracle A cannot compare
+  those scenes one by one, so any bias in the block policy (a candidate
+  examined out of draw order, a coin reused) shows up here.
 
 Compilation failures of supposedly-valid programs, and *any* non-ScenicError
 escaping the pipeline, are reported as failures too — the latter is the
@@ -630,7 +628,7 @@ def check_statistical_equivalence(
     seed: int = 0,
     samples: int = 120,
     max_iterations: int = 3000,
-    strategy: str = "batch",
+    strategy: str = "vectorized",
     reference: str = "rejection",
 ) -> List[str]:
     """Oracle E: *strategy*'s scene distribution must match *reference*'s.
@@ -722,7 +720,7 @@ def _mutation_enabled(obj) -> bool:
 
 
 def default_strategies() -> List[Union[str, Any]]:
-    """The oracle's strategy set: every registered strategy, by name."""
+    """The oracle's strategy set: every strategy, by name."""
     return sorted(STRATEGIES)
 
 
@@ -751,7 +749,7 @@ def run_oracles(
 
     ``statistical=True`` additionally runs oracle E
     (:func:`check_statistical_equivalence`): *equivalence_samples*-scene
-    batches under ``batch`` and ``rejection`` compared distributionally.
+    batches under ``vectorized`` and ``rejection`` compared distributionally.
     It multiplies the per-program cost by the batch size, so campaigns
     enable it explicitly (``repro.fuzz --equivalence``).
     """
@@ -877,34 +875,6 @@ def run_oracles(
                             name,
                         )
                     )
-    strategy_by_name = {
-        (s if isinstance(s, str) else s.name): s for s in strategy_set
-    }
-    if records.get("rejection") is not None and "batch" in records and records["batch"] is None:
-        # batch consumes the RNG stream differently, so a same-budget
-        # failure can be an unlucky draw rather than a bug; only flag
-        # when a 10x budget cannot find a scene either (it is
-        # acceptance-improving by construction).  Retry with the
-        # caller's own strategy object — resolving the bare name again
-        # could silently swap in the registry's (healthy) implementation.
-        boosted = min(max_iterations * 10, 10_000)
-        scenario_retry, scene_retry = sample_with(strategy_by_name["batch"], boosted)
-        if report.failures:
-            return report
-        if scene_retry is not None:
-            records["batch"] = scene_record(scene_retry)
-            scenes["batch"] = scene_retry
-            scenarios["batch"] = scenario_retry
-            report.strategies_accepted["batch"] = True
-        else:
-            report.failures.append(
-                OracleFailure(
-                    "strategy-equivalence",
-                    f"rejection accepted but batch exhausted a {boosted}-iteration "
-                    f"budget (acceptance-improving strategy regressed)",
-                    "batch",
-                )
-            )
 
     # -- oracle B: kernel equivalence ------------------------------------------
     for name, scene in scenes.items():
@@ -945,7 +915,7 @@ def run_oracles(
             for problem in problems:
                 report.failures.append(OracleFailure("prune-soundness", problem, "pruning"))
 
-    # -- oracle E: statistical equivalence of batch sampling --------------------
+    # -- oracle E: statistical equivalence of vectorized sampling ---------------
     if statistical and records.get("rejection") is not None:
         try:
             problems = check_statistical_equivalence(
@@ -954,12 +924,14 @@ def run_oracles(
         except Exception as error:  # noqa: BLE001 - the crash oracle
             report.failures.append(
                 OracleFailure(
-                    "crash", f"oracle E raised {type(error).__name__}: {error}", "batch"
+                    "crash", f"oracle E raised {type(error).__name__}: {error}", "vectorized"
                 )
             )
         else:
             for problem in problems:
-                report.failures.append(OracleFailure("stat-equivalence", problem, "batch"))
+                report.failures.append(
+                    OracleFailure("stat-equivalence", problem, "vectorized")
+                )
 
     if report.failures:
         report.verdict = "fail"

@@ -54,7 +54,7 @@ class CampaignConfig:
     regression_dir: Optional[Path] = None  # None = don't persist finds
     shrink: bool = True
     strategies: Optional[Sequence] = None
-    #: Run oracle E (statistical equivalence of ``batch`` vs ``rejection``)
+    #: Run oracle E (statistical equivalence of ``vectorized`` vs ``rejection``)
     #: on every valid program — batch-sized, so opt-in (``--equivalence``).
     statistical: bool = False
     equivalence_samples: int = 120

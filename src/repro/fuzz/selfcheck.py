@@ -60,7 +60,7 @@ def planted_oracle(program, **kwargs) -> OracleReport:
     return run_oracles(program, **kwargs)
 
 
-# The exact-equivalence oracle only compares registered contract names, so
+# The exact-equivalence oracle only compares the contract names it lists, so
 # teach it about the planted one for the duration of a self-check.
 def _with_planted_contract():
     import repro.fuzz.oracles as oracles_module

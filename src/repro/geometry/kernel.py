@@ -34,6 +34,7 @@ instance, :data:`KERNEL`; the module functions call them through it.
 
 from __future__ import annotations
 
+import math
 from typing import Any, List, Optional, Sequence
 
 import numpy as np
@@ -258,15 +259,19 @@ class NumpyKernel:
         on_edge = np.zeros(len(pts), dtype=bool)
         j = count - 1
         for i in range(count):
-            xi, yi = vertices[i]
-            xj, yj = vertices[j]
-            # Boundary check (the scalar edge table's on-edge test, a=v_i, b=v_j).
+            xi, yi = float(vertices[i][0]), float(vertices[i][1])
+            xj, yj = float(vertices[j][0]), float(vertices[j][1])
+            # Boundary check: the scalar edge table's on-edge test (a=v_i,
+            # b=v_j), its bounds from the same float expressions.  A
+            # zero-length edge has none: its neighbours cover its vertex.
             edge_x, edge_y = xj - xi, yj - yi
-            length_sq = edge_x * edge_x + edge_y * edge_y
-            tolerance = 1e-9 * max(1.0, float(np.hypot(edge_x, edge_y)))
-            cross = edge_x * (y - yi) - edge_y * (x - xi)
-            dot = (x - xi) * edge_x + (y - yi) * edge_y
-            on_edge |= (np.abs(cross) <= tolerance) & (dot >= -1e-9) & (dot <= length_sq + 1e-9)
+            length = math.hypot(xi - xj, yi - yj)
+            if length > 0:
+                on_bound = 1e-9 * max(1.0, length)
+                dot_hi = edge_x ** 2 + edge_y ** 2 + 1e-9
+                cross = edge_x * (y - yi) - edge_y * (x - xi)
+                dot = (x - xi) * edge_x + (y - yi) * edge_y
+                on_edge |= (np.abs(cross) <= on_bound) & (dot >= -1e-9) & (dot <= dot_hi)
             # Ray crossing (same expression as the scalar code, v_i/v_j swapped
             # roles preserved: slope_x anchored at v_j).
             crosses = (yi > y) != (yj > y)

@@ -161,19 +161,43 @@ def _edge_table(vertices: Sequence[Vector]) -> Tuple[Tuple[float, ...], ...]:
     1e-9``).  A point ``p`` is on the edge when ``|ex * (py - yi) - ey *
     (px - xi)| <= on_bound`` and ``-1e-9 <= (px - xi) * ex + (py - yi) * ey
     <= dot_hi``.
+
+    A zero-length edge (a repeated vertex) gets ``on_bound = -1``, so no
+    point is on it: its cross and dot products are 0 for *every* point.
+    Its vertex is still on the two neighbouring edges.
     """
     tolerance = _ON_EDGE_TOLERANCE
     rows = []
     vj = vertices[-1]
     for vi in vertices:
         ex, ey = vj.x - vi.x, vj.y - vi.y
+        length = math.hypot(vi.x - vj.x, vi.y - vj.y)
         rows.append((
             vi.x, vi.y, vj.x, vj.y, ex, ey,
-            tolerance * max(1.0, math.hypot(vi.x - vj.x, vi.y - vj.y)),
+            tolerance * max(1.0, length) if length > 0 else -1.0,
             ex ** 2 + ey ** 2 + tolerance,
         ))
         vj = vi
     return tuple(rows)
+
+
+def on_edge_reach(vertices: Sequence[Vector]) -> float:
+    """How far outside the polygon its on-edge test can still accept a point.
+
+    A point is on an edge of length ``L`` when it lies within ``1e-9 *
+    max(1, L) / L`` of the edge's line and projects at most ``1e-9 / L``
+    beyond either end, so it is within ``2e-9 * max(1, L) / L`` of the
+    edge.  The largest such reach over the positive-length edges (a
+    zero-length edge accepts no point); 0 when the polygon has none.
+    """
+    reach = 0.0
+    previous = vertices[-1]
+    for vertex in vertices:
+        length = math.hypot(vertex.x - previous.x, vertex.y - previous.y)
+        if length > 0:
+            reach = max(reach, 2.0 * _ON_EDGE_TOLERANCE * max(1.0, length) / length)
+        previous = vertex
+    return reach
 
 
 def _point_in_edges(px: float, py: float, edges: Sequence[Tuple[float, ...]]) -> bool:

@@ -7,7 +7,7 @@ splits compilation into an explicit, reusable step:
 
 ``compile_scenario(source)`` returns a :class:`CompiledScenario` — the
 parsed AST plus lazily-derived static metadata (resolved class table,
-dependency-group structure, per-object sampling facts) — and caches it,
+per-object sampling facts) — and caches it,
 keyed by a content hash of the source, in a process-wide in-memory LRU
 (:class:`ArtifactCache`).  Warm-path construction therefore skips the
 lexer and parser entirely; the fully
@@ -107,7 +107,6 @@ class ObjectSummary:
     index: int
     class_name: str
     random_properties: Tuple[str, ...]  # properties that draw from the RNG
-    is_static: bool  # concretizes identically on every draw
     mutation_enabled: bool
 
 
@@ -127,9 +126,6 @@ class ArtifactMetadata:
     soft_requirement_count: int
     class_table: Tuple[ClassSummary, ...]
     objects: Tuple[ObjectSummary, ...]
-    #: Independence partition as scenario-object indices, mirroring
-    #: :class:`repro.sampling.DependencyGraph` groups in scenario order.
-    dependency_groups: Tuple[Tuple[int, ...], ...]
 
 
 def _class_table_from_program(program: ast.Program) -> Tuple[ClassSummary, ...]:
@@ -157,7 +153,6 @@ def _class_table_from_program(program: ast.Program) -> Tuple[ClassSummary, ...]:
 def _metadata_from_scenario(program: ast.Program, scenario: Scenario) -> ArtifactMetadata:
     from ..core.distributions import needs_sampling
     from ..core.lazy import is_lazy
-    from ..sampling.dependency import DependencyGraph, closure_nodes, _random_ids
 
     object_summaries: List[ObjectSummary] = []
     for index, scenic_object in enumerate(scenario.objects):
@@ -168,7 +163,6 @@ def _metadata_from_scenario(program: ast.Program, scenario: Scenario) -> Artifac
                 if needs_sampling(value) or is_lazy(value)
             )
         )
-        closure = closure_nodes(scenic_object)
         scale = scenic_object.properties.get("mutationScale", 0.0)
         try:
             mutation = needs_sampling(scale) or float(scale) != 0.0
@@ -179,16 +173,9 @@ def _metadata_from_scenario(program: ast.Program, scenario: Scenario) -> Artifac
                 index=index,
                 class_name=type(scenic_object).__name__,
                 random_properties=random_properties,
-                is_static=not _random_ids(closure),
                 mutation_enabled=mutation,
             )
         )
-
-    graph = DependencyGraph(scenario)
-    index_of = {id(obj): index for index, obj in enumerate(scenario.objects)}
-    groups = tuple(
-        tuple(index_of[id(member)] for member in group.objects) for group in graph.groups
-    )
 
     return ArtifactMetadata(
         object_count=len(scenario.objects),
@@ -200,7 +187,6 @@ def _metadata_from_scenario(program: ast.Program, scenario: Scenario) -> Artifac
         ),
         class_table=_class_table_from_program(program),
         objects=tuple(object_summaries),
-        dependency_groups=groups,
     )
 
 

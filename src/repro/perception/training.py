@@ -70,9 +70,8 @@ class Dataset:
     ) -> "Dataset":
         """Sample *count* scenes from *scenario* and render them.
 
-        Scene generation goes through :class:`repro.sampling.SamplerEngine`,
-        so strategy setup (pruning, dependency analysis) is amortised over
-        the whole dataset rather than re-done per scene.
+        Scene generation goes through one :class:`repro.sampling.SamplerEngine`,
+        whose aggregate statistics cover the whole dataset.
         """
         from ..sampling import SamplerEngine
 

@@ -1,8 +1,8 @@
 """The sampler engine: one front door to every sampling strategy.
 
-``SamplerEngine`` binds a scenario to a strategy (by name or instance),
-amortises the strategy's one-time analysis across draws, and rolls all
-per-scene diagnostics up into an :class:`~repro.sampling.stats.AggregateStats`.
+``SamplerEngine`` binds a scenario to a strategy (by name or instance) and
+rolls all per-scene diagnostics up into an
+:class:`~repro.sampling.stats.AggregateStats`.
 
 Typical use::
 
@@ -27,7 +27,9 @@ rewrites the scenario it samples).
 
 ``Scenario.generate`` / ``generate_batch`` are thin wrappers over this class.
 ``generate`` defaults to the ``"rejection"`` strategy, preserving the seed's
-behaviour draw-for-draw; ``generate_batch`` defaults to ``"vectorized"``.
+behaviour draw-for-draw, and so does the engine itself; ``generate_batch``
+defaults to ``"vectorized"``
+(:data:`~repro.core.scenario.DEFAULT_BATCH_STRATEGY`).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def resolve_scenario(source_like: Any, fresh: bool = False) -> Scenario:
 
 
 class SamplerEngine:
-    """Samples scenes from one scenario through a pluggable strategy.
+    """Samples scenes from one scenario through a strategy.
 
     *scenario* may be a live :class:`~repro.core.scenario.Scenario`, a
     :class:`~repro.language.CompiledScenario` artifact, or Scenic source

@@ -28,7 +28,6 @@ _COUNTER_FIELDS = (
     "rejections_visibility",
     "rejections_user",
     "rejections_sampling",
-    "component_redraws",
 )
 
 
@@ -134,7 +133,6 @@ class AggregateStats:
             "scenes": self.scenes,
             "draws": self.draws,
             "iterations": combined.iterations,
-            "component_redraws": combined.component_redraws,
             "candidates": self.total_candidates,
             "sampling_seconds": combined.elapsed_seconds,
             "rejections": self.rejection_breakdown(),

@@ -1,4 +1,4 @@
-"""Pluggable scene-sampling strategies (the engine's interchangeable cores).
+"""The scene-sampling strategies: one candidate loop, two block policies.
 
 Every strategy runs the same candidate loop, :meth:`SamplingStrategy.sample`:
 draw candidates with :meth:`SamplingStrategy._draw` (a fresh
@@ -11,15 +11,13 @@ books it as a sampling rejection.  Strategies differ only in their policy:
 
 * :class:`RejectionSampler` — the paper's plain rejection loop (Sec. 5):
   blocks of one candidate, draw-for-draw the seed's ``Scenario.generate``.
-* :class:`BatchSampler` — pre-draws each dependency group (objects that
-  share random values) and locally re-draws a group until its *local*
-  constraints (containment, intra-group collision) hold, which is
-  distribution-preserving because the joint prior factorises over groups
-  and those constraints touch one group only.  Cross-group constraints
-  still reject the whole candidate.
-* :class:`VectorizedSampler` — draws blocks of candidates and checks a
-  block's containment and collisions in one pass through the numpy kernel
-  (:mod:`repro.geometry.kernel`); the default for ``Scenario.generate_batch``.
+  The reference semantics that the golden runs, the fuzz oracles and the
+  evals harness compare against.
+* :class:`VectorizedSampler` — draws blocks of 1, 2, 4, … up to 32
+  candidates and checks a block's containment and collisions in one pass
+  through the numpy kernel (:mod:`repro.geometry.kernel`); the default for
+  ``Scenario.generate_batch`` and the generation service
+  (:data:`~repro.core.scenario.DEFAULT_BATCH_STRATEGY`).
 
 Pruning on its own is not a strategy: :func:`repro.core.pruning.prune_scenario`
 rewrites a scenario's sampling regions in place, after which any strategy
@@ -33,25 +31,12 @@ whenever the scene is large enough for batching to pay for itself, so
 *every* strategy rides the vectorized hot path.
 
 Strategies take no options: their tuning knobs are class constants.  They
-are registered by name in :data:`STRATEGIES`; third-party code can plug in
-new ones with :func:`register_strategy`::
-
-    from repro.sampling import RejectionSampler, register_strategy
-
-    @register_strategy
-    class MySampler(RejectionSampler):
-        name = "mine"
-        # override bind() for one-time analysis, or the policy hooks
-        # _block_sizes() / _predraw() / _geometry_failures()
-
-    scenario.generate(seed=0, strategy="mine")
-    SamplerEngine(scenario, strategy="mine").sample_batch(100, seed=1)
-
-Strategies always receive a live, fully-bound
+are listed by name in :data:`STRATEGIES`; a strategy *instance* can be
+handed to :class:`~repro.sampling.SamplerEngine` directly (how tests plant a
+faulty strategy).  Strategies always receive a live, fully-bound
 :class:`~repro.core.scenario.Scenario`; compiled artifacts and raw source
 are resolved one level up by :func:`repro.sampling.engine.resolve_scenario`
-(see ``docs/sampling.md``), so strategy authors never deal with the
-compilation pipeline.
+(see ``docs/sampling.md``).
 """
 
 from __future__ import annotations
@@ -68,7 +53,6 @@ from ..core.errors import RejectSample, RejectionError
 from ..core.scenario import GenerationStats, Scenario
 from ..core.scene import Scene
 from ..geometry import kernel as _kernel
-from .dependency import DependencyGraph, ObjectGroup
 from .stats import AggregateStats
 
 # ---------------------------------------------------------------------------
@@ -92,26 +76,16 @@ class Candidate(NamedTuple):
 
 
 #: What a drawn slot of a block holds: the candidate, or the cause that
-#: rejected it while it was being drawn (``"sampling"``, or a group-local
-#: cause under ``batch``).
+#: rejected it while it was being drawn (``"sampling"``).
 Drawn = Union[Candidate, str]
 
 
-def no_pairwise_collisions(
-    concrete_objects: List[Any], pair_filter: Optional[Any] = None
-) -> bool:
-    """No two collision-checked objects intersect, pair by pair.
-
-    *pair_filter*, when given, receives the two indices and returns whether
-    that pair must be checked — the batch strategy uses it to check only
-    cross-group pairs once every group holds locally.
-    """
+def no_pairwise_collisions(concrete_objects: List[Any]) -> bool:
+    """No two collision-checked objects intersect, pair by pair."""
     for index, first in enumerate(concrete_objects):
         for jndex in range(index + 1, len(concrete_objects)):
             second = concrete_objects[jndex]
             if first.allowCollisions or second.allowCollisions:
-                continue
-            if pair_filter is not None and not pair_filter(index, jndex):
                 continue
             if first.intersects(second):
                 return False
@@ -192,13 +166,13 @@ def late_failure(scenario: Scenario, candidate: Candidate, rng: _random.Random) 
 
 
 def book_rejection(stats: GenerationStats, cause: str) -> None:
-    """Count one rejected candidate (or group draw) under *cause*."""
+    """Count one rejected candidate under *cause*."""
     name = "rejections_" + cause
     setattr(stats, name, getattr(stats, name) + 1)
 
 
 # ---------------------------------------------------------------------------
-# Strategy base class (the one candidate loop) and registry
+# Strategy base class (the one candidate loop)
 # ---------------------------------------------------------------------------
 
 
@@ -208,10 +182,10 @@ class SamplingStrategy:
     name = "abstract"
 
     def bind(self, scenario: Scenario) -> None:
-        """One-time, per-scenario analysis (dependency graphs, block policy, ...).
+        """Per-scenario set-up; the built-in strategies need none.
 
-        Called by the engine before the first draw; the work done here is
-        amortised over every subsequent sample.
+        The engine calls it before the first draw, and :meth:`sample` before
+        every draw.
         """
 
     # -- policy hooks ------------------------------------------------------------
@@ -220,14 +194,12 @@ class SamplingStrategy:
         """How many candidates each round draws before examining them."""
         return itertools.repeat(1)
 
-    def _predraw(
-        self, scenario: Scenario, sample: Sample, stats: GenerationStats
-    ) -> Optional[str]:
-        """Draw into *sample* ahead of the candidate; a cause rejects it."""
-        return None
-
     def _geometry_failures(self, scenario: Scenario, block: List[Drawn]) -> List[Optional[str]]:
-        """Each drawn slot's first failure so far: its draw cause, containment or collision."""
+        """Each drawn slot's first failure so far: its draw cause, containment or collision.
+
+        Candidate by candidate through :func:`geometry_failure`, whose scalar
+        loops skip the numpy set-up on small scenes.
+        """
         workspace = scenario.workspace
         return [
             drawn if isinstance(drawn, str) else geometry_failure(workspace, drawn.objects)
@@ -236,7 +208,7 @@ class SamplingStrategy:
 
     # -- the candidate loop ------------------------------------------------------
 
-    def _draw(self, scenario: Scenario, rng: _random.Random, stats: GenerationStats) -> Drawn:
+    def _draw(self, scenario: Scenario, rng: _random.Random) -> Drawn:
         """One candidate: a fresh Sample, then the objects, the ego and the params.
 
         That order is the engine's RNG-stream contract (same seed ⇒ same
@@ -244,9 +216,6 @@ class SamplingStrategy:
         """
         sample = Sample(rng)
         try:
-            cause = self._predraw(scenario, sample, stats)
-            if cause is not None:
-                return cause
             concrete_objects = [
                 scenic_object._concretize(sample) for scenic_object in scenario.objects
             ]
@@ -273,7 +242,7 @@ class SamplingStrategy:
         sizes = self._block_sizes()
         while scene is None and stats.iterations < max_iterations:
             count = min(next(sizes), max_iterations - stats.iterations)
-            block = [self._draw(scenario, rng, stats) for _ in range(count)]
+            block = [self._draw(scenario, rng) for _ in range(count)]
             for drawn, cause in zip(block, self._geometry_failures(scenario, block)):
                 stats.iterations += 1
                 if cause is None:
@@ -310,29 +279,11 @@ class SamplingStrategy:
         return scenes
 
 
-STRATEGIES: Dict[str, Type[SamplingStrategy]] = {}
-
-
-def register_strategy(cls: Type[SamplingStrategy]) -> Type[SamplingStrategy]:
-    """Class decorator adding a strategy to the engine's registry."""
-    STRATEGIES[cls.name] = cls
-    return cls
-
-
-def make_strategy(name: str) -> SamplingStrategy:
-    """Instantiate a registered strategy by name."""
-    if name not in STRATEGIES:
-        known = ", ".join(sorted(STRATEGIES))
-        raise ValueError(f"unknown sampling strategy {name!r} (known: {known})")
-    return STRATEGIES[name]()
-
-
 # ---------------------------------------------------------------------------
 # Rejection (the extracted seed behaviour)
 # ---------------------------------------------------------------------------
 
 
-@register_strategy
 class RejectionSampler(SamplingStrategy):
     """Plain rejection sampling — the seed's ``Scenario.generate``, extracted."""
 
@@ -340,141 +291,45 @@ class RejectionSampler(SamplingStrategy):
 
 
 # ---------------------------------------------------------------------------
-# Batched, dependency-aware sampling
-# ---------------------------------------------------------------------------
-
-
-@register_strategy
-class BatchSampler(SamplingStrategy):
-    """Candidate generation that exploits the scenario's independence structure.
-
-    :meth:`bind` computes the :class:`DependencyGraph` once.  Each candidate
-    is then pre-drawn group by group: a group whose objects leave the
-    workspace or collide *with each other* is locally re-drawn (only its
-    sub-tree of the DAG is resampled) instead of discarding the whole joint
-    sample.  Because the prior factorises over groups and these local
-    constraints involve a single group, this draws each group exactly from
-    its constraint-conditioned marginal; the remaining cross-group
-    constraints (inter-group collisions, visibility from the ego, ``require``
-    statements) are checked on the assembled candidate and reject it as a
-    whole, exactly as in plain rejection.  Every failed group draw is booked
-    under its cause.
-
-    :attr:`LOCAL_REDRAW_CAP` bounds how often one group is re-drawn within a
-    single candidate before the candidate as a whole counts as rejected.
-    """
-
-    name = "batch"
-    LOCAL_REDRAW_CAP = 128
-
-    def __init__(self):
-        self.graph: Optional[DependencyGraph] = None
-
-    def bind(self, scenario):
-        if self.graph is None or self.graph.scenario is not scenario:
-            self.graph = DependencyGraph(scenario)
-
-    def _predraw(self, scenario, sample, stats):
-        """Draw every group until its local constraints hold (or give up)."""
-        for group in self.graph.groups:
-            cause = self._draw_group(scenario, group, sample, stats)
-            if cause is not None:
-                return cause
-        return None
-
-    def _draw_group(
-        self, scenario: Scenario, group: ObjectGroup, sample: Sample, stats: GenerationStats
-    ) -> Optional[str]:
-        """The last attempt's cause when *group* never held locally, else None."""
-        cause = None
-        for attempt in range(self.LOCAL_REDRAW_CAP):
-            if attempt:
-                book_rejection(stats, cause)
-                group.forget_in(sample)
-                stats.component_redraws += 1
-            try:
-                concrete = [scenic_object._concretize(sample) for scenic_object in group.objects]
-                cause = geometry_failure(scenario.workspace, concrete)
-            except RejectSample:
-                cause = "sampling"
-            if cause is None or group.is_static:
-                return cause  # a static group redraws identically
-        return cause
-
-    def _geometry_failures(self, scenario, block):
-        # Containment and same-group pairs held when each group was drawn;
-        # only cross-group pairs are left to check.
-        graph = self.graph
-        sources = scenario.objects
-
-        def cross_group(index: int, jndex: int) -> bool:
-            return graph.independent(sources[index], sources[jndex])
-
-        failures: List[Optional[str]] = []
-        for drawn in block:
-            if isinstance(drawn, str):
-                failures.append(drawn)
-            elif no_pairwise_collisions(drawn.objects, pair_filter=cross_group):
-                failures.append(None)
-            else:
-                failures.append("collision")
-        return failures
-
-
-# ---------------------------------------------------------------------------
 # Vectorized block sampling
 # ---------------------------------------------------------------------------
 
 
-@register_strategy
 class VectorizedSampler(SamplingStrategy):
     """Propose candidates in blocks and reject them in bulk through the kernel.
 
-    Each round draws up to :attr:`BLOCK_SIZE` candidate scenes (concretization
-    stays per-candidate Python — it must evaluate arbitrary specifier
-    expressions), then checks workspace containment for *all* objects of
-    *all* candidates in one batched kernel query and all pairwise collisions
-    in one batched separating-axis pass.  Candidates are then examined in
-    draw order; the first one that also passes visibility and the user
-    requirements is accepted.
+    Rounds draw blocks of 1, 2, 4, … candidates, doubling up to
+    :attr:`BLOCK_SIZE`, so an easy scenario (accepted within the first few
+    candidates) does not pay for concretizing a full block it never
+    examines — the dominant cost of per-scene sampling in the generation
+    service, whose splitmix contract draws every scene with a fresh RNG.
+    A block of one goes through the per-candidate chain
+    (:func:`geometry_failure`); a larger block checks workspace containment
+    for *all* objects of *all* its candidates in one batched kernel query
+    and all pairwise collisions in one batched separating-axis pass
+    (concretization stays per-candidate Python — it must evaluate arbitrary
+    specifier expressions).  Candidates are then examined in draw order;
+    the first one that also passes visibility and the user requirements is
+    accepted.
 
     The induced distribution is exactly plain rejection's: candidates are
     i.i.d. draws from the prior, examined in the order they were drawn, and
-    acceptance depends only on the candidate itself.  The RNG *stream* is
-    consumed in a different interleaving than ``RejectionSampler`` (a whole
-    block is drawn before any soft-requirement coin flips), so per-seed
-    outputs differ between the two strategies while per-seed determinism
-    holds for each — the golden-scene corpus pins both down.
-
-    Block sizes are *adaptive* when the scenario has no soft requirements:
-    rounds ramp ``MIN_BLOCK, 2*MIN_BLOCK, ...`` up to ``BLOCK_SIZE``, so an
-    easy scenario (accepted within the first few candidates) does not pay
-    for concretizing a full block it never examines — the dominant cost of
-    per-scene sampling in the generation service, whose splitmix contract
-    draws every scene with a fresh RNG.  The ramp is bit-identical to a
-    fixed block: candidates are drawn sequentially from the same RNG stream
-    and examined in draw order, so candidate *k* (and therefore the first
-    accepted one) is the same no matter how draws are grouped into rounds.
-    Soft requirements break that equivalence — ``require[p]`` flips the
-    *shared* RNG per examined candidate, in between rounds' draws — so
-    their presence disables the ramp and keeps the legacy fixed blocks
-    (pinned by the golden corpus).
+    acceptance depends only on the candidate itself and, under a
+    ``require[p]``, on a fresh uniform coin.  Without soft requirements the
+    first scene drawn from a fresh RNG is also rejection's, draw for draw:
+    candidate *k* is the same however draws are grouped into blocks.  The
+    *stream* still differs in two ways, so per-seed outputs can differ
+    while per-seed determinism holds: the candidates after the accepted one
+    in its block are drawn but never examined, which moves where the next
+    scene of a multi-scene batch starts; and a soft requirement's coins are
+    flipped after its whole block is drawn, not between candidates.
     """
 
     name = "vectorized"
     BLOCK_SIZE = 32
-    MIN_BLOCK = 4
-
-    def __init__(self):
-        self._adaptive = False
-
-    def bind(self, scenario):
-        self._adaptive = not any(
-            requirement.is_soft for requirement in scenario.requirements
-        )
 
     def _block_sizes(self):
-        size = self.MIN_BLOCK if self._adaptive else self.BLOCK_SIZE
+        size = 1
         while True:
             yield size
             size = min(size * 2, self.BLOCK_SIZE)
@@ -483,8 +338,12 @@ class VectorizedSampler(SamplingStrategy):
         """One kernel pass: containment for every object, then collisions.
 
         The corners and the collidable mask of the block's ``K`` live
-        candidates come from one pass over their ``K * N`` objects.
+        candidates come from one pass over their ``K * N`` objects.  A block
+        of one takes the per-candidate chain instead: same verdicts, without
+        the block pass's numpy set-up.
         """
+        if len(block) == 1:
+            return super()._geometry_failures(scenario, block)
         failures: List[Optional[str]] = [
             drawn if isinstance(drawn, str) else None for drawn in block
         ]
@@ -534,13 +393,26 @@ class VectorizedSampler(SamplingStrategy):
         return failures
 
 
+#: Every strategy, by name.
+STRATEGIES: Dict[str, Type[SamplingStrategy]] = {
+    "rejection": RejectionSampler,
+    "vectorized": VectorizedSampler,
+}
+
+
+def make_strategy(name: str) -> SamplingStrategy:
+    """Instantiate a strategy by name."""
+    if name not in STRATEGIES:
+        known = ", ".join(sorted(STRATEGIES))
+        raise ValueError(f"unknown sampling strategy {name!r} (known: {known})")
+    return STRATEGIES[name]()
+
+
 __all__ = [
     "SamplingStrategy",
     "RejectionSampler",
-    "BatchSampler",
     "VectorizedSampler",
     "STRATEGIES",
-    "register_strategy",
     "make_strategy",
     "check_user_requirements",
 ]

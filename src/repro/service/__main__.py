@@ -41,6 +41,8 @@ import signal
 import sys
 from pathlib import Path
 
+from ..core.scenario import DEFAULT_BATCH_STRATEGY
+from ..sampling.strategies import STRATEGIES
 from .server_http import HttpGenerationServer
 from .service import GenerationService
 
@@ -84,7 +86,7 @@ async def _cmd_smoke(args: argparse.Namespace) -> int:
         requests = []
         for index in range(args.requests):
             name = list(sources)[index % len(sources)]
-            strategy = ("rejection", "vectorized", "batch")[index % 3]
+            strategy = sorted(STRATEGIES)[index % len(STRATEGIES)]
             requests.append(
                 service.generate(
                     sources[name], n=3, seed=1000 + index, strategy=strategy,
@@ -149,7 +151,7 @@ async def _cmd_parity(args: argparse.Namespace) -> int:
     checked = 0
     for name in ("two_cars", "close_car"):
         source = sources[name]
-        for strategy in ("rejection", "vectorized", "batch"):
+        for strategy in sorted(STRATEGIES):
             for seed_offset in range(args.seeds):
                 seed = 7000 + 13 * seed_offset
                 reference = None
@@ -235,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("file", help="path to a .scenic program, or - for stdin")
     generate.add_argument("-n", type=int, default=1)
     generate.add_argument("--seed", type=int, default=0)
-    generate.add_argument("--strategy", default="rejection")
+    generate.add_argument("--strategy", default=DEFAULT_BATCH_STRATEGY)
     generate.add_argument("--max-iterations", type=int, default=20000)
     generate.add_argument("--derive", default="splitmix", choices=("splitmix", "direct"))
     generate.add_argument("--workers", type=int, default=0)

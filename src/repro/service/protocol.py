@@ -216,7 +216,6 @@ def merge_shard_stats(outcomes: List[ShardOutcome]) -> Dict[str, Any]:
         "draws": 0,
         "iterations": 0,
         "rejections": {},
-        "component_redraws": 0,
         "sampling_seconds": 0.0,
         "shards": len(outcomes),
         "worker_cache_hits": 0,
@@ -229,7 +228,6 @@ def merge_shard_stats(outcomes: List[ShardOutcome]) -> Dict[str, Any]:
         totals["scenes"] += shard.get("scenes", 0)
         totals["draws"] += shard.get("draws", 0)
         totals["iterations"] += shard.get("iterations", 0)
-        totals["component_redraws"] += shard.get("component_redraws", 0)
         totals["candidates"] += shard.get("candidates", 0)
         totals["sampling_seconds"] += shard.get("sampling_seconds", 0.0)
         for cause, count in shard.get("rejections", {}).items():

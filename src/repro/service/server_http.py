@@ -18,8 +18,8 @@ the surface is four routes:
     fingerprint alone instead of re-sending its text.
 ``POST /generate``
     JSON body with ``source`` | ``fingerprint`` and optional ``n``,
-    ``seed``, ``strategy``, ``max_iterations``, ``derive`` and ``stream``;
-    any other field is a 400.  Blocking by default (one JSON document
+    ``seed``, ``strategy`` (default ``"vectorized"``), ``max_iterations``,
+    ``derive`` and ``stream``; any other field is a 400.  Blocking by default (one JSON document
     back); with ``"stream": true`` the response is
     ``application/x-ndjson`` with chunked transfer encoding — one frame
     per line, exactly the frames :meth:`GenerationService.generate_stream`
@@ -42,6 +42,7 @@ import asyncio
 import json
 from typing import Any, Awaitable, Dict, Optional, Tuple
 
+from ..core.scenario import DEFAULT_BATCH_STRATEGY
 from .service import GenerationFailedError, GenerationService, ServiceOverloadedError
 
 #: Default cap on one request body (and on the request and header lines).
@@ -124,7 +125,7 @@ def _generate_params(request: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
         "source_or_hash": source or fingerprint,
         "n": _field(request, "n", 1),
         "seed": _field(request, "seed", 0),
-        "strategy": _field(request, "strategy", "rejection"),
+        "strategy": _field(request, "strategy", DEFAULT_BATCH_STRATEGY),
         "max_iterations": _field(request, "max_iterations", 2000),
         "derive": _field(request, "derive", "splitmix"),
     }

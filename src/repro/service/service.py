@@ -60,6 +60,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import aclosing
 from typing import Any, AsyncIterator, Dict, List, Optional
 
+from ..core.scenario import DEFAULT_BATCH_STRATEGY
 from ..language.compiler import ArtifactCache, compile_scenario, source_fingerprint
 from ..sampling.strategies import make_strategy
 from .protocol import (
@@ -253,7 +254,7 @@ class GenerationService:
         source_or_hash: str,
         n: int = 1,
         seed: int = 0,
-        strategy: str = "rejection",
+        strategy: str = DEFAULT_BATCH_STRATEGY,
         max_iterations: int = 2000,
         derive: str = "splitmix",
     ) -> GenerateResponse:
@@ -264,7 +265,9 @@ class GenerationService:
         contract (see :func:`repro.service.protocol.derive_scene_seeds`):
         ``"splitmix"`` shards freely with per-scene seeds; ``"direct"`` runs
         unsharded, draw-for-draw equal to ``Scenario.generate_batch`` (and,
-        with ``n=1``, to ``Scenario.generate`` — the golden corpus).
+        with ``n=1``, to ``Scenario.generate`` — the golden corpus) under the
+        same *strategy*, which defaults to
+        :data:`~repro.core.scenario.DEFAULT_BATCH_STRATEGY`.
 
         The response is built from the frames :meth:`generate_stream` would
         yield for the same request, reassembled by index.
@@ -298,7 +301,7 @@ class GenerationService:
         source_or_hash: str,
         n: int = 1,
         seed: int = 0,
-        strategy: str = "rejection",
+        strategy: str = DEFAULT_BATCH_STRATEGY,
         max_iterations: int = 2000,
         derive: str = "splitmix",
     ) -> AsyncIterator[Dict[str, Any]]:
@@ -511,7 +514,7 @@ def generate_sync(
     source: str,
     n: int = 1,
     seed: int = 0,
-    strategy: str = "rejection",
+    strategy: str = DEFAULT_BATCH_STRATEGY,
     workers: int = 0,
     **kwargs: Any,
 ) -> GenerateResponse:

@@ -67,9 +67,9 @@ def _engine_for(payload: ShardPayload) -> Tuple[Any, bool, bool]:
     """A bound, reusable engine for (program, strategy).
 
     Returns ``(engine, artifact_was_warm, engine_was_cached)``.  Engine
-    reuse is what amortises bind-time analysis (pruning pass, dependency
-    graph) across shards and requests; the LRU cap bounds memory on a
-    long-lived worker serving many distinct programs.
+    reuse skips resolving the artifact's scenario and binding the strategy
+    on every shard; the LRU cap bounds memory on a long-lived worker
+    serving many distinct programs.
 
     The LRU is genuine: a hit moves the entry to the MRU end before
     returning, so eviction (pop the front) removes the least-*recently*

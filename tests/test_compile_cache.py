@@ -181,17 +181,14 @@ class TestCompiledScenario:
         assert debris.properties == ("width", "height")
         assert metadata.objects[1].class_name == "Debris"
         assert "position" in metadata.objects[1].random_properties
-        assert metadata.objects[0].is_static
-        assert not metadata.objects[1].is_static
-        # Three objects with disjoint randomness -> three dependency groups.
-        assert metadata.dependency_groups == ((0,), (1,), (2,))
+        assert metadata.objects[0].random_properties == ()
 
     def test_engine_accepts_artifacts_and_source(self):
         artifact = compile_scenario(SIMPLE, cache=None)
         engine = SamplerEngine(artifact)
         assert engine.scenario is artifact.scenario()
         # No strategy rewrites its scenario, so every one shares it.
-        assert SamplerEngine(artifact, strategy="batch").scenario is artifact.scenario()
+        assert SamplerEngine(artifact, strategy="vectorized").scenario is artifact.scenario()
         # Raw source routes through the default cache.
         from_source = SamplerEngine(SIMPLE)
         assert from_source.scenario is compile_scenario(SIMPLE).scenario()

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.core.objects import Object
-from repro.core.scenario import GenerationStats
 from repro.core.vectors import Vector
 from repro.geometry import kernel
 from repro.language import scenario_from_file
@@ -97,8 +96,7 @@ def drawn_block(name: str, size: int, seed: int):
     sampler = VectorizedSampler()
     sampler.bind(scenario)
     rng = random.Random(seed)
-    stats = GenerationStats()
-    return scenario, sampler, [sampler._draw(scenario, rng, stats) for _ in range(size)]
+    return scenario, sampler, [sampler._draw(scenario, rng) for _ in range(size)]
 
 
 def test_block_pass_equals_the_scalar_chain_on_a_gtalib_block():
@@ -110,6 +108,21 @@ def test_block_pass_equals_the_scalar_chain_on_a_gtalib_block():
     ]
     assert failures == expected
     causes = collections.Counter(failures)
+    assert causes["containment"] and causes["collision"] and causes[None], causes
+
+
+def test_a_block_of_one_gives_the_block_pass_cause_on_a_gtalib_block():
+    """``vectorized``'s first block, one candidate, is checked like a block.
+
+    A block of one takes the per-candidate chain instead of the block pass;
+    over drawn gtaLib candidates with all three outcomes, each one alone
+    gets the cause the block pass gives it.
+    """
+    scenario, sampler, block = drawn_block("four_cars_bad_conditions.scenic", 96, seed=5)
+    in_block = sampler._geometry_failures(scenario, block)
+    alone = [sampler._geometry_failures(scenario, [drawn])[0] for drawn in block]
+    assert alone == in_block
+    causes = collections.Counter(alone)
     assert causes["containment"] and causes["collision"] and causes[None], causes
 
 

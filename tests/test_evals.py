@@ -114,21 +114,43 @@ def test_tagging_resolves_world_aliases():
 INLINE = "ego = Object at Range(-4, 4) @ 0\nObject at Range(-4, 4) @ 5\n"
 
 
+def _strip_timing(result):
+    clean = json.loads(json.dumps(result))  # deep copy
+    for record in clean["strategies"].values():
+        record.pop("wall_seconds")
+        record.pop("sampling_seconds")
+    return clean
+
+
 def test_score_scenario_is_deterministic_up_to_wall_time():
     first = score_scenario(INLINE, seed=7, samples=12, max_iterations=500)
     second = score_scenario(INLINE, seed=7, samples=12, max_iterations=500)
-
-    def strip_timing(result):
-        clean = json.loads(json.dumps(result))  # deep copy
-        for record in clean["strategies"].values():
-            record.pop("wall_seconds")
-            record.pop("sampling_seconds")
-        return clean
-
-    assert strip_timing(first) == strip_timing(second)
+    assert _strip_timing(first) == _strip_timing(second)
     # And a different seed actually changes the draws.
     third = score_scenario(INLINE, seed=8, samples=12, max_iterations=500)
-    assert strip_timing(third) != strip_timing(first)
+    assert _strip_timing(third) != _strip_timing(first)
+
+
+@pytest.mark.parametrize("stem", ["two_cars", "warehouse_cross_traffic"])
+def test_score_scenario_via_service_is_ok_and_deterministic(stem):
+    """The ``--via-service`` path: scored through an inline generation service.
+
+    Both the reference and the scored strategy run through
+    ``_run_service_batch``; the result is a full scorecard record with a
+    coverage block, and the same record again on a second run.
+    """
+    source = (REPO_ROOT / "examples" / "scenarios" / f"{stem}.scenic").read_text()
+    first = score_scenario(source, samples=24, via_service=True)
+    second = score_scenario(source, samples=24, via_service=True)
+    assert first["status"] == "ok"
+    assert first["via_service"] is True
+    for strategy, record in first["strategies"].items():
+        assert record["status"] == "ok", strategy
+        assert record["scenes"] == 24, strategy
+    scored = first["strategies"]["vectorized"]
+    assert scored["coverage"] is not None
+    assert scored["coverage"]["properties"]
+    assert _strip_timing(first) == _strip_timing(second)
 
 
 def test_scorecard_round_trip_and_self_comparison(tmp_path):

@@ -287,7 +287,7 @@ def test_chi_square_quantile_grows_with_df():
 
 
 def test_statistical_equivalence_passes_on_gallery_program():
-    """Oracle E: batch's marginals match rejection's on a real program."""
+    """Oracle E: vectorized's marginals match rejection's on a real program."""
     from repro.experiments import scenarios
     from repro.fuzz.oracles import check_statistical_equivalence
 

@@ -380,8 +380,8 @@ class TestPlantedUlpBias:
         assert kernel.batch_collision_free(corners[None]).tolist() == [True]
 
 
-def four_object_scenario():
-    """Ego plus four boxes inside a polygonal workspace: every kernel path applies."""
+def four_object_scenario(box: float = 1.0):
+    """Ego plus four *box*-wide boxes inside a polygonal workspace: every kernel path applies."""
     from repro.core import At, Facing, In, ScenarioBuilder, Workspace
     from repro.core import Object as BuilderObject
 
@@ -393,7 +393,7 @@ def four_object_scenario():
         builder.set_ego(BuilderObject(At((0, 0)), Facing(0.0)))
         for _ in range(4):
             BuilderObject(
-                In(CircularRegion((0.0, 0.0), 14.0)), width=1, height=1, requireVisible=False
+                In(CircularRegion((0.0, 0.0), 14.0)), width=box, height=box, requireVisible=False
             )
     return builder.scenario()
 
@@ -410,12 +410,23 @@ class TestKernelInstance:
             assert callable(getattr(instance, method))
 
     @pytest.mark.parametrize(
-        "strategy,collision_method",
-        [("vectorized", "batch_collision_free"), ("rejection", "pairwise_collisions")],
+        "strategy,collision_methods",
+        [
+            ("vectorized", ("batch_collision_free", "pairwise_collisions")),
+            ("rejection", ("pairwise_collisions",)),
+        ],
         ids=["vectorized", "rejection"],
     )
-    def test_sampling_goes_through_the_instance(self, monkeypatch, strategy, collision_method):
-        """Counted the way ``perfbench/tracing.py`` times the ``geometry.kernel`` span."""
+    def test_sampling_goes_through_the_instance(self, monkeypatch, strategy, collision_methods):
+        """Counted the way ``perfbench/tracing.py`` times the ``geometry.kernel`` span.
+
+        ``vectorized`` reaches both collision methods: its first block of
+        one candidate goes through the per-candidate chain
+        (``pairwise_collisions``) and its larger blocks through the block
+        pass (``batch_collision_free``).  The boxes are 4 m wide, so about
+        two thirds of candidates are rejected and most scenes need more
+        than one block.
+        """
         instance = backends.active_backend()
         calls = dict.fromkeys(KERNEL_METHODS, 0)
 
@@ -428,11 +439,12 @@ class TestKernelInstance:
 
         for name in KERNEL_METHODS:
             monkeypatch.setattr(instance, name, counting(name, getattr(instance, name)))
-        scenario = four_object_scenario()
+        scenario = four_object_scenario(box=4.0)
         if strategy == "vectorized":
-            scenario.generate_batch(3, seed=1, strategy=strategy)
+            scenario.generate_batch(8, seed=1, strategy=strategy)
         else:
             scenario.generate(seed=1, strategy=strategy)
         assert calls["objects_contained"] > 0
         assert calls["points_in_polygon"] > 0
-        assert calls[collision_method] > 0
+        for method in collision_methods:
+            assert calls[method] > 0, method

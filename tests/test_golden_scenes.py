@@ -2,7 +2,7 @@
 
 Each ``examples/scenarios/*.scenic`` file was compiled and sampled with a
 fixed seed under every golden run (``repro.evals.golden.GOLDEN_RUNS``: the
-rejection, batch and vectorized strategies, plus rejection and
+rejection and vectorized strategies, plus rejection and
 vectorized after the automatic pruning pass); the resulting
 positions/headings live in ``tests/golden/*.json`` at full float
 precision.  These tests replay the exact same generations and compare to
@@ -255,8 +255,7 @@ def test_golden_runs_book_each_rejection_once(stem):
 
     Under every golden run the accepted scene passes the scalar recheck,
     and the rejection counters add up: every examined candidate but the
-    accepted one is booked once under one cause, and so is every ``batch``
-    group redraw.
+    accepted one is booked once under one cause.
     """
     from repro.fuzz.oracles import recheck_scene
 
@@ -266,7 +265,7 @@ def test_golden_runs_book_each_rejection_once(stem):
         scene = golden_sample(scenario, run)
         stats = scenario.last_stats
         assert stats.iterations == golden[run]["iterations"], f"{stem}/{run}"
-        assert stats.total_rejections == stats.iterations - 1 + stats.component_redraws, (
+        assert stats.total_rejections == stats.iterations - 1, (
             f"{stem}/{run}: {stats}"
         )
         assert recheck_scene(scenario, scene, checks=()) == [], f"{stem}/{run}"

@@ -22,7 +22,8 @@ from repro.core.regions import PolygonalRegion
 from repro.core.utils import normalize_angle
 from repro.core.vectorfields import PolygonalVectorField
 from repro.core.vectors import Vector
-from repro.geometry.polygon import BoundingBox, Polygon, point_in_polygon
+from repro.geometry import kernel
+from repro.geometry.polygon import BoundingBox, Polygon, on_edge_reach, point_in_polygon
 from repro.geometry.spatial_index import SpatialGrid
 
 # ---------------------------------------------------------------------------
@@ -48,6 +49,11 @@ def reference_point_in_polygon(point, vertices) -> bool:
 
 
 def reference_point_on_segment(point, a, b, tolerance: float = 1e-9) -> bool:
+    if a == b:
+        # A zero-length segment (a repeated vertex) holds no point of its
+        # own: the polygon is the one without the repeat, whose neighbouring
+        # edges hold the vertex.
+        return False
     cross = (b.x - a.x) * (point.y - a.y) - (b.y - a.y) * (point.x - a.x)
     if abs(cross) > tolerance * max(1.0, a.distance_to(b)):
         return False
@@ -169,6 +175,54 @@ def test_polygonal_region_contains_point_matches_the_plain_ray_cast():
             assert region.contains_point(point) is expected, point
 
 
+def test_a_repeated_vertex_contains_only_what_the_polygon_does():
+    """A zero-length edge gets no on-edge test: far points stay outside.
+
+    Its cross and dot products are 0 for every point, so an on-edge test
+    would put the whole plane inside.  The vertex itself is still inside,
+    through the two neighbouring edges.
+    """
+    square = Polygon([(0, 0), (1, 0), (1, 0), (1, 1), (0, 1)])
+    for point in ((500, -300), (0.5, 2.0), (1.0 + 2e-9, 0.0), (-1.0, 0.5)):
+        assert not square.contains_point(point), point
+        assert not point_in_polygon(point, square.vertices), point
+    for point in ((1.0, 0.0), (1.0, 0.0 - 5e-10), (1.0 + 5e-10, 0.0), (0.5, 0.5), (1.0, 0.5)):
+        assert square.contains_point(point), point
+
+
+@pytest.mark.parametrize("scale", SCALES)
+def test_scalar_kernel_and_region_batch_agree_on_repeated_vertices(scale):
+    """Every path gives a duplicate-vertex polygon the same verdicts.
+
+    ``Polygon.contains_point``, the numpy kernel, and a region's scalar and
+    batch containment, on the probes of every edge and on random points
+    around and far from the polygon (the batch prefilters by bounding box):
+    the verdicts of the same polygon without its repeated vertex.
+    """
+    rng = random.Random(f"duplicate-paths-{scale}")
+    checked = inside = 0
+    for _ in range(12):
+        polygon = make_polygon(rng, "duplicate", scale)
+        points = probe_points(rng, polygon, random_count=40)
+        box = polygon.bounding_box().expanded(5.0 * max(polygon.bounding_box().width, 1e-3))
+        points += [box.sample_point(rng) for _ in range(40)]
+        scalar = [polygon.contains_point(point) for point in points]
+        vertices = polygon.vertices
+        once = Polygon([v for i, v in enumerate(vertices) if v != vertices[i - 1]])
+        assert len(once.vertices) == len(vertices) - 1
+        assert [once.contains_point(point) for point in points] == scalar
+        array = np.array([point.to_tuple() for point in points])
+        region = PolygonalRegion([polygon])
+        assert kernel.points_in_polygon(
+            np.array([(v.x, v.y) for v in polygon.vertices]), array
+        ).tolist() == scalar
+        assert region.contains_points_batch(array).tolist() == scalar
+        assert [region.contains_point(point) for point in points] == scalar
+        checked += len(points)
+        inside += sum(scalar)
+    assert checked > 1000 and 0 < inside < checked
+
+
 # ---------------------------------------------------------------------------
 # Vector fields: cell lookup, and the outside-every-cell fallback
 # ---------------------------------------------------------------------------
@@ -240,3 +294,120 @@ def test_bucket_for_point_matches_numpy_floor():
         x, y = float(x), float(y)
         key = (int(np.floor((x - ox) / grid.cell_size)), int(np.floor((y - oy) / grid.cell_size)))
         assert list(grid.bucket_for_point(x, y)) == list(grid._cells.get(key, ()))
+
+
+# ---------------------------------------------------------------------------
+# Short edges: the grid's box padding covers their on-edge reach
+# ---------------------------------------------------------------------------
+
+
+def short_edge_cells():
+    """A triangle with a 1e-4 edge above a square, and seven far unit squares.
+
+    The triangle holds points up to ``1e-9 / 1e-4 = 1e-5`` below its short
+    edge, further than a 1e-6 box padding reaches, and the square holds
+    some of them too: only the triangle's box says which cell comes first.
+    """
+    cells = [
+        (Polygon([(0, 0), (1e-4, 0), (0, 1)]), 1.0),
+        (Polygon([(-1, -2.000004), (1, -2.000004), (1, -4e-6), (-1, -4e-6)]), 2.0),
+    ]
+    cells += [
+        (Polygon([(x, 10), (x + 1, 10), (x + 1, 11), (x, 11)]), 0.1 * x)
+        for x in range(10, 17)
+    ]
+    return cells
+
+
+def test_on_edge_reach_bounds_the_tolerance():
+    triangle = short_edge_cells()[0][0]
+    assert on_edge_reach(triangle.vertices) == pytest.approx(2e-5)
+    assert on_edge_reach(Polygon([(0, 0), (5, 0), (5, 5), (0, 5)]).vertices) == 2e-9
+    # Just inside the reach below the short edge: the triangle holds it.
+    assert triangle.contains_point((5e-5, -5e-6))
+    assert not triangle.contains_point((5e-5, -2e-5))
+
+
+def test_on_edge_reach_covers_every_accepted_point_per_axis():
+    """Box padding by the reach keeps every point the on-edge test accepts.
+
+    Probes the far corners of a short edge's acceptance region, just inside
+    both the cross bound and the dot bound, at random angles: each accepted
+    point lies within the reach of the polygon's bounding box in each axis.
+    """
+    rng = random.Random(23)
+    accepted = 0
+    for _ in range(200):
+        length = 10 ** rng.uniform(-5.0, 0.5)
+        angle = rng.uniform(0.0, math.tau)
+        unit = Vector(math.cos(angle), math.sin(angle))
+        normal = Vector(-unit.y, unit.x)
+        a = Vector(rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
+        b = a + unit * length
+        polygon = Polygon([a, b, b + normal * 2.0 - unit * 0.5])
+        reach = on_edge_reach(polygon.vertices)
+        box = polygon.bounding_box()
+        across = 0.99e-9 * max(1.0, length) / length
+        beyond = 0.99e-9 / length
+        for end, outward in ((a, -unit), (b, unit)):
+            for side in (-1.0, 1.0):
+                point = end + outward * beyond + normal * (side * across)
+                if not polygon.contains_point(point):
+                    continue
+                accepted += 1
+                assert box.min_x - reach <= point.x <= box.max_x + reach, (polygon, point)
+                assert box.min_y - reach <= point.y <= box.max_y + reach, (polygon, point)
+    assert accepted >= 300
+
+
+def test_grid_field_on_short_edges_matches_a_linear_scan():
+    """``cell_at``, ``value_at`` and ``nearest_cell`` equal a linear scan.
+
+    The field has 9 cells, so it takes the grid path; the probes crowd the
+    triangle's 1e-4 edge, within and beyond its on-edge reach.
+    """
+    cells = short_edge_cells()
+    field = PolygonalVectorField("short", cells)
+    assert len(field.cells) >= PolygonalVectorField._GRID_MIN_CELLS  # the grid path
+    rng = random.Random(17)
+    points = [Vector(5e-5, -5e-6)]
+    points += [Vector(rng.uniform(-1e-4, 2e-4), rng.uniform(-3e-5, 1e-5)) for _ in range(400)]
+    points += [Vector(rng.uniform(-3.0, 20.0), rng.uniform(-4.0, 13.0)) for _ in range(200)]
+    for polygon, _heading in cells[:2]:
+        points.extend(probe_points(rng, polygon, random_count=20))
+    in_triangle_only_by_reach = 0
+    for point in points:
+        scanned = next(
+            (cell for cell in field.cells
+             if reference_point_in_polygon(point, cell[0].vertices)),
+            None,
+        )
+        assert field.cell_at(point) == scanned, point
+        assert field.value_at(point) == reference_heading(field, point), point
+        if scanned is None:
+            nearest = min(
+                field.cells, key=lambda cell: reference_distance_to_point(cell[0], point)
+            )
+            assert field.nearest_cell(point) == nearest, point
+        elif scanned[1] == 1.0 and point.y < -1e-6:
+            in_triangle_only_by_reach += 1
+    assert field.value_at((5e-5, -5e-6)) == 1.0
+    assert in_triangle_only_by_reach >= 20
+
+
+def test_grid_region_on_short_edges_matches_a_linear_scan():
+    """A region's grid and batch paths see the same short-edge reach."""
+    pieces = [polygon for polygon, _heading in short_edge_cells()] * 2
+    region = PolygonalRegion(pieces)
+    assert len(pieces) >= PolygonalRegion._GRID_MIN_POLYGONS  # the grid path
+    rng = random.Random(19)
+    points = [Vector(rng.uniform(-1e-4, 2e-4), rng.uniform(-3e-5, 1e-5)) for _ in range(400)]
+    points += probe_points(rng, pieces[0], random_count=20)
+    expected = [
+        any(reference_point_in_polygon(point, piece.vertices) for piece in pieces)
+        for point in points
+    ]
+    assert [region.contains_point(point) for point in points] == expected
+    array = np.array([point.to_tuple() for point in points])
+    assert region.contains_points_batch(array).tolist() == expected
+

@@ -1,4 +1,6 @@
-"""Tests for the pluggable scene-sampling engine (``repro/sampling/``)."""
+"""Tests for the scene-sampling engine (``repro/sampling/``)."""
+
+import itertools
 
 import pytest
 
@@ -7,7 +9,6 @@ from repro.core import (
     Facing,
     In,
     Object,
-    Range,
     RejectionError,
     ScenarioBuilder,
     Vector,
@@ -17,15 +18,12 @@ from repro.core.regions import CircularRegion, DifferenceRegion, PolygonalRegion
 from repro.experiments import scenarios
 from repro.geometry.polygon import Polygon
 from repro.sampling import (
-    BatchSampler,
-    DependencyGraph,
     RejectionSampler,
     SamplerEngine,
     SceneBatch,
-    SamplingStrategy,
     STRATEGIES,
+    VectorizedSampler,
     make_strategy,
-    register_strategy,
 )
 
 
@@ -71,7 +69,7 @@ class TestStrategyEquivalence:
 
     def test_generate_accepts_strategy_keyword(self):
         scenario = containment_heavy_scenario()
-        scene = scenario.generate(seed=0, max_iterations=100000, strategy="batch")
+        scene = scenario.generate(seed=0, max_iterations=100000, strategy="vectorized")
         assert not scene.has_collisions()
         assert scenario.last_stats.iterations >= 1
 
@@ -84,105 +82,6 @@ class TestStrategyEquivalence:
         with pytest.raises(RejectionError):
             engine.sample(max_iterations=25, seed=0)
         assert engine.last_stats.iterations == 25
-
-
-class TestDependencyGraph:
-    def test_independent_objects_get_separate_groups(self):
-        with ScenarioBuilder(workspace=square_workspace(100.0)) as builder:
-            ego = builder.set_ego(Object(At((0, 0)), Facing(0.0)))
-            first = Object(At((Range(3, 6), 3)), width=1, height=1, requireVisible=False)
-            second = Object(At((Range(-6, -3), -3)), width=1, height=1, requireVisible=False)
-        graph = DependencyGraph(builder.scenario())
-        assert graph.independent(first, second)
-        assert graph.independent(ego, first)
-        assert ego in graph.static_objects
-
-    def test_shared_distribution_merges_groups(self):
-        shared = Range(0, 5)
-        with ScenarioBuilder(workspace=square_workspace(100.0)) as builder:
-            builder.set_ego(Object(At((0, 0)), Facing(0.0)))
-            first = Object(At((shared, 10)), width=1, height=1, requireVisible=False)
-            second = Object(At((shared + 2, -10)), width=1, height=1, requireVisible=False)
-        graph = DependencyGraph(builder.scenario())
-        assert not graph.independent(first, second)
-        assert graph.group_of(first) is graph.group_of(second)
-
-    def test_mutated_static_object_is_not_static(self):
-        with ScenarioBuilder(workspace=square_workspace(100.0)) as builder:
-            ego = builder.set_ego(Object(At((0, 0)), Facing(0.0)))
-            builder.mutate(ego, scale=1.0)
-        graph = DependencyGraph(builder.scenario())
-        assert ego not in graph.static_objects
-
-    def test_gallery_scenario_couples_cars_through_the_ego(self):
-        # Both cars are placed in the randomly-positioned ego's visible
-        # region, so the whole scenario is one dependent group.
-        graph = DependencyGraph(scenarios.compile_scenario(scenarios.two_cars()))
-        assert len(graph.groups) == 1
-
-
-class TestBatchSampler:
-    def test_scenes_are_valid_and_candidates_collapse(self):
-        rejection_engine = SamplerEngine(containment_heavy_scenario(), "rejection")
-        batch_engine = SamplerEngine(containment_heavy_scenario(), "batch")
-        rejection_batch = rejection_engine.sample_batch(5, seed=0, max_iterations=200000)
-        partial_batch = batch_engine.sample_batch(5, seed=0, max_iterations=200000)
-        for scene in partial_batch:
-            assert not scene.has_collisions()
-            for scenic_object in scene.objects:
-                assert scene.workspace.contains_object(scenic_object)
-        # Partial resampling needs far fewer full candidate scenes.
-        assert (
-            partial_batch.stats.total_iterations * 5
-            < rejection_batch.stats.total_iterations
-        )
-        assert partial_batch.stats.combined().component_redraws > 0
-
-    def test_distribution_matches_rejection(self):
-        # Both strategies must sample uniformly from the feasible region; in
-        # this scenario that region is the whole workspace square, so mean
-        # coordinates should be near 0 for both.
-        def mean_coordinate(strategy):
-            engine = SamplerEngine(containment_heavy_scenario(2), strategy)
-            batch = engine.sample_batch(40, seed=7, max_iterations=200000)
-            coordinates = [
-                coordinate
-                for scene in batch
-                for scenic_object in scene.non_ego_objects
-                for coordinate in Vector.from_any(scenic_object.position)
-            ]
-            return sum(coordinates) / len(coordinates)
-
-        # A 30-wide square has a standard deviation of ~8.66 per axis; with
-        # 80 coordinates per strategy the means should sit well within +-3.
-        assert abs(mean_coordinate("rejection")) < 3.0
-        assert abs(mean_coordinate("batch")) < 3.0
-
-    def test_unsatisfiable_scenario_still_raises(self):
-        with ScenarioBuilder(workspace=square_workspace(2.0)) as builder:
-            builder.set_ego(Object(At((0, 0)), Facing(0.0)))
-            Object(At((30, 30)), width=1, height=1, requireVisible=False)  # outside, static
-        with pytest.raises(RejectionError):
-            SamplerEngine(builder.scenario(), "batch").sample(max_iterations=10, seed=0)
-
-
-    def test_group_gives_up_after_the_local_redraw_cap(self):
-        """A group that never holds is redrawn ``LOCAL_REDRAW_CAP - 1`` times per candidate.
-
-        Each failed group draw is booked under its cause, and the last one
-        rejects the candidate as a whole.
-        """
-        with ScenarioBuilder(workspace=square_workspace(30.0)) as builder:
-            builder.set_ego(Object(At((0, 0)), Facing(0.0)))
-            Object(In(CircularRegion((100.0, 0.0), 1.0)), requireVisible=False)
-        engine = SamplerEngine(builder.scenario(), "batch")
-        with pytest.raises(RejectionError):
-            engine.sample(max_iterations=2, seed=0)
-        stats = engine.last_stats
-        cap = BatchSampler.LOCAL_REDRAW_CAP
-        assert stats.iterations == 2
-        assert stats.component_redraws == 2 * (cap - 1)
-        assert stats.rejections_containment == stats.total_rejections == 2 * cap
 
 
 class TestPruneThenSample:
@@ -238,18 +137,18 @@ class TestBatchResultAggregation:
 
     def test_generate_reuses_engine_per_strategy(self):
         scenario = containment_heavy_scenario(1)
-        scenario.generate(seed=0, max_iterations=100000, strategy="batch")
-        first_engine = scenario._engine_cache["batch"]
-        scenario.generate(seed=1, max_iterations=100000, strategy="batch")
-        assert scenario._engine_cache["batch"] is first_engine
+        scenario.generate(seed=0, max_iterations=100000, strategy="vectorized")
+        first_engine = scenario._engine_cache["vectorized"]
+        scenario.generate(seed=1, max_iterations=100000, strategy="vectorized")
+        assert scenario._engine_cache["vectorized"] is first_engine
         assert first_engine.aggregate.scenes == 2
 
     def test_by_strategy_rollup(self):
-        engine = SamplerEngine(containment_heavy_scenario(1), "batch")
+        engine = SamplerEngine(containment_heavy_scenario(1), "vectorized")
         engine.sample_batch(3, seed=0, max_iterations=100000)
         rollup = engine.aggregate.by_strategy()
-        assert set(rollup) == {"batch"}
-        assert rollup["batch"].iterations == engine.aggregate.total_iterations
+        assert set(rollup) == {"vectorized"}
+        assert rollup["vectorized"].iterations == engine.aggregate.total_iterations
 
 
 class TestEngineEdgeCases:
@@ -262,11 +161,11 @@ class TestEngineEdgeCases:
         assert batch.stats.total_iterations == 0
 
     def test_empty_batch_under_every_builtin_strategy(self):
-        for name in ("rejection", "batch", "vectorized"):
+        for name in sorted(STRATEGIES):
             batch = containment_heavy_scenario(1).generate_batch(0, seed=0, strategy=name)
             assert list(batch) == []
 
-    @pytest.mark.parametrize("name", ["rejection", "batch", "vectorized"])
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_max_iterations_one_exhausts_with_aggregated_stats(self, name):
         with ScenarioBuilder() as builder:
             builder.set_ego(Object(At((0, 0)), Facing(0.0)))
@@ -316,62 +215,90 @@ class TestVectorizedSampler:
                 assert scene.workspace.contains_object(scenic_object)
 
     def test_block_size_does_not_change_accepted_scene(self, monkeypatch):
-        from repro.sampling import VectorizedSampler
-
         source = scenarios.two_cars()
 
         def fingerprint(block_size):
             monkeypatch.setattr(VectorizedSampler, "BLOCK_SIZE", block_size)
-            monkeypatch.setattr(VectorizedSampler, "MIN_BLOCK", min(block_size, 4))
             scenario = scenarios.compile_scenario(source)
             engine = SamplerEngine(scenario, "vectorized")
             return scene_fingerprint(engine.sample(seed=17, max_iterations=20000))
 
         assert fingerprint(1) == fingerprint(64)
 
-    def test_adaptive_ramp_gated_on_soft_requirements(self):
-        # The adaptive block ramp is only sound when no soft requirement
-        # rolls the shared RNG between candidates: a ``require[p]`` must
-        # force the legacy fixed-block schedule.
+    def test_block_ramp_ignores_soft_requirements(self):
+        """Blocks ramp 1, 2, 4, ..., 32 and stay at 32, whatever the scenario.
+
+        A ``require[p]`` flips a fresh coin per examined candidate, in draw
+        order, so the ramp is as valid under it as a fixed block.
+        """
         from repro.core.pruning import prune_scenario
-        from repro.sampling import VectorizedSampler
 
+        expected = [1, 2, 4, 8, 16, 32, 32, 32, 32]
         plain = scenarios.compile_scenario(scenarios.two_cars())
-        sampler = VectorizedSampler()
-        sampler.bind(plain)
-        assert sampler._adaptive is True
-
         soft = scenarios.compile_scenario(
             scenarios.two_cars() + "require[0.5] ego.position.x <= 10\n"
         )
-        sampler = VectorizedSampler()
-        sampler.bind(soft)
-        assert sampler._adaptive is False
+        pruned_soft = scenarios.compile_scenario(
+            scenarios.two_cars() + "require[0.5] ego.position.x <= 10\n"
+        )
+        prune_scenario(pruned_soft)
+        assert VectorizedSampler.BLOCK_SIZE == 32
+        assert list(itertools.islice(VectorizedSampler()._block_sizes(), 9)) == expected
+        for scenario in (plain, soft, pruned_soft):
+            sampler = VectorizedSampler()
+            sampler.bind(scenario)
+            assert list(itertools.islice(sampler._block_sizes(), 9)) == expected
 
-        # Pruning first leaves the soft requirement, and so the gate, intact.
-        prune_scenario(soft)
-        sampler = VectorizedSampler()
-        sampler.bind(soft)
-        assert sampler._adaptive is False
+    def test_block_ramp_matches_fixed_blocks(self):
+        """How draws are grouped into blocks cannot change the accepted candidate.
 
-    def test_adaptive_ramp_matches_fixed_block(self, monkeypatch):
-        # Candidates come off one sequential RNG stream in draw order, so
-        # how draws are grouped into rounds cannot change which candidate
-        # is accepted: any ramp == the full fixed block.
-        from repro.sampling import VectorizedSampler
+        Candidates come off one sequential RNG stream and are examined in
+        draw order, so without soft requirements the ramp, blocks of 32
+        and blocks of one (plain rejection) accept the same candidate after
+        the same number of examined candidates.
+        """
 
-        source = scenarios.two_cars()
+        from pathlib import Path
 
-        def fingerprint(block_size, min_block):
-            monkeypatch.setattr(VectorizedSampler, "BLOCK_SIZE", block_size)
-            monkeypatch.setattr(VectorizedSampler, "MIN_BLOCK", min_block)
-            scenario = scenarios.compile_scenario(source)
-            engine = SamplerEngine(scenario, "vectorized")
-            return scene_fingerprint(engine.sample(seed=29, max_iterations=20000))
+        from repro.language import compile_scenario
 
-        fixed = fingerprint(block_size=32, min_block=32)  # ramp disabled by floor
-        assert fingerprint(block_size=32, min_block=1) == fixed
-        assert fingerprint(block_size=64, min_block=2) == fixed
+        class FixedBlocks(VectorizedSampler):
+            def _block_sizes(self):
+                return itertools.repeat(self.BLOCK_SIZE)
+
+        program = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
+        artifact = compile_scenario((program / "mars_bottleneck.scenic").read_text())
+
+        def outcome(strategy):
+            engine = SamplerEngine(artifact, strategy)
+            scene = engine.sample(seed=20260729, max_iterations=20000)
+            return scene_fingerprint(scene), engine.last_stats.iterations
+
+        ramp = outcome("vectorized")
+        assert ramp[1] > 1 + 2 + 4 + 8 + 16 + 32  # accepted past the ramp
+        assert outcome(FixedBlocks()) == ramp
+        assert outcome("rejection") == ramp
+
+    def test_distribution_matches_rejection(self):
+        # Both strategies must sample uniformly from the feasible region; in
+        # this scenario that region is the whole workspace square, so mean
+        # coordinates should be near 0 for both, over multi-scene batches
+        # whose streams differ between the two.
+        def mean_coordinate(strategy):
+            engine = SamplerEngine(containment_heavy_scenario(2), strategy)
+            batch = engine.sample_batch(40, seed=7, max_iterations=200000)
+            coordinates = [
+                coordinate
+                for scene in batch
+                for scenic_object in scene.non_ego_objects
+                for coordinate in Vector.from_any(scenic_object.position)
+            ]
+            return sum(coordinates) / len(coordinates)
+
+        # A 30-wide square has a standard deviation of ~8.66 per axis; with
+        # 80 coordinates per strategy the means should sit well within +-3.
+        assert abs(mean_coordinate("rejection")) < 3.0
+        assert abs(mean_coordinate("vectorized")) < 3.0
 
 
 class TestStrategyRegistry:
@@ -380,26 +307,25 @@ class TestStrategyRegistry:
             make_strategy("nope")
 
     def test_builtin_strategies_registered(self):
-        from repro.sampling import VectorizedSampler
-
-        assert sorted(STRATEGIES) == ["batch", "rejection", "vectorized"]
+        assert sorted(STRATEGIES) == ["rejection", "vectorized"]
         assert isinstance(make_strategy("rejection"), RejectionSampler)
-        assert isinstance(make_strategy("batch"), BatchSampler)
         assert isinstance(make_strategy("vectorized"), VectorizedSampler)
 
     def test_custom_strategy_plugs_into_generate(self):
-        @register_strategy
+        """A strategy *instance* plugs in without joining :data:`STRATEGIES`."""
+
         class FirstCandidateSampler(RejectionSampler):
             """Accepts like rejection but records itself under its own name."""
 
             name = "test-first-candidate"
 
-        try:
-            scenario = containment_heavy_scenario(1)
-            scene = scenario.generate(seed=0, max_iterations=100000, strategy="test-first-candidate")
-            assert scene is not None
-        finally:
-            STRATEGIES.pop("test-first-candidate", None)
+        scenario = containment_heavy_scenario(1)
+        scene = scenario.generate(seed=0, max_iterations=100000, strategy=FirstCandidateSampler())
+        assert scene is not None
+        assert "test-first-candidate" not in STRATEGIES
+        engine = SamplerEngine(scenario, FirstCandidateSampler())
+        engine.sample(seed=0, max_iterations=100000)
+        assert set(engine.aggregate.by_strategy()) == {"test-first-candidate"}
 
     def test_strategy_instance_with_options_rejected(self):
         with pytest.raises(TypeError):
@@ -413,7 +339,7 @@ class TestStrategyRegistryEdgeCases:
         with pytest.raises(ValueError) as info:
             make_strategy("definitely-not-a-strategy")
         message = str(info.value)
-        for name in ("rejection", "batch", "vectorized"):
+        for name in ("rejection", "vectorized"):
             assert name in message
 
     def test_unknown_options_raise_type_error(self):
@@ -421,34 +347,6 @@ class TestStrategyRegistryEdgeCases:
             make_strategy("rejection", bogus_option=1)
         with pytest.raises(TypeError):
             make_strategy("vectorized", block_size=8, nope=True)
-
-    def test_register_strategy_overwrites_same_name(self):
-        original = STRATEGIES["rejection"]
-
-        @register_strategy
-        class ShadowingSampler(RejectionSampler):
-            name = "rejection"
-
-        try:
-            # Latest registration wins, and the engine resolves through the
-            # live registry (not a snapshot taken at import time).
-            assert STRATEGIES["rejection"] is ShadowingSampler
-            assert isinstance(make_strategy("rejection"), ShadowingSampler)
-            engine = SamplerEngine(containment_heavy_scenario(1), "rejection")
-            assert isinstance(engine.strategy, ShadowingSampler)
-        finally:
-            STRATEGIES["rejection"] = original
-        assert isinstance(make_strategy("rejection"), original)
-
-    def test_register_strategy_returns_class_for_decorator_use(self):
-        class Plug(RejectionSampler):
-            name = "test-plug"
-
-        try:
-            assert register_strategy(Plug) is Plug
-            assert STRATEGIES["test-plug"] is Plug
-        finally:
-            STRATEGIES.pop("test-plug", None)
 
 
 #: Statically infeasible: the analysis proves that no relative heading is
@@ -566,9 +464,8 @@ def single_cause_scenario(cause):
 def test_each_cause_is_booked_under_its_own_counter(strategy, cause):
     """A candidate that fails one check is booked under that check, exactly once.
 
-    Every rejection is either an examined candidate that was not accepted
-    or one of ``batch``'s local group redraws, so the counters sum to
-    ``iterations - scenes + component_redraws`` under every strategy.
+    Every rejection is an examined candidate that was not accepted, so the
+    counters sum to ``iterations - scenes`` under every strategy.
     """
     engine = SamplerEngine(single_cause_scenario(cause), strategy)
     batch = engine.sample_batch(20, seed=3, max_iterations=10000)
@@ -578,9 +475,7 @@ def test_each_cause_is_booked_under_its_own_counter(strategy, cause):
     assert {name: count for name, count in counters.items() if name != cause} == {
         name: 0 for name in CHAIN_CAUSES if name != cause
     }
-    assert stats.total_rejections == stats.iterations - len(batch) + stats.component_redraws
-    if strategy != "batch":
-        assert stats.component_redraws == 0
+    assert stats.total_rejections == stats.iterations - len(batch)
 
 
 def double_failure_scenario(first, second):
@@ -621,5 +516,58 @@ def test_chain_books_the_first_failing_check(strategy, first, second):
     stats = engine.last_stats
     assert stats.iterations == 5
     counters = rejection_counters(stats)
-    assert counters[first] == stats.iterations + stats.component_redraws
+    assert counters[first] == stats.iterations
     assert stats.total_rejections == counters[first]
+
+
+# ---------------------------------------------------------------------------
+# One scene from a fresh RNG: vectorized draws rejection's scene
+# ---------------------------------------------------------------------------
+
+
+def _plain_corpus_params():
+    """Every corpus program without a soft requirement; the first of each bucket is tier-1.
+
+    A ``require[p]`` flips its coins after a whole ``vectorized`` block is
+    drawn, so only programs without one share rejection's stream.
+    """
+    from repro.evals.corpus import Manifest
+
+    buckets = {}
+    for entry in Manifest.load():
+        if "soft-require" not in entry.features:
+            buckets.setdefault((entry.world, entry.difficulty), []).append(entry)
+    params = []
+    for _, bucket in sorted(buckets.items()):
+        for position, entry in enumerate(bucket):
+            marks = [] if position == 0 else [pytest.mark.slow]
+            params.append(pytest.param(entry, marks=marks, id=entry.id))
+    return params
+
+
+@pytest.mark.parametrize("entry", _plain_corpus_params())
+def test_vectorized_draws_rejections_scene_from_a_fresh_rng(entry):
+    """The service's per-scene seeds give the same scene under both strategies.
+
+    Compared by scene record and by examined candidates, exhaustion
+    included: the ramp starts at one candidate, so an easy scene costs
+    ``vectorized`` no draw that ``rejection`` does not make.
+    """
+    from repro.core.errors import RejectionError
+    from repro.fuzz.oracles import scene_record
+    from repro.language import compile_scenario
+    from repro.service.protocol import derive_scene_seeds
+
+    artifact = compile_scenario(entry.source())
+    assert not any(requirement.is_soft for requirement in artifact.scenario().requirements)
+    for seed in derive_scene_seeds(777, 1 if entry.difficulty == "hard" else 4):
+        outcomes = {}
+        for strategy in sorted(STRATEGIES):
+            engine = SamplerEngine(artifact, strategy)
+            try:
+                record = scene_record(engine.sample(seed=seed, max_iterations=3000))
+            except RejectionError:
+                record = None
+            outcomes[strategy] = (record, engine.last_stats.iterations)
+        assert outcomes["vectorized"] == outcomes["rejection"], (entry.id, seed)
+

@@ -140,9 +140,12 @@ class TestUserRequirements:
             builder.scenario().generate(max_iterations=20, seed=0)
 
     def test_soft_requirement_holds_with_at_least_its_probability(self):
-        # require[0.8] x <= 5 where x uniform on (0, 10): the condition holds
-        # with probability 0.5 unconditionally, and must hold in at least
-        # ~0.8 + 0.2*0.5 = 0.9 of accepted scenes... at minimum well above 50%.
+        # require[0.9] B, where B is "other within 25 m of the ego" and other
+        # is uniform over a radius-50 disc around the ego: B holds in a
+        # candidate with probability q = (25/50)^2 = 0.25.  A candidate is
+        # accepted when B holds or its 0.9 coin skips the check, so accepted
+        # scenes satisfy B with probability q / (1 - p + p*q) = 0.25 / 0.325
+        # ~= 0.769: well above q, though below p.
         region = CircularRegion((0, 0), 50.0)
         with ScenarioBuilder(workspace=small_workspace(200)) as builder:
             ego = builder.set_ego(Object(At((0, 0)), Facing(0.0)))

@@ -53,13 +53,13 @@ TOLERANCE = 1e-9
 GOLDEN_REQUESTS = [
     ("two_cars", "rejection"),
     ("two_cars", "vectorized"),
-    ("two_cars", "batch"),
     ("oncoming", "rejection"),
-    ("oncoming", "batch"),
+    ("oncoming", "vectorized"),
     ("mars_rubble_field", "rejection"),
     ("mars_rubble_field", "vectorized"),
     ("close_car", "rejection"),
-    ("single_car", "batch"),
+    ("close_car", "vectorized"),
+    ("single_car", "vectorized"),
 ]
 
 
@@ -140,10 +140,9 @@ Object at Range(-3, 3) @ 4
     [
         ("two_cars", "rejection"),
         ("two_cars", "vectorized"),
-        ("two_cars", "batch"),
         ("params", "rejection"),
     ],
-    ids=["rejection", "vectorized", "batch", "params"],
+    ids=["rejection", "vectorized", "params"],
 )
 def test_sharded_splitmix_seeds_are_worker_count_invariant(program, strategy):
     """The same (seed, n) request gives the same records however it is sharded.
@@ -197,6 +196,37 @@ def test_direct_mode_matches_generate_batch():
     assert [record["objects"] for record in response.scenes] == [
         scene_record(scene)["objects"] for scene in batch
     ]
+
+
+def test_a_request_without_a_strategy_draws_with_vectorized():
+    """``vectorized`` is the default of every service front door.
+
+    The Python API, the end frame of a stream, HTTP ``POST /generate``,
+    ``generate_sync`` and the ``generate`` CLI all name it, and the scenes
+    are the ones an explicit ``strategy="vectorized"`` request gets.
+    """
+    from repro.service.__main__ import build_parser
+
+    source = _source("two_cars")
+
+    async def run():
+        async with GenerationService(workers=0) as service:
+            implicit = await service.generate(source, n=2, seed=3)
+            explicit = await service.generate(source, n=2, seed=3, strategy="vectorized")
+            frames = [frame async for frame in service.generate_stream(source, n=2, seed=3)]
+            async with HttpGenerationServer(service) as http:
+                status, body = await http_request(
+                    http.host, http.port, "POST", "/generate",
+                    {"source": source, "n": 2, "seed": 3},
+                )
+        return implicit, explicit, frames[-1], status, json.loads(body)
+
+    implicit, explicit, end, status, answer = asyncio.run(run())
+    assert implicit.strategy == end["strategy"] == answer["strategy"] == "vectorized"
+    assert implicit.scenes == explicit.scenes == answer["scenes"]
+    assert status == 200
+    assert generate_sync(source, n=1, seed=3).strategy == "vectorized"
+    assert build_parser().parse_args(["generate", "-"]).strategy == "vectorized"
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +312,7 @@ PROVABLY_INFEASIBLE = (
 )
 
 
-@pytest.mark.parametrize("strategy", ["rejection", "batch", "vectorized"])
+@pytest.mark.parametrize("strategy", ["rejection", "vectorized"])
 @pytest.mark.parametrize(
     "program",
     [PROVABLY_INFEASIBLE, "ego = Object at 0 @ 0\nrequire ego.position.x > 1\n"],
@@ -322,7 +352,7 @@ def test_compile_error_raises_generation_failed():
 @pytest.mark.parametrize(
     "field,value,needle",
     [
-        ("strategy", "nope", "known: batch, rejection, vectorized"),
+        ("strategy", "nope", "known: rejection, vectorized"),
         ("max_iterations", 0, "max_iterations must be at least 1"),
         ("n", 2.5, "'n' must be an integer, not 2.5"),
         ("n", True, "'n' must be an integer, not true"),

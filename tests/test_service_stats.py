@@ -26,7 +26,6 @@ def _random_stats(rng):
         rejections_visibility=rng.randrange(0, 5),
         rejections_user=rng.randrange(0, 5),
         rejections_sampling=rng.randrange(0, 5),
-        component_redraws=rng.randrange(0, 8),
         elapsed_seconds=rng.random() / 100,
     )
 
@@ -46,7 +45,7 @@ def _outcome(stats_dict, pid=1000):
 def _draws(rng, count):
     draws = []
     for _ in range(count):
-        strategy = rng.choice(["rejection", "vectorized", "batch"])
+        strategy = rng.choice(["rejection", "vectorized"])
         draws.append((strategy, _random_stats(rng)))
     return draws
 
@@ -75,7 +74,7 @@ def test_sharded_merge_equals_single_shard(seed, shard_count):
          for index, shard in enumerate(shards)]
     )
 
-    for key in ("scenes", "draws", "iterations", "component_redraws", "candidates"):
+    for key in ("scenes", "draws", "iterations", "candidates"):
         assert merged_sharded[key] == merged_single[key], key
     assert merged_sharded["rejections"] == merged_single["rejections"]
 
@@ -89,7 +88,7 @@ def test_candidates_sum_across_shards():
     shard_a = AggregateStats()
     shard_a.record(GenerationStats(iterations=40), "rejection")
     shard_b = AggregateStats()
-    shard_b.record(GenerationStats(iterations=5), "batch")
+    shard_b.record(GenerationStats(iterations=5), "vectorized")
 
     assert shard_a.to_shard_stats()["candidates"] == 40
     assert shard_b.to_shard_stats()["candidates"] == 5

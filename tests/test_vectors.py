@@ -1,6 +1,8 @@
 """Unit tests for 2-D vectors, rotations and the heading convention."""
 
+import copy
 import math
+import pickle
 
 import pytest
 
@@ -54,6 +56,33 @@ class TestVectorBasics:
         assert list(vector) == [5, 7]
         assert vector[0] == 5 and vector[1] == 7
         assert len(vector) == 2
+
+    def test_copy_deepcopy_and_pickle_round_trip(self):
+        vector = Vector(0.1, -2.5e-300)
+        for twin in (
+            copy.copy(vector),
+            copy.deepcopy(vector),
+            *(pickle.loads(pickle.dumps(vector, protocol)) for protocol in range(6)),
+        ):
+            assert type(twin) is Vector
+            assert (twin.x, twin.y) == (vector.x, vector.y)
+            with pytest.raises(AttributeError):
+                twin.x = 5
+        with pytest.raises(AttributeError):
+            vector.y = 5
+
+    def test_polygon_with_a_built_edge_table_round_trips(self):
+        from repro.geometry.polygon import Polygon
+
+        polygon = Polygon([(0, 0), (4, 0), (4, 3), (0, 3)])
+        assert polygon.contains_point((1, 1))  # builds the edge table
+        assert polygon._edges is not None
+        for twin in (copy.deepcopy(polygon), pickle.loads(pickle.dumps(polygon))):
+            assert twin.vertices == polygon.vertices
+            assert all(type(vertex) is Vector for vertex in twin.vertices)
+            assert twin._edges == polygon._edges
+            assert twin.contains_point((1, 1)) and not twin.contains_point((5, 1))
+            assert twin.distance_to_point((7, 3)) == polygon.distance_to_point((7, 3)) == 3.0
 
 
 class TestHeadingConvention:
