@@ -1,4 +1,4 @@
-"""Pruning benchmarks for the sampling engine (`repro/sampling/`).
+"""Pruning benchmarks for scene sampling (`repro/sampling/`).
 
 The paper's count claims for the Sec. 5.2 pruning pass, under assertion
 (this benchmark is their regression guard):
@@ -15,7 +15,6 @@ Only counts are asserted.  Wall time is measured end to end by
 from repro.core.pruning import prune_scenario
 from repro.experiments import scenarios
 from repro.experiments.pruning_eval import measure_sampling
-from repro.sampling import SamplerEngine
 
 
 def test_pruning_sampler_reduces_iterations(benchmark, record_result):
@@ -74,8 +73,9 @@ def test_auto_pruning_beats_containment_only(benchmark, record_result):
         report = prune_scenario(
             scenario, bounds.containment_only() if containment_only else bounds
         )
-        engine = SamplerEngine(scenario, "rejection")
-        batch = engine.sample_batch(scene_count, seed=0, max_iterations=200000)
+        batch = scenario.generate_batch(
+            scene_count, seed=0, max_iterations=200000, strategy="rejection"
+        )
         combined = batch.stats.combined()
         return {
             "iterations": combined.iterations,

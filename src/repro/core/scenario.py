@@ -6,9 +6,9 @@ the declared requirements and the workspace.  ``Scenario.generate`` samples
 a scene by rejection: a joint sample of all random values is drawn,
 concrete objects are instantiated (applying mutation noise), and the scene
 is accepted only if the built-in requirements (containment, non-collision,
-visibility — Sec. 3) and all user requirements hold.  The sampling loop
-itself lives in the engine of :mod:`repro.sampling`;
-``generate``/``generate_batch`` are thin wrappers over it.
+visibility — Sec. 3) and all user requirements hold.  The candidate loop
+itself lives in the strategies of :mod:`repro.sampling`;
+``generate``/``generate_batch`` pick a strategy and run it.
 
 :class:`ScenarioBuilder` is the Python-level front end: a context manager
 that collects objects, the ego, parameters and requirements as they are
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
 from .context import ScenarioContext, pop_context, push_context
-from .errors import InvalidScenarioError
+from .errors import InvalidScenarioError, RejectionError
 from .objects import Object
 from .requirements import Requirement
 from .scene import Scene
@@ -85,7 +85,6 @@ class Scenario:
         self.requirements: List[Requirement] = list(requirements or [])
         self.workspace = workspace if workspace is not None else Workspace()
         self.last_stats: Optional[GenerationStats] = None
-        self._engine_cache: Dict[str, Any] = {}
         #: The :class:`~repro.language.CompiledScenario` this scenario came
         #: out of (set by :mod:`repro.language.compiler`; ``None`` for
         #: scenarios built through the Python API) — pruning reads the
@@ -93,20 +92,6 @@ class Scenario:
         self.compiled_artifact: Optional[Any] = None
 
     # -- construction helpers ---------------------------------------------------
-
-    @classmethod
-    def from_source(cls, source: str, fresh: bool = True, **scenario_options: Any) -> "Scenario":
-        """Compile Scenic *source* into a scenario via the artifact cache.
-
-        A convenience front door to :func:`repro.language.compile_scenario`:
-        warm compiles skip the lexer and parser (and, with ``fresh=False``,
-        the interpreter too — returning the artifact's shared scenario; see
-        the sharing caveat on
-        :meth:`repro.language.CompiledScenario.scenario`).
-        """
-        from ..language.compiler import compile_scenario  # language builds on core
-
-        return compile_scenario(source).scenario(fresh=fresh, **scenario_options)
 
     @classmethod
     def from_context(cls, context: ScenarioContext, workspace: Optional[Workspace] = None) -> "Scenario":
@@ -131,21 +116,20 @@ class Scenario:
     ) -> Scene:
         """Sample one scene satisfying all requirements.
 
-        A thin wrapper over :class:`repro.sampling.SamplerEngine`: *strategy*
-        selects a sampling strategy (``"rejection"`` — the default,
+        *strategy* names a sampling strategy (``"rejection"`` — the default,
         draw-for-draw identical to the historical behaviour — or
-        ``"vectorized"``).  Engines are cached per strategy name, so an
-        engine's aggregate statistics span every call.  Raises
+        ``"vectorized"``; see :data:`repro.sampling.STRATEGIES`), or is a
+        strategy instance, which is used as given.  Raises
         :class:`RejectionError` if no valid scene is found within
-        *max_iterations* candidate samples.  Statistics about the run are
-        stored in :attr:`last_stats`.
+        *max_iterations* candidate samples.  Statistics about the draw are
+        stored in :attr:`last_stats`, also when it fails.
         """
-        engine = self._engine_for(strategy)
-        try:
-            return engine.sample(max_iterations=max_iterations, rng=rng, seed=seed)
-        finally:
-            if engine.last_stats is not None:
-                self.last_stats = engine.last_stats
+        scene, self.last_stats = _sampling_strategy(strategy).sample(
+            self, max_iterations, rng if rng is not None else _random.Random(seed)
+        )
+        if scene is None:
+            raise RejectionError(max_iterations)
+        return scene
 
     def generate_batch(
         self,
@@ -171,28 +155,20 @@ class Scenario:
         ``strategy="rejection"`` for draw-for-draw parity of the whole
         batch with repeated ``generate`` calls.
         """
-        engine = self._engine_for(strategy)
+        from ..sampling import AggregateStats, SceneBatch  # sampling builds on core
+
+        aggregate = AggregateStats()
         try:
-            return engine.sample_batch(count, max_iterations=max_iterations, rng=rng, seed=seed)
+            scenes = _sampling_strategy(strategy).sample_batch(
+                self,
+                count,
+                max_iterations,
+                rng if rng is not None else _random.Random(seed),
+                aggregate,
+            )
         finally:
-            if engine.last_stats is not None:
-                self.last_stats = engine.last_stats
-
-    def _engine_for(self, strategy: Union[str, Any]):
-        """A :class:`~repro.sampling.SamplerEngine` for this scenario.
-
-        Engines for a strategy *name* are cached, so one engine's aggregate
-        statistics span repeated ``generate`` calls.  Strategy *instances*
-        are not cached — the caller manages their lifetime.
-        """
-        from ..sampling import SamplerEngine  # local import: sampling builds on core
-
-        if not isinstance(strategy, str):
-            return SamplerEngine(self, strategy=strategy)
-        engine = self._engine_cache.get(strategy)
-        if engine is None:
-            engine = self._engine_cache[strategy] = SamplerEngine(self, strategy=strategy)
-        return engine
+            self.last_stats = aggregate.combined()
+        return SceneBatch(scenes, aggregate)
 
     # -- misc -------------------------------------------------------------------
 
@@ -201,6 +177,13 @@ class Scenario:
             f"Scenario({len(self.objects)} objects, {len(self.requirements)} requirements, "
             f"params={sorted(self.params)})"
         )
+
+
+def _sampling_strategy(strategy: Union[str, Any]) -> Any:
+    """*strategy* as a strategy instance: a name goes through ``make_strategy``."""
+    from ..sampling import make_strategy  # sampling builds on core
+
+    return make_strategy(strategy) if isinstance(strategy, str) else strategy
 
 
 class ScenarioBuilder:

@@ -238,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--via-service",
         action="store_true",
-        help="score through the generation service instead of the engine",
+        help="score through the generation service instead of in-process",
     )
     run.add_argument("--out", default=str(SCORECARD_JSON))
     run.add_argument("--md", default=str(SCORECARD_MD))

@@ -22,16 +22,23 @@ complementary distances are computed per property:
 
 The KS statistic and binned chi-square from PR 6's statistical-equivalence
 oracle (:mod:`repro.fuzz.oracles`) are reused as-is for the significance
-view; this module only adds the magnitude view on top.
+view; this module only adds the magnitude view on top.  The compared
+properties (:func:`scene_features`, :func:`feature_columns`) come from
+there too, so coverage numbers and oracle E verdicts are about the same
+quantities.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from ..core.vectors import Vector
-from ..core.utils import normalize_angle
-from ..fuzz.oracles import chi_square_quantile, chi_square_two_sample, ks_statistic
+from ..fuzz.oracles import (
+    chi_square_quantile,
+    chi_square_two_sample,
+    feature_columns,
+    ks_statistic,
+    scene_features,
+)
 
 #: Bin count for :func:`histogram_distance`; coarse enough that a
 #: 40-to-80-scene batch fills bins, fine enough that a half-spread shift is
@@ -96,39 +103,6 @@ def emd_distance(reference: Sequence[float], candidate: Sequence[float]) -> floa
     raw = sum(abs(a - b) for a, b in zip(sorted_ref, sorted_cand)) / len(reference)
     spread = sorted_ref[-1] - sorted_ref[0]
     return raw / (spread if spread > 0 else 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Scene feature columns (the compared marginals)
-# ---------------------------------------------------------------------------
-
-
-def scene_features(scene) -> Dict[str, float]:
-    """Per-scene marginal values: object x/y/heading + pairwise distances.
-
-    The same feature set as the fuzzer's statistical-equivalence oracle, so
-    eval coverage numbers and oracle E verdicts are about the same
-    quantities.
-    """
-    features: Dict[str, float] = {}
-    positions = [Vector.from_any(obj.position) for obj in scene.objects]
-    for index, (obj, point) in enumerate(zip(scene.objects, positions)):
-        features[f"object{index}.x"] = point.x
-        features[f"object{index}.y"] = point.y
-        features[f"object{index}.heading"] = normalize_angle(float(obj.heading))
-    for i in range(len(positions)):
-        for j in range(i + 1, len(positions)):
-            features[f"distance({i},{j})"] = positions[i].distance_to(positions[j])
-    return features
-
-
-def feature_columns(scenes: Sequence) -> Dict[str, List[float]]:
-    """Column-major feature values over a batch of scenes."""
-    columns: Dict[str, List[float]] = {}
-    for scene in scenes:
-        for name, value in scene_features(scene).items():
-            columns.setdefault(name, []).append(value)
-    return columns
 
 
 #: A property whose combined spread is below this is deterministic — there

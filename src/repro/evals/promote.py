@@ -37,7 +37,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..core.errors import RejectionError, ScenicError
 from ..fuzz.program_gen import generate_program
 from ..fuzz.runner import derive_seed
-from ..sampling import SamplerEngine
 from .corpus import (
     CorpusEntry,
     EXAMPLES_DIR,
@@ -87,14 +86,13 @@ def measure_source(
 
     artifact = compile_scenario(source)
     scenario = artifact.scenario()
-    objects = len(scenario.objects)
-    engine = SamplerEngine(artifact, strategy="rejection")
+    iterations = 0
     for index in range(trial_scenes):
-        engine.sample(max_iterations=max_iterations, seed=derive_seed(seed, index))
-    iterations = engine.aggregate.total_iterations
+        scenario.generate(max_iterations=max_iterations, seed=derive_seed(seed, index))
+        iterations += scenario.last_stats.iterations
     return Measurement(
         fingerprint=artifact.fingerprint,
-        objects=objects,
+        objects=len(scenario.objects),
         iterations_per_scene=iterations / trial_scenes,
     )
 

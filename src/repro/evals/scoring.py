@@ -30,7 +30,7 @@ unaffected, so two runs disagree on nothing but timing.
 (inline workers): the same derived request runs through
 :func:`repro.service.service.generate_sync` and coverage is computed from
 the JSON scene records the service returns — an end-to-end check that the
-serving path preserves the engine's output distribution.
+serving path preserves the in-process output distribution.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from ..core.errors import InfeasibleScenarioError, RejectionError, ScenicError
 from ..core.vectors import Vector
 from ..core.utils import normalize_angle
 from ..fuzz.runner import derive_seed
-from ..sampling import SamplerEngine
 from ..sampling.stats import AggregateStats
 from .metrics import coverage_summary, feature_columns
 
@@ -71,11 +70,11 @@ def _batch_seeds(base_seed: int, strategy: str, samples: int) -> List[int]:
 
 
 # ---------------------------------------------------------------------------
-# Engine-path scoring
+# In-process scoring
 # ---------------------------------------------------------------------------
 
 
-def _run_engine_batch(
+def _run_inprocess_batch(
     artifact: Any,
     strategy: str,
     seeds: Sequence[int],
@@ -85,34 +84,29 @@ def _run_engine_batch(
     """Draw one scene per seed; returns scenes + metric dict + status."""
     instance = strategy_factory(strategy) if strategy_factory is not None else strategy
     start = time.perf_counter()
-    try:
-        engine = SamplerEngine(artifact, strategy=instance)
-    except ScenicError as error:
-        return {
-            "scenes": [],
-            "status": f"error:{type(error).__name__}",
-            "metrics": AggregateStats().as_eval_metrics(),
-            "wall_seconds": time.perf_counter() - start,
-        }
+    scenario = artifact.scenario()
+    aggregate = AggregateStats()
     scenes = []
     failures = 0
     status = "ok"
     for seed in seeds:
         try:
-            scenes.append(engine.sample(max_iterations=max_iterations, seed=seed))
+            scene = scenario.generate(max_iterations=max_iterations, seed=seed, strategy=instance)
         except RejectionError:
+            aggregate.record(scenario.last_stats, accepted=False)
             failures += 1
             status = "budget_exhausted"
-        except InfeasibleScenarioError as error:
-            # Pruning proved the scenario empty — that is a scoring verdict
-            # (and, for a corpus program known feasible, a soundness bug).
-            status = f"error:{type(error).__name__}"
-            break
+            continue
         except ScenicError as error:
+            # An InfeasibleScenarioError means pruning proved the scenario
+            # empty — that is a scoring verdict (and, for a corpus program
+            # known feasible, a soundness bug).
             status = f"error:{type(error).__name__}"
             break
+        aggregate.record(scenario.last_stats)
+        scenes.append(scene)
     wall = time.perf_counter() - start
-    metrics = engine.aggregate.as_eval_metrics()
+    metrics = aggregate.as_eval_metrics()
     metrics["failed_draws"] = failures
     return {"scenes": scenes, "status": status, "metrics": metrics, "wall_seconds": wall}
 
@@ -191,14 +185,15 @@ def _run_service_batch(
 # ---------------------------------------------------------------------------
 
 
-def pruning_summary(source_like: Any) -> Dict[str, Any]:
-    """Run the automatic pruning pass once; JSON-safe report (or error)."""
+def pruning_summary(artifact: Any) -> Dict[str, Any]:
+    """Run the automatic pruning pass once on a fresh scenario of *artifact*.
+
+    Returns a JSON-safe report (or error).
+    """
     from ..core.pruning import prune_scenario
-    from ..sampling.engine import resolve_scenario
 
     try:
-        scenario = resolve_scenario(source_like, fresh=True)
-        report = prune_scenario(scenario)
+        report = prune_scenario(artifact.scenario(fresh=True))
     except InfeasibleScenarioError as error:
         return {"applied": False, "error": f"InfeasibleScenarioError: {error}"}
     except ScenicError as error:
@@ -252,7 +247,7 @@ def score_scenario(
     def run(strategy: str) -> Dict[str, Any]:
         if via_service:
             return _run_service_batch(source, strategy, seed, samples, max_iterations)
-        outcome = _run_engine_batch(
+        outcome = _run_inprocess_batch(
             artifact,
             strategy,
             _batch_seeds(seed, strategy, samples),

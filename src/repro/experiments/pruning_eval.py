@@ -23,7 +23,7 @@ from typing import Dict, List, Tuple, Union
 
 from ..core.pruning import prune_scenario
 from ..core.scenario import Scenario
-from ..sampling import SamplerEngine, SamplingStrategy
+from ..sampling import SamplingStrategy
 from . import scenarios
 from .reporting import TableRow, format_table
 
@@ -69,19 +69,17 @@ def measure_sampling(
 ) -> SamplingMeasurement:
     """Generate *samples* scenes and record the iteration counts and time.
 
-    Sampling goes through :class:`repro.sampling.SamplerEngine`, so either
-    strategy (``"rejection"``, ``"vectorized"``) can be measured, on a
-    pruned scenario too; per-scene
-    diagnostics come from the engine's aggregate stats.
+    Sampling goes through ``Scenario.generate``, so either strategy
+    (``"rejection"``, ``"vectorized"``) can be measured, on a pruned
+    scenario too; per-scene diagnostics come from ``last_stats``.
     """
-    engine = SamplerEngine(scenario, strategy=strategy)
     rng = _random.Random(seed)
     iterations: List[float] = []
     times: List[float] = []
     for _ in range(samples):
-        engine.sample(max_iterations=max_iterations, rng=rng)
-        iterations.append(float(engine.last_stats.iterations))
-        times.append(engine.last_stats.elapsed_seconds)
+        scenario.generate(max_iterations=max_iterations, rng=rng, strategy=strategy)
+        iterations.append(float(scenario.last_stats.iterations))
+        times.append(scenario.last_stats.elapsed_seconds)
     return SamplingMeasurement(
         scenario_name=name,
         mean_iterations=sum(iterations) / len(iterations),

@@ -62,12 +62,12 @@ import numpy as np
 from ..core.distributions import Distribution, Sample, concretize
 from ..core.errors import RejectionError, RejectSample, ScenicError
 from ..core.objects import Constructible
+from ..core.pruning import _mutation_enabled, prune_scenario
 from ..core.regions import CircularRegion, RectangularRegion
 from ..core.utils import normalize_angle
 from ..core.vectors import Vector
 from ..geometry import kernel
 from ..language import scenario_from_string
-from ..sampling import SamplerEngine
 from ..sampling.strategies import STRATEGIES
 from .program_gen import GeneratedProgram, PlannedCheck
 
@@ -300,7 +300,6 @@ def check_pruning_soundness(source: str, scene) -> List[str]:
     not apply (and pruning itself skips them).
     """
     from ..core.errors import InfeasibleScenarioError
-    from ..core.pruning import _mutation_enabled, prune_scenario
     from ..core.regions import PointInRegionDistribution
 
     scenario = _fresh_compile(source)
@@ -591,8 +590,14 @@ def chi_square_quantile(df: int, z: float = CHI2_Z_QUANTILE) -> float:
     return df * (1.0 - h + z * math.sqrt(h)) ** 3
 
 
-def _scene_features(scene) -> Dict[str, float]:
-    """The per-property marginals oracle E compares across strategies."""
+def scene_features(scene) -> Dict[str, float]:
+    """Per-scene marginal values: object x/y/heading + pairwise distances.
+
+    The properties oracle E compares across strategies, and the ones the
+    quality-eval harness (:mod:`repro.evals.metrics`) scores coverage on,
+    so eval coverage numbers and oracle E verdicts are about the same
+    quantities.
+    """
     features: Dict[str, float] = {}
     positions = [Vector.from_any(obj.position) for obj in scene.objects]
     for index, (obj, point) in enumerate(zip(scene.objects, positions)):
@@ -605,21 +610,26 @@ def _scene_features(scene) -> Dict[str, float]:
     return features
 
 
+def feature_columns(scenes: Sequence) -> Dict[str, List[float]]:
+    """Column-major feature values over a batch of scenes."""
+    columns: Dict[str, List[float]] = {}
+    for scene in scenes:
+        for name, value in scene_features(scene).items():
+            columns.setdefault(name, []).append(value)
+    return columns
+
+
 def _feature_batch(
     source: str, strategy: str, samples: int, seed: int, max_iterations: int
 ) -> Optional[Dict[str, List[float]]]:
     """Per-property value lists over a *samples*-scene batch, None on exhaustion."""
-    scenario = _fresh_compile(source)
-    engine = SamplerEngine(scenario, strategy=strategy)
     try:
-        batch = engine.sample_batch(samples, max_iterations=max_iterations, seed=seed)
+        batch = _fresh_compile(source).generate_batch(
+            samples, max_iterations=max_iterations, seed=seed, strategy=strategy
+        )
     except RejectionError:
         return None
-    columns: Dict[str, List[float]] = {}
-    for scene in batch:
-        for name, value in _scene_features(scene).items():
-            columns.setdefault(name, []).append(value)
-    return columns
+    return feature_columns(batch)
 
 
 def check_statistical_equivalence(
@@ -696,27 +706,6 @@ def _fresh_compile(source: str):
     scenarios stay independent (pruning mutates regions in place).
     """
     return scenario_from_string(source)
-
-
-def _mutation_enabled(obj) -> bool:
-    """Whether mutation noise may apply to *obj* in the symbolic scenario.
-
-    The scale can be a distribution (``mutate x by (0.1, 0.5)``) or a lazy
-    value — anything but a concrete zero counts as mutation-active, and the
-    probe must never branch on a random value's truthiness.
-    """
-    from ..core.distributions import needs_sampling
-    from ..core.lazy import is_lazy
-
-    scale = obj.properties.get("mutationScale", 0.0)
-    if scale is None:
-        return False
-    if needs_sampling(scale) or is_lazy(scale):
-        return True
-    try:
-        return float(scale) != 0.0
-    except (TypeError, ValueError):
-        return True
 
 
 def default_strategies() -> List[Union[str, Any]]:
@@ -807,8 +796,7 @@ def run_oracles(
         name = strategy if isinstance(strategy, str) else strategy.name
         try:
             scenario = _fresh_compile(source)
-            engine = SamplerEngine(scenario, strategy=strategy)
-            return scenario, engine.sample(max_iterations=budget, seed=seed)
+            return scenario, scenario.generate(max_iterations=budget, seed=seed, strategy=strategy)
         except RejectionError:
             return None, None
         except Exception as error:  # noqa: BLE001 - the crash oracle
@@ -955,6 +943,8 @@ __all__ = [
     "chi_square_quantile",
     "chi_square_two_sample",
     "ks_statistic",
+    "scene_features",
+    "feature_columns",
     "run_oracles",
     "default_strategies",
 ]

@@ -6,8 +6,8 @@ construction re-lexed, re-parsed and re-interpreted the source.  This module
 splits compilation into an explicit, reusable step:
 
 ``compile_scenario(source)`` returns a :class:`CompiledScenario` — the
-parsed AST plus lazily-derived static metadata (resolved class table,
-per-object sampling facts) — and caches it,
+parsed AST plus lazily-derived metadata (the ego's index and each object's
+class) — and caches it,
 keyed by a content hash of the source, in a process-wide in-memory LRU
 (:class:`ArtifactCache`).  Warm-path construction therefore skips the
 lexer and parser entirely; the fully
@@ -25,7 +25,7 @@ Typical use::
     scene = scenario.generate(seed=0)
 
     fresh = artifact.scenario(fresh=True)   # independent Scenario (e.g. for pruning)
-    artifact.metadata.class_table           # {'Car': ClassSummary(...), ...}
+    artifact.metadata.objects               # (ObjectSummary(index=0, class_name='Car'), ...)
 
 Artifacts never leave their process: :mod:`repro.service` ships a
 program's source text to its workers, and each worker compiles it into its
@@ -44,7 +44,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..core.scenario import Scenario
 from . import ast_nodes as ast
@@ -92,101 +92,32 @@ def source_fingerprint(source: str) -> str:
 
 
 @dataclass(frozen=True)
-class ClassSummary:
-    """One entry of the resolved class table: a class defined by the program."""
-
-    name: str
-    superclass: Optional[str]  # None = implicit Object base
-    properties: Tuple[str, ...]  # property names given default values
-
-
-@dataclass(frozen=True)
 class ObjectSummary:
-    """Static sampling facts about one scenario object (by scenario index)."""
+    """One scenario object, by scenario index: what its creation made."""
 
     index: int
     class_name: str
-    random_properties: Tuple[str, ...]  # properties that draw from the RNG
-    mutation_enabled: bool
 
 
 @dataclass(frozen=True)
 class ArtifactMetadata:
-    """Per-program static analysis, derived once and cached on the artifact.
+    """Per-program facts, derived once and cached on the artifact.
 
-    Everything here is plain data: the pruning analysis reads it, and
-    strategies could use it to pre-size their buffers without touching the
-    live scenario.
+    Plain data: the pruning analysis cross-checks the object creations it
+    sees in the AST against these (``analysis.analyzer`` ``verify_mapping``).
     """
 
-    object_count: int
     ego_index: int
-    param_names: Tuple[str, ...]
-    requirement_count: int
-    soft_requirement_count: int
-    class_table: Tuple[ClassSummary, ...]
     objects: Tuple[ObjectSummary, ...]
 
 
-def _class_table_from_program(program: ast.Program) -> Tuple[ClassSummary, ...]:
-    """Collect every class definition in the program (including nested ones)."""
-    summaries: List[ClassSummary] = []
-    stack: List[Any] = list(program.statements)
-    while stack:
-        node = stack.pop(0)
-        if isinstance(node, ast.ClassDefinition):
-            summaries.append(
-                ClassSummary(
-                    name=node.name,
-                    superclass=node.superclass,
-                    properties=tuple(name for name, _ in node.properties),
-                )
-            )
-        for value in vars(node).values():
-            if isinstance(value, ast.Node):
-                stack.append(value)
-            elif isinstance(value, (list, tuple)):
-                stack.extend(item for item in value if isinstance(item, ast.Node))
-    return tuple(summaries)
-
-
-def _metadata_from_scenario(program: ast.Program, scenario: Scenario) -> ArtifactMetadata:
-    from ..core.distributions import needs_sampling
-    from ..core.lazy import is_lazy
-
-    object_summaries: List[ObjectSummary] = []
-    for index, scenic_object in enumerate(scenario.objects):
-        random_properties = tuple(
-            sorted(
-                name
-                for name, value in scenic_object.properties.items()
-                if needs_sampling(value) or is_lazy(value)
-            )
-        )
-        scale = scenic_object.properties.get("mutationScale", 0.0)
-        try:
-            mutation = needs_sampling(scale) or float(scale) != 0.0
-        except (TypeError, ValueError):
-            mutation = True
-        object_summaries.append(
-            ObjectSummary(
-                index=index,
-                class_name=type(scenic_object).__name__,
-                random_properties=random_properties,
-                mutation_enabled=mutation,
-            )
-        )
-
+def _metadata_from_scenario(scenario: Scenario) -> ArtifactMetadata:
     return ArtifactMetadata(
-        object_count=len(scenario.objects),
         ego_index=scenario.objects.index(scenario.ego),
-        param_names=tuple(sorted(scenario.params)),
-        requirement_count=len(scenario.requirements),
-        soft_requirement_count=sum(
-            1 for requirement in scenario.requirements if requirement.probability < 1.0
+        objects=tuple(
+            ObjectSummary(index=index, class_name=type(scenic_object).__name__)
+            for index, scenic_object in enumerate(scenario.objects)
         ),
-        class_table=_class_table_from_program(program),
-        objects=tuple(object_summaries),
     )
 
 
@@ -230,7 +161,7 @@ class CompiledScenario:
         the cached AST and returns an independent scenario; use it whenever
         the scenario will be mutated (``prune_scenario`` rewrites sampling
         regions in place) or when call sites must not share RNG-free state
-        such as engine caches.
+        such as ``last_stats``.
         """
         if fresh or workspace is not None or extra_names is not None:
             return self._interpret(workspace=workspace, extra_names=extra_names)
@@ -257,11 +188,11 @@ class CompiledScenario:
 
     @property
     def metadata(self) -> ArtifactMetadata:
-        """Static facts about the program (computed once, then cached).
+        """Facts about the program's objects (computed once, then cached).
 
-        Deriving per-object sampling metadata needs one interpretation, so
-        first access builds (and interns) the shared scenario as a side
-        effect; subsequent accesses are free.
+        Deriving them needs one interpretation, so first access builds (and
+        interns) the shared scenario as a side effect; subsequent accesses
+        are free.
         """
         with self._lock:
             if self._metadata is not None:
@@ -269,7 +200,7 @@ class CompiledScenario:
         scenario = self.scenario()
         with self._lock:
             if self._metadata is None:
-                self._metadata = _metadata_from_scenario(self.program, scenario)
+                self._metadata = _metadata_from_scenario(scenario)
             return self._metadata
 
     def prune_bounds(self) -> Any:
@@ -457,7 +388,6 @@ __all__ = [
     "ArtifactCache",
     "ArtifactMetadata",
     "CacheStats",
-    "ClassSummary",
     "CompiledScenario",
     "ObjectSummary",
     "compile_scenario",

@@ -70,16 +70,13 @@ class Dataset:
     ) -> "Dataset":
         """Sample *count* scenes from *scenario* and render them.
 
-        Scene generation goes through one :class:`repro.sampling.SamplerEngine`,
-        whose aggregate statistics cover the whole dataset.
+        Scenes and renders draw from one RNG, in turn: ``scenario.generate``
+        under *strategy*, then :func:`render_scene`.
         """
-        from ..sampling import SamplerEngine
-
-        engine = SamplerEngine(scenario, strategy=strategy)
         rng = _random.Random(seed)
         images: List[LabeledImage] = []
         for _ in range(count):
-            scene = engine.sample(max_iterations=max_iterations, rng=rng)
+            scene = scenario.generate(max_iterations=max_iterations, rng=rng, strategy=strategy)
             images.append(render_scene(scene, renderer, rng))
         return Dataset(name, images)
 

@@ -1,7 +1,7 @@
 """The scene-sampling subsystem.
 
 The paper's core loop — rejection sampling of scenes against declarative
-requirements (Sec. 5) — lives here as an engine with two strategies:
+requirements (Sec. 5) — lives here as two strategies:
 
 * ``"rejection"`` (:class:`RejectionSampler`) — the seed behaviour, extracted:
   the reference semantics, and the default of ``Scenario.generate``;
@@ -18,20 +18,22 @@ shrinks a scenario's sampling regions in place (bounds from static
 requirement analysis, :mod:`repro.analysis`), and the pruned scenario is
 then sampled as usual.
 
-``SamplerEngine`` accepts a live ``Scenario``, a compiled artifact
-(:func:`repro.language.compile_scenario` — the warm path that skips the
-parser and interpreter), or raw Scenic source::
+``Scenario.generate`` and ``generate_batch`` are the front door: they turn
+a strategy name into a strategy with :func:`make_strategy` (an instance
+passes straight through) and call its ``sample`` / ``sample_batch``.  A
+compiled artifact (:func:`repro.language.compile_scenario` — the warm path
+that skips the parser and interpreter) hands out its shared scenario::
 
-    from repro.sampling import SamplerEngine
+    from repro.language import compile_scenario
 
-    engine = SamplerEngine("ego = Object at 0 @ 0")   # compiles via the artifact cache
-    scene = engine.sample(seed=0)
+    scenario = compile_scenario("ego = Object at 0 @ 0").scenario()
+    scene = scenario.generate(seed=0)
+    batch = scenario.generate_batch(10, seed=1)   # a SceneBatch: list + .stats
 
 See ``docs/sampling.md`` for the API guide, ``docs/geometry.md`` for the
 kernel underneath, and ``docs/service.md`` for the serving layer on top.
 """
 
-from .engine import SamplerEngine, resolve_scenario
 from .stats import AggregateStats, SceneBatch, merge_generation_stats
 from .strategies import (
     STRATEGIES,
@@ -43,8 +45,6 @@ from .strategies import (
 )
 
 __all__ = [
-    "SamplerEngine",
-    "resolve_scenario",
     "SamplingStrategy",
     "RejectionSampler",
     "VectorizedSampler",

@@ -1,11 +1,9 @@
-"""Aggregated diagnostics for the sampling engine.
+"""Aggregated diagnostics for scene sampling.
 
 ``GenerationStats`` (defined in :mod:`repro.core.scenario`) describes a
-single scene draw.  The engine produces many scenes, possibly via different
-strategies, so :class:`AggregateStats` rolls per-scene stats up into totals,
-per-strategy breakdowns and acceptance rates.  Totals are accumulated as
-running sums, so a long-lived engine stays O(1) in memory; each draw's own
-stats stay with its caller (``SamplerEngine.last_stats``).  :class:`SceneBatch`
+single scene draw.  :class:`AggregateStats` rolls many draws up into
+totals, a rejection breakdown and an acceptance rate, as running sums, so
+it stays O(1) in memory however many draws it records.  :class:`SceneBatch`
 is the result type of batched sampling: it *is* a list of scenes (so
 existing callers of ``Scenario.generate_batch`` keep working) but carries
 the aggregated statistics of the whole batch.
@@ -42,48 +40,27 @@ def merge_generation_stats(into: GenerationStats, other: GenerationStats) -> Gen
 class AggregateStats:
     """Roll-up of per-scene :class:`GenerationStats` across a sampling run.
 
-    Totals (:meth:`combined`, :meth:`by_strategy`, the ``total_*``
-    properties) are exact over every recorded draw.
+    Totals (:meth:`combined`, the ``total_*`` properties) are exact over
+    every recorded draw.
     """
 
     def __init__(self) -> None:
         self.scenes = 0  # accepted scenes only
         self.draws = 0  # every recorded draw, including failed ones
         self._combined = GenerationStats()
-        self._by_strategy: Dict[str, GenerationStats] = {}
 
-    def record(
-        self, stats: GenerationStats, strategy: str = "rejection", accepted: bool = True
-    ) -> None:
+    def record(self, stats: GenerationStats, accepted: bool = True) -> None:
         """Fold one draw's stats in; *accepted* is False for a failed draw."""
         self.draws += 1
         if accepted:
             self.scenes += 1
         merge_generation_stats(self._combined, stats)
-        merge_generation_stats(self._by_strategy.setdefault(strategy, GenerationStats()), stats)
-
-    def merge_from(self, other: "AggregateStats") -> None:
-        """Fold another roll-up (e.g. one batch's stats) into this one."""
-        self.scenes += other.scenes
-        self.draws += other.draws
-        merge_generation_stats(self._combined, other._combined)
-        for strategy, stats in other._by_strategy.items():
-            merge_generation_stats(
-                self._by_strategy.setdefault(strategy, GenerationStats()), stats
-            )
 
     # -- roll-ups ---------------------------------------------------------------
 
     def combined(self) -> GenerationStats:
         """All per-scene stats summed into a single :class:`GenerationStats`."""
         return merge_generation_stats(GenerationStats(), self._combined)
-
-    def by_strategy(self) -> Dict[str, GenerationStats]:
-        """Per-strategy roll-up (useful when strategies are mixed or compared)."""
-        return {
-            strategy: merge_generation_stats(GenerationStats(), stats)
-            for strategy, stats in self._by_strategy.items()
-        }
 
     @property
     def total_iterations(self) -> int:

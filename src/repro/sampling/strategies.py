@@ -32,11 +32,10 @@ whenever the scene is large enough for batching to pay for itself, so
 
 Strategies take no options: their tuning knobs are class constants.  They
 are listed by name in :data:`STRATEGIES`; a strategy *instance* can be
-handed to :class:`~repro.sampling.SamplerEngine` directly (how tests plant a
-faulty strategy).  Strategies always receive a live, fully-bound
-:class:`~repro.core.scenario.Scenario`; compiled artifacts and raw source
-are resolved one level up by :func:`repro.sampling.engine.resolve_scenario`
-(see ``docs/sampling.md``).
+passed to ``Scenario.generate`` / ``generate_batch`` directly (how tests
+and the selfchecks plant a faulty strategy).  Strategies always receive a
+live :class:`~repro.core.scenario.Scenario`; a compiled artifact hands out
+its shared one with ``artifact.scenario()`` (see ``docs/sampling.md``).
 """
 
 from __future__ import annotations
@@ -184,8 +183,7 @@ class SamplingStrategy:
     def bind(self, scenario: Scenario) -> None:
         """Per-scenario set-up; the built-in strategies need none.
 
-        The engine calls it before the first draw, and :meth:`sample` before
-        every draw.
+        :meth:`sample` calls it before every draw.
         """
 
     # -- policy hooks ------------------------------------------------------------
@@ -211,8 +209,8 @@ class SamplingStrategy:
     def _draw(self, scenario: Scenario, rng: _random.Random) -> Drawn:
         """One candidate: a fresh Sample, then the objects, the ego and the params.
 
-        That order is the engine's RNG-stream contract (same seed ⇒ same
-        scene as the pre-engine code).
+        That order is the RNG-stream contract the golden scenes pin (same
+        seed ⇒ same scene).
         """
         sample = Sample(rng)
         try:
@@ -272,7 +270,7 @@ class SamplingStrategy:
         scenes: List[Scene] = []
         for _ in range(count):
             scene, stats = self.sample(scenario, max_iterations, rng)
-            aggregate.record(stats, self.name, accepted=scene is not None)
+            aggregate.record(stats, accepted=scene is not None)
             if scene is None:
                 raise RejectionError(max_iterations)
             scenes.append(scene)

@@ -9,13 +9,13 @@ guide):
   shards a batch across a persistent worker-process pool with
   splitmix64-derived per-scene seeds (bit-identical results regardless of
   worker count), routes shards to workers by artifact fingerprint so
-  per-worker engine caches stay warm, enforces backpressure, and rolls
+  per-worker artifact caches stay warm, enforces backpressure, and rolls
   per-request sampling statistics up into the response.
   :meth:`GenerationService.generate_stream` yields each shard's scene
   records as it completes instead of buffering the whole batch.
 * :mod:`repro.service.worker` — the worker-process side: a process-local
-  artifact cache plus a bound-engine LRU, so warm shards skip the parser
-  and interpreter entirely; each shard comes back as scene records.
+  artifact cache, so warm shards skip the parser and interpreter entirely;
+  each shard comes back as scene records.
 * :mod:`repro.service.server_http` — the stdlib-only HTTP front end
   (``/healthz``, ``/metrics``, ``POST /publish``, ``POST /generate`` with
   NDJSON streaming).

@@ -142,8 +142,6 @@ class ShardOutcome:
     worker_pid: int
     elapsed_seconds: float
     error: Optional[Dict[str, Any]] = None
-    #: True when the worker reused a bound engine (not just a warm artifact).
-    engine_hit: bool = False
 
     def take_block(self) -> List[Dict[str, Any]]:
         """Hand over the shard's scene records.
@@ -219,7 +217,6 @@ def merge_shard_stats(outcomes: List[ShardOutcome]) -> Dict[str, Any]:
         "sampling_seconds": 0.0,
         "shards": len(outcomes),
         "worker_cache_hits": 0,
-        "engine_cache_hits": 0,
         "workers": [],
         "candidates": 0,
     }
@@ -233,7 +230,6 @@ def merge_shard_stats(outcomes: List[ShardOutcome]) -> Dict[str, Any]:
         for cause, count in shard.get("rejections", {}).items():
             totals["rejections"][cause] = totals["rejections"].get(cause, 0) + count
         totals["worker_cache_hits"] += 1 if outcome.cache_hit else 0
-        totals["engine_cache_hits"] += 1 if outcome.engine_hit else 0
         if outcome.worker_pid not in totals["workers"]:
             totals["workers"].append(outcome.worker_pid)
     totals["workers"].sort()

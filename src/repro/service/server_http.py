@@ -10,7 +10,7 @@ the surface is four routes:
 ``GET /metrics``
     Prometheus text exposition of the service counters
     (``repro_service_requests_total``, ``..._scenes_total``,
-    ``..._shed_total``, ``..._engine_cache_hits_total``, ``..._pending``,
+    ``..._shed_total``, ``..._worker_cache_hits_total``, ``..._pending``,
     ...).
 ``POST /publish``
     JSON body ``{"source": "..."}`` → ``200 {"ok": true, "fingerprint":
@@ -319,8 +319,8 @@ class HttpGenerationServer:
             ("scenes", "repro_service_scenes_total", "counter"),
             ("failures", "repro_service_failures_total", "counter"),
             ("shed", "repro_service_shed_total", "counter"),
-            ("engine_cache_hits", "repro_service_engine_cache_hits_total", "counter"),
-            ("engine_cache_misses", "repro_service_engine_cache_misses_total", "counter"),
+            ("engine_cache_hits", "repro_service_worker_cache_hits_total", "counter"),
+            ("engine_cache_misses", "repro_service_worker_cache_misses_total", "counter"),
             ("pending", "repro_service_pending", "gauge"),
             ("peak_pending", "repro_service_peak_pending", "gauge"),
             ("workers", "repro_service_workers", "gauge"),

@@ -13,8 +13,7 @@ traffic" north star asks for, built on the compile-once artifacts of
   count or shard boundaries (pinned by the service's determinism tests).
   Shards are *routed by artifact fingerprint*: shard *k* of a program goes
   to worker ``(hash(fingerprint) + k) % workers``, so repeat requests for
-  the same program land on workers whose bound-engine caches already hold
-  it;
+  the same program land on workers whose artifact caches already hold it;
 * **scene records** — workers hand each shard's scenes back as
   :func:`~repro.service.protocol.scene_record` dicts, the format clients
   receive;
@@ -26,8 +25,7 @@ traffic" north star asks for, built on the compile-once artifacts of
   it completes; ``generate`` collects those same frames into one response;
 * **stats** — every response carries the request-wide
   :class:`~repro.sampling.AggregateStats`-style roll-up (iterations,
-  rejection breakdown by cause, worker cache and engine-affinity hits, wall
-  time).
+  rejection breakdown by cause, worker cache hits, wall time).
 
 Typical use::
 
@@ -149,7 +147,7 @@ class GenerationService:
 
         One single-process executor per worker, rather than one N-process
         pool: a plain pool hands tasks to whichever worker is free, which
-        defeats per-worker engine caches.  Separate executors make the
+        defeats per-worker artifact caches.  Separate executors make the
         fingerprint → worker routing in :meth:`_worker_for` possible.
         """
         if self._started:
@@ -378,7 +376,7 @@ class GenerationService:
                         detail=outcome.error,
                     )
                 done.append(outcome)
-                self._note_engine_cache(outcome)
+                self._note_worker_cache(outcome)
                 yield {
                     "frame": "block",
                     "indices": list(outcome.indices),
@@ -405,15 +403,17 @@ class GenerationService:
             "stats": stats,
         }
 
-    def _note_engine_cache(self, outcome: ShardOutcome) -> None:
-        key = "engine_cache_hits" if outcome.engine_hit else "engine_cache_misses"
+    def _note_worker_cache(self, outcome: ShardOutcome) -> None:
+        # Keyed ``engine_cache_*`` because ``perfbench/run.py`` reads these
+        # keys: a hit is a shard whose worker already held the artifact.
+        key = "engine_cache_hits" if outcome.cache_hit else "engine_cache_misses"
         self.stats[key] += 1
 
     def _worker_for(self, fingerprint: str, shard: int) -> Optional[int]:
         """Affinity routing: which worker pool shard *shard* runs on.
 
         Keyed by artifact fingerprint so repeated requests for one program
-        revisit the same workers (warm bound-engine caches), with the shard
+        revisit the same workers (warm artifact caches), with the shard
         ordinal fanning a single request's shards across distinct workers.
         ``None`` = inline mode (no pools).
         """
@@ -495,16 +495,12 @@ class GenerationService:
 
     def service_stats(self) -> Dict[str, Any]:
         """Service-level counters (request totals, shedding, queue, affinity)."""
-        engine_lookups = self.stats["engine_cache_hits"] + self.stats["engine_cache_misses"]
         return {
             **self.stats,
             "pending": self._pending,
             "workers": self.workers,
             "max_inflight": self.max_inflight,
             "max_queue": self.max_queue,
-            "engine_cache_hit_rate": (
-                self.stats["engine_cache_hits"] / engine_lookups if engine_lookups else 0.0
-            ),
             "published_programs": len(self._sources),
             "coordinator_cache": self.cache.stats.as_dict(),
         }

@@ -424,7 +424,6 @@ class TestArtifactIntegration:
         from repro.core.regions import PointInRegionDistribution
         from repro.core.vectors import Vector
         from repro.fuzz.oracles import recheck_scene
-        from repro.sampling import SamplerEngine
 
         scenario = compile_scenario(self.SOURCE, cache=None).scenario(fresh=True)
         report = prune_scenario(scenario)
@@ -435,7 +434,7 @@ class TestArtifactIntegration:
             if isinstance(scenic_object.properties.get("position"), PointInRegionDistribution)
         }
         assert regions
-        batch = SamplerEngine(scenario, strategy).sample_batch(5, seed=1, max_iterations=50000)
+        batch = scenario.generate_batch(5, seed=1, max_iterations=50000, strategy=strategy)
         for scene in batch:
             assert recheck_scene(scenario, scene, checks=()) == []
             for index, region in regions.items():

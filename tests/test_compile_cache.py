@@ -11,7 +11,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.scenario import Scenario
 from repro.language import compiler as compiler_module
 from repro.language.compiler import (
     ARTIFACT_FORMAT_VERSION,
@@ -21,7 +20,6 @@ from repro.language.compiler import (
     scenario_from_string,
     source_fingerprint,
 )
-from repro.sampling import SamplerEngine, resolve_scenario
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
@@ -153,12 +151,6 @@ class TestCompiledScenario:
         assert first is not second
         assert first.objects[0] is not second.objects[0]
 
-    def test_scenario_from_source_classmethod(self):
-        scenario = Scenario.from_source(SIMPLE)
-        assert len(scenario.objects) == 2
-        shared = Scenario.from_source(SIMPLE, fresh=False)
-        assert Scenario.from_source(SIMPLE, fresh=False) is shared
-
     def test_metadata(self):
         source = (
             "class Debris:\n"
@@ -171,29 +163,12 @@ class TestCompiledScenario:
             "require ego.position.x == 0\n"
         )
         metadata = compile_scenario(source, cache=None).metadata
-        assert metadata.object_count == 3
         assert metadata.ego_index == 0
-        assert metadata.param_names == ("difficulty",)
-        assert metadata.requirement_count == 1
-        assert metadata.soft_requirement_count == 0
-        (debris,) = [entry for entry in metadata.class_table if entry.name == "Debris"]
-        assert debris.superclass is None
-        assert debris.properties == ("width", "height")
-        assert metadata.objects[1].class_name == "Debris"
-        assert "position" in metadata.objects[1].random_properties
-        assert metadata.objects[0].random_properties == ()
-
-    def test_engine_accepts_artifacts_and_source(self):
-        artifact = compile_scenario(SIMPLE, cache=None)
-        engine = SamplerEngine(artifact)
-        assert engine.scenario is artifact.scenario()
-        # No strategy rewrites its scenario, so every one shares it.
-        assert SamplerEngine(artifact, strategy="vectorized").scenario is artifact.scenario()
-        # Raw source routes through the default cache.
-        from_source = SamplerEngine(SIMPLE)
-        assert from_source.scenario is compile_scenario(SIMPLE).scenario()
-        with pytest.raises(TypeError):
-            resolve_scenario(123)
+        assert [(entry.index, entry.class_name) for entry in metadata.objects] == [
+            (0, "Object"),
+            (1, "Debris"),
+            (2, "Debris"),
+        ]
 
 
 # ---------------------------------------------------------------------------

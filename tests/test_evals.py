@@ -79,12 +79,12 @@ def test_stratified_subset_is_deterministic_and_stratified():
 
 def test_subset_scenarios_generate_under_rejection():
     """One scene per CI-slice scenario: the compile+generate acceptance bar."""
-    from repro.sampling import SamplerEngine
+    from repro.language import compile_scenario
 
     manifest = Manifest.load()
     for entry in manifest.stratified_subset(per_bucket=1, difficulties=("easy",)):
-        engine = SamplerEngine(entry.source(REPO_ROOT), strategy="rejection")
-        scene = engine.sample(max_iterations=5000, seed=1)
+        scenario = compile_scenario(entry.source(REPO_ROOT)).scenario()
+        scene = scenario.generate(max_iterations=5000, seed=1, strategy="rejection")
         assert len(scene.objects) == entry.objects
 
 

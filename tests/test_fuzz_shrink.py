@@ -65,17 +65,14 @@ class TestPlantedBugEndToEnd:
     def test_planted_strategy_actually_drifts(self):
         from repro.fuzz.selfcheck import PlantedDriftSampler
         from repro.language import scenario_from_string
-        from repro.sampling import SamplerEngine
 
         source = (
             "ego = Object at 0 @ 0\n"
             "Object at 8 @ 0, with requireVisible False\n"
             "Object at -8 @ 0, with requireVisible False\n"
         )
-        reference = SamplerEngine(scenario_from_string(source), strategy="rejection").sample(seed=5)
-        drifted = SamplerEngine(
-            scenario_from_string(source), strategy=PlantedDriftSampler()
-        ).sample(seed=5)
+        reference = scenario_from_string(source).generate(seed=5, strategy="rejection")
+        drifted = scenario_from_string(source).generate(seed=5, strategy=PlantedDriftSampler())
         assert drifted.objects[-1].heading != pytest.approx(
             reference.objects[-1].heading, abs=1e-9
         )

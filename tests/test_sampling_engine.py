@@ -1,6 +1,7 @@
-"""Tests for the scene-sampling engine (``repro/sampling/``)."""
+"""Tests for scene sampling (``repro/sampling/``) through ``Scenario.generate``."""
 
 import itertools
+import random
 
 import pytest
 
@@ -18,8 +19,8 @@ from repro.core.regions import CircularRegion, DifferenceRegion, PolygonalRegion
 from repro.experiments import scenarios
 from repro.geometry.polygon import Polygon
 from repro.sampling import (
+    AggregateStats,
     RejectionSampler,
-    SamplerEngine,
     SceneBatch,
     STRATEGIES,
     VectorizedSampler,
@@ -56,16 +57,16 @@ def containment_heavy_scenario(object_count: int = 3):
 
 
 class TestStrategyEquivalence:
-    """The delegated ``Scenario.generate`` path equals the engine's rejection path."""
+    """``Scenario.generate`` draws what the rejection strategy's own loop draws."""
 
     @pytest.mark.parametrize("name", ["two_cars", "overlapping"])
     def test_generate_matches_engine_rejection(self, name):
         source = scenarios.GALLERY[name]
         via_scenario = scenarios.compile_scenario(source).generate(seed=42, max_iterations=20000)
-        via_engine = SamplerEngine(scenarios.compile_scenario(source), "rejection").sample(
-            seed=42, max_iterations=20000
+        via_strategy, _ = RejectionSampler().sample(
+            scenarios.compile_scenario(source), 20000, random.Random(42)
         )
-        assert scene_fingerprint(via_scenario) == scene_fingerprint(via_engine)
+        assert scene_fingerprint(via_scenario) == scene_fingerprint(via_strategy)
 
     def test_generate_accepts_strategy_keyword(self):
         scenario = containment_heavy_scenario()
@@ -78,10 +79,10 @@ class TestStrategyEquivalence:
             builder.set_ego(Object(At((0, 0)), Facing(0.0)))
             Object(At((0.2, 0.2)), Facing(0.0))  # forced overlap: unsatisfiable
         scenario = builder.scenario()
-        engine = SamplerEngine(scenario, "rejection")
         with pytest.raises(RejectionError):
-            engine.sample(max_iterations=25, seed=0)
-        assert engine.last_stats.iterations == 25
+            scenario.generate(max_iterations=25, seed=0)
+        assert scenario.last_stats.iterations == 25
+        assert scenario.last_stats.rejections_collision == 25
 
 
 class TestPruneThenSample:
@@ -90,7 +91,7 @@ class TestPruneThenSample:
 
         scenario = scenarios.compile_scenario(scenarios.two_cars())
         report = prune_scenario(scenario)
-        scene = SamplerEngine(scenario, "rejection").sample(seed=4, max_iterations=20000)
+        scene = scenario.generate(seed=4, max_iterations=20000)
         assert not scene.has_collisions()
         assert 0 < report.area_ratio <= 1.0 + 1e-9
 
@@ -128,33 +129,21 @@ class TestBatchResultAggregation:
         assert scenario.last_stats is not None
         assert scenario.last_stats.iterations == 20
         assert scenario.last_stats.rejections_collision == 20
-        # Failed draws are recorded but not counted as accepted scenes.
-        # (generate_batch defaults to the vectorized strategy.)
-        engine = scenario._engine_cache["vectorized"]
-        assert engine.aggregate.draws == 1
-        assert engine.aggregate.scenes == 0
-        assert engine.aggregate.acceptance_rate == 0.0
-
-    def test_generate_reuses_engine_per_strategy(self):
-        scenario = containment_heavy_scenario(1)
-        scenario.generate(seed=0, max_iterations=100000, strategy="vectorized")
-        first_engine = scenario._engine_cache["vectorized"]
-        scenario.generate(seed=1, max_iterations=100000, strategy="vectorized")
-        assert scenario._engine_cache["vectorized"] is first_engine
-        assert first_engine.aggregate.scenes == 2
-
-    def test_by_strategy_rollup(self):
-        engine = SamplerEngine(containment_heavy_scenario(1), "vectorized")
-        engine.sample_batch(3, seed=0, max_iterations=100000)
-        rollup = engine.aggregate.by_strategy()
-        assert set(rollup) == {"vectorized"}
-        assert rollup["vectorized"].iterations == engine.aggregate.total_iterations
+        # Failed draws are recorded but not counted as accepted scenes, in
+        # the aggregate generate_batch folds every draw into (it defaults
+        # to the vectorized strategy).
+        aggregate = AggregateStats()
+        with pytest.raises(RejectionError):
+            VectorizedSampler().sample_batch(scenario, 3, 20, random.Random(0), aggregate)
+        assert aggregate.draws == 1
+        assert aggregate.scenes == 0
+        assert aggregate.acceptance_rate == 0.0
+        assert aggregate.combined().iterations == 20
 
 
 class TestEngineEdgeCases:
     def test_empty_batch_returns_empty_scene_batch(self):
-        engine = SamplerEngine(containment_heavy_scenario(1), "rejection")
-        batch = engine.sample_batch(0, seed=0)
+        batch = containment_heavy_scenario(1).generate_batch(0, seed=0, strategy="rejection")
         assert isinstance(batch, SceneBatch)
         assert len(batch) == 0
         assert batch.stats.scenes == 0
@@ -171,28 +160,29 @@ class TestEngineEdgeCases:
             builder.set_ego(Object(At((0, 0)), Facing(0.0)))
             Object(At((0.2, 0.2)), Facing(0.0))  # forced overlap: unsatisfiable
         scenario = builder.scenario()
-        engine = SamplerEngine(scenario, name)
         with pytest.raises(RejectionError, match="1"):
-            engine.sample(max_iterations=1, seed=0)
+            scenario.generate_batch(2, max_iterations=1, seed=0, strategy=name)
         # Exactly one candidate was examined, its rejection cause recorded,
-        # and the failed draw still landed in the aggregate.
-        assert engine.last_stats.iterations == 1
-        assert engine.last_stats.total_rejections == 1
-        assert engine.last_stats.rejections_collision == 1
-        assert engine.aggregate.draws == 1
-        assert engine.aggregate.scenes == 0
-        assert engine.aggregate.total_iterations == 1
+        # and the failed draw still landed in the batch-wide stats.
+        assert scenario.last_stats.iterations == 1
+        assert scenario.last_stats.total_rejections == 1
+        assert scenario.last_stats.rejections_collision == 1
 
 
 class TestVectorizedSampler:
-    def test_registered_and_default_for_generate_batch(self):
-        from repro.sampling import VectorizedSampler
-
+    def test_registered_and_default_for_generate_batch(self, monkeypatch):
         assert "vectorized" in STRATEGIES
         assert isinstance(make_strategy("vectorized"), VectorizedSampler)
-        scenario = containment_heavy_scenario(1)
-        scenario.generate_batch(2, seed=0, max_iterations=100000)
-        assert "vectorized" in scenario._engine_cache
+        drawn_by = []
+        sample = VectorizedSampler.sample
+
+        def spy(self, *args):
+            drawn_by.append(self.name)
+            return sample(self, *args)
+
+        monkeypatch.setattr(VectorizedSampler, "sample", spy)
+        containment_heavy_scenario(1).generate_batch(2, seed=0, max_iterations=100000)
+        assert drawn_by == ["vectorized", "vectorized"]
 
     def test_matches_rejection_without_soft_requirements(self):
         # No RNG draw separates block drawing from one-at-a-time rejection
@@ -207,8 +197,9 @@ class TestVectorizedSampler:
         assert scene_fingerprint(via_rejection) == scene_fingerprint(via_vectorized)
 
     def test_scenes_are_valid(self):
-        engine = SamplerEngine(containment_heavy_scenario(2), "vectorized")
-        batch = engine.sample_batch(5, seed=3, max_iterations=200000)
+        batch = containment_heavy_scenario(2).generate_batch(
+            5, seed=3, max_iterations=200000, strategy="vectorized"
+        )
         for scene in batch:
             assert not scene.has_collisions()
             for scenic_object in scene.objects:
@@ -220,8 +211,9 @@ class TestVectorizedSampler:
         def fingerprint(block_size):
             monkeypatch.setattr(VectorizedSampler, "BLOCK_SIZE", block_size)
             scenario = scenarios.compile_scenario(source)
-            engine = SamplerEngine(scenario, "vectorized")
-            return scene_fingerprint(engine.sample(seed=17, max_iterations=20000))
+            return scene_fingerprint(
+                scenario.generate(seed=17, max_iterations=20000, strategy="vectorized")
+            )
 
         assert fingerprint(1) == fingerprint(64)
 
@@ -270,9 +262,9 @@ class TestVectorizedSampler:
         artifact = compile_scenario((program / "mars_bottleneck.scenic").read_text())
 
         def outcome(strategy):
-            engine = SamplerEngine(artifact, strategy)
-            scene = engine.sample(seed=20260729, max_iterations=20000)
-            return scene_fingerprint(scene), engine.last_stats.iterations
+            scenario = artifact.scenario()
+            scene = scenario.generate(seed=20260729, max_iterations=20000, strategy=strategy)
+            return scene_fingerprint(scene), scenario.last_stats.iterations
 
         ramp = outcome("vectorized")
         assert ramp[1] > 1 + 2 + 4 + 8 + 16 + 32  # accepted past the ramp
@@ -285,8 +277,9 @@ class TestVectorizedSampler:
         # coordinates should be near 0 for both, over multi-scene batches
         # whose streams differ between the two.
         def mean_coordinate(strategy):
-            engine = SamplerEngine(containment_heavy_scenario(2), strategy)
-            batch = engine.sample_batch(40, seed=7, max_iterations=200000)
+            batch = containment_heavy_scenario(2).generate_batch(
+                40, seed=7, max_iterations=200000, strategy=strategy
+            )
             coordinates = [
                 coordinate
                 for scene in batch
@@ -314,22 +307,30 @@ class TestStrategyRegistry:
     def test_custom_strategy_plugs_into_generate(self):
         """A strategy *instance* plugs in without joining :data:`STRATEGIES`."""
 
-        class FirstCandidateSampler(RejectionSampler):
-            """Accepts like rejection but records itself under its own name."""
+        class CountingSampler(RejectionSampler):
+            """Samples like rejection and counts its draws."""
 
-            name = "test-first-candidate"
+            name = "test-counting"
 
+            def __init__(self):
+                self.draws = 0
+
+            def sample(self, scenario, max_iterations, rng):
+                self.draws += 1
+                return super().sample(scenario, max_iterations, rng)
+
+        planted = CountingSampler()
         scenario = containment_heavy_scenario(1)
-        scene = scenario.generate(seed=0, max_iterations=100000, strategy=FirstCandidateSampler())
+        scene = scenario.generate(seed=0, max_iterations=100000, strategy=planted)
         assert scene is not None
-        assert "test-first-candidate" not in STRATEGIES
-        engine = SamplerEngine(scenario, FirstCandidateSampler())
-        engine.sample(seed=0, max_iterations=100000)
-        assert set(engine.aggregate.by_strategy()) == {"test-first-candidate"}
+        batch = scenario.generate_batch(2, seed=0, max_iterations=100000, strategy=planted)
+        assert len(batch) == 2
+        assert planted.draws == 3
+        assert "test-counting" not in STRATEGIES
 
     def test_strategy_instance_with_options_rejected(self):
         with pytest.raises(TypeError):
-            SamplerEngine(containment_heavy_scenario(1), RejectionSampler(), workers=2)
+            RejectionSampler(workers=2)
 
 
 class TestStrategyRegistryEdgeCases:
@@ -375,10 +376,10 @@ def test_infeasible_program_versus_exhausted_budget(program, strategy):
     """
     from repro.language import compile_scenario
 
-    engine = SamplerEngine(compile_scenario(program, cache=None), strategy)
+    scenario = compile_scenario(program, cache=None).scenario()
     with pytest.raises(RejectionError):
-        engine.sample(seed=0, max_iterations=50)
-    assert engine.last_stats.iterations == 50
+        scenario.generate(seed=0, max_iterations=50, strategy=strategy)
+    assert scenario.last_stats.iterations == 50
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
@@ -404,19 +405,19 @@ def test_reject_sample_in_requirement_is_a_sampling_rejection(strategy):
     with ScenarioBuilder() as builder:
         builder.set_ego(Object(At((0, 0)), Facing(0.0)))
         builder.require(first_call_rejects)
-    engine = SamplerEngine(builder.scenario(), strategy)
-    engine.sample(seed=0, max_iterations=10)
-    assert engine.last_stats.rejections_sampling == 1
-    assert engine.last_stats.iterations == 2
+    scenario = builder.scenario()
+    scenario.generate(seed=0, max_iterations=10, strategy=strategy)
+    assert scenario.last_stats.rejections_sampling == 1
+    assert scenario.last_stats.iterations == 2
 
     program = (
         "import gtaLib\nego = Car\nspot = Point in road.difference(road)\n"
         "require (distance to spot) > 0\n"
     )
-    engine = SamplerEngine(compile_scenario(program, cache=None), strategy)
+    scenario = compile_scenario(program, cache=None).scenario()
     with pytest.raises(RejectionError):
-        engine.sample(seed=0, max_iterations=5)
-    assert engine.last_stats.iterations == 5
+        scenario.generate(seed=0, max_iterations=5, strategy=strategy)
+    assert scenario.last_stats.iterations == 5
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +468,9 @@ def test_each_cause_is_booked_under_its_own_counter(strategy, cause):
     Every rejection is an examined candidate that was not accepted, so the
     counters sum to ``iterations - scenes`` under every strategy.
     """
-    engine = SamplerEngine(single_cause_scenario(cause), strategy)
-    batch = engine.sample_batch(20, seed=3, max_iterations=10000)
+    batch = single_cause_scenario(cause).generate_batch(
+        20, seed=3, max_iterations=10000, strategy=strategy
+    )
     stats = batch.stats.combined()
     counters = rejection_counters(stats)
     assert counters[cause] > 0
@@ -510,10 +512,10 @@ def test_chain_books_the_first_failing_check(strategy, first, second):
     A candidate failing two adjacent checks is booked under the earlier
     one only, whichever strategy examines it.
     """
-    engine = SamplerEngine(double_failure_scenario(first, second), strategy)
+    scenario = double_failure_scenario(first, second)
     with pytest.raises(RejectionError):
-        engine.sample(seed=0, max_iterations=5)
-    stats = engine.last_stats
+        scenario.generate(seed=0, max_iterations=5, strategy=strategy)
+    stats = scenario.last_stats
     assert stats.iterations == 5
     counters = rejection_counters(stats)
     assert counters[first] == stats.iterations
@@ -558,16 +560,17 @@ def test_vectorized_draws_rejections_scene_from_a_fresh_rng(entry):
     from repro.language import compile_scenario
     from repro.service.protocol import derive_scene_seeds
 
-    artifact = compile_scenario(entry.source())
-    assert not any(requirement.is_soft for requirement in artifact.scenario().requirements)
+    scenario = compile_scenario(entry.source()).scenario()
+    assert not any(requirement.is_soft for requirement in scenario.requirements)
     for seed in derive_scene_seeds(777, 1 if entry.difficulty == "hard" else 4):
         outcomes = {}
         for strategy in sorted(STRATEGIES):
-            engine = SamplerEngine(artifact, strategy)
             try:
-                record = scene_record(engine.sample(seed=seed, max_iterations=3000))
+                record = scene_record(
+                    scenario.generate(seed=seed, max_iterations=3000, strategy=strategy)
+                )
             except RejectionError:
                 record = None
-            outcomes[strategy] = (record, engine.last_stats.iterations)
+            outcomes[strategy] = (record, scenario.last_stats.iterations)
         assert outcomes["vectorized"] == outcomes["rejection"], (entry.id, seed)
 

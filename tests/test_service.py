@@ -28,7 +28,6 @@ from pathlib import Path
 
 import pytest
 
-from repro.sampling import SamplerEngine
 from repro.language import scenario_from_string
 from repro.service import (
     GenerationService,
@@ -166,11 +165,13 @@ def test_sharded_splitmix_seeds_are_worker_count_invariant(program, strategy):
     # The pool really did spread the shards over distinct processes.
     assert len(pooled.stats["workers"]) == 2
 
-    engine = SamplerEngine(scenario_from_string(source), strategy)
+    scenario = scenario_from_string(source)
     local = []
     for scene_seed in derive_scene_seeds(seed, n):
-        scene = engine.sample(max_iterations=20000, rng=random.Random(scene_seed))
-        local.append(scene_record(scene, iterations=engine.last_stats.iterations))
+        scene = scenario.generate(
+            max_iterations=20000, rng=random.Random(scene_seed), strategy=strategy
+        )
+        local.append(scene_record(scene, iterations=scenario.last_stats.iterations))
 
     if program == "params":
         assert all(record["params"] for record in local)
@@ -467,12 +468,12 @@ def _assert_rejected_before_admission(request, needle):
     assert stats["requests"] == 0
 
 
-#: A program slow enough (~1k candidates a scene) that a 16-scene shard
+#: A program slow enough (~3k candidates a scene) that a 16-scene shard
 #: runs for seconds.
 SLOW_SOURCE = (
     "ego = Object at 0 @ 0\n"
     "other = Object at Range(-100, 100) @ Range(-100, 100)\n"
-    "require (distance to other) < 3\n"
+    "require (distance to other) < 2\n"
 )
 
 

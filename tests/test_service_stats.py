@@ -1,10 +1,10 @@
-"""Shard-stat merging and the worker engine LRU.
+"""Shard-stat merging and the worker's artifact LRU.
 
 Property-style pins for the stats pipeline: however a run is cut into
 shards, :func:`merge_shard_stats` over the per-shard
 ``AggregateStats.to_shard_stats()`` dicts must equal the single-shard
 roll-up — for candidate counts and rejection breakdowns.  Plus the
-worker-side engine cache (eviction follows *recency*, not insertion order).
+worker-side artifact cache (every shard refreshes its program's recency).
 """
 
 import random
@@ -12,7 +12,7 @@ import random
 import pytest
 
 from repro.core.scenario import GenerationStats
-from repro.language.compiler import source_fingerprint
+from repro.language.compiler import ArtifactCache, source_fingerprint
 from repro.sampling import AggregateStats
 from repro.service.protocol import ShardOutcome, ShardPayload, merge_shard_stats
 from repro.service import worker as worker_module
@@ -31,8 +31,8 @@ def _random_stats(rng):
 
 
 def _record_draws(aggregate, draws):
-    for strategy, stats in draws:
-        aggregate.record(stats, strategy, accepted=True)
+    for stats in draws:
+        aggregate.record(stats, accepted=True)
 
 
 def _outcome(stats_dict, pid=1000):
@@ -43,11 +43,7 @@ def _outcome(stats_dict, pid=1000):
 
 
 def _draws(rng, count):
-    draws = []
-    for _ in range(count):
-        strategy = rng.choice(["rejection", "vectorized"])
-        draws.append((strategy, _random_stats(rng)))
-    return draws
+    return [_random_stats(rng) for _ in range(count)]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
@@ -86,9 +82,9 @@ def test_candidates_sum_across_shards():
     the same as its iteration count.
     """
     shard_a = AggregateStats()
-    shard_a.record(GenerationStats(iterations=40), "rejection")
+    shard_a.record(GenerationStats(iterations=40))
     shard_b = AggregateStats()
-    shard_b.record(GenerationStats(iterations=5), "vectorized")
+    shard_b.record(GenerationStats(iterations=5))
 
     assert shard_a.to_shard_stats()["candidates"] == 40
     assert shard_b.to_shard_stats()["candidates"] == 5
@@ -112,7 +108,7 @@ def test_to_shard_stats_matches_aggregate_views():
 
 
 # ---------------------------------------------------------------------------
-# Worker engine cache: a real LRU
+# Worker artifact cache: a real LRU
 # ---------------------------------------------------------------------------
 
 
@@ -128,32 +124,26 @@ def _payload(source, strategy="rejection"):
     )
 
 
-def test_engine_cache_evicts_least_recently_used(monkeypatch):
-    """A hit refreshes recency: inserting past capacity evicts the *stale*
-    entry, not the one we just reused."""
-    monkeypatch.setattr(worker_module, "_MAX_ENGINES", 2)
-    worker_module._ENGINES.clear()
-    source_a = "ego = Object at 1 @ 0\n"
-    source_b = "ego = Object at 2 @ 0\n"
-    source_c = "ego = Object at 3 @ 0\n"
+def test_worker_keeps_a_reused_artifact_cached(monkeypatch):
+    """Every shard refreshes its artifact's recency in the worker's LRU.
 
-    engine_a, _, hit = worker_module._engine_for(_payload(source_a))
-    assert hit is False
-    worker_module._engine_for(_payload(source_b))
-    assert len(worker_module._ENGINES) == 2
+    With room for two artifacts, shards for A, B, A, C evict B: the third
+    shard made A the most recently used, so C pushes out B, not A.
+    """
+    monkeypatch.setattr(worker_module, "_CACHE", ArtifactCache(max_memory=2))
+    source_a = "ego = Object at 11 @ 0\n"
+    source_b = "ego = Object at 12 @ 0\n"
+    source_c = "ego = Object at 13 @ 0\n"
 
-    # Touch A: it becomes most-recently used (and reports a hit)...
-    engine_a_again, _, hit = worker_module._engine_for(_payload(source_a))
-    assert hit is True and engine_a_again is engine_a
+    hits = [
+        worker_module.run_shard(_payload(source)).cache_hit
+        for source in (source_a, source_b, source_a, source_c)
+    ]
+    assert hits == [False, False, True, False]
+    assert source_fingerprint(source_a) in worker_module._CACHE
+    assert source_fingerprint(source_c) in worker_module._CACHE
+    assert source_fingerprint(source_b) not in worker_module._CACHE
 
-    # ...so inserting C evicts B, not A.
-    worker_module._engine_for(_payload(source_c))
-    cached_fingerprints = {key[0] for key in worker_module._ENGINES}
-    assert source_fingerprint(source_a) in cached_fingerprints
-    assert source_fingerprint(source_c) in cached_fingerprints
-    assert source_fingerprint(source_b) not in cached_fingerprints
-
-    # And A is still the same object (never rebuilt).
-    engine_a_final, _, hit = worker_module._engine_for(_payload(source_a))
-    assert hit is True and engine_a_final is engine_a
-    worker_module._ENGINES.clear()
+    outcome = worker_module.run_shard(_payload(source_a, strategy="vectorized"))
+    assert outcome.error is None
+    assert outcome.cache_hit
