@@ -114,39 +114,6 @@ def is_constant(value: Any) -> bool:
     )
 
 
-def _plan_items(items: Tuple[Any, ...]) -> Tuple[Tuple[int, Callable[[Sample], Any]], ...]:
-    """How to draw the random items of *items*: ``(index, fill)`` in order.
-
-    Constant items are left out; :func:`_fill` copies them from *items*.  A
-    ``Distribution`` fills through its own ``sample_in`` and a random exact
-    tuple item by item (a tuple cannot change).  Anything else takes the
-    live ``concretize`` walk on every draw, so a list's or dict's current
-    items are read each time.
-    """
-    slots = []
-    for index, item in enumerate(items):
-        if isinstance(item, Distribution):
-            slots.append((index, item.sample_in))
-        elif is_constant(item):
-            continue
-        elif type(item) is tuple:
-            inner = _plan_items(item)
-            slots.append(
-                (index, lambda sample, item=item, inner=inner: tuple(_fill(item, inner, sample)))
-            )
-        else:
-            slots.append((index, lambda sample, item=item: concretize(item, sample)))
-    return tuple(slots)
-
-
-def _fill(items: Tuple[Any, ...], slots, sample: Sample) -> List[Any]:
-    """*items* as a list, with each random item drawn by its slot in order."""
-    values = list(items)
-    for index, fill in slots:
-        values[index] = fill(sample)
-    return values
-
-
 #: Marks a node with no value yet in a :class:`Sample`'s memo.
 _UNSET = object()
 
@@ -168,26 +135,24 @@ def supporting_interval(value: Any) -> Tuple[Optional[float], Optional[float]]:
 class Distribution:
     """Base class for every random value in the DAG."""
 
-    #: ``(dependencies, slots)``: the dependency tuple the draw plan was built
-    #: from and :func:`_plan_items` of it.  Built at the first draw.
-    _plan: Optional[Tuple[Tuple[Any, ...], Tuple[Any, ...]]] = None
-
     def __init__(self, *dependencies: Any):
         self._dependencies: Tuple[Any, ...] = tuple(dependencies)
 
     # -- sampling --------------------------------------------------------------
 
     def sample_in(self, sample: Sample) -> Any:
+        """This node's value in *sample*: its memo, or a draw over its dependencies.
+
+        The plain walk.  A scenario's candidates are drawn by its
+        :mod:`~repro.core.program` instead; this serves requirement
+        conditions, :meth:`sample` and the scenarios that keep the walk.
+        """
         value = sample._values.get(id(self), _UNSET)
         if value is not _UNSET:
             return value
-        plan = self._plan
-        if plan is None or plan[0] is not self._dependencies:
-            # First draw, or ``prune_scenario`` swapped the dependencies.
-            plan = self._plan = (self._dependencies, _plan_items(self._dependencies))
-        dependencies, slots = plan
-        dependency_values = _fill(dependencies, slots, sample) if slots else dependencies
-        value = self.sample_given(dependency_values, sample.rng)
+        value = self.sample_given(
+            [concretize(dependency, sample) for dependency in self._dependencies], sample.rng
+        )
         sample.set_value_for(self, value)
         return value
 

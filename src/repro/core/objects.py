@@ -16,11 +16,11 @@ Table 2's built-in properties and defaults are reproduced verbatim.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List
 
 from ..geometry.polygon import Polygon
 from .context import register_object
-from .distributions import Sample, concretize, is_constant, needs_sampling
+from .distributions import Sample, concretize, needs_sampling
 from .errors import ScenicError
 from .specifiers import Specifier, With, resolve_specifiers
 from .utils import normalize_angle
@@ -35,10 +35,9 @@ class Constructible:
     #: Default-value factories for the properties introduced by this class.
     _scenic_properties: Dict[str, PropertyFactory] = {}
 
-    #: ``(properties, random_names)``: a copy of ``properties`` and the names
-    #: of those that are not constant, in order; a draw concretizes only
-    #: these.  Built at the first draw; :meth:`_assign_property` drops it.
-    _plan: Optional[Tuple[Dict[str, Any], List[str]]] = None
+    #: How many times :meth:`_assign_property` has run on this instance; a
+    #: draw program that read the object is current only while it is unchanged.
+    _edits = 0
 
     # -- class-level helpers ----------------------------------------------------
 
@@ -97,7 +96,7 @@ class Constructible:
     def _assign_property(self, name: str, value: Any) -> None:
         self.properties[name] = value
         object.__setattr__(self, name, value)
-        self._plan = None
+        self._edits += 1
 
     def _validate(self) -> None:
         """Subclasses may check property consistency here."""
@@ -120,18 +119,9 @@ class Constructible:
         concrete = sample.get(self)
         if concrete is not None:
             return concrete
-        plan = self._plan
-        if plan is None:
-            properties = dict(self.properties)
-            plan = self._plan = (
-                properties,
-                [name for name, value in properties.items() if not is_constant(value)],
-            )
-        properties, random_names = plan
-        concrete_properties = properties.copy()
-        for name in random_names:
-            concrete_properties[name] = concretize(properties[name], sample)
-        concrete = type(self)._from_properties(concrete_properties)
+        concrete = type(self)._from_properties(
+            {name: concretize(value, sample) for name, value in self.properties.items()}
+        )
         concrete._source_object = self
         sample.set_value_for(self, concrete)
         concrete._apply_mutation(sample)

@@ -90,6 +90,9 @@ class Scenario:
         #: scenarios built through the Python API) — pruning reads the
         #: artifact's cached static-analysis bounds from it.
         self.compiled_artifact: Optional[Any] = None
+        #: The :class:`~repro.core.program.DrawProgram` its candidates are
+        #: drawn with, built at the first draw and rebuilt when stale.
+        self._draw_program: Optional[Any] = None
 
     # -- construction helpers ---------------------------------------------------
 
@@ -151,7 +154,9 @@ class Scenario:
         candidates and rejecting them in bulk through the geometry kernel
         pays off most (single ``generate`` calls keep plain ``"rejection"``
         as the reference semantics).  Its first scene from a fresh RNG is
-        ``generate``'s unless the scenario has a soft requirement; pass
+        ``generate``'s unless the scenario has a soft requirement or a
+        random value that only a ``require`` reaches (both are drawn when a
+        candidate is examined, after its whole block); pass
         ``strategy="rejection"`` for draw-for-draw parity of the whole
         batch with repeated ``generate`` calls.
         """

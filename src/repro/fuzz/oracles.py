@@ -5,8 +5,11 @@ Five oracles are run against every valid generated program:
 * **Strategy equivalence** — every sampling strategy is given a fresh
   compile of the program and the same seed.  ``rejection`` and
   ``vectorized`` share the rejection RNG-stream contract for one scene from
-  a fresh RNG (see :mod:`repro.evals.golden`), so they must produce
-  bit-identical scenes whenever the program has no soft requirements.
+  a fresh RNG (see :mod:`repro.evals.golden`) whenever the program has no
+  soft requirement and no random value that only a ``require`` reaches,
+  so they must then produce bit-identical scenes.  Only soft requirements
+  are screened out: a program with such a value can fail this oracle
+  although it is valid.
 * **Kernel equivalence** — the vectorized geometry kernel
   (:mod:`repro.geometry.kernel`) must agree with the scalar predicates on
   the sampled scenes: point containment, object containment, and pairwise
@@ -26,9 +29,11 @@ Five oracles are run against every valid generated program:
   polygon-cell boundary soundness of ``prune_scenario`` and for the static
   requirement analysis behind it.
 * **Planned draws** — the program's first candidates are drawn twice from
-  one seed: through ``concretize``'s per-node draw plans, and through
-  :func:`reference_concretize`, the plain walk the plans replace.  Values,
-  rejections and the final RNG state must all be equal.
+  one seed: through the scenario's draw program
+  (:mod:`repro.core.program`), as the samplers draw them, and through
+  :func:`reference_concretize`, the plain walk the program replaces.
+  Values, rejections, the final RNG state and every memoised node's value
+  must all be equal.
 
 A sixth, opt-in oracle (``statistical=True``) guards the ``vectorized``
 strategy's exactness claim where oracle A cannot reach:
@@ -59,9 +64,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..core.distributions import Distribution, Sample, concretize
+from ..core.distributions import Distribution, Sample
 from ..core.errors import RejectionError, RejectSample, ScenicError
 from ..core.objects import Constructible
+from ..core.program import current_program, walk
 from ..core.pruning import _mutation_enabled, prune_scenario
 from ..core.regions import CircularRegion, RectangularRegion
 from ..core.utils import normalize_angle
@@ -72,7 +78,8 @@ from ..sampling.strategies import STRATEGIES
 from .program_gen import GeneratedProgram, PlannedCheck
 
 #: Strategies whose per-seed scenes must coincide exactly when the program
-#: has no soft requirements (they consume the RNG stream identically).
+#: has no soft requirement and no random value that only a ``require``
+#: reaches (they then consume the RNG stream identically).
 EXACT_EQUIVALENCE_STRATEGIES = ("rejection", "vectorized")
 
 #: Numerical slack for scene comparisons, matching the golden corpus.
@@ -185,12 +192,7 @@ def draw_scene_with_sample(scenario, seed: int, max_iterations: int):
     rng = random.Random(seed)
     for _ in range(max_iterations):
         try:
-            sample = Sample(rng)
-            concrete_objects = [obj._concretize(sample) for obj in scenario.objects]
-            concrete_ego = scenario.ego._concretize(sample)
-            concrete_params = {
-                name: concretize(value, sample) for name, value in scenario.params.items()
-            }
+            sample, concrete_objects, concrete_ego, concrete_params = walk(scenario, rng)
             if geometry_failure(scenario.workspace, concrete_objects) or not (
                 all_required_visible(concrete_objects, concrete_ego)
             ):
@@ -337,7 +339,7 @@ def recheck_hard_requirements(scenario, sample) -> List[str]:
 
 
 # ---------------------------------------------------------------------------
-# Oracle F: planned draws equal the walk they replace
+# Oracle F: the draw program equals the walk it replaces
 # ---------------------------------------------------------------------------
 
 #: Candidates :func:`check_planned_draws` draws both ways per program.
@@ -345,12 +347,12 @@ PLAN_CANDIDATES = 32
 
 
 def reference_concretize(value: Any, sample: Sample) -> Any:
-    """``concretize`` without draw plans: every dependency, every property, every draw.
+    """``concretize`` as a plain walk: every dependency, every property, every draw.
 
     The ``isinstance``/``hasattr`` ladder, a ``sample_in`` that concretizes
     each dependency and a ``Constructible._concretize`` over each property,
-    with the same memo and mutation noise.  It only reads the DAG: it
-    builds, uses and patches no plan.
+    with the same memo and mutation noise.  It only reads the DAG and never
+    touches a draw program.
     """
     if isinstance(value, Distribution):
         if sample.has_value_for(value):
@@ -381,7 +383,12 @@ def reference_concretize(value: Any, sample: Sample) -> Any:
 
 
 def _same_value(first: Any, second: Any) -> bool:
-    """Structural equality of two concretized values (objects by property)."""
+    """Structural equality of two concretized values.
+
+    Objects compare by property, arrays by element, and other objects
+    without an ``__eq__`` of their own (a region drawn for one candidate)
+    by their attributes.
+    """
     if first is second:
         return True
     if type(first) is not type(second):
@@ -394,37 +401,67 @@ def _same_value(first: Any, second: Any) -> bool:
         return list(first) == list(second) and all(
             _same_value(first[key], second[key]) for key in first
         )
+    if isinstance(first, np.ndarray):
+        return first.shape == second.shape and bool(np.array_equal(first, second))
+    if type(first).__eq__ is object.__eq__ and hasattr(first, "__dict__"):
+        return _same_value(vars(first), vars(second))
     return bool(first == second)
 
 
-def _draw_candidate_values(scenario, rng: random.Random, walk) -> Tuple[str, Any]:
-    """One candidate's objects, ego and params under *walk*, in the strategies' draw order."""
+def _reference_draw(scenario, rng: random.Random):
+    """One candidate under :func:`reference_concretize`, in the draw's order."""
     sample = Sample(rng)
+    objects = [reference_concretize(obj, sample) for obj in scenario.objects]
+    ego = reference_concretize(scenario.ego, sample)
+    params = {name: reference_concretize(value, sample) for name, value in scenario.params.items()}
+    return sample, objects, ego, params
+
+
+def _draw_outcome(draw, scenario, rng: random.Random) -> Tuple[str, Any]:
+    """``("drawn", (sample, objects, ego, params))``, or the raised error's name."""
     try:
-        objects = [walk(obj, sample) for obj in scenario.objects]
-        ego = walk(scenario.ego, sample)
-        params = {name: walk(value, sample) for name, value in scenario.params.items()}
+        return "drawn", draw(scenario, rng)
     except Exception as error:  # noqa: BLE001 - compared, not judged
         return type(error).__name__, None
-    return "drawn", (objects, ego, params)
+
+
+def _memo_problem(program: Sample, reference: Sample) -> Optional[str]:
+    """How the program's memo differs from the one the reference walk filled."""
+    if set(program._values) != set(reference._values):
+        return "memoises other nodes than the reference walk"
+    for node in reference._keep_alive:
+        if not _same_value(program.value_for(node), reference.value_for(node)):
+            return f"memoises another value for {type(node).__name__}"
+    return None
 
 
 def check_planned_draws(scenario, seed: int, candidates: int = PLAN_CANDIDATES) -> List[str]:
-    """Oracle F: planned draws must equal :func:`reference_concretize`'s walk.
+    """Oracle F: the scenario's draw program must equal :func:`reference_concretize`.
 
     Draws *scenario*'s first *candidates* candidates both ways from the same
-    seed.  Each must give equal object and parameter values (or raise the
-    same error, e.g. ``RejectSample``) and leave an equal ``rng.getstate()``.
+    seed: through its current :class:`~repro.core.program.DrawProgram`, as
+    the samplers do, and through the reference walk.  Each must give equal
+    object and parameter values (or raise the same error, e.g.
+    ``RejectSample``), leave an equal ``rng.getstate()``, and memoise an
+    equal value for every node the walk memoised.
     """
-    planned_rng, reference_rng = random.Random(seed), random.Random(seed)
+    try:
+        program = current_program(scenario)
+    except Exception as error:  # noqa: BLE001 - the walk may still draw
+        return [f"building the draw program raised {type(error).__name__}: {error}"]
+    program_rng, reference_rng = random.Random(seed), random.Random(seed)
     for index in range(candidates):
-        planned = _draw_candidate_values(scenario, planned_rng, concretize)
-        reference = _draw_candidate_values(scenario, reference_rng, reference_concretize)
-        if planned[0] != reference[0]:
-            return [f"candidate {index}: planned draw {planned[0]}, reference {reference[0]}"]
-        if not _same_value(planned[1], reference[1]):
-            return [f"candidate {index}: planned values differ from the reference walk"]
-        if planned_rng.getstate() != reference_rng.getstate():
+        drawn, values = _draw_outcome(program.draw, scenario, program_rng)
+        expected, reference = _draw_outcome(_reference_draw, scenario, reference_rng)
+        if drawn != expected:
+            return [f"candidate {index}: program draw {drawn}, reference {expected}"]
+        if values is not None:
+            if not _same_value(values[1:], reference[1:]):
+                return [f"candidate {index}: program values differ from the reference walk"]
+            problem = _memo_problem(values[0], reference[0])
+            if problem:
+                return [f"candidate {index}: the program {problem}"]
+        if program_rng.getstate() != reference_rng.getstate():
             return [f"candidate {index}: RNG state differs from the reference walk"]
     return []
 
@@ -778,7 +815,7 @@ def run_oracles(
         _mutation_enabled(obj) for obj in probe.objects
     )
 
-    # -- oracle F: planned draws equal the reference walk ----------------------
+    # -- oracle F: the draw program equals the reference walk ------------------
     plan_problems = check_planned_draws(probe, seed)
     if plan_problems:
         report.verdict = "fail"

@@ -1,9 +1,9 @@
 """The scene-sampling strategies: one candidate loop, two block policies.
 
 Every strategy runs the same candidate loop, :meth:`SamplingStrategy.sample`:
-draw candidates with :meth:`SamplingStrategy._draw` (a fresh
-:class:`~repro.core.distributions.Sample`, then the objects, the ego and the
-params, in that order), then examine them in draw order against one check
+draw candidates with :meth:`SamplingStrategy._draw` (one pass over the
+scenario's draw program, :mod:`repro.core.program`: the objects, the ego and
+the params, in that order), then examine them in draw order against one check
 chain — containment → collision → visibility → ``require`` — and accept the
 first candidate that passes.  Each rejected candidate is booked under the
 first check it failed, and a ``RejectSample`` raised anywhere in a candidate
@@ -47,8 +47,9 @@ from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple, Type,
 
 import numpy as np
 
-from ..core.distributions import Sample, concretize
+from ..core.distributions import Sample
 from ..core.errors import RejectSample, RejectionError
+from ..core.program import current_program, draw_candidate
 from ..core.scenario import GenerationStats, Scenario
 from ..core.scene import Scene
 from ..geometry import kernel as _kernel
@@ -207,23 +208,17 @@ class SamplingStrategy:
     # -- the candidate loop ------------------------------------------------------
 
     def _draw(self, scenario: Scenario, rng: _random.Random) -> Drawn:
-        """One candidate: a fresh Sample, then the objects, the ego and the params.
+        """One candidate: the objects, the ego and the params, in that order.
 
-        That order is the RNG-stream contract the golden scenes pin (same
+        One pass over the scenario's draw program
+        (:mod:`repro.core.program`), which reads the RNG in the ``concretize``
+        walk's order: the RNG-stream contract the golden scenes pin (same
         seed ⇒ same scene).
         """
-        sample = Sample(rng)
         try:
-            concrete_objects = [
-                scenic_object._concretize(sample) for scenic_object in scenario.objects
-            ]
-            concrete_ego = scenario.ego._concretize(sample)
-            concrete_params = {
-                name: concretize(value, sample) for name, value in scenario.params.items()
-            }
+            return Candidate(*draw_candidate(scenario, rng))
         except RejectSample:
             return "sampling"
-        return Candidate(sample, concrete_objects, concrete_ego, concrete_params)
 
     def sample(
         self, scenario: Scenario, max_iterations: int, rng: _random.Random
@@ -234,6 +229,7 @@ class SamplingStrategy:
         candidates after the accepted one are drawn but never examined.
         """
         self.bind(scenario)
+        current_program(scenario)  # rebuilt here if an edit made it stale
         stats = GenerationStats()
         start_time = time.perf_counter()
         scene: Optional[Scene] = None
@@ -313,14 +309,16 @@ class VectorizedSampler(SamplingStrategy):
     The induced distribution is exactly plain rejection's: candidates are
     i.i.d. draws from the prior, examined in the order they were drawn, and
     acceptance depends only on the candidate itself and, under a
-    ``require[p]``, on a fresh uniform coin.  Without soft requirements the
-    first scene drawn from a fresh RNG is also rejection's, draw for draw:
-    candidate *k* is the same however draws are grouped into blocks.  The
-    *stream* still differs in two ways, so per-seed outputs can differ
-    while per-seed determinism holds: the candidates after the accepted one
-    in its block are drawn but never examined, which moves where the next
-    scene of a multi-scene batch starts; and a soft requirement's coins are
-    flipped after its whole block is drawn, not between candidates.
+    ``require[p]``, on a fresh uniform coin.  The *stream* differs in three
+    ways, so per-seed outputs can differ while per-seed determinism holds:
+    the candidates after the accepted one in its block are drawn but never
+    examined, which moves where the next scene of a multi-scene batch
+    starts; a soft requirement's coins are flipped after its whole block is
+    drawn, not between candidates; and so is any random value that only a
+    ``require`` reaches, which the check draws when it examines the
+    candidate.  Without either of the last two, the first scene drawn from
+    a fresh RNG is also rejection's, draw for draw: candidate *k* is the
+    same however draws are grouped into blocks.
     """
 
     name = "vectorized"

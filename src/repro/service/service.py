@@ -69,7 +69,7 @@ from .protocol import (
     derive_scene_seeds,
     merge_shard_stats,
 )
-from .worker import initialize_worker, run_shard
+from .worker import initialize_pool_worker, run_shard
 
 #: The most scenes one request may ask for (156x the largest perfbench
 #: request).  ``n`` above it is refused before admission, so a request never
@@ -157,11 +157,11 @@ class GenerationService:
         return self
 
     def _new_pool(self) -> ProcessPoolExecutor:
-        pool = ProcessPoolExecutor(max_workers=1, initializer=initialize_worker)
+        pool = ProcessPoolExecutor(max_workers=1, initializer=initialize_pool_worker)
         # A fork-started pool forks its worker at the first submit; do it
-        # now.  A worker forked later, while a server has connections open,
-        # inherits their sockets, and a connection the server closes then
-        # never reaches the client as end-of-file.
+        # now, so the first request does not wait for it.  The worker drops
+        # the sockets it inherits (a replacement forks while the server has
+        # connections open) before it takes any work.
         pool.submit(int)
         return pool
 

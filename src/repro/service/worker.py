@@ -1,13 +1,13 @@
 """Worker-process side of the generation service.
 
-Each worker in the service's process pool runs :func:`initialize_worker`
-once (pool initializer) and then :func:`run_shard` per task.  Workers are
-*persistent*: they hold a process-local, in-memory
-:class:`~repro.language.ArtifactCache`, so the first shard of a program
-pays the compile and every later shard — from any request — skips the
-parser and interpreter entirely and starts sampling immediately.  The
-service routes shards to workers by artifact fingerprint (*affinity*)
-precisely so these per-process caches keep hitting.
+Each worker in the service's process pool runs
+:func:`initialize_pool_worker` once (pool initializer) and then
+:func:`run_shard` per task.  Workers are *persistent*: they hold a
+process-local, in-memory :class:`~repro.language.ArtifactCache`, so the
+first shard of a program pays the compile and every later shard — from any
+request — skips the parser and interpreter entirely and starts sampling
+immediately.  The service routes shards to workers by artifact fingerprint
+(*affinity*) precisely so these per-process caches keep hitting.
 
 Everything entering and leaving this module is plain data
 (:class:`~repro.service.protocol.ShardPayload` /
@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import os
 import random as _random
+import stat
 import threading
 import time
 from typing import Any, Dict, List, Optional
@@ -40,17 +41,55 @@ _MAX_ARTIFACTS = 64
 #: single-threaded so this is free there; it exists for the inline
 #: (``workers=0``) mode, where the service dispatches shards onto the
 #: default *thread* pool and concurrent shards of one program would share
-#: the artifact's interned scenario, whose tables and draw plans are built
+#: the artifact's interned scenario, whose tables and draw program are built
 #: lazily on first use.
 _SHARD_LOCK = threading.Lock()
 
 
 def initialize_worker() -> None:
-    """Pool initializer: build this worker's artifact cache."""
+    """Build this process's artifact cache."""
     global _CACHE
     from ..language.compiler import ArtifactCache
 
     _CACHE = ArtifactCache(max_memory=_MAX_ARTIFACTS)
+
+
+def _drop_inherited_sockets() -> None:
+    """Point every socket descriptor this process holds at ``/dev/null``.
+
+    ``dup2`` keeps each descriptor number taken, so an inherited socket
+    object that still owns the number cannot close a file opened later.
+    """
+    try:
+        descriptors = [int(name) for name in os.listdir("/proc/self/fd")]
+    except OSError:  # no /proc: nothing to sweep
+        return
+    null = os.open(os.devnull, os.O_RDWR)
+    try:
+        for descriptor in descriptors:
+            if descriptor == null:
+                continue
+            try:
+                if stat.S_ISSOCK(os.fstat(descriptor).st_mode):
+                    os.dup2(null, descriptor)
+            except OSError:  # closed since the listing (the listing's own)
+                continue
+    finally:
+        os.close(null)
+
+
+def initialize_pool_worker() -> None:
+    """Pool initializer: drop inherited sockets, then build the artifact cache.
+
+    A worker forks from the service's process, and one that replaces a dead
+    worker forks while the HTTP server listens and holds client
+    connections.  Its copies of those sockets would keep each connection
+    open after the server closes it, so the client would never see
+    end-of-file.  The pool's own channels are pipes.  Inline shards
+    (``workers=0``) run in the service's own process and never sweep.
+    """
+    _drop_inherited_sockets()
+    initialize_worker()
 
 
 def _cache():
@@ -132,4 +171,4 @@ def run_shard(payload: ShardPayload) -> ShardOutcome:
     )
 
 
-__all__ = ["initialize_worker", "run_shard"]
+__all__ = ["initialize_pool_worker", "initialize_worker", "run_shard"]

@@ -25,8 +25,9 @@ from repro.core.distributions import (
     resample,
     supporting_interval,
 )
-from repro.core.errors import RejectSample, ScenicError
+from repro.core.errors import ScenicError
 from repro.core.objects import Constructible
+from repro.core.program import current_program
 from repro.core.pruning import prune_scenario
 from repro.core.vectors import Vector
 from repro.evals.corpus import Manifest
@@ -164,35 +165,30 @@ class TestSampleMemoisation:
         assert draw(node, 1) != pytest.approx(draw(node, 2))
 
 
-def _draws(scenario, seed, count=16):
-    """*count* candidates' object positions and headings, ``None`` when rejected."""
-    rng = random.Random(seed)
-    draws = []
-    for _ in range(count):
-        sample = Sample(rng)
-        try:
-            objects = [obj._concretize(sample) for obj in scenario.objects]
-        except RejectSample:
-            draws.append(None)
-            continue
-        draws.append([(tuple(obj.position), float(obj.heading)) for obj in objects])
-    return draws
+def _scene_positions(scenario):
+    """Scenes under both strategies, drawn through ``generate`` and ``generate_batch``."""
+    scenes = []
+    for strategy in ("rejection", "vectorized"):
+        scenes.append(scenario.generate(seed=1, strategy=strategy))
+        scenes.extend(scenario.generate_batch(3, seed=2, strategy=strategy))
+    return [[(tuple(obj.position), float(obj.heading)) for obj in scene.objects]
+            for scene in scenes]
 
 
 class TestDrawPlans:
-    """A node's draw plan follows the node and keeps nothing alive."""
+    """A scenario's draw program follows edits made after it was built."""
 
     def test_plan_follows_pruned_dependencies(self):
         """``prune_scenario`` after a draw swaps in a region the next draw must use."""
         source = (SCENARIO_DIR / "close_car.scenic").read_text()
         sampled = scenario_from_string(source)
-        unpruned = _draws(sampled, seed=1)
+        unpruned = _scene_positions(sampled)
         prune_scenario(sampled)
         pruned_first = scenario_from_string(source)
         prune_scenario(pruned_first)
-        after = _draws(sampled, seed=1)
+        after = _scene_positions(sampled)
         assert after != unpruned
-        assert after == _draws(pruned_first, seed=1)
+        assert after == _scene_positions(pruned_first)
 
     @pytest.mark.parametrize("scale", [lambda: 1.0, lambda: Range(0.5, 1.5)],
                              ids=["constant", "random"])
@@ -200,13 +196,13 @@ class TestDrawPlans:
         """What ``mutate`` does after a draw equals doing it before the first one."""
         source = (SCENARIO_DIR / "close_car.scenic").read_text()
         drawn = scenario_from_string(source)
-        unmutated = _draws(drawn, seed=1)
+        unmutated = _scene_positions(drawn)
         drawn.objects[1]._assign_property("mutationScale", scale())
         mutated_first = scenario_from_string(source)
         mutated_first.objects[1]._assign_property("mutationScale", scale())
-        after = _draws(drawn, seed=1)
+        after = _scene_positions(drawn)
         assert after != unmutated
-        assert after == _draws(mutated_first, seed=1)
+        assert after == _scene_positions(mutated_first)
 
     def test_list_argument_is_fresh_on_every_draw(self):
         seen = []
@@ -251,19 +247,22 @@ class TestDrawPlans:
 @pytest.mark.parametrize("entry", PLAN_SLICE, ids=lambda entry: entry.id)
 def test_planned_draws_equal_reference_walk(entry):
     """Oracle F on one program per corpus bucket (all 165 in the slow test below)."""
-    assert check_planned_draws(scenario_from_string(entry.source()), seed=7) == []
+    scenario = scenario_from_string(entry.source())
+    assert current_program(scenario).steps is not None, "the program fell back to the walk"
+    assert check_planned_draws(scenario, seed=7) == []
 
 
 def test_run_oracles_flags_a_plan_that_draws_out_of_order(monkeypatch):
-    from repro.core import distributions
+    from repro.core import program
 
-    def reversed_fill(items, slots, sample):
-        values = list(items)
-        for index, fill in reversed(slots):
-            values[index] = fill(sample)
-        return values
+    build = program.build_program
 
-    monkeypatch.setattr(distributions, "_fill", reversed_fill)
+    def swapped(scenario):
+        built = build(scenario)
+        built.steps[0], built.steps[1] = built.steps[1], built.steps[0]
+        return built
+
+    monkeypatch.setattr(program, "build_program", swapped)
     report = run_oracles("ego = Object at (0, 1) @ (2, 3)\n", seed=0)
     assert report.verdict == "fail"
     assert [failure.oracle for failure in report.failures] == ["plan-equivalence"]
@@ -271,9 +270,15 @@ def test_run_oracles_flags_a_plan_that_draws_out_of_order(monkeypatch):
 
 @pytest.mark.slow
 def test_planned_draws_equal_reference_walk_on_whole_corpus():
+    """No corpus or example program falls back, and each draws as the reference walk."""
+    sources = {entry.id: entry.source() for entry in CORPUS}
+    sources.update((path.name, path.read_text()) for path in SCENARIO_DIR.glob("*.scenic"))
+    assert len(sources) == 165 + 36
     failures = {}
-    for entry in CORPUS:
-        problems = check_planned_draws(scenario_from_string(entry.source()), seed=7)
-        if problems:
-            failures[entry.id] = problems
+    for name, source in sorted(sources.items()):
+        scenario = scenario_from_string(source)
+        if current_program(scenario).steps is None:
+            failures[name] = ["the program fell back to the walk"]
+        elif problems := check_planned_draws(scenario, seed=7):
+            failures[name] = problems
     assert failures == {}

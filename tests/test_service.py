@@ -530,6 +530,55 @@ def test_dead_worker_fails_only_its_own_request(moment, mode):
     assert scenes == generate_sync(source, n=8, seed=3).scenes
 
 
+def test_replacement_worker_keeps_no_client_connection_open():
+    """A worker forked to replace a dead one does not hold client sockets.
+
+    With a keep-alive connection held open, one worker is SIGKILLed and a
+    request on a second connection fails and replaces it: the replacement
+    forks while both connections are open.  A ``Connection: close`` request
+    on the held connection then must reach its client as end-of-file within
+    a second.  No inflight slot leaks, and the next request matches
+    ``workers=0`` record for record.
+    """
+    source = _source("two_cars")
+    health = b"GET /healthz HTTP/1.1\r\nHost: t\r\n"
+
+    async def run():
+        async with GenerationService(workers=1) as service:
+            async with HttpGenerationServer(service) as server:
+                reader, writer = await asyncio.open_connection(server.host, server.port)
+                writer.write(health + b"\r\n")
+                await writer.drain()
+                head = await reader.readuntil(b"\r\n\r\n")
+                await reader.readexactly(int(re.search(rb"Content-Length: (\d+)", head).group(1)))
+                victim = (await service.generate(source, n=1, seed=0)).stats["workers"][0]
+                os.kill(victim, signal.SIGKILL)
+                failed, _ = await http_request(
+                    server.host, server.port, "POST", "/generate",
+                    {"source": source, "n": 2, "seed": 1},
+                )
+                writer.write(health + b"Connection: close\r\n\r\n")
+                await writer.drain()
+                sent = time.monotonic()
+                try:
+                    tail = await asyncio.wait_for(reader.read(), timeout=2.0)
+                except asyncio.TimeoutError:
+                    tail = None
+                waited = time.monotonic() - sent
+                writer.close()
+                stats = service.service_stats()
+                after = await service.generate(source, n=8, seed=3)
+                return failed, tail, waited, stats, after.scenes
+
+    failed, tail, waited, stats, scenes = asyncio.run(run())
+    assert failed == 500
+    assert tail is not None and tail.startswith(b"HTTP/1.1 200")
+    assert waited < 1.0
+    assert stats["failures"] == 1
+    assert stats["pending"] == 0
+    assert scenes == generate_sync(source, n=8, seed=3).scenes
+
+
 async def _workers_free_at(service):
     """When each worker finished the shards it held, on ``time.monotonic``'s clock.
 
