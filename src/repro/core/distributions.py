@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import numbers
 import random as _random
+from bisect import bisect_left
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ScenicError
@@ -469,6 +470,15 @@ class Normal(Distribution):
         return Normal(self.mean, self.std_dev)
 
 
+def option_index(cumulative: Sequence[float], target: float) -> int:
+    """The option a draw of *target* picks: the first whose running total reaches it.
+
+    That is ``bisect_left``, clamped to the last option for a target that
+    rounding put above the total.
+    """
+    return min(bisect_left(cumulative, target), len(cumulative) - 1)
+
+
 class Options(Distribution):
     """Uniform or weighted choice over a finite set of (possibly random) values.
 
@@ -494,11 +504,7 @@ class Options(Distribution):
 
     def sample_given(self, dependency_values, rng):
         (values,) = dependency_values
-        target = rng.random() * self._cumulative[-1]
-        for value, threshold in zip(values, self._cumulative):
-            if target <= threshold:
-                return value
-        return values[-1]
+        return values[option_index(self._cumulative, rng.random() * self._cumulative[-1])]
 
     def support_interval(self):
         bounds = [supporting_interval(value) for value in self.option_values]
@@ -571,6 +577,7 @@ __all__ = [
     "Normal",
     "TruncatedNormal",
     "Options",
+    "option_index",
     "Uniform",
     "Discrete",
     "resample",

@@ -43,7 +43,7 @@ from __future__ import annotations
 import functools
 import random as _random
 from operator import attrgetter, is_, itemgetter
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from .distributions import (
     _LEAF_TYPES,
@@ -68,6 +68,15 @@ _MUTATIONS = (Constructible._apply_mutation, Object._apply_mutation)
 
 #: What a candidate's draw returns: its sample, objects, ego and params.
 CandidateParts = Tuple[Sample, List[Any], Any, Dict[str, Any]]
+
+
+class Candidate(NamedTuple):
+    """One drawn candidate scene: its joint sample and concrete values."""
+
+    sample: Sample
+    objects: List[Any]
+    ego: Any
+    params: Dict[str, Any]
 
 
 class _Fallback(Exception):
@@ -255,9 +264,12 @@ class DrawProgram:
         self.read = builder.objects
         self.edits = builder.edits
         self.steps: Optional[List[Tuple[int, int, Any, Any]]] = None
+        #: The block-of-columns form (:mod:`repro.core.columns`): ``None``
+        #: until a large block first asks for it, ``False`` if it declined.
+        self.columns: Any = None
         if roots is None:
             return
-        memoised = len(builder.nodes)
+        memoised = self.memoised = len(builder.nodes)
 
         def real(slot: int) -> int:
             return slot if slot >= 0 else memoised + ~slot
@@ -277,6 +289,15 @@ class DrawProgram:
             (real(slot), kind, function, getter(slots, whole))
             for slot, kind, function, slots, whole in builder.steps
         ]
+        # What the columns form is built from: the steps with their argument
+        # slots, and the roots' and constants' slots.
+        self.source_steps = [
+            (real(slot), kind, function, [real(s) for s in slots], whole)
+            for slot, kind, function, slots, whole in builder.steps
+        ]
+        self.constant_slots = frozenset(map(real, builder.constant_slots))
+        self.object_slots = [real(slot) for slot in object_slots]
+        self.param_slots = [real(slot) for slot in param_slots]
 
     def is_current(self, scenario) -> bool:
         """Nothing this program was built from has changed since."""
@@ -353,4 +374,4 @@ def draw_candidate(scenario, rng: _random.Random) -> CandidateParts:
     return program.draw(scenario, rng)
 
 
-__all__ = ["DrawProgram", "build_program", "current_program", "draw_candidate", "walk"]
+__all__ = ["Candidate", "DrawProgram", "build_program", "current_program", "draw_candidate", "walk"]

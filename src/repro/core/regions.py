@@ -434,6 +434,32 @@ class PolygonalRegion(Region):
                 return sampler.sample(rng)
         return self._samplers[-1].sample(rng)
 
+    def triangle_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, Tuple[np.ndarray, ...]]:
+        """:meth:`uniform_point`'s tables as arrays, for drawing many points at once.
+
+        The pieces' running area shares; each piece's triangle shares, padded
+        with ``inf`` to one ``(pieces, triangles)`` array; each piece's first
+        row in the flat triangle list and its triangle count; and that list's
+        ``a``, ``b`` and ``c`` coordinates as six columns.  Built once.
+        """
+        tables = getattr(self, "_triangle_tables", None)
+        if tables is None:
+            samplers = self._samplers
+            shares = np.full((len(samplers), max(len(s._cumulative) for s in samplers)), np.inf)
+            corners = []
+            for index, sampler in enumerate(samplers):
+                shares[index, : len(sampler._cumulative)] = sampler._cumulative
+                corners.extend((a.x, a.y, b.x, b.y, c.x, c.y) for a, b, c in sampler.triangles)
+            counts = np.array([len(sampler.triangles) for sampler in samplers])
+            tables = self._triangle_tables = (
+                np.array(self._cumulative, dtype=float),
+                shares,
+                np.cumsum(counts) - counts,
+                counts,
+                tuple(np.ascontiguousarray(column) for column in np.array(corners).T),
+            )
+        return tables
+
     def bounding_box(self):
         boxes = [polygon.bounding_box() for polygon in self.polygons]
         return BoundingBox(

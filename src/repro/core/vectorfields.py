@@ -183,11 +183,130 @@ class PolygonalVectorField(VectorField):
                 best_index = int(index)
         return self.cells[best_index]
 
+    #: A grid whose occupied span has more cells than this looks buckets up
+    #: point by point instead of in a dense table.
+    _DENSE_BUCKETS_MAX = 1 << 16
+
+    def value_at_points(self, xs, ys):
+        """:meth:`value_at` at ``K`` points, as an array, without calling it.
+
+        The same verdicts as ``cell_at`` then ``nearest_cell``, for all points
+        at once: each point's candidate cells are its grid bucket (every cell
+        for a small map), in bucket order; one pass of ``_point_in_edges``'
+        arithmetic over the cells' padded edge tables tests every (point,
+        cell) pair, and a point takes its first containing cell.  A point
+        inside no cell takes the scalar ``nearest_cell``.  *xs* and *ys* are
+        contiguous float64 arrays; a coordinate that is not finite raises
+        ``ValueError``, as the scalar grid's ``math.floor`` would.
+        """
+        import numpy as np
+
+        from .regions import _normalize_angles
+
+        count = len(xs)
+        if not self.cells:
+            return _normalize_angles(np.full(count, float(self.default_heading)))
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+            raise ValueError("cannot locate a point that is not finite")
+        edges, cell_headings = self._edge_columns()
+        candidates = self._candidate_cells(xs, ys)  # (K, B), -1 past a bucket's end
+        rows = edges[candidates]  # (K, B, E, 8); a -1 reads the last cell, masked below
+        xi, yi, xj, yj, ex, ey, on_bound, dot_hi = (rows[..., k] for k in range(8))
+        px = xs[:, None, None]
+        py = ys[:, None, None]
+        dx = px - xi
+        dy = py - yi
+        dot = dx * ex + dy * ey
+        on_edge = (np.abs(ex * dy - ey * dx) <= on_bound) & (-1e-9 <= dot) & (dot <= dot_hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            flips = ((yi > py) != (yj > py)) & (px < xj + (py - yj) * ex / ey)
+        inside = (on_edge.any(axis=2) | (flips.sum(axis=2) % 2 == 1)) & (candidates >= 0)
+        first = inside.argmax(axis=1)
+        points = np.arange(count)
+        headings = cell_headings[candidates[points, first]]
+        for index in np.flatnonzero(~inside[points, first]).tolist():
+            nearest = self.nearest_cell(Vector(xs[index], ys[index]))
+            headings[index] = nearest[1] if nearest is not None else self.default_heading
+        return _normalize_angles(headings)
+
+    def _edge_columns(self):
+        """Every cell's ``_edge_table`` as one ``(cells, edges, 8)`` array, and the headings.
+
+        Short tables are padded with rows that are never on an edge
+        (``on_bound`` -1) and never cross a ray (``yi == yj``).  Built once.
+        """
+        tables = getattr(self, "_edge_arrays", None)
+        if tables is None:
+            import numpy as np
+
+            from ..geometry.polygon import _edge_table
+
+            rows = [polygon._edges or _edge_table(polygon.vertices) for polygon, _ in self.cells]
+            padded = np.zeros((len(rows), max(map(len, rows)), 8))
+            padded[:, :, 6] = -1.0
+            for index, table in enumerate(rows):
+                padded[index, : len(table)] = table
+            headings = np.array([heading for _, heading in self.cells], dtype=float)
+            tables = self._edge_arrays = (padded, headings)
+        return tables
+
+    def _candidate_cells(self, xs, ys):
+        """Each point's cells to test, ``(K, B)`` in bucket order, padded with -1."""
+        import numpy as np
+
+        if len(self.cells) < self._GRID_MIN_CELLS:
+            return np.broadcast_to(np.arange(len(self.cells)), (len(xs), len(self.cells)))
+        _boxes, grid = self._tables()
+        ox, oy = grid.origin
+        keys_x = np.floor((xs - ox) / grid.cell_size)
+        keys_y = np.floor((ys - oy) / grid.cell_size)
+        table = getattr(self, "_bucket_table", None)
+        if table is None:
+            table = self._bucket_table = _dense_buckets(grid, self._DENSE_BUCKETS_MAX)
+        if table is False:
+            return _padded([
+                grid._cells.get((int(key_x), int(key_y)), ())
+                for key_x, key_y in zip(keys_x.tolist(), keys_y.tolist())
+            ])
+        (min_x, min_y, max_x, max_y), buckets = table
+        inside = (keys_x >= min_x) & (keys_x <= max_x) & (keys_y >= min_y) & (keys_y <= max_y)
+        slots = (keys_x - min_x) * (max_y - min_y + 1) + (keys_y - min_y)
+        # The table's last row is the empty bucket of points off the grid.
+        return buckets[np.where(inside, slots, len(buckets) - 1).astype(np.int64)]
+
     def heading_of_cell(self, polygon: Polygon) -> Optional[float]:
         for cell_polygon, heading in self.cells:
             if cell_polygon is polygon or cell_polygon == polygon:
                 return heading
         return None
+
+
+def _padded(buckets):
+    """Buckets of cell indices as one ``(len(buckets), longest)`` array, padded with -1."""
+    import numpy as np
+
+    table = np.full((len(buckets), max(1, max(map(len, buckets), default=0))), -1, dtype=np.int64)
+    for row, bucket in enumerate(buckets):
+        table[row, : len(bucket)] = bucket
+    return table
+
+
+def _dense_buckets(grid, limit: int):
+    """*grid*'s buckets over its occupied span, as ``(bounds, table)``; False if too big.
+
+    The bucket of cell ``(x, y)`` is row ``(x - min_x) * span_y + (y -
+    min_y)`` of the table, its cells in ascending order as in the grid, and
+    the last row is empty.
+    """
+    min_x, min_y, max_x, max_y = grid._occupied_bounds
+    span_y = max_y - min_y + 1
+    slots = (max_x - min_x + 1) * span_y
+    if slots > limit:
+        return False
+    buckets = [()] * (slots + 1)
+    for (key_x, key_y), bucket in grid._cells.items():
+        buckets[(key_x - min_x) * span_y + (key_y - min_y)] = bucket
+    return grid._occupied_bounds, _padded(buckets)
 
 
 class PolylineVectorField(VectorField):

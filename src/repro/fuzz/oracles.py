@@ -1,15 +1,16 @@
 """Differential oracles for fuzz-generated Scenic programs.
 
-Five oracles are run against every valid generated program:
+Six oracles are run against every valid generated program:
 
 * **Strategy equivalence** — every sampling strategy is given a fresh
   compile of the program and the same seed.  ``rejection`` and
   ``vectorized`` share the rejection RNG-stream contract for one scene from
   a fresh RNG (see :mod:`repro.evals.golden`) whenever the program has no
   soft requirement and no random value that only a ``require`` reaches,
-  so they must then produce bit-identical scenes.  Only soft requirements
-  are screened out: a program with such a value can fail this oracle
-  although it is valid.
+  so they must then produce bit-identical scenes.  Both kinds of program
+  are screened out: a requirement reaches a value of its own when
+  checking it against a drawn candidate reads the RNG
+  (:func:`requirement_draws_own_values`).
 * **Kernel equivalence** — the vectorized geometry kernel
   (:mod:`repro.geometry.kernel`) must agree with the scalar predicates on
   the sampled scenes: point containment, object containment, and pairwise
@@ -34,6 +35,12 @@ Five oracles are run against every valid generated program:
   :func:`reference_concretize`, the plain walk the program replaces.
   Values, rejections, the final RNG state and every memoised node's value
   must all be equal.
+* **Column draws** — from one seed, a block of
+  ``VectorizedSampler.COLUMN_MIN_BLOCK`` candidates and a block of
+  ``BLOCK_SIZE`` drawn as columns (:mod:`repro.core.columns`) must each
+  equal as many draws of the program, on every slotted node's value, the
+  objects, the params, the corners and the RNG state, or decline: the plan
+  is not built, or the block raises (the sampler then redraws it).
 
 A sixth, opt-in oracle (``statistical=True``) guards the ``vectorized``
 strategy's exactness claim where oracle A cannot reach:
@@ -64,17 +71,18 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core.columns import column_plan
 from ..core.distributions import Distribution, Sample
 from ..core.errors import RejectionError, RejectSample, ScenicError
 from ..core.objects import Constructible
-from ..core.program import current_program, walk
+from ..core.program import Candidate, current_program, draw_candidate, walk
 from ..core.pruning import _mutation_enabled, prune_scenario
 from ..core.regions import CircularRegion, RectangularRegion
 from ..core.utils import normalize_angle
 from ..core.vectors import Vector
 from ..geometry import kernel
 from ..language import scenario_from_string
-from ..sampling.strategies import STRATEGIES
+from ..sampling.strategies import STRATEGIES, VectorizedSampler
 from .program_gen import GeneratedProgram, PlannedCheck
 
 #: Strategies whose per-seed scenes must coincide exactly when the program
@@ -467,6 +475,93 @@ def check_planned_draws(scenario, seed: int, candidates: int = PLAN_CANDIDATES) 
 
 
 # ---------------------------------------------------------------------------
+# Oracle G: a block drawn as columns equals as many scalar draws
+# ---------------------------------------------------------------------------
+
+#: The block sizes :func:`check_column_draws` draws both ways: the smallest
+#: block the sampler draws as columns, and its largest.
+COLUMN_BLOCKS = (VectorizedSampler.COLUMN_MIN_BLOCK, VectorizedSampler.BLOCK_SIZE)
+
+
+def _candidate_difference(columns, scalar, nodes) -> Optional[str]:
+    """How a candidate built from columns differs from the scalar program's draw."""
+    if set(columns.sample._values) != set(scalar.sample._values):
+        return "memoises other nodes than the scalar draw"
+    for node in nodes:
+        if not _same_value(columns.sample.value_for(node), scalar.sample.value_for(node)):
+            return f"memoises another value for {type(node).__name__}"
+    if not _same_value(tuple(columns)[1:], tuple(scalar)[1:]):
+        return "objects, ego or params differ"
+    if not all(columns.sample.value_for(obj._source_object) is obj for obj in columns.objects):
+        return "an object is not the instance its memo entry holds"
+    return None
+
+
+def check_column_draws(scenario, seed: int, blocks: Sequence[int] = COLUMN_BLOCKS) -> List[str]:
+    """Oracle G: each block drawn as columns equals as many draws of the program.
+
+    For each size in *blocks*, draws one block as columns from
+    ``Random(seed)`` and as many candidates from the scenario's draw program
+    from another ``Random(seed)``.  Candidate by candidate the values must
+    be equal (every slotted node's memo value, the objects, the ego and the
+    params) and so must the corners, and the two RNG states after the block.
+    A program whose plan declines, or a block that raises (and which the
+    sampler would redraw through the program), passes.
+    """
+    try:
+        program = current_program(scenario)
+        plan = column_plan(program)
+    except Exception as error:  # noqa: BLE001 - reported, not raised
+        return [f"building the column plan raised {type(error).__name__}: {error}"]
+    if plan is None:
+        return []
+    for count in blocks:
+        column_rng, scalar_rng = random.Random(seed), random.Random(seed)
+        try:
+            block = plan.draw(column_rng, count)
+            corners, _collidable = block.geometry()
+        except Exception:  # noqa: BLE001 - the sampler redraws such a block
+            continue
+        for index in range(count):
+            drawn, parts = _draw_outcome(program.draw, scenario, scalar_rng)
+            if drawn != "drawn":
+                return [f"K={count}, candidate {index}: the program raised {drawn}, the columns did not"]
+            scalar = Candidate(*parts)
+            difference = _candidate_difference(block[index], scalar, program.nodes)
+            if difference:
+                return [f"K={count}, candidate {index}: the columns' candidate {difference}"]
+            if not np.array_equal(corners[index], kernel.corners_array(scalar.objects)):
+                return [f"K={count}, candidate {index}: corners differ from the objects'"]
+        if column_rng.getstate() != scalar_rng.getstate():
+            return [f"K={count}: RNG state after the block differs from the program's"]
+    return []
+
+
+def requirement_draws_own_values(scenario, seed: int, candidates: int = PLAN_CANDIDATES) -> bool:
+    """Whether checking a ``require`` draws a random value the draw program has no slot for.
+
+    Draws candidates from ``Random(seed)`` until one draws without raising,
+    then checks every requirement against it: such a value is read from
+    the RNG only then.  (A derived value a condition computes, such as a
+    distance, enters the memo then too, but reads nothing.)
+    """
+    rng = random.Random(seed)
+    for _ in range(candidates):
+        try:
+            sample = draw_candidate(scenario, rng)[0]
+        except Exception:  # noqa: BLE001 - try the next candidate
+            continue
+        drawn = rng.getstate()
+        for requirement in scenario.requirements:
+            try:
+                requirement.holds_in(sample)
+            except Exception:  # noqa: BLE001 - only the RNG's reads matter
+                pass
+        return rng.getstate() != drawn
+    return False
+
+
+# ---------------------------------------------------------------------------
 # Oracle B: kernel vs scalar geometry
 # ---------------------------------------------------------------------------
 
@@ -822,6 +917,14 @@ def run_oracles(
         report.failures.extend(OracleFailure("plan-equivalence", p) for p in plan_problems)
         return report
 
+    # -- oracle G: a block drawn as columns equals as many program draws -------
+    column_problems = check_column_draws(probe, seed)
+    if column_problems:
+        report.verdict = "fail"
+        report.failures.extend(OracleFailure("column-equivalence", p) for p in column_problems)
+        return report
+    own_values = requirement_draws_own_values(probe, seed)
+
     # -- sample under every strategy -------------------------------------------
     strategy_set = list(strategies) if strategies is not None else default_strategies()
     records: Dict[str, Optional[Dict[str, Any]]] = {}
@@ -876,7 +979,7 @@ def run_oracles(
 
     # -- oracle A: strategy equivalence ----------------------------------------
     exact = [name for name in EXACT_EQUIVALENCE_STRATEGIES if name in records]
-    if not has_soft and len(exact) >= 2:
+    if not has_soft and not own_values and len(exact) >= 2:
         reference_name = exact[0]
         reference = records[reference_name]
         for name in exact[1:]:
@@ -976,6 +1079,8 @@ __all__ = [
     "check_kernel_equivalence",
     "check_statistical_equivalence",
     "check_planned_draws",
+    "check_column_draws",
+    "requirement_draws_own_values",
     "reference_concretize",
     "chi_square_quantile",
     "chi_square_two_sample",

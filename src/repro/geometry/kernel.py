@@ -81,8 +81,7 @@ def corners_array(objects: Sequence[Any]) -> np.ndarray:
     block of ``K`` candidates with ``N`` objects each, computed in one call
     over the ``K * N`` objects and reshaped, equal the per-candidate arrays.
     """
-    n = len(objects)
-    if n == 0:
+    if len(objects) == 0:
         return np.zeros((0, 4, 2), dtype=float)
     rows = []
     for scenic_object in objects:
@@ -92,17 +91,25 @@ def corners_array(objects: Sequence[Any]) -> np.ndarray:
         else:
             x, y = position[0], position[1]
         rows.append((x, y, scenic_object.heading, scenic_object.width, scenic_object.height))
-    # (N, 5): x, y, heading, width, height.  Column-major, so np.cos and
-    # np.sin read a contiguous column: numpy may take another loop for a
-    # strided one, and the corners must not depend on the memory layout.
-    columns = np.array(rows, dtype=float, order="F")
+    return corners_of_columns(np.array(rows, dtype=float, order="F"))
+
+
+def corners_of_columns(columns: np.ndarray) -> np.ndarray:
+    """The ``(N, 4, 2)`` corners of ``N`` boxes given as ``(N, 5)`` columns.
+
+    The columns are x, y, heading, width and height, in a column-major
+    array, so np.cos and np.sin read a contiguous column: numpy may take
+    another loop for a strided one, and the corners must not depend on the
+    memory layout.  :func:`corners_array` builds the columns from concrete
+    objects; a block drawn as columns builds them from its property columns.
+    """
     half_w = columns[:, 3:4] / 2.0
     half_h = columns[:, 4:5] / 2.0
     local_x = half_w * _CORNER_SIGNS_X  # (N, 4)
     local_y = half_h * _CORNER_SIGNS_Y
     cos_h = np.cos(columns[:, 2:3])
     sin_h = np.sin(columns[:, 2:3])
-    corners = np.empty((n, 4, 2), dtype=float)
+    corners = np.empty((len(columns), 4, 2), dtype=float)
     corners[:, :, 0] = local_x * cos_h - local_y * sin_h + columns[:, 0:1]
     corners[:, :, 1] = local_x * sin_h + local_y * cos_h + columns[:, 1:2]
     return corners
@@ -398,6 +405,7 @@ __all__ = [
     "NumpyKernel",
     "as_points",
     "corners_array",
+    "corners_of_columns",
     "object_test_points",
     "contains_points",
     "points_in_polygon",

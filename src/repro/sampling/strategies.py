@@ -14,8 +14,10 @@ books it as a sampling rejection.  Strategies differ only in their policy:
   The reference semantics that the golden runs, the fuzz oracles and the
   evals harness compare against.
 * :class:`VectorizedSampler` — draws blocks of 1, 2, 4, … up to 32
-  candidates and checks a block's containment and collisions in one pass
-  through the numpy kernel (:mod:`repro.geometry.kernel`); the default for
+  candidates, those of 16 or more as numpy columns
+  (:mod:`repro.core.columns`), and checks a block's containment and
+  collisions in one pass through the numpy kernel
+  (:mod:`repro.geometry.kernel`); the default for
   ``Scenario.generate_batch`` and the generation service
   (:data:`~repro.core.scenario.DEFAULT_BATCH_STRATEGY`).
 
@@ -43,13 +45,14 @@ from __future__ import annotations
 import itertools
 import random as _random
 import time
-from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple, Type, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
+from ..core.columns import column_plan
 from ..core.distributions import Sample
 from ..core.errors import RejectSample, RejectionError
-from ..core.program import current_program, draw_candidate
+from ..core.program import Candidate, current_program, draw_candidate
 from ..core.scenario import GenerationStats, Scenario
 from ..core.scene import Scene
 from ..geometry import kernel as _kernel
@@ -64,15 +67,6 @@ from .stats import AggregateStats
 #: vectorization for one or two objects / a handful of pairs.
 _KERNEL_MIN_OBJECTS = 3
 _KERNEL_MIN_COLLIDERS = 4
-
-
-class Candidate(NamedTuple):
-    """One drawn candidate scene: its joint sample and concrete values."""
-
-    sample: Sample
-    objects: List[Any]
-    ego: Any
-    params: Dict[str, Any]
 
 
 #: What a drawn slot of a block holds: the candidate, or the cause that
@@ -193,6 +187,17 @@ class SamplingStrategy:
         """How many candidates each round draws before examining them."""
         return itertools.repeat(1)
 
+    def _draw_block(
+        self, scenario: Scenario, rng: _random.Random, count: int
+    ) -> Tuple[Sequence[Drawn], List[Optional[str]]]:
+        """*count* candidates, and each one's first failure so far.
+
+        Candidate by candidate through :meth:`_draw`, then
+        :meth:`_geometry_failures`.
+        """
+        block = [self._draw(scenario, rng) for _ in range(count)]
+        return block, self._geometry_failures(scenario, block)
+
     def _geometry_failures(self, scenario: Scenario, block: List[Drawn]) -> List[Optional[str]]:
         """Each drawn slot's first failure so far: its draw cause, containment or collision.
 
@@ -236,10 +241,11 @@ class SamplingStrategy:
         sizes = self._block_sizes()
         while scene is None and stats.iterations < max_iterations:
             count = min(next(sizes), max_iterations - stats.iterations)
-            block = [self._draw(scenario, rng) for _ in range(count)]
-            for drawn, cause in zip(block, self._geometry_failures(scenario, block)):
+            block, failures = self._draw_block(scenario, rng, count)
+            for index, cause in enumerate(failures):
                 stats.iterations += 1
                 if cause is None:
+                    drawn = block[index]
                     cause = late_failure(scenario, drawn, rng)
                 if cause is None:
                     scene = Scene(drawn.objects, drawn.ego, drawn.params, scenario.workspace)
@@ -300,11 +306,13 @@ class VectorizedSampler(SamplingStrategy):
     A block of one goes through the per-candidate chain
     (:func:`geometry_failure`); a larger block checks workspace containment
     for *all* objects of *all* its candidates in one batched kernel query
-    and all pairwise collisions in one batched separating-axis pass
-    (concretization stays per-candidate Python — it must evaluate arbitrary
-    specifier expressions).  Candidates are then examined in draw order;
-    the first one that also passes visibility and the user requirements is
-    accepted.
+    and all pairwise collisions in one batched separating-axis pass.  A
+    block of :attr:`COLUMN_MIN_BLOCK` or more is drawn as columns
+    (:mod:`repro.core.columns`): the same RNG reads, numpy values step by
+    step, corners straight from the object columns, and objects only for
+    the candidates examined past geometry.  Candidates are then examined
+    in draw order; the first one that also passes visibility and the user
+    requirements is accepted.
 
     The induced distribution is exactly plain rejection's: candidates are
     i.i.d. draws from the prior, examined in the order they were drawn, and
@@ -323,12 +331,40 @@ class VectorizedSampler(SamplingStrategy):
 
     name = "vectorized"
     BLOCK_SIZE = 32
+    #: Blocks of at least this many candidates are drawn as columns
+    #: (:mod:`repro.core.columns`); below it the numpy set-up costs more
+    #: than it saves.
+    COLUMN_MIN_BLOCK = 16
 
     def _block_sizes(self):
         size = 1
         while True:
             yield size
             size = min(size * 2, self.BLOCK_SIZE)
+
+    def _draw_block(self, scenario, rng, count):
+        """A large block is drawn as columns, and its geometry checked from them.
+
+        The candidates are built only when the loop examines them past
+        geometry.  An exception while drawing the columns restores the RNG
+        and redraws the block candidate by candidate, so every error and
+        ``"sampling"`` rejection happens where the scalar draw has it.
+        """
+        plan = column_plan(scenario._draw_program) if count >= self.COLUMN_MIN_BLOCK else None
+        if plan is not None:
+            state = rng.getstate()
+            try:
+                block = plan.draw(rng, count)
+                corners, collidable = block.geometry()
+            except Exception:  # noqa: BLE001 - the scalar redraw meets it again
+                plan.replays += 1
+                rng.setstate(state)
+            else:
+                failures: List[Optional[str]] = [None] * count
+                return block, self._block_verdicts(
+                    scenario, block, failures, list(range(count)), corners, collidable
+                )
+        return super()._draw_block(scenario, rng, count)
 
     def _geometry_failures(self, scenario, block):
         """One kernel pass: containment for every object, then collisions.
@@ -353,6 +389,14 @@ class VectorizedSampler(SamplingStrategy):
             dtype=bool,
             count=len(objects),
         ).reshape(len(live), -1)
+        return self._block_verdicts(scenario, block, failures, live, corners, collidable)
+
+    def _block_verdicts(self, scenario, block, failures, live, corners, collidable):
+        """Containment of every live candidate's objects, then collisions of the contained.
+
+        *corners* is ``(len(live), N, 4, 2)`` and *collidable* ``(len(live),
+        N)``; *failures* is filled in place and returned.
+        """
         workspace = scenario.workspace
         if not workspace.is_unbounded:
             region = workspace.region

@@ -22,6 +22,7 @@ from repro.core.distributions import (
     distribution_function,
     make_random_vector,
     needs_sampling,
+    option_index,
     resample,
     supporting_interval,
 )
@@ -81,6 +82,40 @@ class TestPrimitives:
             Options([])
         with pytest.raises(ScenicError):
             Discrete({})
+
+    @staticmethod
+    def linear_scan(cumulative, target):
+        """The option search ``Options`` used before bisection."""
+        for index, threshold in enumerate(cumulative):
+            if target <= threshold:
+                return index
+        return len(cumulative) - 1
+
+    def test_option_index_bisects_as_the_linear_scan_picks(self):
+        rng = random.Random(5)
+        for size in (1, 2, 9, 13, 40):
+            weights = [rng.choice([0.0, 0.5, 1.0, rng.uniform(0.01, 9.0)]) for _ in range(size)]
+            weights[-1] = weights[-1] or 1.0
+            cumulative = Options(dict(enumerate(weights)))._cumulative
+            targets = [rng.random() * cumulative[-1] for _ in range(300)]
+            targets += list(cumulative) + [0.0, cumulative[-1], cumulative[-1] * (1 + 1e-12)]
+            for target in targets:
+                assert option_index(cumulative, target) == self.linear_scan(cumulative, target)
+        assert option_index([0.2, 0.7, 1.0], 1.0000000000000002) == 2
+
+    def test_options_draw_the_option_the_linear_scan_picks(self):
+        class FixedDraw:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self):
+                return self.u
+
+        node = Discrete({"a": 1.0, "b": 0.0, "c": 2.0, "d": 3.0})
+        values = node._dependencies[0]
+        for u in [0.0, 1 / 6, 0.5, 0.5 + 1e-16, 0.999999, 1 / 3, 0.49]:
+            expected = values[self.linear_scan(node._cumulative, u * node._cumulative[-1])]
+            assert node.sample_given([values], FixedDraw(u)) == expected
 
 
 class TestDerivedValues:

@@ -245,6 +245,22 @@ class TestCli:
 # ---------------------------------------------------------------------------
 
 
+def test_a_require_with_its_own_random_value_skips_strategy_equivalence():
+    """Checking this ``require`` draws ``(0, 1)``, which no draw-program slot holds.
+
+    ``vectorized`` reads it after its whole block, ``rejection`` between
+    candidates, so the two scenes differ at seed 3 on a valid program.
+    """
+    source = (
+        "ego = Object at (0, 0) @ (0, 0)\n"
+        "Object at (-20, 20) @ (-20, 20)\n"
+        "require (0, 1) < 0.3\n"
+    )
+    report = run_oracles(source, seed=3)
+    assert report.verdict == "pass", report.failures
+    assert report.strategies_accepted == {"rejection": True, "vectorized": True}
+
+
 def test_ks_statistic_reference_behaviour():
     from repro.fuzz.oracles import ks_statistic
 

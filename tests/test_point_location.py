@@ -395,6 +395,59 @@ def test_grid_field_on_short_edges_matches_a_linear_scan():
     assert in_triangle_only_by_reach >= 20
 
 
+def _batched_and_scalar_lookups(field, points):
+    xs = np.array([point.x for point in points])
+    ys = np.array([point.y for point in points])
+    return field.value_at_points(xs, ys).tolist(), [field.value_at(point) for point in points]
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense-buckets", "bucket-by-bucket"])
+def test_batched_field_lookup_equals_value_at(dense, monkeypatch):
+    """``value_at_points`` gives ``value_at``'s heading, bit for bit, at every point.
+
+    On the short-edge grid field (edge-crowding probes and points outside
+    every cell), on a field too small for a grid, and on the GTA road map,
+    with the grid's buckets read from the dense table or one by one.
+    """
+    from repro.worlds.gta.roads import default_map
+
+    if not dense:
+        monkeypatch.setattr(PolygonalVectorField, "_DENSE_BUCKETS_MAX", 0)
+    rng = random.Random(23)
+    cells = short_edge_cells()
+    points = [Vector(rng.uniform(-1e-4, 2e-4), rng.uniform(-3e-5, 1e-5)) for _ in range(300)]
+    points += [Vector(rng.uniform(-3.0, 20.0), rng.uniform(-4.0, 13.0)) for _ in range(200)]
+    for polygon, _heading in cells[:2]:
+        points.extend(probe_points(rng, polygon, random_count=20))
+    road = default_map().road_direction
+    box = BoundingBox.of_points(vertex for polygon, _ in road.cells for vertex in polygon.vertices)
+    road_points = [
+        Vector(rng.uniform(box.min_x - 30, box.max_x + 30), rng.uniform(box.min_y - 30, box.max_y + 30))
+        for _ in range(1500)
+    ]
+    for polygon, _heading in road.cells[:10]:
+        road_points.extend(probe_points(rng, polygon, random_count=5))
+    fields = [
+        (PolygonalVectorField("short", cells), points),
+        (PolygonalVectorField("small", cells[:5]), points),
+        (PolygonalVectorField("copy of the road map", road.cells), road_points),
+    ]
+    assert len(fields[0][0].cells) >= PolygonalVectorField._GRID_MIN_CELLS > len(fields[1][0].cells)
+    for field, probes in fields:
+        batched, scalar = _batched_and_scalar_lookups(field, probes)
+        assert batched == scalar, field.name
+    outside = [point for point in road_points if road.cell_at(point) is None]
+    assert len(outside) >= 100
+
+
+def test_batched_field_lookup_rejects_points_that_are_not_finite():
+    field = PolygonalVectorField("short", short_edge_cells())
+    with pytest.raises(ValueError):
+        field.value_at_points(np.array([0.0, math.inf]), np.array([0.0, 0.0]))
+    with pytest.raises(ValueError):
+        field.value_at((math.nan, 0.0))
+
+
 def test_grid_region_on_short_edges_matches_a_linear_scan():
     """A region's grid and batch paths see the same short-edge reach."""
     pieces = [polygon for polygon, _heading in short_edge_cells()] * 2
