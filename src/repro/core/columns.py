@@ -7,11 +7,11 @@ A large block of ``K`` candidates is drawn from a scenario's
   would make, in step order: the same stream, read in the same order.  An
   RNG step needs a fixed recipe: ``Range`` and ``Options`` read one
   ``random()``; a point of a constant ``PolygonalRegion`` four (piece,
-  triangle, ``r1``, ``r2``), of a ``RectangularRegion``, a
-  ``CircularRegion``, a ``SectorRegion`` or a viewer's visible region two;
-  an object's mutation three ``gauss`` reads.  Any other RNG step whose
-  arguments are all constant runs whole here.  A program with an RNG step
-  that has neither keeps the scalar program: :class:`ColumnPlan` declines.
+  triangle, ``r1``, ``r2``), of a ``RectangularRegion`` or a viewer's
+  visible region two; an object's mutation three ``gauss`` reads.  Any
+  other RNG step whose arguments are all constant runs whole here.  A
+  program with an RNG step that has neither keeps the scalar program:
+  :class:`ColumnPlan` declines.
 * **Column phase.**  Step by step over the ``K`` candidates: floats are
   arrays (:class:`Floats`), vectors ``(x, y)`` array pairs
   (:class:`Vectors`), objects and oriented points dicts of property columns
@@ -40,11 +40,10 @@ program, so every error and ``RejectSample`` happens where it always did.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 import types
 from functools import partial
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -62,14 +61,7 @@ from .distributions import (
 )
 from .objects import Constructible, OrientedPoint
 from .program import _CALL, _OBJECT, _PACK, Candidate, DrawProgram
-from .regions import (
-    CircularRegion,
-    PointInRegionDistribution,
-    PolygonalRegion,
-    RectangularRegion,
-    SectorRegion,
-    _normalize_angles,
-)
+from .regions import PointInRegionDistribution, PolygonalRegion, RectangularRegion, _normalize_angles
 from .utils import normalize_angle
 from .vectorfields import PolygonalVectorField, VectorField
 from .vectors import Vector
@@ -395,7 +387,12 @@ def _field_values(field: PolygonalVectorField, x: Any, y: Any, count: int) -> np
 
 
 def _is_polygonal_field(field: Any) -> bool:
-    return type(field) is PolygonalVectorField and field._value_function == field._heading_at
+    """A road-map field whose lookups have a column implementation."""
+    return (
+        type(field) is PolygonalVectorField
+        and field._value_function == field._heading_at
+        and field.locates_in_batches()
+    )
 
 
 def _value_at(field: PolygonalVectorField, args, count):
@@ -445,7 +442,7 @@ def _arithmetic_kind(value: Any) -> str:
 
 
 #: The arithmetic an ``OperatorDistribution`` step has a column implementation for.
-_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_ARITHMETIC = {"+": operator.add, "*": operator.mul, "/": operator.truediv}
 
 
 def _nonzero(divisor: Any) -> Any:
@@ -455,16 +452,11 @@ def _nonzero(divisor: Any) -> Any:
 
 
 def _operator(symbol: str, args, count):
-    """Arithmetic where floats are involved, and vector sums, scalings and negation.
+    """``+``, ``*`` and ``/`` where floats are involved, and vector sums and scalings.
 
     Two ints stay Python ints, so the scalar step computes them.
     """
     kinds = tuple(map(_arithmetic_kind, args))
-    if symbol == "neg" and kinds == ("float",):
-        return _floats(-_as_float(args[0]))
-    if symbol == "neg" and kinds == ("vector",):
-        x, y = _as_vector(args[0])
-        return _vectors(-x, -y, count)
     function = _ARITHMETIC.get(symbol)
     if function is None or "" in kinds:
         raise _Escape
@@ -472,7 +464,7 @@ def _operator(symbol: str, args, count):
     if "float" in kinds and "vector" not in kinds:
         divisor = _nonzero(_as_float(right)) if symbol == "/" else _as_float(right)
         return _floats(function(_as_float(left), divisor))
-    if kinds == ("vector", "vector") and symbol in "+-":
+    if kinds == ("vector", "vector") and symbol == "+":
         (ax, ay), (bx, by) = _as_vector(left), _as_vector(right)
         return _vectors(function(ax, bx), function(ay, by), count)
     # ``Vector * s``, ``s * Vector`` (its ``__rmul__``) and ``Vector / s``.
@@ -567,28 +559,18 @@ def _range_column(args, reads, count):
     return Floats(_uniform(low, high, reads[0]))
 
 
-def _constant_range_column(low, span, args, reads, count):
-    """A ``Range`` with constant endpoints: ``low + (high - low) * u``, the span taken once."""
-    return Floats(low + span * reads[0])
-
-
 class _OptionsRecipe:
     """``Options``: the option each ``random()`` read picks, by ``option_index``."""
 
-    def __init__(self, node: Options, values: Optional[Sequence[Any]]):
+    def __init__(self, node: Options):
         self.cumulative = np.array(node._cumulative, dtype=float)
         self.total = node._cumulative[-1]
-        self.column_values = None
-        if values and all(type(value) is float for value in values):
-            self.column_values = np.array(values, dtype=float)
 
     def __call__(self, args, reads, count):
         index = np.minimum(
             np.searchsorted(self.cumulative, reads[0] * self.total, side="left"),
             len(self.cumulative) - 1,
         )
-        if self.column_values is not None:
-            return Floats(self.column_values[index])
         (values,) = args
         if isinstance(values, Column):
             return promote([values.row(k)[i] for k, i in enumerate(index.tolist())])
@@ -629,16 +611,6 @@ def _sector_point(center_x, center_y, radius, heading, angle, u_angle, u_radius)
     return center_x + -r * np.sin(theta), center_y + r * np.cos(theta)
 
 
-def _disc_column(region: CircularRegion, args, reads, count):
-    return Vectors(*_circle_point(region.center.x, region.center.y, region.radius, *reads))
-
-
-def _sector_column(region: SectorRegion, args, reads, count):
-    return Vectors(*_sector_point(
-        region.center.x, region.center.y, region.radius, region.heading, region.angle, *reads
-    ))
-
-
 def _visible_column(args, reads, count):
     """A point of ``visible_region_of(viewer)``: a disc, or the viewer's sector."""
     (viewer,) = args
@@ -670,8 +642,6 @@ def _whole_column(args, reads, count):
 _REGION_RECIPES = {
     PolygonalRegion: (4, lambda region: partial(_polygon_column, region)),
     RectangularRegion: (2, lambda region: partial(_rectangle_column, region)),
-    CircularRegion: (2, lambda region: partial(_disc_column, region)),
-    SectorRegion: (2, lambda region: partial(_sector_column, region)),
 }
 
 
@@ -704,7 +674,6 @@ class ColumnPlan:
                 arguments = [self._constant(value) for value in self.template[arguments[0]]]
             self.steps.append((slot, self._compile(kind, function, arguments)))
         self.width = len(self.reads)
-        self.only_random = all(kind == _RANDOM for kind, _ in self.reads)
 
     def _constant(self, value: Any) -> int:
         self.template.append(value)
@@ -743,13 +712,9 @@ class ColumnPlan:
     def _recipe(self, node: Any, arguments: List[int], constant: bool):
         kind = type(node)
         if kind is Range:
-            if constant:
-                low, high = (self.template[slot] for slot in arguments)
-                if isinstance(low, numbers.Real) and isinstance(high, numbers.Real) and low <= high:
-                    return 1, partial(_constant_range_column, low, high - low)
             return 1, _range_column
         if kind is Options:
-            return 1, _OptionsRecipe(node, self.template[arguments[0]] if constant else None)
+            return 1, _OptionsRecipe(node)
         if kind is PointInRegionDistribution and constant:
             region = self.template[arguments[0]]
             recipe = _REGION_RECIPES.get(type(region))
@@ -794,10 +759,6 @@ class ColumnPlan:
         A float read's column is a contiguous array; a whole step's, a list.
         """
         width = self.width
-        if self.only_random:
-            random = rng.random
-            table = np.array([random() for _ in range(count * width)]).reshape(count, width)
-            return list(table.T.copy())
         calls = [
             rng.random if kind == _RANDOM
             else partial(rng.gauss, 0.0, argument) if kind == _GAUSS

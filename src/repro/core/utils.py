@@ -51,7 +51,7 @@ def cumulative_weights(weights: Iterable[float]) -> list[float]:
     totals: list[float] = []
     running = 0.0
     for w in weights:
-        if w < 0:
+        if not w >= 0:  # a NaN weight fails this too
             raise ValueError("weights must be non-negative")
         running += w
         totals.append(running)

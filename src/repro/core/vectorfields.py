@@ -183,9 +183,13 @@ class PolygonalVectorField(VectorField):
                 best_index = int(index)
         return self.cells[best_index]
 
-    #: A grid whose occupied span has more cells than this looks buckets up
-    #: point by point instead of in a dense table.
+    #: The most grid buckets one bucket table holds.  A field whose grid
+    #: spans more has no batched lookup: its callers look points up one by one.
     _DENSE_BUCKETS_MAX = 1 << 16
+
+    def locates_in_batches(self) -> bool:
+        """Whether :meth:`value_at_points` serves this field: its grid fits one bucket table."""
+        return len(self.cells) < self._GRID_MIN_CELLS or self._bucket_table() is not None
 
     def value_at_points(self, xs, ys):
         """:meth:`value_at` at ``K`` points, as an array, without calling it.
@@ -197,7 +201,8 @@ class PolygonalVectorField(VectorField):
         cell) pair, and a point takes its first containing cell.  A point
         inside no cell takes the scalar ``nearest_cell``.  *xs* and *ys* are
         contiguous float64 arrays; a coordinate that is not finite raises
-        ``ValueError``, as the scalar grid's ``math.floor`` would.
+        ``ValueError``, as the scalar grid's ``math.floor`` would.  Only for
+        a field that :meth:`locates_in_batches`.
         """
         import numpy as np
 
@@ -260,19 +265,17 @@ class PolygonalVectorField(VectorField):
         ox, oy = grid.origin
         keys_x = np.floor((xs - ox) / grid.cell_size)
         keys_y = np.floor((ys - oy) / grid.cell_size)
-        table = getattr(self, "_bucket_table", None)
-        if table is None:
-            table = self._bucket_table = _dense_buckets(grid, self._DENSE_BUCKETS_MAX)
-        if table is False:
-            return _padded([
-                grid._cells.get((int(key_x), int(key_y)), ())
-                for key_x, key_y in zip(keys_x.tolist(), keys_y.tolist())
-            ])
-        (min_x, min_y, max_x, max_y), buckets = table
+        (min_x, min_y, max_x, max_y), buckets = self._bucket_table()
         inside = (keys_x >= min_x) & (keys_x <= max_x) & (keys_y >= min_y) & (keys_y <= max_y)
         slots = (keys_x - min_x) * (max_y - min_y + 1) + (keys_y - min_y)
         # The table's last row is the empty bucket of points off the grid.
         return buckets[np.where(inside, slots, len(buckets) - 1).astype(np.int64)]
+
+    def _bucket_table(self):
+        """The grid's buckets as one table (see ``_dense_buckets``), or None; built once."""
+        if not hasattr(self, "_buckets"):
+            self._buckets = _dense_buckets(self._tables()[1], self._DENSE_BUCKETS_MAX)
+        return self._buckets
 
     def heading_of_cell(self, polygon: Polygon) -> Optional[float]:
         for cell_polygon, heading in self.cells:
@@ -281,32 +284,25 @@ class PolygonalVectorField(VectorField):
         return None
 
 
-def _padded(buckets):
-    """Buckets of cell indices as one ``(len(buckets), longest)`` array, padded with -1."""
-    import numpy as np
-
-    table = np.full((len(buckets), max(1, max(map(len, buckets), default=0))), -1, dtype=np.int64)
-    for row, bucket in enumerate(buckets):
-        table[row, : len(bucket)] = bucket
-    return table
-
-
 def _dense_buckets(grid, limit: int):
-    """*grid*'s buckets over its occupied span, as ``(bounds, table)``; False if too big.
+    """*grid*'s buckets over its occupied span, as ``(bounds, table)``; None past *limit*.
 
     The bucket of cell ``(x, y)`` is row ``(x - min_x) * span_y + (y -
-    min_y)`` of the table, its cells in ascending order as in the grid, and
-    the last row is empty.
+    min_y)`` of the table, its cells in ascending order as in the grid and
+    padded with -1, and the last row is empty.
     """
+    import numpy as np
+
     min_x, min_y, max_x, max_y = grid._occupied_bounds
     span_y = max_y - min_y + 1
     slots = (max_x - min_x + 1) * span_y
     if slots > limit:
-        return False
-    buckets = [()] * (slots + 1)
+        return None
+    longest = max(map(len, grid._cells.values()), default=0)
+    table = np.full((slots + 1, max(1, longest)), -1, dtype=np.int64)
     for (key_x, key_y), bucket in grid._cells.items():
-        buckets[(key_x - min_x) * span_y + (key_y - min_y)] = bucket
-    return grid._occupied_bounds, _padded(buckets)
+        table[(key_x - min_x) * span_y + (key_y - min_y), : len(bucket)] = bucket
+    return grid._occupied_bounds, table
 
 
 class PolylineVectorField(VectorField):

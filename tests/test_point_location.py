@@ -401,18 +401,14 @@ def _batched_and_scalar_lookups(field, points):
     return field.value_at_points(xs, ys).tolist(), [field.value_at(point) for point in points]
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense-buckets", "bucket-by-bucket"])
-def test_batched_field_lookup_equals_value_at(dense, monkeypatch):
+def test_batched_field_lookup_equals_value_at():
     """``value_at_points`` gives ``value_at``'s heading, bit for bit, at every point.
 
     On the short-edge grid field (edge-crowding probes and points outside
-    every cell), on a field too small for a grid, and on the GTA road map,
-    with the grid's buckets read from the dense table or one by one.
+    every cell), on a field too small for a grid, and on the GTA road map.
     """
     from repro.worlds.gta.roads import default_map
 
-    if not dense:
-        monkeypatch.setattr(PolygonalVectorField, "_DENSE_BUCKETS_MAX", 0)
     rng = random.Random(23)
     cells = short_edge_cells()
     points = [Vector(rng.uniform(-1e-4, 2e-4), rng.uniform(-3e-5, 1e-5)) for _ in range(300)]

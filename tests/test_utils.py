@@ -57,6 +57,8 @@ class TestMisc:
     def test_cumulative_weights_rejects_negative(self):
         with pytest.raises(ValueError):
             cumulative_weights([1, -2])
+        with pytest.raises(ValueError):
+            cumulative_weights([1.0, float("nan")])
 
     def test_cumulative_weights_rejects_zero_total(self):
         with pytest.raises(ValueError):
