@@ -388,11 +388,7 @@ def _field_values(field: PolygonalVectorField, x: Any, y: Any, count: int) -> np
 
 def _is_polygonal_field(field: Any) -> bool:
     """A road-map field whose lookups have a column implementation."""
-    return (
-        type(field) is PolygonalVectorField
-        and field._value_function == field._heading_at
-        and field.locates_in_batches()
-    )
+    return type(field) is PolygonalVectorField and field._value_function == field._heading_at
 
 
 def _value_at(field: PolygonalVectorField, args, count):

@@ -25,8 +25,7 @@ from typing import Any, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry import kernel as _kernel
-from ..geometry.polygon import BoundingBox, Polygon, on_edge_reach, polygons_intersect
-from ..geometry.spatial_index import SpatialGrid
+from ..geometry.polygon import BoundingBox, Polygon, polygons_intersect
 from ..geometry.triangulation import TriangulatedSampler
 from .distributions import Distribution
 from .errors import RejectSample, ScenicError
@@ -351,81 +350,40 @@ class PolygonalRegion(Region):
         for polygon_area in self._areas:
             running += polygon_area / self._total_area
             self._cumulative.append(running)
-        self._vertex_arrays: Optional[List[np.ndarray]] = None
-        self._boxes: Optional[np.ndarray] = None
-        self._grid: Optional[SpatialGrid] = None
+        self._table: Optional[_kernel.PolygonTable] = None
 
-    #: Unions with at least this many pieces index them in a SpatialGrid, so
-    #: each query point is tested against its nearby pieces only.
+    #: Unions with at least this many pieces locate a single point through
+    #: a SpatialGrid over their pieces' padded boxes.
     _GRID_MIN_POLYGONS = 8
 
-    def _batch_tables(self) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Lazily built per-piece vertex arrays and (margin-padded) bounds."""
-        if self._vertex_arrays is None:
-            vertex_arrays = [
-                np.array([(v.x, v.y) for v in polygon.vertices], dtype=float)
-                for polygon in self.polygons
-            ]
-            boxes = np.empty((len(self.polygons), 4), dtype=float)
-            for index, (polygon, vertices) in enumerate(zip(self.polygons, vertex_arrays)):
-                # The scalar containment test accepts boundary points within
-                # its on-edge tolerance; pad the prefilter boxes so it cannot
-                # prune them, however short the piece's edges.
-                pad = max(1e-6, on_edge_reach(polygon.vertices))
-                boxes[index, 0:2] = vertices.min(axis=0) - pad
-                boxes[index, 2:4] = vertices.max(axis=0) + pad
-            self._boxes = boxes
-            if len(self.polygons) >= self._GRID_MIN_POLYGONS:
-                self._grid = SpatialGrid(boxes)
-            # Published last: concurrent callers key off _vertex_arrays, so
-            # boxes and grid must be visible before it is (parallel sampling
-            # shares one region across worker threads).
-            self._vertex_arrays = vertex_arrays
-        return self._vertex_arrays, self._boxes
+    def _polygon_table(self) -> _kernel.PolygonTable:
+        """The pieces' :class:`~repro.geometry.kernel.PolygonTable`, built at first use."""
+        table = self._table
+        if table is None:
+            # Published with one store of a whole table: parallel sampling
+            # shares one region across worker threads, and a reader must
+            # never see a table whose columns or boxes are still missing.
+            table = self._table = _kernel.PolygonTable(
+                [polygon.vertices for polygon in self.polygons]
+            )
+        return table
 
     def contains_point(self, point: VectorLike) -> bool:
         if len(self.polygons) >= self._GRID_MIN_POLYGONS:
             # Large unions (road maps) test only the pieces whose grid cell
             # covers the point.  The grid over-approximates (padded bounding
             # boxes), so the boolean verdict is identical to the linear scan.
-            self._batch_tables()
-            if self._grid is not None:
-                point = Vector.from_any(point)
-                return any(
-                    self.polygons[index].contains_point(point)
-                    for index in self._grid.bucket_for_point(point.x, point.y)
-                )
+            point = Vector.from_any(point)
+            grid = self._polygon_table().grid()
+            return any(
+                self.polygons[index].contains_point(point)
+                for index in grid.bucket_for_point(point.x, point.y)
+            )
         return any(polygon.contains_point(point) for polygon in self.polygons)
 
     def contains_points_batch(self, points: Any) -> np.ndarray:
         pts = _kernel.as_points(points)
-        result = np.zeros(len(pts), dtype=bool)
-        if len(pts) == 0:
-            return result
-        vertex_arrays, boxes = self._batch_tables()
-        if self._grid is not None:
-            point_indices, piece_indices = self._grid.candidates_for_points(pts)
-            for piece in np.unique(piece_indices):
-                members = point_indices[piece_indices == piece]
-                members = members[~result[members]]
-                if len(members) == 0:
-                    continue
-                result[members] = _kernel.points_in_polygon(
-                    vertex_arrays[piece], pts[members]
-                )
-            return result
-        for vertices, box in zip(vertex_arrays, boxes):
-            pending = (
-                ~result
-                & (pts[:, 0] >= box[0])
-                & (pts[:, 0] <= box[2])
-                & (pts[:, 1] >= box[1])
-                & (pts[:, 1] <= box[3])
-            )
-            if pending.any():
-                candidates = np.flatnonzero(pending)
-                result[candidates] = _kernel.points_in_polygon(vertices, pts[candidates])
-        return result
+        return self._polygon_table().contains(pts[:, 0], pts[:, 1])
 
     def uniform_point(self, rng):
         u = rng.random()

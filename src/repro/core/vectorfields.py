@@ -16,8 +16,12 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from ..geometry.polygon import Polygon, on_edge_reach
+import numpy as np
+
+from ..geometry.kernel import PolygonTable
+from ..geometry.polygon import Polygon
 from .distributions import FunctionDistribution, needs_sampling
+from .regions import _normalize_angles
 from .utils import normalize_angle
 from .vectors import Vector, VectorLike
 
@@ -82,10 +86,10 @@ class PolygonalVectorField(VectorField):
     the local traffic direction.
     """
 
-    #: Decompositions with at least this many cells index their bounding
-    #: boxes in a :class:`~repro.geometry.spatial_index.SpatialGrid`, so the
-    #: per-lookup cost is the few cells near the query point rather than a
-    #: linear scan over the whole map.
+    #: Decompositions with at least this many cells locate a single point
+    #: through a :class:`~repro.geometry.spatial_index.SpatialGrid` over their
+    #: cells' padded boxes, so a scalar lookup costs the few cells near the
+    #: query point rather than a linear scan over the whole map.
     _GRID_MIN_CELLS = 8
 
     def __init__(self, name: str, cells: Sequence[Tuple[Polygon, float]],
@@ -93,33 +97,24 @@ class PolygonalVectorField(VectorField):
         self.cells: List[Tuple[Polygon, float]] = [
             (polygon, normalize_angle(heading)) for polygon, heading in cells
         ]
-        self._boxes = None  # lazy (N, 4) cell bounds, see _tables()
-        self._grid = None
+        self._tables = None  # lazy, see _lookup_tables()
         super().__init__(name, self._heading_at, default_heading=default_heading)
 
-    def _tables(self):
-        """Lazily built cell bounding boxes and (for large maps) a grid index.
+    def _lookup_tables(self) -> Tuple[PolygonTable, np.ndarray]:
+        """The cells' :class:`~repro.geometry.kernel.PolygonTable` and their headings.
 
-        Each box is padded by ``max(1e-6, on_edge_reach(cell))`` so the
-        scalar containment test's boundary tolerance cannot cross a box
-        edge, however short the cell's edges: any cell the linear scan could
-        accept is also a grid candidate, and a point inside a cell has box
-        distance 0, keeping results bit-identical.
+        Built at first use and published with one store, as
+        ``PolygonalRegion._polygon_table`` is.  The scalar lookups read the
+        table's padded boxes and its grid, so a cell the scan could accept is
+        never pruned: a point inside a cell has box distance 0.
         """
-        if self._boxes is None:
-            import numpy as np
-
-            boxes = np.empty((len(self.cells), 4), dtype=float)
-            for index, (polygon, _heading) in enumerate(self.cells):
-                box = polygon.bounding_box()
-                pad = max(1e-6, on_edge_reach(polygon.vertices))
-                boxes[index] = (box.min_x - pad, box.min_y - pad, box.max_x + pad, box.max_y + pad)
-            if len(self.cells) >= self._GRID_MIN_CELLS:
-                from ..geometry.spatial_index import SpatialGrid
-
-                self._grid = SpatialGrid(boxes)
-            self._boxes = boxes
-        return self._boxes, self._grid
+        tables = self._tables
+        if tables is None:
+            tables = self._tables = (
+                PolygonTable([polygon.vertices for polygon, _ in self.cells]),
+                np.array([heading for _, heading in self.cells], dtype=float),
+            )
+        return tables
 
     def _heading_at(self, position: Vector) -> float:
         cell = self.cell_at(position)
@@ -134,15 +129,14 @@ class PolygonalVectorField(VectorField):
     def cell_at(self, position: VectorLike) -> Optional[Tuple[Polygon, float]]:
         position = Vector.from_any(position)
         if len(self.cells) >= self._GRID_MIN_CELLS:
-            _boxes, grid = self._tables()
-            if grid is not None:
-                # Bucket indices are ascending, so the first containing
-                # candidate is the same cell the full scan would return.
-                for index in grid.bucket_for_point(position.x, position.y):
-                    polygon, heading = self.cells[index]
-                    if polygon.contains_point(position):
-                        return polygon, heading
-                return None
+            # Bucket indices are ascending, so the first containing
+            # candidate is the same cell the full scan would return.
+            grid = self._lookup_tables()[0].grid()
+            for index in grid.bucket_for_point(position.x, position.y):
+                polygon, heading = self.cells[index]
+                if polygon.contains_point(position):
+                    return polygon, heading
+            return None
         for polygon, heading in self.cells:
             if polygon.contains_point(position):
                 return polygon, heading
@@ -166,9 +160,7 @@ class PolygonalVectorField(VectorField):
         ties resolve to the lowest cell index — exactly ``min()``'s
         first-minimal-in-list-order behaviour.
         """
-        import numpy as np
-
-        boxes, _grid = self._tables()
+        boxes = self._lookup_tables()[0].boxes
         dx = np.maximum(np.maximum(boxes[:, 0] - position.x, position.x - boxes[:, 2]), 0.0)
         dy = np.maximum(np.maximum(boxes[:, 1] - position.y, position.y - boxes[:, 3]), 0.0)
         lower_bounds = np.hypot(dx, dy)
@@ -183,126 +175,33 @@ class PolygonalVectorField(VectorField):
                 best_index = int(index)
         return self.cells[best_index]
 
-    #: The most grid buckets one bucket table holds.  A field whose grid
-    #: spans more has no batched lookup: its callers look points up one by one.
-    _DENSE_BUCKETS_MAX = 1 << 16
-
-    def locates_in_batches(self) -> bool:
-        """Whether :meth:`value_at_points` serves this field: its grid fits one bucket table."""
-        return len(self.cells) < self._GRID_MIN_CELLS or self._bucket_table() is not None
-
-    def value_at_points(self, xs, ys):
+    def value_at_points(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """:meth:`value_at` at ``K`` points, as an array, without calling it.
 
         The same verdicts as ``cell_at`` then ``nearest_cell``, for all points
-        at once: each point's candidate cells are its grid bucket (every cell
-        for a small map), in bucket order; one pass of ``_point_in_edges``'
-        arithmetic over the cells' padded edge tables tests every (point,
-        cell) pair, and a point takes its first containing cell.  A point
-        inside no cell takes the scalar ``nearest_cell``.  *xs* and *ys* are
-        contiguous float64 arrays; a coordinate that is not finite raises
-        ``ValueError``, as the scalar grid's ``math.floor`` would.  Only for
-        a field that :meth:`locates_in_batches`.
+        at once: the cells' :class:`~repro.geometry.kernel.PolygonTable`
+        tests each point against the cells whose padded box holds it, and
+        the point takes the lowest-index cell that holds it, as the scan
+        does.  A point inside no cell takes the scalar ``nearest_cell``.
+        *xs* and *ys* are float64 arrays; a coordinate that is not finite
+        raises ``ValueError``, as the scalar grid's ``math.floor`` would.
         """
-        import numpy as np
-
-        from .regions import _normalize_angles
-
-        count = len(xs)
         if not self.cells:
-            return _normalize_angles(np.full(count, float(self.default_heading)))
+            return _normalize_angles(np.full(len(xs), float(self.default_heading)))
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise ValueError("cannot locate a point that is not finite")
-        edges, cell_headings = self._edge_columns()
-        candidates = self._candidate_cells(xs, ys)  # (K, B), -1 past a bucket's end
-        rows = edges[candidates]  # (K, B, E, 8); a -1 reads the last cell, masked below
-        xi, yi, xj, yj, ex, ey, on_bound, dot_hi = (rows[..., k] for k in range(8))
-        px = xs[:, None, None]
-        py = ys[:, None, None]
-        dx = px - xi
-        dy = py - yi
-        dot = dx * ex + dy * ey
-        on_edge = (np.abs(ex * dy - ey * dx) <= on_bound) & (-1e-9 <= dot) & (dot <= dot_hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            flips = ((yi > py) != (yj > py)) & (px < xj + (py - yj) * ex / ey)
-        inside = (on_edge.any(axis=2) | (flips.sum(axis=2) % 2 == 1)) & (candidates >= 0)
-        first = inside.argmax(axis=1)
-        points = np.arange(count)
-        headings = cell_headings[candidates[points, first]]
-        for index in np.flatnonzero(~inside[points, first]).tolist():
-            nearest = self.nearest_cell(Vector(xs[index], ys[index]))
-            headings[index] = nearest[1] if nearest is not None else self.default_heading
+        table, cell_headings = self._lookup_tables()
+        cells = table.first_holders(xs, ys)
+        headings = cell_headings[cells]  # a -1 reads the last cell, replaced below
+        for index in np.flatnonzero(cells < 0).tolist():
+            headings[index] = self.nearest_cell(Vector(xs[index], ys[index]))[1]
         return _normalize_angles(headings)
-
-    def _edge_columns(self):
-        """Every cell's ``_edge_table`` as one ``(cells, edges, 8)`` array, and the headings.
-
-        Short tables are padded with rows that are never on an edge
-        (``on_bound`` -1) and never cross a ray (``yi == yj``).  Built once.
-        """
-        tables = getattr(self, "_edge_arrays", None)
-        if tables is None:
-            import numpy as np
-
-            from ..geometry.polygon import _edge_table
-
-            rows = [polygon._edges or _edge_table(polygon.vertices) for polygon, _ in self.cells]
-            padded = np.zeros((len(rows), max(map(len, rows)), 8))
-            padded[:, :, 6] = -1.0
-            for index, table in enumerate(rows):
-                padded[index, : len(table)] = table
-            headings = np.array([heading for _, heading in self.cells], dtype=float)
-            tables = self._edge_arrays = (padded, headings)
-        return tables
-
-    def _candidate_cells(self, xs, ys):
-        """Each point's cells to test, ``(K, B)`` in bucket order, padded with -1."""
-        import numpy as np
-
-        if len(self.cells) < self._GRID_MIN_CELLS:
-            return np.broadcast_to(np.arange(len(self.cells)), (len(xs), len(self.cells)))
-        _boxes, grid = self._tables()
-        ox, oy = grid.origin
-        keys_x = np.floor((xs - ox) / grid.cell_size)
-        keys_y = np.floor((ys - oy) / grid.cell_size)
-        (min_x, min_y, max_x, max_y), buckets = self._bucket_table()
-        inside = (keys_x >= min_x) & (keys_x <= max_x) & (keys_y >= min_y) & (keys_y <= max_y)
-        slots = (keys_x - min_x) * (max_y - min_y + 1) + (keys_y - min_y)
-        # The table's last row is the empty bucket of points off the grid.
-        return buckets[np.where(inside, slots, len(buckets) - 1).astype(np.int64)]
-
-    def _bucket_table(self):
-        """The grid's buckets as one table (see ``_dense_buckets``), or None; built once."""
-        if not hasattr(self, "_buckets"):
-            self._buckets = _dense_buckets(self._tables()[1], self._DENSE_BUCKETS_MAX)
-        return self._buckets
 
     def heading_of_cell(self, polygon: Polygon) -> Optional[float]:
         for cell_polygon, heading in self.cells:
             if cell_polygon is polygon or cell_polygon == polygon:
                 return heading
         return None
-
-
-def _dense_buckets(grid, limit: int):
-    """*grid*'s buckets over its occupied span, as ``(bounds, table)``; None past *limit*.
-
-    The bucket of cell ``(x, y)`` is row ``(x - min_x) * span_y + (y -
-    min_y)`` of the table, its cells in ascending order as in the grid and
-    padded with -1, and the last row is empty.
-    """
-    import numpy as np
-
-    min_x, min_y, max_x, max_y = grid._occupied_bounds
-    span_y = max_y - min_y + 1
-    slots = (max_x - min_x + 1) * span_y
-    if slots > limit:
-        return None
-    longest = max(map(len, grid._cells.values()), default=0)
-    table = np.full((slots + 1, max(1, longest)), -1, dtype=np.int64)
-    for (key_x, key_y), bucket in grid._cells.items():
-        table[(key_x - min_x) * span_y + (key_y - min_y), : len(bucket)] = bucket
-    return grid._occupied_bounds, table
 
 
 class PolylineVectorField(VectorField):

@@ -14,7 +14,9 @@ Six oracles are run against every valid generated program:
 * **Kernel equivalence** — the vectorized geometry kernel
   (:mod:`repro.geometry.kernel`) must agree with the scalar predicates on
   the sampled scenes: point containment, object containment, and pairwise
-  collisions, for the workspace region and for synthetic probe regions.
+  collisions, for the workspace region and for synthetic probe regions,
+  and the batched ``F at X`` of a polygonal workspace orientation must
+  agree with the scalar lookup.
 * **Requirement re-check** — every accepted scene is re-validated
   independently of the sampling loop: scalar workspace containment, scalar
   collision checks, visibility, the generator's ground-truth
@@ -79,6 +81,7 @@ from ..core.program import Candidate, current_program, draw_candidate, walk
 from ..core.pruning import _mutation_enabled, prune_scenario
 from ..core.regions import CircularRegion, RectangularRegion
 from ..core.utils import normalize_angle
+from ..core.vectorfields import PolygonalVectorField
 from ..core.vectors import Vector
 from ..geometry import kernel
 from ..language import scenario_from_string
@@ -590,7 +593,11 @@ def check_kernel_equivalence(
 
     The scalar geometry (``Region.contains_point``, ``Object.intersects``) is
     the oracle; the batched kernel (:mod:`repro.geometry.kernel`) must agree
-    with it exactly, boundary contact included.
+    with it exactly, boundary contact included.  When the workspace region's
+    orientation is a :class:`PolygonalVectorField` (a road map's
+    ``roadDirection``, the warehouse's ``aisleDirection``), its batched
+    ``value_at_points`` must give ``value_at``'s heading at every probe
+    point, off the map included.
     """
     problems: List[str] = []
     rng = random.Random(seed ^ 0x5EED5EED)
@@ -637,6 +644,21 @@ def check_kernel_equivalence(
                 problems.append(
                     f"objects_contained mismatch on {type(region).__name__} for object {index}"
                 )
+
+    orientation = scenario.workspace.region.orientation
+    if isinstance(orientation, PolygonalVectorField):
+        batched_headings = orientation.value_at_points(
+            np.array([point.x for point in probe_points]),
+            np.array([point.y for point in probe_points]),
+        )
+        for point, batched_heading in zip(probe_points, batched_headings.tolist()):
+            scalar_heading = orientation.value_at(point)
+            if batched_heading != scalar_heading:
+                problems.append(
+                    f"value_at_points mismatch on {orientation.name} at point {tuple(point)}: "
+                    f"batched={batched_heading!r} scalar={scalar_heading!r}"
+                )
+                break
 
     if len(scene.objects) >= 2:
         collidable = np.ones(len(scene.objects), dtype=bool)

@@ -12,6 +12,10 @@ pure Python; this module evaluates them over whole *batches* with numpy:
   region implements a genuinely vectorized one; the :class:`~repro.core.regions.Region`
   base class provides a scalar fallback so third-party regions keep
   working).
+* :class:`PolygonTable` — batched point location in a fixed polygon set:
+  which polygons hold each point, tested only against the polygons whose
+  padded bounding box holds it.  A ``PolygonalRegion``'s containment and a
+  ``PolygonalVectorField``'s ``F at X`` both run on one.
 * :func:`objects_contained` — containment of ``N`` objects given their
   corner arrays, using the same corners-plus-edge-midpoints test as
   ``Region.contains_object``.
@@ -22,9 +26,9 @@ pure Python; this module evaluates them over whole *batches* with numpy:
 
 The predicates agree with the scalar implementations: the separating-axis
 test uses closed intervals (touching counts as overlap, exactly like
-``polygons_intersect``) and :func:`points_in_polygon` replicates the scalar
-ray casting decision for decision, so results are bit-identical away from
-~1-ulp boundary coincidences.
+``polygons_intersect``) and :class:`PolygonTable` runs the arithmetic of
+the scalar ray cast over an ``_edge_table``, so every verdict is the scalar
+one.
 
 The four batch predicates (:func:`points_in_polygon`,
 :func:`objects_contained`, :func:`pairwise_collisions` and
@@ -34,10 +38,13 @@ instance, :data:`KERNEL`; the module functions call them through it.
 
 from __future__ import annotations
 
-import math
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..core.vectors import Vector
+from .polygon import _ON_EDGE_TOLERANCE, _edge_table, on_edge_reach
+from .spatial_index import SpatialGrid
 
 #: Object counts below this skip the spatial grid: enumerating all pairs is
 #: cheaper than building the index.
@@ -153,6 +160,106 @@ def points_in_polygon(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
     return KERNEL.points_in_polygon(vertices, points)
 
 
+class PolygonTable:
+    """A fixed set of polygons, laid out for batched point location.
+
+    Every polygon's :func:`~repro.geometry.polygon._edge_table` rows, padded
+    to the longest table, as eight contiguous ``(edges, polygons)`` columns
+    (edge-major, so the arithmetic runs along rows of pairs); a padding row
+    is never on an edge (``on_bound`` -1) and never crosses a ray (``yi ==
+    yj``).  Each polygon's bounding box is padded by ``max(1e-6,
+    on_edge_reach)``, so every point the scalar on-edge test accepts lies in
+    its polygon's box, however short the polygon's edges.
+
+    A query forms the (point, polygon) pairs whose padded box holds the
+    point, with one box mask and ``np.nonzero``: point by point, polygon
+    indices ascending.  It then runs the arithmetic of the scalar ray cast
+    (``_point_in_edges``) once over all the pairs, so every verdict is the
+    scalar one.  The set's scalar lookups keep a :class:`SpatialGrid` over
+    the same boxes (:meth:`grid`).
+    """
+
+    def __init__(self, vertex_lists: Sequence[Sequence[Vector]]):
+        tables = [_edge_table(vertices) for vertices in vertex_lists]
+        rows = np.zeros((max(map(len, tables)), len(tables), 8))
+        rows[:, :, 6] = -1.0
+        boxes = np.empty((len(tables), 4))
+        for index, (vertices, table) in enumerate(zip(vertex_lists, tables)):
+            rows[: len(table), index] = table
+            pad = max(1e-6, on_edge_reach(vertices))
+            xs = [vertex.x for vertex in vertices]
+            ys = [vertex.y for vertex in vertices]
+            boxes[index] = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
+        self._columns = tuple(np.ascontiguousarray(rows[:, :, k]) for k in range(8))
+        #: The padded boxes, ``(polygons, 4)`` rows of (minx, miny, maxx, maxy).
+        self.boxes = boxes
+        self._box_columns = tuple(boxes[:, k : k + 1].copy() for k in range(4))  # (polygons, 1)
+        self._grid: Optional[SpatialGrid] = None
+
+    def grid(self) -> SpatialGrid:
+        """A :class:`SpatialGrid` over the padded boxes, built at first use."""
+        grid = self._grid
+        if grid is None:
+            grid = self._grid = SpatialGrid(self.boxes)
+        return grid
+
+    def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The (point, polygon) index pairs whose padded box holds the point.
+
+        The mask is ``(polygons, points)``, so numpy's loops run along the
+        points; ``np.nonzero`` of its transpose lists the pairs point by
+        point, polygon indices ascending.
+        """
+        min_x, min_y, max_x, max_y = self._box_columns
+        mask = (xs >= min_x) & (xs <= max_x) & (ys >= min_y) & (ys <= max_y)
+        return np.nonzero(mask.T)
+
+    def _holds(self, xs: np.ndarray, ys: np.ndarray, points: np.ndarray,
+               polygons: np.ndarray) -> np.ndarray:
+        """Whether polygon ``polygons[m]`` holds point ``points[m]``, for every ``m``.
+
+        ``_point_in_edges``' arithmetic, one column per pair: a pair holds
+        when some edge has the point on it, or when an odd number of edges
+        cross the ray from the point towards +x.  The crossing abscissa is
+        only read where the edge straddles the point's ``y``, so ``ey`` is
+        not 0 there.
+        """
+        px = xs.take(points)
+        py = ys.take(points)
+        xi, yi, xj, yj, ex, ey, on_bound, dot_hi = (
+            column.take(polygons, axis=1) for column in self._columns
+        )
+        dx = px - xi
+        dy = py - yi
+        dot = dx * ex + dy * ey
+        on_edge = (
+            (np.abs(ex * dy - ey * dx) <= on_bound)
+            & (dot >= -_ON_EDGE_TOLERANCE)
+            & (dot <= dot_hi)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            crossings = ((yi > py) != (yj > py)) & (px < xj + (py - yj) * ex / ey)
+        return on_edge.any(axis=0) | np.logical_xor.reduce(crossings, axis=0)
+
+    def contains(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Whether some polygon holds each point, as a boolean array."""
+        points, polygons = self._pairs(xs, ys)
+        held = np.zeros(len(xs), dtype=bool)
+        held[points[self._holds(xs, ys, points, polygons)]] = True
+        return held
+
+    def first_holders(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """The lowest index of a polygon that holds each point; -1 where none does."""
+        points, polygons = self._pairs(xs, ys)
+        held = self._holds(xs, ys, points, polygons)
+        points, polygons = points[held], polygons[held]
+        first = np.ones(len(points), dtype=bool)
+        first[1:] = points[1:] != points[:-1]
+        holders = np.full(len(xs), -1, dtype=np.intp)
+        holders[points[first]] = polygons[first]
+        return holders
+
+
 # ---------------------------------------------------------------------------
 # object containment
 # ---------------------------------------------------------------------------
@@ -252,42 +359,15 @@ class NumpyKernel:
     def points_in_polygon(self, vertices: Any, points: Any) -> np.ndarray:
         """Membership of each point in one simple polygon (boundary = inside).
 
-        Replicates :func:`repro.geometry.polygon.point_in_polygon` decision
-        for decision (the same per-edge arithmetic), for all points at once
-        with one numpy pass per polygon edge.  The scalar test forms the
-        on-edge dot product only for points near the edge's line; this one
-        forms it for every point, and its verdict is the same.
+        The one-polygon :class:`PolygonTable`, its edge table built from
+        *vertices* in their given order, so each verdict is
+        :func:`repro.geometry.polygon.point_in_polygon`'s.  Sampling does not
+        call it: regions and vector fields keep their own tables.
         """
         vertices = np.asarray(vertices, dtype=float)
         pts = as_points(points)
-        x, y = pts[:, 0], pts[:, 1]
-        count = len(vertices)
-        inside = np.zeros(len(pts), dtype=bool)
-        on_edge = np.zeros(len(pts), dtype=bool)
-        j = count - 1
-        for i in range(count):
-            xi, yi = float(vertices[i][0]), float(vertices[i][1])
-            xj, yj = float(vertices[j][0]), float(vertices[j][1])
-            # Boundary check: the scalar edge table's on-edge test (a=v_i,
-            # b=v_j), its bounds from the same float expressions.  A
-            # zero-length edge has none: its neighbours cover its vertex.
-            edge_x, edge_y = xj - xi, yj - yi
-            length = math.hypot(xi - xj, yi - yj)
-            if length > 0:
-                on_bound = 1e-9 * max(1.0, length)
-                dot_hi = edge_x ** 2 + edge_y ** 2 + 1e-9
-                cross = edge_x * (y - yi) - edge_y * (x - xi)
-                dot = (x - xi) * edge_x + (y - yi) * edge_y
-                on_edge |= (np.abs(cross) <= on_bound) & (dot >= -1e-9) & (dot <= dot_hi)
-            # Ray crossing (same expression as the scalar code, v_i/v_j swapped
-            # roles preserved: slope_x anchored at v_j).
-            crosses = (yi > y) != (yj > y)
-            if crosses.any():
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    slope_x = xj + (y - yj) * (xi - xj) / (yi - yj)
-                inside ^= crosses & (x < slope_x)
-            j = i
-        return inside | on_edge
+        table = PolygonTable([[Vector(x, y) for x, y in vertices.tolist()]])
+        return table.contains(pts[:, 0], pts[:, 1])
 
     def objects_contained(self, region: Any, corners: Any) -> np.ndarray:
         """Containment of ``N`` objects (``(N, 4, 2)`` corners) in *region*.
@@ -328,8 +408,6 @@ class NumpyKernel:
             collidable_mask = np.asarray(collidable, dtype=bool)
         boxes = aabbs_of(corners)
         if n >= grid_threshold:
-            from .spatial_index import SpatialGrid
-
             pairs = SpatialGrid(boxes).candidate_pairs()
         else:
             row, col = np.triu_indices(n, k=1)
@@ -403,6 +481,7 @@ __all__ = [
     "GRID_PAIR_THRESHOLD",
     "KERNEL",
     "NumpyKernel",
+    "PolygonTable",
     "as_points",
     "corners_array",
     "corners_of_columns",

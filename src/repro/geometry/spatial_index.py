@@ -1,12 +1,12 @@
 """A uniform-grid spatial index over axis-aligned bounding boxes.
 
-Two hot paths need "which items are near X" queries:
+Two paths need "which items are near X" queries:
 
 * the pairwise collision check — :meth:`SpatialGrid.candidate_pairs` prunes
   the O(n²) pair enumeration down to pairs sharing at least one grid cell;
-* point location in large polygonal regions (triangulated road maps) —
-  :meth:`SpatialGrid.candidates_for_points` buckets query points by cell and
-  returns, per point, only the polygons whose bounds cover that cell.
+* scalar point location in large polygonal regions and fields (road maps) —
+  :meth:`SpatialGrid.bucket_for_point` gives the one cell's polygons whose
+  bounds cover the point.
 
 The grid is conservative by construction: an item is registered in every
 cell its (optionally margin-expanded) bounding box touches, so a query can
@@ -153,40 +153,6 @@ class SpatialGrid:
         if not pairs:
             return np.zeros((0, 2), dtype=int)
         return np.array(sorted(pairs), dtype=int)
-
-    def candidates_for_points(self, points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Point→item candidate assignments for batched point location.
-
-        Returns ``(point_indices, item_indices)`` — parallel int arrays where
-        item ``item_indices[k]``'s cells cover point ``point_indices[k]``.
-        Grouping by item index then lets the caller run one vectorized
-        containment test per polygon over just its nearby points.
-        """
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        if len(pts) == 0 or not self._cells:
-            return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
-        ox, oy = self.origin
-        cell_x = np.floor((pts[:, 0] - ox) / self.cell_size).astype(int)
-        cell_y = np.floor((pts[:, 1] - oy) / self.cell_size).astype(int)
-        point_indices: List[int] = []
-        item_indices: List[int] = []
-        # Group points by cell so each bucket is looked up once.
-        order = np.lexsort((cell_y, cell_x))
-        sorted_x, sorted_y = cell_x[order], cell_y[order]
-        boundaries = np.flatnonzero(
-            (np.diff(sorted_x) != 0) | (np.diff(sorted_y) != 0)
-        )
-        starts = np.concatenate([[0], boundaries + 1])
-        ends = np.concatenate([boundaries + 1, [len(order)]])
-        for start, end in zip(starts, ends):
-            bucket = self._cells.get((int(sorted_x[start]), int(sorted_y[start])))
-            if not bucket:
-                continue
-            members = order[start:end]
-            for item in bucket:
-                point_indices.extend(members)
-                item_indices.extend([item] * len(members))
-        return np.array(point_indices, dtype=int), np.array(item_indices, dtype=int)
 
     def __len__(self) -> int:
         return self.count

@@ -13,12 +13,10 @@ from repro.core.columns import ColumnPlan, column_plan
 from repro.core.errors import ScenicError
 from repro.core.program import current_program
 from repro.core.regions import CircularRegion, DifferenceRegion
-from repro.core.vectorfields import PolygonalVectorField
 from repro.evals.corpus import Manifest
 from repro.fuzz.oracles import check_column_draws, run_oracles
 from repro.language import scenario_from_string
 from repro.sampling import RejectionSampler, VectorizedSampler
-from repro.worlds.gta.roads import default_map
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 CORPUS = Manifest.load()
@@ -178,34 +176,6 @@ def test_division_by_a_random_zero_is_redrawn():
         errors[strategy.name] = str(raised.value)
     assert errors["vectorized"] == errors["rejection"]
     assert scenario._draw_program.columns.replays == 1
-
-
-# ---------------------------------------------------------------------------
-# A road map too large for one bucket table
-# ---------------------------------------------------------------------------
-
-def test_a_field_whose_grid_outgrows_one_bucket_table_is_looked_up_step_by_step(monkeypatch):
-    """Without a batched lookup, ``value_at`` steps and ``_op_follow`` take the scalar escape."""
-    source = CORPUS.get("fz1197720216").source()  # two objects follow roadDirection
-    road = default_map().road_direction
-    batched = []
-    value_at_points = PolygonalVectorField.value_at_points
-
-    def counted(field, xs, ys):
-        batched.append(len(xs))
-        return value_at_points(field, xs, ys)
-
-    monkeypatch.setattr(PolygonalVectorField, "value_at_points", counted)
-    _draws_without_raising(scenario_from_string(source))
-    assert batched and road.locates_in_batches()
-
-    monkeypatch.setattr(PolygonalVectorField, "_DENSE_BUCKETS_MAX", 0)
-    monkeypatch.delattr(road, "_buckets")
-    batched.clear()
-    scenario = scenario_from_string(source)
-    _draws_without_raising(scenario)
-    assert batched == [] and not road.locates_in_batches()
-    assert check_column_draws(scenario, seed=7) == []
 
 
 # ---------------------------------------------------------------------------

@@ -254,22 +254,6 @@ class TestSpatialGrid:
         assert grid.candidate_pairs().shape == (0, 2)
         assert grid.query_box((0, 0, 1, 1)).shape == (0,)
 
-    def test_candidates_for_points_matches_boxes(self):
-        polygons = [
-            Polygon([(x, y), (x + 1, y), (x + 1, y + 1), (x, y + 1)])
-            for x in range(4)
-            for y in range(4)
-        ]
-        grid = SpatialGrid.from_polygons(polygons)
-        points = np.array([(0.5, 0.5), (3.5, 3.5), (10.0, 10.0)])
-        point_indices, item_indices = grid.candidates_for_points(points)
-        assigned = {int(p): set() for p in point_indices}
-        for point_index, item_index in zip(point_indices, item_indices):
-            assigned[int(point_index)].add(int(item_index))
-        assert 0 in assigned[0]  # the (0,0) square covers (0.5, 0.5)
-        assert 15 in assigned[1]  # the (3,3) square covers (3.5, 3.5)
-        assert 2 not in assigned  # far-away point got no candidates
-
 
 class TestBatchPredicateProperties:
     """The batch predicates agree with each other and with the scalar loop."""
@@ -445,6 +429,5 @@ class TestKernelInstance:
         else:
             scenario.generate(seed=1, strategy=strategy)
         assert calls["objects_contained"] > 0
-        assert calls["points_in_polygon"] > 0
         for method in collision_methods:
             assert calls[method] > 0, method

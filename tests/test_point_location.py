@@ -1,4 +1,4 @@
-"""Scalar point location gives the verdicts of the plain ray cast, exactly.
+"""Point location gives the verdicts of the plain ray cast, exactly.
 
 ``Polygon.contains_point`` runs its ray cast over a per-polygon edge table
 built once, and ``Polygon.distance_to_point``, ``PolygonalVectorField``'s
@@ -8,6 +8,11 @@ test first on every edge), of its on-edge test and of the point-to-polygon
 distance, and checks that the table gives the same booleans, distances and
 headings, bit for bit, on polygons and points chosen to sit on, just inside
 and just outside the on-edge tolerance.
+
+The batched locator (``repro.geometry.kernel.PolygonTable``), which serves
+``PolygonalRegion.contains_points_batch`` and
+``PolygonalVectorField.value_at_points``, is held to the scalar lookups the
+same way: any holder for containment, the lowest-index holder for a field.
 """
 
 from __future__ import annotations
@@ -22,9 +27,12 @@ from repro.core.regions import PolygonalRegion
 from repro.core.utils import normalize_angle
 from repro.core.vectorfields import PolygonalVectorField
 from repro.core.vectors import Vector
+from repro.evals.corpus import Manifest
+from repro.fuzz.oracles import run_oracles
 from repro.geometry import kernel
 from repro.geometry.polygon import BoundingBox, Polygon, on_edge_reach, point_in_polygon
 from repro.geometry.spatial_index import SpatialGrid
+from repro.language import scenario_from_string
 
 # ---------------------------------------------------------------------------
 # The reference: the plain ray cast, frozen
@@ -460,3 +468,136 @@ def test_grid_region_on_short_edges_matches_a_linear_scan():
     array = np.array([point.to_tuple() for point in points])
     assert region.contains_points_batch(array).tolist() == expected
 
+
+# ---------------------------------------------------------------------------
+# The batched locator: one polygon table per region or field
+# ---------------------------------------------------------------------------
+
+
+def mixed_union(rng: random.Random, count: int, scale: float):
+    """*count* pieces: triangles, concave and duplicate-vertex polygons, and
+    a last piece that is the first triangle shrunk about its centroid, so
+    the points on and near its edges lie in two pieces."""
+    kinds = ("triangle", "concave", "duplicate", "convex")
+    pieces = []
+    for index in range(count - 1):
+        kind = kinds[index % len(kinds)]
+        if kind == "triangle":
+            offset_x, offset_y = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+            pieces.append(Polygon([
+                ((x + offset_x) * scale, (y + offset_y) * scale)
+                for x, y in _star(rng, 3, convex=True)
+            ]))
+        else:
+            pieces.append(make_polygon(rng, kind, scale))
+    center = pieces[0].centroid
+    pieces.append(Polygon([center + (v - center) * 0.5 for v in pieces[0].vertices]))
+    return pieces
+
+
+@pytest.mark.parametrize("piece_count", (3, 12))
+@pytest.mark.parametrize("scale", SCALES)
+def test_batched_containment_equals_contains_point(piece_count, scale):
+    """``contains_points_batch`` equals ``contains_point`` on every probe.
+
+    Three pieces take the scalar scan and twelve its grid; both unions mix
+    triangles, concave and duplicate-vertex polygons and overlapping pieces,
+    probed on, just inside and just outside every edge and vertex.
+    """
+    rng = random.Random(f"union-{piece_count}-{scale}")
+    pieces = mixed_union(rng, piece_count, scale)
+    region = PolygonalRegion(pieces)
+    points = [point for piece in pieces for point in probe_points(rng, piece, random_count=10)]
+    scalar = [region.contains_point(point) for point in points]
+    array = np.array([point.to_tuple() for point in points])
+    assert region.contains_points_batch(array).tolist() == scalar
+    held_twice = sum(sum(piece.contains_point(point) for piece in pieces) >= 2 for point in points)
+    assert held_twice > 0 and 0 < sum(scalar) < len(points)
+
+
+@pytest.mark.parametrize("piece_count", (3, 12))
+def test_batched_containment_of_no_points(piece_count):
+    region = PolygonalRegion(mixed_union(random.Random(piece_count), piece_count, 1.0))
+    assert region.contains_points_batch(np.zeros((0, 2))).shape == (0,)
+    assert region.contains_points_batch([]).shape == (0,)
+
+
+def five_cells():
+    """Three squares in a row sharing edges, a triangle on the first one's top
+    edge, and a rectangle over the first two squares' shared edge."""
+    squares = [Polygon([(x, 0), (x + 4, 0), (x + 4, 4), (x, 4)]) for x in (0, 4, 8)]
+    triangle = Polygon([(0, 4), (4, 4), (2, 7)])
+    overlap = Polygon([(2, 1), (6, 1), (6, 3), (2, 3)])
+    return [(polygon, 0.5 * index - 1.0) for index, polygon in enumerate(squares + [triangle, overlap])]
+
+
+def test_batched_lookup_takes_the_lowest_index_cell(road_map):
+    """``value_at_points`` equals ``value_at`` where two or more cells hold a point.
+
+    On the five-cell field and on the road map, at every cell's vertices and
+    edge points (on the edge, and either side of it within the tolerance),
+    where neighbouring cells share an edge, and at random points in and
+    around the map, outside every cell included.
+    """
+    rng = random.Random(31)
+    fields = [PolygonalVectorField("five cells", five_cells()), road_map.road_direction]
+    assert len(fields[0].cells) < PolygonalVectorField._GRID_MIN_CELLS <= len(fields[1].cells)
+    for field in fields:
+        points = []
+        for polygon, _heading in field.cells:
+            points.extend(probe_points(rng, polygon, random_count=2))
+        box = BoundingBox.of_points(v for polygon, _ in field.cells for v in polygon.vertices)
+        box = box.expanded(5.0)
+        points += [box.sample_point(rng) for _ in range(300)]
+        batched, scalar = _batched_and_scalar_lookups(field, points)
+        assert batched == scalar, field.name
+        held_twice = sum(
+            sum(polygon.contains_point(point) for polygon, _ in field.cells) >= 2
+            for point in points
+        )
+        outside = sum(field.cell_at(point) is None for point in points)
+        assert held_twice >= 50 and outside >= 20, field.name
+    xs, ys = np.zeros(0), np.zeros(0)
+    assert fields[0].value_at_points(xs, ys).shape == (0,)
+
+
+GTA_PROGRAM = "import gtaLib\nego = Car\n"
+
+
+def test_run_oracles_flags_a_batched_lookup_that_sends_off_map_points_to_cell_0(monkeypatch):
+    """Oracle B compares the road map's batched lookups with ``value_at``."""
+    assert run_oracles(GTA_PROGRAM, seed=3).verdict == "pass"
+    first_holders = kernel.PolygonTable.first_holders
+
+    def to_cell_0(table, xs, ys):
+        return np.maximum(first_holders(table, xs, ys), 0)
+
+    monkeypatch.setattr(kernel.PolygonTable, "first_holders", to_cell_0)
+    report = run_oracles(GTA_PROGRAM, seed=3)
+    assert report.verdict == "fail"
+    assert {failure.oracle for failure in report.failures} == {"kernel"}
+    assert "value_at_points mismatch on roadDirection" in report.failures[0].detail
+
+
+@pytest.mark.slow
+def test_corpus_workspaces_locate_probes_batched_as_one_by_one():
+    """Every corpus program: one scene, 200 probes around it, the workspace
+    region's containment and its polygonal orientation field batched and
+    one by one."""
+    fields = 0
+    for entry in Manifest.load():
+        scenario = scenario_from_string(entry.source())
+        scene = scenario.generate(seed=1, max_iterations=5000)
+        region = scenario.workspace.region
+        rng = random.Random(entry.id)
+        box = BoundingBox.of_points(Vector.from_any(obj.position) for obj in scene.objects)
+        box = box.expanded(15.0)
+        points = [box.sample_point(rng) for _ in range(200)]
+        array = np.array([point.to_tuple() for point in points])
+        scalar = [region.contains_point(point) for point in points]
+        assert region.contains_points_batch(array).tolist() == scalar, entry.id
+        if isinstance(region.orientation, PolygonalVectorField):
+            batched, scalar = _batched_and_scalar_lookups(region.orientation, points)
+            assert batched == scalar, entry.id
+            fields += 1
+    assert fields >= 80  # the GTA and warehouse programs

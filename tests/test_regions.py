@@ -271,13 +271,12 @@ class TestGridPointLocation:
 
     def test_region_contains_point_matches_linear_scan(self, rng):
         region = PolygonalRegion(self._strip_polygons(12))
-        region._batch_tables()
-        assert region._grid is not None  # the grid path is actually exercised
         for point in self._probe_points(rng):
             via_scan = any(
                 polygon.contains_point(Vector(*point)) for polygon in region.polygons
             )
             assert region.contains_point(point) == via_scan, point
+        assert region._polygon_table()._grid is not None  # the grid path was exercised
 
     def test_region_batch_containment_matches_scalar(self, rng):
         region = PolygonalRegion(self._strip_polygons(12))
@@ -287,16 +286,15 @@ class TestGridPointLocation:
 
     def test_small_union_skips_the_grid(self):
         region = PolygonalRegion(self._strip_polygons(3))
-        region._batch_tables()
-        assert region._grid is None
         assert region.contains_point((0.5, 0.5))
         assert not region.contains_point((5.5, 0.5))
+        assert region._polygon_table()._grid is None
 
     def test_field_cell_at_matches_linear_scan(self, rng):
         cells = [(polygon, 0.1 * i) for i, polygon in enumerate(self._strip_polygons(10))]
         field = PolygonalVectorField("strips", cells)
-        field._tables()
-        assert field._grid is not None
+        field.cell_at((0.5, 0.5))
+        assert field._lookup_tables()[0]._grid is not None  # the grid path is exercised
         for point in self._probe_points(rng):
             position = Vector(*point)
             via_scan = next(
