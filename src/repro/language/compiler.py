@@ -65,11 +65,14 @@ def normalize_source(source: str) -> str:
     """Canonical text form used for fingerprinting.
 
     Differences that cannot change the token stream — line-ending style,
-    trailing whitespace, trailing blank lines — are erased, so equivalent
-    sources share one artifact.
+    trailing spaces and tabs, trailing blank lines — are erased, so
+    equivalent sources share one artifact.  Only spaces and tabs are
+    stripped because they are the only whitespace the lexer skips: a
+    trailing no-break space is a syntax error, so a source ending in one
+    must not share the fingerprint of the source without it.
     """
     text = source.replace("\r\n", "\n").replace("\r", "\n")
-    lines = [line.rstrip() for line in text.split("\n")]
+    lines = [line.rstrip(" \t") for line in text.split("\n")]
     while lines and not lines[-1]:
         lines.pop()
     return "\n".join(lines) + "\n" if lines else ""

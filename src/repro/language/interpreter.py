@@ -254,6 +254,12 @@ class Interpreter:
     #: must fire well before CPython's own recursion limit would.
     MAX_CALL_DEPTH = 32
 
+    #: Maximum number of objects one program run may create.  A runaway
+    #: loop that creates an object per pass would otherwise hold a worker
+    #: (and its memory) until the ``while`` cap fires, or for as long as a
+    #: long ``for`` runs; the largest corpus program creates 13.
+    MAX_OBJECTS = 10_000
+
     def __init__(self, extra_names: Optional[Dict[str, Any]] = None):
         self.globals = Environment()
         for name, value in _make_builtins().items():
@@ -264,6 +270,7 @@ class Interpreter:
         self.context: Optional[ScenarioContext] = None
         self.workspace: Optional[Workspace] = None
         self.call_depth = 0
+        self.objects_created = 0
 
     # -- top level ---------------------------------------------------------------
 
@@ -294,6 +301,7 @@ class Interpreter:
         """
         self.context = push_context()
         self.workspace = workspace
+        self.objects_created = 0
         try:
             self.execute_block(program.statements, self.globals)
         except _BreakLoop as escape:
@@ -683,6 +691,9 @@ class Interpreter:
             raise InterpreterError(f"unknown class '{node.class_name}'", node.line)
         if not (isinstance(klass, type) and issubclass(klass, Point)):
             raise InterpreterError(f"'{node.class_name}' is not a Scenic class", node.line)
+        self.objects_created += 1
+        if self.objects_created > self.MAX_OBJECTS:
+            raise InterpreterError(f"program creates more than {self.MAX_OBJECTS} objects", node.line)
         specifiers = [
             self._guard(spec, self._build_specifier, spec, env) for spec in node.specifiers
         ]

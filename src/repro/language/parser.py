@@ -41,68 +41,79 @@ _SPECIFIER_STARTERS = {
 _EXPRESSION_CONTINUATIONS = {"if", "is", "and", "or", "not", "deg", "relative", "can"}
 
 
+# Enum member lookups are slow; the parser tests kinds through these.
+_NAME, _NUMBER, _STRING, _NEWLINE, _INDENT, _DEDENT, _END = (
+    TokenKind.NAME, TokenKind.NUMBER, TokenKind.STRING, TokenKind.NEWLINE,
+    TokenKind.INDENT, TokenKind.DEDENT, TokenKind.END,
+)
+
+
 class _TokenStream:
+    """The parser's cursor.  Tokens are tested by ``tag`` (see the lexer)."""
+
     def __init__(self, tokens: List[Token]):
-        self._tokens = tokens
+        # One END of padding: the deepest lookahead is ``peek(1)``, and
+        # ``advance`` never moves past the first END.
+        self._tokens = tokens + tokens[-1:]
         self._index = 0
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self._index + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+        return self._tokens[self._index + offset]
 
     def advance(self) -> Token:
-        token = self.peek()
-        if token.kind is not TokenKind.END:
+        token = self._tokens[self._index]
+        if token.kind is not _END:
             self._index += 1
         return token
 
-    def match_operator(self, *operators: str) -> Optional[Token]:
-        if self.peek().is_operator(*operators):
-            return self.advance()
-        return None
-
-    def match_name(self, *names: str) -> Optional[Token]:
-        if self.peek().is_name(*names):
-            return self.advance()
+    def match(self, tag: str) -> Optional[Token]:
+        """Consume and return the next token if it is the name or operator *tag*."""
+        token = self._tokens[self._index]
+        if token.tag == tag:
+            self._index += 1
+            return token
         return None
 
     def expect_operator(self, operator: str) -> Token:
-        token = self.peek()
-        if not token.is_operator(operator):
+        token = self._tokens[self._index]
+        if token.tag != operator:
             raise syntax_error(f"expected '{operator}', found {token.value!r}", token.line, token.column)
-        return self.advance()
+        self._index += 1
+        return token
 
     def expect_name(self, name: Optional[str] = None) -> Token:
-        token = self.peek()
-        if token.kind is not TokenKind.NAME or (name is not None and token.value != name):
+        token = self._tokens[self._index]
+        if token.kind is not _NAME or (name is not None and token.value != name):
             expected = name or "a name"
             raise syntax_error(f"expected {expected}, found {token.value!r}", token.line, token.column)
-        return self.advance()
+        self._index += 1
+        return token
 
     def expect_newline(self) -> None:
-        token = self.peek()
-        if token.kind in (TokenKind.NEWLINE, TokenKind.END):
-            if token.kind is TokenKind.NEWLINE:
-                self.advance()
-            return
-        if token.kind is TokenKind.DEDENT:
-            return
-        raise syntax_error(f"expected end of statement, found {token.value!r}", token.line, token.column)
+        token = self._tokens[self._index]
+        if token.kind is _NEWLINE:
+            self._index += 1
+        elif token.kind is not _END and token.kind is not _DEDENT:
+            raise syntax_error(f"expected end of statement, found {token.value!r}", token.line, token.column)
 
     def skip_newlines(self) -> None:
-        while self.peek().kind is TokenKind.NEWLINE:
-            self.advance()
+        while self._tokens[self._index].kind is _NEWLINE:
+            self._index += 1
 
 
 class Parser:
     """Parses a token stream into a :class:`repro.language.ast_nodes.Program`."""
 
-    #: Maximum expression-nesting depth.  Each nesting level costs about a
-    #: dozen Python stack frames through the precedence ladder, so without a
-    #: cap a few hundred nested parentheses (or a long chain of unary
-    #: operators) would escape as a raw ``RecursionError`` instead of a
-    #: proper syntax error.  The value leaves ample stack headroom even when
-    #: the host process starts deep in its own call stack (e.g. pytest).
+    #: Maximum expression-nesting depth: 31 levels of parentheses, unary
+    #: minuses, ``not``s, ``**``s or conditionals parse, and the 32nd raises.
+    #: A parenthesised level costs 16 Python stack frames (the whole
+    #: precedence ladder, from ``parse_expression`` down to
+    #: ``_parse_parenthesised``), a ``**`` level 2 and the others 1, so
+    #: without a cap a few hundred nested parentheses would escape as a raw
+    #: ``RecursionError`` instead of a proper syntax error.  31 parenthesised
+    #: levels take about 500 frames, which leaves ample headroom under
+    #: CPython's default limit of 1,000 even when the host process starts
+    #: deep in its own call stack (e.g. pytest).
     MAX_EXPRESSION_DEPTH = 32
 
     #: Maximum statement (block) nesting depth.
@@ -138,7 +149,7 @@ class Parser:
     def parse_program(self) -> ast.Program:
         statements: List[ast.Node] = []
         self.stream.skip_newlines()
-        while self.stream.peek().kind is not TokenKind.END:
+        while self.stream.peek().kind is not _END:
             statements.append(self.parse_statement())
             self.stream.skip_newlines()
         return ast.Program(statements, line=1)
@@ -152,7 +163,7 @@ class Parser:
 
     def _parse_statement_inner(self) -> ast.Node:
         token = self.stream.peek()
-        if token.kind is TokenKind.NAME:
+        if token.kind is _NAME:
             keyword = token.value
             if keyword == "import":
                 return self._parse_import()
@@ -202,7 +213,7 @@ class Parser:
             self.stream.expect_operator("=")
             value = self.parse_creation_or_expression()
             assignments.append((name, value))
-            if not self.stream.match_operator(","):
+            if not self.stream.match(","):
                 break
         self.stream.expect_newline()
         return ast.ParamStatement(assignments, line=token.line)
@@ -210,7 +221,7 @@ class Parser:
     def _parse_require(self) -> ast.Node:
         token = self.stream.expect_name("require")
         probability: Optional[ast.Node] = None
-        if self.stream.match_operator("["):
+        if self.stream.match("["):
             probability = self.parse_expression()
             self.stream.expect_operator("]")
         condition = self.parse_expression()
@@ -221,11 +232,11 @@ class Parser:
         token = self.stream.expect_name("mutate")
         targets: List[str] = []
         scale: Optional[ast.Node] = None
-        while self.stream.peek().kind is TokenKind.NAME and not self.stream.peek().is_name("by"):
+        while self.stream.peek().kind is _NAME and self.stream.peek().tag != "by":
             targets.append(self.stream.advance().value)
-            if not self.stream.match_operator(","):
+            if not self.stream.match(","):
                 break
-        if self.stream.match_name("by"):
+        if self.stream.match("by"):
             scale = self.parse_expression()
         self.stream.expect_newline()
         return ast.MutateStatement(targets, scale, line=token.line)
@@ -234,21 +245,21 @@ class Parser:
         token = self.stream.expect_name("class")
         name = self.stream.expect_name().value
         superclass: Optional[str] = None
-        if self.stream.match_operator("("):
-            if not self.stream.peek().is_operator(")"):
+        if self.stream.match("("):
+            if self.stream.peek().tag != ")":
                 superclass = self.stream.expect_name().value
             self.stream.expect_operator(")")
         self.stream.expect_operator(":")
         properties: List[Tuple[str, ast.Node]] = []
         methods: List[ast.FunctionDefinition] = []
         self.stream.expect_newline()
-        if self.stream.peek().kind is TokenKind.INDENT:
+        if self.stream.peek().kind is _INDENT:
             self.stream.advance()
             self.stream.skip_newlines()
-            while self.stream.peek().kind is not TokenKind.DEDENT:
-                if self.stream.peek().is_name("def"):
+            while self.stream.peek().kind is not _DEDENT:
+                if self.stream.peek().tag == "def":
                     methods.append(self._parse_function())
-                elif self.stream.peek().is_name("pass"):
+                elif self.stream.peek().tag == "pass":
                     self.stream.advance()
                     self.stream.expect_newline()
                 else:
@@ -267,13 +278,13 @@ class Parser:
         self.stream.expect_operator("(")
         parameters: List[str] = []
         defaults: List[Optional[ast.Node]] = []
-        while not self.stream.peek().is_operator(")"):
+        while self.stream.peek().tag != ")":
             parameters.append(self.stream.expect_name().value)
-            if self.stream.match_operator("="):
+            if self.stream.match("="):
                 defaults.append(self.parse_expression())
             else:
                 defaults.append(None)
-            if not self.stream.match_operator(","):
+            if not self.stream.match(","):
                 break
         self.stream.expect_operator(")")
         self.stream.expect_operator(":")
@@ -287,9 +298,9 @@ class Parser:
         body = self._parse_block()
         orelse: List[ast.Node] = []
         self.stream.skip_newlines()
-        if self.stream.peek().is_name("elif"):
+        if self.stream.peek().tag == "elif":
             orelse = [self._parse_elif()]
-        elif self.stream.peek().is_name("else"):
+        elif self.stream.peek().tag == "else":
             self.stream.advance()
             self.stream.expect_operator(":")
             orelse = self._parse_block()
@@ -302,9 +313,9 @@ class Parser:
         body = self._parse_block()
         orelse: List[ast.Node] = []
         self.stream.skip_newlines()
-        if self.stream.peek().is_name("elif"):
+        if self.stream.peek().tag == "elif":
             orelse = [self._parse_elif()]
-        elif self.stream.peek().is_name("else"):
+        elif self.stream.peek().tag == "else":
             self.stream.advance()
             self.stream.expect_operator(":")
             orelse = self._parse_block()
@@ -329,26 +340,26 @@ class Parser:
     def _parse_return(self) -> ast.Node:
         token = self.stream.expect_name("return")
         value: Optional[ast.Node] = None
-        if self.stream.peek().kind not in (TokenKind.NEWLINE, TokenKind.END, TokenKind.DEDENT):
+        if self.stream.peek().kind not in (_NEWLINE, _END, _DEDENT):
             value = self.parse_creation_or_expression()
         self.stream.expect_newline()
         return ast.ReturnStatement(value, line=token.line)
 
     def _parse_block(self) -> List[ast.Node]:
         """An indented block of statements (single-line suites are also allowed)."""
-        if self.stream.peek().kind is not TokenKind.NEWLINE:
+        if self.stream.peek().kind is not _NEWLINE:
             # Single-line suite: ``if x: y = 1``
             statement = self.parse_statement()
             return [statement]
         self.stream.advance()  # NEWLINE
         self.stream.skip_newlines()
-        if self.stream.peek().kind is not TokenKind.INDENT:
+        if self.stream.peek().kind is not _INDENT:
             token = self.stream.peek()
             raise syntax_error("expected an indented block", token.line, token.column)
         self.stream.advance()
         statements: List[ast.Node] = []
         self.stream.skip_newlines()
-        while self.stream.peek().kind is not TokenKind.DEDENT:
+        while self.stream.peek().kind is not _DEDENT:
             statements.append(self.parse_statement())
             self.stream.skip_newlines()
         self.stream.advance()  # DEDENT
@@ -358,8 +369,8 @@ class Parser:
         token = self.stream.peek()
         # ``name = value`` (but not ``name == value``).
         if (
-            token.kind is TokenKind.NAME
-            and self.stream.peek(1).is_operator("=")
+            token.kind is _NAME
+            and self.stream.peek(1).tag == "="
         ):
             name_token = self.stream.advance()
             self.stream.advance()  # '='
@@ -368,7 +379,7 @@ class Parser:
             return ast.Assignment(ast.Name(name_token.value, line=name_token.line), value, line=name_token.line)
         # ``obj.attr = value`` / ``obj[idx] = value``
         expression = self.parse_creation_or_expression()
-        if self.stream.match_operator("="):
+        if self.stream.match("="):
             value = self.parse_creation_or_expression()
             self.stream.expect_newline()
             return ast.Assignment(expression, value, line=token.line)
@@ -385,29 +396,29 @@ class Parser:
         return self.parse_expression()
 
     def _looks_like_creation(self, token: Token) -> bool:
-        if token.kind is not TokenKind.NAME or not token.value[:1].isupper():
+        if token.kind is not _NAME or not token.value[:1].isupper():
             return False
         if token.value in ("True", "False", "None"):
             return False
         following = self.stream.peek(1)
-        if following.kind in (TokenKind.NEWLINE, TokenKind.END, TokenKind.DEDENT):
+        if following.kind in (_NEWLINE, _END, _DEDENT):
             return True
-        if following.kind is TokenKind.NAME and following.value not in _EXPRESSION_CONTINUATIONS:
+        if following.kind is _NAME and following.value not in _EXPRESSION_CONTINUATIONS:
             return True
         return False
 
     def _parse_object_creation(self) -> ast.ObjectCreation:
         name_token = self.stream.expect_name()
         specifiers: List[ast.SpecifierNode] = []
-        if self.stream.peek().kind is TokenKind.NAME:
+        if self.stream.peek().kind is _NAME:
             specifiers.append(self._parse_specifier())
-            while self.stream.match_operator(","):
+            while self.stream.match(","):
                 specifiers.append(self._parse_specifier())
         return ast.ObjectCreation(name_token.value, specifiers, line=name_token.line)
 
     def _parse_specifier(self) -> ast.SpecifierNode:
         token = self.stream.peek()
-        if token.kind is not TokenKind.NAME:
+        if token.kind is not _NAME:
             raise syntax_error(f"expected a specifier, found {token.value!r}", token.line, token.column)
         keyword = token.value
         line = token.line
@@ -424,7 +435,7 @@ class Parser:
 
         if keyword == "offset":
             self.stream.advance()
-            if self.stream.match_name("along"):
+            if self.stream.match("along"):
                 direction = self.parse_expression()
                 self.stream.expect_name("by")
                 offset = self.parse_expression()
@@ -437,7 +448,7 @@ class Parser:
             self.stream.expect_name("of")
             reference = self.parse_expression()
             operands = [reference]
-            if self.stream.match_name("by"):
+            if self.stream.match("by"):
                 operands.append(self.parse_expression())
             kind = {"left": "left of", "right": "right of", "ahead": "ahead of"}[keyword]
             return ast.SpecifierNode(kind, operands, line=line)
@@ -446,7 +457,7 @@ class Parser:
             self.stream.advance()
             reference = self.parse_expression()
             operands = [reference]
-            if self.stream.match_name("by"):
+            if self.stream.match("by"):
                 operands.append(self.parse_expression())
             return ast.SpecifierNode("behind", operands, line=line)
 
@@ -456,14 +467,14 @@ class Parser:
             self.stream.expect_name("by")
             offset = self.parse_expression()
             operands = [base, offset]
-            if self.stream.match_name("from"):
+            if self.stream.match("from"):
                 operands.append(self.parse_expression())
             return ast.SpecifierNode("beyond", operands, line=line)
 
         if keyword == "visible":
             self.stream.advance()
             operands = []
-            if self.stream.match_name("from"):
+            if self.stream.match("from"):
                 operands.append(self.parse_expression())
             return ast.SpecifierNode("visible", operands, line=line)
 
@@ -476,7 +487,7 @@ class Parser:
             field_expr = self.parse_expression()
             operands = [field_expr]
             start: Optional[ast.Node] = None
-            if self.stream.match_name("from"):
+            if self.stream.match("from"):
                 start = self.parse_expression()
             self.stream.expect_name("for")
             distance = self.parse_expression()
@@ -487,9 +498,9 @@ class Parser:
 
         if keyword == "facing":
             self.stream.advance()
-            if self.stream.match_name("toward"):
+            if self.stream.match("toward"):
                 return ast.SpecifierNode("facing toward", [self.parse_expression()], line=line)
-            if self.stream.match_name("away"):
+            if self.stream.match("away"):
                 self.stream.expect_name("from")
                 return ast.SpecifierNode("facing away from", [self.parse_expression()], line=line)
             return ast.SpecifierNode("facing", [self.parse_expression()], line=line)
@@ -499,7 +510,7 @@ class Parser:
             self.stream.expect_name("facing")
             heading = self.parse_expression()
             operands = [heading]
-            if self.stream.match_name("from"):
+            if self.stream.match("from"):
                 operands.append(self.parse_expression())
             return ast.SpecifierNode("apparently facing", operands, line=line)
 
@@ -516,7 +527,7 @@ class Parser:
 
     def _parse_ternary(self) -> ast.Node:
         value = self._parse_disjunction()
-        if self.stream.peek().is_name("if"):
+        if self.stream.peek().tag == "if":
             line = self.stream.advance().line
             condition = self._parse_disjunction()
             self.stream.expect_name("else")
@@ -530,7 +541,7 @@ class Parser:
 
     def _parse_disjunction(self) -> ast.Node:
         left = self._parse_conjunction()
-        while self.stream.peek().is_name("or"):
+        while self.stream.peek().tag == "or":
             line = self.stream.advance().line
             right = self._parse_conjunction()
             left = ast.BoolOp("or", left, right, line=line)
@@ -538,14 +549,14 @@ class Parser:
 
     def _parse_conjunction(self) -> ast.Node:
         left = self._parse_negation()
-        while self.stream.peek().is_name("and"):
+        while self.stream.peek().tag == "and":
             line = self.stream.advance().line
             right = self._parse_negation()
             left = ast.BoolOp("and", left, right, line=line)
         return left
 
     def _parse_negation(self) -> ast.Node:
-        if self.stream.peek().is_name("not"):
+        if self.stream.peek().tag == "not":
             line = self.stream.advance().line
             self._descend("expression")
             try:
@@ -558,21 +569,21 @@ class Parser:
     def _parse_comparison(self) -> ast.Node:
         left = self._parse_scenic()
         token = self.stream.peek()
-        if token.is_operator("==", "!=", "<", ">", "<=", ">="):
+        if token.tag in {"==", "!=", "<", ">", "<=", ">="}:
             operator = self.stream.advance().value
             right = self._parse_scenic()
             return ast.Comparison(operator, left, right, line=token.line)
-        if token.is_name("can"):
+        if token.tag == "can":
             self.stream.advance()
             self.stream.expect_name("see")
             right = self._parse_scenic()
             return ast.CanSee(left, right, line=token.line)
-        if token.is_name("is"):
+        if token.tag == "is":
             self.stream.advance()
-            if self.stream.match_name("in"):
+            if self.stream.match("in"):
                 right = self._parse_scenic()
                 return ast.IsIn(left, right, line=token.line)
-            if self.stream.match_name("not"):
+            if self.stream.match("not"):
                 right = self._parse_scenic()
                 return ast.Comparison("is not", left, right, line=token.line)
             right = self._parse_scenic()
@@ -584,24 +595,24 @@ class Parser:
         left = self._parse_additive()
         while True:
             token = self.stream.peek()
-            if token.is_operator("@"):
+            if token.tag == "@":
                 line = self.stream.advance().line
                 right = self._parse_additive()
                 left = ast.VectorLiteral(left, right, line=line)
                 continue
-            if token.is_name("deg"):
+            if token.tag == "deg":
                 line = self.stream.advance().line
                 left = ast.Degrees(left, line=line)
                 continue
-            if token.is_name("relative"):
+            if token.tag == "relative":
                 line = self.stream.advance().line
                 self.stream.expect_name("to")
                 right = self._parse_additive()
                 left = ast.RelativeTo(left, right, line=line)
                 continue
-            if token.is_name("offset"):
+            if token.tag == "offset":
                 line = self.stream.advance().line
-                if self.stream.match_name("along"):
+                if self.stream.match("along"):
                     direction = self._parse_additive()
                     self.stream.expect_name("by")
                     offset = self._parse_additive()
@@ -611,12 +622,12 @@ class Parser:
                     offset = self._parse_additive()
                     left = ast.OffsetBy(left, offset, line=line)
                 continue
-            if token.is_name("at"):
+            if token.tag == "at":
                 line = self.stream.advance().line
                 position = self._parse_additive()
                 left = ast.FieldAt(left, position, line=line)
                 continue
-            if token.is_name("visible") and self.stream.peek(1).is_name("from"):
+            if token.tag == "visible" and self.stream.peek(1).tag == "from":
                 line = self.stream.advance().line
                 self.stream.advance()  # 'from'
                 viewer = self._parse_additive()
@@ -627,7 +638,7 @@ class Parser:
 
     def _parse_additive(self) -> ast.Node:
         left = self._parse_multiplicative()
-        while self.stream.peek().is_operator("+", "-"):
+        while self.stream.peek().tag in {"+", "-"}:
             token = self.stream.advance()
             right = self._parse_multiplicative()
             left = ast.BinaryOp(token.value, left, right, line=token.line)
@@ -635,7 +646,7 @@ class Parser:
 
     def _parse_multiplicative(self) -> ast.Node:
         left = self._parse_unary()
-        while self.stream.peek().is_operator("*", "/", "//", "%"):
+        while self.stream.peek().tag in {"*", "/", "//", "%"}:
             token = self.stream.advance()
             right = self._parse_unary()
             left = ast.BinaryOp(token.value, left, right, line=token.line)
@@ -643,21 +654,21 @@ class Parser:
 
     def _parse_unary(self) -> ast.Node:
         token = self.stream.peek()
-        if token.is_operator("-", "+"):
+        if token.tag in {"-", "+"}:
             self.stream.advance()
             self._descend("expression")
             try:
                 operand = self._parse_unary()
             finally:
                 self._expression_depth -= 1
-            if token.is_operator("+"):
+            if token.tag == "+":
                 return operand
             return ast.UnaryOp("-", operand, line=token.line)
         return self._parse_power()
 
     def _parse_power(self) -> ast.Node:
         base = self._parse_postfix()
-        if self.stream.peek().is_operator("**"):
+        if self.stream.peek().tag == "**":
             token = self.stream.advance()
             self._descend("expression")
             try:
@@ -671,17 +682,17 @@ class Parser:
         value = self._parse_atom()
         while True:
             token = self.stream.peek()
-            if token.is_operator("."):
+            if token.tag == ".":
                 self.stream.advance()
                 attribute = self.stream.expect_name().value
                 value = ast.Attribute(value, attribute, line=token.line)
                 continue
-            if token.is_operator("("):
+            if token.tag == "(":
                 self.stream.advance()
                 args, keyword_args = self._parse_call_arguments()
                 value = ast.Call(value, args, keyword_args, line=token.line)
                 continue
-            if token.is_operator("["):
+            if token.tag == "[":
                 self.stream.advance()
                 index = self.parse_expression()
                 self.stream.expect_operator("]")
@@ -694,16 +705,16 @@ class Parser:
         args: List[ast.Node] = []
         keyword_args: List[Tuple[str, ast.Node]] = []
         self.stream.skip_newlines()
-        while not self.stream.peek().is_operator(")"):
+        while self.stream.peek().tag != ")":
             token = self.stream.peek()
-            if token.kind is TokenKind.NAME and self.stream.peek(1).is_operator("=") :
+            if token.kind is _NAME and self.stream.peek(1).tag == "=":
                 name = self.stream.advance().value
                 self.stream.advance()  # '='
                 keyword_args.append((name, self.parse_expression()))
             else:
                 args.append(self.parse_expression())
             self.stream.skip_newlines()
-            if not self.stream.match_operator(","):
+            if not self.stream.match(","):
                 break
             self.stream.skip_newlines()
         self.stream.expect_operator(")")
@@ -712,46 +723,46 @@ class Parser:
     def _parse_atom(self) -> ast.Node:
         token = self.stream.peek()
 
-        if token.kind is TokenKind.NUMBER:
+        if token.kind is _NUMBER:
             self.stream.advance()
             text = token.value
             value = float(text) if ("." in text or "e" in text or "E" in text) else int(text)
             return ast.NumberLiteral(value, line=token.line)
 
-        if token.kind is TokenKind.STRING:
+        if token.kind is _STRING:
             self.stream.advance()
             return ast.StringLiteral(token.value, line=token.line)
 
-        if token.kind is TokenKind.NAME:
+        if token.kind is _NAME:
             return self._parse_name_atom()
 
-        if token.is_operator("("):
+        if token.tag == "(":
             return self._parse_parenthesised()
 
-        if token.is_operator("["):
+        if token.tag == "[":
             self.stream.advance()
             elements: List[ast.Node] = []
             self.stream.skip_newlines()
-            while not self.stream.peek().is_operator("]"):
+            while self.stream.peek().tag != "]":
                 elements.append(self.parse_expression())
                 self.stream.skip_newlines()
-                if not self.stream.match_operator(","):
+                if not self.stream.match(","):
                     break
                 self.stream.skip_newlines()
             self.stream.expect_operator("]")
             return ast.ListLiteral(elements, line=token.line)
 
-        if token.is_operator("{"):
+        if token.tag == "{":
             self.stream.advance()
             items: List[Tuple[ast.Node, ast.Node]] = []
             self.stream.skip_newlines()
-            while not self.stream.peek().is_operator("}"):
+            while self.stream.peek().tag != "}":
                 key = self.parse_expression()
                 self.stream.expect_operator(":")
                 value = self.parse_expression()
                 items.append((key, value))
                 self.stream.skip_newlines()
-                if not self.stream.match_operator(","):
+                if not self.stream.match(","):
                     break
                 self.stream.skip_newlines()
             self.stream.expect_operator("}")
@@ -780,7 +791,7 @@ class Parser:
             self.stream.advance()
             field_expr = self._parse_additive()
             start: Optional[ast.Node] = None
-            if self.stream.match_name("from"):
+            if self.stream.match("from"):
                 start = self._parse_additive()
             self.stream.expect_name("for")
             distance = self._parse_additive()
@@ -789,7 +800,7 @@ class Parser:
         if name == "distance":
             self.stream.advance()
             origin: Optional[ast.Node] = None
-            if self.stream.match_name("from"):
+            if self.stream.match("from"):
                 origin = self._parse_additive()
             self.stream.expect_name("to")
             target = self._parse_additive()
@@ -798,40 +809,40 @@ class Parser:
         if name == "angle":
             self.stream.advance()
             origin = None
-            if self.stream.match_name("from"):
+            if self.stream.match("from"):
                 origin = self._parse_additive()
             self.stream.expect_name("to")
             target = self._parse_additive()
             return ast.AngleTo(target, origin, line=token.line)
 
-        if name == "relative" and self.stream.peek(1).is_name("heading"):
+        if name == "relative" and self.stream.peek(1).tag == "heading":
             self.stream.advance()
             self.stream.advance()
             self.stream.expect_name("of")
             heading = self._parse_additive()
             reference: Optional[ast.Node] = None
-            if self.stream.match_name("from"):
+            if self.stream.match("from"):
                 reference = self._parse_additive()
             return ast.RelativeHeading(heading, reference, line=token.line)
 
-        if name == "apparent" and self.stream.peek(1).is_name("heading"):
+        if name == "apparent" and self.stream.peek(1).tag == "heading":
             self.stream.advance()
             self.stream.advance()
             self.stream.expect_name("of")
             target = self._parse_additive()
             origin = None
-            if self.stream.match_name("from"):
+            if self.stream.match("from"):
                 origin = self._parse_additive()
             return ast.ApparentHeading(target, origin, line=token.line)
 
-        if name in ("front", "back") and self.stream.peek(1).is_name("left", "right"):
+        if name in ("front", "back") and self.stream.peek(1).tag in {"left", "right"}:
             self.stream.advance()
             side = self.stream.advance().value
             self.stream.expect_name("of")
             target = self._parse_additive()
             return ast.EdgeOf(f"{name} {side}", target, line=token.line)
 
-        if name in ("front", "back", "left", "right") and self.stream.peek(1).is_name("of"):
+        if name in ("front", "back", "left", "right") and self.stream.peek(1).tag == "of":
             self.stream.advance()
             self.stream.advance()
             target = self._parse_additive()
@@ -845,13 +856,13 @@ class Parser:
         self.stream.skip_newlines()
         first = self.parse_creation_or_expression()
         self.stream.skip_newlines()
-        if self.stream.match_operator(","):
+        if self.stream.match(","):
             self.stream.skip_newlines()
             elements = [first]
-            while not self.stream.peek().is_operator(")"):
+            while self.stream.peek().tag != ")":
                 elements.append(self.parse_expression())
                 self.stream.skip_newlines()
-                if not self.stream.match_operator(","):
+                if not self.stream.match(","):
                     break
                 self.stream.skip_newlines()
             self.stream.expect_operator(")")

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.core.errors import ScenicSyntaxError
 from repro.language import compiler as compiler_module
 from repro.language.compiler import (
     ARTIFACT_FORMAT_VERSION,
@@ -25,6 +26,7 @@ GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "examples" / "scenarios"
 
 SIMPLE = "ego = Object at 1 @ 2, facing 0.5\nObject at 4 @ 5\n"
+NO_BREAK_SPACE_SOURCE = "ego = Object at 0 @ 0\xa0"
 TOLERANCE = 1e-9
 
 
@@ -50,6 +52,10 @@ class TestFingerprint:
         assert source_fingerprint(SIMPLE) != source_fingerprint(SIMPLE.replace("4 @ 5", "4 @ 6"))
         # Leading (indentation) whitespace is significant, only trailing is not.
         assert source_fingerprint("x = 1\n") != source_fingerprint(" x = 1\n")
+        # Only trailing spaces and tabs are: the lexer rejects a no-break space.
+        assert source_fingerprint(NO_BREAK_SPACE_SOURCE) != source_fingerprint(
+            NO_BREAK_SPACE_SOURCE.replace("\xa0", "")
+        )
 
     def test_normalize_source(self):
         assert normalize_source("a \r\nb\r\n\r\n") == "a\nb\n"
@@ -79,6 +85,13 @@ class TestMemoryCache:
     def test_equivalent_sources_share_one_artifact(self):
         cache = ArtifactCache()
         assert cache.get(SIMPLE) is cache.get(SIMPLE.replace("\n", "\r\n"))
+
+    def test_a_cached_program_does_not_hide_a_syntax_error(self):
+        """Whether a source compiles must not depend on what was compiled before it."""
+        cache = ArtifactCache()
+        compile_scenario(NO_BREAK_SPACE_SOURCE.replace("\xa0", ""), cache=cache)
+        with pytest.raises(ScenicSyntaxError, match=r"unexpected character '\\xa0'"):
+            compile_scenario(NO_BREAK_SPACE_SOURCE, cache=cache)
 
     def test_invalidation_on_source_edit(self):
         cache = ArtifactCache()

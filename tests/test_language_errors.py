@@ -18,6 +18,7 @@ from repro.core.errors import (
 )
 from repro.language import scenario_from_string
 from repro.language.errors import format_syntax_error
+from repro.language.interpreter import Interpreter
 from repro.language.lexer import tokenize
 from repro.language.parser import Parser, parse_program
 
@@ -91,6 +92,24 @@ class TestParserErrors:
         assert isinstance(error, ScenicSyntaxError)
         assert "nesting" in str(error)
 
+    @pytest.mark.parametrize(
+        "nest",
+        [
+            lambda n: "x = " + "(" * n + "1" + ")" * n + "\n",
+            lambda n: "x = " + "-" * n + "1\n",
+            lambda n: "x = " + "not " * n + "True\n",
+            lambda n: "x = " + "1 ** " * n + "1\n",
+            lambda n: "x = " + "1 if 1 > 0 else " * n + "1\n",
+        ],
+        ids=["parentheses", "unary-minus", "not", "power", "conditional"],
+    )
+    def test_expression_nesting_boundary(self, nest):
+        """31 nested levels parse and 32 raise, for each recursive form."""
+        assert Parser.MAX_EXPRESSION_DEPTH == 32
+        parse_program(nest(31))
+        with pytest.raises(ScenicSyntaxError, match="expression nesting exceeds 32 levels"):
+            parse_program(nest(32))
+
     def test_deep_statement_nesting_is_a_syntax_error(self):
         depth = Parser.MAX_STATEMENT_DEPTH + 5
         lines = []
@@ -158,6 +177,13 @@ class TestInterpreterErrors:
         # if the host stack is already deep, the wrapped RecursionError is
         # an acceptable fallback - either way it is a proper ScenicError.
         assert "call depth" in str(error) or "RecursionError" in str(error)
+
+    def test_runaway_object_loop_hits_the_object_cap(self, monkeypatch):
+        monkeypatch.setattr(Interpreter, "MAX_OBJECTS", 50)
+        error = compile_error("for i in range(20000):\n    Object at i @ 0\n")
+        assert isinstance(error, InterpreterError)
+        assert error.line == 2
+        assert "more than 50 objects" in str(error)
 
     def test_unknown_import(self):
         error = compile_error("import noSuchWorld\n")

@@ -60,6 +60,65 @@ class TestLexer:
         assert "==" in values("require x == 3")
 
 
+def layout_free(source):
+    """``(kind, value, line, column)`` of every token but NEWLINE, INDENT, DEDENT and END."""
+    layout = (TokenKind.NEWLINE, TokenKind.INDENT, TokenKind.DEDENT, TokenKind.END)
+    return [(t.kind.name, t.value, t.line, t.column) for t in tokenize(source) if t.kind not in layout]
+
+
+X_EQUALS = [("NAME", "x", 1, 1), ("OPERATOR", "=", 1, 3)]
+
+
+@pytest.mark.parametrize(
+    "source,expected",
+    [
+        # Number forms.
+        ("x = 1.e5", X_EQUALS + [("NUMBER", "1.e5", 1, 5)]),
+        ("x = .5", X_EQUALS + [("NUMBER", ".5", 1, 5)]),
+        ("x = .5.5", X_EQUALS + [("NUMBER", ".5", 1, 5), ("NUMBER", ".5", 1, 7)]),
+        ("x = 1e+", X_EQUALS + [("NUMBER", "1", 1, 5), ("NAME", "e", 1, 6), ("OPERATOR", "+", 1, 7)]),
+        ("x = 1e5.2", X_EQUALS + [("NUMBER", "1e5", 1, 5), ("NUMBER", ".2", 1, 8)]),
+        ("x = 5..real", X_EQUALS + [("NUMBER", "5.", 1, 5), ("OPERATOR", ".", 1, 7), ("NAME", "real", 1, 8)]),
+        ("x = 0x10", X_EQUALS + [("NUMBER", "0", 1, 5), ("NAME", "x10", 1, 6)]),
+        # Maximal munch.
+        ("a ** b", [("NAME", "a", 1, 1), ("OPERATOR", "**", 1, 3), ("NAME", "b", 1, 6)]),
+        ("a // b", [("NAME", "a", 1, 1), ("OPERATOR", "//", 1, 3), ("NAME", "b", 1, 6)]),
+        ("a -> b", [("NAME", "a", 1, 1), ("OPERATOR", "->", 1, 3), ("NAME", "b", 1, 6)]),
+        ("a <= b", [("NAME", "a", 1, 1), ("OPERATOR", "<=", 1, 3), ("NAME", "b", 1, 6)]),
+        ("a != b", [("NAME", "a", 1, 1), ("OPERATOR", "!=", 1, 3), ("NAME", "b", 1, 6)]),
+        # Comments and strings.
+        ("x = 'a#b'", X_EQUALS + [("STRING", "a#b", 1, 5)]),
+        ("x = 'a' # b", X_EQUALS + [("STRING", "a", 1, 5)]),
+        # An escaped quote neither ends the string nor hides a comment.
+        ("x = 'a\\'b' # c", X_EQUALS + [("STRING", "a\\'b", 1, 5)]),
+        ("x = 'a\\'#b'", X_EQUALS + [("STRING", "a\\'#b", 1, 5)]),
+        # Every lexer error, with its line and column.
+        ("x = 1 $ 2", "unexpected character '$' (line 1, column 7)"),
+        ("x = 1 ! 2", "unexpected character '!' (line 1, column 7)"),
+        ("x = \u00e9", "unexpected character '\u00e9' (line 1, column 5)"),
+        ("x = 1\xa0", "unexpected character '\\xa0' (line 1, column 6)"),
+        ("x = 'oops", "unterminated string literal (line 1, column 5)"),
+        ("x = 1]", "unmatched closing bracket (line 1, column 6)"),
+        ("x = (1\n", "unclosed bracket at end of file (line 1, column 1)"),
+        ("if x:\n    y = 1\n  z = 2\n", "inconsistent indentation (line 3, column 1)"),
+    ],
+)
+def test_lexer_table(source, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ScenicSyntaxError) as info:
+            tokenize(source)
+        assert str(info.value) == expected
+    else:
+        assert layout_free(source) == expected
+
+
+def test_escaped_quote_lines_end_in_one_newline():
+    for source in ("x = 'a\\'b' # c", "x = 'a\\'#b'"):
+        assert kinds(source) == [
+            TokenKind.NAME, TokenKind.OPERATOR, TokenKind.STRING, TokenKind.NEWLINE, TokenKind.END,
+        ]
+
+
 class TestParserStatements:
     def test_import(self):
         program = parse_program("import gtaLib\n")
