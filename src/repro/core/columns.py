@@ -51,8 +51,6 @@ from ..geometry.kernel import corners_of_columns
 from . import operators, specifiers
 from .distributions import (
     AttributeDistribution,
-    FunctionDistribution,
-    MethodCallDistribution,
     OperatorDistribution,
     Options,
     Range,
@@ -60,7 +58,7 @@ from .distributions import (
     VectorDistribution,
 )
 from .objects import Constructible, OrientedPoint
-from .program import _CALL, _OBJECT, _PACK, Candidate, DrawProgram
+from .program import _CALL, _NO_RNG, _OBJECT, _PACK, Candidate, DrawProgram
 from .regions import PointInRegionDistribution, PolygonalRegion, RectangularRegion, _normalize_angles
 from .utils import normalize_angle
 from .vectorfields import PolygonalVectorField, VectorField
@@ -517,16 +515,6 @@ def _call_implementation(function: Any) -> Optional[Callable]:
     if _is_polygonal_field(field) and function.__func__ in (_VALUE_AT, VectorField.value_at):
         return partial(_value_at, field)
     return None
-
-
-#: Draw steps that never read the RNG, by their exact type.
-_NO_RNG = (
-    OperatorDistribution,
-    AttributeDistribution,
-    MethodCallDistribution,
-    FunctionDistribution,
-    VectorDistribution,
-)
 
 
 def _draw_implementation(node: Any) -> Optional[Callable]:

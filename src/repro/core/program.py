@@ -1,7 +1,8 @@
 """A scenario's draw as one flat program (Sec. 5: one joint draw per candidate).
 
 Every candidate scene is a joint draw of the scenario's random DAG: the
-objects, the ego and the params, in that order.  :func:`current_program`
+objects, the ego, the params and the requirement roots
+(:func:`requirement_roots`), in that order.  :func:`current_program`
 compiles that draw once per scenario into a :class:`DrawProgram`, a flat
 list of steps, so that a candidate is one pass over a list instead of the
 recursive ``concretize`` walk.
@@ -27,15 +28,12 @@ recursive ``concretize`` walk.
 * **Fallback.**  A list, any other dict, or any other value with a
   ``_concretize`` hook is drawn live, so the whole scenario then keeps the
   walk: a mixed draw would draw a shared node twice.
-* **Rebuilds.**  A program is current while the scenario's objects, ego and
-  params are the ones it was built from, every distribution it read still
-  has the dependency tuple it was built from (``prune_scenario`` swaps it),
-  and no object it read went through ``_assign_property`` since.  The
-  samplers check that once per scene and rebuild a stale program.
-
-Nodes that only a ``require`` reaches stay outside the program: the
-requirement check draws them through the walk when it examines the
-candidate.
+* **Rebuilds.**  A program is current while the scenario's objects, ego,
+  params and requirements are the ones it was built from, every
+  distribution it read still has the dependency tuple it was built from
+  (``prune_scenario`` swaps it), and no object it read went through
+  ``_assign_property`` since.  The samplers check that once per scene and
+  rebuild a stale program.
 """
 
 from __future__ import annotations
@@ -43,14 +41,17 @@ from __future__ import annotations
 import functools
 import random as _random
 from operator import attrgetter, is_, itemgetter
-from typing import Any, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .distributions import (
     _LEAF_TYPES,
+    AttributeDistribution,
     Distribution,
     FunctionDistribution,
     MethodCallDistribution,
+    OperatorDistribution,
     Sample,
+    VectorDistribution,
     concretize,
     is_constant,
 )
@@ -68,6 +69,15 @@ _MUTATIONS = (Constructible._apply_mutation, Object._apply_mutation)
 
 #: What a candidate's draw returns: its sample, objects, ego and params.
 CandidateParts = Tuple[Sample, List[Any], Any, Dict[str, Any]]
+
+#: Draw steps that never read the RNG, by their exact type.
+_NO_RNG = (
+    OperatorDistribution,
+    AttributeDistribution,
+    MethodCallDistribution,
+    FunctionDistribution,
+    VectorDistribution,
+)
 
 
 class Candidate(NamedTuple):
@@ -114,12 +124,59 @@ class _ObjectStep:
         return concrete
 
 
+def _kwargs_index(node: Distribution) -> Optional[int]:
+    """Where *node*'s dependencies hold the kwargs dict it built for itself, if anywhere."""
+    if isinstance(node, FunctionDistribution):
+        return 1
+    return 2 if isinstance(node, MethodCallDistribution) else None
+
+
+def requirement_roots(scenario) -> Iterator[Any]:
+    """What a candidate draws for the scenario's requirements, after its params.
+
+    For each requirement in order: its coin, if it is soft, then every node
+    its condition reaches that may read the RNG, in ``concretize``'s order.
+    Such a node is anything but a ``_NO_RNG`` distribution, a tuple, a
+    ``_NO_RNG`` node's own kwargs dict, or a constant; any other list or
+    dict is one, so the scenario keeps the walk, which draws it whole.  The
+    derived nodes above the roots (comparisons, distances, ``can see``)
+    stay lazy: the late check computes them from the memo, only for a
+    candidate it examines.  A callable condition is skipped.
+    """
+    seen: set = set()
+
+    def readers(value: Any) -> Iterator[Any]:
+        if is_constant(value) or id(value) in seen:
+            return
+        seen.add(id(value))
+        if isinstance(value, tuple):
+            items = list(value)
+        elif type(value) in _NO_RNG:
+            items = list(value._dependencies)
+            at = _kwargs_index(value)
+            if at is not None and type(items[at]) is dict:
+                items[at:at + 1] = items[at].values()
+        else:
+            yield value
+            return
+        for item in items:
+            yield from readers(item)
+
+    for requirement in scenario.requirements:
+        if requirement.coin is not None:
+            yield requirement.coin
+        if not requirement.is_callable:
+            yield from readers(requirement.condition)
+
+
 def walk(scenario, rng: _random.Random) -> CandidateParts:
-    """One candidate through the ``concretize`` walk: objects, ego, then params."""
+    """One candidate through the ``concretize`` walk: objects, ego, params, then requirement roots."""
     sample = Sample(rng)
     objects = [scenic_object._concretize(sample) for scenic_object in scenario.objects]
     ego = scenario.ego._concretize(sample)
     params = {name: concretize(value, sample) for name, value in scenario.params.items()}
+    for root in requirement_roots(scenario):
+        concretize(root, sample)
     return sample, objects, ego, params
 
 
@@ -206,10 +263,7 @@ class _Builder:
             slots = [self.value(item) for item in dependencies[0]]
             self.steps.append((slot, _CALL, node.function, slots, False))
             return slot
-        kwargs_at = (
-            1 if isinstance(node, FunctionDistribution)
-            else 2 if isinstance(node, MethodCallDistribution) else None
-        )
+        kwargs_at = _kwargs_index(node)
         slots = []
         for index, item in enumerate(dependencies):
             if index == kwargs_at and type(item) is dict:
@@ -259,6 +313,7 @@ class DrawProgram:
         self.ego = scenario.ego
         self.param_names = list(scenario.params)
         self.param_values = list(scenario.params.values())
+        self.requirements = list(scenario.requirements)
         self.distributions = builder.distributions
         self.dependencies = builder.dependencies
         self.read = builder.objects
@@ -307,6 +362,8 @@ class DrawProgram:
             and all(map(is_, scenario.objects, self.objects))
             and list(scenario.params) == self.param_names
             and all(map(is_, scenario.params.values(), self.param_values))
+            and len(scenario.requirements) == len(self.requirements)
+            and all(map(is_, scenario.requirements, self.requirements))
             and all(map(is_, map(_DEPENDENCIES, self.distributions), self.dependencies))
             and list(map(_EDITS, self.read)) == self.edits
         )
@@ -346,6 +403,8 @@ def build_program(scenario) -> DrawProgram:
             builder.object(scenario.ego),
             [builder.value(value) for value in scenario.params.values()],
         )
+        for root in requirement_roots(scenario):
+            builder.value(root)  # only the memo reads its value
     except _Fallback:
         roots = None
     return DrawProgram(scenario, builder, roots)
@@ -374,4 +433,12 @@ def draw_candidate(scenario, rng: _random.Random) -> CandidateParts:
     return program.draw(scenario, rng)
 
 
-__all__ = ["Candidate", "DrawProgram", "build_program", "current_program", "draw_candidate", "walk"]
+__all__ = [
+    "Candidate",
+    "DrawProgram",
+    "build_program",
+    "current_program",
+    "draw_candidate",
+    "requirement_roots",
+    "walk",
+]

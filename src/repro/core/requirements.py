@@ -3,7 +3,7 @@
 ``require B`` conditions the scenario's distribution on ``B`` holding
 (equivalent to an "observation" in other PPLs); ``require[p] B`` is a soft
 requirement enforced with probability ``p`` per candidate scene (Sec. 5.1):
-each candidate flips a fresh coin, and only a candidate whose coin comes up
+each candidate draws a fresh coin, and only a candidate whose coin comes up
 enforced must satisfy ``B``.  That does *not* guarantee ``B`` holds with
 probability at least ``p`` in the induced distribution.  With ``q`` the
 probability that ``B`` holds in a candidate passing every other check, the
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Optional, Union
 
-from .distributions import Sample, concretize
+from .distributions import Range, Sample, concretize
 from .errors import ScenicError
 
 
@@ -43,7 +43,15 @@ class SampleResolver:
 
 
 class Requirement:
-    """One ``require`` statement: a condition plus an enforcement probability."""
+    """One ``require`` statement: a condition plus an enforcement probability.
+
+    A soft requirement's coin is :attr:`coin`, a ``Range(0, 1)`` node.  The
+    candidate's draw reads it after the params, together with every random
+    value that only a value condition reaches
+    (:func:`repro.core.program.requirement_roots`), so checking a candidate
+    reads no RNG.  A random value that only a callable condition resolves is
+    the exception: it is still read when the candidate is examined.
+    """
 
     def __init__(
         self,
@@ -58,20 +66,26 @@ class Requirement:
         self.probability = float(probability)
         self.name = name or ("require" if probability >= 1.0 else f"require[{probability}]")
         self.line = line
+        #: Drawn with each candidate; its value is ``random()``, which
+        #: :meth:`enforced_in` compares with the probability.
+        self.coin = Range(0.0, 1.0) if self.is_soft else None
 
     @property
     def is_soft(self) -> bool:
         return self.probability < 1.0
 
-    def should_enforce(self, rng) -> bool:
-        """Decide (per candidate scene) whether a soft requirement is checked."""
-        if not self.is_soft:
-            return True
-        return rng.random() < self.probability
+    @property
+    def is_callable(self) -> bool:
+        """The condition is a callable of a :class:`SampleResolver` (builder API only)."""
+        return callable(self.condition) and not hasattr(self.condition, "sample_in")
+
+    def enforced_in(self, sample: Sample) -> bool:
+        """Whether this candidate checks the requirement: its drawn coin, never a new draw."""
+        return self.coin is None or sample.value_for(self.coin) < self.probability
 
     def holds_in(self, sample: Sample) -> bool:
         """Evaluate the condition against the candidate scene's joint sample."""
-        if callable(self.condition) and not hasattr(self.condition, "sample_in"):
+        if self.is_callable:
             result = self.condition(SampleResolver(sample))
         else:
             result = concretize(self.condition, sample)

@@ -154,11 +154,8 @@ class Scenario:
         candidates and rejecting them in bulk through the geometry kernel
         pays off most (single ``generate`` calls keep plain ``"rejection"``
         as the reference semantics).  Its first scene from a fresh RNG is
-        ``generate``'s unless the scenario has a soft requirement or a
-        random value that only a ``require`` reaches (both are drawn when a
-        candidate is examined, after its whole block); pass
-        ``strategy="rejection"`` for draw-for-draw parity of the whole
-        batch with repeated ``generate`` calls.
+        ``generate``'s; pass ``strategy="rejection"`` for draw-for-draw
+        parity of the whole batch with repeated ``generate`` calls.
         """
         from ..sampling import AggregateStats, SceneBatch  # sampling builds on core
 

@@ -77,7 +77,7 @@ def cmd_promote(args: argparse.Namespace) -> int:
     promoted = promote_from_fuzzer(
         manifest,
         target=args.target,
-        master_seed=args.seed,
+        campaign_seed=args.seed,
         max_programs=args.max_programs,
         world=args.world,
         progress=progress,

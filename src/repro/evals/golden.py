@@ -5,10 +5,9 @@ in :data:`GOLDEN_RUNS`, all sampled at :data:`GOLDEN_SEED`.  A run is a
 strategy, optionally preceded by the automatic Sec. 5.2 pruning pass
 (:func:`~repro.core.pruning.prune_scenario`, bounds from static requirement
 analysis).  ``rejection`` is the reference semantics; ``vectorized`` gets
-its own run because it draws and checks candidates in blocks (on every
-example program, none of which has a soft requirement or a random value
-that only a ``require`` reaches, its scene equals ``rejection``'s).  ``pruning`` and ``pruned-vectorized`` sample the pruned
-regions, so their streams pin the whole analysis + pruning pipeline.
+its own run because it draws and checks candidates in blocks (its scene
+equals ``rejection``'s).  ``pruning`` and ``pruned-vectorized`` sample the
+pruned regions, so their streams pin the whole analysis + pruning pipeline.
 
 ``tests/golden/regen.py`` writes the corpus, ``tests/test_golden_scenes.py``
 replays it, and :func:`repro.evals.promote.survives_golden_runs` screens

@@ -2,8 +2,8 @@
 
 The harness compares a strategy's output scenes against a fixed-seed
 rejection ground-truth batch, per scene property (object x/y/heading and
-pairwise distances — the same marginals as the fuzzer's oracle E).  Two
-complementary distances are computed per property:
+pairwise distances, :func:`scene_features`).  Two complementary distances
+are computed per property:
 
 :func:`histogram_distance`
     Total-variation distance between the two empirical distributions after
@@ -20,25 +20,111 @@ complementary distances are computed per property:
     which makes it the better diagnostic number (and the property-testable
     one: shift monotonicity holds with no binning caveats).
 
-The KS statistic and binned chi-square from PR 6's statistical-equivalence
-oracle (:mod:`repro.fuzz.oracles`) are reused as-is for the significance
-view; this module only adds the magnitude view on top.  The compared
-properties (:func:`scene_features`, :func:`feature_columns`) come from
-there too, so coverage numbers and oracle E verdicts are about the same
-quantities.
+The two-sample KS statistic (:func:`ks_statistic`) and a binned chi-square
+test at a ≈1e-6 level (:func:`chi_square_two_sample` against
+:func:`chi_square_quantile`) give the significance view next to these
+magnitudes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+import math
+from typing import Dict, List, Sequence, Tuple
 
-from ..fuzz.oracles import (
-    chi_square_quantile,
-    chi_square_two_sample,
-    feature_columns,
-    ks_statistic,
-    scene_features,
-)
+from ..core.utils import normalize_angle
+from ..core.vectors import Vector
+
+#: One-sided normal quantile at 1e-6, for the Wilson–Hilferty chi-square
+#: quantile approximation (no scipy in the toolchain).
+CHI2_Z_QUANTILE = 4.7534
+
+#: Histogram bins for :func:`chi_square_two_sample`.
+CHI2_BINS = 8
+
+
+def scene_features(scene) -> Dict[str, float]:
+    """Per-scene marginal values: object x/y/heading + pairwise distances."""
+    features: Dict[str, float] = {}
+    positions = [Vector.from_any(obj.position) for obj in scene.objects]
+    for index, (obj, point) in enumerate(zip(scene.objects, positions)):
+        features[f"object{index}.x"] = point.x
+        features[f"object{index}.y"] = point.y
+        features[f"object{index}.heading"] = normalize_angle(float(obj.heading))
+    for i in range(len(positions)):
+        for j in range(i + 1, len(positions)):
+            features[f"distance({i},{j})"] = positions[i].distance_to(positions[j])
+    return features
+
+
+def feature_columns(scenes: Sequence) -> Dict[str, List[float]]:
+    """Column-major feature values over a batch of scenes."""
+    columns: Dict[str, List[float]] = {}
+    for scene in scenes:
+        for name, value in scene_features(scene).items():
+            columns.setdefault(name, []).append(value)
+    return columns
+
+
+def ks_statistic(first: Sequence[float], second: Sequence[float]) -> float:
+    """The two-sample Kolmogorov–Smirnov statistic (max CDF distance)."""
+    a = sorted(first)
+    b = sorted(second)
+    i = j = 0
+    statistic = 0.0
+    while i < len(a) and j < len(b):
+        # Advance both sides through every copy of the smaller value before
+        # reading the CDF gap — tied values are one step of both CDFs, and
+        # evaluating mid-tie would report a spurious distance.
+        value = a[i] if a[i] <= b[j] else b[j]
+        while i < len(a) and a[i] <= value:
+            i += 1
+        while j < len(b) and b[j] <= value:
+            j += 1
+        statistic = max(statistic, abs(i / len(a) - j / len(b)))
+    return statistic
+
+
+def chi_square_two_sample(
+    first: Sequence[float], second: Sequence[float], bins: int = CHI2_BINS
+) -> Tuple[float, int]:
+    """Binned two-sample chi-square statistic and its degrees of freedom.
+
+    Both samples are binned over their combined range; per-bin contribution
+    is ``(a_i * sqrt(m/n) - b_i * sqrt(n/m))^2 / (a_i + b_i)`` (the standard
+    two-sample form, exact for unequal sample sizes).  Bins empty in both
+    samples contribute nothing and no degree of freedom.
+    """
+    low = min(min(first), min(second))
+    high = max(max(first), max(second))
+    if high <= low:
+        return 0.0, 0
+    width = (high - low) / bins
+    counts_a = [0] * bins
+    counts_b = [0] * bins
+    for value in first:
+        counts_a[min(bins - 1, int((value - low) / width))] += 1
+    for value in second:
+        counts_b[min(bins - 1, int((value - low) / width))] += 1
+    n, m = len(first), len(second)
+    scale_a, scale_b = math.sqrt(m / n), math.sqrt(n / m)
+    statistic = 0.0
+    occupied = 0
+    for a_count, b_count in zip(counts_a, counts_b):
+        total = a_count + b_count
+        if total == 0:
+            continue
+        occupied += 1
+        statistic += (a_count * scale_a - b_count * scale_b) ** 2 / total
+    return statistic, max(occupied - 1, 0)
+
+
+def chi_square_quantile(df: int, z: float = CHI2_Z_QUANTILE) -> float:
+    """Wilson–Hilferty approximation of the chi-square upper quantile."""
+    if df <= 0:
+        return float("inf")
+    h = 2.0 / (9.0 * df)
+    return df * (1.0 - h + z * math.sqrt(h)) ** 3
+
 
 #: Bin count for :func:`histogram_distance`; coarse enough that a
 #: 40-to-80-scene batch fills bins, fine enough that a half-spread shift is
@@ -106,7 +192,7 @@ def emd_distance(reference: Sequence[float], candidate: Sequence[float]) -> floa
 
 
 #: A property whose combined spread is below this is deterministic — there
-#: is nothing distributional to compare (matches oracle E's convention).
+#: is nothing distributional to compare.
 DETERMINISTIC_SPREAD = 1e-9
 
 
@@ -163,9 +249,12 @@ def coverage_summary(
 
 __all__ = [
     "DEFAULT_BINS",
+    "chi_square_quantile",
+    "chi_square_two_sample",
     "coverage_summary",
     "emd_distance",
     "feature_columns",
     "histogram_distance",
+    "ks_statistic",
     "scene_features",
 ]

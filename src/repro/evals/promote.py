@@ -152,7 +152,7 @@ def _bucket_counts(manifest: Manifest) -> Dict[Tuple[str, str], int]:
 def promote_from_fuzzer(
     manifest: Manifest,
     target: int,
-    master_seed: int,
+    campaign_seed: int,
     max_programs: int = 10_000,
     promoted_dir: Path = PROMOTED_DIR,
     root: Path = REPO_ROOT,
@@ -162,7 +162,7 @@ def promote_from_fuzzer(
     """Grow *manifest* to *target* scenarios from the fuzzer's seed stream.
 
     Returns the number of programs promoted.  Deterministic: the same
-    ``(manifest state, target, master_seed, world)`` always promotes the
+    ``(manifest state, target, campaign_seed, world)`` always promotes the
     same programs, because candidates are enumerated in derive-seed order
     and admission depends only on the manifest built so far.  Passing
     *world* pins every candidate to that registered world (or ``inline``),
@@ -175,7 +175,7 @@ def promote_from_fuzzer(
     for index in range(max_programs):
         if len(manifest) >= target:
             break
-        seed = derive_seed(master_seed, index)
+        seed = derive_seed(campaign_seed, index)
         program = generate_program(seed, world=world)
         scenario_id = f"fz{seed}"
         if any(entry.id == scenario_id for entry in manifest.entries):
@@ -254,15 +254,10 @@ def promote_to_examples(
     programs).  Returns the graduated scenario ids — run
     ``tests/golden/regen.py`` on them afterwards to pin their streams.
     """
-    # Soft requirements are excluded: the gallery pins vectorized ==
-    # rejection draw-for-draw, and per-candidate probability rolls are the
-    # one thing that legitimately splits those streams.
     candidates = [
         entry
         for entry in manifest
-        if entry.origin == "fuzz-promoted"
-        and entry.path.startswith("corpus/")
-        and "soft-require" not in entry.features
+        if entry.origin == "fuzz-promoted" and entry.path.startswith("corpus/")
     ]
     # Round-robin the worlds so graduation is not all-inline.
     by_world: Dict[str, List[CorpusEntry]] = {}

@@ -59,8 +59,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         max_iterations=args.max_iterations,
         regression_dir=regression_dir,
         shrink=not args.no_shrink,
-        statistical=args.equivalence,
-        equivalence_samples=args.equivalence_samples,
         world=args.world,
     )
     result = run_campaign(config, corpus=_corpus_sources(), progress=print)
@@ -75,12 +73,7 @@ def _cmd_repro(args: argparse.Namespace) -> int:
     program = generate_program(seed, world=args.world)
     print(f"# program {args.repro} of campaign seed {args.seed} ({program.describe()})")
     print(program.source)
-    report = run_oracles(
-        program,
-        max_iterations=args.max_iterations,
-        statistical=args.equivalence,
-        equivalence_samples=args.equivalence_samples,
-    )
+    report = run_oracles(program, max_iterations=args.max_iterations)
     print(f"verdict: {report.verdict}" + (f" ({report.skip_reason})" if report.skip_reason else ""))
     for failure in report.failures:
         print(f"  {failure}")
@@ -124,15 +117,6 @@ def main(argv=None) -> int:
         "--no-persist", action="store_true", help="do not write reproducer files"
     )
     parser.add_argument("--no-shrink", action="store_true", help="skip delta-shrinking finds")
-    parser.add_argument(
-        "--equivalence", action="store_true",
-        help="also run oracle E: statistical equivalence of the 'vectorized' "
-        "strategy against plain rejection (batch-sized, so opt-in)",
-    )
-    parser.add_argument(
-        "--equivalence-samples", type=int, default=120,
-        help="scenes per strategy for the oracle E comparison",
-    )
     parser.add_argument(
         "--world", type=str, default=None, metavar="NAME",
         help="pin every generated program to one registered world "

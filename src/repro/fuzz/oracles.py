@@ -5,12 +5,8 @@ Six oracles are run against every valid generated program:
 * **Strategy equivalence** — every sampling strategy is given a fresh
   compile of the program and the same seed.  ``rejection`` and
   ``vectorized`` share the rejection RNG-stream contract for one scene from
-  a fresh RNG (see :mod:`repro.evals.golden`) whenever the program has no
-  soft requirement and no random value that only a ``require`` reaches,
-  so they must then produce bit-identical scenes.  Both kinds of program
-  are screened out: a requirement reaches a value of its own when
-  checking it against a drawn candidate reads the RNG
-  (:func:`requirement_draws_own_values`).
+  a fresh RNG (see :mod:`repro.evals.golden`), so they must produce
+  bit-identical scenes.
 * **Kernel equivalence** — the vectorized geometry kernel
   (:mod:`repro.geometry.kernel`) must agree with the scalar predicates on
   the sampled scenes: point containment, object containment, and pairwise
@@ -44,21 +40,6 @@ Six oracles are run against every valid generated program:
   objects, the params, the corners and the RNG state, or decline: the plan
   is not built, or the block raises (the sampler then redraws it).
 
-A sixth, opt-in oracle (``statistical=True``) guards the ``vectorized``
-strategy's exactness claim where oracle A cannot reach:
-
-* **Statistical equivalence** — fixed-size scene batches are drawn under
-  ``vectorized`` and plain ``rejection`` and compared property by property
-  (per-object position marginals, headings, inter-object distances) with a
-  two-sample Kolmogorov–Smirnov bound and a binned chi-square test, both at
-  a ≈1e-6 per-property level so a fixed-seed campaign passes clean unless
-  the distributions genuinely diverge.  Past the first scene the two
-  streams part: ``vectorized`` draws candidates after the accepted one that
-  it never examines, and it flips a soft requirement's coins after drawing
-  a whole block rather than between candidates.  Oracle A cannot compare
-  those scenes one by one, so any bias in the block policy (a candidate
-  examined out of draw order, a coin reused) shows up here.
-
 Compilation failures of supposedly-valid programs, and *any* non-ScenicError
 escaping the pipeline, are reported as failures too — the latter is the
 crash oracle that drives the error-path hardening of ``repro.language``.
@@ -77,7 +58,7 @@ from ..core.columns import column_plan
 from ..core.distributions import Distribution, Sample
 from ..core.errors import RejectionError, RejectSample, ScenicError
 from ..core.objects import Constructible
-from ..core.program import Candidate, current_program, draw_candidate, walk
+from ..core.program import Candidate, current_program, requirement_roots, walk
 from ..core.pruning import _mutation_enabled, prune_scenario
 from ..core.regions import CircularRegion, RectangularRegion
 from ..core.utils import normalize_angle
@@ -88,25 +69,12 @@ from ..language import scenario_from_string
 from ..sampling.strategies import STRATEGIES, VectorizedSampler
 from .program_gen import GeneratedProgram, PlannedCheck
 
-#: Strategies whose per-seed scenes must coincide exactly when the program
-#: has no soft requirement and no random value that only a ``require``
-#: reaches (they then consume the RNG stream identically).
+#: Strategies whose per-seed scenes must coincide exactly (they consume
+#: the RNG stream identically for one scene from a fresh RNG).
 EXACT_EQUIVALENCE_STRATEGIES = ("rejection", "vectorized")
 
 #: Numerical slack for scene comparisons, matching the golden corpus.
 TOLERANCE = 1e-9
-
-#: Two-sample KS coefficient for a per-property level of ≈1e-6:
-#: ``c(α) = sqrt(-ln(α/2) / 2)`` with α = 1e-6.  The rejection threshold is
-#: ``c * sqrt((n + m) / (n * m))``.
-KS_COEFFICIENT = 2.6931
-
-#: One-sided normal quantile at 1e-6, for the Wilson–Hilferty chi-square
-#: quantile approximation (no scipy in the toolchain).
-CHI2_Z_QUANTILE = 4.7534
-
-#: Histogram bins for the chi-square half of the statistical oracle.
-CHI2_BINS = 8
 
 
 @dataclass
@@ -198,7 +166,11 @@ def draw_scene_with_sample(scenario, seed: int, max_iterations: int):
     what lets the oracle re-evaluate ``require`` conditions independently of
     ``check_user_requirements``.
     """
-    from ..sampling.strategies import all_required_visible, geometry_failure
+    from ..sampling.strategies import (
+        all_required_visible,
+        check_user_requirements,
+        geometry_failure,
+    )
 
     rng = random.Random(seed)
     for _ in range(max_iterations):
@@ -208,14 +180,7 @@ def draw_scene_with_sample(scenario, seed: int, max_iterations: int):
                 all_required_visible(concrete_objects, concrete_ego)
             ):
                 continue
-            rejected = False
-            for requirement in scenario.requirements:
-                if not requirement.should_enforce(rng):
-                    continue
-                if not requirement.holds_in(sample):
-                    rejected = True
-                    break
-            if rejected:
+            if not check_user_requirements(scenario, sample):
                 continue
         except RejectSample:
             continue
@@ -425,6 +390,8 @@ def _reference_draw(scenario, rng: random.Random):
     objects = [reference_concretize(obj, sample) for obj in scenario.objects]
     ego = reference_concretize(scenario.ego, sample)
     params = {name: reference_concretize(value, sample) for name, value in scenario.params.items()}
+    for root in requirement_roots(scenario):
+        reference_concretize(root, sample)
     return sample, objects, ego, params
 
 
@@ -538,30 +505,6 @@ def check_column_draws(scenario, seed: int, blocks: Sequence[int] = COLUMN_BLOCK
         if column_rng.getstate() != scalar_rng.getstate():
             return [f"K={count}: RNG state after the block differs from the program's"]
     return []
-
-
-def requirement_draws_own_values(scenario, seed: int, candidates: int = PLAN_CANDIDATES) -> bool:
-    """Whether checking a ``require`` draws a random value the draw program has no slot for.
-
-    Draws candidates from ``Random(seed)`` until one draws without raising,
-    then checks every requirement against it: such a value is read from
-    the RNG only then.  (A derived value a condition computes, such as a
-    distance, enters the memo then too, but reads nothing.)
-    """
-    rng = random.Random(seed)
-    for _ in range(candidates):
-        try:
-            sample = draw_candidate(scenario, rng)[0]
-        except Exception:  # noqa: BLE001 - try the next candidate
-            continue
-        drawn = rng.getstate()
-        for requirement in scenario.requirements:
-            try:
-                requirement.holds_in(sample)
-            except Exception:  # noqa: BLE001 - only the RNG's reads matter
-                pass
-        return rng.getstate() != drawn
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -679,174 +622,6 @@ def check_kernel_equivalence(
 
 
 # ---------------------------------------------------------------------------
-# Oracle E: statistical equivalence of constructive sampling
-# ---------------------------------------------------------------------------
-
-
-def ks_statistic(first: Sequence[float], second: Sequence[float]) -> float:
-    """The two-sample Kolmogorov–Smirnov statistic (max CDF distance)."""
-    a = sorted(first)
-    b = sorted(second)
-    i = j = 0
-    statistic = 0.0
-    while i < len(a) and j < len(b):
-        # Advance both sides through every copy of the smaller value before
-        # reading the CDF gap — tied values are one step of both CDFs, and
-        # evaluating mid-tie would report a spurious distance.
-        value = a[i] if a[i] <= b[j] else b[j]
-        while i < len(a) and a[i] <= value:
-            i += 1
-        while j < len(b) and b[j] <= value:
-            j += 1
-        statistic = max(statistic, abs(i / len(a) - j / len(b)))
-    return statistic
-
-
-def chi_square_two_sample(
-    first: Sequence[float], second: Sequence[float], bins: int = CHI2_BINS
-) -> Tuple[float, int]:
-    """Binned two-sample chi-square statistic and its degrees of freedom.
-
-    Both samples are binned over their combined range; per-bin contribution
-    is ``(a_i * sqrt(m/n) - b_i * sqrt(n/m))^2 / (a_i + b_i)`` (the standard
-    two-sample form, exact for unequal sample sizes).  Bins empty in both
-    samples contribute nothing and no degree of freedom.
-    """
-    low = min(min(first), min(second))
-    high = max(max(first), max(second))
-    if high <= low:
-        return 0.0, 0
-    width = (high - low) / bins
-    counts_a = [0] * bins
-    counts_b = [0] * bins
-    for value in first:
-        counts_a[min(bins - 1, int((value - low) / width))] += 1
-    for value in second:
-        counts_b[min(bins - 1, int((value - low) / width))] += 1
-    n, m = len(first), len(second)
-    scale_a, scale_b = math.sqrt(m / n), math.sqrt(n / m)
-    statistic = 0.0
-    occupied = 0
-    for a_count, b_count in zip(counts_a, counts_b):
-        total = a_count + b_count
-        if total == 0:
-            continue
-        occupied += 1
-        statistic += (a_count * scale_a - b_count * scale_b) ** 2 / total
-    return statistic, max(occupied - 1, 0)
-
-
-def chi_square_quantile(df: int, z: float = CHI2_Z_QUANTILE) -> float:
-    """Wilson–Hilferty approximation of the chi-square upper quantile."""
-    if df <= 0:
-        return float("inf")
-    h = 2.0 / (9.0 * df)
-    return df * (1.0 - h + z * math.sqrt(h)) ** 3
-
-
-def scene_features(scene) -> Dict[str, float]:
-    """Per-scene marginal values: object x/y/heading + pairwise distances.
-
-    The properties oracle E compares across strategies, and the ones the
-    quality-eval harness (:mod:`repro.evals.metrics`) scores coverage on,
-    so eval coverage numbers and oracle E verdicts are about the same
-    quantities.
-    """
-    features: Dict[str, float] = {}
-    positions = [Vector.from_any(obj.position) for obj in scene.objects]
-    for index, (obj, point) in enumerate(zip(scene.objects, positions)):
-        features[f"object{index}.x"] = point.x
-        features[f"object{index}.y"] = point.y
-        features[f"object{index}.heading"] = normalize_angle(float(obj.heading))
-    for i in range(len(positions)):
-        for j in range(i + 1, len(positions)):
-            features[f"distance({i},{j})"] = positions[i].distance_to(positions[j])
-    return features
-
-
-def feature_columns(scenes: Sequence) -> Dict[str, List[float]]:
-    """Column-major feature values over a batch of scenes."""
-    columns: Dict[str, List[float]] = {}
-    for scene in scenes:
-        for name, value in scene_features(scene).items():
-            columns.setdefault(name, []).append(value)
-    return columns
-
-
-def _feature_batch(
-    source: str, strategy: str, samples: int, seed: int, max_iterations: int
-) -> Optional[Dict[str, List[float]]]:
-    """Per-property value lists over a *samples*-scene batch, None on exhaustion."""
-    try:
-        batch = _fresh_compile(source).generate_batch(
-            samples, max_iterations=max_iterations, seed=seed, strategy=strategy
-        )
-    except RejectionError:
-        return None
-    return feature_columns(batch)
-
-
-def check_statistical_equivalence(
-    source: str,
-    *,
-    seed: int = 0,
-    samples: int = 120,
-    max_iterations: int = 3000,
-    strategy: str = "vectorized",
-    reference: str = "rejection",
-) -> List[str]:
-    """Oracle E: *strategy*'s scene distribution must match *reference*'s.
-
-    Draws a fixed-size batch under each strategy (different derived seeds —
-    the comparison is distributional, not draw-for-draw) and bounds the
-    two-sample KS statistic and a binned chi-square on every property.
-    Returns problem descriptions; empty when the distributions agree within
-    the ≈1e-6 per-property test levels, or when either batch cannot be
-    completed within the budget (infeasible-under-budget programs are a
-    skip, not a verdict).
-    """
-    reference_columns = _feature_batch(
-        source, reference, samples, seed ^ 0x0E0E0E0E, max_iterations
-    )
-    if reference_columns is None:
-        return []
-    candidate_columns = _feature_batch(
-        source, strategy, samples, seed ^ 0x1F1F1F1F, max_iterations
-    )
-    if candidate_columns is None:
-        return [
-            f"{reference} completed a {samples}-scene batch but {strategy} "
-            f"exhausted {max_iterations} iterations"
-        ]
-    problems: List[str] = []
-    ks_threshold = KS_COEFFICIENT * math.sqrt(2.0 / samples)
-    for name in sorted(reference_columns):
-        ref_values = reference_columns[name]
-        cand_values = candidate_columns.get(name)
-        if cand_values is None or len(cand_values) != len(ref_values):
-            problems.append(f"property {name} missing from {strategy}'s scenes")
-            continue
-        spread = max(*ref_values, *cand_values) - min(*ref_values, *cand_values)
-        if spread <= TOLERANCE:
-            continue  # deterministic property: nothing distributional to test
-        statistic = ks_statistic(ref_values, cand_values)
-        if statistic > ks_threshold:
-            problems.append(
-                f"property {name}: KS statistic {statistic:.4f} exceeds "
-                f"{ks_threshold:.4f} ({strategy} vs {reference}, n={samples})"
-            )
-            continue
-        chi2, df = chi_square_two_sample(ref_values, cand_values)
-        bound = chi_square_quantile(df)
-        if chi2 > bound:
-            problems.append(
-                f"property {name}: chi-square {chi2:.2f} exceeds {bound:.2f} "
-                f"(df={df}, {strategy} vs {reference}, n={samples})"
-            )
-    return problems
-
-
-# ---------------------------------------------------------------------------
 # The combined oracle run
 # ---------------------------------------------------------------------------
 
@@ -876,8 +651,6 @@ def run_oracles(
     expect_valid: bool = True,
     checks: Optional[Sequence[PlannedCheck]] = None,
     strict_checks: bool = True,
-    statistical: bool = False,
-    equivalence_samples: int = 120,
 ) -> OracleReport:
     """Run all the differential oracles against *program*.
 
@@ -889,23 +662,15 @@ def run_oracles(
     dropped rather than misreported).  A program on which every strategy
     exhausts its budget is reported as a skip (infeasible under the
     budget), not a failure.
-
-    ``statistical=True`` additionally runs oracle E
-    (:func:`check_statistical_equivalence`): *equivalence_samples*-scene
-    batches under ``vectorized`` and ``rejection`` compared distributionally.
-    It multiplies the per-program cost by the batch size, so campaigns
-    enable it explicitly (``repro.fuzz --equivalence``).
     """
     if isinstance(program, GeneratedProgram):
         source = program.source
         checks = program.checks if checks is None else list(checks)
-        has_soft = program.has_soft_requirements
         skip_position_checks = program.has_mutation
         seed = program.seed if seed is None else seed
     else:
         source = program
         checks = list(checks) if checks is not None else []
-        has_soft = False
         skip_position_checks = False
         seed = 0 if seed is None else seed
     report = OracleReport(seed=seed, verdict="pass")
@@ -927,7 +692,6 @@ def run_oracles(
             OracleFailure("crash", f"compile raised {type(error).__name__}: {error}")
         )
         return report
-    has_soft = has_soft or any(req.is_soft for req in probe.requirements)
     skip_position_checks = skip_position_checks or any(
         _mutation_enabled(obj) for obj in probe.objects
     )
@@ -945,7 +709,6 @@ def run_oracles(
         report.verdict = "fail"
         report.failures.extend(OracleFailure("column-equivalence", p) for p in column_problems)
         return report
-    own_values = requirement_draws_own_values(probe, seed)
 
     # -- sample under every strategy -------------------------------------------
     strategy_set = list(strategies) if strategies is not None else default_strategies()
@@ -1001,7 +764,7 @@ def run_oracles(
 
     # -- oracle A: strategy equivalence ----------------------------------------
     exact = [name for name in EXACT_EQUIVALENCE_STRATEGIES if name in records]
-    if not has_soft and not own_values and len(exact) >= 2:
+    if len(exact) >= 2:
         reference_name = exact[0]
         reference = records[reference_name]
         for name in exact[1:]:
@@ -1065,24 +828,6 @@ def run_oracles(
             for problem in problems:
                 report.failures.append(OracleFailure("prune-soundness", problem, "pruning"))
 
-    # -- oracle E: statistical equivalence of vectorized sampling ---------------
-    if statistical and records.get("rejection") is not None:
-        try:
-            problems = check_statistical_equivalence(
-                source, seed=seed, samples=equivalence_samples
-            )
-        except Exception as error:  # noqa: BLE001 - the crash oracle
-            report.failures.append(
-                OracleFailure(
-                    "crash", f"oracle E raised {type(error).__name__}: {error}", "vectorized"
-                )
-            )
-        else:
-            for problem in problems:
-                report.failures.append(
-                    OracleFailure("stat-equivalence", problem, "vectorized")
-                )
-
     if report.failures:
         report.verdict = "fail"
     return report
@@ -1099,16 +844,9 @@ __all__ = [
     "recheck_hard_requirements",
     "check_pruning_soundness",
     "check_kernel_equivalence",
-    "check_statistical_equivalence",
     "check_planned_draws",
     "check_column_draws",
-    "requirement_draws_own_values",
     "reference_concretize",
-    "chi_square_quantile",
-    "chi_square_two_sample",
-    "ks_statistic",
-    "scene_features",
-    "feature_columns",
     "run_oracles",
     "default_strategies",
 ]

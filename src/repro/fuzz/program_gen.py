@@ -62,7 +62,6 @@ class GeneratedProgram:
     source: str
     world: Optional[str]  # canonical registered world name | None (inline classes)
     checks: List[PlannedCheck] = field(default_factory=list)
-    has_soft_requirements: bool = False
     has_mutation: bool = False
     object_count: int = 0
     features: Tuple[str, ...] = ()
@@ -128,7 +127,6 @@ class _ProgramBuilder:
         self.checks: List[PlannedCheck] = []
         self.features: List[str] = []
         self.object_count = 0
-        self.has_soft = False
         self.has_mutation = False
         self.mutated_indices: set = set()
 
@@ -195,7 +193,6 @@ class ProgramGenerator:
             source=builder.source(),
             world=world_name,
             checks=builder.checks,
-            has_soft_requirements=builder.has_soft,
             has_mutation=builder.has_mutation,
             object_count=builder.object_count,
             features=tuple(builder.features),
@@ -643,7 +640,6 @@ class ProgramGenerator:
             if soft:
                 probability = _fmt(rng.uniform(0.3, 0.9))
                 prefix = f"require[{probability}]"
-                builder.has_soft = True
                 builder.feature("soft-require")
             roll = rng.random()
             if roll < 0.55:

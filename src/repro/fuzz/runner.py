@@ -35,9 +35,9 @@ from .shrink import shrink_program
 DEFAULT_REGRESSION_DIR = Path("tests") / "fuzz_regressions"
 
 
-def derive_seed(master_seed: int, index: int) -> int:
+def derive_seed(campaign_seed: int, index: int) -> int:
     """A stable, well-mixed per-program seed (splitmix64-style)."""
-    z = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+    z = (campaign_seed + (index + 1) * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
     return (z ^ (z >> 31)) & 0x7FFFFFFF
@@ -54,10 +54,6 @@ class CampaignConfig:
     regression_dir: Optional[Path] = None  # None = don't persist finds
     shrink: bool = True
     strategies: Optional[Sequence] = None
-    #: Run oracle E (statistical equivalence of ``vectorized`` vs ``rejection``)
-    #: on every valid program — batch-sized, so opt-in (``--equivalence``).
-    statistical: bool = False
-    equivalence_samples: int = 120
     #: Pin every generated program to one registered world (``--world``;
     #: ``inline`` = no world import).  None keeps the generator's weighted
     #: world mix.
@@ -218,8 +214,6 @@ def run_campaign(
                 program,
                 max_iterations=config.max_iterations,
                 strategies=config.strategies,
-                statistical=config.statistical,
-                equivalence_samples=config.equivalence_samples,
             )
             source = program.source
 

@@ -89,8 +89,8 @@ def run_selfcheck(
             attempts += 1
             program_seed = derive_seed(seed, index)
             program = generate_program(program_seed)
-            if program.object_count < 3 or program.has_soft_requirements:
-                continue  # the planted bug needs >= 3 objects and the exact oracle
+            if program.object_count < 3:
+                continue  # the planted bug needs >= 3 objects
             report = planted_oracle(program, max_iterations=300)
             if report.verdict == "fail" and any(
                 failure.oracle == "strategy-equivalence" for failure in report.failures

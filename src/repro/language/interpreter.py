@@ -376,10 +376,19 @@ class Interpreter:
         condition = self.evaluate(node.condition, env)
         probability = 1.0
         if node.probability is not None:
-            probability_value = self.evaluate(node.probability, env)
-            if needs_sampling(probability_value):
+            probability = self.evaluate(node.probability, env)
+            if needs_sampling(probability):
                 raise InterpreterError("the probability of a soft requirement must be a constant", node.line)
-            probability = float(probability_value)
+            if (
+                isinstance(probability, bool)
+                or not isinstance(probability, (int, float))
+                or not 0 <= probability <= 1
+            ):
+                raise InterpreterError(
+                    f"the probability of a soft requirement must be a number in [0, 1], "
+                    f"not {probability!r}",
+                    node.line,
+                )
         context.add_requirement(Requirement(condition, probability, line=node.line))
 
     def _execute_MutateStatement(self, node: ast.MutateStatement, env: Environment) -> None:

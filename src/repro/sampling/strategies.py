@@ -2,10 +2,11 @@
 
 Every strategy runs the same candidate loop, :meth:`SamplingStrategy.sample`:
 draw candidates with :meth:`SamplingStrategy._draw` (one pass over the
-scenario's draw program, :mod:`repro.core.program`: the objects, the ego and
-the params, in that order), then examine them in draw order against one check
-chain — containment → collision → visibility → ``require`` — and accept the
-first candidate that passes.  Each rejected candidate is booked under the
+scenario's draw program, :mod:`repro.core.program`: the objects, the ego, the
+params and the requirements' coins and values, in that order), then examine
+them in draw order against one check chain — containment → collision →
+visibility → ``require`` — and accept the first candidate that passes.  Only
+the draw reads the RNG.  Each rejected candidate is booked under the
 first check it failed, and a ``RejectSample`` raised anywhere in a candidate
 books it as a sampling rejection.  Strategies differ only in their policy:
 
@@ -133,26 +134,29 @@ def all_required_visible(concrete_objects: List[Any], concrete_ego: Any) -> bool
     return True
 
 
-def check_user_requirements(scenario: Scenario, sample: Sample, rng: _random.Random) -> bool:
-    """Evaluate the scenario's ``require`` statements against the joint sample."""
+def check_user_requirements(scenario: Scenario, sample: Sample) -> bool:
+    """Evaluate the scenario's ``require`` statements against the joint sample.
+
+    A soft requirement is checked when its coin, drawn with the candidate,
+    comes up enforced.
+    """
     for requirement in scenario.requirements:
-        if not requirement.should_enforce(rng):
-            continue
-        if not requirement.holds_in(sample):
+        if requirement.enforced_in(sample) and not requirement.holds_in(sample):
             return False
     return True
 
 
-def late_failure(scenario: Scenario, candidate: Candidate, rng: _random.Random) -> Optional[str]:
+def late_failure(scenario: Scenario, candidate: Candidate) -> Optional[str]:
     """The chain after geometry: ``"visibility"``, ``"user"``, ``"sampling"`` or None.
 
-    Runs only on examined candidates, in draw order: soft requirements flip
-    the shared RNG here, so this is where the strategies' streams interleave.
+    Runs only on examined candidates, in draw order, and reads no RNG: the
+    candidate's draw read its coins and every value only a ``require``
+    reaches.
     """
     try:
         if not all_required_visible(candidate.objects, candidate.ego):
             return "visibility"
-        if not check_user_requirements(scenario, candidate.sample, rng):
+        if not check_user_requirements(scenario, candidate.sample):
             return "user"
     except RejectSample:
         return "sampling"
@@ -213,12 +217,12 @@ class SamplingStrategy:
     # -- the candidate loop ------------------------------------------------------
 
     def _draw(self, scenario: Scenario, rng: _random.Random) -> Drawn:
-        """One candidate: the objects, the ego and the params, in that order.
+        """One candidate: the objects, the ego, the params and the requirement roots.
 
         One pass over the scenario's draw program
         (:mod:`repro.core.program`), which reads the RNG in the ``concretize``
         walk's order: the RNG-stream contract the golden scenes pin (same
-        seed ⇒ same scene).
+        seed ⇒ same scene).  The one place a candidate reads the RNG.
         """
         try:
             return Candidate(*draw_candidate(scenario, rng))
@@ -246,7 +250,7 @@ class SamplingStrategy:
                 stats.iterations += 1
                 if cause is None:
                     drawn = block[index]
-                    cause = late_failure(scenario, drawn, rng)
+                    cause = late_failure(scenario, drawn)
                 if cause is None:
                     scene = Scene(drawn.objects, drawn.ego, drawn.params, scenario.workspace)
                     break
@@ -314,19 +318,13 @@ class VectorizedSampler(SamplingStrategy):
     in draw order; the first one that also passes visibility and the user
     requirements is accepted.
 
-    The induced distribution is exactly plain rejection's: candidates are
-    i.i.d. draws from the prior, examined in the order they were drawn, and
-    acceptance depends only on the candidate itself and, under a
-    ``require[p]``, on a fresh uniform coin.  The *stream* differs in three
-    ways, so per-seed outputs can differ while per-seed determinism holds:
-    the candidates after the accepted one in its block are drawn but never
-    examined, which moves where the next scene of a multi-scene batch
-    starts; a soft requirement's coins are flipped after its whole block is
-    drawn, not between candidates; and so is any random value that only a
-    ``require`` reaches, which the check draws when it examines the
-    candidate.  Without either of the last two, the first scene drawn from
-    a fresh RNG is also rejection's, draw for draw: candidate *k* is the
-    same however draws are grouped into blocks.
+    Candidate *k* is the same however draws are grouped into blocks: every
+    RNG read, a ``require[p]`` coin included, is part of a candidate's draw,
+    and candidates are examined in draw order.  So the first scene drawn
+    from a fresh RNG is rejection's, draw for draw.  The stream differs in
+    one way: the candidates after the accepted one in its block are drawn
+    but never examined, which moves where the next scene of a multi-scene
+    batch starts.
     """
 
     name = "vectorized"

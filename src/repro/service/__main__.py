@@ -195,7 +195,6 @@ async def _cmd_generate(args: argparse.Namespace) -> int:
                 seed=args.seed,
                 strategy=args.strategy,
                 max_iterations=args.max_iterations,
-                derive=args.derive,
             ):
                 print(json.dumps(frame), flush=True)
             return 0
@@ -205,7 +204,6 @@ async def _cmd_generate(args: argparse.Namespace) -> int:
             seed=args.seed,
             strategy=args.strategy,
             max_iterations=args.max_iterations,
-            derive=args.derive,
         )
     print(json.dumps(response.as_dict(), indent=1))
     return 0
@@ -239,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--seed", type=int, default=0)
     generate.add_argument("--strategy", default=DEFAULT_BATCH_STRATEGY)
     generate.add_argument("--max-iterations", type=int, default=20000)
-    generate.add_argument("--derive", default="splitmix", choices=("splitmix", "direct"))
     generate.add_argument("--workers", type=int, default=0)
     generate.add_argument("--stream", action="store_true",
                           help="print NDJSON stream frames as shards complete")

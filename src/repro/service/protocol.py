@@ -20,9 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional
 
-#: Scene-seed derivation modes accepted by ``generate`` requests.
-DERIVE_MODES = ("splitmix", "direct")
-
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
@@ -30,8 +27,8 @@ def splitmix64(state: int) -> int:
     """One step of the splitmix64 mixer (public-domain constants).
 
     Used to derive statistically independent per-scene seeds from
-    ``master_seed + index`` so shards can be cut anywhere without changing
-    any scene: scene *i*'s RNG depends only on ``(master_seed, i)``.
+    ``seed + index`` so shards can be cut anywhere without changing
+    any scene: scene *i*'s RNG depends only on ``(seed, i)``.
     """
     z = (state + 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -39,26 +36,16 @@ def splitmix64(state: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def derive_scene_seeds(master_seed: int, count: int, derive: str = "splitmix") -> Optional[List[int]]:
+def derive_scene_seeds(seed: int, count: int) -> List[int]:
     """Per-scene seeds for a *count*-scene request.
 
-    ``"splitmix"`` (the scale path): scene *i* gets
-    ``splitmix64(master_seed + i)`` and is sampled with its own
-    ``random.Random`` — a pure function of ``(master_seed, i)``, so the
-    batch is bit-identical no matter how it is sharded across workers or
-    how many workers exist.
-
-    ``"direct"`` (the parity path): returns ``None`` — the whole request
-    runs as one shard drawing sequentially from ``random.Random(master_seed)``,
-    which is draw-for-draw what ``Scenario.generate_batch(count, seed=...)``
-    does; with ``count=1`` it reproduces ``Scenario.generate(seed=...)`` and
-    therefore the golden corpus (``tests/golden/``) bit-identically.
+    Scene *i* gets ``splitmix64(seed + i)`` and is sampled with its
+    own ``random.Random``, exactly as ``Scenario.generate(rng=...)`` samples
+    it — a pure function of ``(seed, i)``, so the batch is
+    bit-identical no matter how it is sharded across workers or how many
+    workers exist.
     """
-    if derive == "direct":
-        return None
-    if derive != "splitmix":
-        raise ValueError(f"unknown seed-derivation mode {derive!r} (known: {DERIVE_MODES})")
-    return [splitmix64((master_seed + index) & _MASK64) for index in range(count)]
+    return [splitmix64((seed + index) & _MASK64) for index in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +99,8 @@ def scene_record(scene: Any, iterations: Optional[int] = None) -> Dict[str, Any]
 class ShardPayload:
     """One worker-pool task: sample a slice of a request's scene indices.
 
-    Crosses the process boundary as-is (dataclass of primitives).  When
-    ``seeds`` is present it pairs with ``indices`` one-to-one (splitmix
-    mode); otherwise the shard draws ``len(indices)`` scenes sequentially
-    from ``Random(master_seed)`` (direct mode, necessarily a single shard).
+    Crosses the process boundary as-is (dataclass of primitives).  ``seeds``
+    pairs with ``indices`` one-to-one: each scene's own seed.
     """
 
     fingerprint: str
@@ -123,8 +108,7 @@ class ShardPayload:
     strategy: str
     max_iterations: int
     indices: List[int]
-    seeds: Optional[List[int]]  # None = sequential/direct mode
-    master_seed: int
+    seeds: List[int]
 
 
 @dataclass
@@ -167,14 +151,12 @@ class GenerateResponse:
         fingerprint: str,
         strategy: str,
         seed: int,
-        derive: str,
         scenes: List[Dict[str, Any]],
         stats: Dict[str, Any],
     ):
         self.fingerprint = fingerprint
         self.strategy = strategy
         self.seed = seed
-        self.derive = derive
         self._scenes = scenes
         self.stats = stats
 
@@ -192,7 +174,6 @@ class GenerateResponse:
             "fingerprint": self.fingerprint,
             "strategy": self.strategy,
             "seed": self.seed,
-            "derive": self.derive,
             "scenes": self.scenes,
             "stats": self.stats,
         }
@@ -237,7 +218,6 @@ def merge_shard_stats(outcomes: List[ShardOutcome]) -> Dict[str, Any]:
 
 
 __all__ = [
-    "DERIVE_MODES",
     "GenerateResponse",
     "ShardOutcome",
     "ShardPayload",

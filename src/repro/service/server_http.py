@@ -18,8 +18,8 @@ the surface is four routes:
     fingerprint alone instead of re-sending its text.
 ``POST /generate``
     JSON body with ``source`` | ``fingerprint`` and optional ``n``,
-    ``seed``, ``strategy`` (default ``"vectorized"``), ``max_iterations``,
-    ``derive`` and ``stream``; any other field is a 400.  Blocking by default (one JSON document
+    ``seed``, ``strategy`` (default ``"vectorized"``), ``max_iterations``
+    and ``stream``; any other field is a 400.  Blocking by default (one JSON document
     back); with ``"stream": true`` the response is
     ``application/x-ndjson`` with chunked transfer encoding — one frame
     per line, exactly the frames :meth:`GenerationService.generate_stream`
@@ -52,7 +52,7 @@ DEFAULT_MAX_BODY_BYTES = 1 << 20
 
 #: Every field a ``POST /generate`` body may carry.
 _GENERATE_FIELDS = (
-    "source", "fingerprint", "n", "seed", "strategy", "max_iterations", "derive", "stream",
+    "source", "fingerprint", "n", "seed", "strategy", "max_iterations", "stream",
 )
 
 #: How an error message names each JSON type a request field can take.
@@ -127,7 +127,6 @@ def _generate_params(request: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
         "seed": _field(request, "seed", 0),
         "strategy": _field(request, "strategy", DEFAULT_BATCH_STRATEGY),
         "max_iterations": _field(request, "max_iterations", 2000),
-        "derive": _field(request, "derive", "splitmix"),
     }
     return params, _field(request, "stream", False)
 

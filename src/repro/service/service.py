@@ -8,7 +8,7 @@ traffic" north star asks for, built on the compile-once artifacts of
   cache, so a program's parse/interpret cost is paid once per worker, not
   once per request;
 * **shard + affinity** — a batch request is cut into per-worker shards whose
-  scene seeds are derived with splitmix64 from ``(master_seed,
+  scene seeds are derived with splitmix64 from ``(seed,
   scene_index)``, so the merged batch is bit-identical regardless of worker
   count or shard boundaries (pinned by the service's determinism tests).
   Shards are *routed by artifact fingerprint*: shard *k* of a program goes
@@ -62,7 +62,6 @@ from ..core.scenario import DEFAULT_BATCH_STRATEGY
 from ..language.compiler import ArtifactCache, compile_scenario, source_fingerprint
 from ..sampling.strategies import make_strategy
 from .protocol import (
-    DERIVE_MODES,
     GenerateResponse,
     ShardOutcome,
     ShardPayload,
@@ -223,9 +222,7 @@ class GenerationService:
         self._pending += 1
         self.stats["peak_pending"] = max(self.stats["peak_pending"], self._pending)
 
-    def _validate(
-        self, n: int, seed: int, derive: str, strategy: str, max_iterations: int
-    ) -> None:
+    def _validate(self, n: int, seed: int, strategy: str, max_iterations: int) -> None:
         """Reject a malformed request before it is admitted or reaches a worker.
 
         An unknown strategy name is the client's ``ValueError``, not a shard
@@ -239,8 +236,6 @@ class GenerationService:
             raise ValueError("n must be non-negative")
         if n > MAX_SCENES_PER_REQUEST:
             raise ValueError(f"n must be at most {MAX_SCENES_PER_REQUEST}, not {n}")
-        if derive not in DERIVE_MODES:
-            raise ValueError(f"unknown derive mode {derive!r} (known: {DERIVE_MODES})")
         make_strategy(strategy)  # raises ValueError for an unknown name
         if max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
@@ -259,13 +254,12 @@ class GenerationService:
         """Sample *n* scenes of a program; the service's one front door.
 
         *source_or_hash* is Scenic source text, or the fingerprint of a
-        program previously :meth:`publish`\\ ed.  *derive* picks the seed
-        contract (see :func:`repro.service.protocol.derive_scene_seeds`):
-        ``"splitmix"`` shards freely with per-scene seeds; ``"direct"`` runs
-        unsharded, draw-for-draw equal to ``Scenario.generate_batch`` (and,
-        with ``n=1``, to ``Scenario.generate`` — the golden corpus) under the
-        same *strategy*, which defaults to
-        :data:`~repro.core.scenario.DEFAULT_BATCH_STRATEGY`.
+        program previously :meth:`publish`\\ ed.  Scene *i* is
+        ``Scenario.generate(rng=Random(seeds[i]))`` under *strategy* (default
+        :data:`~repro.core.scenario.DEFAULT_BATCH_STRATEGY`), with the seeds
+        of :func:`repro.service.protocol.derive_scene_seeds`.  *derive*
+        accepts only ``"splitmix"``, the one seed contract; it stays for
+        callers that name it.
 
         The response is built from the frames :meth:`generate_stream` would
         yield for the same request, reassembled by index.
@@ -276,15 +270,17 @@ class GenerationService:
         budget, compile error, dead worker) raises
         :class:`GenerationFailedError` with the worker's diagnostic attached.
         """
+        if derive != "splitmix":
+            raise ValueError(f"unknown derive mode {derive!r}: the seed contract is 'splitmix'")
         if not self._started:
             await self.start()
-        self._validate(n, seed, derive, strategy, max_iterations)
+        self._validate(n, seed, strategy, max_iterations)
         self._admit()
         try:
             scenes: List[Any] = [None] * n
             async with self._inflight:
                 async for frame in self._stream_admitted(
-                    source_or_hash, n, seed, strategy, max_iterations, derive
+                    source_or_hash, n, seed, strategy, max_iterations
                 ):
                     if frame["frame"] == "block":
                         for index, record in zip(frame["indices"], frame["scenes"]):
@@ -292,7 +288,7 @@ class GenerationService:
         finally:
             self._pending -= 1
         end = frame  # the stream always ends with its end frame
-        return GenerateResponse(end["fingerprint"], strategy, seed, derive, scenes, end["stats"])
+        return GenerateResponse(end["fingerprint"], strategy, seed, scenes, end["stats"])
 
     async def generate_stream(
         self,
@@ -301,7 +297,6 @@ class GenerationService:
         seed: int = 0,
         strategy: str = DEFAULT_BATCH_STRATEGY,
         max_iterations: int = 2000,
-        derive: str = "splitmix",
     ) -> AsyncIterator[Dict[str, Any]]:
         """Like :meth:`generate`, but yield each shard's records as it completes.
 
@@ -312,7 +307,7 @@ class GenerationService:
           completion (not index) order; ``scenes[j]`` is the record of
           global scene index ``indices[j]``;
         * ``{"frame": "end", "fingerprint": ..., "strategy": ..., "seed":
-          ..., "derive": ..., "scenes": n, "stats": {...}}`` — always last.
+          ..., "scenes": n, "stats": {...}}`` — always last.
 
         Reassembling block frames by their indices gives exactly
         :meth:`generate`'s ``response.scenes`` for the same request —
@@ -325,13 +320,13 @@ class GenerationService:
         """
         if not self._started:
             await self.start()
-        self._validate(n, seed, derive, strategy, max_iterations)
+        self._validate(n, seed, strategy, max_iterations)
         self._admit()
         try:
             async with self._inflight:
                 self.stats["streams"] += 1
                 async with aclosing(self._stream_admitted(
-                    source_or_hash, n, seed, strategy, max_iterations, derive
+                    source_or_hash, n, seed, strategy, max_iterations
                 )) as frames:
                     async for frame in frames:
                         yield frame
@@ -347,7 +342,6 @@ class GenerationService:
         seed: int,
         strategy: str,
         max_iterations: int,
-        derive: str,
     ) -> AsyncIterator[Dict[str, Any]]:
         """The one shard path: run an admitted request's shards, yield its frames."""
         start = time.perf_counter()
@@ -355,8 +349,7 @@ class GenerationService:
         fingerprint = source_fingerprint(source)
         self.stats["requests"] += 1
         payloads = self._make_payloads(
-            fingerprint, source, strategy, max_iterations, n, seed,
-            derive_scene_seeds(seed, n, derive),
+            fingerprint, source, strategy, max_iterations, derive_scene_seeds(seed, n)
         )
         tasks = [
             asyncio.ensure_future(
@@ -398,7 +391,6 @@ class GenerationService:
             "fingerprint": fingerprint,
             "strategy": strategy,
             "seed": seed,
-            "derive": derive,
             "scenes": n,
             "stats": stats,
         }
@@ -427,12 +419,11 @@ class GenerationService:
         source: str,
         strategy: str,
         max_iterations: int,
-        n: int,
-        seed: int,
-        seeds: Optional[List[int]],
+        seeds: List[int],
     ) -> List[ShardPayload]:
-        """Cut the request into contiguous index shards (1 shard in direct mode)."""
-        shard_count = 1 if seeds is None else max(1, min(max(self.workers, 1), n))
+        """Cut the request into contiguous index shards, one per worker at most."""
+        n = len(seeds)
+        shard_count = max(1, min(max(self.workers, 1), n))
         base, extra = divmod(n, shard_count)
         payloads: List[ShardPayload] = []
         next_index = 0
@@ -449,8 +440,7 @@ class GenerationService:
                     strategy=strategy,
                     max_iterations=max_iterations,
                     indices=indices,
-                    seeds=None if seeds is None else [seeds[index] for index in indices],
-                    master_seed=seed,
+                    seeds=[seeds[index] for index in indices],
                 )
             )
         return payloads

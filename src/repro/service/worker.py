@@ -107,22 +107,13 @@ def _sample_indices(
 ) -> None:
     """The shard sampling loop.
 
-    Splitmix mode (``payload.seeds`` given): scene *i* is drawn with its own
-    ``Random(seeds[i])``, so the result is independent of how indices were
-    sharded.  Direct mode: the shard draws sequentially from
-    ``Random(master_seed)``, reproducing the classic
-    ``Scenario.generate_batch`` stream.  Every draw's stats, a failed one's
-    too, land in *aggregate*.
+    Each scene is drawn with its own ``Random(seed)``, so the result is
+    independent of how indices were sharded.  Every draw's stats, a failed
+    one's too, land in *aggregate*.
     """
     strategy = make_strategy(payload.strategy)
-    sequential_rng = _random.Random(payload.master_seed) if payload.seeds is None else None
-    for position, index in enumerate(payload.indices):
-        rng = (
-            sequential_rng
-            if sequential_rng is not None
-            else _random.Random(payload.seeds[position])
-        )
-        scene, stats = strategy.sample(scenario, payload.max_iterations, rng)
+    for seed in payload.seeds:
+        scene, stats = strategy.sample(scenario, payload.max_iterations, _random.Random(seed))
         aggregate.record(stats, accepted=scene is not None)
         if scene is None:
             raise RejectionError(payload.max_iterations)

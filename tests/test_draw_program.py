@@ -5,13 +5,28 @@ import random
 import sys
 import threading
 
+import pytest
+
+from repro.core.columns import column_plan
 from repro.core.distributions import FunctionDistribution, Range, Sample, Uniform
+from repro.core.errors import RejectSample
 from repro.core.objects import Object
-from repro.core.program import current_program, draw_candidate
+from repro.core.program import current_program, draw_candidate, requirement_roots
+from repro.core.requirements import Requirement
 from repro.core.scenario import Scenario
 from repro.core.specifiers import At
-from repro.fuzz.oracles import check_planned_draws
+from repro.evals.corpus import Manifest
+from repro.fuzz.oracles import check_column_draws, check_planned_draws
 from repro.language import scenario_from_string
+from repro.sampling.strategies import check_user_requirements
+
+#: A program whose ``require`` reaches a uniform of its own, and its soft twin.
+OWN_VALUE_PROGRAM = (
+    "ego = Object at (0, 0) @ (0, 0)\n"
+    "Object at (-20, 20) @ (-20, 20)\n"
+    "require (0, 1) < 0.3\n"
+)
+SOFT_PROGRAM = OWN_VALUE_PROGRAM.replace("require ", "require[0.5] ")
 
 
 def _positions(scenario, seed):
@@ -97,3 +112,63 @@ def test_a_param_set_after_a_draw_is_drawn():
     scenario.params["lane"] = Uniform("left", "right")
     params = scenario.generate(seed=0).params
     assert 10 <= params["speed"] <= 11 and params["lane"] in ("left", "right")
+
+
+def _first_drawn_sample(scenario, seed):
+    """The sample of the first candidate from ``Random(seed)`` that draws without raising."""
+    rng = random.Random(seed)
+    while True:
+        try:
+            return draw_candidate(scenario, rng)[0]
+        except RejectSample:
+            continue
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        pytest.param(OWN_VALUE_PROGRAM, id="own-value"),
+        pytest.param(SOFT_PROGRAM, id="soft"),
+        pytest.param(Manifest.load().get("fz1054582454").source(), id="fz1054582454"),
+    ],
+)
+def test_a_candidates_draw_holds_its_requirements_values(source):
+    """The coins and the values only a ``require`` reaches are drawn with the candidate.
+
+    So the draw program, the walk it replaces (oracle F) and the column draw
+    (oracle G) read them at the same point of the stream, and checking the
+    candidate reads nothing.
+    """
+    scenario = scenario_from_string(source)
+    roots = list(requirement_roots(scenario))
+    assert roots
+    sample = _first_drawn_sample(scenario, 5)
+    assert all(sample.has_value_for(root) for root in roots)
+    state = sample.rng.getstate()
+    check_user_requirements(scenario, sample)
+    assert sample.rng.getstate() == state
+    assert column_plan(current_program(scenario)) is not None
+    assert check_planned_draws(scenario, seed=5) == []
+    assert check_column_draws(scenario, seed=5) == []
+
+
+def test_a_soft_requirement_added_after_a_draw_rebuilds_the_program():
+    scenario = _scenario()
+    scenario.generate(seed=0)
+    program = current_program(scenario)
+    requirement = Requirement(True, 0.5)
+    scenario.requirements.append(requirement)
+    assert current_program(scenario) is not program
+    assert draw_candidate(scenario, random.Random(0))[0].has_value_for(requirement.coin)
+    assert check_planned_draws(scenario, seed=3) == []
+
+
+def test_a_list_in_a_condition_keeps_the_walk():
+    """The walk draws the list whole at each candidate, an item added later too."""
+    items = [Range(0, 1)]
+    scenario = _scenario()
+    scenario.requirements.append(Requirement(FunctionDistribution(len, (items,))))
+    assert current_program(scenario).steps is None
+    items.append(Range(2, 3))
+    assert draw_candidate(scenario, random.Random(0))[0].has_value_for(items[-1])
+    assert check_planned_draws(scenario, seed=3) == []

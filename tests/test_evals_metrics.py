@@ -11,15 +11,19 @@ honest rerun passes — proof the CI gate can actually fire.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.evals.check import DEFAULT_TOLERANCES, compare_strategy_records
 from repro.evals.metrics import (
+    chi_square_quantile,
+    chi_square_two_sample,
     coverage_summary,
     emd_distance,
     histogram_distance,
+    ks_statistic,
 )
 
 values = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
@@ -116,6 +120,43 @@ def test_emd_reference_vectors():
 def test_emd_requires_equal_sizes():
     with pytest.raises(ValueError):
         emd_distance([1.0, 2.0], [1.0])
+
+
+# ---------------------------------------------------------------------------
+# KS statistic and binned chi-square
+# ---------------------------------------------------------------------------
+
+
+def test_ks_statistic_reference_behaviour():
+    same = [float(i) for i in range(50)]
+    assert ks_statistic(same, list(same)) == pytest.approx(0.0, abs=1e-12)
+    low = [float(i) for i in range(50)]
+    high = [float(i) + 1000.0 for i in range(50)]
+    assert ks_statistic(low, high) == pytest.approx(1.0)
+
+
+def test_two_sample_tests_accept_identical_and_flag_shifted():
+    rng = random.Random(12)
+    base = [rng.gauss(0.0, 1.0) for _ in range(400)]
+    twin = [rng.gauss(0.0, 1.0) for _ in range(400)]
+    shifted = [value + 0.8 for value in twin]
+
+    # The two-sample KS bound at a level of 1e-6: c * sqrt((n + m) / (n m))
+    # with c = sqrt(-ln(1e-6 / 2) / 2).
+    ks_threshold = 2.6931 * math.sqrt(2.0 / 400)
+    assert ks_statistic(base, twin) < ks_threshold
+    assert ks_statistic(base, shifted) > ks_threshold
+
+    statistic, df = chi_square_two_sample(base, twin)
+    assert statistic < chi_square_quantile(df)
+    statistic, df = chi_square_two_sample(base, shifted)
+    assert statistic > chi_square_quantile(df)
+
+
+def test_chi_square_quantile_grows_with_df():
+    values = [chi_square_quantile(df) for df in (1, 3, 7, 15)]
+    assert values == sorted(values)
+    assert values[0] > 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -229,14 +229,14 @@ def test_pruned_strategies_produce_valid_scenes(stem):
 
 
 def test_vectorized_matches_rejection_without_soft_requirements():
-    """With no soft requirements, no RNG draw separates the two strategies.
+    """No RNG draw separates the two strategies.
 
     Block-drawing candidates consumes the stream in the same order as
-    one-at-a-time rejection as long as nothing rolls the RNG between
-    candidates — which only soft (probabilistic) requirements do.  The
-    committed corpus exhibits this: every golden scene of the two strategies
-    coincides, which doubles as a strong whole-stack equivalence check of the
-    kernel-backed checks against the scalar semantics.
+    one-at-a-time rejection, because only a candidate's draw reads the RNG
+    (a soft requirement's coin included).  The committed corpus exhibits
+    this: every golden scene of the two strategies coincides, which doubles
+    as a strong whole-stack equivalence check of the kernel-backed checks
+    against the scalar semantics.
     """
     for stem in scenario_stems():
         entry = json.loads(regen.golden_path(stem).read_text())["strategies"]

@@ -236,6 +236,17 @@ class TestInterpreterErrors:
         error = compile_error(f"ego = Object with width {expression}\n")
         assert needle in str(error)
 
+    @pytest.mark.parametrize("probability", ['"a"', "(0.5,)", "1.5", "-0.5", '"0.5"', "True"])
+    def test_soft_requirement_probability_must_be_a_number_in_the_unit_interval(
+        self, probability
+    ):
+        # A string, a tuple, a bool or a number outside [0, 1] is the
+        # program's error, reported at the require statement's line.
+        error = compile_error(f"ego = Object\nrequire[{probability}] ego.position.x > -1\n")
+        assert isinstance(error, InterpreterError)
+        assert "must be a number in [0, 1]" in str(error)
+        assert error.line == 2
+
     def test_random_empty_interval_still_fails_per_draw(self):
         from repro.core.distributions import Range, Sample, concretize
 

@@ -185,8 +185,8 @@ class TestVectorizedSampler:
         assert drawn_by == ["vectorized", "vectorized"]
 
     def test_matches_rejection_without_soft_requirements(self):
-        # No RNG draw separates block drawing from one-at-a-time rejection
-        # unless a soft requirement rolls the RNG between candidates.
+        # No RNG draw separates block drawing from one-at-a-time rejection:
+        # only a candidate's draw reads the RNG.
         source = scenarios.two_cars()
         via_rejection = scenarios.compile_scenario(source).generate(
             seed=21, max_iterations=20000, strategy="rejection"
@@ -220,8 +220,8 @@ class TestVectorizedSampler:
     def test_block_ramp_ignores_soft_requirements(self):
         """Blocks ramp 1, 2, 4, ..., 32 and stay at 32, whatever the scenario.
 
-        A ``require[p]`` flips a fresh coin per examined candidate, in draw
-        order, so the ramp is as valid under it as a fixed block.
+        A ``require[p]`` draws a fresh coin with each candidate, so the ramp
+        is as valid under it as a fixed block.
         """
         from repro.core.pruning import prune_scenario
 
@@ -245,9 +245,9 @@ class TestVectorizedSampler:
         """How draws are grouped into blocks cannot change the accepted candidate.
 
         Candidates come off one sequential RNG stream and are examined in
-        draw order, so without soft requirements the ramp, blocks of 32
-        and blocks of one (plain rejection) accept the same candidate after
-        the same number of examined candidates.
+        draw order, so the ramp, blocks of 32 and blocks of one (plain
+        rejection) accept the same candidate after the same number of
+        examined candidates.
         """
 
         from pathlib import Path
@@ -527,11 +527,22 @@ def test_chain_books_the_first_failing_check(strategy, first, second):
 # ---------------------------------------------------------------------------
 
 
+def _first_scene(scenario, strategy, rng):
+    """The first scene's record and its examined candidates, exhaustion included."""
+    from repro.core.errors import RejectionError
+    from repro.fuzz.oracles import scene_record
+
+    try:
+        record = scene_record(scenario.generate(rng=rng, max_iterations=3000, strategy=strategy))
+    except RejectionError:
+        record = None
+    return record, scenario.last_stats.iterations
+
+
 def _plain_corpus_params():
     """Every corpus program without a soft requirement; the first of each bucket is tier-1.
 
-    A ``require[p]`` flips its coins after a whole ``vectorized`` block is
-    drawn, so only programs without one share rejection's stream.
+    The ``require[p]`` programs have a test of their own below.
     """
     from repro.evals.corpus import Manifest
 
@@ -555,22 +566,58 @@ def test_vectorized_draws_rejections_scene_from_a_fresh_rng(entry):
     included: the ramp starts at one candidate, so an easy scene costs
     ``vectorized`` no draw that ``rejection`` does not make.
     """
-    from repro.core.errors import RejectionError
-    from repro.fuzz.oracles import scene_record
     from repro.language import compile_scenario
     from repro.service.protocol import derive_scene_seeds
 
     scenario = compile_scenario(entry.source()).scenario()
     assert not any(requirement.is_soft for requirement in scenario.requirements)
     for seed in derive_scene_seeds(777, 1 if entry.difficulty == "hard" else 4):
-        outcomes = {}
-        for strategy in sorted(STRATEGIES):
-            try:
-                record = scene_record(
-                    scenario.generate(seed=seed, max_iterations=3000, strategy=strategy)
-                )
-            except RejectionError:
-                record = None
-            outcomes[strategy] = (record, scenario.last_stats.iterations)
+        outcomes = {
+            strategy: _first_scene(scenario, strategy, random.Random(seed))
+            for strategy in sorted(STRATEGIES)
+        }
         assert outcomes["vectorized"] == outcomes["rejection"], (entry.id, seed)
+
+
+@pytest.mark.parametrize(
+    "requirement", ["require (0, 1) < 0.3", "require[0.5] (0, 1) < 0.3"], ids=["own-value", "soft"]
+)
+def test_a_requires_values_do_not_split_the_strategies(requirement):
+    """The uniform the condition reaches, and the soft twin's coin, are drawn with the candidate.
+
+    So ``vectorized``, which examines a block after drawing all of it, reads
+    them where ``rejection`` does: the same first scene and the same count of
+    examined candidates from ``Random(seed)`` at every seed.
+    """
+    from repro.language import compile_scenario
+
+    source = "ego = Object at (0, 0) @ (0, 0)\nObject at (-20, 20) @ (-20, 20)\n"
+    scenario = compile_scenario(source + requirement + "\n").scenario()
+    for seed in range(200):
+        assert _first_scene(scenario, "vectorized", random.Random(seed)) == _first_scene(
+            scenario, "rejection", random.Random(seed)
+        ), seed
+
+
+def _soft_corpus_params():
+    from repro.evals.corpus import Manifest
+
+    return [
+        pytest.param(entry, id=entry.id)
+        for entry in Manifest.load()
+        if "soft-require" in entry.features
+    ]
+
+
+@pytest.mark.parametrize("entry", _soft_corpus_params())
+def test_vectorized_draws_rejections_scene_under_require_p(entry):
+    """Every corpus ``require[p]`` program: the same first scene at seeds 1-3, coins included."""
+    from repro.language import compile_scenario
+
+    scenario = compile_scenario(entry.source()).scenario()
+    assert any(requirement.is_soft for requirement in scenario.requirements)
+    for seed in (1, 2, 3):
+        assert _first_scene(scenario, "vectorized", random.Random(seed)) == _first_scene(
+            scenario, "rejection", random.Random(seed)
+        ), (entry.id, seed)
 

@@ -70,6 +70,27 @@ def _source(stem):
     return (SCENARIO_DIR / f"{stem}.scenic").read_text()
 
 
+def _unshift(value, shift):
+    """Invert ``value ^ (value >> shift)`` on 64 bits."""
+    result = value
+    for _ in range(64 // shift):
+        result = value ^ (result >> shift)
+    return result
+
+
+def _request_seed(scene_seed):
+    """The request seed whose scene 0 draws from ``Random(scene_seed)``.
+
+    ``derive_scene_seeds`` gives scene 0 ``splitmix64(seed)``, a bijection
+    on 64 bits; this is its inverse.
+    """
+    mask = (1 << 64) - 1
+    value = _unshift(scene_seed, 31)
+    value = _unshift(value * pow(0x94D049BB133111EB, -1, 1 << 64) & mask, 27)
+    value = _unshift(value * pow(0xBF58476D1CE4E5B9, -1, 1 << 64) & mask, 30)
+    return (value - 0x9E3779B97F4A7C15) & mask
+
+
 def _assert_record_matches_golden(record, expected):
     assert record["ego_index"] == expected["ego_index"]
     assert record["iterations"] == expected["iterations"]
@@ -90,9 +111,10 @@ def _assert_record_matches_golden(record, expected):
 def test_concurrent_requests_reproduce_golden_corpus():
     """>= 8 concurrent requests; each shard's output is the exact golden scene.
 
-    ``derive="direct"`` with ``n=1`` is the service's parity mode: the shard
-    samples with ``Random(seed)`` exactly as ``Scenario.generate`` does, so
-    the response must reproduce ``tests/golden/`` for every strategy.
+    Each request's seed derives the golden seed for its one scene, which the
+    shard samples with ``Random(golden seed)`` exactly as
+    ``Scenario.generate`` does, so the response must reproduce
+    ``tests/golden/`` for every strategy.
     """
 
     async def run():
@@ -102,10 +124,9 @@ def test_concurrent_requests_reproduce_golden_corpus():
                     service.generate(
                         _source(stem),
                         n=1,
-                        seed=_golden(stem)["seed"],
+                        seed=_request_seed(_golden(stem)["seed"]),
                         strategy=strategy,
                         max_iterations=_golden(stem)["max_iterations"],
-                        derive="direct",
                     )
                     for stem, strategy in GOLDEN_REQUESTS
                 )
@@ -179,26 +200,6 @@ def test_sharded_splitmix_seeds_are_worker_count_invariant(program, strategy):
     assert pooled.scenes == inline.scenes == local
 
 
-def test_direct_mode_matches_generate_batch():
-    """``derive="direct"`` is draw-for-draw the classic sequential batch."""
-    source = _source("mars_rubble_field")
-
-    async def run():
-        async with GenerationService(workers=0) as service:
-            return await service.generate(
-                source, n=4, seed=7, strategy="rejection", max_iterations=20000,
-                derive="direct",
-            )
-
-    response = asyncio.run(run())
-    batch = scenario_from_string(source).generate_batch(
-        4, seed=7, strategy="rejection", max_iterations=20000
-    )
-    assert [record["objects"] for record in response.scenes] == [
-        scene_record(scene)["objects"] for scene in batch
-    ]
-
-
 def test_a_request_without_a_strategy_draws_with_vectorized():
     """``vectorized`` is the default of every service front door.
 
@@ -256,8 +257,8 @@ def test_publish_then_generate_by_fingerprint():
         async with GenerationService(workers=0) as service:
             fingerprint = service.publish(source)
             response = await service.generate(
-                fingerprint, n=1, seed=_golden("single_car")["seed"],
-                strategy="rejection", max_iterations=20000, derive="direct",
+                fingerprint, n=1, seed=_request_seed(_golden("single_car")["seed"]),
+                strategy="rejection", max_iterations=20000,
             )
         return fingerprint, response
 
@@ -364,7 +365,7 @@ def test_compile_error_raises_generation_failed():
         ("source", ["ego = Object at 0 @ 0"], "'source' must be a string, not [\"ego"),
         ("fingerprint", 42, "'fingerprint' must be a string, not 42"),
         ("strategy", None, "'strategy' must be a string, not null"),
-        ("derive", 1, "'derive' must be a string, not 1"),
+        ("derive", "splitmix", "unknown request field(s): derive"),
         ("stream", "no", "'stream' must be true or false, not \"no\""),
     ],
 )
@@ -420,14 +421,12 @@ def test_n_above_the_ceiling_is_rejected_before_admission(entry):
     [
         {"seed": 2.5},
         {"seed": "7"},
-        {"seed": 2.5, "derive": "direct"},
         {"seed": True},
         {"max_iterations": True},
         {"max_iterations": 2.5},
         {"max_iterations": "5"},
     ],
-    ids=["seed-float", "seed-str", "seed-float-direct", "seed-bool", "budget-bool",
-         "budget-float", "budget-str"],
+    ids=["seed-float", "seed-str", "seed-bool", "budget-bool", "budget-float", "budget-str"],
 )
 def test_non_integer_seed_or_budget_is_rejected_before_admission(entry, overrides):
     """Both Python entry points refuse what the HTTP front door's ``_field`` refuses.
@@ -448,6 +447,22 @@ def test_non_integer_seed_or_budget_is_rejected_before_admission(entry, override
 
     stats = asyncio.run(run())
     assert (stats["requests"], stats["failures"], stats["pending"]) == (0, 0, 0)
+
+
+def test_generate_keeps_only_the_splitmix_seed_contract():
+    """``derive`` is kept for callers that name it; any other mode is a ``ValueError``."""
+
+    async def run():
+        async with GenerationService(workers=0) as service:
+            with pytest.raises(ValueError, match="unknown derive mode 'direct'"):
+                await service.generate(_source("two_cars"), n=2, derive="direct")
+            named = await service.generate(_source("two_cars"), n=2, seed=3, derive="splitmix")
+            default = await service.generate(_source("two_cars"), n=2, seed=3)
+            return named, default, service.service_stats()
+
+    named, default, stats = asyncio.run(run())
+    assert named.scenes == default.scenes
+    assert (stats["requests"], stats["failures"], stats["pending"]) == (2, 0, 0)
 
 
 def _assert_rejected_before_admission(request, needle):
@@ -614,7 +629,7 @@ def test_broken_pool_is_replaced_once_by_concurrent_shards(monkeypatch):
     monkeypatch.setattr(service, "_new_pool", new_pool)
     payload = ShardPayload(
         fingerprint="0" * 64, source="ego = Object at 0 @ 0", strategy="rejection",
-        max_iterations=10, indices=[0], seeds=[1], master_seed=0,
+        max_iterations=10, indices=[0], seeds=[1],
     )
 
     async def run():
@@ -719,10 +734,9 @@ def test_http_server_end_to_end():
                 call("POST", "/generate", {
                     "fingerprint": fingerprint,
                     "n": 1,
-                    "seed": golden["seed"],
+                    "seed": _request_seed(golden["seed"]),
                     "strategy": "rejection",
                     "max_iterations": golden["max_iterations"],
-                    "derive": "direct",
                 })
                 for _ in range(8)
             ))
@@ -878,6 +892,5 @@ def test_splitmix64_reference_values():
     state = 0x9E3779B97F4A7C15
     assert splitmix64(state) == 0x6E789E6AA1B965F4
     assert derive_scene_seeds(0, 3) == [splitmix64(0), splitmix64(1), splitmix64(2)]
-    assert derive_scene_seeds(0, 3, derive="direct") is None
-    with pytest.raises(ValueError):
-        derive_scene_seeds(0, 3, derive="bogus")
+    for scene_seed in (0, 7, 20260729, (1 << 64) - 1):
+        assert derive_scene_seeds(_request_seed(scene_seed), 1) == [scene_seed]

@@ -120,7 +120,6 @@ def _payload(source, strategy="rejection"):
         max_iterations=100,
         indices=[0],
         seeds=[1],
-        master_seed=0,
     )
 
 

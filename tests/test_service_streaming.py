@@ -90,7 +90,7 @@ def test_stream_end_frame_on_zero_scene_request():
     frames = asyncio.run(run())
     assert [frame["frame"] for frame in frames] == ["end"]
     assert set(frames[0]) == {
-        "frame", "fingerprint", "strategy", "seed", "derive", "scenes", "stats",
+        "frame", "fingerprint", "strategy", "seed", "scenes", "stats",
     }
     assert frames[0]["scenes"] == 0
     assert frames[0]["stats"]["shards"] == 0
