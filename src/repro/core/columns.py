@@ -645,7 +645,12 @@ class ColumnPlan:
     def __init__(self, program: DrawProgram):
         if not program.object_slots:
             raise _Decline("no objects")
-        self.program = program
+        # The program holds its plan, so the plan holds only the program's
+        # slot layout: reference counting alone then frees both.
+        self.nodes, self.memo_ids = program.nodes, program.memo_ids
+        self.object_slots, self.ego_slot = program.object_slots, program.ego_slot
+        self.param_slots, self.param_names = program.param_slots, program.param_names
+        self._constants = (program.constant_slots, len(program.template))
         #: Each candidate's RNG reads, in order: ``(kind, argument)``.
         self.reads: List[Tuple[int, Any]] = []
         #: Slot values before a block: the constants; filled step by step.
@@ -664,7 +669,8 @@ class ColumnPlan:
         return len(self.template) - 1
 
     def _is_constant(self, slot: int) -> bool:
-        return slot in self.program.constant_slots or slot >= len(self.program.template)
+        constant_slots, template_size = self._constants
+        return slot in constant_slots or slot >= template_size
 
     def _read(self, *reads: Tuple[int, Any]) -> int:
         offset = len(self.reads)
@@ -835,18 +841,18 @@ class ColumnBlock:
         """Candidate *index*: its sample, objects, ego and params, as the scalar draw gives them."""
         candidate = self._candidates.get(index)
         if candidate is None:
-            program = self.plan.program
+            plan = self.plan
             columns = self.columns
-            values = [row_of(columns[slot], index) for slot in range(program.memoised)]
+            values = [row_of(columns[slot], index) for slot in range(len(plan.nodes))]
             sample = Sample(self.rng)
-            sample._values = dict(zip(program.memo_ids, values))
-            sample._keep_alive.append(program)
-            params = [row_of(columns[slot], index) for slot in program.param_slots]
+            sample._values = dict(zip(plan.memo_ids, values))
+            sample._keep_alive.append(plan.nodes)  # no id() key is recycled
+            params = [row_of(columns[slot], index) for slot in plan.param_slots]
             candidate = self._candidates[index] = Candidate(
                 sample,
-                [values[slot] for slot in program.object_slots],
-                values[program.ego_slot],
-                dict(zip(program.param_names, params)),
+                [values[slot] for slot in plan.object_slots],
+                values[plan.ego_slot],
+                dict(zip(plan.param_names, params)),
             )
         return candidate
 
@@ -857,7 +863,7 @@ class ColumnBlock:
         from the ``K * N`` objects, candidate by candidate.
         """
         count = self.count
-        objects = [self.columns[slot] for slot in self.plan.program.object_slots]
+        objects = [self.columns[slot] for slot in self.plan.object_slots]
         table = np.empty((count * len(objects), 5), dtype=float, order="F")
         collidable = np.empty((count, len(objects)), dtype=bool)
         for position, points in enumerate(objects):

@@ -383,7 +383,7 @@ class PolygonalRegion(Region):
 
     def contains_points_batch(self, points: Any) -> np.ndarray:
         pts = _kernel.as_points(points)
-        return self._polygon_table().contains(pts[:, 0], pts[:, 1])
+        return self._polygon_table().held(pts[:, 0], pts[:, 1]).any(axis=0)
 
     def uniform_point(self, rng):
         u = rng.random()

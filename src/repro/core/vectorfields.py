@@ -19,11 +19,18 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry.kernel import PolygonTable
-from ..geometry.polygon import Polygon
+from ..geometry.polygon import Polygon, _edges_distance
 from .distributions import FunctionDistribution, needs_sampling
 from .regions import _normalize_angles
 from .utils import normalize_angle
 from .vectors import Vector, VectorLike
+
+
+#: The side of a nearest-cell shortlist's square bucket (a power of two, so
+#: a point's bucket is exact), and how far past a field's cells' padded boxes
+#: buckets reach; a point further out scans every cell.
+SHORTLIST_BUCKET = 2.0
+SHORTLIST_MARGIN = 64.0
 
 
 class VectorField:
@@ -98,6 +105,7 @@ class PolygonalVectorField(VectorField):
             (polygon, normalize_angle(heading)) for polygon, heading in cells
         ]
         self._tables = None  # lazy, see _lookup_tables()
+        self._shortlists = None  # lazy, see _shortlist()
         super().__init__(name, self._heading_at, default_heading=default_heading)
 
     def _lookup_tables(self) -> Tuple[PolygonTable, np.ndarray]:
@@ -123,8 +131,9 @@ class PolygonalVectorField(VectorField):
         # Outside every cell: fall back to the nearest cell's heading so the
         # field is total (mirrors the reference implementation's behaviour of
         # extending the road direction beyond the road).
-        nearest = self.nearest_cell(position)
-        return nearest[1] if nearest is not None else self.default_heading
+        if not self.cells:
+            return self.default_heading
+        return self.cells[self._nearest(position.x, position.y)][1]
 
     def cell_at(self, position: VectorLike) -> Optional[Tuple[Polygon, float]]:
         position = Vector.from_any(position)
@@ -143,46 +152,60 @@ class PolygonalVectorField(VectorField):
         return None
 
     def nearest_cell(self, position: VectorLike) -> Optional[Tuple[Polygon, float]]:
+        """The first cell, in cell order, at the least ``distance_to_point``."""
         position = Vector.from_any(position)
-        if not self.cells:
-            return None
-        if len(self.cells) >= self._GRID_MIN_CELLS:
-            return self._nearest_cell_pruned(position)
-        return min(self.cells, key=lambda cell: cell[0].distance_to_point(position))
+        return self.cells[self._nearest(position.x, position.y, position)] if self.cells else None
 
-    def _nearest_cell_pruned(self, position: Vector) -> Tuple[Polygon, float]:
-        """Nearest cell via bounding-box lower bounds, identical to the scan.
+    def _nearest(self, x: float, y: float, position: Optional[Vector] = None) -> int:
+        """The first shortlisted cell at the least ``distance_to_point``, as ``min`` picks it.
 
-        Exact point-to-polygon distance is only computed for cells whose
-        box distance (a lower bound on the true distance) does not already
-        exceed the best exact distance seen; every cell tied for the
-        minimum has a lower bound <= that minimum, so none is skipped, and
-        ties resolve to the lowest cell index — exactly ``min()``'s
-        first-minimal-in-list-order behaviour.
+        Without *position*, no cell holds (x, y): every distance is the edge distance.
+        """
+        edges = self._lookup_tables()[0].edges
+        best_index, best = -1, None
+        for index in self._shortlist(x, y):
+            distance = (_edges_distance(x, y, edges[index]) if position is None
+                        else self.cells[index][0].distance_to_point(position))
+            if best is None or distance < best:
+                best_index, best = index, distance
+        return best_index
+
+    def _shortlist(self, x: float, y: float) -> Sequence[int]:
+        """Ascending indices of every cell that can be nearest to (x, y).
+
+        Per bucket, at its first use: the cells whose padded box is within
+        ``U`` (the least distance from a vertex to the bucket's farthest
+        corner) of the bucket, plus slack; see ``docs/geometry.md``.
         """
         boxes = self._lookup_tables()[0].boxes
-        dx = np.maximum(np.maximum(boxes[:, 0] - position.x, position.x - boxes[:, 2]), 0.0)
-        dy = np.maximum(np.maximum(boxes[:, 1] - position.y, position.y - boxes[:, 3]), 0.0)
-        lower_bounds = np.hypot(dx, dy)
-        best_distance = math.inf
-        best_index = -1
-        for index in np.argsort(lower_bounds, kind="stable"):
-            if lower_bounds[index] > best_distance:
-                break
-            distance = self.cells[index][0].distance_to_point(position)
-            if distance < best_distance or (distance == best_distance and index < best_index):
-                best_distance = distance
-                best_index = int(index)
-        return self.cells[best_index]
+        if self._shortlists is None:
+            extent = np.concatenate([boxes[:, :2].min(axis=0) - SHORTLIST_MARGIN,
+                                     boxes[:, 2:].max(axis=0) + SHORTLIST_MARGIN])
+            vertices = [v.to_tuple() for polygon, _ in self.cells for v in polygon.vertices]
+            self._shortlists = (extent.tolist(), np.array(vertices).T,
+                                1e-6 * (1.0 + np.abs(extent).max()), {})
+        (min_x, min_y, max_x, max_y), (vertex_x, vertex_y), slack, memo = self._shortlists
+        if not (min_x <= x <= max_x and min_y <= y <= max_y):
+            return range(len(self.cells))
+        key = (math.floor(x / SHORTLIST_BUCKET), math.floor(y / SHORTLIST_BUCKET))
+        shortlist = memo.get(key)
+        if shortlist is None:
+            x0, y0 = key[0] * SHORTLIST_BUCKET, key[1] * SHORTLIST_BUCKET
+            x1, y1 = x0 + SHORTLIST_BUCKET, y0 + SHORTLIST_BUCKET
+            lower = np.hypot(np.maximum(np.maximum(boxes[:, 0] - x1, x0 - boxes[:, 2]), 0.0),
+                             np.maximum(np.maximum(boxes[:, 1] - y1, y0 - boxes[:, 3]), 0.0))
+            upper = np.hypot(np.maximum(np.abs(vertex_x - x0), np.abs(vertex_x - x1)),
+                             np.maximum(np.abs(vertex_y - y0), np.abs(vertex_y - y1))).min()
+            shortlist = memo[key] = np.flatnonzero(lower <= upper + slack).tolist()
+        return shortlist
 
     def value_at_points(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """:meth:`value_at` at ``K`` points, as an array, without calling it.
 
         The same verdicts as ``cell_at`` then ``nearest_cell``, for all points
-        at once: the cells' :class:`~repro.geometry.kernel.PolygonTable`
-        tests each point against the cells whose padded box holds it, and
-        the point takes the lowest-index cell that holds it, as the scan
-        does.  A point inside no cell takes the scalar ``nearest_cell``.
+        at once: each point takes the lowest-index cell that the cells'
+        :class:`~repro.geometry.kernel.PolygonTable` says holds it, as the
+        scan does, and a point inside no cell takes ``nearest_cell``'s.
         *xs* and *ys* are float64 arrays; a coordinate that is not finite
         raises ``ValueError``, as the scalar grid's ``math.floor`` would.
         """
@@ -194,7 +217,7 @@ class PolygonalVectorField(VectorField):
         cells = table.first_holders(xs, ys)
         headings = cell_headings[cells]  # a -1 reads the last cell, replaced below
         for index in np.flatnonzero(cells < 0).tolist():
-            headings[index] = self.nearest_cell(Vector(xs[index], ys[index]))[1]
+            headings[index] = self.cells[self._nearest(float(xs[index]), float(ys[index]))][1]
         return _normalize_angles(headings)
 
     def heading_of_cell(self, polygon: Polygon) -> Optional[float]:

@@ -202,9 +202,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="graded scenario corpus + engine quality evals",
     )
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
+    # --quiet after the subcommand too; SUPPRESS keeps a --quiet given before it.
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument(
+        "--quiet", action="store_true", default=argparse.SUPPRESS, help="suppress progress lines"
+    )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    promote = commands.add_parser("promote", help="grow the corpus from the fuzzer")
+    promote = commands.add_parser(
+        "promote", parents=[quiet], help="grow the corpus from the fuzzer"
+    )
     promote.add_argument("--target", type=int, default=150, help="corpus size to reach")
     promote.add_argument("--seed", type=int, default=EVALS_SEED, help="master seed")
     promote.add_argument(
@@ -222,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     promote.set_defaults(func=cmd_promote)
 
-    run = commands.add_parser("run", help="score the corpus into a scorecard")
+    run = commands.add_parser("run", parents=[quiet], help="score the corpus into a scorecard")
     run.add_argument("--seed", type=int, default=EVALS_SEED)
     run.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     run.add_argument("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS)
@@ -246,7 +253,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_subset_arguments(run)
     run.set_defaults(func=cmd_run)
 
-    check = commands.add_parser("check", help="gate the CI slice against the baseline")
+    check = commands.add_parser(
+        "check", parents=[quiet], help="gate the CI slice against the baseline"
+    )
     check.add_argument("--baseline", default=str(SCORECARD_JSON))
     check.add_argument(
         "--report", help="also write the freshly scored slice to this JSON path"
@@ -255,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     check.set_defaults(func=cmd_check)
 
     selfcheck = commands.add_parser(
-        "selfcheck", help="prove `check` flags a planted bias"
+        "selfcheck", parents=[quiet], help="prove `check` flags a planted bias"
     )
     selfcheck.add_argument("--seed", type=int, default=4242)
     selfcheck.add_argument("--samples", type=int, default=40)

@@ -9,10 +9,10 @@ Six oracles are run against every valid generated program:
   bit-identical scenes.
 * **Kernel equivalence** — the vectorized geometry kernel
   (:mod:`repro.geometry.kernel`) must agree with the scalar predicates on
-  the sampled scenes: point containment, object containment, and pairwise
-  collisions, for the workspace region and for synthetic probe regions,
-  and the batched ``F at X`` of a polygonal workspace orientation must
-  agree with the scalar lookup.
+  the sampled scenes: point containment (edges and vertices included),
+  object containment, and pairwise and block collisions, for the workspace
+  region and for synthetic probe regions, and the batched ``F at X`` of a
+  polygonal workspace orientation must agree with the scalar lookup.
 * **Requirement re-check** — every accepted scene is re-validated
   independently of the sampling loop: scalar workspace containment, scalar
   collision checks, visibility, the generator's ground-truth
@@ -57,7 +57,7 @@ import numpy as np
 from ..core.columns import column_plan
 from ..core.distributions import Distribution, Sample
 from ..core.errors import RejectionError, RejectSample, ScenicError
-from ..core.objects import Constructible
+from ..core.objects import Constructible, Object
 from ..core.program import Candidate, current_program, requirement_roots, walk
 from ..core.pruning import _mutation_enabled, prune_scenario
 from ..core.regions import CircularRegion, RectangularRegion
@@ -66,7 +66,7 @@ from ..core.vectorfields import PolygonalVectorField
 from ..core.vectors import Vector
 from ..geometry import kernel
 from ..language import scenario_from_string
-from ..sampling.strategies import STRATEGIES, VectorizedSampler
+from ..sampling.strategies import STRATEGIES, VectorizedSampler, no_pairwise_collisions
 from .program_gen import GeneratedProgram, PlannedCheck
 
 #: Strategies whose per-seed scenes must coincide exactly (they consume
@@ -529,6 +529,20 @@ def _probe_regions(scene, rng: random.Random):
     yield CircularRegion(center, max(max_x - min_x, max_y - min_y, 2.0) * rng.uniform(0.3, 0.7))
 
 
+#: Offsets along an edge's unit normal: on it, and either side of 1e-6, the
+#: least margin at which certified verdicts hand over to the ray cast.
+BOUNDARY_OFFSETS = (0.0, 1e-7, -1e-7, 1e-6, -1e-6, 2e-6, -2e-6)
+
+
+def _boundary_probes(polygons) -> List[Vector]:
+    """Every vertex and edge midpoint, moved along the edge's normal by each offset."""
+    return [
+        base + Vector(a.y - b.y, b.x - a.x) * (offset / a.distance_to(b))
+        for polygon in polygons for a, b in polygon.edges() if a != b
+        for base in (a, (a + b) / 2) for offset in BOUNDARY_OFFSETS
+    ]
+
+
 def check_kernel_equivalence(
     scenario, scene, seed: int, points_per_region: int = 64
 ) -> List[str]:
@@ -536,11 +550,13 @@ def check_kernel_equivalence(
 
     The scalar geometry (``Region.contains_point``, ``Object.intersects``) is
     the oracle; the batched kernel (:mod:`repro.geometry.kernel`) must agree
-    with it exactly, boundary contact included.  When the workspace region's
+    with it exactly, boundary contact included, also at :func:`_boundary_probes`
+    of a polygonal workspace's pieces.  When the workspace region's
     orientation is a :class:`PolygonalVectorField` (a road map's
     ``roadDirection``, the warehouse's ``aisleDirection``), its batched
     ``value_at_points`` must give ``value_at``'s heading at every probe
-    point, off the map included.
+    point, off the map and at its cells' boundary probes included.
+    Collisions are compared pair by pair and on a stacked block.
     """
     problems: List[str] = []
     rng = random.Random(seed ^ 0x5EED5EED)
@@ -563,17 +579,18 @@ def check_kernel_equivalence(
 
     corners = kernel.corners_array(scene.objects)
     for region in regions:
-        batched = kernel.contains_points(region, probe_points)
+        points = probe_points + _boundary_probes(getattr(region, "polygons", ()))
+        batched = kernel.contains_points(region, points)
         scalar = np.fromiter(
-            (region.contains_point(point) for point in probe_points),
+            (region.contains_point(point) for point in points),
             dtype=bool,
-            count=len(probe_points),
+            count=len(points),
         )
         if not np.array_equal(batched, scalar):
             index = int(np.flatnonzero(batched != scalar)[0])
             problems.append(
                 f"contains_points mismatch on {type(region).__name__} at point "
-                f"{tuple(probe_points[index])}: kernel={bool(batched[index])} scalar={bool(scalar[index])}"
+                f"{tuple(points[index])}: kernel={bool(batched[index])} scalar={bool(scalar[index])}"
             )
         if len(scene.objects) > 0 and kernel.region_supports_batch_objects(region):
             batched_objects = kernel.objects_contained(region, corners)
@@ -590,11 +607,13 @@ def check_kernel_equivalence(
 
     orientation = scenario.workspace.region.orientation
     if isinstance(orientation, PolygonalVectorField):
-        batched_headings = orientation.value_at_points(
-            np.array([point.x for point in probe_points]),
-            np.array([point.y for point in probe_points]),
-        )
-        for point, batched_heading in zip(probe_points, batched_headings.tolist()):
+        field_points = probe_points + _boundary_probes(cell for cell, _ in orientation.cells)
+        xs, ys = np.array([point.to_tuple() for point in field_points]).T
+        batched_headings = np.concatenate([  # blocks of 64 keep planes x points small
+            orientation.value_at_points(xs[start:start + 64], ys[start:start + 64])
+            for start in range(0, len(xs), 64)
+        ])
+        for point, batched_heading in zip(field_points, batched_headings.tolist()):
             scalar_heading = orientation.value_at(point)
             if batched_heading != scalar_heading:
                 problems.append(
@@ -617,6 +636,23 @@ def check_kernel_equivalence(
             problems.append(
                 f"pairwise_collisions mismatch: kernel={sorted(batched_pairs)} "
                 f"scalar={sorted(scalar_pairs)}"
+            )
+        # A stacked block of moved and turned copies of the scene: some collide.
+        jitter = rng.uniform
+        block = [[Object._make(
+            position=Vector.from_any(obj.position) + Vector(jitter(-2, 2), jitter(-2, 2)),
+            heading=obj.heading + jitter(-0.5, 0.5),
+            width=obj.width, height=obj.height, allowCollisions=obj.allowCollisions,
+        ) for obj in scene.objects] for _ in range(8)]
+        flat = [obj for objects in block for obj in objects]
+        batched_free = kernel.batch_collision_free(
+            kernel.corners_array(flat).reshape(len(block), -1, 4, 2),
+            np.array([not obj.allowCollisions for obj in flat]).reshape(len(block), -1),
+        ).tolist()
+        scalar_free = [no_pairwise_collisions(objects) for objects in block]
+        if batched_free != scalar_free:
+            problems.append(
+                f"batch_collision_free mismatch: kernel={batched_free} scalar={scalar_free}"
             )
     return problems
 

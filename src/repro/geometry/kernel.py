@@ -13,9 +13,8 @@ pure Python; this module evaluates them over whole *batches* with numpy:
   base class provides a scalar fallback so third-party regions keep
   working).
 * :class:`PolygonTable` — batched point location in a fixed polygon set:
-  which polygons hold each point, tested only against the polygons whose
-  padded bounding box holds it.  A ``PolygonalRegion``'s containment and a
-  ``PolygonalVectorField``'s ``F at X`` both run on one.
+  which polygons hold each point.  A ``PolygonalRegion``'s containment and
+  a ``PolygonalVectorField``'s ``F at X`` both run on one.
 * :func:`objects_contained` — containment of ``N`` objects given their
   corner arrays, using the same corners-plus-edge-midpoints test as
   ``Region.contains_object``.
@@ -26,9 +25,9 @@ pure Python; this module evaluates them over whole *batches* with numpy:
 
 The predicates agree with the scalar implementations: the separating-axis
 test uses closed intervals (touching counts as overlap, exactly like
-``polygons_intersect``) and :class:`PolygonTable` runs the arithmetic of
-the scalar ray cast over an ``_edge_table``, so every verdict is the scalar
-one.
+``polygons_intersect``), and :class:`PolygonTable` certifies a verdict only
+where the scalar ray cast provably gives it, and runs that ray cast
+elsewhere, so every verdict is the scalar one.
 
 The four batch predicates (:func:`points_in_polygon`,
 :func:`objects_contained`, :func:`pairwise_collisions` and
@@ -38,12 +37,14 @@ instance, :data:`KERNEL`; the module functions call them through it.
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..core.vectors import Vector
-from .polygon import _ON_EDGE_TOLERANCE, _edge_table, on_edge_reach
+from .polygon import _edge_table, _point_in_edges, on_edge_reach
 from .spatial_index import SpatialGrid
 
 #: Object counts below this skip the spatial grid: enumerating all pairs is
@@ -122,16 +123,9 @@ def corners_of_columns(columns: np.ndarray) -> np.ndarray:
     return corners
 
 
-def object_test_points(corners: np.ndarray) -> np.ndarray:
-    """Corners plus edge midpoints: the ``(N, 8, 2)`` containment test points.
-
-    Matches ``Region.contains_object``: four corners and the midpoint of each
-    bounding-box edge (the midpoints catch boxes straddling concave notches
-    that a corner-only test wrongly accepts).
-    """
-    corners = np.asarray(corners, dtype=float)
-    midpoints = (corners + np.roll(corners, -1, axis=1)) / 2.0
-    return np.concatenate([corners, midpoints], axis=1)
+#: Each corner's successor, anticlockwise: ``corners[:, _NEXT]`` is
+#: ``np.roll(corners, -1, axis=1)`` without its set-up.
+_NEXT = [1, 2, 3, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -160,40 +154,79 @@ def points_in_polygon(vertices: np.ndarray, points: np.ndarray) -> np.ndarray:
     return KERNEL.points_in_polygon(vertices, points)
 
 
+#: Certified verdicts need every coordinate of the point and the polygon
+#: within this of 0 (rounding stays below 1e-8), and a margin of at least
+#: this (or the polygon's ``on_edge_reach``, if larger) from every edge line.
+CERTIFIED_LIMIT = 1e6
+CERTIFIED_MARGIN = 1e-6
+
+
+def _half_planes(vertices: Sequence[Vector]) -> Optional[List[Tuple[float, float, float]]]:
+    """The inner half-planes ``nx * x + ny * y + c >= 0`` of a convex polygon.
+
+    One per positive-length edge, with unit normals; ``None`` unless every
+    vertex lies within 1e-9 inside every edge line and the edges turn once
+    around (not convex, or doubly wound), or past :data:`CERTIFIED_LIMIT`.
+    """
+    points = [(vertex.x, vertex.y) for vertex in vertices]
+    edges = [(a, b) for a, b in zip(points[-1:] + points[:-1], points) if a != b]
+    area = sum(ax * by - bx * ay for (ax, ay), (bx, by) in edges)
+    if not (area and max(abs(c) for point in points for c in point) <= CERTIFIED_LIMIT):
+        return None  # degenerate, too far out, or not finite
+    sign = math.copysign(1.0, area)
+    planes = []
+    for (ax, ay), (bx, by) in edges:
+        length = math.hypot(bx - ax, by - ay)
+        nx, ny = sign * (ay - by) / length, sign * (bx - ax) / length
+        planes.append((nx, ny, -(nx * ax + ny * ay)))
+    turning = sum(
+        math.atan2(mx * ny - my * nx, mx * nx + my * ny)
+        for (mx, my, _), (nx, ny, _) in zip(planes[-1:] + planes[:-1], planes)
+    )
+    if not abs(abs(turning) - 2 * math.pi) <= 1e-6 or any(
+        nx * x + ny * y + c < -1e-9 for nx, ny, c in planes for x, y in points
+    ):
+        return None
+    return planes
+
+
 class PolygonTable:
     """A fixed set of polygons, laid out for batched point location.
 
-    Every polygon's :func:`~repro.geometry.polygon._edge_table` rows, padded
-    to the longest table, as eight contiguous ``(edges, polygons)`` columns
-    (edge-major, so the arithmetic runs along rows of pairs); a padding row
-    is never on an edge (``on_bound`` -1) and never crosses a ray (``yi ==
-    yj``).  Each polygon's bounding box is padded by ``max(1e-6,
-    on_edge_reach)``, so every point the scalar on-edge test accepts lies in
-    its polygon's box, however short the polygon's edges.
-
-    A query forms the (point, polygon) pairs whose padded box holds the
-    point, with one box mask and ``np.nonzero``: point by point, polygon
-    indices ascending.  It then runs the arithmetic of the scalar ray cast
-    (``_point_in_edges``) once over all the pairs, so every verdict is the
-    scalar one.  The set's scalar lookups keep a :class:`SpatialGrid` over
-    the same boxes (:meth:`grid`).
+    Every polygon's :func:`~repro.geometry.polygon._edge_table`, and the
+    unit inner half-planes ``(nx, ny, c)`` of a convex polygon's edges in
+    one edge-major matrix, padded with 0 x + 0 y + 1e300 (a polygon without
+    half-planes gets 0 x + 0 y + 0, which certifies nothing).  A pair whose
+    point lies at least the polygon's margin ``δ = max(1e-6,
+    on_edge_reach)`` inside every edge line is certified inside, at least
+    ``δ`` outside one, outside: the scalar ray cast agrees
+    (``docs/geometry.md`` gives the rounding argument).  Any other pair
+    whose ``δ``-padded box holds the point takes ``_point_in_edges``, so
+    every verdict is the scalar one.  The set's scalar lookups keep a
+    :class:`SpatialGrid` over the same boxes (:meth:`grid`).
     """
 
     def __init__(self, vertex_lists: Sequence[Sequence[Vector]]):
-        tables = [_edge_table(vertices) for vertices in vertex_lists]
-        rows = np.zeros((max(map(len, tables)), len(tables), 8))
-        rows[:, :, 6] = -1.0
-        boxes = np.empty((len(tables), 4))
-        for index, (vertices, table) in enumerate(zip(vertex_lists, tables)):
-            rows[: len(table), index] = table
-            pad = max(1e-6, on_edge_reach(vertices))
+        #: Each polygon's :func:`~repro.geometry.polygon._edge_table`.
+        self.edges = [_edge_table(vertices) for vertices in vertex_lists]
+        count, width = len(vertex_lists), max(map(len, self.edges))
+        planes = np.zeros((width, count, 3))  # edge-major: min runs along polygons
+        planes[:, :, 2] = 1e300  # finite: an inf would raise the FPU's invalid flag in BLAS
+        margins = np.empty(count)
+        boxes = np.empty((count, 4))
+        for index, vertices in enumerate(vertex_lists):
+            margin = margins[index] = max(CERTIFIED_MARGIN, on_edge_reach(vertices))
             xs = [vertex.x for vertex in vertices]
             ys = [vertex.y for vertex in vertices]
-            boxes[index] = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
-        self._columns = tuple(np.ascontiguousarray(rows[:, :, k]) for k in range(8))
+            boxes[index] = (min(xs) - margin, min(ys) - margin, max(xs) + margin, max(ys) + margin)
+            # A polygon without half-planes gets 0 x + 0 y + 0: never certified.
+            rows = _half_planes(vertices) or [(0.0, 0.0, 0.0)]
+            planes[: len(rows), index] = rows
+        self._planes = planes.reshape(-1, 3)  # (edges * polygons, 3)
+        self._width = width
+        self._margins = margins[:, None]
         #: The padded boxes, ``(polygons, 4)`` rows of (minx, miny, maxx, maxy).
         self.boxes = boxes
-        self._box_columns = tuple(boxes[:, k : k + 1].copy() for k in range(4))  # (polygons, 1)
         self._grid: Optional[SpatialGrid] = None
 
     def grid(self) -> SpatialGrid:
@@ -203,61 +236,34 @@ class PolygonTable:
             grid = self._grid = SpatialGrid(self.boxes)
         return grid
 
-    def _pairs(self, xs: np.ndarray, ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """The (point, polygon) index pairs whose padded box holds the point.
-
-        The mask is ``(polygons, points)``, so numpy's loops run along the
-        points; ``np.nonzero`` of its transpose lists the pairs point by
-        point, polygon indices ascending.
-        """
-        min_x, min_y, max_x, max_y = self._box_columns
-        mask = (xs >= min_x) & (xs <= max_x) & (ys >= min_y) & (ys <= max_y)
-        return np.nonzero(mask.T)
-
-    def _holds(self, xs: np.ndarray, ys: np.ndarray, points: np.ndarray,
-               polygons: np.ndarray) -> np.ndarray:
-        """Whether polygon ``polygons[m]`` holds point ``points[m]``, for every ``m``.
-
-        ``_point_in_edges``' arithmetic, one column per pair: a pair holds
-        when some edge has the point on it, or when an odd number of edges
-        cross the ray from the point towards +x.  The crossing abscissa is
-        only read where the edge straddles the point's ``y``, so ``ey`` is
-        not 0 there.
-        """
-        px = xs.take(points)
-        py = ys.take(points)
-        xi, yi, xj, yj, ex, ey, on_bound, dot_hi = (
-            column.take(polygons, axis=1) for column in self._columns
-        )
-        dx = px - xi
-        dy = py - yi
-        dot = dx * ex + dy * ey
-        on_edge = (
-            (np.abs(ex * dy - ey * dx) <= on_bound)
-            & (dot >= -_ON_EDGE_TOLERANCE)
-            & (dot <= dot_hi)
-        )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            crossings = ((yi > py) != (yj > py)) & (px < xj + (py - yj) * ex / ey)
-        return on_edge.any(axis=0) | np.logical_xor.reduce(crossings, axis=0)
-
-    def contains(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """Whether some polygon holds each point, as a boolean array."""
-        points, polygons = self._pairs(xs, ys)
-        held = np.zeros(len(xs), dtype=bool)
-        held[points[self._holds(xs, ys, points, polygons)]] = True
+    def held(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        """Whether each polygon holds each point, as a ``(polygons, points)`` array."""
+        points = np.stack([xs, ys, np.ones(len(xs))])
+        depth = (self._planes @ points).reshape(self._width, len(self.boxes), len(xs)).min(
+            axis=0
+        )  # each point's least distance inside each polygon's edge lines
+        held = depth >= self._margins
+        unsure = (depth > -self._margins) != held  # a NaN point is certified outside
+        far = np.abs(points[:2]) > CERTIFIED_LIMIT
+        if far.any():
+            far = far.any(axis=0)
+            held[:, far] = False
+            unsure[:, far] = True
+        if unsure.any():
+            polygons, columns = np.nonzero(unsure)
+            min_x, min_y, max_x, max_y = self.boxes[polygons].T
+            px, py = xs[columns], ys[columns]
+            boxed = (px >= min_x) & (py >= min_y) & (px <= max_x) & (py <= max_y)
+            for polygon, column in zip(polygons[boxed].tolist(), columns[boxed].tolist()):
+                held[polygon, column] = _point_in_edges(
+                    float(xs[column]), float(ys[column]), self.edges[polygon]
+                )
         return held
 
     def first_holders(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         """The lowest index of a polygon that holds each point; -1 where none does."""
-        points, polygons = self._pairs(xs, ys)
-        held = self._holds(xs, ys, points, polygons)
-        points, polygons = points[held], polygons[held]
-        first = np.ones(len(points), dtype=bool)
-        first[1:] = points[1:] != points[:-1]
-        holders = np.full(len(xs), -1, dtype=np.intp)
-        holders[points[first]] = polygons[first]
-        return holders
+        held = self.held(xs, ys)
+        return np.where(held.any(axis=0), held.argmax(axis=0), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +310,7 @@ def quads_overlap(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     if first.shape[0] == 0:
         return np.zeros(0, dtype=bool)
     edges = np.concatenate(
-        [np.roll(first, -1, axis=1) - first, np.roll(second, -1, axis=1) - second], axis=1
+        [first[:, _NEXT] - first, second[:, _NEXT] - second], axis=1
     )  # (M, 8, 2)
     axes = np.stack([-edges[..., 1], edges[..., 0]], axis=-1)  # outward-ish normals
     projections_first = axes @ first.transpose(0, 2, 1)  # (M, 8, 4)
@@ -347,11 +353,11 @@ def batch_collision_free(
 class NumpyKernel:
     """The four batch predicates, in numpy.
 
-    This is the code the golden corpus was recorded against.  Its results
-    are bit-identical to the scalar predicates: the separating-axis test
-    uses closed intervals (touching counts as overlap, exactly like
-    ``polygons_intersect``) and :meth:`points_in_polygon` replicates the
-    scalar ray casting decision for decision.
+    Its verdicts are the scalar predicates': the separating-axis test uses
+    closed intervals (touching counts as overlap, exactly like
+    ``polygons_intersect``), and point containment goes through a
+    :class:`PolygonTable`, whose certified verdicts are the scalar ray
+    cast's.
     """
 
     name = "numpy"
@@ -367,22 +373,22 @@ class NumpyKernel:
         vertices = np.asarray(vertices, dtype=float)
         pts = as_points(points)
         table = PolygonTable([[Vector(x, y) for x, y in vertices.tolist()]])
-        return table.contains(pts[:, 0], pts[:, 1])
+        return table.held(pts[:, 0], pts[:, 1])[0]
 
     def objects_contained(self, region: Any, corners: Any) -> np.ndarray:
         """Containment of ``N`` objects (``(N, 4, 2)`` corners) in *region*.
 
         The default ``Region.contains_object`` semantics — all four corners
         and all four edge midpoints inside — as one batched containment
-        query through the region's ``contains_points_batch``.
+        query through the region's ``contains_points_batch``.  The points go
+        corner-major, ``(8, N)``, so the last test reduces along the objects.
         """
-        corners = np.asarray(corners, dtype=float)
-        n = corners.shape[0]
+        corners = np.asarray(corners, dtype=float).transpose(1, 0, 2)  # (4, N, 2)
+        n = corners.shape[1]
         if n == 0:
             return np.zeros(0, dtype=bool)
-        test_points = object_test_points(corners).reshape(-1, 2)
-        inside = contains_points(region, test_points).reshape(n, 8)
-        return inside.all(axis=1)
+        test_points = np.concatenate([corners, (corners + corners[_NEXT]) / 2.0])
+        return contains_points(region, test_points.reshape(-1, 2)).reshape(8, n).all(axis=0)
 
     def pairwise_collisions(
         self,
@@ -439,6 +445,9 @@ class NumpyKernel:
         optional ``(K, N)`` mask.  Returns a boolean ``(K,)`` array that is True
         where no collidable pair overlaps — the bulk form of
         ``no_pairwise_collisions`` used by the vectorized sampling strategy.
+        Below :data:`GRID_PAIR_THRESHOLD` objects one broadcast ``(K, N, N)``
+        AABB test picks the pairs for the exact :func:`quads_overlap`;
+        larger scenes take :meth:`pairwise_collisions`' grid pairs.
         """
         corners = np.asarray(corners, dtype=float)
         k, n = corners.shape[0], corners.shape[1]
@@ -446,29 +455,34 @@ class NumpyKernel:
             return np.zeros(0, dtype=bool)
         if n < 2:
             return np.ones(k, dtype=bool)
-        row, col = np.triu_indices(n, k=1)
-        # Cheap AABB prefilter over every (candidate, pair): the exact SAT only
-        # runs on pairs whose bounds overlap — usually a small fraction.
-        mins = corners.min(axis=2)  # (K, N, 2)
-        maxs = corners.max(axis=2)
-        candidate = ~(
-            (maxs[:, row, 0] < mins[:, col, 0])
-            | (maxs[:, col, 0] < mins[:, row, 0])
-            | (maxs[:, row, 1] < mins[:, col, 1])
-            | (maxs[:, col, 1] < mins[:, row, 1])
-        )  # (K, P)
-        if collidable is not None:
-            mask = np.asarray(collidable, dtype=bool)
-            candidate &= mask[:, row] & mask[:, col]
-        scene_index, pair_index = np.nonzero(candidate)
-        if len(scene_index) == 0:
-            return np.ones(k, dtype=bool)
-        hits = quads_overlap(
-            corners[scene_index, row[pair_index]], corners[scene_index, col[pair_index]]
-        )
+        if collidable is None:
+            collidable = np.ones((k, n), dtype=bool)
+        collidable = np.asarray(collidable, dtype=bool)
+        if n >= GRID_PAIR_THRESHOLD:
+            return np.array([
+                len(self.pairwise_collisions(corners[index], collidable[index])) == 0
+                for index in range(k)
+            ], dtype=bool)
+        # Each box's min and max corner, (K, N, 2), as BoundingBox.intersects reads them.
+        lo = np.minimum(np.minimum(corners[:, :, 0], corners[:, :, 1]),
+                        np.minimum(corners[:, :, 2], corners[:, :, 3]))
+        hi = np.maximum(np.maximum(corners[:, :, 0], corners[:, :, 1]),
+                        np.maximum(corners[:, :, 2], corners[:, :, 3]))
+        apart = (hi[:, :, None] < lo[:, None]) | (hi[:, None] < lo[:, :, None])  # (K, N, N, 2)
+        candidate = ~(apart[..., 0] | apart[..., 1]) & _upper_triangle(n)
+        candidate &= collidable[:, :, None] & collidable[:, None]
+        scene_index, first, second = np.nonzero(candidate)
         free = np.ones(k, dtype=bool)
-        free[scene_index[hits]] = False
+        if len(scene_index):
+            hits = quads_overlap(corners[scene_index, first], corners[scene_index, second])
+            free[scene_index[hits]] = False
         return free
+
+
+@functools.lru_cache(maxsize=None)
+def _upper_triangle(n: int) -> np.ndarray:
+    """The ``(n, n)`` mask of the pairs ``i < j``."""
+    return np.triu(np.ones((n, n), dtype=bool), k=1)
 
 
 #: The one kernel instance.  The module functions above look its methods up
@@ -485,7 +499,6 @@ __all__ = [
     "as_points",
     "corners_array",
     "corners_of_columns",
-    "object_test_points",
     "contains_points",
     "points_in_polygon",
     "region_supports_batch_objects",

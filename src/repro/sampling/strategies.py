@@ -16,9 +16,9 @@ books it as a sampling rejection.  Strategies differ only in their policy:
   evals harness compare against.
 * :class:`VectorizedSampler` — draws blocks of 1, 2, 4, … up to 32
   candidates, those of 16 or more as numpy columns
-  (:mod:`repro.core.columns`), and checks a block's containment and
-  collisions in one pass through the numpy kernel
-  (:mod:`repro.geometry.kernel`); the default for
+  (:mod:`repro.core.columns`), and checks each block's containment and
+  collisions, a block of one included, in one pass through the numpy
+  kernel (:mod:`repro.geometry.kernel`); the default for
   ``Scenario.generate_batch`` and the generation service
   (:data:`~repro.core.scenario.DEFAULT_BATCH_STRATEGY`).
 
@@ -29,9 +29,10 @@ samples the pruned scenario::
     prune_scenario(scenario)                 # Sec. 5.2, bounds from static analysis
     scenario.generate(seed=0, strategy="rejection")
 
-The per-candidate check (:func:`geometry_failure`) routes through the kernel
-whenever the scene is large enough for batching to pay for itself, so
-*every* strategy rides the vectorized hot path.
+The per-candidate check (:func:`geometry_failure`), which ``rejection``
+runs and ``vectorized`` keeps for one candidate of one or two objects,
+routes through the kernel from 3 objects on, so *every* strategy rides the
+vectorized hot path.
 
 Strategies take no options: their tuning knobs are class constants.  They
 are listed by name in :data:`STRATEGIES`; a strategy *instance* can be
@@ -307,10 +308,11 @@ class VectorizedSampler(SamplingStrategy):
     candidates) does not pay for concretizing a full block it never
     examines — the dominant cost of per-scene sampling in the generation
     service, whose splitmix contract draws every scene with a fresh RNG.
-    A block of one goes through the per-candidate chain
-    (:func:`geometry_failure`); a larger block checks workspace containment
-    for *all* objects of *all* its candidates in one batched kernel query
-    and all pairwise collisions in one batched separating-axis pass.  A
+    Every block, a block of one included, checks workspace containment for
+    *all* objects of *all* its candidates in one batched kernel query and
+    all pairwise collisions in one batched pass; only a block of one
+    candidate of one or two objects keeps the per-candidate chain
+    (:func:`geometry_failure`).  A
     block of :attr:`COLUMN_MIN_BLOCK` or more is drawn as columns
     (:mod:`repro.core.columns`): the same RNG reads, numpy values step by
     step, corners straight from the object columns, and objects only for
@@ -368,11 +370,11 @@ class VectorizedSampler(SamplingStrategy):
         """One kernel pass: containment for every object, then collisions.
 
         The corners and the collidable mask of the block's ``K`` live
-        candidates come from one pass over their ``K * N`` objects.  A block
-        of one takes the per-candidate chain instead: same verdicts, without
-        the block pass's numpy set-up.
+        candidates come from one pass over their ``K * N`` objects.  One
+        candidate of fewer than ``_KERNEL_MIN_OBJECTS`` objects takes the
+        per-candidate chain instead: same verdicts, without the numpy set-up.
         """
-        if len(block) == 1:
+        if len(block) == 1 and len(scenario.objects) < _KERNEL_MIN_OBJECTS:
             return super()._geometry_failures(scenario, block)
         failures: List[Optional[str]] = [
             drawn if isinstance(drawn, str) else None for drawn in block
@@ -415,18 +417,18 @@ class VectorizedSampler(SamplingStrategy):
                     dtype=bool,
                     count=len(live),
                 )
-            for position, index in enumerate(live):
-                if not contained[position]:
-                    failures[index] = "containment"
-            keep = np.flatnonzero(contained)
-            corners = corners[keep]
-            collidable = collidable[keep]
-            live = [live[int(position)] for position in keep]
-            if not live:
-                return failures
+            if not contained.all():
+                for index, inside in zip(live, contained.tolist()):
+                    if not inside:
+                        failures[index] = "containment"
+                corners = corners[contained]
+                collidable = collidable[contained]
+                live = [index for index, inside in zip(live, contained.tolist()) if inside]
+                if not live:
+                    return failures
         collision_free = _kernel.batch_collision_free(corners, collidable)
-        for position, index in enumerate(live):
-            if not collision_free[position]:
+        for index, free in zip(live, collision_free.tolist()):
+            if not free:
                 failures[index] = "collision"
         return failures
 

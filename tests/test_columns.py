@@ -199,3 +199,31 @@ def test_only_blocks_from_the_threshold_up_build_the_column_plan(size, built):
         scenario.generate(seed=0, max_iterations=4 * size, strategy=FixedBlocks())
     plan = scenario._draw_program.columns
     assert isinstance(plan, ColumnPlan) if built else plan is None
+
+
+def test_a_dropped_scenario_frees_its_program_and_plan_without_the_cycle_collector():
+    """The program holds its column plan and the plan holds no program, so a
+    scenario dropped after a block drawn as columns (and the scene it gave)
+    is freed by reference counting alone: no collection runs here."""
+    import gc
+    import weakref
+
+    from repro.language import compile_scenario
+
+    source = "import gtaLib\nego = Car\nother = Car offset by (-10, 10) @ (20, 40)\n"
+    gc.collect()
+    gc.disable()
+    try:
+        scenario = compile_scenario(source, cache=None).scenario(fresh=True)
+        sampler = VectorizedSampler()
+        rng = random.Random(3)
+        program = current_program(scenario)
+        sampler._draw_block(scenario, rng, VectorizedSampler.COLUMN_MIN_BLOCK)
+        plan = column_plan(program)
+        assert plan is not None and program.columns is plan
+        scene = sampler.sample(scenario, 100, rng)[0]
+        program_ref, plan_ref = weakref.ref(program), weakref.ref(plan)
+        del scenario, sampler, program, plan, scene
+        assert program_ref() is None and plan_ref() is None
+    finally:
+        gc.enable()

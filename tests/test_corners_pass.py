@@ -114,9 +114,9 @@ def test_block_pass_equals_the_scalar_chain_on_a_gtalib_block():
 def test_a_block_of_one_gives_the_block_pass_cause_on_a_gtalib_block():
     """``vectorized``'s first block, one candidate, is checked like a block.
 
-    A block of one takes the per-candidate chain instead of the block pass;
-    over drawn gtaLib candidates with all three outcomes, each one alone
-    gets the cause the block pass gives it.
+    A block of one takes the same verdict pass as a block of 96; over drawn
+    gtaLib candidates with all three outcomes, each one alone gets the cause
+    it gets in the large block.
     """
     scenario, sampler, block = drawn_block("four_cars_bad_conditions.scenic", 96, seed=5)
     in_block = sampler._geometry_failures(scenario, block)

@@ -263,3 +263,16 @@ def test_committed_scorecard_matches_corpus():
     # The markdown rendering is committed alongside and reflects the JSON.
     markdown = SCORECARD_MD.read_text()
     assert f"seed {document['seed']}" in markdown
+
+
+@pytest.mark.parametrize("command", ["promote", "run", "check", "selfcheck"])
+def test_quiet_is_accepted_before_and_after_the_subcommand(command, monkeypatch):
+    """``--quiet`` works on either side of the subcommand, and only there."""
+    from repro.evals import __main__ as cli
+
+    seen = []
+    monkeypatch.setattr(cli, f"cmd_{command}", lambda args: seen.append(args.quiet) or 0)
+    assert cli.main(["--quiet", command]) == 0
+    assert cli.main([command, "--quiet"]) == 0
+    assert cli.main([command]) == 0
+    assert seen == [True, True, False]

@@ -364,6 +364,51 @@ class TestPlantedUlpBias:
         assert kernel.batch_collision_free(corners[None]).tolist() == [True]
 
 
+def plant_off_by_delta(monkeypatch):
+    """Move every edge line of every new ``PolygonTable`` 2δ outward.
+
+    The certified decision then calls a point up to δ outside an edge
+    "inside", where the scalar ray cast says outside: the boundary probes
+    of the kernel oracle must flag it.
+    """
+    build = kernel.PolygonTable.__init__
+
+    def shifted(table, vertex_lists):
+        build(table, vertex_lists)
+        table._planes[:, 2] += 2 * np.tile(table._margins[:, 0], table._width)
+
+    monkeypatch.setattr(kernel.PolygonTable, "__init__", shifted)
+
+
+class TestPlantedOffByDelta:
+    """The boundary probes catch a certified verdict that is off by δ."""
+
+    def test_oracle_flags_an_off_by_delta_workspace(self, monkeypatch):
+        from repro.fuzz.oracles import check_kernel_equivalence
+
+        scenario = four_object_scenario()
+        scene = scenario.generate(seed=0)
+        assert check_kernel_equivalence(scenario, scene, seed=9) == []
+        plant_off_by_delta(monkeypatch)
+        monkeypatch.setattr(scenario.workspace.region, "_table", None)  # rebuilt, shifted
+        problems = check_kernel_equivalence(scenario, scene, seed=9)
+        assert any("contains_points mismatch on PolygonalRegion" in p for p in problems), problems
+
+    def test_oracle_flags_an_off_by_delta_road_map(self, monkeypatch):
+        from repro.fuzz.oracles import run_oracles
+        from repro.worlds.registry import load_world
+
+        program = "import gtaLib\nego = Car\n"
+        assert run_oracles(program, seed=3).verdict == "pass"
+        plant_off_by_delta(monkeypatch)
+        region = load_world("gta")[1].region
+        monkeypatch.setattr(region, "_table", None)
+        monkeypatch.setattr(region.orientation, "_tables", None)
+        details = [failure.detail for failure in run_oracles(program, seed=3).failures]
+        assert any("contains_points mismatch on PolygonalRegion" in d for d in details), details
+        assert any("value_at_points mismatch on roadDirection" in d for d in details), details
+
+
 def four_object_scenario(box: float = 1.0):
     """Ego plus four *box*-wide boxes inside a polygonal workspace: every kernel path applies."""
     from repro.core import At, Facing, In, ScenarioBuilder, Workspace
@@ -396,7 +441,7 @@ class TestKernelInstance:
     @pytest.mark.parametrize(
         "strategy,collision_methods",
         [
-            ("vectorized", ("batch_collision_free", "pairwise_collisions")),
+            ("vectorized", ("batch_collision_free",)),
             ("rejection", ("pairwise_collisions",)),
         ],
         ids=["vectorized", "rejection"],
@@ -404,12 +449,12 @@ class TestKernelInstance:
     def test_sampling_goes_through_the_instance(self, monkeypatch, strategy, collision_methods):
         """Counted the way ``perfbench/tracing.py`` times the ``geometry.kernel`` span.
 
-        ``vectorized`` reaches both collision methods: its first block of
-        one candidate goes through the per-candidate chain
-        (``pairwise_collisions``) and its larger blocks through the block
-        pass (``batch_collision_free``).  The boxes are 4 m wide, so about
-        two thirds of candidates are rejected and most scenes need more
-        than one block.
+        ``vectorized`` checks every block, its first block of one candidate
+        included, in one verdict pass (``objects_contained``, then
+        ``batch_collision_free``); ``rejection`` checks candidate by
+        candidate through the chain (``pairwise_collisions`` from 4
+        objects).  The boxes are 4 m wide, so about two thirds of
+        candidates are rejected and most scenes need more than one block.
         """
         instance = backends.active_backend()
         calls = dict.fromkeys(KERNEL_METHODS, 0)
