@@ -11,7 +11,8 @@ A large block of ``K`` candidates is drawn from a scenario's
   visible region two; an object's mutation three ``gauss`` reads.  Any
   other RNG step whose arguments are all constant runs whole here.  A
   program with an RNG step that has neither keeps the scalar program:
-  :class:`ColumnPlan` declines.
+  :class:`ColumnPlan` declines.  It also records the RNG state after every
+  stride of candidates, where the sampler rewinds to after an acceptance.
 * **Column phase.**  Step by step over the ``K`` candidates: floats are
   arrays (:class:`Floats`), vectors ``(x, y)`` array pairs
   (:class:`Vectors`), objects and oriented points dicts of property columns
@@ -734,19 +735,25 @@ class ColumnPlan:
 
     # -- drawing a block --------------------------------------------------------
 
-    def draw(self, rng, count: int) -> "ColumnBlock":
-        """The raw phase, then the column phase, for a block of *count* candidates."""
-        raw = self._raw_phase(rng, count)
+    def draw(self, rng, count: int, stride: int) -> "ColumnBlock":
+        """The raw phase, then the column phase, for a block of *count* candidates.
+
+        The block records the RNG state after every *stride* candidates
+        short of its last (``ColumnBlock.ends``).
+        """
+        raw, ends = self._raw_phase(rng, count, stride)
         columns = self.template.copy()
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             for slot, step in self.steps:
                 columns[slot] = step(columns, raw, count)
-        return ColumnBlock(self, columns, count, rng)
+        return ColumnBlock(self, columns, count, rng, ends)
 
-    def _raw_phase(self, rng, count: int) -> List[Any]:
+    def _raw_phase(self, rng, count: int, stride: int) -> Tuple[List[Any], List[Any]]:
         """Every candidate's reads, candidate by candidate, then one column per read.
 
         A float read's column is a contiguous array; a whole step's, a list.
+        Also returns ``rng.getstate()`` after every *stride* candidates short
+        of the last.
         """
         width = self.width
         calls = [
@@ -755,11 +762,16 @@ class ColumnPlan:
             else partial(argument, rng)
             for kind, argument in self.reads
         ]
-        raw = [call() for _ in range(count) for call in calls]
-        return [
+        raw, ends = [], []
+        for start in range(0, count, stride):
+            if start:
+                ends.append(rng.getstate())
+            raw += [call() for _ in range(min(stride, count - start)) for call in calls]
+        columns = [
             raw[offset::width] if kind == _WHOLE else np.array(raw[offset::width])
             for offset, (kind, _) in enumerate(self.reads)
         ]
+        return columns, ends
 
 
 def _step(implementation, arguments, escape, columns, raw, count):
@@ -827,11 +839,12 @@ def _object_step(step, arguments, offset, columns, raw, count):
 class ColumnBlock:
     """``K`` candidates as columns; indexing builds one candidate's parts."""
 
-    def __init__(self, plan: ColumnPlan, columns: List[Any], count: int, rng):
+    def __init__(self, plan: ColumnPlan, columns: List[Any], count: int, rng, ends: List[Any]):
         self.plan = plan
         self.columns = columns
         self.count = count
         self.rng = rng
+        self.ends = ends
         self._candidates: Dict[int, Candidate] = {}
 
     def __len__(self) -> int:

@@ -33,12 +33,14 @@ Six oracles are run against every valid generated program:
   :func:`reference_concretize`, the plain walk the program replaces.
   Values, rejections, the final RNG state and every memoised node's value
   must all be equal.
-* **Column draws** — from one seed, a block of
-  ``VectorizedSampler.COLUMN_MIN_BLOCK`` candidates and a block of
-  ``BLOCK_SIZE`` drawn as columns (:mod:`repro.core.columns`) must each
-  equal as many draws of the program, on every slotted node's value, the
-  objects, the params, the corners and the RNG state, or decline: the plan
-  is not built, or the block raises (the sampler then redraws it).
+* **Column draws** — from one seed, blocks of
+  ``VectorizedSampler.COLUMN_MIN_BLOCK``, ``BLOCK_SIZE`` and
+  ``COLUMN_MAX_BLOCK`` candidates drawn as columns
+  (:mod:`repro.core.columns`) must each equal as many draws of the program,
+  on every slotted node's value, the objects, the params, the corners, the
+  RNG state at every ``BLOCK_SIZE`` boundary and after the block, or
+  decline: the plan is not built, or the block raises (the sampler then
+  redraws it).
 
 Compilation failures of supposedly-valid programs, and *any* non-ScenicError
 escaping the pipeline, are reported as failures too — the latter is the
@@ -449,8 +451,9 @@ def check_planned_draws(scenario, seed: int, candidates: int = PLAN_CANDIDATES) 
 # ---------------------------------------------------------------------------
 
 #: The block sizes :func:`check_column_draws` draws both ways: the smallest
-#: block the sampler draws as columns, and its largest.
-COLUMN_BLOCKS = (VectorizedSampler.COLUMN_MIN_BLOCK, VectorizedSampler.BLOCK_SIZE)
+#: block the sampler draws as columns, its stream block and its largest.
+COLUMN_BLOCKS = (VectorizedSampler.COLUMN_MIN_BLOCK, VectorizedSampler.BLOCK_SIZE,
+                 VectorizedSampler.COLUMN_MAX_BLOCK)
 
 
 def _candidate_difference(columns, scalar, nodes) -> Optional[str]:
@@ -474,10 +477,13 @@ def check_column_draws(scenario, seed: int, blocks: Sequence[int] = COLUMN_BLOCK
     ``Random(seed)`` and as many candidates from the scenario's draw program
     from another ``Random(seed)``.  Candidate by candidate the values must
     be equal (every slotted node's memo value, the objects, the ego and the
-    params) and so must the corners, and the two RNG states after the block.
-    A program whose plan declines, or a block that raises (and which the
-    sampler would redraw through the program), passes.
+    params) and so must the corners, the RNG state the block recorded at
+    every ``BLOCK_SIZE`` boundary (where the sampler rewinds to) and the two
+    RNG states after the block.  A program whose plan declines, or a block
+    that raises (and which the sampler would redraw through the program),
+    passes.
     """
+    stride = VectorizedSampler.BLOCK_SIZE
     try:
         program = current_program(scenario)
         plan = column_plan(program)
@@ -488,10 +494,12 @@ def check_column_draws(scenario, seed: int, blocks: Sequence[int] = COLUMN_BLOCK
     for count in blocks:
         column_rng, scalar_rng = random.Random(seed), random.Random(seed)
         try:
-            block = plan.draw(column_rng, count)
+            block = plan.draw(column_rng, count, stride)
             corners, _collidable = block.geometry()
         except Exception:  # noqa: BLE001 - the sampler redraws such a block
             continue
+        if len(block.ends) != (count - 1) // stride:
+            return [f"K={count}: {len(block.ends)} boundary states for {count} candidates"]
         for index in range(count):
             drawn, parts = _draw_outcome(program.draw, scenario, scalar_rng)
             if drawn != "drawn":
@@ -502,6 +510,9 @@ def check_column_draws(scenario, seed: int, blocks: Sequence[int] = COLUMN_BLOCK
                 return [f"K={count}, candidate {index}: the columns' candidate {difference}"]
             if not np.array_equal(corners[index], kernel.corners_array(scalar.objects)):
                 return [f"K={count}, candidate {index}: corners differ from the objects'"]
+            if (index + 1) % stride == 0 and index + 1 < count:
+                if block.ends[index // stride] != scalar_rng.getstate():
+                    return [f"K={count}: RNG state after candidate {index + 1} differs from the program's"]
         if column_rng.getstate() != scalar_rng.getstate():
             return [f"K={count}: RNG state after the block differs from the program's"]
     return []

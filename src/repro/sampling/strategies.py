@@ -14,7 +14,7 @@ books it as a sampling rejection.  Strategies differ only in their policy:
   blocks of one candidate, draw-for-draw the seed's ``Scenario.generate``.
   The reference semantics that the golden runs, the fuzz oracles and the
   evals harness compare against.
-* :class:`VectorizedSampler` — draws blocks of 1, 2, 4, … up to 32
+* :class:`VectorizedSampler` — draws blocks of 1, 2, 4, … up to 128
   candidates, those of 16 or more as numpy columns
   (:mod:`repro.core.columns`), and checks each block's containment and
   collisions, a block of one included, in one pass through the numpy
@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 import random as _random
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Type, Union
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Type, Union
 
 import numpy as np
 
@@ -179,6 +179,9 @@ class SamplingStrategy:
     """Base class: propose candidate scenes for a scenario until one is accepted."""
 
     name = "abstract"
+    #: The stream block: a block may draw several, but once the loop accepts
+    #: a candidate the RNG stands where the stream block holding it ends.
+    BLOCK_SIZE = 1
 
     def bind(self, scenario: Scenario) -> None:
         """Per-scenario set-up; the built-in strategies need none.
@@ -190,18 +193,28 @@ class SamplingStrategy:
 
     def _block_sizes(self) -> Iterator[int]:
         """How many candidates each round draws before examining them."""
-        return itertools.repeat(1)
+        return itertools.repeat(self.BLOCK_SIZE)
 
     def _draw_block(
         self, scenario: Scenario, rng: _random.Random, count: int
-    ) -> Tuple[Sequence[Drawn], List[Optional[str]]]:
-        """*count* candidates, and each one's first failure so far.
+    ) -> Tuple[Sequence[Drawn], Iterable[Optional[str]], List[Any]]:
+        """*count* candidates, each one's first failure so far, and the RNG's stream-block ends.
 
         Candidate by candidate through :meth:`_draw`, then
-        :meth:`_geometry_failures`.
+        :meth:`_geometry_failures`, one stream block at a time: the loop
+        examines a stream block's candidates before the next one is drawn
+        (*block* fills as the failures are read), so the RNG stops where the
+        accepted candidate's stream block ends, with no states to rewind to.
         """
-        block = [self._draw(scenario, rng) for _ in range(count)]
-        return block, self._geometry_failures(scenario, block)
+        block: List[Drawn] = []
+
+        def failures() -> Iterator[Optional[str]]:
+            for start in range(0, count, self.BLOCK_SIZE):
+                part = [self._draw(scenario, rng) for _ in range(min(self.BLOCK_SIZE, count - start))]
+                block.extend(part)
+                yield from self._geometry_failures(scenario, part)
+
+        return block, failures(), []
 
     def _geometry_failures(self, scenario: Scenario, block: List[Drawn]) -> List[Optional[str]]:
         """Each drawn slot's first failure so far: its draw cause, containment or collision.
@@ -236,7 +249,9 @@ class SamplingStrategy:
         """Draw one accepted scene (or ``None`` after *max_iterations* candidates).
 
         ``stats.iterations`` counts examined candidates only: a block's
-        candidates after the accepted one are drawn but never examined.
+        candidates after the accepted one are drawn but never examined.  A
+        block that spans several stream blocks gives the RNG states at their
+        ends, and the accepted candidate's puts the RNG back.
         """
         self.bind(scenario)
         current_program(scenario)  # rebuilt here if an edit made it stale
@@ -246,7 +261,7 @@ class SamplingStrategy:
         sizes = self._block_sizes()
         while scene is None and stats.iterations < max_iterations:
             count = min(next(sizes), max_iterations - stats.iterations)
-            block, failures = self._draw_block(scenario, rng, count)
+            block, failures, ends = self._draw_block(scenario, rng, count)
             for index, cause in enumerate(failures):
                 stats.iterations += 1
                 if cause is None:
@@ -254,6 +269,8 @@ class SamplingStrategy:
                     cause = late_failure(scenario, drawn)
                 if cause is None:
                     scene = Scene(drawn.objects, drawn.ego, drawn.params, scenario.workspace)
+                    if index // self.BLOCK_SIZE < len(ends):  # rewind to its stream block's end
+                        rng.setstate(ends[index // self.BLOCK_SIZE])
                     break
                 book_rejection(stats, cause)
         stats.elapsed_seconds = time.perf_counter() - start_time
@@ -304,8 +321,8 @@ class VectorizedSampler(SamplingStrategy):
     """Propose candidates in blocks and reject them in bulk through the kernel.
 
     Rounds draw blocks of 1, 2, 4, … candidates, doubling up to
-    :attr:`BLOCK_SIZE`, so an easy scenario (accepted within the first few
-    candidates) does not pay for concretizing a full block it never
+    :attr:`COLUMN_MAX_BLOCK`, so an easy scenario (accepted within the
+    first few candidates) does not pay for concretizing a full block it never
     examines — the dominant cost of per-scene sampling in the generation
     service, whose splitmix contract draws every scene with a fresh RNG.
     Every block, a block of one included, checks workspace containment for
@@ -326,7 +343,9 @@ class VectorizedSampler(SamplingStrategy):
     from a fresh RNG is rejection's, draw for draw.  The stream differs in
     one way: the candidates after the accepted one in its block are drawn
     but never examined, which moves where the next scene of a multi-scene
-    batch starts.
+    batch starts.  Blocks past :attr:`BLOCK_SIZE` change only what a
+    column pass costs: the loop rewinds the RNG to where blocks of
+    :attr:`BLOCK_SIZE` would leave it.
     """
 
     name = "vectorized"
@@ -335,26 +354,30 @@ class VectorizedSampler(SamplingStrategy):
     #: (:mod:`repro.core.columns`); below it the numpy set-up costs more
     #: than it saves.
     COLUMN_MIN_BLOCK = 16
+    #: The ramp doubles blocks past :attr:`BLOCK_SIZE` up to this many
+    #: candidates, so a column pass's fixed cost is paid less often.
+    COLUMN_MAX_BLOCK = 128
 
     def _block_sizes(self):
         size = 1
         while True:
             yield size
-            size = min(size * 2, self.BLOCK_SIZE)
+            size = min(size * 2, self.COLUMN_MAX_BLOCK)
 
     def _draw_block(self, scenario, rng, count):
         """A large block is drawn as columns, and its geometry checked from them.
 
         The candidates are built only when the loop examines them past
         geometry.  An exception while drawing the columns restores the RNG
-        and redraws the block candidate by candidate, so every error and
-        ``"sampling"`` rejection happens where the scalar draw has it.
+        and redraws the block candidate by candidate, one stream block at a
+        time, so every error and ``"sampling"`` rejection happens where the
+        scalar draw has it.
         """
         plan = column_plan(scenario._draw_program) if count >= self.COLUMN_MIN_BLOCK else None
         if plan is not None:
             state = rng.getstate()
             try:
-                block = plan.draw(rng, count)
+                block = plan.draw(rng, count, self.BLOCK_SIZE)
                 corners, collidable = block.geometry()
             except Exception:  # noqa: BLE001 - the scalar redraw meets it again
                 plan.replays += 1
@@ -363,7 +386,7 @@ class VectorizedSampler(SamplingStrategy):
                 failures: List[Optional[str]] = [None] * count
                 return block, self._block_verdicts(
                     scenario, block, failures, list(range(count)), corners, collidable
-                )
+                ), block.ends
         return super()._draw_block(scenario, rng, count)
 
     def _geometry_failures(self, scenario, block):

@@ -28,10 +28,11 @@ SCALAR_PROGRAMS = {"badly_parked", "badly_parked.scenic"}
 
 
 def _draws_without_raising(scenario):
-    """Both block sizes the sampler draws as columns build without an exception."""
+    """The smallest, stream and largest blocks the sampler draws as columns build without an exception."""
     plan = column_plan(current_program(scenario))
-    for count in (VectorizedSampler.COLUMN_MIN_BLOCK, VectorizedSampler.BLOCK_SIZE):
-        plan.draw(random.Random(7), count).geometry()
+    for count in (VectorizedSampler.COLUMN_MIN_BLOCK, VectorizedSampler.BLOCK_SIZE,
+                  VectorizedSampler.COLUMN_MAX_BLOCK):
+        plan.draw(random.Random(7), count, VectorizedSampler.BLOCK_SIZE).geometry()
     return plan
 
 
@@ -85,14 +86,30 @@ def test_run_oracles_flags_a_range_recipe_one_ulp_off(monkeypatch):
 def test_run_oracles_flags_two_swapped_raw_reads(monkeypatch):
     raw_phase = ColumnPlan._raw_phase
 
-    def swapped(plan, rng, count):
-        first, second, *rest = raw_phase(plan, rng, count)
-        return [second, first, *rest]
+    def swapped(plan, rng, count, stride):
+        (first, second, *rest), ends = raw_phase(plan, rng, count, stride)
+        return [second, first, *rest], ends
 
     monkeypatch.setattr(ColumnPlan, "_raw_phase", swapped)
     report = run_oracles(RANGE_PROGRAM, seed=0)
     assert report.verdict == "fail"
     assert [failure.oracle for failure in report.failures] == ["column-equivalence"]
+
+
+def test_run_oracles_flags_boundary_states_one_boundary_late(monkeypatch):
+    """A block whose recorded stream-block ends are each one boundary late
+    would rewind the sampler past the accepted candidate's stream block."""
+    raw_phase = ColumnPlan._raw_phase
+
+    def one_late(plan, rng, count, stride):
+        raw, ends = raw_phase(plan, rng, count, stride)
+        return raw, ends[1:] + [rng.getstate()] if ends else ends
+
+    monkeypatch.setattr(ColumnPlan, "_raw_phase", one_late)
+    report = run_oracles(RANGE_PROGRAM, seed=0)
+    assert report.verdict == "fail"
+    assert [failure.oracle for failure in report.failures] == ["column-equivalence"]
+    assert "RNG state after candidate 32" in report.failures[0].detail
 
 
 def test_run_oracles_passes_the_column_draw():
@@ -199,6 +216,74 @@ def test_only_blocks_from_the_threshold_up_build_the_column_plan(size, built):
         scenario.generate(seed=0, max_iterations=4 * size, strategy=FixedBlocks())
     plan = scenario._draw_program.columns
     assert isinstance(plan, ColumnPlan) if built else plan is None
+
+
+# ---------------------------------------------------------------------------
+# Blocks past the ramp leave the RNG where blocks of 32 leave it
+# ---------------------------------------------------------------------------
+
+
+class StreamBlocks(VectorizedSampler):
+    """Blocks that stay at ``BLOCK_SIZE`` past the ramp."""
+
+    COLUMN_MAX_BLOCK = VectorizedSampler.BLOCK_SIZE
+
+
+def _stream(source, sampler, seed, max_iterations, count=1):
+    """A batch's scenes (or its error), counts and column replays, and the RNG state it leaves."""
+    scenario = scenario_from_string(source)
+    rng = random.Random(seed)
+    try:
+        batch = scenario.generate_batch(count, max_iterations, rng=rng, strategy=sampler)
+        outcome = [[(*obj.position, obj.heading, obj.width) for obj in scene.objects] for scene in batch]
+    except ScenicError as error:
+        outcome = repr(error)
+    stats = scenario.last_stats
+    plan = scenario._draw_program.columns
+    counts = (stats.iterations, stats.rejections_containment, stats.rejections_collision,
+              stats.rejections_user, stats.rejections_sampling)
+    return outcome, counts, plan.replays if plan else None, rng.getstate()
+
+
+#: Accepts about one candidate in a hundred.
+RARE_PROGRAM = "ego = Object at (0, 5) @ (0, 5)\nrequire ego.position.x > 4.95\n"
+
+ACCEPT_BEFORE_AN_EMPTY_INTERVAL = """\
+x = (0, 1)
+ego = Object with width (x, 0.99)
+require ego.width > 0.98
+"""
+
+
+@pytest.mark.parametrize("seed,accepted", [(1232, 73), (1297, 68), (1404, 81)])
+def test_an_error_in_the_second_half_of_a_64_block_is_never_reached(seed, accepted):
+    """At these seeds candidate *accepted* (63 to 94) passes, and a later
+    candidate before 127 has an empty interval.  Blocks of 32 accept before
+    drawing it.  The block of 64 raises in its column draw, and its scalar
+    redraw examines its first 32 candidates before drawing the rest."""
+    stream = _stream(ACCEPT_BEFORE_AN_EMPTY_INTERVAL, StreamBlocks(), seed, 5000)
+    larger = _stream(ACCEPT_BEFORE_AN_EMPTY_INTERVAL, VectorizedSampler(), seed, 5000)
+    assert stream[1][0] == larger[1][0] == accepted
+    assert (stream[2], larger[2]) == (0, 1)
+    assert larger[:2] + larger[3:] == stream[:2] + stream[3:]
+
+
+@pytest.mark.parametrize("max_iterations", [140, 159, 160, 200, 254])
+@pytest.mark.parametrize("source", [INFEASIBLE_PROGRAM, RARE_PROGRAM], ids=["infeasible", "rare"])
+def test_a_budget_that_ends_inside_a_128_block_cuts_it_where_blocks_of_32_end(source, max_iterations):
+    """The ramp and a block of 64 cover 127 candidates; the budget ends in the next block."""
+    for seed in range(4):
+        stream = _stream(source, StreamBlocks(), seed, max_iterations, count=3)
+        assert _stream(source, VectorizedSampler(), seed, max_iterations, count=3) == stream
+
+
+@pytest.mark.parametrize("name", ["fz2089620438", "merging_traffic", "fz360743916"])
+def test_a_batch_leaves_the_callers_rng_where_blocks_of_32_leave_it(name):
+    """Scenes accepted deep in blocks of 128: every scene and the caller's RNG are unmoved."""
+    source = CORPUS.get(name).source()
+    for seed in (0, 1):
+        stream = _stream(source, StreamBlocks(), seed, 20000, count=4)
+        assert _stream(source, VectorizedSampler(), seed, 20000, count=4) == stream
 
 
 def test_a_dropped_scenario_frees_its_program_and_plan_without_the_cycle_collector():

@@ -218,14 +218,14 @@ class TestVectorizedSampler:
         assert fingerprint(1) == fingerprint(64)
 
     def test_block_ramp_ignores_soft_requirements(self):
-        """Blocks ramp 1, 2, 4, ..., 32 and stay at 32, whatever the scenario.
+        """Blocks ramp 1, 2, 4, ..., 128 and stay at 128, whatever the scenario.
 
         A ``require[p]`` draws a fresh coin with each candidate, so the ramp
         is as valid under it as a fixed block.
         """
         from repro.core.pruning import prune_scenario
 
-        expected = [1, 2, 4, 8, 16, 32, 32, 32, 32]
+        expected = [1, 2, 4, 8, 16, 32, 64, 128, 128]
         plain = scenarios.compile_scenario(scenarios.two_cars())
         soft = scenarios.compile_scenario(
             scenarios.two_cars() + "require[0.5] ego.position.x <= 10\n"
